@@ -9,18 +9,19 @@ from .drift import (DriftProfile, RemainderReport, TrackingCheckResult, drift_bo
                     remainder_order_sweep, tracking_check)
 from .invariance import (RescaleProbeResult, SensitivityFit, StepScaleExperiment,
                          StepTrace, exact_invariance_probe, first_order_sensitivity,
-                         run_step_scale_experiment, step_scale_grid)
+                         run_step_scale_experiment, step_scale_cells, step_scale_grid)
 from .metrics import (OscillationGridReport, SmoothedSeries, binomial_diagonal_test,
                       combine_reports, ema_smooth, grid_report, oscillation_omega1,
                       oscillation_omega2)
-from .optimizers import (MomentState, OptimizerConfig, UpdateVector, adam_step,
+from .optimizers import (CellConfigs, MomentState, OptimizerConfig, UpdateVector, adam_step,
                          adam_update, constant_gradient_closed_form, gd_step,
                          signsgd_step, zero_state)
 from .problems import Problem, make_problem
 from .rng import CounterRng
 from .signals import (GradientSignal, constant_signal, exponential_signal,
                       sinusoidal_log_signal, step_scale_signal, tabulated_signal)
-from .training import RunTrace, SweepResult, omega_of_trace, run_training, sweep_grid
+from .training import (RunTrace, SweepResult, omega_of_trace, run_training, sweep_grid,
+                       train_cells)
 
 __version__ = "0.1.0"
 

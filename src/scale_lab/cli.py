@@ -12,7 +12,9 @@ Four subcommands:
                externally supplied omega matrix.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  The
-environment variable SCALE_LAB_THREADS caps worker threads.
+sweep's ``--threads`` flag and the SCALE_LAB_THREADS environment variable
+(an integer cap on it) are still validated but no longer change anything:
+the cells of a seed train as one lockstep batch in a single thread.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def _floats(text: str) -> list[float]:
 def _threads(requested: int) -> int:
     cap = os.environ.get("SCALE_LAB_THREADS", "")
     if cap.strip():
-        return max(1, min(requested, int(cap)))
+        try:
+            return max(1, min(requested, int(cap)))
+        except ValueError:
+            raise UsageError(f"SCALE_LAB_THREADS must be an integer, got {cap!r}") from None
     return max(1, requested)
 
 
@@ -184,13 +189,13 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"beta grid values must lie in (0,1): {betas}")
     if args.steps < 1 or args.window < 1 or args.seeds < 1:
         raise UsageError("steps, window, and seeds must all be >= 1")
+    threads = _threads(args.threads)
     problem = make_problem(args.problem, seed=args.data_seed)
     seeds = list(range(args.seeds)) if args.seed_list is None else [
         int(s) for s in _floats(args.seed_list)]
     result = sweep_grid(problem, beta_axis=betas, seeds=seeds,
                         steps=args.steps, batch_size=args.batch_size, eta=args.eta,
-                        window=args.window, metric=args.metric,
-                        threads=_threads(args.threads))
+                        window=args.window, metric=args.metric, threads=threads)
     manifest.seeds = seeds
 
     files = []
@@ -298,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=200)
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; cells run as one lockstep batch")
     p.add_argument("--out", default="scale-lab-out/sweep")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_sweep)

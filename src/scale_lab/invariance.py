@@ -22,8 +22,8 @@ import numpy as np
 from .drift import fit_power_law
 from .errors import DomainError
 from .flow import TimeScales, integrate_flow, steady_state_init
-from .optimizers import (MomentState, OptimizerConfig, UpdateVector, adam_step,
-                         adam_update, gd_step, signsgd_step)
+from .optimizers import (CellConfigs, MomentState, OptimizerConfig, UpdateVector,
+                         adam_update, gd_step, optimizer_step, row_norms, signsgd_step)
 from .signals import exponential_signal
 
 EXACT_TOL = 1e-12  # classification threshold for exact invariance / linearity
@@ -161,12 +161,14 @@ class StepScaleExperiment:
         return mult
 
 
-def run_step_scale_experiment(exp: StepScaleExperiment, config: OptimizerConfig,
-                              steps: int, init: str = "steady",
-                              method: str = "adam") -> StepTrace:
-    """Feed the scaled gradient stream to an optimizer and record ||R_k||.
+def step_scale_cells(exp: StepScaleExperiment, configs: Sequence[OptimizerConfig],
+                     steps: int, init: str = "steady",
+                     method: str = "adam") -> list[StepTrace]:
+    """Feed the scaled gradient stream to C optimizer cells in lockstep and record ||R_k||.
 
-    For Adam, ``init="steady"`` starts the moments at the fixed point of the
+    Every cell sees the same gradient, so the cells run as (C, d) rows of
+    one state and each row is bit-identical to the cell run alone.  For
+    Adam, ``init="steady"`` starts the moments at the fixed point of the
     first segment (m = g0, v = g0^2), so the pre-jump norm sits exactly at
     its steady value; ``init="zero"`` starts from m = v = 0.  signSGD and GD
     are stateless and ignore the init mode.
@@ -178,39 +180,42 @@ def run_step_scale_experiment(exp: StepScaleExperiment, config: OptimizerConfig,
     if any(b - a < 1 for a, b in zip(boundaries[:-1], boundaries[1:])):
         raise DomainError("every schedule segment must cover at least one step")
 
+    cells = CellConfigs(configs)
     base = np.asarray(exp.base, dtype=float)
+    shape = (len(cells),) + base.shape
     g0 = base * exp.multiplier_at(0)
     if init == "steady":
-        state = MomentState(m=g0.copy(), v=g0 * g0, theta=np.zeros_like(base), k=0)
+        m, v = np.tile(g0, (len(cells), 1)), np.tile(g0 * g0, (len(cells), 1))
     elif init == "zero":
-        state = MomentState(m=np.zeros_like(base), v=np.zeros_like(base),
-                            theta=np.zeros_like(base), k=0)
+        m, v = np.zeros(shape), np.zeros(shape)
     else:
         raise DomainError(f"unknown init mode {init!r}")
+    state = MomentState(m=m, v=v, theta=np.zeros(shape), k=0)
 
     mults = np.array([exp.multiplier_at(k) for k in range(steps)])
-    norm_r = np.empty(steps)
+    base_rows = np.tile(base, (len(cells), 1))
+    norm_r = np.empty((len(cells), steps))
     for k in range(steps):
-        g = base * mults[k]
-        if method == "adam":
-            state, upd = adam_step(state, g, config)
-        elif method == "signsgd":
-            upd = signsgd_step(g)
-        elif method == "gd":
-            upd = gd_step(g)
-        else:
-            raise DomainError(f"unknown optimizer id {method!r}")
-        norm_r[k] = upd.norm(2)
-    return StepTrace(steps=np.arange(steps), multiplier=mults, norm_r=norm_r,
-                     beta1=config.beta1, beta2=config.beta2)
+        g = base_rows * mults[k]
+        state, upd = optimizer_step(method, state, g, cells)
+        norm_r[:, k] = row_norms(upd.r)
+    return [StepTrace(steps=np.arange(steps), multiplier=mults, norm_r=norm_r[i],
+                      beta1=cfg.beta1, beta2=cfg.beta2) for i, cfg in enumerate(cells.configs)]
+
+
+def run_step_scale_experiment(exp: StepScaleExperiment, config: OptimizerConfig,
+                              steps: int, init: str = "steady",
+                              method: str = "adam") -> StepTrace:
+    """One cell of ``step_scale_cells``: feed the scaled stream to one optimizer."""
+    return step_scale_cells(exp, [config], steps, init=init, method=method)[0]
 
 
 def step_scale_grid(exp: StepScaleExperiment, steps: int, eta: float = 1e-3,
                     epsilon: float = 0.0, init: str = "steady") -> dict[tuple[float, float], StepTrace]:
-    """Run the experiment for every (beta1, beta2) pair in the grid."""
-    traces = {}
-    for b1, b2 in exp.beta_grid:
-        cfg = OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=epsilon,
-                              bias_correction=False)
-        traces[(b1, b2)] = run_step_scale_experiment(exp, cfg, steps, init=init)
-    return traces
+    """Run the experiment for every (beta1, beta2) pair in the grid, all cells in lockstep."""
+    if not exp.beta_grid:
+        return {}
+    configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=epsilon,
+                               bias_correction=False) for b1, b2 in exp.beta_grid]
+    traces = step_scale_cells(exp, configs, steps, init=init)
+    return dict(zip(exp.beta_grid, traces))

@@ -10,9 +10,9 @@ identity) and summarized by
 both normalized over T - 1 terms; omega2 fills its leftmost slot, which has
 no centered stencil, by reusing the first interior difference one-sidedly.
 
-Whether the smoothest column of a (beta1, beta2) grid sits on the diagonal
-is scored per (row, seed) and tested against a Binomial(N, 1/3) null with an
-exact one-sided tail computed in integer arithmetic.
+Whether the smoothest column of an n x n (beta1, beta2) grid sits on the
+diagonal is scored per (row, seed) and tested against a Binomial(N, 1/n)
+null with an exact one-sided tail computed in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -76,18 +76,22 @@ def oscillation_omega2(series) -> float:
     return float(np.sum(terms) / (x.size - 1))
 
 
-def binomial_diagonal_test(k: int, n: int) -> float:
-    """Exact one-sided tail P(X >= k) for X ~ Binomial(n, 1/3).
+def binomial_diagonal_test(k: int, n: int, width: int = 3) -> float:
+    """Exact one-sided tail P(X >= k) for X ~ Binomial(n, 1/width).
 
-    Computed from integer binomial coefficients: the tail equals
-    sum_{j >= k} C(n, j) 2^(n-j) divided by 3^n.
+    ``width`` is the length of the beta axis: under the null each row's
+    smoothest column is uniform over its ``width`` columns.  Computed from
+    integer binomial coefficients: the tail equals
+    sum_{j >= k} C(n, j) (width-1)^(n-j) divided by width^n.
     """
     if n < 1:
         raise DomainError(f"binomial test needs n >= 1, got {n}")
     if not 0 <= k <= n:
         raise DomainError(f"k must lie in [0, {n}], got {k}")
-    numerator = sum(math.comb(n, j) * 2 ** (n - j) for j in range(k, n + 1))
-    return numerator / 3 ** n
+    if width < 1:
+        raise DomainError(f"axis width must be >= 1, got {width}")
+    numerator = sum(math.comb(n, j) * (width - 1) ** (n - j) for j in range(k, n + 1))
+    return numerator / width ** n
 
 
 @dataclass(frozen=True)
@@ -138,13 +142,16 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
     trials = n * len(grids)
     return OscillationGridReport(
         omega=grids, beta_axis=axis, hits=hits, trials=trials,
-        rate=hits / trials, p_value=binomial_diagonal_test(hits, trials),
+        rate=hits / trials, p_value=binomial_diagonal_test(hits, trials, n),
         argmin_cols=argmins, degenerate_rows=degenerate,
     )
 
 
 def combine_reports(reports: Sequence[OscillationGridReport]) -> tuple[int, int, float]:
-    """Pool diagonal hits across independent reports: (K, N, p)."""
+    """Pool diagonal hits across independent reports of one axis width: (K, N, p)."""
+    widths = {len(r.beta_axis) for r in reports}
+    if len(widths) != 1:
+        raise DomainError(f"cannot pool reports over axis widths {sorted(widths)}")
     k = sum(r.hits for r in reports)
     n = sum(r.trials for r in reports)
-    return k, n, binomial_diagonal_test(k, n)
+    return k, n, binomial_diagonal_test(k, n, widths.pop())

@@ -10,6 +10,9 @@ differences can audit them:
   (20 features, 512 samples);
 * ``mlp``: a 20 -> 16 tanh -> 2 softmax cross-entropy network on the same
   blobs, gradients by hand-written backprop.
+
+Each loss and gradient also evaluates C stacked parameter vectors at once,
+which is how the training engine steps every cell of a seed in lockstep.
 """
 
 from __future__ import annotations
@@ -34,12 +37,20 @@ _INIT_STREAM = 1
 
 @dataclass(frozen=True)
 class Problem:
-    """A differentiable training problem over a flat parameter vector."""
+    """A differentiable training problem over a flat parameter vector.
+
+    ``loss`` and ``grad`` take one theta of shape (d,) or C thetas stacked
+    as (C, d) rows.  A stacked call returns C losses and a (C, d) gradient
+    whose row i is bit-identical to the call on theta i alone, because each
+    row runs the same BLAS calls and reductions as a single theta.  The mlp
+    reuses a hidden-layer buffer between calls, so one problem must not be
+    evaluated from two threads at once.
+    """
 
     kind: str
     dim_theta: int
     n_samples: int                      # 0 means full-batch only
-    loss: Callable[[np.ndarray], float]
+    loss: Callable[[np.ndarray], float | np.ndarray]
     grad: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
     init_theta: Callable[[int], np.ndarray]
     meta: dict = field(default_factory=dict)
@@ -56,6 +67,29 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, one BLAS dot per row as for 1-D vectors."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _stacked(loss_rows, grad_rows):
+    """``loss`` and ``grad`` over (C, d) rows, with a 1-D theta as the C = 1 case."""
+
+    def loss(theta: np.ndarray) -> float | np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 1:
+            return float(loss_rows(theta[None])[0])
+        return loss_rows(theta)
+
+    def grad(theta: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 1:
+            return grad_rows(theta[None], idx)[0]
+        return grad_rows(theta, idx)
+
+    return loss, grad
 
 
 def _make_blobs(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,16 +109,17 @@ def _quadratic(seed: int) -> Problem:
     exponents = np.linspace(0.0, 1.0, QUADRATIC_DIM)
     diag = QUADRATIC_CONDITION ** exponents  # eigenvalues from 1 to the condition number
 
-    def loss(theta: np.ndarray) -> float:
-        return 0.5 * float(theta @ (diag * theta))
+    def loss_rows(thetas: np.ndarray) -> np.ndarray:
+        return 0.5 * _row_dots(thetas, diag * thetas)
 
-    def grad(theta: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        return diag * theta
+    def grad_rows(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+        return diag * thetas
 
     def init_theta(init_seed: int) -> np.ndarray:
         rng = CounterRng(init_seed, stream=_INIT_STREAM)
         return rng.normal(QUADRATIC_DIM)
 
+    loss, grad = _stacked(loss_rows, grad_rows)
     return Problem(kind="quadratic", dim_theta=QUADRATIC_DIM, n_samples=0,
                    loss=loss, grad=grad, init_theta=init_theta,
                    meta={"condition": QUADRATIC_CONDITION, "seed": seed})
@@ -94,27 +129,27 @@ def _logistic(seed: int) -> Problem:
     x, y = _make_blobs(seed)
     dim = BLOB_FEATURES + 1  # weights + bias
 
-    def _split(theta: np.ndarray):
-        return theta[:-1], theta[-1]
+    def _logits(xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        # one gemv per row: (n, features) @ (features, 1), plus the bias
+        return np.matmul(xs, thetas[:, :-1, None])[..., 0] + thetas[:, -1:]
 
-    def loss(theta: np.ndarray) -> float:
-        w, b = _split(theta)
-        z = x @ w + b
-        return float(np.mean(_softplus(z) - y * z))
+    def loss_rows(thetas: np.ndarray) -> np.ndarray:
+        z = _logits(x, thetas)
+        return np.mean(_softplus(z) - y * z, axis=1)
 
-    def grad(theta: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    def grad_rows(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         xs, ys = (x, y) if idx is None else (x[idx], y[idx])
-        w, b = _split(theta)
-        err = _sigmoid(xs @ w + b) - ys
-        g = np.empty(dim)
-        g[:-1] = xs.T @ err / xs.shape[0]
-        g[-1] = float(np.mean(err))
+        err = _sigmoid(_logits(xs, thetas)) - ys
+        g = np.empty_like(thetas)
+        g[:, :-1] = np.matmul(xs.T, err[:, :, None])[..., 0] / xs.shape[0]
+        g[:, -1] = np.mean(err, axis=1)
         return g
 
     def init_theta(init_seed: int) -> np.ndarray:
         rng = CounterRng(init_seed, stream=_INIT_STREAM)
         return 0.1 * rng.normal(dim)
 
+    loss, grad = _stacked(loss_rows, grad_rows)
     return Problem(kind="logistic", dim_theta=dim, n_samples=BLOB_SAMPLES,
                    loss=loss, grad=grad, init_theta=init_theta, meta={"seed": seed})
 
@@ -125,44 +160,57 @@ def _mlp(seed: int) -> Problem:
     d = BLOB_FEATURES
     sizes = [d * h, h, h * c, c]
     dim = sum(sizes)
+    label_one = y == 1  # labels are 0 or 1
+    # hidden-layer buffers, one per sample count, reused while the row count stays
+    workspace: dict[int, np.ndarray] = {}
 
-    def _unpack(theta: np.ndarray):
+    def _unpack(thetas: np.ndarray):
+        rows = thetas.shape[0]
         a, b = 0, sizes[0]
-        w1 = theta[a:b].reshape(d, h)
+        w1 = thetas[:, a:b].reshape(rows, d, h)
         a, b = b, b + sizes[1]
-        b1 = theta[a:b]
+        b1 = thetas[:, a:b]
         a, b = b, b + sizes[2]
-        w2 = theta[a:b].reshape(h, c)
-        b2 = theta[b:]
+        w2 = thetas[:, a:b].reshape(rows, h, c)
+        b2 = thetas[:, b:]
         return w1, b1, w2, b2
 
-    def _forward(theta: np.ndarray, xs: np.ndarray):
-        w1, b1, w2, b2 = _unpack(theta)
-        hidden = np.tanh(xs @ w1 + b1)
-        logits = hidden @ w2 + b2
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-        log_p = shifted - log_z
-        return hidden, log_p
+    def _forward(thetas: np.ndarray, xs: np.ndarray):
+        """Hidden layer, max-shifted logits and their log-partition per sample."""
+        w1, b1, w2, b2 = _unpack(thetas)
+        shape = (thetas.shape[0], xs.shape[0], h)
+        hidden = workspace.get(shape[1])
+        if hidden is None or hidden.shape != shape:
+            hidden = workspace[shape[1]] = np.empty(shape)
+        np.matmul(xs, w1, out=hidden)
+        hidden += b1[:, None, :]
+        np.tanh(hidden, out=hidden)
+        logits = np.matmul(hidden, w2) + b2[:, None, :]
+        # two classes: the elementwise max and sum equal the axis reductions exactly
+        shifted = logits - np.maximum(logits[..., 0], logits[..., 1])[..., None]
+        e = np.exp(shifted)
+        return hidden, shifted, np.log(e[..., 0] + e[..., 1])
 
-    def loss(theta: np.ndarray) -> float:
-        _, log_p = _forward(theta, x)
-        return float(-np.mean(log_p[np.arange(x.shape[0]), y]))
+    def loss_rows(thetas: np.ndarray) -> np.ndarray:
+        _, shifted, log_z = _forward(thetas, x)
+        # log p of each sample's own class
+        log_p = np.where(label_one, shifted[..., 1], shifted[..., 0]) - log_z
+        return -np.mean(log_p, axis=1)
 
-    def grad(theta: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    def grad_rows(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         xs, ys = (x, y) if idx is None else (x[idx], y[idx])
-        n = xs.shape[0]
-        w1, b1, w2, b2 = _unpack(theta)
-        hidden, log_p = _forward(theta, xs)
-        dlogits = np.exp(log_p)
-        dlogits[np.arange(n), ys] -= 1.0
+        rows, n = thetas.shape[0], xs.shape[0]
+        _, _, w2, _ = _unpack(thetas)
+        hidden, shifted, log_z = _forward(thetas, xs)
+        dlogits = np.exp(shifted - log_z[..., None])
+        dlogits[:, np.arange(n), ys] -= 1.0
         dlogits /= n
-        dw2 = hidden.T @ dlogits
-        db2 = dlogits.sum(axis=0)
-        dhidden = (dlogits @ w2.T) * (1.0 - hidden * hidden)
-        dw1 = xs.T @ dhidden
-        db1 = dhidden.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        dw2 = np.matmul(hidden.transpose(0, 2, 1), dlogits)
+        db2 = dlogits.sum(axis=1)
+        dhidden = np.matmul(dlogits, w2.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
+        dw1 = np.matmul(xs.T, dhidden)
+        db1 = dhidden.sum(axis=1)
+        return np.concatenate([dw1.reshape(rows, -1), db1, dw2.reshape(rows, -1), db2], axis=1)
 
     def init_theta(init_seed: int) -> np.ndarray:
         rng = CounterRng(init_seed, stream=_INIT_STREAM)
@@ -172,6 +220,7 @@ def _mlp(seed: int) -> Problem:
         b2 = np.zeros(c)
         return np.concatenate([w1, b1, w2, b2])
 
+    loss, grad = _stacked(loss_rows, grad_rows)
     return Problem(kind="mlp", dim_theta=dim, n_samples=BLOB_SAMPLES,
                    loss=loss, grad=grad, init_theta=init_theta, meta={"seed": seed})
 

@@ -6,12 +6,12 @@ The protocol: train each problem over the 3x3 grid
 test how often each row's smoothest column lands on the diagonal.
 
 Everything is deterministic given (problem, config, seed): minibatches come
-from a counter-based stream, so reruns are bit-identical.
+from a counter-based stream, so reruns are bit-identical.  The cells of one
+seed share that stream, so they train in lockstep as one stacked batch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .metrics import OscillationGridReport, ema_smooth, grid_report, oscillation_omega1, oscillation_omega2
-from .optimizers import MomentState, OptimizerConfig, adam_step, gd_step, signsgd_step
+from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
 from .problems import Problem
 from .rng import CounterRng
 
@@ -46,54 +46,77 @@ class RunTrace:
     diverged: bool = False
 
 
-def run_training(problem: Problem, config: OptimizerConfig, seed: int, steps: int,
-                 batch_size: int = DEFAULT_BATCH, method: str = "adam") -> RunTrace:
-    """Train for ``steps`` iterations and record (loss, ||R_k||) per step.
+def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int, steps: int,
+                batch_size: int = DEFAULT_BATCH, method: str = "adam") -> list[RunTrace]:
+    """Train C cells of one seed in lockstep; one trace per config, in order.
+
+    Every cell starts from ``problem.init_theta(seed)`` and sees the same
+    minibatch stream, so the cells are stacked as (C, d) rows and each step
+    draws one minibatch and makes one loss, gradient and optimizer call for
+    all of them.  Each row is bit-identical to the cell trained alone.
 
     The loss is the full-data objective at the pre-step parameters; the
     gradient fed to the optimizer is the minibatch one (full-batch for the
-    quadratic).  A non-finite loss or update truncates the trace and flags
-    it as diverged instead of raising.
+    quadratic).  A non-finite loss or update truncates that cell's trace,
+    flags it as diverged and drops it from the batch instead of raising.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    theta = problem.init_theta(seed)
+    configs = tuple(configs)
+    cells = CellConfigs(configs)
+    n_cells = len(configs)
+    theta = np.tile(problem.init_theta(seed), (n_cells, 1))
     state = MomentState(m=np.zeros_like(theta), v=np.zeros_like(theta), theta=theta, k=0)
     batches = CounterRng(seed, stream=_BATCH_STREAM)
 
-    losses = np.empty(steps)
-    norms = np.empty(steps)
-    diverged = False
-    n_done = 0
+    losses = np.empty((n_cells, steps))
+    norms = np.empty((n_cells, steps))
+    n_done = np.full(n_cells, steps)
+    live = np.arange(n_cells)  # the cell index of each row still training
+
+    def drop(finite: np.ndarray, k: int) -> None:
+        nonlocal live, state, cells
+        n_done[live[~finite]] = k
+        keep = np.flatnonzero(finite)
+        live = live[keep]
+        if live.size:
+            cells = cells.take(keep)
+            state = MomentState(state.m[keep], state.v[keep], state.theta[keep], state.k)
+
     for k in range(steps):
         loss_k = problem.loss(state.theta)
-        if not np.isfinite(loss_k):
-            diverged = True
-            break
+        finite = np.isfinite(loss_k)
+        if not finite.all():
+            drop(finite, k)
+            loss_k = loss_k[finite]
+            if not live.size:
+                break
         idx = None
         if problem.n_samples:
             idx = batches.integers(0, problem.n_samples, batch_size)
         g = problem.grad(state.theta, idx)
-        if method == "adam":
-            state, upd = adam_step(state, g, config)
-        elif method == "gd":
-            upd = gd_step(g)
-            state = MomentState(state.m, state.v, state.theta - config.eta * upd.r, state.k + 1)
-        elif method == "signsgd":
-            upd = signsgd_step(g)
-            state = MomentState(state.m, state.v, state.theta - config.eta * upd.r, state.k + 1)
-        else:
-            raise DomainError(f"unknown method {method!r}")
-        norm_k = upd.norm(2)
-        if not np.isfinite(norm_k):
-            diverged = True
-            break
-        losses[k], norms[k] = loss_k, norm_k
-        n_done = k + 1
+        state, upd = optimizer_step(method, state, g, cells)
+        norm_k = row_norms(upd.r)
+        losses[live, k], norms[live, k] = loss_k, norm_k
+        finite = np.isfinite(norm_k)
+        if not finite.all():
+            drop(finite, k)
+            if not live.size:
+                break
 
-    return RunTrace(k=np.arange(n_done), loss=losses[:n_done], norm_r=norms[:n_done],
-                    config=config, seed=seed, problem_kind=problem.kind, method=method,
-                    steps_requested=steps, diverged=diverged)
+    return [RunTrace(k=np.arange(n), loss=losses[i, :n], norm_r=norms[i, :n],
+                     config=cfg, seed=seed, problem_kind=problem.kind, method=method,
+                     steps_requested=steps, diverged=bool(n < steps))
+            for i, (cfg, n) in enumerate(zip(configs, n_done))]
+
+
+def run_training(problem: Problem, config: OptimizerConfig, seed: int, steps: int,
+                 batch_size: int = DEFAULT_BATCH, method: str = "adam") -> RunTrace:
+    """Train one cell for ``steps`` iterations and record (loss, ||R_k||) per step.
+
+    The one-cell case of ``train_cells``; see there for the protocol.
+    """
+    return train_cells(problem, [config], seed, steps, batch_size, method)[0]
 
 
 def omega_of_trace(trace: RunTrace, window: int = DEFAULT_WINDOW, metric: str = "omega1") -> float:
@@ -124,7 +147,12 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
                batch_size: int = DEFAULT_BATCH, eta: float | None = None,
                epsilon: float = 1e-8, window: int = DEFAULT_WINDOW,
                metric: str = "omega1", threads: int = 1) -> SweepResult:
-    """Run every (beta1, beta2, seed) cell and score diagonal selection."""
+    """Run every (beta1, beta2, seed) cell and score diagonal selection.
+
+    The cells of each seed train as one lockstep batch.  ``threads`` is
+    accepted for compatibility and ignored: the batch does the work a
+    thread pool used to split, and results never depended on it.
+    """
     axis = [float(b) for b in beta_axis]
     seed_list = [int(s) for s in seeds]
     if not axis or not seed_list:
@@ -132,19 +160,13 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     if eta is None:
         eta = DEFAULT_ETA.get(problem.kind, 0.01)
 
-    cells = [(b1, b2, s) for s in seed_list for b1 in axis for b2 in axis]
-
-    def run_cell(cell):
-        b1, b2, s = cell
-        cfg = OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=epsilon,
-                              bias_correction=True)
-        return cell, run_training(problem, cfg, seed=s, steps=steps, batch_size=batch_size)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run_cell, cells))
-    else:
-        results = dict(run_cell(c) for c in cells)
+    pairs = [(b1, b2) for b1 in axis for b2 in axis]
+    configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=epsilon, bias_correction=True)
+               for b1, b2 in pairs]
+    results = {}
+    for s in seed_list:
+        traces = train_cells(problem, configs, seed=s, steps=steps, batch_size=batch_size)
+        results.update(((b1, b2, s), tr) for (b1, b2), tr in zip(pairs, traces))
 
     grids = []
     for s in seed_list:

@@ -261,3 +261,11 @@ class TestThreadCap:
         assert _threads(1) == 1
         monkeypatch.delenv("SCALE_LAB_THREADS")
         assert _threads(8) == 8
+
+    def test_malformed_env_variable_is_usage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SCALE_LAB_THREADS", "two")
+        assert run("sweep", "--problem", "logistic", "--seeds", "1", "--steps", "5",
+                   "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "SCALE_LAB_THREADS" in err and "Traceback" not in err
+        assert not (tmp_path / "grid.csv").exists()

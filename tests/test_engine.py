@@ -1,0 +1,209 @@
+"""The lockstep cell engine: a cell trained in a batch equals the cell trained alone."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, OptimizerConfig,
+                       StepScaleExperiment, adam_step, make_problem, run_step_scale_experiment,
+                       run_training, step_scale_cells, step_scale_grid, train_cells)
+
+BETAS = [(0.9, 0.9), (0.9, 0.999), (0.99, 0.9), (0.999, 0.99)]
+
+
+def assert_same_trace(batched, alone):
+    assert batched.diverged == alone.diverged
+    assert batched.config == alone.config
+    assert np.array_equal(batched.k, alone.k)
+    assert np.array_equal(batched.loss, alone.loss)
+    assert np.array_equal(batched.norm_r, alone.norm_r)
+
+
+class TestTrainCells:
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+    @pytest.mark.parametrize("method", ["adam", "gd", "signsgd"])
+    def test_each_cell_equals_its_one_cell_run(self, kind, method):
+        prob = make_problem(kind, seed=1)
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=eps)
+                   for (b1, b2), eta, eps in zip(BETAS, (0.01, 0.003, 0.02, 0.001),
+                                                 (1e-8, 1e-6, 1e-8, 1e-10))]
+        batched = train_cells(prob, configs, seed=4, steps=60, method=method)
+        assert len(batched) == len(configs)
+        for cfg, trace in zip(configs, batched):
+            assert_same_trace(trace, run_training(prob, cfg, seed=4, steps=60, method=method))
+
+    def test_mixed_bias_correction_and_weight_decay_rows(self):
+        prob = make_problem("logistic")
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
+                   OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, bias_correction=False),
+                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, weight_decay=0.3)]
+        for cfg, trace in zip(configs, train_cells(prob, configs, seed=0, steps=50)):
+            assert_same_trace(trace, run_training(prob, cfg, seed=0, steps=50))
+
+    def test_cell_diverging_at_step_one_leaves_neighbours_alone(self):
+        prob = make_problem("quadratic")
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
+                   OptimizerConfig(beta1=0.9, beta2=0.99, eta=1e300),
+                   OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            batched = train_cells(prob, configs, seed=0, steps=200)
+            alone = [run_training(prob, cfg, seed=0, steps=200) for cfg in configs]
+        healthy_left, blown, healthy_right = batched
+        assert blown.diverged and blown.k.size == 1
+        assert not healthy_left.diverged and not healthy_right.diverged
+        for b, a in zip(batched, alone):
+            assert_same_trace(b, a)
+
+    def test_cell_diverging_mid_run_matches_its_one_cell_run(self):
+        # GD far beyond 2 / lambda_max blows up after a few dozen steps
+        prob = make_problem("quadratic")
+        configs = [OptimizerConfig(eta=0.005), OptimizerConfig(eta=10.0), OptimizerConfig(eta=0.001)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            batched = train_cells(prob, configs, seed=0, steps=2000, method="gd")
+            alone = [run_training(prob, cfg, seed=0, steps=2000, method="gd") for cfg in configs]
+        assert [t.diverged for t in batched] == [False, True, False]
+        assert 1 < batched[1].k.size < 2000
+        for b, a in zip(batched, alone):
+            assert_same_trace(b, a)
+
+    def test_every_cell_diverging_ends_the_run(self):
+        prob = make_problem("quadratic")
+        configs = [OptimizerConfig(eta=1e300), OptimizerConfig(beta1=0.5, eta=1e300)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            traces = train_cells(prob, configs, seed=0, steps=50)
+        assert all(t.diverged and t.k.size == 1 for t in traces)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError):
+            train_cells(make_problem("quadratic"), [OptimizerConfig()], seed=0, steps=5,
+                        method="lion")
+
+
+def serial_logistic_adam(prob, cfg, seed, steps):
+    """The one-cell loop written out with plain 1-D numpy: the reference the engine must equal."""
+    from scale_lab.problems import _make_blobs
+    from scale_lab.rng import CounterRng
+    x, y = _make_blobs(prob.meta["seed"])
+    theta = prob.init_theta(seed)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    batches = CounterRng(seed, stream=2)
+    losses, norms = [], []
+    for k in range(steps):
+        z = x @ theta[:-1] + theta[-1]
+        losses.append(float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z)))
+        idx = batches.integers(0, prob.n_samples, 32)
+        xs, ys = x[idx], y[idx]
+        z = xs @ theta[:-1] + theta[-1]
+        with np.errstate(over="ignore"):
+            sigmoid = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        err = sigmoid - ys
+        g = np.append(xs.T @ err / xs.shape[0], np.mean(err))
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        r = (m / (1.0 - cfg.beta1 ** (k + 1))) / (np.sqrt(v / (1.0 - cfg.beta2 ** (k + 1)))
+                                                  + cfg.epsilon)
+        theta = theta - cfg.eta * r
+        norms.append(float(np.linalg.norm(r)))
+    return np.array(losses), np.array(norms)
+
+
+def test_sweep_cells_equal_the_serial_reference_loop():
+    prob = make_problem("logistic", seed=3)
+    configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=0.01) for b1, b2 in BETAS]
+    for cfg, trace in zip(configs, train_cells(prob, configs, seed=5, steps=40)):
+        losses, norms = serial_logistic_adam(prob, cfg, seed=5, steps=40)
+        assert np.array_equal(trace.loss, losses)
+        assert np.array_equal(trace.norm_r, norms)
+
+
+class TestAdamStepCells:
+    def test_rows_equal_one_cell_steps(self):
+        rng = np.random.default_rng(0)
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.1),
+                   OptimizerConfig(beta1=0.5, beta2=0.5, epsilon=0.0, bias_correction=False),
+                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.3, weight_decay=0.2)]
+        state = MomentState(m=rng.standard_normal((3, 4)), v=rng.uniform(0.1, 1.0, (3, 4)),
+                            theta=rng.standard_normal((3, 4)), k=7)
+        g = rng.standard_normal((3, 4))
+        new, upd = adam_step(state, g, CellConfigs(tuple(configs)))
+        assert new.k == 8
+        for i, cfg in enumerate(configs):
+            one, r = adam_step(MomentState(state.m[i], state.v[i], state.theta[i], state.k),
+                               g[i], cfg)
+            assert np.array_equal(new.m[i], one.m)
+            assert np.array_equal(new.v[i], one.v)
+            assert np.array_equal(new.theta[i], one.theta)
+            assert np.array_equal(upd.r[i], r.r)
+
+    def test_row_count_must_match(self):
+        cells = CellConfigs((OptimizerConfig(), OptimizerConfig()))
+        state = MomentState(m=np.zeros((3, 2)), v=np.zeros((3, 2)), theta=np.zeros((3, 2)))
+        with pytest.raises(DimensionError):
+            adam_step(state, np.ones((3, 2)), cells)
+
+    def test_exact_epsilon_row_with_zero_moment_rejected(self):
+        cells = CellConfigs((OptimizerConfig(),
+                             OptimizerConfig(epsilon=0.0, bias_correction=False)))
+        state = MomentState(m=np.zeros((2, 1)), v=np.zeros((2, 1)), theta=np.zeros((2, 1)))
+        with pytest.raises(DomainError):
+            adam_step(state, np.zeros((2, 1)), cells)
+
+
+class TestStepScaleCells:
+    AXIS = (0.9, 0.99, 0.999)
+
+    @pytest.mark.parametrize("init", ["steady", "zero"])
+    def test_grid_cells_equal_one_cell_runs(self, init):
+        exp = StepScaleExperiment(base=np.array([0.3, -2.0, 5.0]), schedule=[(150, 7.0), (300, 0.2)],
+                                  beta_grid=[(b1, b2) for b1 in self.AXIS for b2 in self.AXIS])
+        traces = step_scale_grid(exp, steps=400, eta=1e-3, init=init)
+        assert list(traces) == exp.beta_grid
+        for (b1, b2), tr in traces.items():
+            cfg = OptimizerConfig(beta1=b1, beta2=b2, eta=1e-3, epsilon=0.0,
+                                  bias_correction=False)
+            alone = run_step_scale_experiment(exp, cfg, steps=400, init=init)
+            assert np.array_equal(tr.norm_r, alone.norm_r)
+            assert np.array_equal(tr.multiplier, alone.multiplier)
+            assert (tr.beta1, tr.beta2) == (b1, b2)
+
+    @pytest.mark.parametrize("method", ["gd", "signsgd"])
+    def test_stateless_methods_in_lockstep(self, method):
+        exp = StepScaleExperiment(base=np.array([1.0, -3.0]), schedule=[(10, 4.0)])
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.9), OptimizerConfig(beta1=0.5, beta2=0.7)]
+        for cfg, tr in zip(configs, step_scale_cells(exp, configs, steps=20, method=method)):
+            alone = run_step_scale_experiment(exp, cfg, steps=20, method=method)
+            assert np.array_equal(tr.norm_r, alone.norm_r)
+
+    def test_empty_grid_gives_no_traces(self):
+        exp = StepScaleExperiment(base=np.ones(1), schedule=[(5, 2.0)])
+        assert step_scale_grid(exp, steps=10) == {}
+
+
+class TestNoWorkspaceAliasing:
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+    def test_returned_arrays_survive_later_calls(self, kind):
+        prob = make_problem(kind)
+        t1 = np.stack([prob.init_theta(s) for s in (0, 1, 2)])
+        t2 = np.stack([prob.init_theta(s) for s in (3, 4, 5)])
+        idx = np.arange(32) if prob.n_samples else None
+        loss1, grad1, full1 = prob.loss(t1), prob.grad(t1, idx), prob.grad(t1)
+        one = prob.grad(t1[0], idx)
+        saved = [a.copy() for a in (loss1, grad1, full1, one)]
+        prob.loss(t2), prob.grad(t2, idx), prob.grad(t2), prob.grad(t2[0], idx)
+        for kept, now in zip(saved, (loss1, grad1, full1, one)):
+            assert np.array_equal(kept, now)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+    def test_stacked_rows_equal_single_calls(self, kind):
+        prob = make_problem(kind, seed=2)
+        thetas = np.stack([prob.init_theta(s) for s in range(4)])
+        idx = np.arange(5, 37) if prob.n_samples else None
+        losses, grads = prob.loss(thetas), prob.grad(thetas, idx)
+        assert losses.shape == (4,) and grads.shape == thetas.shape
+        for i, theta in enumerate(thetas):
+            assert losses[i] == prob.loss(theta)
+            assert np.array_equal(grads[i], prob.grad(theta, idx))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,16 @@ class TestBinomialTest:
             binomial_diagonal_test(1, 0)
         with pytest.raises(DomainError):
             binomial_diagonal_test(5, 3)
+        with pytest.raises(DomainError):
+            binomial_diagonal_test(1, 3, width=0)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 7])
+    def test_tail_matches_exact_fraction_for_any_width(self, width):
+        for n in (1, 6, 13):
+            for k in range(n + 1):
+                tail = sum(Fraction(math.comb(n, j)) * Fraction(1, width) ** j
+                           * Fraction(width - 1, width) ** (n - j) for j in range(k, n + 1))
+                assert binomial_diagonal_test(k, n, width) == float(tail)
 
 
 class TestGridReport:
@@ -156,6 +167,18 @@ class TestGridReport:
             grid_report([np.ones((2, 2))], self.AXIS)
         with pytest.raises(DomainError):
             grid_report([], self.AXIS)
+
+    def test_two_by_two_all_hits_over_three_seeds(self):
+        grid = np.array([[0.1, 1.0], [1.0, 0.1]])
+        report = grid_report([grid] * 3, [0.9, 0.99])
+        assert (report.hits, report.trials) == (6, 6)
+        assert report.p_value == 0.015625  # 0.5^6
+
+    def test_combine_reports_rejects_mixed_widths(self):
+        r3 = grid_report([DIAGONAL_GRID], self.AXIS)
+        r2 = grid_report([np.array([[0.1, 1.0], [1.0, 0.1]])], [0.9, 0.99])
+        with pytest.raises(DomainError):
+            combine_reports([r3, r2])
 
     def test_combine_reports_pools_counts(self):
         r1 = grid_report([DIAGONAL_GRID] * 3, self.AXIS)   # 9 of 9
