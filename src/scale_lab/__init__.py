@@ -2,11 +2,10 @@
 
 from .errors import DimensionError, DomainError, FlowAbort
 from .flow import (FlowState, FlowTrace, TimeScales, beta_from_tau, flow_rhs,
-                   integrate_flow, steady_state_exponential_gains, steady_state_init,
-                   tau_from_beta)
+                   integrate_flow, predict_first_order, steady_state_exponential_gains,
+                   steady_state_init, tau_from_beta)
 from .drift import (DriftProfile, RemainderReport, TrackingCheckResult, drift_bounds,
-                    fit_power_law, log_drift, measure_remainder, predict_first_order,
-                    remainder_order_sweep, tracking_check)
+                    fit_power_law, measure_remainder, remainder_order_sweep, tracking_check)
 from .invariance import (RescaleProbeResult, SensitivityFit, StepScaleExperiment,
                          StepTrace, exact_invariance_probe, first_order_sensitivity,
                          run_step_scale_experiment, step_scale_cells, step_scale_grid)
@@ -14,8 +13,7 @@ from .metrics import (OscillationGridReport, SmoothedSeries, binomial_diagonal_t
                       combine_reports, ema_smooth, grid_report, oscillation_omega1,
                       oscillation_omega2)
 from .optimizers import (CellConfigs, MomentState, OptimizerConfig, UpdateVector, adam_step,
-                         adam_update, constant_gradient_closed_form, gd_step,
-                         signsgd_step, zero_state)
+                         constant_gradient_closed_form, gd_step, signsgd_step, zero_state)
 from .problems import Problem, make_problem
 from .rng import CounterRng
 from .signals import (GradientSignal, constant_signal, exponential_signal,

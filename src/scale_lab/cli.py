@@ -11,16 +11,12 @@ Four subcommands:
 * ``report`` -- recompute rates and p-values from stored grids, or from an
                externally supplied omega matrix.
 
-Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  The
-sweep's ``--threads`` flag and the SCALE_LAB_THREADS environment variable
-(an integer cap on it) are still validated but no longer change anything:
-the cells of a seed train as one lockstep batch in a single thread.
+Exit codes: 0 success, 1 usage error, 2 runtime or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -58,16 +54,6 @@ def _floats(text: str) -> list[float]:
         return [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise DomainError(f"not a comma-separated float list: {text!r}")
-
-
-def _threads(requested: int) -> int:
-    cap = os.environ.get("SCALE_LAB_THREADS", "")
-    if cap.strip():
-        try:
-            return max(1, min(requested, int(cap)))
-        except ValueError:
-            raise UsageError(f"SCALE_LAB_THREADS must be an integer, got {cap!r}") from None
-    return max(1, requested)
 
 
 def _manifest(args, command: str, skip=("out", "plot", "func")) -> RunManifest:
@@ -189,13 +175,12 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"beta grid values must lie in (0,1): {betas}")
     if args.steps < 1 or args.window < 1 or args.seeds < 1:
         raise UsageError("steps, window, and seeds must all be >= 1")
-    threads = _threads(args.threads)
     problem = make_problem(args.problem, seed=args.data_seed)
     seeds = list(range(args.seeds)) if args.seed_list is None else [
         int(s) for s in _floats(args.seed_list)]
     result = sweep_grid(problem, beta_axis=betas, seeds=seeds,
                         steps=args.steps, batch_size=args.batch_size, eta=args.eta,
-                        window=args.window, metric=args.metric, threads=threads)
+                        window=args.window, metric=args.metric)
     manifest.seeds = seeds
 
     files = []
@@ -303,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=200)
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; cells run as one lockstep batch")
     p.add_argument("--out", default="scale-lab-out/sweep")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_sweep)

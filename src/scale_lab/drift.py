@@ -18,22 +18,18 @@ inequality they are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .flow import FlowTrace, TimeScales, integrate_flow, steady_state_init
+from .flow import (FlowTrace, TimeScales, _fixed_step, _rk4, integrate_flow,
+                   predict_first_order, steady_state_init)
 from .signals import GradientSignal, exponential_signal, _fd_step
 
 SUP_INFLATION = 1.01      # dense-sampled suprema are inflated by 1%
 SUP_SAMPLES = 10001
 TRACKING_SLACK = 1e-9     # FP slack: zero-curvature signals meet the bound with equality
-
-
-def log_drift(signal: GradientSignal, t: float) -> np.ndarray:
-    """delta(t) = g'(t) / g(t), coordinate-wise."""
-    return signal.delta(t)
 
 
 @dataclass(frozen=True)
@@ -59,18 +55,6 @@ def drift_bounds(signal: GradientSignal, interval: tuple[float, float],
     lam = max(float(np.max(np.abs(signal.delta(t)))) for t in grid)
     lam_p = max(float(np.max(np.abs(signal.delta_prime(t)))) for t in grid)
     return DriftProfile(SUP_INFLATION * lam, SUP_INFLATION * lam_p, (t0, t1))
-
-
-def predict_first_order(signal: GradientSignal, ts: TimeScales, t: float):
-    """First-order predictions (m_pred, v_pred, R_pred) at time t."""
-    g = signal.g(t)
-    if np.any(g == 0.0):
-        raise DomainError(f"prediction needs g(t) nonzero at t={t}")
-    d = signal.delta(t)
-    m_pred = g * (1.0 - ts.tau1 * d)
-    v_pred = g * g * (1.0 - 2.0 * ts.tau2 * d)
-    r_pred = np.sign(g) * (1.0 + (ts.tau2 - ts.tau1) * d)
-    return m_pred, v_pred, r_pred
 
 
 @dataclass(frozen=True)
@@ -131,9 +115,9 @@ def measure_remainder(trace: FlowTrace, signal: GradientSignal, ts: TimeScales,
     rr = np.max(np.abs(trace.r[keep] - r_pred), axis=1)
 
     b_sup = float(np.max(np.abs([signal.g(float(t)) for t in trace.t])))
-    g0, d0 = signal.g(t0), signal.delta(t0)
-    coeff_m = float(np.max(np.abs(trace.m[0] - g0 + ts.tau1 * g0 * d0)))
-    coeff_v = float(np.max(np.abs(trace.v[0] - g0 * g0 + 2.0 * ts.tau2 * g0 * g0 * d0)))
+    m0_pred, v0_pred, _ = predict_first_order(signal, ts, t0)
+    coeff_m = float(np.max(np.abs(trace.m[0] - m0_pred)))
+    coeff_v = float(np.max(np.abs(trace.v[0] - v0_pred)))
     c_m = coeff_m + b_sup
     c_v = coeff_v + 4.0 * b_sup * b_sup
     env_m = c_m * (np.exp(-(t_win - t0) / ts.tau1) + ts.tau1 ** 2 * factor)
@@ -165,6 +149,18 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
     return float(slope), float(intercept)
 
 
+def _exponential_ladder(ts: TimeScales, rates: Sequence[float],
+                        h: float | None) -> Iterator[tuple[GradientSignal, FlowTrace]]:
+    """Per drift rate, the signal e^{delta0 t} and its flow from the steady init.
+
+    Every flow runs to 1.2 burn-in + 2 tau_max, well past its transient.
+    """
+    t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
+    for d0 in rates:
+        sig = exponential_signal(d0)
+        yield sig, integrate_flow(sig, ts, steady_state_init(sig, ts, t0=0.0), t_end=t_end, h=h)
+
+
 def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float],
                           h: float | None = None) -> RemainderReport:
     """R-channel remainders over exponential drifts, with a fitted order.
@@ -175,19 +171,12 @@ def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float],
     been subtracted.
     """
     rates = sorted(float(d) for d in delta0_grid)
-    remainders, profiles = [], []
-    report = None
-    for d0 in rates:
-        sig = exponential_signal(d0)
-        init = steady_state_init(sig, ts, t0=0.0)
-        report = measure_remainder(
-            integrate_flow(sig, ts, init, t_end=1.2 * ts.burn_in + 2.0 * ts.tau_max, h=h),
-            sig, ts)
-        remainders.append(report.channels["R"].max_abs)
-        profiles.append(report.profile)
-    slope, _ = fit_power_law([p.lambda_bound for p in profiles], remainders)
-    chans = dict(report.channels)
-    return RemainderReport(channels=chans, profile=profiles[-1],
+    reports = [measure_remainder(trace, sig, ts)
+               for sig, trace in _exponential_ladder(ts, rates, h)]
+    slope, _ = fit_power_law([r.profile.lambda_bound for r in reports],
+                             [r.channels["R"].max_abs for r in reports])
+    report = reports[-1]
+    return RemainderReport(channels=dict(report.channels), profile=report.profile,
                            window=report.window, fitted_order=slope)
 
 
@@ -245,24 +234,12 @@ def tracking_check(y: Callable[[float], float], tau: float, x0: float,
 
     if h is None:
         h = tau / 200.0
-    n_steps = max(1, round((t1 - t0) / h))
-    h = (t1 - t0) / n_steps
-
-    def rhs(t: float, x: float) -> float:
-        return (-x + y(t)) / tau
-
+    n_steps, h = _fixed_step(t0, t1, h)
     ts_out = np.empty(n_steps + 1)
     xs_out = np.empty(n_steps + 1)
-    x, t = float(x0), t0
-    ts_out[0], xs_out[0] = t, x
-    for i in range(n_steps):
-        k1 = rhs(t, x)
-        k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = rhs(t + h, x + h * k3)
-        x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (i + 1) * h
-        ts_out[i + 1], xs_out[i + 1] = t, x
+    ts_out[0], xs_out[0] = t0, float(x0)
+    for i, (t, x) in enumerate(_rk4(lambda t, x: (-x + y(t)) / tau, t0, float(x0), h, n_steps), 1):
+        ts_out[i], xs_out[i] = t, x
 
     y_vals = np.array([y(float(t)) for t in ts_out])
     yp_vals = np.array([y_prime(float(t)) for t in ts_out])

@@ -9,8 +9,8 @@ class DomainError(ValueError):
     """Inputs outside the mathematical domain of an operation."""
 
 
-class FlowAbort(RuntimeError):
-    """Integration aborted: the second moment crossed zero.
+class FlowAbort(DomainError, RuntimeError):
+    """Integration aborted: the second moment crossed zero, leaving the flow's domain v > 0.
 
     Carries the abort time so callers can diagnose which signal violated the
     positive-gradient-floor assumption.

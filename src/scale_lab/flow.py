@@ -17,8 +17,10 @@ below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -118,15 +120,46 @@ class FlowTrace:
                          self.theta[keep], self.timescales, self.signal_kind, self.meta)
 
 
-def flow_rhs(state: FlowState, signal: GradientSignal, ts: TimeScales):
-    """Right-hand side (dm/dt, dv/dt, dtheta/dt) of the flow at ``state``."""
-    if np.any(state.v <= 0.0):
-        raise DomainError("flow right-hand side needs v > 0 coordinate-wise")
-    g = signal.g(state.t)
-    dm = (-state.m + g) / ts.tau1
-    dv = (-state.v + g * g) / ts.tau2
-    dtheta = -ts.eta_bar * state.m / np.sqrt(state.v)
-    return dm, dv, dtheta
+def _abort_if_v_nonpositive(t: float, v: np.ndarray) -> None:
+    if np.any(v <= 0.0):
+        raise FlowAbort(t, f"v crossed zero at t={t:.6g}: gradient floor assumption violated")
+
+
+def flow_rhs(t: float, y: np.ndarray, signal: GradientSignal, ts: TimeScales) -> np.ndarray:
+    """Right-hand side d(m, v, theta)/dt of the flow at the stacked (3, d) state ``y``.
+
+    Raises ``FlowAbort`` (a ``DomainError``) unless v > 0 coordinate-wise.
+    """
+    m, v = y[0], y[1]
+    _abort_if_v_nonpositive(t, v)
+    g = signal.g(t)
+    dy = np.empty_like(y)
+    dy[0] = (-m + g) / ts.tau1
+    dy[1] = (-v + g * g) / ts.tau2
+    dy[2] = -ts.eta_bar * m / np.sqrt(v)
+    return dy
+
+
+def _rk4(rhs: Callable, t0: float, y, h: float, n_steps: int) -> Iterator[tuple[float, object]]:
+    """Classical fixed-step RK4 of y' = rhs(t, y); yields (t, y) after each of ``n_steps`` steps.
+
+    ``y`` is a float or an array; step i ends at exactly t0 + i * h.
+    """
+    t = t0
+    for i in range(n_steps):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t0 + (i + 1) * h
+        yield t, y
+
+
+def _fixed_step(t0: float, t1: float, h: float) -> tuple[int, float]:
+    """Step count and the step rounded so that the grid hits t1 exactly."""
+    n_steps = max(1, round((t1 - t0) / h))
+    return n_steps, (t1 - t0) / n_steps
 
 
 def steady_state_exponential_gains(delta0: float, ts: TimeScales) -> tuple[float, float, float]:
@@ -149,22 +182,29 @@ def steady_state_exponential_gains(delta0: float, ts: TimeScales) -> tuple[float
     return m_gain, v_gain, m_gain / math.sqrt(v_gain)
 
 
+def predict_first_order(signal: GradientSignal, ts: TimeScales, t: float):
+    """First-order predictions (m_pred, v_pred, R_pred) at time t."""
+    g = signal.g(t)
+    if np.any(g == 0.0):
+        raise DomainError(f"prediction needs g(t) nonzero at t={t}")
+    d = signal.delta(t)
+    m_pred = g * (1.0 - ts.tau1 * d)
+    v_pred = g * g * (1.0 - 2.0 * ts.tau2 * d)
+    r_pred = np.sign(g) * (1.0 + (ts.tau2 - ts.tau1) * d)
+    return m_pred, v_pred, r_pred
+
+
 def steady_state_init(signal: GradientSignal, ts: TimeScales, t0: float = 0.0) -> FlowState:
-    """First-order steady initialization m = g(1 - tau1 d), v = g^2 (1 - 2 tau2 d).
+    """First-order steady initialization: (m, v) from ``predict_first_order`` at t0.
 
     Skips the O(exp(-t/tau)) transient up to the expansion remainder.  v is
     floored at a small positive multiple of g^2 if the first-order formula
     goes nonpositive; the returned state is flagged ``clamped`` in that case.
     """
+    m, v, _ = predict_first_order(signal, ts, t0)
     g0 = signal.g(t0)
-    if np.any(g0 == 0.0):
-        raise DomainError(f"steady-state init needs g(t0) nonzero, got {g0}")
-    d0 = signal.delta(t0)
-    m = g0 * (1.0 - ts.tau1 * d0)
-    v = g0 * g0 * (1.0 - 2.0 * ts.tau2 * d0)
-    floor = 1e-12 * g0 * g0
     clamped = bool(np.any(v <= 0.0))
-    v = np.maximum(v, floor)
+    v = np.maximum(v, 1e-12 * g0 * g0)
     return FlowState(m=m, v=v, theta=np.zeros_like(g0), t=t0, clamped=clamped)
 
 
@@ -186,43 +226,18 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
     if np.any(init.v <= 0.0):
         raise DomainError("initial v must be strictly positive")
 
-    n_steps = max(1, round((t_end - init.t) / h))
-    h = (t_end - init.t) / n_steps
-    d = init.m.size
+    n_steps, h = _fixed_step(init.t, t_end, h)
+    y = np.array([init.m, init.v, init.theta], dtype=float)
+    rec_t = np.empty(n_steps // record_stride + 1)
+    rec_y = np.empty((rec_t.size,) + y.shape)
+    rec_t[0], rec_y[0] = init.t, y
+    rhs = functools.partial(flow_rhs, signal=signal, ts=ts)
+    for i, (t, y) in enumerate(_rk4(rhs, init.t, y, h, n_steps), 1):
+        if i % record_stride == 0:
+            rec_t[i // record_stride], rec_y[i // record_stride] = t, y
+    _abort_if_v_nonpositive(t, y[1])  # flow_rhs checked the end of every earlier step
 
-    def rhs(t: float, m: np.ndarray, v: np.ndarray):
-        if np.any(v <= 0.0):
-            raise FlowAbort(t, f"v crossed zero at t={t:.6g}: gradient floor assumption violated")
-        g = signal.g(t)
-        return (-m + g) / ts.tau1, (-v + g * g) / ts.tau2, -ts.eta_bar * m / np.sqrt(v)
-
-    n_rec = n_steps // record_stride + 1
-    rec_t = np.empty(n_rec)
-    rec_m = np.empty((n_rec, d))
-    rec_v = np.empty((n_rec, d))
-    rec_th = np.empty((n_rec, d))
-
-    m, v, th = init.m.astype(float).copy(), init.v.astype(float).copy(), init.theta.astype(float).copy()
-    t = init.t
-    rec_t[0], rec_m[0], rec_v[0], rec_th[0] = t, m, v, th
-    j = 1
-    for i in range(n_steps):
-        k1m, k1v, k1t = rhs(t, m, v)
-        k2m, k2v, k2t = rhs(t + 0.5 * h, m + 0.5 * h * k1m, v + 0.5 * h * k1v)
-        k3m, k3v, k3t = rhs(t + 0.5 * h, m + 0.5 * h * k2m, v + 0.5 * h * k2v)
-        k4m, k4v, k4t = rhs(t + h, m + h * k3m, v + h * k3v)
-        m = m + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        th = th + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        t = init.t + (i + 1) * h
-        if np.any(v <= 0.0):
-            raise FlowAbort(t, f"v crossed zero at t={t:.6g}: gradient floor assumption violated")
-        if (i + 1) % record_stride == 0:
-            rec_t[j], rec_m[j], rec_v[j], rec_th[j] = t, m, v, th
-            j += 1
-
-    rec_t, rec_m, rec_v, rec_th = rec_t[:j], rec_m[:j], rec_v[:j], rec_th[:j]
-    rec_r = rec_m / np.sqrt(rec_v)
-    return FlowTrace(t=rec_t, m=rec_m, v=rec_v, r=rec_r, theta=rec_th,
+    rec_m, rec_v, rec_th = rec_y[:, 0], rec_y[:, 1], rec_y[:, 2]
+    return FlowTrace(t=rec_t, m=rec_m, v=rec_v, r=rec_m / np.sqrt(rec_v), theta=rec_th,
                      timescales=ts, signal_kind=signal.kind,
                      meta={"h": h, "record_stride": record_stride, **signal.params})

@@ -19,27 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .drift import fit_power_law
+from .drift import _exponential_ladder, fit_power_law
 from .errors import DomainError
-from .flow import TimeScales, integrate_flow, steady_state_init
-from .optimizers import (CellConfigs, MomentState, OptimizerConfig, UpdateVector,
-                         adam_update, gd_step, optimizer_step, row_norms, signsgd_step)
-from .signals import exponential_signal
+from .flow import TimeScales
+from .optimizers import (CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms,
+                         zero_state)
+from .signals import _multiplier_schedule
 
 EXACT_TOL = 1e-12  # classification threshold for exact invariance / linearity
-
-
-def _update_for(method: str, state: MomentState | None, g: np.ndarray,
-                config: OptimizerConfig | None) -> UpdateVector:
-    if method == "signsgd":
-        return signsgd_step(g)
-    if method == "gd":
-        return gd_step(g)
-    if method == "adam":
-        if state is None or config is None:
-            raise DomainError("adam probe needs a frozen state and a config")
-        return adam_update(state, g, config)
-    raise DomainError(f"unknown optimizer id {method!r}")
 
 
 @dataclass(frozen=True)
@@ -58,19 +45,28 @@ class RescaleProbeResult:
 def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray,
                            lambdas: Sequence[float],
                            config: OptimizerConfig | None = None) -> RescaleProbeResult:
-    """Probe one step with the internal state held fixed across rescalings."""
+    """Probe one step with the internal state held fixed across rescalings.
+
+    The gradient and its rescalings run as the rows of one ``optimizer_step``
+    from copies of ``state``; gd and signsgd need no state or config.
+    """
     lams = [float(l) for l in lambdas]
     if any(l <= 0.0 for l in lams):
         raise DomainError("rescaling factors must be strictly positive")
+    if method == "adam" and (state is None or config is None):
+        raise DomainError("adam probe needs a frozen state and a config")
     g = np.asarray(g, dtype=float)
-    base = _update_for(method, state, g, config).r
-    deviations = []
-    linear = True
-    for lam in lams:
-        scaled = _update_for(method, state, lam * g, config).r
-        deviations.append(float(np.max(np.abs(scaled - base))))
-        if float(np.max(np.abs(scaled - lam * base))) >= EXACT_TOL:
-            linear = False
+    if state is None:
+        state = zero_state(g.size)
+    rows = np.stack([g] + [lam * g for lam in lams])
+    frozen = MomentState(*(np.tile(a, (len(rows), 1)) for a in (state.m, state.v, state.theta)),
+                         k=state.k)
+    cells = CellConfigs([config or OptimizerConfig()] * len(rows))
+    _, upd = optimizer_step(method, frozen, rows, cells)
+    base = upd.r[0]
+    deviations = [float(np.max(np.abs(r - base))) for r in upd.r[1:]]
+    linear = not any(float(np.max(np.abs(r - lam * base))) >= EXACT_TOL
+                     for lam, r in zip(lams, upd.r[1:]))
     if all(d < EXACT_TOL for d in deviations):
         cls = "exact-invariant"
     elif linear:
@@ -98,21 +94,19 @@ def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float],
 
     Each drift rate is integrated from the first-order steady initialization
     until well past burn-in, and the deviation is read off the final sample.
-    The coefficient uses Richardson extrapolation on the two smallest rates
-    (their ratio is assumed close to 2, as in a doubling grid), so the
-    first-order coefficient is recovered even though the deviation carries
-    an O(delta0^2) tail.
+    The coefficient uses Richardson extrapolation on the two smallest rates,
+    which must be in ratio 2 as in a doubling grid, so the first-order
+    coefficient is recovered even though the deviation carries an
+    O(delta0^2) tail.
     """
     rates = sorted(float(d) for d in delta0_grid)
     if len(rates) < 3:
         raise DomainError(f"sensitivity fit needs at least 3 drift rates, got {len(rates)}")
-    signed = []
-    for d0 in rates:
-        sig = exponential_signal(d0)
-        init = steady_state_init(sig, ts, t0=0.0)
-        t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
-        trace = integrate_flow(sig, ts, init, t_end=t_end, h=h)
-        signed.append(float(np.max(np.abs(trace.r[-1]))) - 1.0)
+    if abs(rates[1] - 2.0 * rates[0]) > 2e-12 * abs(rates[0]):
+        raise DomainError(f"Richardson step needs the two smallest drift rates in ratio 2, "
+                          f"got {rates[0]} and {rates[1]}")
+    signed = [float(np.max(np.abs(trace.r[-1]))) - 1.0
+              for _, trace in _exponential_ladder(ts, rates, h)]
     deviations = [abs(s) for s in signed]
     slope, _ = fit_power_law(rates, deviations)
     q0, q1 = signed[0] / rates[0], signed[1] / rates[1]
@@ -153,12 +147,9 @@ class StepScaleExperiment:
         if any(m <= 0.0 for _, m in self.schedule):
             raise DomainError("multipliers must be strictly positive")
 
-    def multiplier_at(self, k: int) -> float:
-        mult = 1.0
-        for start, m in sorted(self.schedule):
-            if k >= start:
-                mult = m
-        return mult
+    def multiplier_at(self, k):
+        """Multiplier active at step k (an int or an array of steps)."""
+        return _multiplier_schedule(self.schedule)(k)
 
 
 def step_scale_cells(exp: StepScaleExperiment, configs: Sequence[OptimizerConfig],
@@ -183,7 +174,8 @@ def step_scale_cells(exp: StepScaleExperiment, configs: Sequence[OptimizerConfig
     cells = CellConfigs(configs)
     base = np.asarray(exp.base, dtype=float)
     shape = (len(cells),) + base.shape
-    g0 = base * exp.multiplier_at(0)
+    mults = exp.multiplier_at(np.arange(steps))
+    g0 = base * mults[0]
     if init == "steady":
         m, v = np.tile(g0, (len(cells), 1)), np.tile(g0 * g0, (len(cells), 1))
     elif init == "zero":
@@ -192,7 +184,6 @@ def step_scale_cells(exp: StepScaleExperiment, configs: Sequence[OptimizerConfig
         raise DomainError(f"unknown init mode {init!r}")
     state = MomentState(m=m, v=v, theta=np.zeros(shape), k=0)
 
-    mults = np.array([exp.multiplier_at(k) for k in range(steps)])
     base_rows = np.tile(base, (len(cells), 1))
     norm_r = np.empty((len(cells), steps))
     for k in range(steps):

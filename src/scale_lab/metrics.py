@@ -100,11 +100,11 @@ class OscillationGridReport:
 
     omega: list[np.ndarray]      # one (n x n) matrix per seed; rows fix beta1
     beta_axis: list[float]
-    hits: int                    # K: rows whose argmin column equals the row
-    trials: int                  # N: rows x seeds
+    hits: int                    # K: scored rows whose argmin column equals the row
+    trials: int                  # N: scored (row, seed) pairs
     rate: float
     p_value: float
-    argmin_cols: list[list[int]]            # per seed, per row
+    argmin_cols: list[list[int]]            # per seed, per row; -1 for an unscored row
     degenerate_rows: list[tuple[int, int]]  # (seed, row) with an all-equal row
 
 
@@ -113,7 +113,9 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
 
     NaN entries are treated as +inf in the argmin (a diverged run never wins);
     ties resolve to the lowest column index.  Rows whose entries are all equal
-    are flagged as degenerate but still scored by the tie rule.
+    are flagged as degenerate; they are still scored by the tie rule unless
+    every entry is NaN or +inf, in which case no column can win and the row
+    is left out of K and N.  Raises ``DomainError`` when no row can be scored.
     """
     grids = [np.asarray(g, dtype=float) for g in omega_grids]
     if not grids:
@@ -124,22 +126,27 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
         if g.shape != (n, n):
             raise DomainError(f"grid shape {g.shape} does not match axis length {n}")
 
-    hits = 0
+    hits = trials = 0
     argmins: list[list[int]] = []
     degenerate: list[tuple[int, int]] = []
     for s, g in enumerate(grids):
         cols = []
         for row in range(n):
             vals = np.where(np.isnan(g[row]), np.inf, g[row])
-            col = int(np.argmin(vals))  # argmin takes the first minimum on ties
-            cols.append(col)
-            if col == row:
-                hits += 1
             if np.all(vals == vals[0]):
                 degenerate.append((s, row))
+            if np.all(vals == np.inf):
+                cols.append(-1)  # every cell diverged: no evidence either way
+                continue
+            col = int(np.argmin(vals))  # argmin takes the first minimum on ties
+            cols.append(col)
+            trials += 1
+            if col == row:
+                hits += 1
         argmins.append(cols)
 
-    trials = n * len(grids)
+    if trials == 0:
+        raise DomainError("no row of the grids can be scored: every cell is NaN or +inf")
     return OscillationGridReport(
         omega=grids, beta_axis=axis, hits=hits, trials=trials,
         rate=hits / trials, p_value=binomial_diagonal_test(hits, trials, n),

@@ -198,12 +198,6 @@ def row_norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
 
 
-def adam_update(state: MomentState, g: np.ndarray, config: OptimizerConfig) -> UpdateVector:
-    """The update vector an Adam step would produce, without advancing state."""
-    _, r = adam_step(state, g, config)
-    return r
-
-
 def signsgd_step(g: np.ndarray) -> UpdateVector:
     """Coordinate-wise sign update; sign(0) = 0."""
     return UpdateVector(np.sign(np.asarray(g, dtype=float)))

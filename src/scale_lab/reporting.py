@@ -144,8 +144,18 @@ def read_omega_grids(path: Path, metric: str = "omega1"):
     if sorted(set(b2s)) != axis:
         raise CsvParseError(path, 1, "beta1 and beta2 axes disagree")
     seed_list = sorted(set(seeds))
-    grids = {s: np.full((len(axis), len(axis)), np.nan) for s in seed_list}
-    for b1, b2, s, w in zip(b1s, b2s, seeds, omegas):
+    lines: dict[tuple[float, float, int], int] = {}
+    for i, cell in enumerate(zip(b1s, b2s, seeds)):
+        if cell in lines:
+            raise CsvParseError(path, i + 2, f"duplicate cell (beta1, beta2, seed) = {cell}, "
+                                             f"first on line {lines[cell]}")
+        lines[cell] = i + 2
+    for cell in ((b1, b2, s) for s in seed_list for b1 in axis for b2 in axis):
+        if cell not in lines:
+            raise CsvParseError(path, len(b1s) + 1,
+                                f"missing cell (beta1, beta2, seed) = {cell}: no line has it")
+    grids = {s: np.empty((len(axis), len(axis))) for s in seed_list}
+    for (b1, b2, s), w in zip(zip(b1s, b2s, seeds), omegas):
         grids[s][axis.index(b1), axis.index(b2)] = w
     return [grids[s] for s in seed_list], axis
 

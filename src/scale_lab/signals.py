@@ -131,6 +131,14 @@ def sinusoidal_log_signal(amplitude: float, omega: float, scale: float = 1.0,
     )
 
 
+def _multiplier_schedule(schedule: Sequence[tuple[float, float]]) -> Callable:
+    """Multiplier at t (a number or an array): the last start <= t wins, 1 before the first."""
+    sched = sorted((float(t), float(m)) for t, m in schedule)
+    starts = np.array([t for t, _ in sched])
+    mults = np.array([1.0] + [m for _, m in sched])
+    return lambda t: mults[np.searchsorted(starts, t, side="right")]
+
+
 def step_scale_signal(base: float | Sequence[float], schedule: Sequence[tuple[float, float]],
                       dimension: int | None = None) -> GradientSignal:
     """Piecewise-constant rescaling of a constant base gradient.
@@ -144,13 +152,7 @@ def step_scale_signal(base: float | Sequence[float], schedule: Sequence[tuple[fl
     sched = sorted((float(t), float(m)) for t, m in schedule)
     if any(m <= 0.0 for _, m in sched):
         raise DomainError("step-scale multipliers must be strictly positive")
-    times = np.array([t for t, _ in sched])
-    mults = np.array([m for _, m in sched])
-
-    def mult_at(t: float) -> float:
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        return 1.0 if i < 0 else float(mults[i])
-
+    mult_at = _multiplier_schedule(sched)
     return GradientSignal(
         kind="step-scale",
         dimension=d,

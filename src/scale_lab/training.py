@@ -146,12 +146,10 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
                seeds: Sequence[int] = (0, 1, 2), steps: int = 5000,
                batch_size: int = DEFAULT_BATCH, eta: float | None = None,
                epsilon: float = 1e-8, window: int = DEFAULT_WINDOW,
-               metric: str = "omega1", threads: int = 1) -> SweepResult:
+               metric: str = "omega1") -> SweepResult:
     """Run every (beta1, beta2, seed) cell and score diagonal selection.
 
-    The cells of each seed train as one lockstep batch.  ``threads`` is
-    accepted for compatibility and ignored: the batch does the work a
-    thread pool used to split, and results never depended on it.
+    The cells of each seed train as one lockstep batch.
     """
     axis = [float(b) for b in beta_axis]
     seed_list = [int(s) for s in seeds]

@@ -174,14 +174,6 @@ class TestSweepAndReport:
         assert g1["omega1"] != g1["omega2"]
         assert s1.keys() == s2.keys()
 
-    def test_threads_flag_reproduces_serial_results(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        base = ["sweep", "--problem", "logistic", "--seeds", "1", "--steps", "60",
-                "--window", "10", "--beta-grid", "0.9,0.99"]
-        assert run(*base, "--threads", "1", "--out", str(out1)) == 0
-        assert run(*base, "--threads", "4", "--out", str(out2)) == 0
-        assert (out1 / "grid.csv").read_text() == (out2 / "grid.csv").read_text()
-
     def test_window_one_sweep_equals_raw_metric(self, tmp_path):
         out = tmp_path / "w1"
         assert run("sweep", "--problem", "logistic", "--seeds", "1", "--steps", "60",
@@ -231,6 +223,19 @@ class TestSweepAndReport:
         err = capsys.readouterr().err
         assert ":2:" in err
 
+    @pytest.mark.parametrize("rows,line", [
+        (["0.9,0.9,0,0.1", "0.9,0.99,0,0.2", "0.99,0.9,0,0.3"], ":4:"),  # (0.99, 0.99, 0) missing
+        (["0.9,0.9,0,0.1", "0.9,0.99,0,0.2", "0.99,0.9,0,0.3", "0.99,0.99,0,0.4",
+          "0.9,0.99,0,0.5"], ":6:"),                                      # (0.9, 0.99, 0) twice
+    ], ids=["missing", "duplicate"])
+    def test_grid_cell_missing_or_duplicate_is_parse_error(self, tmp_path, capsys, rows, line):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("\n".join(["beta1,beta2,seed,omega1", *rows]) + "\n")
+        assert run("report", "--grid", str(grid), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert line in err and "cell" in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "report_summary.csv").exists()
+
     def test_report_grid_with_seven_of_nine_pattern(self, tmp_path):
         # three per-seed grids where 7 of 9 rows pick the diagonal
         lines = ["beta1,beta2,seed,omega1,omega2,window"]
@@ -251,21 +256,3 @@ class TestSweepAndReport:
         cols = read_csv_columns(out / "report_summary.csv")
         assert (cols["K"], cols["N"]) == (["7"], ["9"])
         assert float(cols["p_value"][0]) == pytest.approx(0.008281, rel=1e-3)
-
-
-class TestThreadCap:
-    def test_env_variable_caps_workers(self, monkeypatch):
-        from scale_lab.cli import _threads
-        monkeypatch.setenv("SCALE_LAB_THREADS", "2")
-        assert _threads(8) == 2
-        assert _threads(1) == 1
-        monkeypatch.delenv("SCALE_LAB_THREADS")
-        assert _threads(8) == 8
-
-    def test_malformed_env_variable_is_usage(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SCALE_LAB_THREADS", "two")
-        assert run("sweep", "--problem", "logistic", "--seeds", "1", "--steps", "5",
-                   "--out", str(tmp_path)) == 1
-        err = capsys.readouterr().err
-        assert "SCALE_LAB_THREADS" in err and "Traceback" not in err
-        assert not (tmp_path / "grid.csv").exists()

@@ -5,7 +5,7 @@ import pytest
 
 from scale_lab import (DomainError, GradientSignal, TimeScales, constant_signal,
                        drift_bounds, exponential_signal, fit_power_law,
-                       integrate_flow, log_drift, measure_remainder,
+                       integrate_flow, measure_remainder,
                        predict_first_order, remainder_order_sweep,
                        sinusoidal_log_signal, steady_state_exponential_gains,
                        steady_state_init, tracking_check)
@@ -24,19 +24,19 @@ class TestLogDrift:
     def test_exponential(self):
         sig = exponential_signal(0.3)
         for t in (0.0, 1.7, -4.0):
-            assert log_drift(sig, t)[0] == pytest.approx(0.3, rel=1e-14)
+            assert sig.delta(t)[0] == pytest.approx(0.3, rel=1e-14)
 
     def test_constant(self):
-        assert log_drift(constant_signal(5.0), 2.0)[0] == 0.0
+        assert constant_signal(5.0).delta(2.0)[0] == 0.0
 
     def test_offset_sine_quotient_rule(self):
-        assert log_drift(offset_sine_signal(), 0.0)[0] == pytest.approx(0.5, rel=1e-14)
+        assert offset_sine_signal().delta(0.0)[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_zero_gradient_rejected(self):
         sig = GradientSignal(kind="tabulated", dimension=1,
                              g=lambda t: np.atleast_1d(t))
         with pytest.raises(DomainError):
-            log_drift(sig, 0.0)
+            sig.delta(0.0)
 
     @pytest.mark.parametrize("make", [
         lambda: exponential_signal(0.07),

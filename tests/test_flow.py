@@ -41,16 +41,14 @@ class TestFlowRhs:
         ts = TimeScales(2.0, 3.0, eta_bar=0.5)
         sig = constant_signal([2.0, -1.0])
         g = sig.g(0.0)
-        state = FlowState(m=g.copy(), v=g * g, theta=np.zeros(2))
-        dm, dv, dth = flow_rhs(state, sig, ts)
+        dm, dv, dth = flow_rhs(0.0, np.array([g, g * g, np.zeros(2)]), sig, ts)
         assert np.allclose(dm, 0.0, atol=1e-15)
         assert np.allclose(dv, 0.0, atol=1e-15)
         assert np.allclose(dth, -0.5 * np.sign(g))
 
     def test_direct_formula(self):
         ts = TimeScales(2.0, 1.0)
-        state = FlowState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1))
-        dm, _, _ = flow_rhs(state, constant_signal(1.0), ts)
+        dm, _, _ = flow_rhs(0.0, np.array([[0.0], [1.0], [0.0]]), constant_signal(1.0), ts)
         assert dm[0] == pytest.approx(0.5)
 
     def test_steady_exponential_mode_growth_rates(self):
@@ -60,14 +58,13 @@ class TestFlowRhs:
         sig = exponential_signal(d0)
         m = np.array([1.0 / (1.0 + d0 * ts.tau1)])
         v = np.array([1.0 / (1.0 + 2.0 * d0 * ts.tau2)])
-        dm, dv, _ = flow_rhs(FlowState(m=m, v=v, theta=np.zeros(1)), sig, ts)
+        dm, dv, _ = flow_rhs(0.0, np.array([m, v, np.zeros(1)]), sig, ts)
         assert dm[0] == pytest.approx(d0 * m[0], rel=1e-12)
         assert dv[0] == pytest.approx(2.0 * d0 * v[0], rel=1e-12)
 
     def test_nonpositive_v_rejected(self):
-        state = FlowState(m=np.zeros(1), v=np.zeros(1), theta=np.zeros(1))
         with pytest.raises(DomainError):
-            flow_rhs(state, constant_signal(1.0), TimeScales(1.0, 1.0))
+            flow_rhs(0.0, np.zeros((3, 1)), constant_signal(1.0), TimeScales(1.0, 1.0))
 
 
 class TestSteadyGains:

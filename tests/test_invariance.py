@@ -76,6 +76,11 @@ class TestFirstOrderSensitivity:
         with pytest.raises(DomainError):
             first_order_sensitivity(TimeScales(1.0, 1.0), [0.01, 0.02])
 
+    @pytest.mark.parametrize("grid", [[0.01, 0.03, 0.09], [0.01, 0.01 * (2.0 + 1e-9), 0.04]])
+    def test_richardson_step_needs_a_doubling_grid(self, grid):
+        with pytest.raises(DomainError):
+            first_order_sensitivity(TimeScales(1.0, 1.0), grid)
+
 
 class TestStepScaleExperiment:
     def test_multiplier_schedule(self):

@@ -162,6 +162,19 @@ class TestGridReport:
         assert (report.hits, report.trials) == (1, 3)
         assert len(report.degenerate_rows) == 3
 
+    def test_all_nan_row_is_left_out_not_a_hit(self):
+        grid = DIAGONAL_GRID.copy()
+        grid[0] = np.nan  # every cell of row 0 diverged: a bare argmin would call it a hit
+        report = grid_report([grid], self.AXIS)
+        assert report.argmin_cols == [[-1, 1, 2]]
+        assert (report.hits, report.trials) == (2, 2)
+        assert report.p_value == binomial_diagonal_test(2, 2, 3)
+        assert report.degenerate_rows == [(0, 0)]
+
+    def test_no_scorable_row_raises(self):
+        with pytest.raises(DomainError):
+            grid_report([np.full((3, 3), np.nan)], self.AXIS)
+
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             grid_report([np.ones((2, 2))], self.AXIS)

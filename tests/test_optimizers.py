@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scale_lab import (DimensionError, DomainError, MomentState, OptimizerConfig,
-                       adam_step, adam_update, constant_gradient_closed_form,
+                       adam_step, constant_gradient_closed_form,
                        gd_step, signsgd_step, zero_state)
 
 
@@ -179,7 +179,7 @@ class TestProperties:
 
     def test_adam_update_does_not_advance_state(self):
         state = MomentState(m=np.array([1.0]), v=np.array([1.0]), theta=np.zeros(1))
-        r1 = adam_update(state, np.array([2.0]), raw_config(0.9, 0.9))
-        r2 = adam_update(state, np.array([2.0]), raw_config(0.9, 0.9))
+        _, r1 = adam_step(state, np.array([2.0]), raw_config(0.9, 0.9))
+        _, r2 = adam_step(state, np.array([2.0]), raw_config(0.9, 0.9))
         assert np.array_equal(r1.r, r2.r)
         assert state.k == 0

@@ -125,13 +125,6 @@ class TestSweepGrid:
         for g1, g2 in zip(res1.report.omega, res2.report.omega):
             assert np.array_equal(g1, g2)
 
-    def test_threaded_sweep_matches_serial(self):
-        prob = make_problem("logistic")
-        serial = sweep_grid(prob, seeds=(0,), steps=60, window=10, threads=1)
-        threaded = sweep_grid(prob, seeds=(0,), steps=60, window=10, threads=4)
-        for g1, g2 in zip(serial.report.omega, threaded.report.omega):
-            assert np.array_equal(g1, g2)
-
     def test_window_one_equals_raw_series_metric(self):
         prob = make_problem("logistic")
         res = sweep_grid(prob, beta_axis=[0.9, 0.99], seeds=(0,), steps=60, window=1)
