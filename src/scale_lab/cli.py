@@ -209,6 +209,8 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     manifest = _manifest(args, "report")
     if args.ingest:
+        if args.assume_seeds < 1:
+            raise UsageError(f"--assume-seeds must be >= 1, got {args.assume_seeds}")
         matrix, axis = read_omega_matrix(Path(args.ingest))
         grids = [matrix] * args.assume_seeds
         rep = grid_report(grids, axis)
@@ -226,6 +228,9 @@ def cmd_report(args) -> int:
     manifest.write(out)
     print(f"report ({mode}): K={rep.hits} N={rep.trials} rate={rep.rate:.1%} "
           f"p={rep.p_value:.6g}")
+    if args.ingest and args.assume_seeds > 1:
+        print(f"  p treats {args.assume_seeds} copies of one matrix as independent trials; "
+              "it is not a valid test")
     if rep.degenerate_rows:
         print(f"  degenerate rows (all-equal): {rep.degenerate_rows}")
     return 0
@@ -297,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
     p.add_argument("--ingest", default=None, help="externally supplied omega matrix CSV")
     p.add_argument("--assume-seeds", type=int, default=1,
-                   help="replicate an aggregated matrix over this many seeds")
+                   help="replicate an aggregated matrix over this many seeds (>= 1); "
+                        "the copies are not independent, so its p-value is not a valid test")
     p.add_argument("--out", default="scale-lab-out/report")
     p.set_defaults(func=cmd_report)
     return parser

@@ -23,9 +23,9 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .flow import (FlowTrace, TimeScales, _fixed_step, _rk4, integrate_flow,
+from .flow import (FlowTrace, TimeScales, _fixed_step, _rk4, _stage_times, integrate_flow,
                    predict_first_order, steady_state_init)
-from .signals import GradientSignal, exponential_signal, _fd_step
+from .signals import FD_STEP_SCALE, GradientSignal, exponential_signal
 
 SUP_INFLATION = 1.01      # dense-sampled suprema are inflated by 1%
 SUP_SAMPLES = 10001
@@ -52,8 +52,8 @@ def drift_bounds(signal: GradientSignal, interval: tuple[float, float],
     if t1 <= t0:
         raise DomainError(f"empty interval [{t0}, {t1}]")
     grid = np.linspace(t0, t1, samples)
-    lam = max(float(np.max(np.abs(signal.delta(t)))) for t in grid)
-    lam_p = max(float(np.max(np.abs(signal.delta_prime(t)))) for t in grid)
+    lam = float(np.max(np.abs(signal.delta(grid))))
+    lam_p = float(np.max(np.abs(signal.delta_prime(grid))))
     return DriftProfile(SUP_INFLATION * lam, SUP_INFLATION * lam_p, (t0, t1))
 
 
@@ -105,16 +105,12 @@ def measure_remainder(trace: FlowTrace, signal: GradientSignal, ts: TimeScales,
     profile = drift_bounds(signal, (float(t_win[0]), float(t_win[-1])))
     factor = profile.remainder_factor
 
-    preds = [predict_first_order(signal, ts, float(t)) for t in t_win]
-    m_pred = np.array([p[0] for p in preds])
-    v_pred = np.array([p[1] for p in preds])
-    r_pred = np.array([p[2] for p in preds])
-
+    m_pred, v_pred, r_pred = predict_first_order(signal, ts, t_win)
     rm = np.max(np.abs(trace.m[keep] - m_pred), axis=1)
     rv = np.max(np.abs(trace.v[keep] - v_pred), axis=1)
     rr = np.max(np.abs(trace.r[keep] - r_pred), axis=1)
 
-    b_sup = float(np.max(np.abs([signal.g(float(t)) for t in trace.t])))
+    b_sup = float(np.max(np.abs(signal.g(trace.t))))
     m0_pred, v0_pred, _ = predict_first_order(signal, ts, t0)
     coeff_m = float(np.max(np.abs(trace.m[0] - m0_pred)))
     coeff_v = float(np.max(np.abs(trace.v[0] - v0_pred)))
@@ -153,22 +149,27 @@ def _exponential_ladder(ts: TimeScales, rates: Sequence[float],
                         h: float | None) -> Iterator[tuple[GradientSignal, FlowTrace]]:
     """Per drift rate, the signal e^{delta0 t} and its flow from the steady init.
 
-    Every flow runs to 1.2 burn-in + 2 tau_max, well past its transient.
+    The rates run as the columns of one flow to 1.2 burn-in + 2 tau_max, each bit for bit its
+    one-rate flow; a ``FlowAbort`` carries the earliest abort time over all rates.
     """
     t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
-    for d0 in rates:
+    ladder = exponential_signal(rates)
+    flow = integrate_flow(ladder, ts, steady_state_init(ladder, ts, t0=0.0), t_end=t_end, h=h)
+    for k, d0 in enumerate(rates):
         sig = exponential_signal(d0)
-        yield sig, integrate_flow(sig, ts, steady_state_init(sig, ts, t0=0.0), t_end=t_end, h=h)
+        m, v, r, theta = (a[:, k:k + 1] for a in (flow.m, flow.v, flow.r, flow.theta))
+        yield sig, FlowTrace(flow.t, m, v, r, theta, ts, sig.kind, {**flow.meta, **sig.params})
 
 
 def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float],
                           h: float | None = None) -> RemainderReport:
     """R-channel remainders over exponential drifts, with a fitted order.
 
-    Runs one flow per drift rate, measures the deviation from the first-order
-    prediction, and fits the log-log slope against the drift bound; the slope
-    should sit near 2 for any (tau1, tau2) because the first-order term has
-    been subtracted.
+    Runs the drift rates as the columns of one lockstep flow, measures each
+    column's deviation from the first-order prediction, and fits the log-log
+    slope against the drift bound; the slope should sit near 2 for any
+    (tau1, tau2) because the first-order term has been subtracted.  If any
+    rate aborts, ``FlowAbort.t`` is the earliest abort over all rates.
     """
     rates = sorted(float(d) for d in delta0_grid)
     reports = [measure_remainder(trace, sig, ts)
@@ -217,15 +218,13 @@ def tracking_check(y: Callable[[float], float], tau: float, x0: float,
 
     if y_prime is None:
         def y_prime(t, _y=y):
-            s = _fd_step(t)
+            s = FD_STEP_SCALE * max(1.0, abs(t))
             return (_y(t + s) - _y(t - s)) / (2.0 * s)
-    if y_second is None:
+    sampled = y_second is None
+    if sampled:
         def y_second(t, _y=y):
-            s = _fd_step(t)
+            s = FD_STEP_SCALE * max(1.0, abs(t))
             return (_y(t + s) - 2.0 * _y(t) + _y(t - s)) / (s * s)
-        sampled = True
-    else:
-        sampled = False
 
     grid = np.linspace(t0, t1, SUP_SAMPLES)
     m_sup = max(abs(float(y_second(float(t)))) for t in grid)
@@ -238,7 +237,8 @@ def tracking_check(y: Callable[[float], float], tau: float, x0: float,
     ts_out = np.empty(n_steps + 1)
     xs_out = np.empty(n_steps + 1)
     ts_out[0], xs_out[0] = t0, float(x0)
-    for i, (t, x) in enumerate(_rk4(lambda t, x: (-x + y(t)) / tau, t0, float(x0), h, n_steps), 1):
+    forcing = [tuple(map(y, stage)) for stage in _stage_times(t0, h, n_steps).tolist()]
+    for i, (t, x) in enumerate(_rk4(lambda t, x, f: (-x + f) / tau, t0, float(x0), h, forcing), 1):
         ts_out[i], xs_out[i] = t, x
 
     y_vals = np.array([y(float(t)) for t in ts_out])

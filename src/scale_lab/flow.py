@@ -125,14 +125,13 @@ def _abort_if_v_nonpositive(t: float, v: np.ndarray) -> None:
         raise FlowAbort(t, f"v crossed zero at t={t:.6g}: gradient floor assumption violated")
 
 
-def flow_rhs(t: float, y: np.ndarray, signal: GradientSignal, ts: TimeScales) -> np.ndarray:
-    """Right-hand side d(m, v, theta)/dt of the flow at the stacked (3, d) state ``y``.
+def flow_rhs(t: float, y: np.ndarray, g: np.ndarray, ts: TimeScales) -> np.ndarray:
+    """Right-hand side d(m, v, theta)/dt at the stacked (3, d) state ``y`` and gradient ``g``.
 
     Raises ``FlowAbort`` (a ``DomainError``) unless v > 0 coordinate-wise.
     """
     m, v = y[0], y[1]
     _abort_if_v_nonpositive(t, v)
-    g = signal.g(t)
     dy = np.empty_like(y)
     dy[0] = (-m + g) / ts.tau1
     dy[1] = (-v + g * g) / ts.tau2
@@ -140,17 +139,23 @@ def flow_rhs(t: float, y: np.ndarray, signal: GradientSignal, ts: TimeScales) ->
     return dy
 
 
-def _rk4(rhs: Callable, t0: float, y, h: float, n_steps: int) -> Iterator[tuple[float, object]]:
-    """Classical fixed-step RK4 of y' = rhs(t, y); yields (t, y) after each of ``n_steps`` steps.
+def _stage_times(t0: float, h: float, n_steps: int) -> np.ndarray:
+    """The (n_steps, 3) RK4 stage times (t_i, t_i + h/2, t_i + h), t_i = t0 + i * h."""
+    return (t0 + np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5 * h, h])
 
-    ``y`` is a float or an array; step i ends at exactly t0 + i * h.
+
+def _rk4(rhs: Callable, t0: float, y, h: float, forcing) -> Iterator[tuple[float, object]]:
+    """Classical fixed-step RK4 of y' = rhs(t, y, f); yields (t, y) after each step.
+
+    ``forcing[i]`` holds f at the three ``_stage_times`` of step i; ``y`` is
+    a float or an array; step i ends at exactly t0 + i * h.
     """
     t = t0
-    for i in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
+    for i, (f1, f2, f4) in enumerate(forcing):
+        k1 = rhs(t, y, f1)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, f2)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, f2)
+        k4 = rhs(t + h, y + h * k3, f4)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t0 + (i + 1) * h
         yield t, y
@@ -182,11 +187,9 @@ def steady_state_exponential_gains(delta0: float, ts: TimeScales) -> tuple[float
     return m_gain, v_gain, m_gain / math.sqrt(v_gain)
 
 
-def predict_first_order(signal: GradientSignal, ts: TimeScales, t: float):
-    """First-order predictions (m_pred, v_pred, R_pred) at time t."""
+def predict_first_order(signal: GradientSignal, ts: TimeScales, t):
+    """First-order predictions (m_pred, v_pred, R_pred) at t, a number or an array."""
     g = signal.g(t)
-    if np.any(g == 0.0):
-        raise DomainError(f"prediction needs g(t) nonzero at t={t}")
     d = signal.delta(t)
     m_pred = g * (1.0 - ts.tau1 * d)
     v_pred = g * g * (1.0 - 2.0 * ts.tau2 * d)
@@ -231,8 +234,9 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
     rec_t = np.empty(n_steps // record_stride + 1)
     rec_y = np.empty((rec_t.size,) + y.shape)
     rec_t[0], rec_y[0] = init.t, y
-    rhs = functools.partial(flow_rhs, signal=signal, ts=ts)
-    for i, (t, y) in enumerate(_rk4(rhs, init.t, y, h, n_steps), 1):
+    forcing = signal.g(_stage_times(init.t, h, n_steps))
+    rhs = functools.partial(flow_rhs, ts=ts)
+    for i, (t, y) in enumerate(_rk4(rhs, init.t, y, h, forcing), 1):
         if i % record_stride == 0:
             rec_t[i // record_stride], rec_y[i // record_stride] = t, y
     _abort_if_v_nonpositive(t, y[1])  # flow_rhs checked the end of every earlier step

@@ -111,11 +111,11 @@ class OscillationGridReport:
 def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -> OscillationGridReport:
     """Score diagonal selection over (row, seed) pairs and attach the exact test.
 
-    NaN entries are treated as +inf in the argmin (a diverged run never wins);
-    ties resolve to the lowest column index.  Rows whose entries are all equal
-    are flagged as degenerate; they are still scored by the tie rule unless
-    every entry is NaN or +inf, in which case no column can win and the row
-    is left out of K and N.  Raises ``DomainError`` when no row can be scored.
+    NaN and infinite entries are +inf in the argmin (a diverged run never
+    wins); ties resolve to the lowest column index.  Rows whose entries are
+    all equal are flagged as degenerate; they are still scored by the tie rule
+    unless every entry is NaN or infinite, in which case no column can win and
+    the row is left out of K and N.  Raises ``DomainError`` when no row can be scored.
     """
     grids = [np.asarray(g, dtype=float) for g in omega_grids]
     if not grids:
@@ -132,7 +132,7 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
     for s, g in enumerate(grids):
         cols = []
         for row in range(n):
-            vals = np.where(np.isnan(g[row]), np.inf, g[row])
+            vals = np.where(np.isfinite(g[row]), g[row], np.inf)
             if np.all(vals == vals[0]):
                 degenerate.append((s, row))
             if np.all(vals == np.inf):

@@ -51,7 +51,11 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Pa
     return path
 
 
-def read_csv_columns(path: Path) -> dict[str, list[str]]:
+class CsvColumns(dict):
+    """String columns by header name; ``lines[i]`` is the file line of row i (blank lines skipped)."""
+
+
+def read_csv_columns(path: Path) -> CsvColumns:
     """Read a headed CSV back into string columns; parse errors carry line numbers."""
     path = Path(path)
     with path.open(newline="") as fh:
@@ -60,13 +64,15 @@ def read_csv_columns(path: Path) -> dict[str, list[str]]:
             header = next(reader)
         except StopIteration:
             raise CsvParseError(path, 1, "empty file")
-        cols: dict[str, list[str]] = {name: [] for name in header}
-        for line_no, row in enumerate(reader, start=2):
+        cols = CsvColumns((name, []) for name in header)
+        cols.lines = []
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise CsvParseError(path, line_no,
+                raise CsvParseError(path, reader.line_num,
                                     f"expected {len(header)} fields, got {len(row)}")
+            cols.lines.append(reader.line_num)
             for name, value in zip(header, row):
                 cols[name].append(value)
     return cols
@@ -136,23 +142,23 @@ def read_omega_grids(path: Path, metric: str = "omega1"):
     for needed in ("beta1", "beta2", "seed", metric):
         if needed not in cols:
             raise CsvParseError(path, 1, f"missing column {needed!r}")
-    b1s = [parse_float(path, i + 2, x) for i, x in enumerate(cols["beta1"])]
-    b2s = [parse_float(path, i + 2, x) for i, x in enumerate(cols["beta2"])]
-    seeds = [int(parse_float(path, i + 2, x)) for i, x in enumerate(cols["seed"])]
-    omegas = [parse_float(path, i + 2, x) for i, x in enumerate(cols[metric])]
+    b1s = [parse_float(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
+    b2s = [parse_float(path, n, x) for n, x in zip(cols.lines, cols["beta2"])]
+    seeds = [int(parse_float(path, n, x)) for n, x in zip(cols.lines, cols["seed"])]
+    omegas = [parse_float(path, n, x) for n, x in zip(cols.lines, cols[metric])]
     axis = sorted(set(b1s))
     if sorted(set(b2s)) != axis:
         raise CsvParseError(path, 1, "beta1 and beta2 axes disagree")
     seed_list = sorted(set(seeds))
     lines: dict[tuple[float, float, int], int] = {}
-    for i, cell in enumerate(zip(b1s, b2s, seeds)):
+    for n, cell in zip(cols.lines, zip(b1s, b2s, seeds)):
         if cell in lines:
-            raise CsvParseError(path, i + 2, f"duplicate cell (beta1, beta2, seed) = {cell}, "
-                                             f"first on line {lines[cell]}")
-        lines[cell] = i + 2
+            raise CsvParseError(path, n, f"duplicate cell (beta1, beta2, seed) = {cell}, "
+                                         f"first on line {lines[cell]}")
+        lines[cell] = n
     for cell in ((b1, b2, s) for s in seed_list for b1 in axis for b2 in axis):
         if cell not in lines:
-            raise CsvParseError(path, len(b1s) + 1,
+            raise CsvParseError(path, cols.lines[-1] if cols.lines else 1,
                                 f"missing cell (beta1, beta2, seed) = {cell}: no line has it")
     grids = {s: np.empty((len(axis), len(axis))) for s in seed_list}
     for (b1, b2, s), w in zip(zip(b1s, b2s, seeds), omegas):
@@ -167,17 +173,17 @@ def read_omega_matrix(path: Path):
     if len(names) < 2 or names[0] != "beta1":
         raise CsvParseError(path, 1, "expected header: beta1,<beta2 values...>")
     axis_cols = [parse_float(path, 1, c) for c in names[1:]]
-    rows_b1 = [parse_float(path, i + 2, x) for i, x in enumerate(cols["beta1"])]
+    rows_b1 = [parse_float(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
     if rows_b1 != axis_cols:
         raise CsvParseError(path, 1, "row beta1 values must match column beta2 values")
     n = len(axis_cols)
     matrix = np.full((n, n), np.nan)
     for j, name in enumerate(names[1:]):
-        for i, x in enumerate(cols[name]):
+        for i, (line, x) in enumerate(zip(cols.lines, cols[name])):
             if x.strip().lower() in ("nan", ""):
                 matrix[i, j] = np.nan
             else:
-                matrix[i, j] = parse_float(path, i + 2, x)
+                matrix[i, j] = parse_float(path, line, x)
     return matrix, axis_cols
 
 

@@ -5,6 +5,11 @@ growth rate of the gradient magnitude and the expansion parameter of the
 whole analysis.  Analytic kinds carry exact g', delta and delta'; tabulated
 signals fall back to central finite differences with stencil step
 ``1e-4 * max(1, |t|)``.
+
+Every evaluator takes ``t`` as a number or as an array of times of any
+shape and returns an array of shape ``np.shape(t) + (dimension,)``, so a
+number gives ``(dimension,)`` and a time grid is evaluated in one call.
+Each entry equals the evaluation at that time alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,53 +24,56 @@ from .errors import DomainError
 FD_STEP_SCALE = 1e-4
 
 
-def _fd_step(t: float) -> float:
-    return FD_STEP_SCALE * max(1.0, abs(t))
+def _fd_step(t):
+    return FD_STEP_SCALE * np.maximum(1.0, np.abs(t))
+
+
+def _require_nonzero(t, gt: np.ndarray) -> None:
+    zero = np.any(gt == 0.0, axis=-1)
+    if np.any(zero):
+        raise DomainError(f"drift undefined: g({np.asarray(t)[zero].flat[0]}) has a zero coordinate")
 
 
 @dataclass(frozen=True)
 class GradientSignal:
     """A vector signal g(t) with optional analytic derivative evaluators.
 
-    ``g`` maps a time to an array of shape (dimension,).  When ``g_prime`` or
-    ``delta_prime`` are omitted they are replaced by central finite
-    differences, so every signal supports the full drift API.
+    ``g`` and the optional evaluators map a time, or an array of times of any shape, to an array
+    of shape ``np.shape(t) + (dimension,)``.  When ``g_prime`` or ``delta_prime`` are omitted they
+    are replaced by central finite differences, so every signal supports the full drift API.
     """
 
     kind: str
     dimension: int
-    g: Callable[[float], np.ndarray]
-    g_prime: Optional[Callable[[float], np.ndarray]] = None
-    delta_analytic: Optional[Callable[[float], np.ndarray]] = None
-    delta_prime_analytic: Optional[Callable[[float], np.ndarray]] = None
+    g: Callable[[float | np.ndarray], np.ndarray]
+    g_prime: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
+    delta_analytic: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
+    delta_prime_analytic: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
 
-    def delta(self, t: float) -> np.ndarray:
+    def delta(self, t) -> np.ndarray:
         """Logarithmic drift g'(t)/g(t); domain error on a zero coordinate."""
         gt = self.g(t)
-        if np.any(gt == 0.0):
-            raise DomainError(f"drift undefined: g({t}) has a zero coordinate")
+        _require_nonzero(t, gt)
         if self.delta_analytic is not None:
-            return np.broadcast_to(np.asarray(self.delta_analytic(t), dtype=float), gt.shape).copy()
+            return self.delta_analytic(t)
         if self.g_prime is not None:
-            return np.asarray(self.g_prime(t), dtype=float) / gt
+            return self.g_prime(t) / gt
         return self.delta_fd(t)
 
-    def delta_fd(self, t: float) -> np.ndarray:
+    def delta_fd(self, t) -> np.ndarray:
         """Finite-difference drift, available for every kind."""
         gt = self.g(t)
-        if np.any(gt == 0.0):
-            raise DomainError(f"drift undefined: g({t}) has a zero coordinate")
+        _require_nonzero(t, gt)
         h = _fd_step(t)
-        return (self.g(t + h) - self.g(t - h)) / (2.0 * h * gt)
+        return (self.g(t + h) - self.g(t - h)) / (np.expand_dims(2.0 * h, -1) * gt)
 
-    def delta_prime(self, t: float) -> np.ndarray:
+    def delta_prime(self, t) -> np.ndarray:
         """d(delta)/dt, analytic when declared, else central difference of delta."""
         if self.delta_prime_analytic is not None:
-            shape = (self.dimension,)
-            return np.broadcast_to(np.asarray(self.delta_prime_analytic(t), dtype=float), shape).copy()
+            return self.delta_prime_analytic(t)
         h = _fd_step(t)
-        return (self.delta(t + h) - self.delta(t - h)) / (2.0 * h)
+        return (self.delta(t + h) - self.delta(t - h)) / np.expand_dims(2.0 * h, -1)
 
 
 def _vec(value: float | Sequence[float], dimension: int | None) -> np.ndarray:
@@ -75,6 +83,11 @@ def _vec(value: float | Sequence[float], dimension: int | None) -> np.ndarray:
     return arr
 
 
+def _zero_drift(d: int) -> dict:
+    zeros = lambda t: np.zeros(np.shape(t) + (d,))
+    return {"g_prime": zeros, "delta_analytic": zeros, "delta_prime_analytic": zeros}
+
+
 def constant_signal(value: float | Sequence[float] = 1.0, dimension: int | None = None) -> GradientSignal:
     """g(t) = c; zero drift."""
     c = _vec(value, dimension)
@@ -82,29 +95,33 @@ def constant_signal(value: float | Sequence[float] = 1.0, dimension: int | None 
     return GradientSignal(
         kind="constant",
         dimension=d,
-        g=lambda t: c.copy(),
-        g_prime=lambda t: np.zeros(d),
-        delta_analytic=lambda t: np.zeros(d),
-        delta_prime_analytic=lambda t: np.zeros(d),
+        g=lambda t: np.full(np.shape(t) + (d,), c),
+        **_zero_drift(d),
         params={"value": c.tolist()},
     )
 
 
-def exponential_signal(delta0: float, scale: float | Sequence[float] = 1.0,
+def exponential_signal(delta0: float | Sequence[float], scale: float | Sequence[float] = 1.0,
                        dimension: int | None = None) -> GradientSignal:
-    """g(t) = c * exp(delta0 * t); constant drift delta0."""
-    c = _vec(scale, dimension)
+    """g(t) = c * exp(delta0 * t); constant drift delta0, one rate or one rate per coordinate.
+
+    Coordinate k of a per-coordinate signal is bit for bit ``exponential_signal(delta0[k], c[k])``.
+    """
+    rates = np.asarray(delta0, dtype=float)
+    c = _vec(scale, dimension or (rates.size if rates.ndim else None))
     d = c.size
+    if rates.ndim and rates.shape != (d,):
+        raise DomainError(f"exponential signal: {rates.size} rates for {d} coordinates")
     if np.any(c == 0.0):
         raise DomainError("exponential signal needs a nonzero scale")
     return GradientSignal(
         kind="exponential",
         dimension=d,
-        g=lambda t: c * np.exp(delta0 * t),
-        g_prime=lambda t: delta0 * c * np.exp(delta0 * t),
-        delta_analytic=lambda t: np.full(d, delta0),
-        delta_prime_analytic=lambda t: np.zeros(d),
-        params={"delta0": delta0, "scale": c.tolist()},
+        g=lambda t: c * np.exp(rates * np.expand_dims(t, -1)),
+        g_prime=lambda t: rates * c * np.exp(rates * np.expand_dims(t, -1)),
+        delta_analytic=lambda t: np.full(np.shape(t) + (d,), rates),
+        delta_prime_analytic=lambda t: np.zeros(np.shape(t) + (d,)),
+        params={"delta0": rates.tolist() if rates.ndim else delta0, "scale": c.tolist()},
     )
 
 
@@ -118,15 +135,16 @@ def sinusoidal_log_signal(amplitude: float, omega: float, scale: float = 1.0,
     if scale == 0.0:
         raise DomainError("sinusoidal-log signal needs a nonzero scale")
     d = dimension
+    coords = lambda x: np.full(np.shape(x) + (d,), np.expand_dims(x, -1))
     return GradientSignal(
         kind="sinusoidal-log",
         dimension=d,
-        g=lambda t: np.full(d, scale * np.exp(amplitude * np.sin(omega * t))),
-        g_prime=lambda t: np.full(
-            d, scale * amplitude * omega * np.cos(omega * t) * np.exp(amplitude * np.sin(omega * t))
+        g=lambda t: coords(scale * np.exp(amplitude * np.sin(omega * t))),
+        g_prime=lambda t: coords(
+            scale * amplitude * omega * np.cos(omega * t) * np.exp(amplitude * np.sin(omega * t))
         ),
-        delta_analytic=lambda t: np.full(d, amplitude * omega * np.cos(omega * t)),
-        delta_prime_analytic=lambda t: np.full(d, -amplitude * omega * omega * np.sin(omega * t)),
+        delta_analytic=lambda t: coords(amplitude * omega * np.cos(omega * t)),
+        delta_prime_analytic=lambda t: coords(-amplitude * omega * omega * np.sin(omega * t)),
         params={"amplitude": amplitude, "omega": omega, "scale": scale},
     )
 
@@ -156,10 +174,8 @@ def step_scale_signal(base: float | Sequence[float], schedule: Sequence[tuple[fl
     return GradientSignal(
         kind="step-scale",
         dimension=d,
-        g=lambda t: c * mult_at(t),
-        g_prime=lambda t: np.zeros(d),
-        delta_analytic=lambda t: np.zeros(d),
-        delta_prime_analytic=lambda t: np.zeros(d),
+        g=lambda t: c * np.expand_dims(mult_at(t), -1),
+        **_zero_drift(d),
         params={"base": c.tolist(), "schedule": sched},
     )
 
@@ -174,8 +190,6 @@ def tabulated_signal(ts: Sequence[float], values: np.ndarray) -> GradientSignal:
         raise DomainError("tabulated signal: times and values disagree in length")
     d = values.shape[1]
 
-    def g(t: float) -> np.ndarray:
-        return np.array([np.interp(t, ts, values[:, i]) for i in range(d)])
-
-    return GradientSignal(kind="tabulated", dimension=d, g=g,
+    return GradientSignal(kind="tabulated", dimension=d,
+                          g=lambda t: np.stack([np.interp(t, ts, values[:, i]) for i in range(d)], -1),
                           params={"t0": float(ts[0]), "t1": float(ts[-1])})

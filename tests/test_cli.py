@@ -236,6 +236,43 @@ class TestSweepAndReport:
         assert line in err and "cell" in err and "Traceback" not in err
         assert not (tmp_path / "r" / "report_summary.csv").exists()
 
+    def test_parse_error_after_blank_line_names_its_real_line(self, tmp_path, capsys):
+        grid = tmp_path / "g.csv"
+        grid.write_text("beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n\nx,0.99,0,0.2\n")
+        assert run("report", "--grid", str(grid), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert "g.csv:4:" in err and "'x'" in err
+
+    def test_cell_errors_after_blank_lines_name_their_real_lines(self, tmp_path, capsys):
+        grid = tmp_path / "g.csv"
+        grid.write_text("beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n\n0.9,0.99,0,0.2\n"
+                        "0.99,0.9,0,0.3\n\n0.9,0.99,0,0.5\n")
+        assert run("report", "--grid", str(grid), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert "g.csv:7:" in err and "first on line 4" in err
+
+    def test_assume_seeds_below_one_is_usage_error(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(TABLE_STYLE_MATRIX)
+        assert run("report", "--ingest", str(matrix), "--assume-seeds", "0",
+                   "--out", str(tmp_path / "r")) == 1
+        assert "--assume-seeds" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "report_summary.csv").exists()
+
+    def test_assume_seeds_p_value_is_labelled_not_a_valid_test(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(TABLE_STYLE_MATRIX)
+        out = tmp_path / "r"
+        assert run("report", "--ingest", str(matrix), "--assume-seeds", "3",
+                   "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert "independent trials" in printed and "not a valid test" in printed
+        assert (out / "report_summary.csv").read_bytes() == (
+            b"rate,K,N,p_value\r\n1.0,9,9,5.080526342529086e-05\r\n")
+        assert run("report", "--ingest", str(matrix), "--assume-seeds", "1",
+                   "--out", str(tmp_path / "r1")) == 0
+        assert "not a valid test" not in capsys.readouterr().out
+
     def test_report_grid_with_seven_of_nine_pattern(self, tmp_path):
         # three per-seed grids where 7 of 9 rows pick the diagonal
         lines = ["beta1,beta2,seed,omega1,omega2,window"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (DomainError, GradientSignal, TimeScales, constant_signal,
+from scale_lab import (DomainError, FlowAbort, GradientSignal, TimeScales, constant_signal,
                        drift_bounds, exponential_signal, fit_power_law,
                        integrate_flow, measure_remainder,
                        predict_first_order, remainder_order_sweep,
@@ -15,8 +15,8 @@ def offset_sine_signal():
     # g(t) = 2 + sin(t): nonvanishing, with analytic drift cos(t)/(2+sin(t))
     return GradientSignal(
         kind="tabulated", dimension=1,
-        g=lambda t: np.atleast_1d(2.0 + math.sin(t)),
-        g_prime=lambda t: np.atleast_1d(math.cos(t)),
+        g=lambda t: (2.0 + np.sin(t))[..., None],
+        g_prime=lambda t: np.cos(t)[..., None],
     )
 
 
@@ -34,7 +34,7 @@ class TestLogDrift:
 
     def test_zero_gradient_rejected(self):
         sig = GradientSignal(kind="tabulated", dimension=1,
-                             g=lambda t: np.atleast_1d(t))
+                             g=lambda t: np.asarray(t, dtype=float)[..., None])
         with pytest.raises(DomainError):
             sig.delta(0.0)
 
@@ -149,6 +149,23 @@ class TestRemainderOrderSweep:
         for taus in [(1.0, 1.0), (1.0, 2.0)]:
             rep = remainder_order_sweep(TimeScales(*taus), [0.01, 0.02, 0.04, 0.08])
             assert rep.fitted_order == pytest.approx(2.0, abs=0.25)
+
+    def test_ladder_abort_carries_earliest_abort_time(self):
+        # a step of 2.5 tau drives an RK4 stage of v below zero for decaying
+        # gradients; the faster-decaying rates abort first
+        ts, rates, h = TimeScales(1.0, 1.0), [-0.6, -0.3, -0.1], 2.5
+        t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
+        aborts = []
+        for d0 in rates:
+            sig = exponential_signal(d0)
+            try:
+                integrate_flow(sig, ts, steady_state_init(sig, ts), t_end=t_end, h=h)
+            except FlowAbort as err:
+                aborts.append(err.t)
+        assert len(aborts) == 2 and aborts[0] < aborts[1]
+        with pytest.raises(FlowAbort) as err:
+            remainder_order_sweep(ts, rates, h=h)
+        assert err.value.t == min(aborts)
 
 
 class TestFitPowerLaw:

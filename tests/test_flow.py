@@ -41,14 +41,14 @@ class TestFlowRhs:
         ts = TimeScales(2.0, 3.0, eta_bar=0.5)
         sig = constant_signal([2.0, -1.0])
         g = sig.g(0.0)
-        dm, dv, dth = flow_rhs(0.0, np.array([g, g * g, np.zeros(2)]), sig, ts)
+        dm, dv, dth = flow_rhs(0.0, np.array([g, g * g, np.zeros(2)]), sig.g(0.0), ts)
         assert np.allclose(dm, 0.0, atol=1e-15)
         assert np.allclose(dv, 0.0, atol=1e-15)
         assert np.allclose(dth, -0.5 * np.sign(g))
 
     def test_direct_formula(self):
         ts = TimeScales(2.0, 1.0)
-        dm, _, _ = flow_rhs(0.0, np.array([[0.0], [1.0], [0.0]]), constant_signal(1.0), ts)
+        dm, _, _ = flow_rhs(0.0, np.array([[0.0], [1.0], [0.0]]), constant_signal(1.0).g(0.0), ts)
         assert dm[0] == pytest.approx(0.5)
 
     def test_steady_exponential_mode_growth_rates(self):
@@ -58,13 +58,13 @@ class TestFlowRhs:
         sig = exponential_signal(d0)
         m = np.array([1.0 / (1.0 + d0 * ts.tau1)])
         v = np.array([1.0 / (1.0 + 2.0 * d0 * ts.tau2)])
-        dm, dv, _ = flow_rhs(0.0, np.array([m, v, np.zeros(1)]), sig, ts)
+        dm, dv, _ = flow_rhs(0.0, np.array([m, v, np.zeros(1)]), sig.g(0.0), ts)
         assert dm[0] == pytest.approx(d0 * m[0], rel=1e-12)
         assert dv[0] == pytest.approx(2.0 * d0 * v[0], rel=1e-12)
 
     def test_nonpositive_v_rejected(self):
         with pytest.raises(DomainError):
-            flow_rhs(0.0, np.zeros((3, 1)), constant_signal(1.0), TimeScales(1.0, 1.0))
+            flow_rhs(0.0, np.zeros((3, 1)), constant_signal(1.0).g(0.0), TimeScales(1.0, 1.0))
 
 
 class TestSteadyGains:
@@ -166,7 +166,7 @@ class TestIntegrateFlow:
         tr_ab = integrate_flow(sig_ab, ts, init(sig_ab), t_end=8.0, h=0.01)
         assert np.max(np.abs(tr_ab.m - tr_a.m - tr_b.m)) < 1e-10
         # v channel is linear in its own forcing g^2: drive with sqrt of the sum
-        sig_sq = tabulated_like(lambda t: np.sqrt(sig_a.g(t)[0] ** 2 + sig_b.g(t)[0] ** 2))
+        sig_sq = tabulated_like(lambda t: np.sqrt(sig_a.g(t)[..., 0] ** 2 + sig_b.g(t)[..., 0] ** 2))
         tr_sq = integrate_flow(sig_sq, ts, init(sig_sq), t_end=8.0, h=0.01)
         assert np.max(np.abs(tr_sq.v - tr_a.v - tr_b.v)) < 1e-10
 
@@ -203,10 +203,10 @@ class TestIntegrateFlow:
 
 
 def tabulated_like(fn):
-    """Wrap a smooth scalar callable as a 1-d signal with FD drift."""
+    """Wrap a smooth array-aware callable as a 1-d signal with FD drift."""
     from scale_lab import GradientSignal
     return GradientSignal(kind="tabulated", dimension=1,
-                          g=lambda t: np.atleast_1d(np.asarray(fn(t), dtype=float)))
+                          g=lambda t: np.asarray(fn(t), dtype=float)[..., None])
 
 
 class TestDiscreteContinuousConsistency:

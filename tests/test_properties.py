@@ -1,0 +1,109 @@
+"""Property tests: the signal array contract, the lockstep drift ladder, grid reports."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from scale_lab import (TimeScales, constant_signal, exponential_signal, grid_report,
+                       integrate_flow, sinusoidal_log_signal, steady_state_init,
+                       step_scale_signal, tabulated_signal)
+from scale_lab.drift import _exponential_ladder
+
+SIGNALS = {
+    "constant": lambda: constant_signal([2.0, -0.5, 3.0]),
+    "exponential": lambda: exponential_signal(0.07, scale=[1.5, -2.0]),
+    "exponential-per-coordinate": lambda: exponential_signal([0.01, -0.03, 0.2],
+                                                             scale=[1.0, 3.0, -0.5]),
+    "sinusoidal-log": lambda: sinusoidal_log_signal(0.3, 0.7, scale=-2.0, dimension=2),
+    "step-scale": lambda: step_scale_signal([1.0, -4.0], [(1.0, 10.0), (3.0, 0.5)]),
+    "tabulated": lambda: tabulated_signal(np.linspace(-2.0, 12.0, 29),
+                                          np.stack([2.0 + np.sin(np.linspace(-2.0, 12.0, 29)),
+                                                    np.exp(0.1 * np.linspace(-2.0, 12.0, 29))],
+                                                   axis=1)),
+}
+
+FIELDS = ("g", "g_prime", "delta_analytic", "delta_prime_analytic")
+METHODS = ("delta", "delta_fd", "delta_prime")
+
+times = st.floats(min_value=-4.0, max_value=14.0, allow_nan=False)
+
+
+def evaluators(sig):
+    out = {name: getattr(sig, name) for name in FIELDS if getattr(sig, name) is not None}
+    out.update({name: getattr(sig, name) for name in METHODS})
+    return out
+
+
+@pytest.mark.parametrize("kind", list(SIGNALS))
+@settings(max_examples=25, deadline=None)
+@given(flat=st.lists(times, min_size=1, max_size=12), wide=st.integers(0, 1))
+def test_array_evaluation_equals_stacked_scalar_evaluations(kind, flat, wide):
+    sig = SIGNALS[kind]()
+    t = np.array(flat if not wide else flat * 3)
+    if wide:
+        t = t.reshape(len(flat), 3)
+    for name, ev in evaluators(sig).items():
+        got = ev(t)
+        want = np.stack([ev(float(x)) for x in t.ravel()]).reshape(t.shape + (sig.dimension,))
+        assert got.shape == t.shape + (sig.dimension,), name
+        assert np.array_equal(got, want), name
+        assert ev(float(t.flat[0])).shape == (sig.dimension,), name
+
+
+@pytest.mark.parametrize("taus", [(1.0, 1.0), (1.0, 2.0)])
+@settings(max_examples=4, deadline=None)
+@given(rates=st.lists(st.floats(min_value=0.005, max_value=0.1), min_size=1, max_size=4,
+                      unique=True))
+def test_ladder_columns_equal_one_rate_flows(taus, rates):
+    ts = TimeScales(*taus)
+    t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
+    for d0, (sig, col) in zip(rates, _exponential_ladder(ts, rates, None)):
+        assert sig.params["delta0"] == d0
+        one = integrate_flow(sig, ts, steady_state_init(sig, ts, t0=0.0), t_end=t_end)
+        for name in ("t", "m", "v", "r", "theta"):
+            assert np.array_equal(getattr(col, name), getattr(one, name)), name
+        assert (col.signal_kind, col.meta) == (one.signal_kind, one.meta)
+
+
+omega_cells = st.one_of(st.floats(min_value=0.0, max_value=10.0),
+                        st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def omega_grids(draw):
+    n = draw(st.integers(2, 4))
+    seeds = draw(st.integers(1, 4))
+    grids = [draw(arrays(float, (n, n), elements=omega_cells)) for _ in range(seeds)]
+    return grids, [0.9 + 0.01 * i for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=omega_grids(), order=st.randoms())
+def test_grid_report_invariant_under_seed_permutation(data, order):
+    grids, axis = data
+    assume(any(np.isfinite(g).any() for g in grids))  # else no row can be scored
+    perm = list(range(len(grids)))
+    order.shuffle(perm)
+    base = grid_report(grids, axis)
+    moved = grid_report([grids[i] for i in perm], axis)
+    assert (moved.hits, moved.trials, moved.rate, moved.p_value) == (
+        base.hits, base.trials, base.rate, base.p_value)
+    assert moved.argmin_cols == [base.argmin_cols[i] for i in perm]
+    assert sorted(moved.degenerate_rows) == sorted((perm.index(s), r)
+                                                   for s, r in base.degenerate_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=omega_grids())
+def test_non_finite_cell_never_wins_a_row(data):
+    grids, axis = data
+    assume(any(np.isfinite(g).any() for g in grids))
+    report = grid_report(grids, axis)
+    for g, cols in zip(grids, report.argmin_cols):
+        for row, col in enumerate(cols):
+            if np.isfinite(g[row]).any():
+                assert col >= 0 and np.isfinite(g[row, col])
+            else:
+                assert col == -1

@@ -30,6 +30,14 @@ class TestExponential:
         with pytest.raises(DomainError):
             exponential_signal(0.1, scale=0.0)
 
+    def test_one_rate_per_coordinate(self):
+        sig = exponential_signal([0.1, -0.2], scale=3.0)
+        assert sig.dimension == 2
+        assert np.array_equal(sig.delta(np.array([0.0, 5.0])), [[0.1, -0.2], [0.1, -0.2]])
+        assert np.array_equal(sig.g(1.0), [3.0 * np.exp(0.1), 3.0 * np.exp(-0.2)])
+        with pytest.raises(DomainError):
+            exponential_signal([0.1, 0.2, 0.3], dimension=2)
+
 
 class TestSinusoidalLog:
     def test_never_vanishes_and_drift_formula(self):
@@ -81,3 +89,8 @@ class TestTabulated:
         sig = tabulated_signal([0.0, 2.0], np.array([[-1.0], [1.0]]))
         with pytest.raises(DomainError):
             sig.delta(1.0)
+
+    def test_zero_on_a_time_grid_names_its_time(self):
+        sig = tabulated_signal([0.0, 2.0], np.array([[-1.0], [1.0]]))
+        with pytest.raises(DomainError, match=r"g\(1\.0\) has a zero coordinate"):
+            sig.delta(np.array([[0.5, 1.0], [1.0, 1.5]]))
