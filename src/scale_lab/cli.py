@@ -11,12 +11,15 @@ Four subcommands:
 * ``report`` -- recompute rates and p-values from stored grids, or from an
                externally supplied omega matrix.
 
-Exit codes: 0 success, 1 usage error, 2 runtime or parse error.
+Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
+infinite float flag or list item, an empty list, a negative, fractional or
+repeated seed and a batch size below 1 are usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -49,11 +52,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _floats(text: str) -> list[float]:
+def _flag_value(parse, ok, what: str):
+    """An argparse ``type``: ``parse(text)``, a usage error unless it is ``what``."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+    return convert
+
+
+_finite_float = _flag_value(float, math.isfinite, "a finite number")
+_seed = _flag_value(int, lambda s: s >= 0, "an integer seed >= 0")
+
+
+def _values(text: str, parse=_finite_float) -> list:
+    """A non-empty comma-separated list; an empty or bad item is a usage error."""
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise DomainError(f"not a comma-separated float list: {text!r}")
+        values = [parse(x) for x in text.split(",") if x.strip() != ""]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{exc} in the list {text!r}")
+    if not values:
+        raise UsageError(f"empty list: {text!r}")
+    return values
 
 
 def _manifest(args, command: str, skip=("out", "plot", "func")) -> RunManifest:
@@ -88,14 +112,16 @@ def cmd_flow(args) -> int:
     report = None
     if t_end > ts.burn_in:
         report = measure_remainder(trace, signal, ts)
-        delta0 = signal.params.get("delta0", "")
-        rows = [(name, delta0, ch.max_abs,
-                 "" if ch.bound_sup is None else ch.bound_sup,
-                 "" if np.isnan(ch.constant) else ch.constant, "")
-                for name, ch in report.channels.items()]
+        chans = report.channels.values()
         files.append(write_csv(out / "remainder.csv",
                                ["channel", "delta0", "remainder", "bound", "constant",
-                                "fitted_order"], rows))
+                                "fitted_order"],
+                               [list(report.channels),
+                                [signal.params.get("delta0", "")] * len(chans),
+                                [ch.max_abs for ch in chans],
+                                ["" if ch.bound_sup is None else ch.bound_sup for ch in chans],
+                                ["" if np.isnan(ch.constant) else ch.constant for ch in chans],
+                                [""] * len(chans)]))
     if args.plot:
         files.append(write_svg_lines(out / "flow.svg",
                                      [("norm_R", trace.t, trace.norm_r)],
@@ -121,7 +147,7 @@ def cmd_probe(args) -> int:
     manifest = _manifest(args, "probe")
     files = []
     if args.step_scale:
-        betas = _floats(args.beta_grid)
+        betas = _values(args.beta_grid)
         if any(not 0.0 < b < 1.0 for b in betas):
             raise UsageError(f"beta grid values must lie in (0,1): {betas}")
         grid = [(b1, b2) for b1 in betas for b2 in betas]
@@ -129,27 +155,27 @@ def cmd_probe(args) -> int:
         exp = StepScaleExperiment(base=np.array([args.base]),
                                   schedule=[(jump, args.multiplier)], beta_grid=grid)
         traces = step_scale_grid(exp, steps=args.steps, eta=args.eta)
-        rows = []
-        svg_series = []
-        for (b1, b2), tr in sorted(traces.items()):
+        cells = sorted(traces.items())
+        for (b1, b2), tr in cells:
             files.append(step_trace_csv(tr, out / f"stepscale_{b1}_{b2}.csv"))
-            rows.append((b1, b2, tr.transient_integral(jump, reference=1.0)))
-            svg_series.append((f"({b1},{b2})", tr.steps, tr.norm_r))
         files.append(write_csv(out / "stepscale_summary.csv",
-                               ["beta1", "beta2", "transient_integral"], rows))
+                               ["beta1", "beta2", "transient_integral"],
+                               [[b1 for (b1, _), _ in cells], [b2 for (_, b2), _ in cells],
+                                [tr.transient_integral(jump, reference=1.0) for _, tr in cells]]))
         if args.plot:
-            files.append(write_svg_lines(out / "stepscale.svg", svg_series,
+            series = [(f"({b1},{b2})", tr.steps, tr.norm_r) for (b1, b2), tr in cells]
+            files.append(write_svg_lines(out / "stepscale.svg", series,
                                          title=f"x{args.multiplier} rescale at step {jump}"))
         print(f"step-scale: {len(traces)} cells, jump x{args.multiplier} at step {jump}")
     else:
-        lambdas = _floats(args.lambdas)
+        lambdas = _values(args.lambdas)
         if any(lam <= 0.0 for lam in lambdas):
             raise UsageError(f"rescaling factors must be positive: {lambdas}")
-        g = np.array(_floats(args.g))
+        g = np.array(_values(args.g))
         state = config = None
         if args.method == "adam":
-            m = np.array(_floats(args.m)) if args.m else np.zeros_like(g)
-            v = np.array(_floats(args.v)) if args.v else np.ones_like(g)
+            m = np.array(_values(args.m)) if args.m else np.zeros_like(g)
+            v = np.array(_values(args.v)) if args.v else np.ones_like(g)
             state = MomentState(m=m, v=v, theta=np.zeros_like(g), k=args.k)
             config = OptimizerConfig(beta1=args.beta1, beta2=args.beta2,
                                      epsilon=args.epsilon, bias_correction=args.bias_correction)
@@ -170,14 +196,16 @@ def cmd_probe(args) -> int:
 def cmd_sweep(args) -> int:
     out = Path(args.out)
     manifest = _manifest(args, "sweep")
-    betas = _floats(args.beta_grid)
-    if any(not 0.0 < b < 1.0 for b in betas) or not betas:
+    betas = _values(args.beta_grid)
+    if any(not 0.0 < b < 1.0 for b in betas):
         raise UsageError(f"beta grid values must lie in (0,1): {betas}")
-    if args.steps < 1 or args.window < 1 or args.seeds < 1:
-        raise UsageError("steps, window, and seeds must all be >= 1")
+    if args.steps < 1 or args.window < 1 or args.seeds < 1 or args.batch_size < 1:
+        raise UsageError("steps, window, seeds and batch size must all be >= 1")
+    seeds = (list(range(args.seeds)) if args.seed_list is None
+             else _values(args.seed_list, _seed))
+    if len(set(seeds)) != len(seeds):
+        raise UsageError(f"--seed-list repeats a seed: {args.seed_list!r}")
     problem = make_problem(args.problem, seed=args.data_seed)
-    seeds = list(range(args.seeds)) if args.seed_list is None else [
-        int(s) for s in _floats(args.seed_list)]
     result = sweep_grid(problem, beta_axis=betas, seeds=seeds,
                         steps=args.steps, batch_size=args.batch_size, eta=args.eta,
                         window=args.window, metric=args.metric)
@@ -246,16 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate the continuous Adam flow")
     p.add_argument("--signal", required=True, choices=("const", "exp", "sin-log"))
-    p.add_argument("--delta0", type=float, default=0.05)
-    p.add_argument("--amplitude", type=float, default=0.05)
-    p.add_argument("--omega", type=float, default=0.5)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--tau1", type=float, default=1.0)
-    p.add_argument("--tau2", type=float, default=1.0)
-    p.add_argument("--eta-bar", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--delta0", type=_finite_float, default=0.05)
+    p.add_argument("--amplitude", type=_finite_float, default=0.05)
+    p.add_argument("--omega", type=_finite_float, default=0.5)
+    p.add_argument("--scale", type=_finite_float, default=1.0)
+    p.add_argument("--tau1", type=_finite_float, default=1.0)
+    p.add_argument("--tau2", type=_finite_float, default=1.0)
+    p.add_argument("--eta-bar", type=_finite_float, default=1.0)
+    p.add_argument("--dt", type=_finite_float, default=0.01)
+    p.add_argument("--t-end", type=_finite_float, default=None)
+    p.add_argument("--h", type=_finite_float, default=None)
     p.add_argument("--out", default="scale-lab-out/flow")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_flow)
@@ -267,16 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default=None)
     p.add_argument("--v", default=None)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.9)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--beta1", type=_finite_float, default=0.9)
+    p.add_argument("--beta2", type=_finite_float, default=0.9)
+    p.add_argument("--epsilon", type=_finite_float, default=0.0)
     p.add_argument("--bias-correction", action="store_true")
     p.add_argument("--step-scale", action="store_true")
-    p.add_argument("--base", type=float, default=1.0)
-    p.add_argument("--multiplier", type=float, default=10.0)
+    p.add_argument("--base", type=_finite_float, default=1.0)
+    p.add_argument("--multiplier", type=_finite_float, default=10.0)
     p.add_argument("--jump", type=int, default=None)
     p.add_argument("--steps", type=int, default=32000)
-    p.add_argument("--eta", type=float, default=1e-3)
+    p.add_argument("--eta", type=_finite_float, default=1e-3)
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")
     p.add_argument("--out", default="scale-lab-out/probe")
     p.add_argument("--plot", action="store_true")
@@ -286,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, choices=("quadratic", "logistic", "mlp"))
     p.add_argument("--seeds", type=int, default=3, help="number of seeds (0..n-1)")
     p.add_argument("--seed-list", default=None, help="explicit comma-separated seeds")
-    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--data-seed", type=_seed, default=0)
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--eta", type=_finite_float, default=None)
     p.add_argument("--window", type=int, default=200)
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")

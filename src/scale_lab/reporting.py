@@ -1,10 +1,17 @@
 """CSV emission, run manifests, and minimal SVG line charts.
 
-All files are plain RFC-4180-style CSV with dot decimals (scientific
-notation allowed) so that any toolchain can ingest them.  Each CLI run
-writes a manifest (flat key=value text plus a JSON mirror) tying every
-output file to a SHA-256 hash; deterministic commands reproduce identical
-hashes on rerun.
+Every CSV goes through one writer, ``write_csv``, and has one byte
+contract: a header line, then one line per row, every line ending in
+``\r\n``; fields separated by commas with no quoting; a float (Python or
+numpy) written as the ``repr`` of the Python float, which is the shortest
+text that round-trips (``0.1``, ``1e-05``, ``-0.0``, ``nan``, ``inf``); an
+integer in decimal; any other value as its ``str``.  A field that would
+need quoting (one holding a comma, a double quote or a line break, or the
+empty field of a one-column row) is a ``DomainError``; no CLI output has
+one.  So any CSV reader parses the files, and rerunning a deterministic
+command reproduces them byte for byte.  Each CLI run writes a manifest
+(flat key=value text plus a JSON mirror) tying every output file to a
+SHA-256 hash.
 """
 
 from __future__ import annotations
@@ -12,10 +19,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,20 +42,58 @@ class CsvParseError(DomainError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+# Rows formatted at a time.  It bounds the strings alive at once: on the default
+# step-scale run 2048 rows held ~0.4 MB more peak RSS than 1024, at the same speed.
+_BLOCK_ROWS = 1024
+
+_NEEDS_QUOTING = re.compile(r'[,"\r\n]')
+
+
+def _checked(texts: list[str], lone: bool) -> list[str]:
+    """``texts`` unchanged, unless one would need quoting (csv also quotes a lone empty field)."""
+    for text in texts:
+        if _NEEDS_QUOTING.search(text) or (lone and not text):
+            raise DomainError(f"CSV field would need quoting: {text!r}")
+    return texts
+
+
+def _format_floats(block: np.ndarray) -> list[str]:
+    """``repr`` per value, each distinct bit pattern formatted once (so -0.0 stays -0.0)."""
+    _, first, inverse = np.unique(block.view(np.int64), return_index=True, return_inverse=True)
+    texts = np.array(list(map(repr, block[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _format_value(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def _format_block(block, lone: bool) -> list[str]:
+    if isinstance(block, np.ndarray) and block.dtype == np.float64:
+        return _format_floats(block)
+    if isinstance(block, np.ndarray) and block.dtype.kind in "iu":
+        return list(map(str, block.tolist()))
+    return _checked(list(map(_format_value, block)), lone)
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> Path:
+    """Write ``columns`` (1-D numpy arrays or sequences) under ``header``, ``_BLOCK_ROWS``
+    rows at a time; the byte contract is in the module docstring."""
     path = Path(path)
+    columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(np.ndim(c) != 1 or len(c) != n_rows for c in columns):
+        raise DomainError(f"a CSV table needs one 1-D column per header name {list(header)}, "
+                          f"all of one length; got lengths {[len(c) for c in columns]}")
+    lone = len(columns) == 1
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write(",".join(_checked([str(name) for name in header], lone)) + "\r\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            fields = [_format_block(c[start:start + _BLOCK_ROWS], lone) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
     return path
 
 
@@ -91,30 +137,23 @@ def flow_trace_csv(trace: FlowTrace, path: Path) -> Path:
     d = trace.m.shape[1]
     header = (["t"] + [f"m_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)]
               + [f"R_{i}" for i in range(d)] + ["norm_R"])
-    norm = trace.norm_r
-    rows = ([float(trace.t[k])]
-            + [float(x) for x in trace.m[k]] + [float(x) for x in trace.v[k]]
-            + [float(x) for x in trace.r[k]] + [float(norm[k])]
-            for k in range(trace.t.size))
-    return write_csv(path, header, rows)
+    return write_csv(path, header, [trace.t, *trace.m.T, *trace.v.T, *trace.r.T, trace.norm_r])
 
 
 def run_trace_csv(trace: RunTrace, path: Path) -> Path:
-    rows = ((int(k), float(l), float(r))
-            for k, l, r in zip(trace.k, trace.loss, trace.norm_r))
-    return write_csv(path, ["step", "loss", "norm_R"], rows)
+    return write_csv(path, ["step", "loss", "norm_R"], [trace.k, trace.loss, trace.norm_r])
 
 
 def step_trace_csv(trace: StepTrace, path: Path) -> Path:
-    rows = ((int(k), float(m), float(r))
-            for k, m, r in zip(trace.steps, trace.multiplier, trace.norm_r))
-    return write_csv(path, ["step", "multiplier", "norm_R"], rows)
+    return write_csv(path, ["step", "multiplier", "norm_R"],
+                     [trace.steps, trace.multiplier, trace.norm_r])
 
 
 def probe_csv(result: RescaleProbeResult, path: Path) -> Path:
-    rows = ((result.method, lam, dev, result.classification)
-            for lam, dev in zip(result.lambda_values, result.deviations))
-    return write_csv(path, ["method", "lambda", "deviation", "classification"], rows)
+    n = len(result.lambda_values)
+    return write_csv(path, ["method", "lambda", "deviation", "classification"],
+                     [[result.method] * n, result.lambda_values, result.deviations,
+                      [result.classification] * n])
 
 
 # ---------------------------------------------------------------- grids
@@ -122,18 +161,18 @@ def probe_csv(result: RescaleProbeResult, path: Path) -> Path:
 def sweep_grid_csv(result: SweepResult, path: Path) -> Path:
     """Per-cell oscillation rows: beta1, beta2, seed, omega1, omega2, window."""
     from .training import omega_of_trace
-    rows = []
-    for (b1, b2, seed), trace in sorted(result.traces.items()):
-        rows.append((b1, b2, seed,
-                     omega_of_trace(trace, result.window, "omega1"),
-                     omega_of_trace(trace, result.window, "omega2"),
-                     result.window))
-    return write_csv(path, ["beta1", "beta2", "seed", "omega1", "omega2", "window"], rows)
+    cells = sorted(result.traces.items())
+    return write_csv(path, ["beta1", "beta2", "seed", "omega1", "omega2", "window"],
+                     [[b1 for (b1, _, _), _ in cells], [b2 for (_, b2, _), _ in cells],
+                      [seed for (_, _, seed), _ in cells],
+                      [omega_of_trace(tr, result.window, "omega1") for _, tr in cells],
+                      [omega_of_trace(tr, result.window, "omega2") for _, tr in cells],
+                      [result.window] * len(cells)])
 
 
 def summary_csv(report: OscillationGridReport, path: Path) -> Path:
     return write_csv(path, ["rate", "K", "N", "p_value"],
-                     [(report.rate, report.hits, report.trials, report.p_value)])
+                     [[report.rate], [report.hits], [report.trials], [report.p_value]])
 
 
 def read_omega_grids(path: Path, metric: str = "omega1"):

@@ -47,6 +47,39 @@ class TestExitCodes:
     def test_report_without_inputs_is_runtime(self, tmp_path):
         assert run("report", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("probe", "--lambdas", "nan"),
+        ("probe", "--g", "1,inf"),
+        ("probe", "--step-scale", "--steps", "20", "--multiplier", "nan"),
+        ("probe", "--step-scale", "--steps", "20", "--beta-grid", "0.9,nan"),
+        ("flow", "--signal", "exp", "--delta0", "nan"),
+        ("flow", "--signal", "const", "--t-end", "inf"),
+        ("sweep", "--problem", "quadratic", "--steps", "20", "--eta", "nan"),
+        ("sweep", "--problem", "quadratic", "--steps", "20", "--beta-grid=-inf,0.9"),
+    ], ids=" ".join)
+    def test_non_finite_float_is_usage_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path)) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--problem", "quadratic", "--seed-list", "-1"),
+        ("sweep", "--problem", "quadratic", "--data-seed", "-1"),
+        ("sweep", "--problem", "quadratic", "--seed-list", "1.5"),
+        ("sweep", "--problem", "quadratic", "--seed-list", "1,1"),
+        ("sweep", "--problem", "quadratic", "--batch-size", "0"),
+        ("sweep", "--problem", "quadratic", "--seed-list", ","),
+        ("probe", "--g", ""),
+        ("probe", "--lambdas", "2,x"),
+        ("probe", "--step-scale", "--beta-grid", ","),
+    ], ids=" ".join)
+    def test_malformed_seeds_batch_size_and_lists_are_usage_errors(self, tmp_path, capsys,
+                                                                   argv):
+        assert run(*argv, "--steps", "20", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestFlowCommand:
     def test_exponential_flow_matches_gain_formula(self, tmp_path, capsys):

@@ -1,4 +1,9 @@
-"""Property tests: the signal array contract, the lockstep drift ladder, grid reports."""
+"""Property tests: the signal array contract, the lockstep drift ladder, grid reports,
+the CSV writer."""
+
+import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,9 @@ from hypothesis.extra.numpy import arrays
 from scale_lab import (TimeScales, constant_signal, exponential_signal, grid_report,
                        integrate_flow, sinusoidal_log_signal, steady_state_init,
                        step_scale_signal, tabulated_signal)
+from scale_lab import reporting
 from scale_lab.drift import _exponential_ladder
+from scale_lab.errors import DomainError
 
 SIGNALS = {
     "constant": lambda: constant_signal([2.0, -0.5, 3.0]),
@@ -107,3 +114,60 @@ def test_non_finite_cell_never_wins_a_row(data):
                 assert col >= 0 and np.isfinite(g[row, col])
             else:
                 assert col == -1
+
+
+# ---------------------------------------------------------------- CSV writer
+
+BLOCK = reporting._BLOCK_ROWS
+SPECIAL_BITS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
+                         2.2250738585072014e-308, 1e16, 0.1, 1.0]).view(np.int64).tolist()
+float_bits = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(SPECIAL_BITS))
+SAFE_TEXT = "abcXYZ019 .-_+e"
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns, reference field texts): float64/int64 arrays, float and text lists."""
+    n = draw(st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    alphabet = draw(st.sampled_from(["", ",", '"', "\r", "\n"])) + SAFE_TEXT
+    text = st.text(alphabet, max_size=4)
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "float-list", "text"]),
+                          min_size=1, max_size=4))
+    columns, texts = [], []
+    for kind in kinds:
+        if kind == "int":
+            col = draw(arrays(np.int64, n, elements=st.integers(-2**63, 2**63 - 1)))
+            texts.append([str(x) for x in col.tolist()])
+        elif kind == "text":
+            pool = draw(st.lists(text, min_size=1, max_size=4))
+            picks = draw(arrays(np.int64, n, elements=st.integers(0, len(pool) - 1)))
+            col = [pool[i] for i in picks]
+            texts.append(col)
+        else:
+            col = draw(arrays(np.int64, n, elements=float_bits)).view(np.float64)
+            if kind == "float-list":  # Python floats or numpy float64 scalars
+                col = col.tolist() if draw(st.booleans()) else list(col)
+            texts.append([repr(float(x)) for x in col])
+        columns.append(col)
+    return draw(st.lists(text, min_size=len(kinds), max_size=len(kinds))), columns, texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=csv_tables())
+def test_write_csv_bytes_equal_a_csv_writer_of_repr_float_fields(table):
+    header, columns, texts = table
+    lone = len(columns) == 1
+    fields = [header] + [list(row) for row in zip(*texts)]
+    quoted = any(any(c in f for c in ',"\r\n') or (lone and f == "") for row in fields for f in row)
+    with tempfile.TemporaryDirectory() as tmp:
+        want, got = Path(tmp) / "want.csv", Path(tmp) / "got.csv"
+        with want.open("w", newline="") as fh:
+            csv.writer(fh).writerows(fields)
+        if quoted:  # csv.writer quoted a field; the writer refuses instead
+            naive = "".join(",".join(row) + "\r\n" for row in fields).encode()
+            assert want.read_bytes() != naive
+            with pytest.raises(DomainError, match="quoting"):
+                reporting.write_csv(got, header, columns)
+        else:
+            assert reporting.write_csv(got, header, columns) == got
+            assert got.read_bytes() == want.read_bytes()
