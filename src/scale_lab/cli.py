@@ -13,7 +13,8 @@ Four subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
 infinite float flag or list item, an empty list, a negative, fractional or
-repeated seed and a batch size below 1 are usage errors.
+repeated seed, a count below 1, a time scale or step size that is not
+positive and a ``--jump`` outside [1, steps - 1] are usage errors.
 """
 
 from __future__ import annotations
@@ -66,7 +67,10 @@ def _flag_value(parse, ok, what: str):
 
 
 _finite_float = _flag_value(float, math.isfinite, "a finite number")
+_positive_float = _flag_value(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_beta = _flag_value(float, lambda b: 0.0 < b < 1.0, "a finite number in (0, 1)")
 _seed = _flag_value(int, lambda s: s >= 0, "an integer seed >= 0")
+_count = _flag_value(int, lambda n: n >= 1, "an integer >= 1")
 
 
 def _values(text: str, parse=_finite_float) -> list:
@@ -147,11 +151,11 @@ def cmd_probe(args) -> int:
     manifest = _manifest(args, "probe")
     files = []
     if args.step_scale:
-        betas = _values(args.beta_grid)
-        if any(not 0.0 < b < 1.0 for b in betas):
-            raise UsageError(f"beta grid values must lie in (0,1): {betas}")
+        betas = _values(args.beta_grid, _beta)
         grid = [(b1, b2) for b1 in betas for b2 in betas]
         jump = args.jump if args.jump is not None else args.steps // 2
+        if not 1 <= jump < args.steps:
+            raise UsageError(f"--jump must lie in [1, steps - 1], got {jump} of {args.steps}")
         exp = StepScaleExperiment(base=np.array([args.base]),
                                   schedule=[(jump, args.multiplier)], beta_grid=grid)
         traces = step_scale_grid(exp, steps=args.steps, eta=args.eta)
@@ -168,9 +172,7 @@ def cmd_probe(args) -> int:
                                          title=f"x{args.multiplier} rescale at step {jump}"))
         print(f"step-scale: {len(traces)} cells, jump x{args.multiplier} at step {jump}")
     else:
-        lambdas = _values(args.lambdas)
-        if any(lam <= 0.0 for lam in lambdas):
-            raise UsageError(f"rescaling factors must be positive: {lambdas}")
+        lambdas = _values(args.lambdas, _positive_float)
         g = np.array(_values(args.g))
         state = config = None
         if args.method == "adam":
@@ -196,11 +198,7 @@ def cmd_probe(args) -> int:
 def cmd_sweep(args) -> int:
     out = Path(args.out)
     manifest = _manifest(args, "sweep")
-    betas = _values(args.beta_grid)
-    if any(not 0.0 < b < 1.0 for b in betas):
-        raise UsageError(f"beta grid values must lie in (0,1): {betas}")
-    if args.steps < 1 or args.window < 1 or args.seeds < 1 or args.batch_size < 1:
-        raise UsageError("steps, window, seeds and batch size must all be >= 1")
+    betas = _values(args.beta_grid, _beta)
     seeds = (list(range(args.seeds)) if args.seed_list is None
              else _values(args.seed_list, _seed))
     if len(set(seeds)) != len(seeds):
@@ -237,8 +235,6 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     manifest = _manifest(args, "report")
     if args.ingest:
-        if args.assume_seeds < 1:
-            raise UsageError(f"--assume-seeds must be >= 1, got {args.assume_seeds}")
         matrix, axis = read_omega_matrix(Path(args.ingest))
         grids = [matrix] * args.assume_seeds
         rep = grid_report(grids, axis)
@@ -278,12 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=_finite_float, default=0.05)
     p.add_argument("--omega", type=_finite_float, default=0.5)
     p.add_argument("--scale", type=_finite_float, default=1.0)
-    p.add_argument("--tau1", type=_finite_float, default=1.0)
-    p.add_argument("--tau2", type=_finite_float, default=1.0)
-    p.add_argument("--eta-bar", type=_finite_float, default=1.0)
-    p.add_argument("--dt", type=_finite_float, default=0.01)
-    p.add_argument("--t-end", type=_finite_float, default=None)
-    p.add_argument("--h", type=_finite_float, default=None)
+    p.add_argument("--tau1", type=_positive_float, default=1.0)
+    p.add_argument("--tau2", type=_positive_float, default=1.0)
+    p.add_argument("--eta-bar", type=_positive_float, default=1.0)
+    p.add_argument("--dt", type=_positive_float, default=0.01)
+    p.add_argument("--t-end", type=_positive_float, default=None)
+    p.add_argument("--h", type=_positive_float, default=None)
     p.add_argument("--out", default="scale-lab-out/flow")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_flow)
@@ -294,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default="1.0")
     p.add_argument("--m", default=None)
     p.add_argument("--v", default=None)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=_flag_value(int, lambda k: k >= 0, "a step index >= 0"), default=0)
     p.add_argument("--beta1", type=_finite_float, default=0.9)
     p.add_argument("--beta2", type=_finite_float, default=0.9)
     p.add_argument("--epsilon", type=_finite_float, default=0.0)
@@ -302,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-scale", action="store_true")
     p.add_argument("--base", type=_finite_float, default=1.0)
     p.add_argument("--multiplier", type=_finite_float, default=10.0)
-    p.add_argument("--jump", type=int, default=None)
-    p.add_argument("--steps", type=int, default=32000)
+    p.add_argument("--jump", type=_count, default=None)
+    p.add_argument("--steps", type=_count, default=32000)
     p.add_argument("--eta", type=_finite_float, default=1e-3)
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")
     p.add_argument("--out", default="scale-lab-out/probe")
@@ -312,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="momentum-grid training sweep")
     p.add_argument("--problem", required=True, choices=("quadratic", "logistic", "mlp"))
-    p.add_argument("--seeds", type=int, default=3, help="number of seeds (0..n-1)")
+    p.add_argument("--seeds", type=_count, default=3, help="number of seeds (0..n-1)")
     p.add_argument("--seed-list", default=None, help="explicit comma-separated seeds")
     p.add_argument("--data-seed", type=_seed, default=0)
-    p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--steps", type=_count, default=5000)
+    p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--eta", type=_finite_float, default=None)
-    p.add_argument("--window", type=int, default=200)
+    p.add_argument("--window", type=_count, default=200)
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")
     p.add_argument("--out", default="scale-lab-out/sweep")
@@ -329,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="grid.csv from a sweep")
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
     p.add_argument("--ingest", default=None, help="externally supplied omega matrix CSV")
-    p.add_argument("--assume-seeds", type=int, default=1,
+    p.add_argument("--assume-seeds", type=_count, default=1,
                    help="replicate an aggregated matrix over this many seeds (>= 1); "
                         "the copies are not independent, so its p-value is not a valid test")
     p.add_argument("--out", default="scale-lab-out/report")

@@ -15,11 +15,10 @@ scale-sensitivity analysis operates on R alone.  signSGD and plain gradient
 descent are included as the exactly scale-invariant and exactly scale-linear
 reference updates.
 
-Every step works on one cell's 1-D vectors or on C cells stacked as (C, d)
-rows (``CellConfigs``), with the same elementwise arithmetic per row, so a
-cell stepped in a batch is bit-identical to the same cell stepped alone.
-
-All functions are pure: they never mutate their inputs.
+``optimizer_step`` is the one kernel: it steps C cells stacked as (C, d) rows
+(``CellConfigs``) in place over a block of T gradients, each row and step
+bit-identical to that cell stepped alone, one step at a time.  ``adam_step``
+is the pure one-step API on top of it.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ class OptimizerConfig:
             raise DomainError(f"weight_decay must be nonnegative, got {self.weight_decay}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class MomentState:
-    """Per-coordinate optimizer state: moments, parameters, step counter."""
+    """Per-coordinate optimizer state: moments, parameters, step counter; mutable."""
 
     m: np.ndarray
     v: np.ndarray
@@ -68,9 +67,8 @@ class MomentState:
 
     def __post_init__(self):
         if not (self.m.shape == self.v.shape == self.theta.shape):
-            raise DimensionError(
-                f"m/v/theta shapes disagree: {self.m.shape}, {self.v.shape}, {self.theta.shape}"
-            )
+            raise DimensionError(f"m/v/theta shapes disagree: "
+                                 f"{self.m.shape}, {self.v.shape}, {self.theta.shape}")
 
 
 @dataclass(frozen=True)
@@ -94,25 +92,28 @@ class CellConfigs:
 
     Each hyperparameter becomes a (C, 1) column that broadcasts against
     (C, d) state, so row i computes exactly what ``configs[i]`` computes
-    alone.  Bias corrections stay Python-float powers, as in one cell.
+    alone; the moment coefficients stack as (2, C, 1), b1 over b2.
     """
 
     def __init__(self, configs: Sequence[OptimizerConfig]):
-        self.configs = tuple(configs)
-        if not self.configs:
+        self.configs = cfgs = tuple(configs)
+        if not cfgs:
             raise DomainError("a cell batch needs at least one config")
 
         def column(values) -> np.ndarray:
             return np.array([[x] for x in values], dtype=float)
 
-        cfgs = self.configs
-        self.beta1, self.beta2 = column(c.beta1 for c in cfgs), column(c.beta2 for c in cfgs)
-        self.keep1, self.keep2 = column(1.0 - c.beta1 for c in cfgs), column(1.0 - c.beta2 for c in cfgs)
+        self.betas = np.stack((column(c.beta1 for c in cfgs), column(c.beta2 for c in cfgs)))
+        self.keeps = 1.0 - self.betas
         self.eta, self.epsilon = column(c.eta for c in cfgs), column(c.epsilon for c in cfgs)
-        self.decay = column(1.0 - c.eta * c.weight_decay if c.weight_decay > 0.0 else 1.0
-                            for c in cfgs)
+        # None when no row decays or has epsilon 0, so the kernel skips that work
+        decay = column(1.0 - c.eta * c.weight_decay if c.weight_decay > 0.0 else 1.0 for c in cfgs)
+        self.decay = decay if (decay != 1.0).any() else None
+        self.exact_rows = self.epsilon == 0.0 if (self.epsilon == 0.0).any() else None
+        # bias-correction divisors are powers of these betas, b1 rows then b2 rows
+        self._corrected = ([c.beta1 if c.bias_correction else None for c in cfgs]
+                           + [c.beta2 if c.bias_correction else None for c in cfgs])
         self.bias_correction = any(c.bias_correction for c in cfgs)
-        self.exact_epsilon = any(c.epsilon == 0.0 for c in cfgs)
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -121,81 +122,91 @@ class CellConfigs:
         """The sub-batch of the given rows, in that order."""
         return CellConfigs([self.configs[i] for i in rows])
 
-    def corrections(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bias-correction divisors for step ``k + 1``; 1.0 for uncorrected rows."""
-        cfgs = self.configs
-        return (np.array([[1.0 - c.beta1 ** (k + 1) if c.bias_correction else 1.0] for c in cfgs]),
-                np.array([[1.0 - c.beta2 ** (k + 1) if c.bias_correction else 1.0] for c in cfgs]))
+    def divisors(self, k: int, steps: int) -> np.ndarray:
+        """Bias-correction divisors ``1 - b ** j`` of steps j = k + 1 .. k + steps as Python
+        floats, as one cell computes them, shaped (steps, 2, C, 1); 1.0 for uncorrected rows."""
+        return np.array([1.0 if b is None else 1.0 - b ** j
+                         for j in range(k + 1, k + steps + 1) for b in self._corrected]
+                        ).reshape(steps, 2, len(self), 1)
 
 
 def adam_step(state: MomentState, g: np.ndarray,
               config: OptimizerConfig | CellConfigs) -> tuple[MomentState, UpdateVector]:
     """One Adam step; returns the new state and the update vector R.
 
-    With an ``OptimizerConfig`` the state is one cell's 1-D vectors; with a
+    With an ``OptimizerConfig`` the state is one cell's vectors; with a
     ``CellConfigs`` it holds C cells as (C, d) rows and R has the same shape.
+    The kernel steps copies, so ``state`` and ``g`` are never mutated.
     Raises ``DimensionError`` on shape mismatch and ``DomainError`` when
     ``epsilon = 0`` meets a zero second-moment coordinate.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != state.m.shape:
-        raise DimensionError(f"gradient shape {g.shape} != state shape {state.m.shape}")
-    if isinstance(config, CellConfigs):
-        if state.m.ndim != 2 or state.m.shape[0] != len(config):
-            raise DimensionError(f"state shape {state.m.shape} does not hold {len(config)} cells")
-        return _adam_cells(state, g, config)
-    one, upd = _adam_cells(MomentState(state.m[None], state.v[None], state.theta[None], state.k),
-                           g[None], CellConfigs([config]))
-    return MomentState(one.m[0], one.v[0], one.theta[0], one.k), UpdateVector(upd.r[0])
+    g, shape = np.asarray(g, dtype=float), state.m.shape
+    if g.shape != shape:
+        raise DimensionError(f"gradient shape {g.shape} != state shape {shape}")
+    cells = config if isinstance(config, CellConfigs) else CellConfigs([config])
+    rows = shape if cells is config else (1, g.size)  # one cell is one row
+    if len(rows) != 2 or rows[0] != len(cells):
+        raise DimensionError(f"state shape {shape} does not hold {len(cells)} cells")
+    new = MomentState(*(a.reshape(rows).copy() for a in (state.m, state.v, state.theta)), state.k)
+    r = optimizer_step("adam", new, g.reshape((1,) + rows), cells)[0]
+    return (MomentState(*(a.reshape(shape) for a in (new.m, new.v, new.theta)), new.k),
+            UpdateVector(r.reshape(shape)))
 
 
-def _adam_cells(state: MomentState, g: np.ndarray,
-                cells: CellConfigs) -> tuple[MomentState, UpdateVector]:
-    """The Adam kernel over (C, d) rows; every operation is elementwise per row."""
-    m = cells.beta1 * state.m + cells.keep1 * g
-    v = cells.beta2 * state.v + cells.keep2 * g * g
+def optimizer_step(method: str, state: MomentState, grads: np.ndarray,
+                   cells: CellConfigs) -> np.ndarray:
+    """Step the (C, d) cells of ``state`` in place over T gradients ``grads`` (T, C, d).
 
-    if cells.bias_correction:
-        c1, c2 = cells.corrections(state.k)
-        m_hat, v_hat = m / c1, v / c2
-    else:
-        m_hat, v_hat = m, v
-
-    denom = np.sqrt(v_hat) + cells.epsilon
-    if cells.exact_epsilon and ((denom == 0.0) & (cells.epsilon == 0.0)).any():
-        raise DomainError("epsilon = 0 with a zero second-moment coordinate")
-    r = m_hat / denom
-
-    # rows without weight decay multiply by exactly 1.0, which changes no bit
-    theta = (state.theta - cells.eta * r) * cells.decay
-    return MomentState(m=m, v=v, theta=theta, k=state.k + 1), UpdateVector(r)
-
-
-def optimizer_step(method: str, state: MomentState, g: np.ndarray,
-                   cells: CellConfigs) -> tuple[MomentState, UpdateVector]:
-    """One step of ``method`` (adam, gd or signsgd) over the (C, d) cells of ``state``.
-
-    gd and signsgd move theta by ``eta * R`` and leave the moments alone.
+    ``method`` is adam, gd or signsgd.  Returns R of every step, shaped (T, C, d),
+    and advances ``state.k`` by T.  Step t is bit-identical to the t-th of T
+    one-step calls: only the m, v and theta recurrences run step by step; the
+    increments, bias corrections, ``epsilon = 0`` check and R are computed for
+    the whole block in the same operation order.  gd and signsgd move theta by
+    ``eta * R`` and leave the moments alone.  A ``DomainError`` changes no state.
     """
+    if grads.shape[1:] != state.theta.shape:
+        raise DimensionError(f"gradient block {grads.shape} does not fit state {state.theta.shape}")
     if method == "adam":
-        return adam_step(state, g, cells)
-    if method == "gd":
-        upd = gd_step(g)
-    elif method == "signsgd":
-        upd = signsgd_step(g)
+        r, decay = _adam_block(state, grads, cells), cells.decay
+    elif method in ("gd", "signsgd"):
+        r, decay = (gd_step if method == "gd" else signsgd_step)(grads).r, None
     else:
         raise DomainError(f"unknown optimizer id {method!r}")
-    return MomentState(state.m, state.v, state.theta - cells.eta * upd.r, state.k + 1), upd
+    step, theta = cells.eta * r, state.theta
+    for t in range(len(r)):  # theta' = (theta - eta * R) * decay
+        np.subtract(theta, step[t], out=theta)
+        if decay is not None:
+            np.multiply(theta, decay, out=theta)
+    state.k += len(r)
+    return r
+
+
+def _adam_block(state: MomentState, grads: np.ndarray, cells: CellConfigs) -> np.ndarray:
+    """Advance m and v in place over the block and return its R; every operation is per row."""
+    # mv[t] = (keep1 * g_t, (keep2 * g_t) * g_t), then the moments after step t
+    mv = np.multiply(cells.keeps, grads[:, None])
+    mv[:, 1] *= grads
+    prev, decayed = np.array((state.m, state.v)), np.empty((2,) + state.m.shape)
+    for t in range(len(mv)):  # m = b1 * m + keep1 * g,  v = b2 * v + keep2 * g * g
+        np.multiply(cells.betas, prev, out=decayed)
+        prev = np.add(decayed, mv[t], out=mv[t])
+
+    hat = mv / cells.divisors(state.k, len(mv)) if cells.bias_correction else mv
+    denom = np.sqrt(hat[:, 1]) + cells.epsilon
+    if cells.exact_rows is not None and ((denom == 0.0) & cells.exact_rows).any():
+        raise DomainError("epsilon = 0 with a zero second-moment coordinate")
+    state.m[...], state.v[...] = prev
+    return np.divide(hat[:, 0], denom, out=denom)
 
 
 def row_norms(r: np.ndarray) -> np.ndarray:
-    """2-norm of each row of a (C, d) array.
+    """2-norm of each row of a (..., d) array, shaped (...).
 
     A batched matmul runs one BLAS dot per row, the same call
     ``np.linalg.norm`` makes for one vector, so each norm is bit-identical
-    to ``UpdateVector(r[i]).norm(2)``.
+    to ``UpdateVector(row).norm(2)``.
     """
-    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    return np.sqrt(np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0])
 
 
 def signsgd_step(g: np.ndarray) -> UpdateVector:

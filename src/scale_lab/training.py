@@ -94,9 +94,8 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int,
         idx = None
         if problem.n_samples:
             idx = batches.integers(0, problem.n_samples, batch_size)
-        g = problem.grad(state.theta, idx)
-        state, upd = optimizer_step(method, state, g, cells)
-        norm_k = row_norms(upd.r)
+        r = optimizer_step(method, state, problem.grad(state.theta, idx)[None], cells)
+        norm_k = row_norms(r[0])
         losses[live, k], norms[live, k] = loss_k, norm_k
         finite = np.isfinite(norm_k)
         if not finite.all():

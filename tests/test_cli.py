@@ -80,6 +80,28 @@ class TestExitCodes:
         assert "error" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ("probe", "--step-scale", "--steps", "0"),
+        ("probe", "--step-scale", "--steps", "1"),
+        ("probe", "--step-scale", "--steps", "10", "--jump", "20"),
+        ("probe", "--step-scale", "--steps", "10", "--jump", "10"),
+        ("probe", "--step-scale", "--steps", "10", "--jump", "-3"),
+        ("probe", "--method", "adam", "--g", "1", "--k", "-1", "--bias-correction"),
+        ("flow", "--signal", "const", "--h", "0"),
+        ("flow", "--signal", "const", "--dt", "-1"),
+        ("flow", "--signal", "const", "--tau1", "0"),
+        ("flow", "--signal", "const", "--tau2", "0"),
+        ("flow", "--signal", "const", "--eta-bar", "0"),
+        ("flow", "--signal", "const", "--t-end", "-5"),
+        ("sweep", "--problem", "quadratic", "--window", "0"),
+        ("sweep", "--problem", "quadratic", "--seeds", "0"),
+    ], ids=" ".join)
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestFlowCommand:
     def test_exponential_flow_matches_gain_formula(self, tmp_path, capsys):
@@ -136,6 +158,17 @@ class TestProbeCommand:
         assert cols["classification"] == ["other"]
         assert float(cols["deviation"][0]) == pytest.approx(1.0 - 0.9647638212377321,
                                                             abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["adam", "gd"])
+    def test_non_finite_deviation_classifies_as_other(self, tmp_path, method):
+        # lambda * g overflows, so R(lambda g) and its deviation are not finite
+        out = tmp_path / "p"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("probe", "--method", method, "--g", "1e300", "--lambdas", "1e10",
+                       "--out", str(out)) == 0
+        cols = read_csv_columns(out / "probe.csv")
+        assert cols["classification"] == ["other"]
+        assert not math.isfinite(float(cols["deviation"][0]))
 
     def test_step_scale_mode(self, tmp_path):
         out = tmp_path / "p"

@@ -7,7 +7,8 @@ import pytest
 
 from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, OptimizerConfig,
                        StepScaleExperiment, adam_step, make_problem, run_step_scale_experiment,
-                       run_training, step_scale_cells, step_scale_grid, train_cells)
+                       run_training, step_scale_cells, step_scale_grid, train_cells, zero_state)
+from scale_lab.invariance import STEP_BLOCK
 
 BETAS = [(0.9, 0.9), (0.9, 0.999), (0.99, 0.9), (0.999, 0.99)]
 
@@ -177,6 +178,23 @@ class TestStepScaleCells:
         for cfg, tr in zip(configs, step_scale_cells(exp, configs, steps=20, method=method)):
             alone = run_step_scale_experiment(exp, cfg, steps=20, method=method)
             assert np.array_equal(tr.norm_r, alone.norm_r)
+
+    @pytest.mark.parametrize("init", ["steady", "zero"])
+    @pytest.mark.parametrize("jump", [STEP_BLOCK, 2 * STEP_BLOCK])
+    def test_blocks_equal_a_per_step_adam_loop(self, init, jump):
+        # the stream runs in blocks of STEP_BLOCK steps; the jump lands on a block boundary
+        steps, base = 2 * STEP_BLOCK + 1, np.array([0.3, -2.0])
+        exp = StepScaleExperiment(base=base, schedule=[(jump, 7.0)])
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, epsilon=0.0, bias_correction=False),
+                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, weight_decay=0.1)]
+        for cfg, trace in zip(configs, step_scale_cells(exp, configs, steps, init=init)):
+            state = (MomentState(m=base.copy(), v=base * base, theta=np.zeros(2))
+                     if init == "steady" else zero_state(2))
+            norms = []
+            for k in range(steps):
+                state, upd = adam_step(state, base * (7.0 if k >= jump else 1.0), cfg)
+                norms.append(upd.norm())
+            assert np.array_equal(trace.norm_r, norms)
 
     def test_empty_grid_gives_no_traces(self):
         exp = StepScaleExperiment(base=np.ones(1), schedule=[(5, 2.0)])

@@ -1,5 +1,5 @@
 """Property tests: the signal array contract, the lockstep drift ladder, grid reports,
-the CSV writer."""
+the CSV writer, the block optimizer kernel."""
 
 import csv
 import tempfile
@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scale_lab import (TimeScales, constant_signal, exponential_signal, grid_report,
-                       integrate_flow, sinusoidal_log_signal, steady_state_init,
-                       step_scale_signal, tabulated_signal)
+from scale_lab import (CellConfigs, MomentState, OptimizerConfig, TimeScales, constant_signal,
+                       exponential_signal, grid_report, integrate_flow, sinusoidal_log_signal,
+                       steady_state_init, step_scale_signal, tabulated_signal)
 from scale_lab import reporting
+from scale_lab.optimizers import optimizer_step
 from scale_lab.drift import _exponential_ladder
 from scale_lab.errors import DomainError
 
@@ -171,3 +172,69 @@ def test_write_csv_bytes_equal_a_csv_writer_of_repr_float_fields(table):
         else:
             assert reporting.write_csv(got, header, columns) == got
             assert got.read_bytes() == want.read_bytes()
+
+
+# ---------------------------------------------------------------- block optimizer kernel
+
+kernel_configs = st.builds(OptimizerConfig, beta1=st.sampled_from([0.5, 0.9, 0.99]),
+                           beta2=st.sampled_from([0.5, 0.9, 0.999]),
+                           eta=st.sampled_from([1e-3, 0.1]), epsilon=st.sampled_from([0.0, 1e-8]),
+                           bias_correction=st.booleans(), weight_decay=st.sampled_from([0.0, 0.3]))
+# zeros are frequent, so epsilon = 0 rows often meet a zero second moment
+kernel_values = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False))
+
+
+def run_kernel(method, state, grads, cells):
+    """R of every step, or the DomainError message."""
+    try:
+        return optimizer_step(method, state, grads, cells)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), method=st.sampled_from(["adam", "gd", "signsgd"]),
+       c=st.integers(1, 4), d=st.integers(1, 5), steps=st.integers(1, 8), k0=st.integers(0, 3))
+def test_block_kernel_equals_single_steps(data, method, c, d, steps, k0):
+    cells = CellConfigs(data.draw(st.lists(kernel_configs, min_size=c, max_size=c)))
+    grads = data.draw(arrays(float, (steps, c, d), elements=kernel_values))
+    m0, theta0 = (data.draw(arrays(float, (c, d), elements=kernel_values)) for _ in range(2))
+    v0 = np.abs(data.draw(arrays(float, (c, d), elements=kernel_values)))
+    block, single = (MomentState(m0.copy(), v0.copy(), theta0.copy(), k0) for _ in range(2))
+
+    got = run_kernel(method, block, grads, cells)
+    want = []
+    for g in grads:
+        r = run_kernel(method, single, g[None], cells)
+        if isinstance(r, str):
+            want = r
+            break
+        want.append(r[0])
+    if isinstance(got, str):  # the same error, and the block left the state alone
+        assert got == want
+        for name, start in (("m", m0), ("v", v0), ("theta", theta0)):
+            assert np.array_equal(getattr(block, name), start), name
+        assert block.k == k0
+        return
+    assert np.array_equal(got, np.stack(want))
+    for name in ("m", "v", "theta"):
+        assert np.array_equal(getattr(block, name), getattr(single, name)), name
+    assert block.k == single.k == k0 + steps
+
+
+def test_block_kernel_zero_moment_error_matches_single_steps():
+    # v = 2e-323 halves to zero at step 3 of the epsilon = 0, beta2 = 0.5 row
+    cells = CellConfigs([OptimizerConfig(),
+                         OptimizerConfig(beta2=0.5, epsilon=0.0, bias_correction=False)])
+    grads = np.zeros((4, 2, 1))
+
+    def fresh():
+        return MomentState(np.ones((2, 1)), np.full((2, 1), 2e-323), np.zeros((2, 1)))
+
+    block, single = fresh(), fresh()
+    got = run_kernel("adam", block, grads, cells)
+    want = [run_kernel("adam", single, g[None], cells) for g in grads[:3]]
+    assert isinstance(got, str) and "epsilon = 0" in got
+    assert [isinstance(w, str) for w in want] == [False, False, True] and want[2] == got
+    assert block.k == 0 and np.array_equal(block.v, fresh().v)
+    assert single.k == 2
