@@ -68,6 +68,7 @@ def _flag_value(parse, ok, what: str):
 
 _finite_float = _flag_value(float, math.isfinite, "a finite number")
 _positive_float = _flag_value(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_nonnegative_float = _flag_value(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
 _beta = _flag_value(float, lambda b: 0.0 < b < 1.0, "a finite number in (0, 1)")
 _seed = _flag_value(int, lambda s: s >= 0, "an integer seed >= 0")
 _count = _flag_value(int, lambda n: n >= 1, "an integer >= 1")
@@ -177,7 +178,7 @@ def cmd_probe(args) -> int:
         state = config = None
         if args.method == "adam":
             m = np.array(_values(args.m)) if args.m else np.zeros_like(g)
-            v = np.array(_values(args.v)) if args.v else np.ones_like(g)
+            v = np.array(_values(args.v, _nonnegative_float)) if args.v else np.ones_like(g)
             state = MomentState(m=m, v=v, theta=np.zeros_like(g), k=args.k)
             config = OptimizerConfig(beta1=args.beta1, beta2=args.beta2,
                                      epsilon=args.epsilon, bias_correction=args.bias_correction)

@@ -12,7 +12,7 @@ the drift and its derivative over the window.  The first-order term of R
 cancels exactly when tau1 = tau2, which is the invariance property under
 test.  This module measures the remainders of those expansions against the
 explicit envelopes that come with them, and checks the scalar tracking
-inequality they are built from.
+inequality they are built from on whole time grids.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .flow import (FlowTrace, TimeScales, _fixed_step, _rk4, _stage_times, integrate_flow,
+from .flow import (FlowTrace, TimeScales, _rk4, _stage_times, integrate_flow,
                    predict_first_order, steady_state_init)
-from .signals import FD_STEP_SCALE, GradientSignal, exponential_signal
+from .signals import GradientSignal, _fd_step, exponential_signal
 
 SUP_INFLATION = 1.01      # dense-sampled suprema are inflated by 1%
 SUP_SAMPLES = 10001
@@ -45,16 +45,21 @@ class DriftProfile:
         return self.lambda_bound ** 2 + self.lambda_prime_bound
 
 
-def drift_bounds(signal: GradientSignal, interval: tuple[float, float],
-                 samples: int = SUP_SAMPLES) -> DriftProfile:
-    """Estimate Lambda and Lambda' by dense sampling with 1% safety inflation."""
+def _sup_grid(interval: tuple[float, float], samples: int = SUP_SAMPLES) -> np.ndarray:
+    """The dense grid over ``interval`` that sampled suprema are taken on."""
     t0, t1 = interval
     if t1 <= t0:
         raise DomainError(f"empty interval [{t0}, {t1}]")
-    grid = np.linspace(t0, t1, samples)
+    return np.linspace(t0, t1, samples)
+
+
+def drift_bounds(signal: GradientSignal, interval: tuple[float, float],
+                 samples: int = SUP_SAMPLES) -> DriftProfile:
+    """Estimate Lambda and Lambda' by dense sampling with 1% safety inflation."""
+    grid = _sup_grid(interval, samples)
     lam = float(np.max(np.abs(signal.delta(grid))))
     lam_p = float(np.max(np.abs(signal.delta_prime(grid))))
-    return DriftProfile(SUP_INFLATION * lam, SUP_INFLATION * lam_p, (t0, t1))
+    return DriftProfile(SUP_INFLATION * lam, SUP_INFLATION * lam_p, tuple(interval))
 
 
 @dataclass(frozen=True)
@@ -196,13 +201,16 @@ class TrackingCheckResult:
     bound: np.ndarray
 
 
-def tracking_check(y: Callable[[float], float], tau: float, x0: float,
+def tracking_check(y: Callable[[np.ndarray], np.ndarray], tau: float, x0: float,
                    interval: tuple[float, float],
-                   y_prime: Callable[[float], float] | None = None,
-                   y_second: Callable[[float], float] | None = None,
+                   y_prime: Callable[[np.ndarray], np.ndarray] | None = None,
+                   y_second: Callable[[np.ndarray], np.ndarray] | None = None,
                    h: float | None = None) -> TrackingCheckResult:
     """Verify |x - (y - tau y')| <= |x0 - y0 + tau y'0| e^{-(t-t0)/tau} + tau^2 sup|y''|.
 
+    ``y``, ``y_prime`` and ``y_second`` map an array of times to an array of
+    the same shape (a constant returned as a scalar is broadcast); each is
+    called on whole time grids only, never once per sample.
     The state is integrated with fixed-step RK4 (default h = tau/200) and the
     residual compared against the bound at every sample.  Derivatives of y
     fall back to central differences when not supplied; a sampled sup|y''| is
@@ -210,41 +218,37 @@ def tracking_check(y: Callable[[float], float], tau: float, x0: float,
     signals with zero curvature (constant, linear) attain the bound exactly,
     which floating point cannot resolve as an inequality.
     """
+    grid = _sup_grid(interval)
     t0, t1 = interval
-    if t1 <= t0:
-        raise DomainError(f"empty interval [{t0}, {t1}]")
     if tau <= 0.0:
         raise DomainError("tau must be positive")
 
     if y_prime is None:
-        def y_prime(t, _y=y):
-            s = FD_STEP_SCALE * max(1.0, abs(t))
-            return (_y(t + s) - _y(t - s)) / (2.0 * s)
+        def y_prime(t):
+            s = _fd_step(t)
+            return (y(t + s) - y(t - s)) / (2.0 * s)
     sampled = y_second is None
     if sampled:
-        def y_second(t, _y=y):
-            s = FD_STEP_SCALE * max(1.0, abs(t))
-            return (_y(t + s) - 2.0 * _y(t) + _y(t - s)) / (s * s)
+        def y_second(t):
+            s = _fd_step(t)
+            return (y(t + s) - 2.0 * y(t) + y(t - s)) / (s * s)
 
-    grid = np.linspace(t0, t1, SUP_SAMPLES)
-    m_sup = max(abs(float(y_second(float(t)))) for t in grid)
+    def on(f, t: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(f(t), t.shape)
+
+    m_sup = float(np.max(np.abs(on(y_second, grid))))
     if sampled:
         m_sup *= SUP_INFLATION
 
     if h is None:
         h = tau / 200.0
-    n_steps, h = _fixed_step(t0, t1, h)
-    ts_out = np.empty(n_steps + 1)
-    xs_out = np.empty(n_steps + 1)
-    ts_out[0], xs_out[0] = t0, float(x0)
-    forcing = [tuple(map(y, stage)) for stage in _stage_times(t0, h, n_steps).tolist()]
-    for i, (t, x) in enumerate(_rk4(lambda t, x, f: (-x + f) / tau, t0, float(x0), h, forcing), 1):
-        ts_out[i], xs_out[i] = t, x
+    stages, h = _stage_times(t0, t1, h)
+    forcing = on(y, stages).tolist()
+    ts_out, xs_out = _rk4(lambda t, x, f: (-x + f) / tau, t0, float(x0), h, forcing)
 
-    y_vals = np.array([y(float(t)) for t in ts_out])
-    yp_vals = np.array([y_prime(float(t)) for t in ts_out])
+    y_vals, yp_vals = on(y, ts_out), on(y_prime, ts_out)
     residual = xs_out - (y_vals - tau * yp_vals)
-    coeff = abs(x0 - y(t0) + tau * y_prime(t0))
+    coeff = abs(x0 - float(y_vals[0]) + tau * float(yp_vals[0]))
     bound = coeff * np.exp(-(ts_out - t0) / tau) + tau * tau * m_sup
 
     margins = bound - np.abs(residual)

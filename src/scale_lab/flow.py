@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -139,32 +139,30 @@ def flow_rhs(t: float, y: np.ndarray, g: np.ndarray, ts: TimeScales) -> np.ndarr
     return dy
 
 
-def _stage_times(t0: float, h: float, n_steps: int) -> np.ndarray:
-    """The (n_steps, 3) RK4 stage times (t_i, t_i + h/2, t_i + h), t_i = t0 + i * h."""
-    return (t0 + np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5 * h, h])
+def _stage_times(t0: float, t1: float, h: float) -> tuple[np.ndarray, float]:
+    """The (n, 3) RK4 stage times t_i + (0, h/2, h), t_i = t0 + i * h, with h rounded to hit t1."""
+    n_steps = max(1, round((t1 - t0) / h))
+    h = (t1 - t0) / n_steps
+    return (t0 + np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5 * h, h]), h
 
 
-def _rk4(rhs: Callable, t0: float, y, h: float, forcing) -> Iterator[tuple[float, object]]:
-    """Classical fixed-step RK4 of y' = rhs(t, y, f); yields (t, y) after each step.
+def _rk4(rhs: Callable, t0: float, y, h: float, forcing) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fixed-step RK4 of y' = rhs(t, y, f); returns the times and the stacked states.
 
     ``forcing[i]`` holds f at the three ``_stage_times`` of step i; ``y`` is
-    a float or an array; step i ends at exactly t0 + i * h.
+    a float or an array.  Row i of the states, along a new first axis, is the
+    state at time t0 + i * h; row 0 is the initial state.
     """
-    t = t0
+    ys = np.empty((len(forcing) + 1,) + np.shape(y))
+    ys[0] = y
     for i, (f1, f2, f4) in enumerate(forcing):
+        t = t0 + i * h
         k1 = rhs(t, y, f1)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, f2)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, f2)
         k4 = rhs(t + h, y + h * k3, f4)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (i + 1) * h
-        yield t, y
-
-
-def _fixed_step(t0: float, t1: float, h: float) -> tuple[int, float]:
-    """Step count and the step rounded so that the grid hits t1 exactly."""
-    n_steps = max(1, round((t1 - t0) / h))
-    return n_steps, (t1 - t0) / n_steps
+        ys[i + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return t0 + np.arange(len(ys)) * h, ys
 
 
 def steady_state_exponential_gains(delta0: float, ts: TimeScales) -> tuple[float, float, float]:
@@ -224,24 +222,21 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
         h = min(ts.tau1, ts.tau2) / 50.0
     if h <= 0.0:
         raise DomainError(f"step must be positive, got {h}")
+    if record_stride < 1:
+        raise DomainError(f"record_stride must be >= 1, got {record_stride}")
     if t_end <= init.t:
         raise DomainError(f"t_end={t_end} must exceed init.t={init.t}")
     if np.any(init.v <= 0.0):
         raise DomainError("initial v must be strictly positive")
 
-    n_steps, h = _fixed_step(init.t, t_end, h)
+    stages, h = _stage_times(init.t, t_end, h)
     y = np.array([init.m, init.v, init.theta], dtype=float)
-    rec_t = np.empty(n_steps // record_stride + 1)
-    rec_y = np.empty((rec_t.size,) + y.shape)
-    rec_t[0], rec_y[0] = init.t, y
-    forcing = signal.g(_stage_times(init.t, h, n_steps))
     rhs = functools.partial(flow_rhs, ts=ts)
-    for i, (t, y) in enumerate(_rk4(rhs, init.t, y, h, forcing), 1):
-        if i % record_stride == 0:
-            rec_t[i // record_stride], rec_y[i // record_stride] = t, y
-    _abort_if_v_nonpositive(t, y[1])  # flow_rhs checked the end of every earlier step
+    t, ys = _rk4(rhs, init.t, y, h, signal.g(stages))
+    _abort_if_v_nonpositive(t[-1], ys[-1, 1])  # flow_rhs checked the end of every earlier step
 
-    rec_m, rec_v, rec_th = rec_y[:, 0], rec_y[:, 1], rec_y[:, 2]
-    return FlowTrace(t=rec_t, m=rec_m, v=rec_v, r=rec_m / np.sqrt(rec_v), theta=rec_th,
+    t, ys = t[::record_stride], ys[::record_stride]
+    m, v = ys[:, 0], ys[:, 1]
+    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v), theta=ys[:, 2],
                      timescales=ts, signal_kind=signal.kind,
                      meta={"h": h, "record_stride": record_stride, **signal.params})

@@ -49,7 +49,9 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
     """Probe one step with the internal state held fixed across rescalings.
 
     The gradient and its rescalings run as the rows of one ``optimizer_step``
-    from copies of ``state``; gd and signsgd need no state or config.
+    from copies of ``state``; gd and signsgd need no state or config.  A
+    rescaled gradient, stepped moment or R that is not finite (an overflow,
+    or the square root of a negative v) is a ``DomainError``, not evidence.
     """
     lams = [float(l) for l in lambdas]
     if any(l <= 0.0 for l in lams):
@@ -59,11 +61,15 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
     g = np.asarray(g, dtype=float)
     if state is None:
         state = zero_state(g.size)
-    rows = np.stack([g] + [lam * g for lam in lams])
-    frozen = MomentState(*(np.tile(a, (len(rows), 1)) for a in (state.m, state.v, state.theta)),
+    cells = CellConfigs([config or OptimizerConfig()] * (len(lams) + 1))
+    frozen = MomentState(*(np.tile(a, (len(cells), 1)) for a in (state.m, state.v, state.theta)),
                          k=state.k)
-    cells = CellConfigs([config or OptimizerConfig()] * len(rows))
-    base, *scaled = optimizer_step(method, frozen, rows[None], cells)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.stack([g] + [lam * g for lam in lams])
+        r = optimizer_step(method, frozen, rows[None], cells)[0]
+    if not all(np.isfinite(a).all() for a in (rows, frozen.m, frozen.v, r)):
+        raise DomainError("a rescaled gradient, stepped moment or R of the probe is not finite")
+    base, *scaled = r
     deviations = [float(np.max(np.abs(r - base))) for r in scaled]
     # a NaN deviation fails both checks, so it classifies as other
     linear = all(float(np.max(np.abs(r - lam * base))) < EXACT_TOL

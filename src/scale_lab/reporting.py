@@ -160,13 +160,11 @@ def probe_csv(result: RescaleProbeResult, path: Path) -> Path:
 
 def sweep_grid_csv(result: SweepResult, path: Path) -> Path:
     """Per-cell oscillation rows: beta1, beta2, seed, omega1, omega2, window."""
-    from .training import omega_of_trace
-    cells = sorted(result.traces.items())
+    cells = sorted(result.omegas.items())
     return write_csv(path, ["beta1", "beta2", "seed", "omega1", "omega2", "window"],
                      [[b1 for (b1, _, _), _ in cells], [b2 for (_, b2, _), _ in cells],
                       [seed for (_, _, seed), _ in cells],
-                      [omega_of_trace(tr, result.window, "omega1") for _, tr in cells],
-                      [omega_of_trace(tr, result.window, "omega2") for _, tr in cells],
+                      [om["omega1"] for _, om in cells], [om["omega2"] for _, om in cells],
                       [result.window] * len(cells)])
 
 

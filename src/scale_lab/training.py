@@ -83,25 +83,27 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int,
             cells = cells.take(keep)
             state = MomentState(state.m[keep], state.v[keep], state.theta[keep], state.k)
 
-    for k in range(steps):
-        loss_k = problem.loss(state.theta)
-        finite = np.isfinite(loss_k)
-        if not finite.all():
-            drop(finite, k)
-            loss_k = loss_k[finite]
-            if not live.size:
-                break
-        idx = None
-        if problem.n_samples:
-            idx = batches.integers(0, problem.n_samples, batch_size)
-        r = optimizer_step(method, state, problem.grad(state.theta, idx)[None], cells)
-        norm_k = row_norms(r[0])
-        losses[live, k], norms[live, k] = loss_k, norm_k
-        finite = np.isfinite(norm_k)
-        if not finite.all():
-            drop(finite, k)
-            if not live.size:
-                break
+    # a diverging row overflows silently: it is detected as non-finite and dropped below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            loss_k = problem.loss(state.theta)
+            finite = np.isfinite(loss_k)
+            if not finite.all():
+                drop(finite, k)
+                loss_k = loss_k[finite]
+                if not live.size:
+                    break
+            idx = None
+            if problem.n_samples:
+                idx = batches.integers(0, problem.n_samples, batch_size)
+            r = optimizer_step(method, state, problem.grad(state.theta, idx)[None], cells)
+            norm_k = row_norms(r[0])
+            losses[live, k], norms[live, k] = loss_k, norm_k
+            finite = np.isfinite(norm_k)
+            if not finite.all():
+                drop(finite, k)
+                if not live.size:
+                    break
 
     return [RunTrace(k=np.arange(n), loss=losses[i, :n], norm_r=norms[i, :n],
                      config=cfg, seed=seed, problem_kind=problem.kind, method=method,
@@ -118,24 +120,31 @@ def run_training(problem: Problem, config: OptimizerConfig, seed: int, steps: in
     return train_cells(problem, [config], seed, steps, batch_size, method)[0]
 
 
+METRICS = ("omega1", "omega2")
+
+
+def _omegas(trace: RunTrace, window: int) -> dict[str, float]:
+    """omega1 and omega2 of one smoothing of the update-norm series; NaN for diverged runs."""
+    if trace.diverged or trace.norm_r.size < 3:
+        return dict.fromkeys(METRICS, float("nan"))
+    smoothed = ema_smooth(trace.norm_r, window)
+    return {"omega1": oscillation_omega1(smoothed), "omega2": oscillation_omega2(smoothed)}
+
+
 def omega_of_trace(trace: RunTrace, window: int = DEFAULT_WINDOW, metric: str = "omega1") -> float:
     """Oscillation of the smoothed update-norm series; NaN for diverged runs."""
-    if trace.diverged or trace.norm_r.size < 3:
-        return float("nan")
-    smoothed = ema_smooth(trace.norm_r, window)
-    if metric == "omega1":
-        return oscillation_omega1(smoothed)
-    if metric == "omega2":
-        return oscillation_omega2(smoothed)
-    raise DomainError(f"unknown metric {metric!r}")
+    if metric not in METRICS:
+        raise DomainError(f"unknown metric {metric!r}")
+    return _omegas(trace, window)[metric]
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All traces of a grid sweep plus the diagonal-selection report."""
+    """All traces of a grid sweep, their omega1 and omega2, and the diagonal-selection report."""
 
     report: OscillationGridReport
     traces: dict[tuple[float, float, int], RunTrace]
+    omegas: dict[tuple[float, float, int], dict[str, float]]
     window: int
     metric: str
     params: dict = field(default_factory=dict)
@@ -148,12 +157,15 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
                metric: str = "omega1") -> SweepResult:
     """Run every (beta1, beta2, seed) cell and score diagonal selection.
 
-    The cells of each seed train as one lockstep batch.
+    The cells of each seed train as one lockstep batch; each cell is smoothed
+    once and scored by both metrics.
     """
     axis = [float(b) for b in beta_axis]
     seed_list = [int(s) for s in seeds]
     if not axis or not seed_list:
         raise DomainError("beta axis and seed list must be nonempty")
+    if metric not in METRICS:
+        raise DomainError(f"unknown metric {metric!r}")
     if eta is None:
         eta = DEFAULT_ETA.get(problem.kind, 0.01)
 
@@ -164,17 +176,18 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     for s in seed_list:
         traces = train_cells(problem, configs, seed=s, steps=steps, batch_size=batch_size)
         results.update(((b1, b2, s), tr) for (b1, b2), tr in zip(pairs, traces))
+    omegas = {cell: _omegas(tr, window) for cell, tr in results.items()}
 
     grids = []
     for s in seed_list:
         grid = np.empty((len(axis), len(axis)))
         for i, b1 in enumerate(axis):
             for j, b2 in enumerate(axis):
-                grid[i, j] = omega_of_trace(results[(b1, b2, s)], window, metric)
+                grid[i, j] = omegas[(b1, b2, s)][metric]
         grids.append(grid)
 
     report = grid_report(grids, axis)
-    return SweepResult(report=report, traces=results, window=window, metric=metric,
-                       params={"steps": steps, "batch_size": batch_size, "eta": eta,
-                               "epsilon": epsilon, "problem": problem.kind,
-                               "seeds": seed_list})
+    return SweepResult(report=report, traces=results, omegas=omegas, window=window,
+                       metric=metric, params={"steps": steps, "batch_size": batch_size,
+                                              "eta": eta, "epsilon": epsilon,
+                                              "problem": problem.kind, "seeds": seed_list})

@@ -57,9 +57,9 @@ def test_criterion_3_tracking_bound_battery():
     battery = {
         "constant": (lambda t: 3.0, lambda t: 0.0, lambda t: 0.0, 0.5),
         "linear": (lambda t: 2.0 + 0.7 * t, lambda t: 0.7, lambda t: 0.0, 0.0),
-        "sinusoidal": (math.sin, math.cos, lambda t: -math.sin(t), 0.0),
-        "exponential": (lambda t: math.exp(0.2 * t), lambda t: 0.2 * math.exp(0.2 * t),
-                        lambda t: 0.04 * math.exp(0.2 * t), 1.0),
+        "sinusoidal": (np.sin, np.cos, lambda t: -np.sin(t), 0.0),
+        "exponential": (lambda t: np.exp(0.2 * t), lambda t: 0.2 * np.exp(0.2 * t),
+                        lambda t: 0.04 * np.exp(0.2 * t), 1.0),
     }
     margins = {}
     for name, (y, yp, ypp, x0) in battery.items():

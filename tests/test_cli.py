@@ -87,6 +87,7 @@ class TestExitCodes:
         ("probe", "--step-scale", "--steps", "10", "--jump", "10"),
         ("probe", "--step-scale", "--steps", "10", "--jump", "-3"),
         ("probe", "--method", "adam", "--g", "1", "--k", "-1", "--bias-correction"),
+        ("probe", "--method", "adam", "--g", "1", "--v", "-1", "--lambdas", "2"),
         ("flow", "--signal", "const", "--h", "0"),
         ("flow", "--signal", "const", "--dt", "-1"),
         ("flow", "--signal", "const", "--tau1", "0"),
@@ -159,16 +160,18 @@ class TestProbeCommand:
         assert float(cols["deviation"][0]) == pytest.approx(1.0 - 0.9647638212377321,
                                                             abs=1e-12)
 
-    @pytest.mark.parametrize("method", ["adam", "gd"])
-    def test_non_finite_deviation_classifies_as_other(self, tmp_path, method):
-        # lambda * g overflows, so R(lambda g) and its deviation are not finite
+    @pytest.mark.parametrize("argv", [
+        ("--method", "adam", "--g", "1e200", "--lambdas", "2"),
+        ("--method", "gd", "--g", "1e300", "--lambdas", "1e10"),
+        ("--method", "adam", "--g", "1e300", "--lambdas", "1e10"),
+    ], ids=" ".join)
+    def test_overflowed_probe_is_runtime_error(self, tmp_path, capsys, argv):
+        # (keep2 * g) * g or lambda * g overflows: no deviation may be reported from it
         out = tmp_path / "p"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run("probe", "--method", method, "--g", "1e300", "--lambdas", "1e10",
-                       "--out", str(out)) == 0
-        cols = read_csv_columns(out / "probe.csv")
-        assert cols["classification"] == ["other"]
-        assert not math.isfinite(float(cols["deviation"][0]))
+        assert run("probe", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Warning" not in err
+        assert not (out / "probe.csv").exists()
 
     def test_step_scale_mode(self, tmp_path):
         out = tmp_path / "p"

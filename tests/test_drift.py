@@ -195,8 +195,8 @@ class TestTrackingCheck:
         assert res.passed
 
     def test_sine_post_transient_curvature_bound(self):
-        res = tracking_check(math.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0),
-                             y_prime=math.cos, y_second=lambda t: -math.sin(t))
+        res = tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0),
+                             y_prime=np.cos, y_second=lambda t: -np.sin(t))
         assert res.passed
         # after the transient decays, |r| <= tau^2 sup|y''| = 0.25
         late = res.t >= 5.0
@@ -211,18 +211,35 @@ class TestTrackingCheck:
         assert res.passed
 
     def test_finite_difference_fallback(self):
-        res = tracking_check(math.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0))
+        res = tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0))
         assert res.passed
         assert res.curvature_sup == pytest.approx(1.01, rel=1e-3)  # inflated sampled sup
+
+    @pytest.mark.parametrize("analytic", [False, True], ids=["fd", "analytic"])
+    def test_y_is_called_on_whole_grids(self, analytic):
+        # a fixed handful of whole-array calls, however long the interval
+        derivs = {"y_prime": np.cos, "y_second": lambda t: -np.sin(t)} if analytic else {}
+        counts = []
+        for t1 in (10.0, 40.0):
+            calls = []
+
+            def y(t):
+                calls.append(np.ndim(t))
+                return np.sin(t)
+
+            assert tracking_check(y, tau=0.5, x0=0.0, interval=(0.0, t1), **derivs).passed
+            assert 0 not in calls
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 20
 
     @pytest.mark.parametrize("tau", [0.25, 0.5, 1.0, 2.0])
     def test_battery_bound_never_violated(self, tau):
         battery = [
             (lambda t: 3.0, lambda t: 0.0, lambda t: 0.0, 0.5),
             (lambda t: 2.0 + 0.7 * t, lambda t: 0.7, lambda t: 0.0, 0.0),
-            (lambda t: math.sin(t), lambda t: math.cos(t), lambda t: -math.sin(t), 0.0),
-            (lambda t: math.exp(0.2 * t), lambda t: 0.2 * math.exp(0.2 * t),
-             lambda t: 0.04 * math.exp(0.2 * t), 1.0),
+            (lambda t: np.sin(t), lambda t: np.cos(t), lambda t: -np.sin(t), 0.0),
+            (lambda t: np.exp(0.2 * t), lambda t: 0.2 * np.exp(0.2 * t),
+             lambda t: 0.04 * np.exp(0.2 * t), 1.0),
         ]
         for y, yp, ypp, x0 in battery:
             res = tracking_check(y, tau=tau, x0=x0, interval=(0.0, 20.0 * tau),

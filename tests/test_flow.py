@@ -128,6 +128,23 @@ class TestIntegrateFlow:
         assert np.all(gaps > 0)
         assert np.allclose(gaps, gaps[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("stride", [2, 3, 8])
+    def test_record_stride_slices_the_full_trace(self, stride):
+        ts = TimeScales(0.5, 1.5)
+        sig = sinusoidal_log_signal(0.3, 2.0)
+        init = steady_state_init(sig, ts)
+        full = integrate_flow(sig, ts, init, t_end=7.3, h=0.01)
+        part = integrate_flow(sig, ts, init, t_end=7.3, h=0.01, record_stride=stride)
+        for name in ("t", "m", "v", "r", "theta"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[::stride]), name
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_nonpositive_record_stride_rejected(self, stride):
+        ts = TimeScales(1.0, 1.0)
+        init = FlowState(m=np.ones(1), v=np.ones(1), theta=np.zeros(1))
+        with pytest.raises(DomainError):
+            integrate_flow(constant_signal(1.0), ts, init, t_end=1.0, record_stride=stride)
+
     def test_exponential_steady_gain_after_burn_in(self):
         ts = TimeScales(1.0, 1.0)
         sig = exponential_signal(0.05)

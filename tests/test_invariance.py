@@ -38,6 +38,13 @@ class TestExactInvarianceProbe:
         assert result.deviation_at(2.0) == pytest.approx(1.0 - 0.9647638212377321,
                                                          abs=1e-14)
 
+    def test_non_finite_step_is_domain_error(self):
+        # sqrt of a negative stepped v is NaN: no deviation may be reported from it
+        state = MomentState(m=np.zeros(1), v=-np.ones(1), theta=np.zeros(1))
+        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
+        with pytest.raises(DomainError):
+            exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
+
     def test_lambda_one_has_zero_deviation(self):
         state = MomentState(m=np.array([0.4]), v=np.array([0.9]), theta=np.zeros(1))
         cfg = OptimizerConfig(beta1=0.95, beta2=0.98)

@@ -138,6 +138,18 @@ class TestSweepGrid:
         r2 = sweep_grid(prob, beta_axis=[0.9, 0.99], seeds=(0,), steps=60, metric="omega2")
         assert not np.array_equal(r1.report.omega[0], r2.report.omega[0])
 
+    def test_omegas_hold_both_metrics_of_every_cell(self):
+        res = sweep_grid(make_problem("logistic"), beta_axis=[0.9, 0.99], seeds=(0, 1),
+                         steps=60, window=10)
+        assert res.omegas.keys() == res.traces.keys()
+        for cell, trace in res.traces.items():
+            for metric in ("omega1", "omega2"):
+                assert res.omegas[cell][metric] == omega_of_trace(trace, 10, metric)
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(DomainError):
+            sweep_grid(make_problem("logistic"), steps=10, metric="omega3")
+
     def test_diverged_cell_becomes_nan(self):
         trace = run_training(make_problem("quadratic"),
                              OptimizerConfig(beta1=0.9, beta2=0.999, eta=10.0),
