@@ -10,8 +10,8 @@ from .invariance import (RescaleProbeResult, SensitivityFit, StepScaleExperiment
                          StepTrace, exact_invariance_probe, first_order_sensitivity,
                          run_step_scale_experiment, step_scale_cells, step_scale_grid)
 from .metrics import (OscillationGridReport, SmoothedSeries, binomial_diagonal_test,
-                      combine_reports, ema_smooth, grid_report, oscillation_omega1,
-                      oscillation_omega2)
+                      combine_reports, ema_smooth, grid_report, omega_grids,
+                      oscillation_omega1, oscillation_omega2)
 from .optimizers import (CellConfigs, MomentState, OptimizerConfig, UpdateVector, adam_step,
                          constant_gradient_closed_form, gd_step, signsgd_step, zero_state)
 from .problems import Problem, make_problem

@@ -13,8 +13,9 @@ Four subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
 infinite float flag or list item, an empty list, a negative, fractional or
-repeated seed, a count below 1, a time scale or step size that is not
-positive and a ``--jump`` outside [1, steps - 1] are usage errors.
+repeated seed, a count below 1, a time scale, step size or learning rate
+that is not positive, a beta outside (0, 1), a negative ``--epsilon`` or
+``--v`` item and a ``--jump`` outside [1, steps - 1] are usage errors.
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ def _values(text: str, parse=_finite_float) -> list:
     return values
 
 
-def _manifest(args, command: str, skip=("out", "plot", "func")) -> RunManifest:
+def _manifest(args, skip=("out", "plot", "func")) -> RunManifest:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in skip and not callable(v)}
-    return RunManifest(command=command, config={k: str(v) for k, v in config.items()},
+    return RunManifest(command=args.command, config={k: str(v) for k, v in config.items()},
                        version=__version__)
 
 
@@ -104,9 +105,8 @@ def _build_signal(args):
     raise DomainError(f"unknown signal {args.signal!r}")
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
-    manifest = _manifest(args, "flow")
     ts = TimeScales(args.tau1, args.tau2, args.eta_bar, args.dt)
     signal = _build_signal(args)
     t_end = args.t_end if args.t_end is not None else ts.burn_in + 5.0 * ts.tau_max
@@ -131,10 +131,6 @@ def cmd_flow(args) -> int:
         files.append(write_svg_lines(out / "flow.svg",
                                      [("norm_R", trace.t, trace.norm_r)],
                                      title=f"flow {args.signal}"))
-    for f in files:
-        manifest.add_output(f)
-    manifest.finish()
-    manifest.write(out)
     r_last = float(np.max(np.abs(trace.r[-1])))
     print(f"flow: {trace.t.size} samples to t={trace.t[-1]:.3g}; ||R||_inf(end) = {r_last:.9f}")
     if report is None:
@@ -142,14 +138,13 @@ def cmd_flow(args) -> int:
     else:
         for name, ch in report.channels.items():
             print(f"  remainder[{name}] = {ch.max_abs:.3e}")
-    return 0
+    return files
 
 
 # ---------------------------------------------------------------- probe
 
-def cmd_probe(args) -> int:
+def cmd_probe(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
-    manifest = _manifest(args, "probe")
     files = []
     if args.step_scale:
         betas = _values(args.beta_grid, _beta)
@@ -187,18 +182,13 @@ def cmd_probe(args) -> int:
         print(f"probe {args.method}: classification = {result.classification}")
         for lam, dev in zip(result.lambda_values, result.deviations):
             print(f"  lambda={lam:g}: deviation = {dev:.6e}")
-    for f in files:
-        manifest.add_output(f)
-    manifest.finish()
-    manifest.write(out)
-    return 0
+    return files
 
 
 # ---------------------------------------------------------------- sweep
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
-    manifest = _manifest(args, "sweep")
     betas = _values(args.beta_grid, _beta)
     seeds = (list(range(args.seeds)) if args.seed_list is None
              else _values(args.seed_list, _seed))
@@ -220,21 +210,15 @@ def cmd_sweep(args) -> int:
                   for (b1, b2, seed), tr in sorted(result.traces.items()) if seed == seeds[0]]
         files.append(write_svg_lines(out / "sweep.svg", series,
                                      title=f"{args.problem} ||R_k||, seed {seeds[0]}"))
-    for f in files:
-        manifest.add_output(f)
-    manifest.finish()
-    manifest.write(out)
     rep = result.report
     print(f"sweep {args.problem}: metric={args.metric} window={args.window} "
           f"K={rep.hits} N={rep.trials} rate={rep.rate:.1%} p={rep.p_value:.6g}")
-    return 0
+    return files
 
 
 # ---------------------------------------------------------------- report
 
-def cmd_report(args) -> int:
-    out = Path(args.out)
-    manifest = _manifest(args, "report")
+def cmd_report(args, manifest: RunManifest) -> list[Path]:
     if args.ingest:
         matrix, axis = read_omega_matrix(Path(args.ingest))
         grids = [matrix] * args.assume_seeds
@@ -246,11 +230,7 @@ def cmd_report(args) -> int:
         mode = "per-seed"
     else:
         raise DomainError("report needs --grid or --ingest")
-    files = [summary_csv(rep, out / "report_summary.csv")]
-    for f in files:
-        manifest.add_output(f)
-    manifest.finish()
-    manifest.write(out)
+    files = [summary_csv(rep, Path(args.out) / "report_summary.csv")]
     print(f"report ({mode}): K={rep.hits} N={rep.trials} rate={rep.rate:.1%} "
           f"p={rep.p_value:.6g}")
     if args.ingest and args.assume_seeds > 1:
@@ -258,7 +238,7 @@ def cmd_report(args) -> int:
               "it is not a valid test")
     if rep.degenerate_rows:
         print(f"  degenerate rows (all-equal): {rep.degenerate_rows}")
-    return 0
+    return files
 
 
 # ---------------------------------------------------------------- wiring
@@ -292,16 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default=None)
     p.add_argument("--v", default=None)
     p.add_argument("--k", type=_flag_value(int, lambda k: k >= 0, "a step index >= 0"), default=0)
-    p.add_argument("--beta1", type=_finite_float, default=0.9)
-    p.add_argument("--beta2", type=_finite_float, default=0.9)
-    p.add_argument("--epsilon", type=_finite_float, default=0.0)
+    p.add_argument("--beta1", type=_beta, default=0.9)
+    p.add_argument("--beta2", type=_beta, default=0.9)
+    p.add_argument("--epsilon", type=_nonnegative_float, default=0.0)
     p.add_argument("--bias-correction", action="store_true")
     p.add_argument("--step-scale", action="store_true")
     p.add_argument("--base", type=_finite_float, default=1.0)
     p.add_argument("--multiplier", type=_finite_float, default=10.0)
     p.add_argument("--jump", type=_count, default=None)
     p.add_argument("--steps", type=_count, default=32000)
-    p.add_argument("--eta", type=_finite_float, default=1e-3)
+    p.add_argument("--eta", type=_positive_float, default=1e-3)
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")
     p.add_argument("--out", default="scale-lab-out/probe")
     p.add_argument("--plot", action="store_true")
@@ -314,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-seed", type=_seed, default=0)
     p.add_argument("--steps", type=_count, default=5000)
     p.add_argument("--batch-size", type=_count, default=32)
-    p.add_argument("--eta", type=_finite_float, default=None)
+    p.add_argument("--eta", type=_positive_float, default=None)
     p.add_argument("--window", type=_count, default=200)
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")
@@ -340,8 +320,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    manifest = _manifest(args)  # built first, so duration_s spans the command
     try:
-        return args.func(args)
+        for f in args.func(args, manifest):
+            manifest.add_output(f)
+        manifest.finish()
+        manifest.write(Path(args.out))
+        return 0
     except UsageError as exc:
         print(f"scale-lab: usage error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -108,6 +108,13 @@ class OscillationGridReport:
     degenerate_rows: list[tuple[int, int]]  # (seed, row) with an all-equal row
 
 
+def omega_grids(cells: Mapping[tuple[float, float, int], float], axis: Sequence[float],
+                seeds: Sequence[int]) -> list[np.ndarray]:
+    """Per seed, the (n x n) matrix of ``cells[(beta1, beta2, seed)]``; row i fixes axis[i]."""
+    return [np.array([[cells[(b1, b2, s)] for b2 in axis] for b1 in axis], dtype=float)
+            for s in seeds]
+
+
 def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -> OscillationGridReport:
     """Score diagonal selection over (row, seed) pairs and attach the exact test.
 
@@ -126,31 +133,19 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
         if g.shape != (n, n):
             raise DomainError(f"grid shape {g.shape} does not match axis length {n}")
 
-    hits = trials = 0
-    argmins: list[list[int]] = []
-    degenerate: list[tuple[int, int]] = []
-    for s, g in enumerate(grids):
-        cols = []
-        for row in range(n):
-            vals = np.where(np.isfinite(g[row]), g[row], np.inf)
-            if np.all(vals == vals[0]):
-                degenerate.append((s, row))
-            if np.all(vals == np.inf):
-                cols.append(-1)  # every cell diverged: no evidence either way
-                continue
-            col = int(np.argmin(vals))  # argmin takes the first minimum on ties
-            cols.append(col)
-            trials += 1
-            if col == row:
-                hits += 1
-        argmins.append(cols)
-
-    if trials == 0:
+    vals = np.stack(grids)
+    vals[~np.isfinite(vals)] = np.inf
+    scored = (vals != np.inf).any(axis=2)  # a row of diverged cells is no evidence either way
+    if not scored.any():
         raise DomainError("no row of the grids can be scored: every cell is NaN or +inf")
+    cols = np.where(scored, vals.argmin(axis=2), -1)  # argmin takes the first minimum on ties
+    hits, trials = int((cols == np.arange(n)).sum()), int(scored.sum())
+    degenerate = (vals == vals[..., :1]).all(axis=2)
     return OscillationGridReport(
         omega=grids, beta_axis=axis, hits=hits, trials=trials,
         rate=hits / trials, p_value=binomial_diagonal_test(hits, trials, n),
-        argmin_cols=argmins, degenerate_rows=degenerate,
+        argmin_cols=cols.tolist(),
+        degenerate_rows=list(map(tuple, np.argwhere(degenerate).tolist())),
     )
 
 

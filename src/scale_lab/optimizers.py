@@ -118,10 +118,6 @@ class CellConfigs:
     def __len__(self) -> int:
         return len(self.configs)
 
-    def take(self, rows: Sequence[int]) -> CellConfigs:
-        """The sub-batch of the given rows, in that order."""
-        return CellConfigs([self.configs[i] for i in rows])
-
     def divisors(self, k: int, steps: int) -> np.ndarray:
         """Bias-correction divisors ``1 - b ** j`` of steps j = k + 1 .. k + steps as Python
         floats, as one cell computes them, shaped (steps, 2, C, 1); 1.0 for uncorrected rows."""

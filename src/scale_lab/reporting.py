@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .flow import FlowTrace
 from .invariance import RescaleProbeResult, StepTrace
-from .metrics import OscillationGridReport
+from .metrics import OscillationGridReport, omega_grids
 from .training import RunTrace, SweepResult
 
 
@@ -197,10 +197,7 @@ def read_omega_grids(path: Path, metric: str = "omega1"):
         if cell not in lines:
             raise CsvParseError(path, cols.lines[-1] if cols.lines else 1,
                                 f"missing cell (beta1, beta2, seed) = {cell}: no line has it")
-    grids = {s: np.empty((len(axis), len(axis))) for s in seed_list}
-    for (b1, b2, s), w in zip(zip(b1s, b2s, seeds), omegas):
-        grids[s][axis.index(b1), axis.index(b2)] = w
-    return [grids[s] for s in seed_list], axis
+    return omega_grids(dict(zip(zip(b1s, b2s, seeds), omegas)), axis, seed_list), axis
 
 
 def read_omega_matrix(path: Path):

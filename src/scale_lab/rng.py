@@ -28,13 +28,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix64_int(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
@@ -47,8 +40,9 @@ class CounterRng:
     def __init__(self, seed: int, stream: int = 0):
         if seed < 0 or stream < 0:
             raise ValueError("seed and stream must be nonnegative integers")
-        base = _mix64_int(seed) ^ _mix64_int((stream + 1) * _GAMMA)
-        self._base = np.uint64(base & _MASK)
+        seed_word, stream_word = _mix64(np.array([seed & _MASK, (stream + 1) * _GAMMA & _MASK],
+                                                 dtype=np.uint64))
+        self._base = seed_word ^ stream_word
         self._counter = 0
 
     def words(self, n: int) -> np.ndarray:

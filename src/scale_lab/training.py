@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .metrics import OscillationGridReport, ema_smooth, grid_report, oscillation_omega1, oscillation_omega2
+from .metrics import (OscillationGridReport, ema_smooth, grid_report, omega_grids,
+                      oscillation_omega1, oscillation_omega2)
 from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
 from .problems import Problem
 from .rng import CounterRng
@@ -57,8 +58,10 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int,
 
     The loss is the full-data objective at the pre-step parameters; the
     gradient fed to the optimizer is the minibatch one (full-batch for the
-    quadratic).  A non-finite loss or update truncates that cell's trace,
-    flags it as diverged and drops it from the batch instead of raising.
+    quadratic).  A cell whose loss or update turns non-finite is flagged as
+    diverged and its trace is cut before that step, instead of raising.  It
+    keeps its row and steps on with the batch: rows never mix, so its
+    neighbours cannot tell.  The loop ends early once every cell has diverged.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
@@ -72,38 +75,20 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int,
     losses = np.empty((n_cells, steps))
     norms = np.empty((n_cells, steps))
     n_done = np.full(n_cells, steps)
-    live = np.arange(n_cells)  # the cell index of each row still training
-
-    def drop(finite: np.ndarray, k: int) -> None:
-        nonlocal live, state, cells
-        n_done[live[~finite]] = k
-        keep = np.flatnonzero(finite)
-        live = live[keep]
-        if live.size:
-            cells = cells.take(keep)
-            state = MomentState(state.m[keep], state.v[keep], state.theta[keep], state.k)
-
-    # a diverging row overflows silently: it is detected as non-finite and dropped below
+    alive = np.ones(n_cells, dtype=bool)
+    # a diverging row overflows silently: it is detected as non-finite below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            loss_k = problem.loss(state.theta)
-            finite = np.isfinite(loss_k)
-            if not finite.all():
-                drop(finite, k)
-                loss_k = loss_k[finite]
-                if not live.size:
-                    break
+            losses[:, k] = problem.loss(state.theta)
             idx = None
             if problem.n_samples:
                 idx = batches.integers(0, problem.n_samples, batch_size)
             r = optimizer_step(method, state, problem.grad(state.theta, idx)[None], cells)
-            norm_k = row_norms(r[0])
-            losses[live, k], norms[live, k] = loss_k, norm_k
-            finite = np.isfinite(norm_k)
-            if not finite.all():
-                drop(finite, k)
-                if not live.size:
-                    break
+            norms[:, k] = row_norms(r[0])
+            died = alive & ~(np.isfinite(losses[:, k]) & np.isfinite(norms[:, k]))
+            n_done[died], alive[died] = k, False
+            if not alive.any():
+                break
 
     return [RunTrace(k=np.arange(n), loss=losses[i, :n], norm_r=norms[i, :n],
                      config=cfg, seed=seed, problem_kind=problem.kind, method=method,
@@ -178,15 +163,8 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
         results.update(((b1, b2, s), tr) for (b1, b2), tr in zip(pairs, traces))
     omegas = {cell: _omegas(tr, window) for cell, tr in results.items()}
 
-    grids = []
-    for s in seed_list:
-        grid = np.empty((len(axis), len(axis)))
-        for i, b1 in enumerate(axis):
-            for j, b2 in enumerate(axis):
-                grid[i, j] = omegas[(b1, b2, s)][metric]
-        grids.append(grid)
-
-    report = grid_report(grids, axis)
+    report = grid_report(omega_grids({cell: om[metric] for cell, om in omegas.items()},
+                                     axis, seed_list), axis)
     return SweepResult(report=report, traces=results, omegas=omegas, window=window,
                        metric=metric, params={"steps": steps, "batch_size": batch_size,
                                               "eta": eta, "epsilon": epsilon,

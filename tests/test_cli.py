@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from scale_lab.cli import main
+from scale_lab import __version__
+from scale_lab.cli import build_parser, main
 from scale_lab.reporting import read_csv_columns
 
 TABLE_STYLE_MATRIX = """beta1,0.9,0.99,0.999
@@ -88,6 +90,11 @@ class TestExitCodes:
         ("probe", "--step-scale", "--steps", "10", "--jump", "-3"),
         ("probe", "--method", "adam", "--g", "1", "--k", "-1", "--bias-correction"),
         ("probe", "--method", "adam", "--g", "1", "--v", "-1", "--lambdas", "2"),
+        ("probe", "--method", "adam", "--beta1", "1.5"),
+        ("probe", "--method", "adam", "--beta2", "0"),
+        ("probe", "--method", "adam", "--epsilon", "-1"),
+        ("probe", "--step-scale", "--eta", "-1", "--steps", "100"),
+        ("sweep", "--problem", "quadratic", "--eta", "-1", "--steps", "10", "--seeds", "1"),
         ("flow", "--signal", "const", "--h", "0"),
         ("flow", "--signal", "const", "--dt", "-1"),
         ("flow", "--signal", "const", "--tau1", "0"),
@@ -362,3 +369,39 @@ class TestSweepAndReport:
         cols = read_csv_columns(out / "report_summary.csv")
         assert (cols["K"], cols["N"]) == (["7"], ["9"])
         assert float(cols["p_value"][0]) == pytest.approx(0.008281, rel=1e-3)
+
+
+class TestManifest:
+    COMMANDS = {
+        "flow": (["flow", "--signal", "exp", "--t-end", "12", "--plot"], []),
+        "probe": (["probe", "--step-scale", "--steps", "40", "--beta-grid", "0.9,0.99"], []),
+        "sweep": (["sweep", "--problem", "quadratic", "--seed-list", "3,1", "--steps", "20",
+                   "--window", "5", "--beta-grid", "0.9,0.99"], [3, 1]),
+        "report": (["report", "--ingest", "matrix.csv", "--assume-seeds", "2"], []),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_manifest_pins_every_field(self, tmp_path, monkeypatch, capsys, command):
+        argv, seeds = self.COMMANDS[command]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "matrix.csv").write_text(TABLE_STYLE_MATRIX)
+        out = tmp_path / "out"
+        argv = argv + ["--out", str(out)]
+        assert run(*argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        args = vars(build_parser().parse_args(argv))
+        config = {k: str(v) for k, v in args.items() if k not in ("out", "plot", "func")}
+        written = sorted(p for p in out.rglob("*")
+                         if p.is_file() and not p.name.startswith("manifest."))
+        assert written
+        assert manifest["outputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                                       for p in written}
+        assert {k: manifest[k] for k in ("command", "version", "seeds", "config")} == {
+            "command": command, "version": __version__, "seeds": seeds, "config": config}
+        assert manifest["duration_s"] >= 0.0
+        text = (out / "manifest.txt").read_text().splitlines()
+        assert text[:2] == [f"command={command}", f"version={__version__}"]
+        assert f"seeds={','.join(map(str, seeds))}" in text
+        assert [line for line in text if line.startswith(("config.", "output."))] == (
+            [f"config.{k}={config[k]}" for k in sorted(config)]
+            + [f"output.{p}={h}" for p, h in sorted(manifest["outputs"].items())])

@@ -1,7 +1,5 @@
 """The lockstep cell engine: a cell trained in a batch equals the cell trained alone."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -47,10 +45,8 @@ class TestTrainCells:
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
                    OptimizerConfig(beta1=0.9, beta2=0.99, eta=1e300),
                    OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            batched = train_cells(prob, configs, seed=0, steps=200)
-            alone = [run_training(prob, cfg, seed=0, steps=200) for cfg in configs]
+        batched = train_cells(prob, configs, seed=0, steps=200)
+        alone = [run_training(prob, cfg, seed=0, steps=200) for cfg in configs]
         healthy_left, blown, healthy_right = batched
         assert blown.diverged and blown.k.size == 1
         assert not healthy_left.diverged and not healthy_right.diverged
@@ -61,10 +57,8 @@ class TestTrainCells:
         # GD far beyond 2 / lambda_max blows up after a few dozen steps
         prob = make_problem("quadratic")
         configs = [OptimizerConfig(eta=0.005), OptimizerConfig(eta=10.0), OptimizerConfig(eta=0.001)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            batched = train_cells(prob, configs, seed=0, steps=2000, method="gd")
-            alone = [run_training(prob, cfg, seed=0, steps=2000, method="gd") for cfg in configs]
+        batched = train_cells(prob, configs, seed=0, steps=2000, method="gd")
+        alone = [run_training(prob, cfg, seed=0, steps=2000, method="gd") for cfg in configs]
         assert [t.diverged for t in batched] == [False, True, False]
         assert 1 < batched[1].k.size < 2000
         for b, a in zip(batched, alone):
@@ -73,10 +67,19 @@ class TestTrainCells:
     def test_every_cell_diverging_ends_the_run(self):
         prob = make_problem("quadratic")
         configs = [OptimizerConfig(eta=1e300), OptimizerConfig(beta1=0.5, eta=1e300)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            traces = train_cells(prob, configs, seed=0, steps=50)
+        traces = train_cells(prob, configs, seed=0, steps=50)
         assert all(t.diverged and t.k.size == 1 for t in traces)
+
+    def test_dead_exact_epsilon_row_never_trips_the_zero_moment_check(self):
+        # the blown row keeps stepping in place after it diverges at step 1
+        prob = make_problem("quadratic")
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, epsilon=0.0),
+                   OptimizerConfig(beta1=0.9, beta2=0.99, eta=1e300, epsilon=0.0),
+                   OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02, epsilon=0.0)]
+        batched = train_cells(prob, configs, seed=0, steps=300)
+        assert [t.diverged for t in batched] == [False, True, False]
+        for cfg, b in zip(configs, batched):
+            assert_same_trace(b, run_training(prob, cfg, seed=0, steps=300))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):

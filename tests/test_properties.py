@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scale_lab import (CellConfigs, MomentState, OptimizerConfig, TimeScales, constant_signal,
-                       exponential_signal, grid_report, integrate_flow, sinusoidal_log_signal,
-                       steady_state_init, step_scale_signal, tabulated_signal)
+from scale_lab import (CellConfigs, MomentState, OptimizerConfig, TimeScales,
+                       binomial_diagonal_test, constant_signal, exponential_signal, grid_report,
+                       integrate_flow, sinusoidal_log_signal, steady_state_init,
+                       step_scale_signal, tabulated_signal)
 from scale_lab import reporting
 from scale_lab.optimizers import optimizer_step
 from scale_lab.drift import _exponential_ladder
@@ -115,6 +116,51 @@ def test_non_finite_cell_never_wins_a_row(data):
                 assert col >= 0 and np.isfinite(g[row, col])
             else:
                 assert col == -1
+
+
+def grid_report_reference(grids, axis):
+    """The per-(seed, row) scoring loop, written out: (hits, trials, argmin_cols, degenerate_rows)."""
+    hits = trials = 0
+    argmins, degenerate = [], []
+    for s, g in enumerate(grids):
+        cols = []
+        for row in range(len(axis)):
+            vals = np.where(np.isfinite(g[row]), g[row], np.inf)
+            if np.all(vals == vals[0]):
+                degenerate.append((s, row))
+            if np.all(vals == np.inf):
+                cols.append(-1)
+                continue
+            col = int(np.argmin(vals))
+            cols.append(col)
+            trials += 1
+            if col == row:
+                hits += 1
+        argmins.append(cols)
+    return hits, trials, argmins, degenerate
+
+
+# few distinct values, so ties and all-equal rows are common
+tied_cells = st.sampled_from([0.0, 0.5, 1.0, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), seeds=st.integers(1, 4), data=st.data())
+def test_grid_report_equals_the_per_row_loop(n, seeds, data):
+    cells = st.one_of(tied_cells, omega_cells)
+    grids = [data.draw(arrays(float, (n, n), elements=cells)) for _ in range(seeds)]
+    axis = [0.9 + 0.01 * i for i in range(n)]
+    hits, trials, argmins, degenerate = grid_report_reference(grids, axis)
+    if trials == 0:
+        with pytest.raises(DomainError):
+            grid_report(grids, axis)
+        return
+    report = grid_report(grids, axis)
+    assert (report.hits, report.trials, report.argmin_cols) == (hits, trials, argmins)
+    assert report.degenerate_rows == degenerate
+    assert all(type(s) is int and type(r) is int for s, r in report.degenerate_rows)
+    assert report.p_value == binomial_diagonal_test(hits, trials, n)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(report.omega, grids))
 
 
 # ---------------------------------------------------------------- CSV writer
