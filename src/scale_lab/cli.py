@@ -111,7 +111,13 @@ def cmd_flow(args, manifest: RunManifest) -> list[Path]:
     signal = _build_signal(args)
     t_end = args.t_end if args.t_end is not None else ts.burn_in + 5.0 * ts.tau_max
     init = steady_state_init(signal, ts, t0=0.0)
-    trace = integrate_flow(signal, ts, init, t_end=t_end, h=args.h)
+    manifest.observed["clamped"] = init.clamped
+    try:
+        trace = integrate_flow(signal, ts, init, t_end=t_end, h=args.h)
+    except FlowAbort as exc:  # no outputs, but the manifest says where v left its domain
+        manifest.observed["abort_t"] = exc.t
+        manifest.write(out)
+        raise
 
     files = [flow_trace_csv(trace, out / "trace.csv")]
     report = None
@@ -324,7 +330,6 @@ def main(argv=None) -> int:
     try:
         for f in args.func(args, manifest):
             manifest.add_output(f)
-        manifest.finish()
         manifest.write(Path(args.out))
         return 0
     except UsageError as exc:

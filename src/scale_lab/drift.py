@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .flow import (FlowTrace, TimeScales, _rk4, _stage_times, integrate_flow,
+from .flow import (FlowTrace, TimeScales, _relax, _stage_times, integrate_flow,
                    predict_first_order, steady_state_init)
 from .signals import GradientSignal, _fd_step, exponential_signal
 
@@ -242,9 +242,8 @@ def tracking_check(y: Callable[[np.ndarray], np.ndarray], tau: float, x0: float,
 
     if h is None:
         h = tau / 200.0
-    stages, h = _stage_times(t0, t1, h)
-    forcing = on(y, stages).tolist()
-    ts_out, xs_out = _rk4(lambda t, x, f: (-x + f) / tau, t0, float(x0), h, forcing)
+    ts_out, stages, h = _stage_times(t0, t1, h)
+    xs_out = _relax(float(x0), tau, on(y, stages), h)[::4]
 
     y_vals, yp_vals = on(y, ts_out), on(y_prime, ts_out)
     residual = xs_out - (y_vals - tau * yp_vals)

@@ -10,17 +10,16 @@ discrete recurrences converge (dt -> 0) to the coupled per-coordinate system
 The normalized update R(t) = m(t) / sqrt(v(t)) is what the invariance
 analysis tracks.  Integration is classical fourth-order Runge-Kutta with a
 fixed step, which keeps traces uniformly sampled for the oscillation
-metrics; the moment equations are linear, so the scheme's global O(h^4)
-error is easy to verify against the analytic exponential-mode solutions
-below.
+metrics; the moment equations are linear scalar relaxations, so the global
+O(h^4) error is easy to verify against the analytic exponential modes below.
+theta never feeds back: ``_relax`` steps each m and v coordinate as a Python
+float, and theta is the RK4 quadrature of its rate over their stage points.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -135,34 +134,49 @@ def flow_rhs(t: float, y: np.ndarray, g: np.ndarray, ts: TimeScales) -> np.ndarr
     dy = np.empty_like(y)
     dy[0] = (-m + g) / ts.tau1
     dy[1] = (-v + g * g) / ts.tau2
-    dy[2] = -ts.eta_bar * m / np.sqrt(v)
+    dy[2] = _theta_rate(m, v, ts)
     return dy
 
 
-def _stage_times(t0: float, t1: float, h: float) -> tuple[np.ndarray, float]:
-    """The (n, 3) RK4 stage times t_i + (0, h/2, h), t_i = t0 + i * h, with h rounded to hit t1."""
+def _theta_rate(m, v, ts: TimeScales):
+    """theta' = -eta_bar m / sqrt(v), elementwise."""
+    return -ts.eta_bar * m / np.sqrt(v)
+
+
+def _stage_times(t0: float, t1: float, h: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Grid t_i = t0 + i * h, its (n, 3) RK4 stage times t_i + (0, h/2, h), h rounded to hit t1."""
     n_steps = max(1, round((t1 - t0) / h))
     h = (t1 - t0) / n_steps
-    return (t0 + np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5 * h, h]), h
+    t = t0 + np.arange(n_steps + 1) * h
+    return t, t[:-1, None] + np.array([0.0, 0.5 * h, h]), h
 
 
-def _rk4(rhs: Callable, t0: float, y, h: float, forcing) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step RK4 of y' = rhs(t, y, f); returns the times and the stacked states.
+def _relax(x0, tau, forcing, h: float) -> np.ndarray:
+    """Classical fixed-step RK4 of tau x' = -x + f; returns every stage point and the end state.
 
-    ``forcing[i]`` holds f at the three ``_stage_times`` of step i; ``y`` is
-    a float or an array.  Row i of the states, along a new first axis, is the
-    state at time t0 + i * h; row 0 is the initial state.
+    ``x0`` is a float or an array, ``tau`` broadcasts to its shape and ``forcing[i]`` holds f at
+    the ``_stage_times`` of step i.  Rows 4i to 4i + 3 of the (4n + 1, ...) result are the points
+    step i evaluates f - x at (row 4i: the state at t0 + i * h), as Python floats in numpy's order.
     """
-    ys = np.empty((len(forcing) + 1,) + np.shape(y))
-    ys[0] = y
-    for i, (f1, f2, f4) in enumerate(forcing):
-        t = t0 + i * h
-        k1 = rhs(t, y, f1)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, f2)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, f2)
-        k4 = rhs(t + h, y + h * k3, f4)
-        ys[i + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return t0 + np.arange(len(ys)) * h, ys
+    shape, n = np.shape(x0), len(forcing)
+    taus = np.broadcast_to(tau, shape).ravel().tolist()
+    cols = np.reshape(forcing, (n, 3, -1)).transpose(2, 0, 1).tolist()
+    half, sixth = 0.5 * h, h / 6.0
+    points = []
+    for x, tau_c, col in zip(np.ravel(x0).tolist(), taus, cols):
+        pts = []
+        for f1, f2, f4 in col:
+            k1 = (-x + f1) / tau_c
+            x2 = x + half * k1
+            k2 = (-x2 + f2) / tau_c
+            x3 = x + half * k2
+            k3 = (-x3 + f2) / tau_c
+            x4 = x + h * k3
+            k4 = (-x4 + f4) / tau_c
+            pts += (x, x2, x3, x4)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        points.append(pts + [x])
+    return np.array(points).T.copy().reshape((4 * n + 1,) + shape)  # time first, C order
 
 
 def steady_state_exponential_gains(delta0: float, ts: TimeScales) -> tuple[float, float, float]:
@@ -214,8 +228,9 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
     """Fixed-step RK4 integration of the flow from ``init`` to ``t_end``.
 
     The step is rounded so the grid hits ``t_end`` exactly; every
-    ``record_stride``-th state is recorded (plus the initial one).  Aborts
-    with ``FlowAbort`` if any v coordinate reaches zero, which signals a
+    ``record_stride``-th state is recorded (plus the initial one).  theta is
+    the RK4 quadrature of its rate over the stage points of m and v.  Aborts
+    with ``FlowAbort`` at the first stage point with a v coordinate <= 0, a
     violated gradient-floor assumption rather than an integrator failure.
     """
     if h is None:
@@ -229,11 +244,18 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
     if np.any(init.v <= 0.0):
         raise DomainError("initial v must be strictly positive")
 
-    stages, h = _stage_times(init.t, t_end, h)
-    y = np.array([init.m, init.v, init.theta], dtype=float)
-    rhs = functools.partial(flow_rhs, ts=ts)
-    t, ys = _rk4(rhs, init.t, y, h, signal.g(stages))
-    _abort_if_v_nonpositive(t[-1], ys[-1, 1])  # flow_rhs checked the end of every earlier step
+    t, stages, h = _stage_times(init.t, t_end, h)
+    g = signal.g(stages)
+    seq = _relax(np.array([init.m, init.v], dtype=float), np.array([[ts.tau1], [ts.tau2]]),
+                 np.stack([g, g * g], axis=2), h)
+    k = int(np.argmax(np.any(seq[:, 1] <= 0.0, axis=-1)))  # the first point with v <= 0, if any
+    _abort_if_v_nonpositive(float(np.append(stages[:, [0, 1, 1, 2]], t[-1])[k]), seq[k, 1])
+
+    rate = _theta_rate(seq[:-1, 0], seq[:-1, 1], ts).reshape((len(stages), 4) + seq.shape[2:])
+    ys = np.empty((len(t), 3) + seq.shape[2:])
+    ys[:, :2], ys[0, 2] = seq[::4], init.theta
+    steps = (h / 6.0) * (rate[:, 0] + 2.0 * rate[:, 1] + 2.0 * rate[:, 2] + rate[:, 3])
+    np.add.accumulate(np.concatenate([ys[:1, 2], steps]), axis=0, out=ys[:, 2])
 
     t, ys = t[::record_stride], ys[::record_stride]
     m, v = ys[:, 0], ys[:, 1]

@@ -131,6 +131,12 @@ def parse_float(path, line_no: int, text: str) -> float:
         raise CsvParseError(path, line_no, f"not a number: {text!r}")
 
 
+def parse_seed(path, line_no: int, text: str) -> int:
+    if not (text.strip().isascii() and text.strip().isdigit()):
+        raise CsvParseError(path, line_no, f"not a seed (an integer >= 0): {text!r}")
+    return int(text)
+
+
 # ---------------------------------------------------------------- traces
 
 def flow_trace_csv(trace: FlowTrace, path: Path) -> Path:
@@ -181,7 +187,7 @@ def read_omega_grids(path: Path, metric: str = "omega1"):
             raise CsvParseError(path, 1, f"missing column {needed!r}")
     b1s = [parse_float(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
     b2s = [parse_float(path, n, x) for n, x in zip(cols.lines, cols["beta2"])]
-    seeds = [int(parse_float(path, n, x)) for n, x in zip(cols.lines, cols["seed"])]
+    seeds = [parse_seed(path, n, x) for n, x in zip(cols.lines, cols["seed"])]
     omegas = [parse_float(path, n, x) for n, x in zip(cols.lines, cols[metric])]
     axis = sorted(set(b1s))
     if sorted(set(b2s)) != axis:
@@ -231,6 +237,7 @@ class RunManifest:
     config: dict
     seeds: list[int] = field(default_factory=list)
     version: str = ""
+    observed: dict = field(default_factory=dict)  # what the run found, e.g. flow's abort_t
     started: float = field(default_factory=time.time)
     duration_s: float = 0.0
     outputs: dict[str, str] = field(default_factory=dict)  # path -> sha256
@@ -239,16 +246,15 @@ class RunManifest:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         self.outputs[str(path)] = digest
 
-    def finish(self) -> None:
-        self.duration_s = time.time() - self.started
-
     def write(self, directory: Path) -> tuple[Path, Path]:
+        self.duration_s = time.time() - self.started
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         txt = directory / "manifest.txt"
         lines = [f"command={self.command}", f"version={self.version}",
                  f"duration_s={self.duration_s:.3f}",
                  f"seeds={','.join(str(s) for s in self.seeds)}"]
+        lines += [f"observed.{key}={self.observed[key]}" for key in sorted(self.observed)]
         for key in sorted(self.config):
             lines.append(f"config.{key}={self.config[key]}")
         for path in sorted(self.outputs):
@@ -258,7 +264,7 @@ class RunManifest:
         js.write_text(json.dumps({
             "command": self.command, "version": self.version,
             "duration_s": self.duration_s, "seeds": self.seeds,
-            "config": self.config, "outputs": self.outputs,
+            "config": self.config, "observed": self.observed, "outputs": self.outputs,
         }, indent=2, sort_keys=True) + "\n")
         return txt, js
 

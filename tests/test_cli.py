@@ -312,6 +312,17 @@ class TestSweepAndReport:
         assert line in err and "cell" in err and "Traceback" not in err
         assert not (tmp_path / "r" / "report_summary.csv").exists()
 
+    @pytest.mark.parametrize("seed", ["nan", "inf", "0.5", "-1"])
+    def test_grid_seed_that_is_not_a_nonnegative_integer_is_parse_error(self, tmp_path, capsys,
+                                                                         seed):
+        grid = tmp_path / "g.csv"
+        grid.write_text("beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,0.2\n"
+                        f"0.99,0.9,{seed},0.3\n0.99,0.99,0,0.4\n")
+        assert run("report", "--grid", str(grid), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert "g.csv:4:" in err and repr(seed) in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "report_summary.csv").exists()
+
     def test_parse_error_after_blank_line_names_its_real_line(self, tmp_path, capsys):
         grid = tmp_path / "g.csv"
         grid.write_text("beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n\nx,0.99,0,0.2\n")
@@ -372,17 +383,17 @@ class TestSweepAndReport:
 
 
 class TestManifest:
-    COMMANDS = {
-        "flow": (["flow", "--signal", "exp", "--t-end", "12", "--plot"], []),
-        "probe": (["probe", "--step-scale", "--steps", "40", "--beta-grid", "0.9,0.99"], []),
+    COMMANDS = {  # argv, seeds, observed
+        "flow": (["flow", "--signal", "exp", "--t-end", "12", "--plot"], [], {"clamped": False}),
+        "probe": (["probe", "--step-scale", "--steps", "40", "--beta-grid", "0.9,0.99"], [], {}),
         "sweep": (["sweep", "--problem", "quadratic", "--seed-list", "3,1", "--steps", "20",
-                   "--window", "5", "--beta-grid", "0.9,0.99"], [3, 1]),
-        "report": (["report", "--ingest", "matrix.csv", "--assume-seeds", "2"], []),
+                   "--window", "5", "--beta-grid", "0.9,0.99"], [3, 1], {}),
+        "report": (["report", "--ingest", "matrix.csv", "--assume-seeds", "2"], [], {}),
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_manifest_pins_every_field(self, tmp_path, monkeypatch, capsys, command):
-        argv, seeds = self.COMMANDS[command]
+        argv, seeds, observed = self.COMMANDS[command]
         monkeypatch.chdir(tmp_path)
         (tmp_path / "matrix.csv").write_text(TABLE_STYLE_MATRIX)
         out = tmp_path / "out"
@@ -396,12 +407,33 @@ class TestManifest:
         assert written
         assert manifest["outputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
                                        for p in written}
-        assert {k: manifest[k] for k in ("command", "version", "seeds", "config")} == {
-            "command": command, "version": __version__, "seeds": seeds, "config": config}
+        assert {k: manifest[k] for k in ("command", "version", "seeds", "config", "observed")} == {
+            "command": command, "version": __version__, "seeds": seeds, "config": config,
+            "observed": observed}
         assert manifest["duration_s"] >= 0.0
         text = (out / "manifest.txt").read_text().splitlines()
         assert text[:2] == [f"command={command}", f"version={__version__}"]
         assert f"seeds={','.join(map(str, seeds))}" in text
+        assert [line for line in text if line.startswith("observed.")] == [
+            f"observed.{k}={observed[k]}" for k in sorted(observed)]
         assert [line for line in text if line.startswith(("config.", "output."))] == (
             [f"config.{k}={config[k]}" for k in sorted(config)]
             + [f"output.{p}={h}" for p, h in sorted(manifest["outputs"].items())])
+
+    @pytest.mark.parametrize("argv,observed", [
+        (["--delta0", "-2", "--h", "3"], {"clamped": False, "abort_t": 1.5}),
+        (["--delta0", "0.6", "--h", "3"], {"clamped": True, "abort_t": 3.0}),
+    ], ids=["decaying", "clamped"])
+    def test_flow_abort_still_writes_the_manifest(self, tmp_path, capsys, argv, observed):
+        # h three times tau2 makes an RK4 stage of v overshoot below zero
+        out = tmp_path / "out"
+        assert run("flow", "--signal", "exp", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"v crossed zero at t={observed['abort_t']:g}" in err and "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["command"], manifest["observed"], manifest["outputs"]) == (
+            "flow", observed, {})
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "manifest.txt"]
+        text = (out / "manifest.txt").read_text().splitlines()
+        assert [line for line in text if line.startswith(("observed.", "output."))] == [
+            f"observed.{k}={observed[k]}" for k in sorted(observed)]

@@ -1,7 +1,9 @@
 """Property tests: the signal array contract, the lockstep drift ladder, grid reports,
-the CSV writer, the block optimizer kernel."""
+the CSV writer, the block optimizer kernel, the relaxation RK4 kernel."""
 
 import csv
+import dataclasses
+import functools
 import tempfile
 from pathlib import Path
 
@@ -11,14 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scale_lab import (CellConfigs, MomentState, OptimizerConfig, TimeScales,
-                       binomial_diagonal_test, constant_signal, exponential_signal, grid_report,
-                       integrate_flow, sinusoidal_log_signal, steady_state_init,
-                       step_scale_signal, tabulated_signal)
+from scale_lab import (CellConfigs, FlowState, FlowTrace, MomentState, OptimizerConfig,
+                       TimeScales, binomial_diagonal_test, constant_signal, exponential_signal,
+                       grid_report, integrate_flow, sinusoidal_log_signal, steady_state_init,
+                       step_scale_signal, tabulated_signal, tracking_check)
 from scale_lab import reporting
 from scale_lab.optimizers import optimizer_step
 from scale_lab.drift import _exponential_ladder
-from scale_lab.errors import DomainError
+from scale_lab.errors import DomainError, FlowAbort
+from scale_lab.flow import _abort_if_v_nonpositive, flow_rhs
 
 SIGNALS = {
     "constant": lambda: constant_signal([2.0, -0.5, 3.0]),
@@ -284,3 +287,124 @@ def test_block_kernel_zero_moment_error_matches_single_steps():
     assert [isinstance(w, str) for w in want] == [False, False, True] and want[2] == got
     assert block.k == 0 and np.array_equal(block.v, fresh().v)
     assert single.k == 2
+
+
+def rk4_reference(rhs, t0, y, h, forcing):
+    """Classical fixed-step RK4 of y' = rhs(t, y, f) on numpy arrays (or floats), one step at a
+    time: the generic loop the relaxation kernel replaced."""
+    ys = np.empty((len(forcing) + 1,) + np.shape(y))
+    ys[0] = y
+    for i, (f1, f2, f4) in enumerate(forcing):
+        t = t0 + i * h
+        k1 = rhs(t, y, f1)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, f2)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, f2)
+        k4 = rhs(t + h, y + h * k3, f4)
+        ys[i + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return t0 + np.arange(len(ys)) * h, ys
+
+
+def integrate_flow_reference(signal, ts, init, t_end, h, record_stride):
+    """``integrate_flow`` as RK4 over ``flow_rhs`` on the stacked (3, d) state."""
+    n_steps = max(1, round((t_end - init.t) / h))
+    h = (t_end - init.t) / n_steps
+    stages = (init.t + np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5 * h, h])
+    y = np.array([init.m, init.v, init.theta], dtype=float)
+    t, ys = rk4_reference(functools.partial(flow_rhs, ts=ts), init.t, y, h, signal.g(stages))
+    _abort_if_v_nonpositive(t[-1], ys[-1, 1])
+    t, ys = t[::record_stride], ys[::record_stride]
+    m, v = ys[:, 0], ys[:, 1]
+    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v), theta=ys[:, 2], timescales=ts,
+                     signal_kind=signal.kind,
+                     meta={"h": h, "record_stride": record_stride, **signal.params})
+
+
+def flow_outcome(integrate, *args):
+    try:
+        return integrate(*args)
+    except FlowAbort as exc:
+        return exc
+
+
+@st.composite
+def flow_signals(draw, d):
+    """(kind, signal): the CLI kinds, a tabulated signal, and an all-zero one."""
+    kind = draw(st.sampled_from(["exp", "sin-log", "const", "tabulated", "zero"]))
+    values = st.tuples(st.floats(0.1, 3.0), st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1])
+    if kind == "exp":
+        return kind, exponential_signal(
+            draw(st.lists(st.floats(-0.2, 0.2), min_size=d, max_size=d)),
+            draw(st.lists(values, min_size=d, max_size=d)))
+    if kind == "sin-log":
+        return kind, sinusoidal_log_signal(draw(st.floats(0.0, 1.0)), draw(st.floats(0.1, 3.0)),
+                                           draw(values), dimension=d)
+    if kind == "const":
+        return kind, constant_signal(draw(st.lists(values, min_size=d, max_size=d)))
+    knots = np.array([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 50.0])
+    if kind == "zero":  # v decays from 1 and crosses zero once h is large against tau2
+        return kind, tabulated_signal(knots, np.zeros((knots.size, d)))
+    # a drop to zero between the stages of one step can drive any stage's v below zero
+    return kind, tabulated_signal(knots, draw(arrays(float, (knots.size, d),
+                                                     elements=st.one_of(st.just(0.0), values))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.integers(1, 9), tau1=st.floats(0.2, 3.0), tau2=st.floats(0.2, 3.0),
+       h_per_tau=st.floats(0.01, 4.0), n_steps=st.integers(1, 60),
+       record_stride=st.integers(1, 3), theta0=st.floats(-1.0, 1.0))
+def test_integrate_flow_equals_rk4_over_flow_rhs(data, d, tau1, tau2, h_per_tau, n_steps,
+                                                 record_stride, theta0):
+    kind, sig = data.draw(flow_signals(d))
+    ts = TimeScales(tau1, tau2, data.draw(st.floats(0.1, 2.0)))
+    if kind in ("tabulated", "zero"):  # a zero coordinate has no drift for steady_state_init
+        g0 = sig.g(0.0)
+        init = FlowState(m=g0, v=g0 * g0 + 1.0, theta=np.full(d, theta0))
+    else:
+        init = dataclasses.replace(steady_state_init(sig, ts), theta=np.full(d, theta0))
+    h = h_per_tau * min(tau1, tau2)
+    args = (sig, ts, init, n_steps * h, h, record_stride)
+    got = flow_outcome(integrate_flow, *args)
+    want = flow_outcome(integrate_flow_reference, *args)
+    if isinstance(want, FlowAbort) or isinstance(got, FlowAbort):
+        assert isinstance(got, FlowAbort) and isinstance(want, FlowAbort)
+        assert (got.t, str(got)) == (want.t, str(want))
+        return
+    for name in ("t", "m", "v", "r", "theta", "norm_r"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.strides) == (b.shape, b.dtype, b.strides), name
+        assert a.flags.c_contiguous == b.flags.c_contiguous, name
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.signal_kind, got.meta) == (want.signal_kind, want.meta)
+
+
+def tracking_reference(y, y_prime, y_second, tau, x0, interval, h):
+    """t, residual, bound and margin of ``tracking_check`` with analytic derivatives, the state
+    stepped by the scalar RK4 loop."""
+    t0, t1 = interval
+    m_sup = float(np.max(np.abs(y_second(np.linspace(t0, t1, 10001)))))
+    n_steps = max(1, round((t1 - t0) / h))
+    h = (t1 - t0) / n_steps
+    stages = (t0 + np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5 * h, h])
+    t, xs = rk4_reference(lambda t, x, f: (-x + f) / tau, t0, float(x0), h, y(stages).tolist())
+    y_t, yp_t = y(t), y_prime(t)
+    residual = xs - (y_t - tau * yp_t)
+    coeff = abs(x0 - float(y_t[0]) + tau * float(yp_t[0]))
+    bound = coeff * np.exp(-(t - t0) / tau) + tau * tau * m_sup
+    return t, residual, bound, float(np.min(bound - np.abs(residual)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.1, 3.0), w=st.floats(0.1, 3.0), c=st.floats(-2.0, 2.0),
+       tau=st.floats(0.05, 2.0), x0=st.floats(-3.0, 3.0), t1=st.floats(0.5, 10.0),
+       h_per_tau=st.floats(0.005, 3.0))
+def test_tracking_check_equals_the_scalar_rk4_loop(a, w, c, tau, x0, t1, h_per_tau):
+    y = lambda t: c + a * np.sin(w * t)
+    yp = lambda t: a * w * np.cos(w * t)
+    ypp = lambda t: -a * w * w * np.sin(w * t)
+    h = h_per_tau * tau
+    assume(t1 / h <= 2000)
+    got = tracking_check(y, tau, x0, (0.0, t1), yp, ypp, h=h)
+    t, residual, bound, margin = tracking_reference(y, yp, ypp, tau, x0, (0.0, t1), h)
+    for name, want in (("t", t), ("residual", residual), ("bound", bound)):
+        assert getattr(got, name).tobytes() == want.tobytes(), name
+    assert got.margin == margin
