@@ -159,13 +159,14 @@ def _relax(x0, tau, forcing, h: float) -> np.ndarray:
     step i evaluates f - x at (row 4i: the state at t0 + i * h), as Python floats in numpy's order.
     """
     shape, n = np.shape(x0), len(forcing)
+    forcing = np.reshape(forcing, (3 * n, -1))
     taus = np.broadcast_to(tau, shape).ravel().tolist()
-    cols = np.reshape(forcing, (n, 3, -1)).transpose(2, 0, 1).tolist()
+    points = np.empty((4 * n + 1, forcing.shape[1]))
     half, sixth = 0.5 * h, h / 6.0
-    points = []
-    for x, tau_c, col in zip(np.ravel(x0).tolist(), taus, cols):
+    for c, (x, tau_c) in enumerate(zip(np.ravel(x0).tolist(), taus)):
+        f = iter(forcing[:, c].tolist())  # one coordinate's floats at a time keeps memory flat
         pts = []
-        for f1, f2, f4 in col:
+        for f1, f2, f4 in zip(f, f, f):
             k1 = (-x + f1) / tau_c
             x2 = x + half * k1
             k2 = (-x2 + f2) / tau_c
@@ -175,8 +176,9 @@ def _relax(x0, tau, forcing, h: float) -> np.ndarray:
             k4 = (-x4 + f4) / tau_c
             pts += (x, x2, x3, x4)
             x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        points.append(pts + [x])
-    return np.array(points).T.copy().reshape((4 * n + 1,) + shape)  # time first, C order
+        pts.append(x)
+        points[:, c] = pts
+    return points.reshape((4 * n + 1,) + shape)
 
 
 def steady_state_exponential_gains(delta0: float, ts: TimeScales) -> tuple[float, float, float]:
