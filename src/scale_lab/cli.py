@@ -13,9 +13,10 @@ Four subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
 infinite float flag or list item, an empty list, a negative, fractional or
-repeated seed, a count below 1, a time scale, step size or learning rate
-that is not positive, a beta outside (0, 1), a negative ``--epsilon`` or
-``--v`` item and a ``--jump`` outside [1, steps - 1] are usage errors.
+repeated seed, a repeated beta, a count below 1, a time scale, step size or
+learning rate that is not positive, a beta outside (0, 1), a negative
+``--epsilon`` or ``--v`` item and a ``--jump`` outside [1, steps - 1] are
+usage errors.
 """
 
 from __future__ import annotations
@@ -86,6 +87,13 @@ def _values(text: str, parse=_finite_float) -> list:
     return values
 
 
+def _distinct(values: list, flag: str) -> list:
+    """``values``, a usage error if any value repeats."""
+    if len(set(values)) != len(values):
+        raise UsageError(f"{flag} repeats a value: {','.join(map(str, values))}")
+    return values
+
+
 def _manifest(args, skip=("out", "plot", "func")) -> RunManifest:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in skip and not callable(v)}
@@ -153,7 +161,7 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
     files = []
     if args.step_scale:
-        betas = _values(args.beta_grid, _beta)
+        betas = _distinct(_values(args.beta_grid, _beta), "--beta-grid")
         grid = [(b1, b2) for b1 in betas for b2 in betas]
         jump = args.jump if args.jump is not None else args.steps // 2
         if not 1 <= jump < args.steps:
@@ -195,16 +203,16 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
 
 def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
-    betas = _values(args.beta_grid, _beta)
+    betas = _distinct(_values(args.beta_grid, _beta), "--beta-grid")
     seeds = (list(range(args.seeds)) if args.seed_list is None
-             else _values(args.seed_list, _seed))
-    if len(set(seeds)) != len(seeds):
-        raise UsageError(f"--seed-list repeats a seed: {args.seed_list!r}")
+             else _distinct(_values(args.seed_list, _seed), "--seed-list"))
     problem = make_problem(args.problem, seed=args.data_seed)
     result = sweep_grid(problem, beta_axis=betas, seeds=seeds,
                         steps=args.steps, batch_size=args.batch_size, eta=args.eta,
                         window=args.window, metric=args.metric)
     manifest.seeds = seeds
+    manifest.observed["diverged"] = [f"{b1},{b2},{s}:{tr.k.size}" for (b1, b2, s), tr
+                                     in sorted(result.traces.items()) if tr.diverged]
 
     files = []
     for (b1, b2, seed), trace in sorted(result.traces.items()):

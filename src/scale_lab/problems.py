@@ -11,8 +11,8 @@ differences can audit them:
 * ``mlp``: a 20 -> 16 tanh -> 2 softmax cross-entropy network on the same
   blobs, gradients by hand-written backprop.
 
-Each loss and gradient also evaluates C stacked parameter vectors at once,
-which is how the training engine steps every cell of a seed in lockstep.
+Each loss and gradient also evaluates C stacked parameter vectors (and
+minibatches) at once, which is how the training engine steps cells in lockstep.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ class Problem:
     """A differentiable training problem over a flat parameter vector.
 
     ``loss`` and ``grad`` take one theta of shape (d,) or C thetas stacked
-    as (C, d) rows.  A stacked call returns C losses and a (C, d) gradient
-    whose row i is bit-identical to the call on theta i alone, because each
+    as (C, d) rows; ``grad``'s minibatch ``idx`` is None (all samples), a
+    (batch,) vector for every row or one row per theta, (C, batch).  A
+    stacked call returns C losses and a (C, d) gradient whose row i is
+    bit-identical to the call on theta i (and ``idx[i]``) alone, because each
     row runs the same BLAS calls and reductions as a single theta.  The mlp
     reuses a hidden-layer buffer between calls, so one problem must not be
     evaluated from two threads at once.
@@ -141,7 +143,7 @@ def _logistic(seed: int) -> Problem:
         xs, ys = (x, y) if idx is None else (x[idx], y[idx])
         err = _sigmoid(_logits(xs, thetas)) - ys
         g = np.empty_like(thetas)
-        g[:, :-1] = np.matmul(xs.T, err[:, :, None])[..., 0] / xs.shape[0]
+        g[:, :-1] = np.matmul(np.swapaxes(xs, -1, -2), err[:, :, None])[..., 0] / xs.shape[-2]
         g[:, -1] = np.mean(err, axis=1)
         return g
 
@@ -178,16 +180,20 @@ def _mlp(seed: int) -> Problem:
     def _forward(thetas: np.ndarray, xs: np.ndarray):
         """Hidden layer, max-shifted logits and their log-partition per sample."""
         w1, b1, w2, b2 = _unpack(thetas)
-        shape = (thetas.shape[0], xs.shape[0], h)
+        shape = (thetas.shape[0], xs.shape[-2], h)
         hidden = workspace.get(shape[1])
         if hidden is None or hidden.shape != shape:
             hidden = workspace[shape[1]] = np.empty(shape)
         np.matmul(xs, w1, out=hidden)
         hidden += b1[:, None, :]
         np.tanh(hidden, out=hidden)
-        logits = np.matmul(hidden, w2) + b2[:, None, :]
-        # two classes: the elementwise max and sum equal the axis reductions exactly
-        shifted = logits - np.maximum(logits[..., 0], logits[..., 1])[..., None]
+        shifted = np.matmul(hidden, w2)
+        planes = shifted[..., 0], shifted[..., 1]  # views, so each op runs along the samples
+        for plane, bias in zip(planes, b2.T):
+            plane += bias[:, None]
+        top = np.maximum(*planes)  # two classes: the elementwise max and sum equal the reductions
+        for plane in planes:
+            plane -= top
         e = np.exp(shifted)
         return hidden, shifted, np.log(e[..., 0] + e[..., 1])
 
@@ -199,16 +205,16 @@ def _mlp(seed: int) -> Problem:
 
     def grad_rows(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         xs, ys = (x, y) if idx is None else (x[idx], y[idx])
-        rows, n = thetas.shape[0], xs.shape[0]
+        rows, n = thetas.shape[0], xs.shape[-2]
         _, _, w2, _ = _unpack(thetas)
         hidden, shifted, log_z = _forward(thetas, xs)
         dlogits = np.exp(shifted - log_z[..., None])
-        dlogits[:, np.arange(n), ys] -= 1.0
+        dlogits[np.arange(rows)[:, None], np.arange(n), ys] -= 1.0
         dlogits /= n
         dw2 = np.matmul(hidden.transpose(0, 2, 1), dlogits)
         db2 = dlogits.sum(axis=1)
         dhidden = np.matmul(dlogits, w2.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
-        dw1 = np.matmul(xs.T, dhidden)
+        dw1 = np.matmul(np.swapaxes(xs, -1, -2), dhidden)
         db1 = dhidden.sum(axis=1)
         return np.concatenate([dw1.reshape(rows, -1), db1, dw2.reshape(rows, -1), db2], axis=1)
 

@@ -6,8 +6,8 @@ The protocol: train each problem over the 3x3 grid
 test how often each row's smoothest column lands on the diagonal.
 
 Everything is deterministic given (problem, config, seed): minibatches come
-from a counter-based stream, so reruns are bit-identical.  The cells of one
-seed share that stream, so they train in lockstep as one stacked batch.
+from a counter-based stream, so reruns are bit-identical.  A sweep trains
+every (beta1, beta2, seed) cell as one row of a single lockstep batch.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .metrics import (OscillationGridReport, ema_smooth, grid_report, omega_grids,
                       oscillation_omega1, oscillation_omega2)
 from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
@@ -30,6 +30,7 @@ DEFAULT_BATCH = 32
 DEFAULT_ETA = {"quadratic": 0.01, "logistic": 0.01, "mlp": 0.003}
 
 _BATCH_STREAM = 2
+_INDEX_BLOCK = 64  # steps of minibatch indices drawn at once per seed, equal to per-step draws
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,15 @@ class RunTrace:
     diverged: bool = False
 
 
-def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int, steps: int,
-                batch_size: int = DEFAULT_BATCH, method: str = "adam") -> list[RunTrace]:
-    """Train C cells of one seed in lockstep; one trace per config, in order.
+def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int | Sequence[int],
+                steps: int, batch_size: int = DEFAULT_BATCH, method: str = "adam") -> list[RunTrace]:
+    """Train C cells in lockstep; one trace per config, in order.
 
-    Every cell starts from ``problem.init_theta(seed)`` and sees the same
-    minibatch stream, so the cells are stacked as (C, d) rows and each step
-    draws one minibatch and makes one loss, gradient and optimizer call for
-    all of them.  Each row is bit-identical to the cell trained alone.
+    ``seed`` is one seed for every row or one per config row.  Row i starts
+    from ``problem.init_theta(seed_i)`` and draws its minibatch index row from
+    ``CounterRng(seed_i, stream=2)``; each step makes one gradient and one
+    optimizer call for the (C, d) rows and one full-data loss call per seed.
+    Each row is bit-identical to the cell trained alone.
 
     The loss is the full-data objective at the pre-step parameters; the
     gradient fed to the optimizer is the minibatch one (full-batch for the
@@ -68,9 +70,16 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int,
     configs = tuple(configs)
     cells = CellConfigs(configs)
     n_cells = len(configs)
-    theta = np.tile(problem.init_theta(seed), (n_cells, 1))
+    row_seeds = [int(seed)] * n_cells if np.ndim(seed) == 0 else [int(s) for s in seed]
+    if len(row_seeds) != n_cells:
+        raise DimensionError(f"{len(row_seeds)} seeds for {n_cells} config rows")
+    seed_set = list(dict.fromkeys(row_seeds))
+    seed_of_row = np.array([seed_set.index(s) for s in row_seeds])
+    # the loss runs per seed, so the mlp's full-data buffer holds one seed's rows
+    seed_rows = [np.flatnonzero(seed_of_row == i) for i in range(len(seed_set))]
+    theta = np.stack([problem.init_theta(s) for s in row_seeds])
     state = MomentState(m=np.zeros_like(theta), v=np.zeros_like(theta), theta=theta, k=0)
-    batches = CounterRng(seed, stream=_BATCH_STREAM)
+    batches = [CounterRng(s, stream=_BATCH_STREAM) for s in seed_set]
 
     losses = np.empty((n_cells, steps))
     norms = np.empty((n_cells, steps))
@@ -79,10 +88,13 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int,
     # a diverging row overflows silently: it is detected as non-finite below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            losses[:, k] = problem.loss(state.theta)
-            idx = None
-            if problem.n_samples:
-                idx = batches.integers(0, problem.n_samples, batch_size)
+            for rows in seed_rows:
+                losses[rows, k] = problem.loss(state.theta[rows])
+            if problem.n_samples and k % _INDEX_BLOCK == 0:
+                n = min(_INDEX_BLOCK, steps - k) * batch_size
+                block = np.stack([b.integers(0, problem.n_samples, n).reshape(-1, batch_size)
+                                  for b in batches])
+            idx = block[seed_of_row, k % _INDEX_BLOCK] if problem.n_samples else None
             r = optimizer_step(method, state, problem.grad(state.theta, idx)[None], cells)
             norms[:, k] = row_norms(r[0])
             died = alive & ~(np.isfinite(losses[:, k]) & np.isfinite(norms[:, k]))
@@ -91,9 +103,9 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int,
                 break
 
     return [RunTrace(k=np.arange(n), loss=losses[i, :n], norm_r=norms[i, :n],
-                     config=cfg, seed=seed, problem_kind=problem.kind, method=method,
+                     config=cfg, seed=s, problem_kind=problem.kind, method=method,
                      steps_requested=steps, diverged=bool(n < steps))
-            for i, (cfg, n) in enumerate(zip(configs, n_done))]
+            for i, (cfg, s, n) in enumerate(zip(configs, row_seeds, n_done))]
 
 
 def run_training(problem: Problem, config: OptimizerConfig, seed: int, steps: int,
@@ -142,8 +154,8 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
                metric: str = "omega1") -> SweepResult:
     """Run every (beta1, beta2, seed) cell and score diagonal selection.
 
-    The cells of each seed train as one lockstep batch; each cell is smoothed
-    once and scored by both metrics.
+    Every cell of every seed trains as one row of a single lockstep batch;
+    each cell is smoothed once and scored by both metrics.
     """
     axis = [float(b) for b in beta_axis]
     seed_list = [int(s) for s in seeds]
@@ -154,13 +166,12 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     if eta is None:
         eta = DEFAULT_ETA.get(problem.kind, 0.01)
 
-    pairs = [(b1, b2) for b1 in axis for b2 in axis]
+    cells = [(b1, b2, s) for s in seed_list for b1 in axis for b2 in axis]
     configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=epsilon, bias_correction=True)
-               for b1, b2 in pairs]
-    results = {}
-    for s in seed_list:
-        traces = train_cells(problem, configs, seed=s, steps=steps, batch_size=batch_size)
-        results.update(((b1, b2, s), tr) for (b1, b2), tr in zip(pairs, traces))
+               for b1, b2, _ in cells]
+    traces = train_cells(problem, configs, seed=[s for _, _, s in cells], steps=steps,
+                         batch_size=batch_size)
+    results = dict(zip(cells, traces))
     omegas = {cell: _omegas(tr, window) for cell, tr in results.items()}
 
     report = grid_report(omega_grids({cell: om[metric] for cell, om in omegas.items()},

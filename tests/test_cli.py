@@ -103,6 +103,9 @@ class TestExitCodes:
         ("flow", "--signal", "const", "--t-end", "-5"),
         ("sweep", "--problem", "quadratic", "--window", "0"),
         ("sweep", "--problem", "quadratic", "--seeds", "0"),
+        ("sweep", "--problem", "quadratic", "--beta-grid", "0.9,0.9", "--seeds", "2",
+         "--steps", "40", "--window", "5"),
+        ("probe", "--step-scale", "--beta-grid", "0.9,0.9"),
     ], ids=" ".join)
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 1
@@ -387,7 +390,7 @@ class TestManifest:
         "flow": (["flow", "--signal", "exp", "--t-end", "12", "--plot"], [], {"clamped": False}),
         "probe": (["probe", "--step-scale", "--steps", "40", "--beta-grid", "0.9,0.99"], [], {}),
         "sweep": (["sweep", "--problem", "quadratic", "--seed-list", "3,1", "--steps", "20",
-                   "--window", "5", "--beta-grid", "0.9,0.99"], [3, 1], {}),
+                   "--window", "5", "--beta-grid", "0.9,0.99"], [3, 1], {"diverged": []}),
         "report": (["report", "--ingest", "matrix.csv", "--assume-seeds", "2"], [], {}),
     }
 
@@ -419,6 +422,18 @@ class TestManifest:
         assert [line for line in text if line.startswith(("config.", "output."))] == (
             [f"config.{k}={config[k]}" for k in sorted(config)]
             + [f"output.{p}={h}" for p, h in sorted(manifest["outputs"].items())])
+
+    def test_sweep_manifest_records_each_diverged_cell_and_its_step(self, tmp_path, capsys):
+        # at this rate the (0.999, 0.9) cell of seed 0 overflows at step 32; seed 1 runs on
+        out = tmp_path / "out"
+        assert run("sweep", "--problem", "logistic", "--seeds", "2", "--steps", "40",
+                   "--window", "5", "--beta-grid", "0.9,0.999", "--eta", "2e305",
+                   "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["observed"] == {"diverged": ["0.999,0.9,0:32"]}
+        assert "observed.diverged=['0.999,0.9,0:32']" in (out / "manifest.txt").read_text()
+        cols = read_csv_columns(out / "cells" / "trace_0.999_0.9_s0.csv")
+        assert len(cols["step"]) == 32
 
     @pytest.mark.parametrize("argv,observed", [
         (["--delta0", "-2", "--h", "3"], {"clamped": False, "abort_t": 1.5}),

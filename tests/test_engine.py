@@ -5,8 +5,11 @@ import pytest
 
 from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, OptimizerConfig,
                        StepScaleExperiment, adam_step, make_problem, run_step_scale_experiment,
-                       run_training, step_scale_cells, step_scale_grid, train_cells, zero_state)
+                       run_training, step_scale_cells, step_scale_grid, sweep_grid, train_cells,
+                       zero_state)
 from scale_lab.invariance import STEP_BLOCK
+from scale_lab.rng import CounterRng
+from scale_lab.training import _INDEX_BLOCK, DEFAULT_BETA_AXIS, DEFAULT_ETA
 
 BETAS = [(0.9, 0.9), (0.9, 0.999), (0.99, 0.9), (0.999, 0.99)]
 
@@ -85,6 +88,63 @@ class TestTrainCells:
         with pytest.raises(DomainError):
             train_cells(make_problem("quadratic"), [OptimizerConfig()], seed=0, steps=5,
                         method="lion")
+
+
+class TestMixedSeedRows:
+    @pytest.mark.parametrize("kind,blowup,diverged", [
+        ("quadratic", 1e300, [False, True, False, True, False]),
+        # at these rates the (0.999, 0.9) cell overflows in seed 0 but not in seed 1
+        ("logistic", 2e305, [False, True, False, False, False]),
+        ("mlp", 1e305, [False, True, False, False, False]),
+    ])
+    def test_each_row_equals_its_one_cell_run(self, kind, blowup, diverged):
+        prob = make_problem(kind, seed=1)
+        calm = [OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.01),
+                OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.003, epsilon=1e-6)]
+        blow = OptimizerConfig(beta1=0.999, beta2=0.9, eta=blowup)
+        rows = [(calm[0], 4), (blow, 0), (calm[1], 1), (blow, 1), (calm[0], 0)]
+        configs, seeds = zip(*rows)
+        batched = train_cells(prob, configs, seed=seeds, steps=70)
+        assert [t.diverged for t in batched] == diverged
+        assert [t.seed for t in batched] == list(seeds)
+        for (cfg, s), trace in zip(rows, batched):
+            assert_same_trace(trace, run_training(prob, cfg, seed=s, steps=70))
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_index_rows_equal_row_by_row_calls(self, kind):
+        prob = make_problem(kind, seed=2)
+        thetas = np.stack([prob.init_theta(s) for s in range(4)])
+        idx = CounterRng(9, stream=2).integers(0, prob.n_samples, 4 * 32).reshape(4, 32)
+        grads = prob.grad(thetas, idx)
+        assert grads.shape == thetas.shape
+        for i, theta in enumerate(thetas):
+            assert np.array_equal(grads[i], prob.grad(theta, idx[i]))
+
+    def test_block_drawn_indices_equal_per_step_draws(self):
+        # the run crosses two boundaries of the blocks the minibatch indices are drawn in
+        prob = make_problem("logistic", seed=3)
+        cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
+        steps = 2 * _INDEX_BLOCK + 3
+        for s, trace in zip((5, 2), train_cells(prob, [cfg, cfg], seed=[5, 2], steps=steps)):
+            losses, norms = serial_logistic_adam(prob, cfg, seed=s, steps=steps)
+            assert np.array_equal(trace.loss, losses)
+            assert np.array_equal(trace.norm_r, norms)
+
+    def test_sweep_grid_equals_one_batch_per_seed(self):
+        prob = make_problem("mlp", seed=1)
+        seeds, axis = (2, 0, 1), DEFAULT_BETA_AXIS
+        result = sweep_grid(prob, seeds=seeds, steps=60, window=10)
+        pairs = [(b1, b2) for b1 in axis for b2 in axis]
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=DEFAULT_ETA["mlp"]) for b1, b2 in pairs]
+        assert list(result.traces) == [(b1, b2, s) for s in seeds for b1, b2 in pairs]
+        for s in seeds:
+            for (b1, b2), alone in zip(pairs, train_cells(prob, configs, seed=s, steps=60)):
+                assert_same_trace(result.traces[(b1, b2, s)], alone)
+
+    def test_seed_count_must_match_the_rows(self):
+        with pytest.raises(DimensionError):
+            train_cells(make_problem("quadratic"), [OptimizerConfig()] * 2, seed=[0, 1, 2],
+                        steps=5)
 
 
 def serial_logistic_adam(prob, cfg, seed, steps):
