@@ -91,8 +91,8 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
             for rows in seed_rows:
                 losses[rows, k] = problem.loss(state.theta[rows])
             if problem.n_samples and k % _INDEX_BLOCK == 0:
-                n = min(_INDEX_BLOCK, steps - k) * batch_size
-                block = np.stack([b.integers(0, problem.n_samples, n).reshape(-1, batch_size)
+                draws = min(_INDEX_BLOCK, steps - k) * batch_size
+                block = np.stack([b.integers(0, problem.n_samples, draws).reshape(-1, batch_size)
                                   for b in batches])
             idx = block[seed_of_row, k % _INDEX_BLOCK] if problem.n_samples else None
             r = optimizer_step(method, state, problem.grad(state.theta, idx)[None], cells)
