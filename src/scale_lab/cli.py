@@ -8,15 +8,16 @@ Four subcommands:
                with ``--step-scale``);
 * ``sweep``  -- the full (beta1, beta2) x seed training sweep with
                oscillation scoring;
-* ``report`` -- recompute rates and p-values from stored grids, or from an
-               externally supplied omega matrix.
+* ``report`` -- recompute rates and p-values from stored grids, or score
+               one externally supplied omega matrix.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
 infinite float flag or list item, an empty list, a negative, fractional or
 repeated seed, a repeated beta, a count below 1, a time scale, step size or
 learning rate that is not positive, a beta outside (0, 1), a negative
 ``--epsilon`` or ``--v`` item and a ``--jump`` outside [1, steps - 1] are
-usage errors.
+usage errors.  An overflow that aborts a flow or a step-scale run, and a
+flow step too small to grid its interval, are runtime errors.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _build_signal(args):
 
 def cmd_flow(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
-    ts = TimeScales(args.tau1, args.tau2, args.eta_bar, args.dt)
+    ts = TimeScales(args.tau1, args.tau2)
     signal = _build_signal(args)
     t_end = args.t_end if args.t_end is not None else ts.burn_in + 5.0 * ts.tau_max
     init = steady_state_init(signal, ts, t0=0.0)
@@ -168,7 +169,7 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
             raise UsageError(f"--jump must lie in [1, steps - 1], got {jump} of {args.steps}")
         exp = StepScaleExperiment(base=np.array([args.base]),
                                   schedule=[(jump, args.multiplier)], beta_grid=grid)
-        traces = step_scale_grid(exp, steps=args.steps, eta=args.eta)
+        traces = step_scale_grid(exp, steps=args.steps)
         cells = sorted(traces.items())
         for (b1, b2), tr in cells:
             files.append(step_trace_csv(tr, out / f"stepscale_{b1}_{b2}.csv"))
@@ -235,21 +236,16 @@ def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
 def cmd_report(args, manifest: RunManifest) -> list[Path]:
     if args.ingest:
         matrix, axis = read_omega_matrix(Path(args.ingest))
-        grids = [matrix] * args.assume_seeds
-        rep = grid_report(grids, axis)
-        mode = f"aggregated x{args.assume_seeds}"
+        grids, mode = [matrix], "one matrix"
     elif args.grid:
         grids, axis = read_omega_grids(Path(args.grid), metric=args.metric)
-        rep = grid_report(grids, axis)
         mode = "per-seed"
     else:
         raise DomainError("report needs --grid or --ingest")
+    rep = grid_report(grids, axis)
     files = [summary_csv(rep, Path(args.out) / "report_summary.csv")]
     print(f"report ({mode}): K={rep.hits} N={rep.trials} rate={rep.rate:.1%} "
           f"p={rep.p_value:.6g}")
-    if args.ingest and args.assume_seeds > 1:
-        print(f"  p treats {args.assume_seeds} copies of one matrix as independent trials; "
-              "it is not a valid test")
     if rep.degenerate_rows:
         print(f"  degenerate rows (all-equal): {rep.degenerate_rows}")
     return files
@@ -271,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=_finite_float, default=1.0)
     p.add_argument("--tau1", type=_positive_float, default=1.0)
     p.add_argument("--tau2", type=_positive_float, default=1.0)
-    p.add_argument("--eta-bar", type=_positive_float, default=1.0)
-    p.add_argument("--dt", type=_positive_float, default=0.01)
     p.add_argument("--t-end", type=_positive_float, default=None)
     p.add_argument("--h", type=_positive_float, default=None)
     p.add_argument("--out", default="scale-lab-out/flow")
@@ -295,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplier", type=_finite_float, default=10.0)
     p.add_argument("--jump", type=_count, default=None)
     p.add_argument("--steps", type=_count, default=32000)
-    p.add_argument("--eta", type=_positive_float, default=1e-3)
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")
     p.add_argument("--out", default="scale-lab-out/probe")
     p.add_argument("--plot", action="store_true")
@@ -320,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="grid.csv from a sweep")
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
     p.add_argument("--ingest", default=None, help="externally supplied omega matrix CSV")
-    p.add_argument("--assume-seeds", type=_count, default=1,
-                   help="replicate an aggregated matrix over this many seeds (>= 1); "
-                        "the copies are not independent, so its p-value is not a valid test")
     p.add_argument("--out", default="scale-lab-out/report")
     p.set_defaults(func=cmd_report)
     return parser

@@ -162,8 +162,8 @@ def _exponential_ladder(ts: TimeScales, rates: Sequence[float],
     flow = integrate_flow(ladder, ts, steady_state_init(ladder, ts, t0=0.0), t_end=t_end, h=h)
     for k, d0 in enumerate(rates):
         sig = exponential_signal(d0)
-        m, v, r, theta = (a[:, k:k + 1] for a in (flow.m, flow.v, flow.r, flow.theta))
-        yield sig, FlowTrace(flow.t, m, v, r, theta, ts, sig.kind, {**flow.meta, **sig.params})
+        m, v, r = (a[:, k:k + 1] for a in (flow.m, flow.v, flow.r))
+        yield sig, FlowTrace(flow.t, m, v, r, sig.kind, {**flow.meta, **sig.params})
 
 
 def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float],

@@ -1,19 +1,17 @@
 """The continuous-time limit of Adam and its fixed-step integrator.
 
-With beta_i = exp(-dt / tau_i) and a learning rate eta = eta_bar * dt, the
-discrete recurrences converge (dt -> 0) to the coupled per-coordinate system
+With beta_i = exp(-dt / tau_i), the discrete moment recurrences converge
+(dt -> 0) to the per-coordinate system
 
     tau1 * m'(t)  = -m(t) + g(t)
     tau2 * v'(t)  = -v(t) + g(t)**2
-    theta'(t)     = -eta_bar * m(t) / sqrt(v(t))
 
 The normalized update R(t) = m(t) / sqrt(v(t)) is what the invariance
-analysis tracks.  Integration is classical fourth-order Runge-Kutta with a
-fixed step, which keeps traces uniformly sampled for the oscillation
-metrics; the moment equations are linear scalar relaxations, so the global
-O(h^4) error is easy to verify against the analytic exponential modes below.
-theta never feeds back: ``_relax`` steps each m and v coordinate as a Python
-float, and theta is the RK4 quadrature of its rate over their stage points.
+analysis tracks; under a prescribed g(t) the parameters never feed back into
+it.  Integration is classical fourth-order Runge-Kutta with a fixed step,
+which keeps traces uniformly sampled for the oscillation metrics; the moment
+equations are linear scalar relaxations, so the global O(h^4) error is easy
+to verify against the analytic exponential modes below.
 """
 
 from __future__ import annotations
@@ -51,11 +49,10 @@ class TimeScales:
 
     tau1: float
     tau2: float
-    eta_bar: float = 1.0
     dt: float = 1.0
 
     def __post_init__(self):
-        for name in ("tau1", "tau2", "eta_bar", "dt"):
+        for name in ("tau1", "tau2", "dt"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be strictly positive")
 
@@ -76,10 +73,9 @@ class TimeScales:
         return BURN_IN_FACTOR * self.tau_max
 
     @classmethod
-    def from_betas(cls, beta1: float, beta2: float, dt: float, eta: float) -> "TimeScales":
-        """Discrete (beta1, beta2, eta) at step dt mapped to flow time scales."""
-        return cls(tau1=tau_from_beta(beta1, dt), tau2=tau_from_beta(beta2, dt),
-                   eta_bar=eta / dt, dt=dt)
+    def from_betas(cls, beta1: float, beta2: float, dt: float) -> "TimeScales":
+        """Discrete (beta1, beta2) at step dt mapped to flow time scales."""
+        return cls(tau1=tau_from_beta(beta1, dt), tau2=tau_from_beta(beta2, dt), dt=dt)
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,6 @@ class FlowState:
 
     m: np.ndarray
     v: np.ndarray
-    theta: np.ndarray
     t: float = 0.0
     clamped: bool = False
 
@@ -101,8 +96,6 @@ class FlowTrace:
     m: np.ndarray          # (n, d)
     v: np.ndarray          # (n, d)
     r: np.ndarray          # (n, d)
-    theta: np.ndarray      # (n, d)
-    timescales: TimeScales
     signal_kind: str = ""
     meta: dict = field(default_factory=dict)
 
@@ -116,36 +109,34 @@ class FlowTrace:
         if not np.any(keep):
             raise DomainError(f"no samples at t >= {t_min}")
         return FlowTrace(self.t[keep], self.m[keep], self.v[keep], self.r[keep],
-                         self.theta[keep], self.timescales, self.signal_kind, self.meta)
+                         self.signal_kind, self.meta)
 
 
-def _abort_if_v_nonpositive(t: float, v: np.ndarray) -> None:
-    if np.any(v <= 0.0):
+def _abort_if_invalid(t: float, y: np.ndarray) -> None:
+    """``FlowAbort`` at time t unless the stacked moments ``y`` = (m, v) are finite with v > 0."""
+    if not np.isfinite(y).all():
+        raise FlowAbort(t, f"m or v is not finite at t={t:.6g}: the gradient overflowed")
+    if np.any(y[1] <= 0.0):
         raise FlowAbort(t, f"v crossed zero at t={t:.6g}: gradient floor assumption violated")
 
 
 def flow_rhs(t: float, y: np.ndarray, g: np.ndarray, ts: TimeScales) -> np.ndarray:
-    """Right-hand side d(m, v, theta)/dt at the stacked (3, d) state ``y`` and gradient ``g``.
+    """Right-hand side d(m, v)/dt at the stacked (2, d) state ``y`` and gradient ``g``.
 
-    Raises ``FlowAbort`` (a ``DomainError``) unless v > 0 coordinate-wise.
+    Raises ``FlowAbort`` (a ``DomainError``) unless m and v are finite and v > 0.
     """
-    m, v = y[0], y[1]
-    _abort_if_v_nonpositive(t, v)
-    dy = np.empty_like(y)
-    dy[0] = (-m + g) / ts.tau1
-    dy[1] = (-v + g * g) / ts.tau2
-    dy[2] = _theta_rate(m, v, ts)
-    return dy
-
-
-def _theta_rate(m, v, ts: TimeScales):
-    """theta' = -eta_bar m / sqrt(v), elementwise."""
-    return -ts.eta_bar * m / np.sqrt(v)
+    _abort_if_invalid(t, y)
+    return np.stack([(-y[0] + g) / ts.tau1, (-y[1] + g * g) / ts.tau2])
 
 
 def _stage_times(t0: float, t1: float, h: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Grid t_i = t0 + i * h, its (n, 3) RK4 stage times t_i + (0, h/2, h), h rounded to hit t1."""
-    n_steps = max(1, round((t1 - t0) / h))
+    """Grid t_i = t0 + i * h, its (n, 3) RK4 stage times t_i + (0, h/2, h), h rounded to hit t1;
+    a ``DomainError`` if the stage times would outgrow numpy's index type."""
+    n_steps = (t1 - t0) / h
+    if not n_steps < np.iinfo(np.intp).max // 24:  # 24 bytes of stage times per step
+        raise DomainError(f"h={h:g} splits [{t0:g}, {t1:g}] into {n_steps:g} steps, "
+                          f"more than numpy can index")
+    n_steps = max(1, round(n_steps))
     h = (t1 - t0) / n_steps
     t = t0 + np.arange(n_steps + 1) * h
     return t, t[:-1, None] + np.array([0.0, 0.5 * h, h]), h
@@ -222,45 +213,38 @@ def steady_state_init(signal: GradientSignal, ts: TimeScales, t0: float = 0.0) -
     g0 = signal.g(t0)
     clamped = bool(np.any(v <= 0.0))
     v = np.maximum(v, 1e-12 * g0 * g0)
-    return FlowState(m=m, v=v, theta=np.zeros_like(g0), t=t0, clamped=clamped)
+    return FlowState(m=m, v=v, t=t0, clamped=clamped)
 
 
 def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
-                   t_end: float, h: float | None = None, record_stride: int = 1) -> FlowTrace:
+                   t_end: float, h: float | None = None) -> FlowTrace:
     """Fixed-step RK4 integration of the flow from ``init`` to ``t_end``.
 
-    The step is rounded so the grid hits ``t_end`` exactly; every
-    ``record_stride``-th state is recorded (plus the initial one).  theta is
-    the RK4 quadrature of its rate over the stage points of m and v.  Aborts
-    with ``FlowAbort`` at the first stage point with a v coordinate <= 0, a
-    violated gradient-floor assumption rather than an integrator failure.
+    The step is rounded so the grid hits ``t_end`` exactly, and every step's
+    state is recorded (plus the initial one).  Aborts with ``FlowAbort`` at
+    the first stage point, in time order, with an m or v coordinate that is
+    not finite (an overflowed gradient) or a v coordinate <= 0 (a violated
+    gradient-floor assumption rather than an integrator failure).
     """
     if h is None:
         h = min(ts.tau1, ts.tau2) / 50.0
     if h <= 0.0:
         raise DomainError(f"step must be positive, got {h}")
-    if record_stride < 1:
-        raise DomainError(f"record_stride must be >= 1, got {record_stride}")
     if t_end <= init.t:
         raise DomainError(f"t_end={t_end} must exceed init.t={init.t}")
     if np.any(init.v <= 0.0):
         raise DomainError("initial v must be strictly positive")
 
     t, stages, h = _stage_times(init.t, t_end, h)
-    g = signal.g(stages)
-    seq = _relax(np.array([init.m, init.v], dtype=float), np.array([[ts.tau1], [ts.tau2]]),
-                 np.stack([g, g * g], axis=2), h)
-    k = int(np.argmax(np.any(seq[:, 1] <= 0.0, axis=-1)))  # the first point with v <= 0, if any
-    _abort_if_v_nonpositive(float(np.append(stages[:, [0, 1, 1, 2]], t[-1])[k]), seq[k, 1])
+    with np.errstate(over="ignore"):  # an overflowed forcing aborts below
+        g = signal.g(stages)
+        seq = _relax(np.array([init.m, init.v], dtype=float), np.array([[ts.tau1], [ts.tau2]]),
+                     np.stack([g, g * g], axis=2), h)
+    bad = ~np.isfinite(seq).all(axis=(1, 2)) | np.any(seq[:, 1] <= 0.0, axis=-1)
+    k = int(np.argmax(bad))  # the first invalid point, if any
+    _abort_if_invalid(float(np.append(stages[:, [0, 1, 1, 2]], t[-1])[k]), seq[k])
 
-    rate = _theta_rate(seq[:-1, 0], seq[:-1, 1], ts).reshape((len(stages), 4) + seq.shape[2:])
-    ys = np.empty((len(t), 3) + seq.shape[2:])
-    ys[:, :2], ys[0, 2] = seq[::4], init.theta
-    steps = (h / 6.0) * (rate[:, 0] + 2.0 * rate[:, 1] + 2.0 * rate[:, 2] + rate[:, 3])
-    np.add.accumulate(np.concatenate([ys[:1, 2], steps]), axis=0, out=ys[:, 2])
-
-    t, ys = t[::record_stride], ys[::record_stride]
+    ys = seq[::4].copy()  # the step points, without holding on to the stage points
     m, v = ys[:, 0], ys[:, 1]
-    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v), theta=ys[:, 2],
-                     timescales=ts, signal_kind=signal.kind,
-                     meta={"h": h, "record_stride": record_stride, **signal.params})
+    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v), signal_kind=signal.kind,
+                     meta={"h": h, **signal.params})

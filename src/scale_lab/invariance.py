@@ -169,7 +169,8 @@ def step_scale_cells(exp: StepScaleExperiment, configs: Sequence[OptimizerConfig
     Adam, ``init="steady"`` starts the moments at the fixed point of the
     first segment (m = g0, v = g0^2), so the pre-jump norm sits exactly at
     its steady value; ``init="zero"`` starts from m = v = 0.  signSGD and GD
-    are stateless and ignore the init mode.
+    are stateless and ignore the init mode.  A block whose moments are not
+    finite (an overflowed gradient or g * g) is a ``DomainError``.
     """
     starts = sorted(k for k, _ in exp.schedule)
     if len(set(starts)) != len(starts):
@@ -183,13 +184,16 @@ def step_scale_cells(exp: StepScaleExperiment, configs: Sequence[OptimizerConfig
     cells = CellConfigs(configs)
     base_rows = np.tile(np.asarray(exp.base, dtype=float), (len(cells), 1))
     mults = exp.multiplier_at(np.arange(steps))
-    m = base_rows * mults[0] if init == "steady" else np.zeros_like(base_rows)
-    state = MomentState(m=m, v=m * m, theta=np.zeros_like(m))
     norm_r = np.empty((steps, len(cells)))
-    for k in range(0, steps, STEP_BLOCK):
-        block = mults[k:k + STEP_BLOCK, None, None]
-        norm_r[k:k + len(block)] = row_norms(optimizer_step(method, state, base_rows * block,
-                                                            cells))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments raise below
+        m = base_rows * mults[0] if init == "steady" else np.zeros_like(base_rows)
+        state = MomentState(m=m, v=m * m, theta=np.zeros_like(m))
+        for k in range(0, steps, STEP_BLOCK):
+            block = mults[k:k + STEP_BLOCK, None, None]
+            r = optimizer_step(method, state, base_rows * block, cells)
+            if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
+                raise DomainError(f"a step-scale moment is not finite by step {k + len(block)}")
+            norm_r[k:k + len(block)] = row_norms(r)
     return [StepTrace(steps=np.arange(steps), multiplier=mults, norm_r=norm_r[:, i],
                       beta1=cfg.beta1, beta2=cfg.beta2) for i, cfg in enumerate(cells.configs)]
 
@@ -201,12 +205,12 @@ def run_step_scale_experiment(exp: StepScaleExperiment, config: OptimizerConfig,
     return step_scale_cells(exp, [config], steps, init=init, method=method)[0]
 
 
-def step_scale_grid(exp: StepScaleExperiment, steps: int, eta: float = 1e-3,
-                    epsilon: float = 0.0, init: str = "steady") -> dict[tuple[float, float], StepTrace]:
-    """Run the experiment for every (beta1, beta2) pair in the grid, all cells in lockstep."""
+def step_scale_grid(exp: StepScaleExperiment, steps: int,
+                    init: str = "steady") -> dict[tuple[float, float], StepTrace]:
+    """Raw Adam (epsilon = 0) on every (beta1, beta2) pair of the grid, all cells in lockstep."""
     if not exp.beta_grid:
         return {}
-    configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=epsilon,
-                               bias_correction=False) for b1, b2 in exp.beta_grid]
+    configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
+               for b1, b2 in exp.beta_grid]
     traces = step_scale_cells(exp, configs, steps, init=init)
     return dict(zip(exp.beta_grid, traces))

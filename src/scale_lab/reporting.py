@@ -102,7 +102,7 @@ class CsvColumns(dict):
 
 
 def read_csv_columns(path: Path) -> CsvColumns:
-    """Read a headed CSV back into string columns; parse errors carry line numbers."""
+    """Read a headed CSV into string columns; parse errors (a repeated name too) name their line."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -111,6 +111,8 @@ def read_csv_columns(path: Path) -> CsvColumns:
         except StopIteration:
             raise CsvParseError(path, 1, "empty file")
         cols = CsvColumns((name, []) for name in header)
+        if len(cols) != len(header):
+            raise CsvParseError(path, 1, f"header repeats a name: {','.join(header)}")
         cols.lines = []
         for row in reader:
             if not row:

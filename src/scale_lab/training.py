@@ -12,7 +12,7 @@ every (beta1, beta2, seed) cell as one row of a single lockstep batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,9 +42,6 @@ class RunTrace:
     norm_r: np.ndarray
     config: OptimizerConfig
     seed: int
-    problem_kind: str
-    method: str = "adam"
-    steps_requested: int = 0
     diverged: bool = False
 
 
@@ -103,8 +100,7 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
                 break
 
     return [RunTrace(k=np.arange(n), loss=losses[i, :n], norm_r=norms[i, :n],
-                     config=cfg, seed=s, problem_kind=problem.kind, method=method,
-                     steps_requested=steps, diverged=bool(n < steps))
+                     config=cfg, seed=s, diverged=bool(n < steps))
             for i, (cfg, s, n) in enumerate(zip(configs, row_seeds, n_done))]
 
 
@@ -144,7 +140,6 @@ class SweepResult:
     omegas: dict[tuple[float, float, int], dict[str, float]]
     window: int
     metric: str
-    params: dict = field(default_factory=dict)
 
 
 def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
@@ -177,6 +172,4 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     report = grid_report(omega_grids({cell: om[metric] for cell, om in omegas.items()},
                                      axis, seed_list), axis)
     return SweepResult(report=report, traces=results, omegas=omegas, window=window,
-                       metric=metric, params={"steps": steps, "batch_size": batch_size,
-                                              "eta": eta, "epsilon": epsilon,
-                                              "problem": problem.kind, "seeds": seed_list})
+                       metric=metric)

@@ -106,6 +106,11 @@ class TestExitCodes:
         ("sweep", "--problem", "quadratic", "--beta-grid", "0.9,0.9", "--seeds", "2",
          "--steps", "40", "--window", "5"),
         ("probe", "--step-scale", "--beta-grid", "0.9,0.9"),
+        # removed flags: they changed no output
+        ("flow", "--signal", "const", "--dt", "0.5"),
+        ("flow", "--signal", "const", "--eta-bar", "2"),
+        ("probe", "--step-scale", "--eta", "0.1"),
+        ("report", "--ingest", "m.csv", "--assume-seeds", "3"),
     ], ids=" ".join)
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 1
@@ -142,6 +147,15 @@ class TestFlowCommand:
         svg = (out / "flow.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("argv", [("--h", "1e-300"), ("--t-end", "1e300")], ids=" ".join)
+    def test_step_count_beyond_numpy_index_is_runtime_error(self, tmp_path, capsys, argv):
+        # rejected before any grid is allocated
+        out = tmp_path / "flow"
+        assert run("flow", "--signal", "const", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "more than numpy can index" in err and "h=" in err and "Traceback" not in err
+        assert not (out / "trace.csv").exists()
+
 
 class TestProbeCommand:
     def test_signsgd_classification(self, tmp_path):
@@ -174,9 +188,10 @@ class TestProbeCommand:
         ("--method", "adam", "--g", "1e200", "--lambdas", "2"),
         ("--method", "gd", "--g", "1e300", "--lambdas", "1e10"),
         ("--method", "adam", "--g", "1e300", "--lambdas", "1e10"),
+        ("--step-scale", "--base", "1e200", "--steps", "100"),
     ], ids=" ".join)
     def test_overflowed_probe_is_runtime_error(self, tmp_path, capsys, argv):
-        # (keep2 * g) * g or lambda * g overflows: no deviation may be reported from it
+        # (keep2 * g) * g or lambda * g overflows: no deviation or ||R|| may be reported from it
         out = tmp_path / "p"
         assert run("probe", *argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -267,24 +282,13 @@ class TestSweepAndReport:
                if b1 == "0.9" and b2 == "0.99"]
         assert got[0] == oscillation_omega1(trace.norm_r)
 
-    def test_ingest_aggregated_matrix(self, tmp_path, capsys):
-        matrix = tmp_path / "m.csv"
-        matrix.write_text(TABLE_STYLE_MATRIX)
-        out = tmp_path / "r"
-        assert run("report", "--ingest", str(matrix), "--assume-seeds", "3",
-                   "--out", str(out)) == 0
-        cols = read_csv_columns(out / "report_summary.csv")
-        assert cols["rate"] == ["1.0"]
-        assert (cols["K"], cols["N"]) == (["9"], ["9"])
-        assert float(cols["p_value"][0]) == pytest.approx(5.0805e-5, rel=1e-4)
-
     def test_ingest_single_grid(self, tmp_path):
         matrix = tmp_path / "m.csv"
         matrix.write_text(TABLE_STYLE_MATRIX)
         out = tmp_path / "r"
-        assert run("report", "--ingest", str(matrix), "--assume-seeds", "1",
-                   "--out", str(out)) == 0
+        assert run("report", "--ingest", str(matrix), "--out", str(out)) == 0
         cols = read_csv_columns(out / "report_summary.csv")
+        assert (cols["K"], cols["N"]) == (["3"], ["3"])  # one matrix: N is its rows
         assert float(cols["p_value"][0]) == pytest.approx(0.037037037, rel=1e-6)
 
     def test_ingest_handles_nan_rows(self, tmp_path, capsys):
@@ -342,6 +346,7 @@ class TestSweepAndReport:
         assert "g.csv:7:" in err and "first on line 4" in err
 
     def test_assume_seeds_below_one_is_usage_error(self, tmp_path, capsys):
+        # the flag is gone: any value, below one or not, is an unrecognized argument
         matrix = tmp_path / "m.csv"
         matrix.write_text(TABLE_STYLE_MATRIX)
         assert run("report", "--ingest", str(matrix), "--assume-seeds", "0",
@@ -349,19 +354,19 @@ class TestSweepAndReport:
         assert "--assume-seeds" in capsys.readouterr().err
         assert not (tmp_path / "r" / "report_summary.csv").exists()
 
-    def test_assume_seeds_p_value_is_labelled_not_a_valid_test(self, tmp_path, capsys):
-        matrix = tmp_path / "m.csv"
-        matrix.write_text(TABLE_STYLE_MATRIX)
-        out = tmp_path / "r"
-        assert run("report", "--ingest", str(matrix), "--assume-seeds", "3",
-                   "--out", str(out)) == 0
-        printed = capsys.readouterr().out
-        assert "independent trials" in printed and "not a valid test" in printed
-        assert (out / "report_summary.csv").read_bytes() == (
-            b"rate,K,N,p_value\r\n1.0,9,9,5.080526342529086e-05\r\n")
-        assert run("report", "--ingest", str(matrix), "--assume-seeds", "1",
-                   "--out", str(tmp_path / "r1")) == 0
-        assert "not a valid test" not in capsys.readouterr().out
+    @pytest.mark.parametrize("flag,text", [
+        ("--grid", "beta1,beta2,seed,omega1,omega1\n0.9,0.9,0,0.1,0.3\n0.9,0.99,0,0.2,0.1\n"
+                   "0.99,0.9,0,0.3,0.1\n0.99,0.99,0,0.4,0.2\n"),
+        ("--ingest", "beta1,0.9,0.99,0.99\n0.9,1,2,3\n0.99,3,2,1\n0.99,3,1,2\n"),
+    ], ids=["grid", "ingest"])
+    def test_repeated_header_name_is_parse_error(self, tmp_path, capsys, flag, text):
+        # both columns of a repeated name used to land in one list
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert "in.csv:1:" in err and "repeats" in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "report_summary.csv").exists()
 
     def test_report_grid_with_seven_of_nine_pattern(self, tmp_path):
         # three per-seed grids where 7 of 9 rows pick the diagonal
@@ -391,7 +396,7 @@ class TestManifest:
         "probe": (["probe", "--step-scale", "--steps", "40", "--beta-grid", "0.9,0.99"], [], {}),
         "sweep": (["sweep", "--problem", "quadratic", "--seed-list", "3,1", "--steps", "20",
                    "--window", "5", "--beta-grid", "0.9,0.99"], [3, 1], {"diverged": []}),
-        "report": (["report", "--ingest", "matrix.csv", "--assume-seeds", "2"], [], {}),
+        "report": (["report", "--ingest", "matrix.csv"], [], {}),
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -435,16 +440,18 @@ class TestManifest:
         cols = read_csv_columns(out / "cells" / "trace_0.999_0.9_s0.csv")
         assert len(cols["step"]) == 32
 
-    @pytest.mark.parametrize("argv,observed", [
-        (["--delta0", "-2", "--h", "3"], {"clamped": False, "abort_t": 1.5}),
-        (["--delta0", "0.6", "--h", "3"], {"clamped": True, "abort_t": 3.0}),
-    ], ids=["decaying", "clamped"])
-    def test_flow_abort_still_writes_the_manifest(self, tmp_path, capsys, argv, observed):
-        # h three times tau2 makes an RK4 stage of v overshoot below zero
+    @pytest.mark.parametrize("argv,observed,why", [
+        (["--delta0", "-2", "--h", "3"], {"clamped": False, "abort_t": 1.5}, "v crossed zero"),
+        (["--delta0", "0.6", "--h", "3"], {"clamped": True, "abort_t": 3.0}, "v crossed zero"),
+        (["--delta0", "30"], {"clamped": True, "abort_t": 11.82}, "m or v is not finite"),
+    ], ids=["decaying", "clamped", "overflowed"])
+    def test_flow_abort_still_writes_the_manifest(self, tmp_path, capsys, argv, observed, why):
+        # h three times tau2 makes an RK4 stage of v overshoot below zero; at delta0 = 30,
+        # g * g overflows near t = 709.78 / 60, before the default t_end of 15
         out = tmp_path / "out"
         assert run("flow", "--signal", "exp", *argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert f"v crossed zero at t={observed['abort_t']:g}" in err and "Traceback" not in err
+        assert f"{why} at t={observed['abort_t']:g}" in err and "Traceback" not in err
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["command"], manifest["observed"], manifest["outputs"]) == (
             "flow", observed, {})

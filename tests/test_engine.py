@@ -224,7 +224,7 @@ class TestStepScaleCells:
     def test_grid_cells_equal_one_cell_runs(self, init):
         exp = StepScaleExperiment(base=np.array([0.3, -2.0, 5.0]), schedule=[(150, 7.0), (300, 0.2)],
                                   beta_grid=[(b1, b2) for b1 in self.AXIS for b2 in self.AXIS])
-        traces = step_scale_grid(exp, steps=400, eta=1e-3, init=init)
+        traces = step_scale_grid(exp, steps=400, init=init)
         assert list(traces) == exp.beta_grid
         for (b1, b2), tr in traces.items():
             cfg = OptimizerConfig(beta1=b1, beta2=b2, eta=1e-3, epsilon=0.0,

@@ -30,25 +30,23 @@ class TestTauBeta:
     def test_timescales_validation(self):
         with pytest.raises(DomainError):
             TimeScales(tau1=0.0, tau2=1.0)
-        ts = TimeScales.from_betas(0.9, 0.99, dt=0.1, eta=0.01)
+        ts = TimeScales.from_betas(0.9, 0.99, dt=0.1)
         assert ts.beta1 == pytest.approx(0.9, rel=1e-14)
         assert ts.beta2 == pytest.approx(0.99, rel=1e-14)
-        assert ts.eta_bar == pytest.approx(0.1)
 
 
 class TestFlowRhs:
     def test_moment_fixed_point(self):
-        ts = TimeScales(2.0, 3.0, eta_bar=0.5)
+        ts = TimeScales(2.0, 3.0)
         sig = constant_signal([2.0, -1.0])
         g = sig.g(0.0)
-        dm, dv, dth = flow_rhs(0.0, np.array([g, g * g, np.zeros(2)]), sig.g(0.0), ts)
+        dm, dv = flow_rhs(0.0, np.array([g, g * g]), sig.g(0.0), ts)
         assert np.allclose(dm, 0.0, atol=1e-15)
         assert np.allclose(dv, 0.0, atol=1e-15)
-        assert np.allclose(dth, -0.5 * np.sign(g))
 
     def test_direct_formula(self):
         ts = TimeScales(2.0, 1.0)
-        dm, _, _ = flow_rhs(0.0, np.array([[0.0], [1.0], [0.0]]), constant_signal(1.0).g(0.0), ts)
+        dm, _ = flow_rhs(0.0, np.array([[0.0], [1.0]]), constant_signal(1.0).g(0.0), ts)
         assert dm[0] == pytest.approx(0.5)
 
     def test_steady_exponential_mode_growth_rates(self):
@@ -58,13 +56,13 @@ class TestFlowRhs:
         sig = exponential_signal(d0)
         m = np.array([1.0 / (1.0 + d0 * ts.tau1)])
         v = np.array([1.0 / (1.0 + 2.0 * d0 * ts.tau2)])
-        dm, dv, _ = flow_rhs(0.0, np.array([m, v, np.zeros(1)]), sig.g(0.0), ts)
+        dm, dv = flow_rhs(0.0, np.array([m, v]), sig.g(0.0), ts)
         assert dm[0] == pytest.approx(d0 * m[0], rel=1e-12)
         assert dv[0] == pytest.approx(2.0 * d0 * v[0], rel=1e-12)
 
     def test_nonpositive_v_rejected(self):
         with pytest.raises(DomainError):
-            flow_rhs(0.0, np.zeros((3, 1)), constant_signal(1.0).g(0.0), TimeScales(1.0, 1.0))
+            flow_rhs(0.0, np.zeros((2, 1)), constant_signal(1.0).g(0.0), TimeScales(1.0, 1.0))
 
 
 class TestSteadyGains:
@@ -113,7 +111,7 @@ class TestSteadyStateInit:
 class TestIntegrateFlow:
     def test_constant_signal_fixed_point(self):
         ts = TimeScales(1.0, 1.0)
-        init = FlowState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1))
+        init = FlowState(m=np.zeros(1), v=np.ones(1))
         tr = integrate_flow(constant_signal(1.0), ts, init, t_end=20.0)
         assert tr.m[-1, 0] == pytest.approx(1.0, abs=1e-8)
         assert tr.v[-1, 0] == pytest.approx(1.0, abs=1e-8)
@@ -121,29 +119,11 @@ class TestIntegrateFlow:
 
     def test_uniform_sampling(self):
         ts = TimeScales(1.0, 1.0)
-        init = FlowState(m=np.ones(1), v=np.ones(1), theta=np.zeros(1))
-        tr = integrate_flow(constant_signal(1.0), ts, init, t_end=5.0, h=0.02,
-                            record_stride=5)
+        init = FlowState(m=np.ones(1), v=np.ones(1))
+        tr = integrate_flow(constant_signal(1.0), ts, init, t_end=5.0, h=0.02)
         gaps = np.diff(tr.t)
         assert np.all(gaps > 0)
         assert np.allclose(gaps, gaps[0], rtol=1e-12)
-
-    @pytest.mark.parametrize("stride", [2, 3, 8])
-    def test_record_stride_slices_the_full_trace(self, stride):
-        ts = TimeScales(0.5, 1.5)
-        sig = sinusoidal_log_signal(0.3, 2.0)
-        init = steady_state_init(sig, ts)
-        full = integrate_flow(sig, ts, init, t_end=7.3, h=0.01)
-        part = integrate_flow(sig, ts, init, t_end=7.3, h=0.01, record_stride=stride)
-        for name in ("t", "m", "v", "r", "theta"):
-            assert np.array_equal(getattr(part, name), getattr(full, name)[::stride]), name
-
-    @pytest.mark.parametrize("stride", [0, -1])
-    def test_nonpositive_record_stride_rejected(self, stride):
-        ts = TimeScales(1.0, 1.0)
-        init = FlowState(m=np.ones(1), v=np.ones(1), theta=np.zeros(1))
-        with pytest.raises(DomainError):
-            integrate_flow(constant_signal(1.0), ts, init, t_end=1.0, record_stride=stride)
 
     def test_exponential_steady_gain_after_burn_in(self):
         ts = TimeScales(1.0, 1.0)
@@ -161,7 +141,7 @@ class TestIntegrateFlow:
         sig = exponential_signal(d0)
         mg, vg, rg = steady_state_exponential_gains(d0, ts)
         g0 = sig.g(0.0)
-        init = FlowState(m=g0 * mg, v=g0 * g0 * vg, theta=np.zeros(1))
+        init = FlowState(m=g0 * mg, v=g0 * g0 * vg)
         errs = []
         for h in (0.2, 0.1):
             tr = integrate_flow(sig, ts, init, t_end=30.0, h=h)
@@ -177,7 +157,7 @@ class TestIntegrateFlow:
         sig_b = tabulated_like(lambda t: gb * (2.0 + np.cos(om_b * t)))
         sig_ab = tabulated_like(lambda t: ga * (2.0 + np.sin(om_a * t))
                                 + gb * (2.0 + np.cos(om_b * t)))
-        init = lambda s: FlowState(m=s.g(0.0), v=s.g(0.0) ** 2, theta=np.zeros(1))
+        init = lambda s: FlowState(m=s.g(0.0), v=s.g(0.0) ** 2)
         tr_a = integrate_flow(sig_a, ts, init(sig_a), t_end=8.0, h=0.01)
         tr_b = integrate_flow(sig_b, ts, init(sig_b), t_end=8.0, h=0.01)
         tr_ab = integrate_flow(sig_ab, ts, init(sig_ab), t_end=8.0, h=0.01)
@@ -205,14 +185,14 @@ class TestIntegrateFlow:
         # an intermediate stage of a decaying v below zero
         ts = TimeScales(1.0, 1.0)
         sig = tabulated_signal([0.0, 30.0], np.zeros((2, 1)))
-        init = FlowState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1))
+        init = FlowState(m=np.zeros(1), v=np.ones(1))
         with pytest.raises(FlowAbort) as err:
             integrate_flow(sig, ts, init, t_end=30.0, h=3.0)
         assert err.value.t > 0.0
 
     def test_bad_arguments(self):
         ts = TimeScales(1.0, 1.0)
-        init = FlowState(m=np.ones(1), v=np.ones(1), theta=np.zeros(1))
+        init = FlowState(m=np.ones(1), v=np.ones(1))
         with pytest.raises(DomainError):
             integrate_flow(constant_signal(1.0), ts, init, t_end=0.0)
         with pytest.raises(DomainError):
@@ -230,21 +210,22 @@ class TestDiscreteContinuousConsistency:
     def _deviation(self, dt: float) -> float:
         # drift must vary in time, otherwise R is constant and the O(dt)
         # time-shift error cancels between the m and v channels
-        ts = TimeScales(1.0, 2.0, eta_bar=1.0, dt=dt)
+        ts = TimeScales(1.0, 2.0, dt=dt)
         sig = sinusoidal_log_signal(amplitude=0.05, omega=0.5)
         init = steady_state_init(sig, ts)
         n = round((ts.burn_in + 8.0 * np.pi) / dt)
         t_end = n * dt
-        flow = integrate_flow(sig, ts, init, t_end=t_end, h=dt / 8.0, record_stride=8)
-        cfg = OptimizerConfig(beta1=ts.beta1, beta2=ts.beta2, eta=ts.eta_bar * dt,
+        flow = integrate_flow(sig, ts, init, t_end=t_end, h=dt / 8.0)
+        cfg = OptimizerConfig(beta1=ts.beta1, beta2=ts.beta2, eta=dt,
                               epsilon=0.0, bias_correction=False)
-        state = MomentState(m=init.m.copy(), v=init.v.copy(), theta=init.theta.copy())
+        state = MomentState(m=init.m.copy(), v=init.v.copy(), theta=np.zeros_like(init.m))
         r_disc = np.empty(n)
         for k in range(n):
             state, upd = adam_step(state, sig.g(k * dt), cfg)
             r_disc[k] = upd.r[0]
-        keep = flow.t[1:] >= ts.burn_in
-        return float(np.max(np.abs(r_disc - flow.r[1:, 0])[keep]))
+        t, r = flow.t[::8], flow.r[::8]  # the steps of the discrete run
+        keep = t[1:] >= ts.burn_in
+        return float(np.max(np.abs(r_disc - r[1:, 0])[keep]))
 
     def test_halving_dt_halves_deviation(self):
         d1, d2 = self._deviation(0.04), self._deviation(0.02)

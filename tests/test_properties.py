@@ -2,7 +2,6 @@
 the CSV writer, the block optimizer kernel, the relaxation RK4 kernel."""
 
 import csv
-import dataclasses
 import functools
 import tempfile
 from pathlib import Path
@@ -21,7 +20,7 @@ from scale_lab import reporting
 from scale_lab.optimizers import optimizer_step
 from scale_lab.drift import _exponential_ladder
 from scale_lab.errors import DomainError, FlowAbort
-from scale_lab.flow import _abort_if_v_nonpositive, flow_rhs
+from scale_lab.flow import _abort_if_invalid, flow_rhs
 
 SIGNALS = {
     "constant": lambda: constant_signal([2.0, -0.5, 3.0]),
@@ -74,7 +73,7 @@ def test_ladder_columns_equal_one_rate_flows(taus, rates):
     for d0, (sig, col) in zip(rates, _exponential_ladder(ts, rates, None)):
         assert sig.params["delta0"] == d0
         one = integrate_flow(sig, ts, steady_state_init(sig, ts, t0=0.0), t_end=t_end)
-        for name in ("t", "m", "v", "r", "theta"):
+        for name in ("t", "m", "v", "r"):
             assert np.array_equal(getattr(col, name), getattr(one, name)), name
         assert (col.signal_kind, col.meta) == (one.signal_kind, one.meta)
 
@@ -304,19 +303,17 @@ def rk4_reference(rhs, t0, y, h, forcing):
     return t0 + np.arange(len(ys)) * h, ys
 
 
-def integrate_flow_reference(signal, ts, init, t_end, h, record_stride):
-    """``integrate_flow`` as RK4 over ``flow_rhs`` on the stacked (3, d) state."""
+def integrate_flow_reference(signal, ts, init, t_end, h):
+    """``integrate_flow`` as RK4 over ``flow_rhs`` on the stacked (2, d) state."""
     n_steps = max(1, round((t_end - init.t) / h))
     h = (t_end - init.t) / n_steps
     stages = (init.t + np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5 * h, h])
-    y = np.array([init.m, init.v, init.theta], dtype=float)
+    y = np.array([init.m, init.v], dtype=float)
     t, ys = rk4_reference(functools.partial(flow_rhs, ts=ts), init.t, y, h, signal.g(stages))
-    _abort_if_v_nonpositive(t[-1], ys[-1, 1])
-    t, ys = t[::record_stride], ys[::record_stride]
+    _abort_if_invalid(t[-1], ys[-1])
     m, v = ys[:, 0], ys[:, 1]
-    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v), theta=ys[:, 2], timescales=ts,
-                     signal_kind=signal.kind,
-                     meta={"h": h, "record_stride": record_stride, **signal.params})
+    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v), signal_kind=signal.kind,
+                     meta={"h": h, **signal.params})
 
 
 def flow_outcome(integrate, *args):
@@ -350,26 +347,24 @@ def flow_signals(draw, d):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), d=st.integers(1, 9), tau1=st.floats(0.2, 3.0), tau2=st.floats(0.2, 3.0),
-       h_per_tau=st.floats(0.01, 4.0), n_steps=st.integers(1, 60),
-       record_stride=st.integers(1, 3), theta0=st.floats(-1.0, 1.0))
-def test_integrate_flow_equals_rk4_over_flow_rhs(data, d, tau1, tau2, h_per_tau, n_steps,
-                                                 record_stride, theta0):
+       h_per_tau=st.floats(0.01, 4.0), n_steps=st.integers(1, 60))
+def test_integrate_flow_equals_rk4_over_flow_rhs(data, d, tau1, tau2, h_per_tau, n_steps):
     kind, sig = data.draw(flow_signals(d))
-    ts = TimeScales(tau1, tau2, data.draw(st.floats(0.1, 2.0)))
+    ts = TimeScales(tau1, tau2)
     if kind in ("tabulated", "zero"):  # a zero coordinate has no drift for steady_state_init
         g0 = sig.g(0.0)
-        init = FlowState(m=g0, v=g0 * g0 + 1.0, theta=np.full(d, theta0))
+        init = FlowState(m=g0, v=g0 * g0 + 1.0)
     else:
-        init = dataclasses.replace(steady_state_init(sig, ts), theta=np.full(d, theta0))
+        init = steady_state_init(sig, ts)
     h = h_per_tau * min(tau1, tau2)
-    args = (sig, ts, init, n_steps * h, h, record_stride)
+    args = (sig, ts, init, n_steps * h, h)
     got = flow_outcome(integrate_flow, *args)
     want = flow_outcome(integrate_flow_reference, *args)
     if isinstance(want, FlowAbort) or isinstance(got, FlowAbort):
         assert isinstance(got, FlowAbort) and isinstance(want, FlowAbort)
         assert (got.t, str(got)) == (want.t, str(want))
         return
-    for name in ("t", "m", "v", "r", "theta", "norm_r"):
+    for name in ("t", "m", "v", "r", "norm_r"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.shape, a.dtype, a.strides) == (b.shape, b.dtype, b.strides), name
         assert a.flags.c_contiguous == b.flags.c_contiguous, name
