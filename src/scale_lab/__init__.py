@@ -6,9 +6,8 @@ from .flow import (FlowState, FlowTrace, TimeScales, beta_from_tau, flow_rhs,
                    steady_state_init, tau_from_beta)
 from .drift import (DriftProfile, RemainderReport, TrackingCheckResult, drift_bounds,
                     fit_power_law, measure_remainder, remainder_order_sweep, tracking_check)
-from .invariance import (RescaleProbeResult, SensitivityFit, StepScaleExperiment,
-                         StepTrace, exact_invariance_probe, first_order_sensitivity,
-                         run_step_scale_experiment, step_scale_cells, step_scale_grid)
+from .invariance import (RescaleProbeResult, SensitivityFit, StepTrace, exact_invariance_probe,
+                         first_order_sensitivity, step_scale_cells, step_scale_grid)
 from .metrics import (OscillationGridReport, SmoothedSeries, binomial_diagonal_test,
                       combine_reports, ema_smooth, grid_report, omega_grids,
                       oscillation_omega1, oscillation_omega2)
@@ -17,9 +16,9 @@ from .optimizers import (CellConfigs, MomentState, OptimizerConfig, UpdateVector
 from .problems import Problem, make_problem
 from .rng import CounterRng
 from .signals import (GradientSignal, constant_signal, exponential_signal,
-                      sinusoidal_log_signal, step_scale_signal, tabulated_signal)
-from .training import (RunTrace, SweepResult, omega_of_trace, run_training, sweep_grid,
-                       train_cells)
+                      sinusoidal_log_signal, step_multipliers, step_scale_signal,
+                      tabulated_signal)
+from .training import RunTrace, SweepResult, omega_of_trace, sweep_grid, train_cells
 
 __version__ = "0.1.0"
 

@@ -13,11 +13,13 @@ Four subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
 infinite float flag or list item, an empty list, a negative, fractional or
-repeated seed, a repeated beta, a count below 1, a time scale, step size or
-learning rate that is not positive, a beta outside (0, 1), a negative
-``--epsilon`` or ``--v`` item and a ``--jump`` outside [1, steps - 1] are
-usage errors.  An overflow that aborts a flow or a step-scale run, and a
-flow step too small to grid its interval, are runtime errors.
+repeated seed, a repeated beta, a count below 1, a time scale, step size,
+learning rate or step-scale multiplier that is not positive, a zero
+step-scale base, a beta outside (0, 1), a negative ``--epsilon`` or
+``--v`` item, a ``--jump`` outside [1, steps - 1] and ``--seeds`` given
+together with ``--seed-list`` are usage errors.  An overflow that aborts a
+flow or a step-scale run, and a flow step too small to grid its interval,
+are runtime errors.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from . import __version__
 from .errors import DimensionError, DomainError, FlowAbort
 from .flow import TimeScales, integrate_flow, steady_state_init
-from .invariance import StepScaleExperiment, exact_invariance_probe, step_scale_grid
+from .invariance import exact_invariance_probe, step_scale_grid
 from .metrics import grid_report
 from .optimizers import MomentState, OptimizerConfig
 from .problems import make_problem
@@ -40,7 +42,7 @@ from .reporting import (CsvParseError, RunManifest, flow_trace_csv, probe_csv,
                         read_omega_grids, read_omega_matrix, run_trace_csv,
                         step_trace_csv, summary_csv, sweep_grid_csv, write_csv,
                         write_svg_lines)
-from .signals import constant_signal, exponential_signal, sinusoidal_log_signal
+from .signals import constant_signal, exponential_signal, sinusoidal_log_signal, step_multipliers
 from .training import sweep_grid
 from .drift import measure_remainder
 
@@ -72,6 +74,8 @@ def _flag_value(parse, ok, what: str):
 _finite_float = _flag_value(float, math.isfinite, "a finite number")
 _positive_float = _flag_value(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _nonnegative_float = _flag_value(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+_nonzero_float = _flag_value(float, lambda x: x != 0.0 and math.isfinite(x),
+                             "a finite non-zero number")
 _beta = _flag_value(float, lambda b: 0.0 < b < 1.0, "a finite number in (0, 1)")
 _seed = _flag_value(int, lambda s: s >= 0, "an integer seed >= 0")
 _count = _flag_value(int, lambda n: n >= 1, "an integer >= 1")
@@ -163,13 +167,11 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
     files = []
     if args.step_scale:
         betas = _distinct(_values(args.beta_grid, _beta), "--beta-grid")
-        grid = [(b1, b2) for b1 in betas for b2 in betas]
         jump = args.jump if args.jump is not None else args.steps // 2
         if not 1 <= jump < args.steps:
             raise UsageError(f"--jump must lie in [1, steps - 1], got {jump} of {args.steps}")
-        exp = StepScaleExperiment(base=np.array([args.base]),
-                                  schedule=[(jump, args.multiplier)], beta_grid=grid)
-        traces = step_scale_grid(exp, steps=args.steps)
+        traces = step_scale_grid(np.array([args.base]),
+                                 step_multipliers([(jump, args.multiplier)], args.steps), betas)
         cells = sorted(traces.items())
         for (b1, b2), tr in cells:
             files.append(step_trace_csv(tr, out / f"stepscale_{b1}_{b2}.csv"))
@@ -205,7 +207,7 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
 def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
     betas = _distinct(_values(args.beta_grid, _beta), "--beta-grid")
-    seeds = (list(range(args.seeds)) if args.seed_list is None
+    seeds = (list(range(args.seeds or 3)) if args.seed_list is None
              else _distinct(_values(args.seed_list, _seed), "--seed-list"))
     problem = make_problem(args.problem, seed=args.data_seed)
     result = sweep_grid(problem, beta_axis=betas, seeds=seeds,
@@ -285,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_nonnegative_float, default=0.0)
     p.add_argument("--bias-correction", action="store_true")
     p.add_argument("--step-scale", action="store_true")
-    p.add_argument("--base", type=_finite_float, default=1.0)
-    p.add_argument("--multiplier", type=_finite_float, default=10.0)
+    p.add_argument("--base", type=_nonzero_float, default=1.0)
+    p.add_argument("--multiplier", type=_positive_float, default=10.0)
     p.add_argument("--jump", type=_count, default=None)
     p.add_argument("--steps", type=_count, default=32000)
     p.add_argument("--beta-grid", default="0.9,0.99,0.999")
@@ -296,8 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="momentum-grid training sweep")
     p.add_argument("--problem", required=True, choices=("quadratic", "logistic", "mlp"))
-    p.add_argument("--seeds", type=_count, default=3, help="number of seeds (0..n-1)")
-    p.add_argument("--seed-list", default=None, help="explicit comma-separated seeds")
+    seeds = p.add_mutually_exclusive_group()
+    # default None: argparse's group check misses a given value that is the default object
+    seeds.add_argument("--seeds", type=_count, default=None, help="seeds 0..n-1 (default 3)")
+    seeds.add_argument("--seed-list", default=None, help="explicit comma-separated seeds")
     p.add_argument("--data-seed", type=_seed, default=0)
     p.add_argument("--steps", type=_count, default=5000)
     p.add_argument("--batch-size", type=_count, default=32)

@@ -9,12 +9,12 @@ Three experiments:
   rate (slope 2 when tau1 = tau2, slope 1 with coefficient |tau2 - tau1|
   otherwise);
 * a step-rescale experiment: multiply a constant gradient stream by a
-  piecewise schedule and record how ||R_k|| excurses and recovers.
+  per-step multiplier array and record how ||R_k|| excurses and recovers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import DomainError
 from .flow import TimeScales
 from .optimizers import (CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms,
                          zero_state)
-from .signals import _multiplier_schedule
 
 EXACT_TOL = 1e-12  # classification threshold for exact invariance / linearity
 STEP_BLOCK = 1024  # stream steps per optimizer-kernel call; blocks bound the memory of a long run
@@ -142,48 +141,28 @@ class StepTrace:
         return float(np.sum(np.abs(self.norm_r[start:] - reference)))
 
 
-@dataclass(frozen=True)
-class StepScaleExperiment:
-    """A constant base gradient scaled by a step schedule, across a beta grid."""
-
-    base: np.ndarray
-    schedule: list[tuple[int, float]]        # (step index, multiplier), sorted
-    beta_grid: list[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if any(m <= 0.0 for _, m in self.schedule):
-            raise DomainError("multipliers must be strictly positive")
-
-    def multiplier_at(self, k):
-        """Multiplier active at step k (an int or an array of steps)."""
-        return _multiplier_schedule(self.schedule)(k)
-
-
-def step_scale_cells(exp: StepScaleExperiment, configs: Sequence[OptimizerConfig],
-                     steps: int, init: str = "steady",
+def step_scale_cells(base: np.ndarray, multipliers: np.ndarray,
+                     configs: Sequence[OptimizerConfig], init: str = "steady",
                      method: str = "adam") -> list[StepTrace]:
-    """Feed the scaled gradient stream to C optimizer cells in lockstep and record ||R_k||.
+    """Feed ``multipliers[k] * base`` to C optimizer cells in lockstep and record ||R_k||.
 
-    Every cell sees the same gradient, so the cells run as (C, d) rows of
-    one state and each row is bit-identical to the cell run alone.  For
-    Adam, ``init="steady"`` starts the moments at the fixed point of the
-    first segment (m = g0, v = g0^2), so the pre-jump norm sits exactly at
-    its steady value; ``init="zero"`` starts from m = v = 0.  signSGD and GD
-    are stateless and ignore the init mode.  A block whose moments are not
-    finite (an overflowed gradient or g * g) is a ``DomainError``.
+    One positive multiplier per step; ``step_multipliers`` builds them from a
+    piecewise schedule.  Every cell sees the same gradient, so the cells run
+    as (C, d) rows of one state and each row is bit-identical to the cell run
+    alone.  For Adam, ``init="steady"`` starts the moments at the fixed point
+    of the first gradient (m = g0, v = g0^2), so the pre-jump norm sits
+    exactly at its steady value; ``init="zero"`` starts from m = v = 0.
+    signSGD and GD are stateless and ignore the init mode.  A block whose
+    moments are not finite (an overflowed gradient or g * g) is a ``DomainError``.
     """
-    starts = sorted(k for k, _ in exp.schedule)
-    if len(set(starts)) != len(starts):
-        raise DomainError("schedule has two segments starting at the same step")
-    boundaries = [0] + starts + [steps]
-    if any(b - a < 1 for a, b in zip(boundaries[:-1], boundaries[1:])):
-        raise DomainError("every schedule segment must cover at least one step")
-
+    mults = np.array(multipliers, dtype=float)
+    if mults.ndim != 1 or mults.size == 0 or not (mults > 0.0).all():
+        raise DomainError("multipliers must be a non-empty 1-D array of positive numbers")
     if init not in ("steady", "zero"):
         raise DomainError(f"unknown init mode {init!r}")
+    steps = mults.size
     cells = CellConfigs(configs)
-    base_rows = np.tile(np.asarray(exp.base, dtype=float), (len(cells), 1))
-    mults = exp.multiplier_at(np.arange(steps))
+    base_rows = np.tile(np.asarray(base, dtype=float), (len(cells), 1))
     norm_r = np.empty((steps, len(cells)))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments raise below
         m = base_rows * mults[0] if init == "steady" else np.zeros_like(base_rows)
@@ -198,19 +177,12 @@ def step_scale_cells(exp: StepScaleExperiment, configs: Sequence[OptimizerConfig
                       beta1=cfg.beta1, beta2=cfg.beta2) for i, cfg in enumerate(cells.configs)]
 
 
-def run_step_scale_experiment(exp: StepScaleExperiment, config: OptimizerConfig,
-                              steps: int, init: str = "steady",
-                              method: str = "adam") -> StepTrace:
-    """One cell of ``step_scale_cells``: feed the scaled stream to one optimizer."""
-    return step_scale_cells(exp, [config], steps, init=init, method=method)[0]
-
-
-def step_scale_grid(exp: StepScaleExperiment, steps: int,
+def step_scale_grid(base: np.ndarray, multipliers: np.ndarray, beta_axis: Sequence[float],
                     init: str = "steady") -> dict[tuple[float, float], StepTrace]:
-    """Raw Adam (epsilon = 0) on every (beta1, beta2) pair of the grid, all cells in lockstep."""
-    if not exp.beta_grid:
+    """Raw Adam (epsilon = 0) on every (beta1, beta2) pair of the axis, all cells in lockstep."""
+    grid = [(float(b1), float(b2)) for b1 in beta_axis for b2 in beta_axis]
+    if not grid:
         return {}
     configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
-               for b1, b2 in exp.beta_grid]
-    traces = step_scale_cells(exp, configs, steps, init=init)
-    return dict(zip(exp.beta_grid, traces))
+               for b1, b2 in grid]
+    return dict(zip(grid, step_scale_cells(base, multipliers, configs, init=init)))

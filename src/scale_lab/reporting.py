@@ -215,6 +215,9 @@ def read_omega_matrix(path: Path):
     if len(names) < 2 or names[0] != "beta1":
         raise CsvParseError(path, 1, "expected header: beta1,<beta2 values...>")
     axis_cols = [parse_float(path, 1, c) for c in names[1:]]
+    repeated = [b for i, b in enumerate(axis_cols) if b in axis_cols[:i]]
+    if repeated:
+        raise CsvParseError(path, 1, f"beta axis repeats the value {repeated[0]!r}")
     rows_b1 = [parse_float(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
     if rows_b1 != axis_cols:
         raise CsvParseError(path, 1, "row beta1 values must match column beta2 values")

@@ -152,9 +152,23 @@ def sinusoidal_log_signal(amplitude: float, omega: float, scale: float = 1.0,
 def _multiplier_schedule(schedule: Sequence[tuple[float, float]]) -> Callable:
     """Multiplier at t (a number or an array): the last start <= t wins, 1 before the first."""
     sched = sorted((float(t), float(m)) for t, m in schedule)
+    if not all(m > 0.0 for _, m in sched):
+        raise DomainError("multipliers must be strictly positive")
     starts = np.array([t for t, _ in sched])
     mults = np.array([1.0] + [m for _, m in sched])
     return lambda t: mults[np.searchsorted(starts, t, side="right")]
+
+
+def step_multipliers(schedule: Sequence[tuple[int, float]], steps: int) -> np.ndarray:
+    """The per-step multipliers of a piecewise schedule over ``steps`` steps.
+
+    ``schedule`` lists (start step, multiplier) pairs; every segment, the
+    identity one before the first start included, covers at least one step.
+    """
+    bounds = [0] + sorted(k for k, _ in schedule) + [steps]
+    if any(b - a < 1 for a, b in zip(bounds[:-1], bounds[1:])):
+        raise DomainError("every schedule segment must cover at least one step")
+    return _multiplier_schedule(schedule)(np.arange(steps))
 
 
 def step_scale_signal(base: float | Sequence[float], schedule: Sequence[tuple[float, float]],
@@ -168,8 +182,6 @@ def step_scale_signal(base: float | Sequence[float], schedule: Sequence[tuple[fl
     c = _vec(base, dimension)
     d = c.size
     sched = sorted((float(t), float(m)) for t, m in schedule)
-    if any(m <= 0.0 for _, m in sched):
-        raise DomainError("step-scale multipliers must be strictly positive")
     mult_at = _multiplier_schedule(sched)
     return GradientSignal(
         kind="step-scale",

@@ -104,15 +104,6 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
             for i, (cfg, s, n) in enumerate(zip(configs, row_seeds, n_done))]
 
 
-def run_training(problem: Problem, config: OptimizerConfig, seed: int, steps: int,
-                 batch_size: int = DEFAULT_BATCH, method: str = "adam") -> RunTrace:
-    """Train one cell for ``steps`` iterations and record (loss, ||R_k||) per step.
-
-    The one-cell case of ``train_cells``; see there for the protocol.
-    """
-    return train_cells(problem, [config], seed, steps, batch_size, method)[0]
-
-
 METRICS = ("omega1", "omega2")
 
 

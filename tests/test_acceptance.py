@@ -10,13 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from scale_lab import (FlowState, MomentState, OptimizerConfig, StepScaleExperiment,
-                       TimeScales, adam_step, binomial_diagonal_test, combine_reports,
-                       ema_smooth, exact_invariance_probe, exponential_signal,
+from scale_lab import (FlowState, MomentState, OptimizerConfig, TimeScales, adam_step,
+                       binomial_diagonal_test, combine_reports, ema_smooth,
+                       exact_invariance_probe, exponential_signal,
                        first_order_sensitivity, gd_step, integrate_flow, make_problem,
                        oscillation_omega1, oscillation_omega2,
                        sinusoidal_log_signal, steady_state_exponential_gains,
-                       steady_state_init, step_scale_grid, sweep_grid, tracking_check)
+                       steady_state_init, step_multipliers, step_scale_cells, sweep_grid,
+                       tracking_check)
 from scale_lab.reporting import summary_csv
 
 
@@ -156,11 +157,10 @@ def test_criterion_6_definition_one_probes():
 
 def test_criterion_7_step_rescale_transients():
     steps, jump = 32000, 16000
-    exp = StepScaleExperiment(base=np.ones(1), schedule=[(jump, 10.0)],
-                              beta_grid=[(0.95, 0.95), (0.9, 0.999)])
-    traces = step_scale_grid(exp, steps=steps)
-    balanced = traces[(0.95, 0.95)]
-    skewed = traces[(0.9, 0.999)]
+    configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
+               for b1, b2 in [(0.95, 0.95), (0.9, 0.999)]]
+    balanced, skewed = step_scale_cells(np.ones(1), step_multipliers([(jump, 10.0)], steps),
+                                        configs)
     for tr in (balanced, skewed):
         assert tr.norm_r[jump - 1] == pytest.approx(1.0, abs=1e-6)
         assert tr.norm_r[-1] == pytest.approx(1.0, abs=1e-6)

@@ -106,6 +106,11 @@ class TestExitCodes:
         ("sweep", "--problem", "quadratic", "--beta-grid", "0.9,0.9", "--seeds", "2",
          "--steps", "40", "--window", "5"),
         ("probe", "--step-scale", "--beta-grid", "0.9,0.9"),
+        ("probe", "--step-scale", "--multiplier", "0"),
+        ("probe", "--step-scale", "--multiplier", "-2"),
+        ("probe", "--step-scale", "--base", "0"),
+        ("sweep", "--problem", "quadratic", "--seeds", "2", "--seed-list", "4,5"),
+        ("sweep", "--problem", "quadratic", "--seeds", "3", "--seed-list", "4,5"),
         # removed flags: they changed no output
         ("flow", "--signal", "const", "--dt", "0.5"),
         ("flow", "--signal", "const", "--eta-bar", "2"),
@@ -273,10 +278,10 @@ class TestSweepAndReport:
         assert run("sweep", "--problem", "logistic", "--seeds", "1", "--steps", "60",
                    "--window", "1", "--beta-grid", "0.9,0.99", "--out", str(out)) == 0
         cols = read_csv_columns(out / "grid.csv")
-        from scale_lab import OptimizerConfig, make_problem, oscillation_omega1, run_training
-        trace = run_training(make_problem("logistic"),
-                             OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
-                             seed=0, steps=60)
+        from scale_lab import OptimizerConfig, make_problem, oscillation_omega1, train_cells
+        trace = train_cells(make_problem("logistic"),
+                            [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)],
+                            seed=0, steps=60)[0]
         row = cols["beta1"].index("0.9")
         got = [float(w) for b1, b2, w in zip(cols["beta1"], cols["beta2"], cols["omega1"])
                if b1 == "0.9" and b2 == "0.99"]
@@ -358,7 +363,9 @@ class TestSweepAndReport:
         ("--grid", "beta1,beta2,seed,omega1,omega1\n0.9,0.9,0,0.1,0.3\n0.9,0.99,0,0.2,0.1\n"
                    "0.99,0.9,0,0.3,0.1\n0.99,0.99,0,0.4,0.2\n"),
         ("--ingest", "beta1,0.9,0.99,0.99\n0.9,1,2,3\n0.99,3,2,1\n0.99,3,1,2\n"),
-    ], ids=["grid", "ingest"])
+        # the same beta under two spellings is two header names but one axis value
+        ("--ingest", "beta1,0.9,0.99,0.990\n0.9,1,2,3\n0.99,3,2,1\n0.990,3,1,2\n"),
+    ], ids=["grid", "ingest", "ingest-respelled"])
     def test_repeated_header_name_is_parse_error(self, tmp_path, capsys, flag, text):
         # both columns of a repeated name used to land in one list
         path = tmp_path / "in.csv"

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, OptimizerConfig,
-                       StepScaleExperiment, adam_step, make_problem, run_step_scale_experiment,
-                       run_training, step_scale_cells, step_scale_grid, sweep_grid, train_cells,
-                       zero_state)
+                       adam_step, make_problem, step_multipliers, step_scale_cells,
+                       step_scale_grid, sweep_grid, train_cells, zero_state)
 from scale_lab.invariance import STEP_BLOCK
 from scale_lab.rng import CounterRng
 from scale_lab.training import _INDEX_BLOCK, DEFAULT_BETA_AXIS, DEFAULT_ETA
@@ -33,7 +32,7 @@ class TestTrainCells:
         batched = train_cells(prob, configs, seed=4, steps=60, method=method)
         assert len(batched) == len(configs)
         for cfg, trace in zip(configs, batched):
-            assert_same_trace(trace, run_training(prob, cfg, seed=4, steps=60, method=method))
+            assert_same_trace(trace, train_cells(prob, [cfg], seed=4, steps=60, method=method)[0])
 
     def test_mixed_bias_correction_and_weight_decay_rows(self):
         prob = make_problem("logistic")
@@ -41,7 +40,7 @@ class TestTrainCells:
                    OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, bias_correction=False),
                    OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, weight_decay=0.3)]
         for cfg, trace in zip(configs, train_cells(prob, configs, seed=0, steps=50)):
-            assert_same_trace(trace, run_training(prob, cfg, seed=0, steps=50))
+            assert_same_trace(trace, train_cells(prob, [cfg], seed=0, steps=50)[0])
 
     def test_cell_diverging_at_step_one_leaves_neighbours_alone(self):
         prob = make_problem("quadratic")
@@ -49,7 +48,7 @@ class TestTrainCells:
                    OptimizerConfig(beta1=0.9, beta2=0.99, eta=1e300),
                    OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02)]
         batched = train_cells(prob, configs, seed=0, steps=200)
-        alone = [run_training(prob, cfg, seed=0, steps=200) for cfg in configs]
+        alone = [train_cells(prob, [cfg], seed=0, steps=200)[0] for cfg in configs]
         healthy_left, blown, healthy_right = batched
         assert blown.diverged and blown.k.size == 1
         assert not healthy_left.diverged and not healthy_right.diverged
@@ -61,7 +60,7 @@ class TestTrainCells:
         prob = make_problem("quadratic")
         configs = [OptimizerConfig(eta=0.005), OptimizerConfig(eta=10.0), OptimizerConfig(eta=0.001)]
         batched = train_cells(prob, configs, seed=0, steps=2000, method="gd")
-        alone = [run_training(prob, cfg, seed=0, steps=2000, method="gd") for cfg in configs]
+        alone = [train_cells(prob, [cfg], seed=0, steps=2000, method="gd")[0] for cfg in configs]
         assert [t.diverged for t in batched] == [False, True, False]
         assert 1 < batched[1].k.size < 2000
         for b, a in zip(batched, alone):
@@ -82,7 +81,7 @@ class TestTrainCells:
         batched = train_cells(prob, configs, seed=0, steps=300)
         assert [t.diverged for t in batched] == [False, True, False]
         for cfg, b in zip(configs, batched):
-            assert_same_trace(b, run_training(prob, cfg, seed=0, steps=300))
+            assert_same_trace(b, train_cells(prob, [cfg], seed=0, steps=300)[0])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
@@ -108,7 +107,7 @@ class TestMixedSeedRows:
         assert [t.diverged for t in batched] == diverged
         assert [t.seed for t in batched] == list(seeds)
         for (cfg, s), trace in zip(rows, batched):
-            assert_same_trace(trace, run_training(prob, cfg, seed=s, steps=70))
+            assert_same_trace(trace, train_cells(prob, [cfg], seed=s, steps=70)[0])
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     def test_index_rows_equal_row_by_row_calls(self, kind):
@@ -222,46 +221,53 @@ class TestStepScaleCells:
 
     @pytest.mark.parametrize("init", ["steady", "zero"])
     def test_grid_cells_equal_one_cell_runs(self, init):
-        exp = StepScaleExperiment(base=np.array([0.3, -2.0, 5.0]), schedule=[(150, 7.0), (300, 0.2)],
-                                  beta_grid=[(b1, b2) for b1 in self.AXIS for b2 in self.AXIS])
-        traces = step_scale_grid(exp, steps=400, init=init)
-        assert list(traces) == exp.beta_grid
+        base, mults = np.array([0.3, -2.0, 5.0]), step_multipliers([(150, 7.0), (300, 0.2)], 400)
+        traces = step_scale_grid(base, mults, self.AXIS, init=init)
+        assert list(traces) == [(b1, b2) for b1 in self.AXIS for b2 in self.AXIS]
         for (b1, b2), tr in traces.items():
             cfg = OptimizerConfig(beta1=b1, beta2=b2, eta=1e-3, epsilon=0.0,
                                   bias_correction=False)
-            alone = run_step_scale_experiment(exp, cfg, steps=400, init=init)
+            alone = step_scale_cells(base, mults, [cfg], init=init)[0]
             assert np.array_equal(tr.norm_r, alone.norm_r)
             assert np.array_equal(tr.multiplier, alone.multiplier)
             assert (tr.beta1, tr.beta2) == (b1, b2)
 
     @pytest.mark.parametrize("method", ["gd", "signsgd"])
     def test_stateless_methods_in_lockstep(self, method):
-        exp = StepScaleExperiment(base=np.array([1.0, -3.0]), schedule=[(10, 4.0)])
+        base, mults = np.array([1.0, -3.0]), step_multipliers([(10, 4.0)], 20)
         configs = [OptimizerConfig(beta1=0.9, beta2=0.9), OptimizerConfig(beta1=0.5, beta2=0.7)]
-        for cfg, tr in zip(configs, step_scale_cells(exp, configs, steps=20, method=method)):
-            alone = run_step_scale_experiment(exp, cfg, steps=20, method=method)
+        for cfg, tr in zip(configs, step_scale_cells(base, mults, configs, method=method)):
+            alone = step_scale_cells(base, mults, [cfg], method=method)[0]
             assert np.array_equal(tr.norm_r, alone.norm_r)
 
     @pytest.mark.parametrize("init", ["steady", "zero"])
-    @pytest.mark.parametrize("jump", [STEP_BLOCK, 2 * STEP_BLOCK])
+    @pytest.mark.parametrize("jump", [STEP_BLOCK, 2 * STEP_BLOCK,
+                                      pytest.param(None, id="geometric")])
     def test_blocks_equal_a_per_step_adam_loop(self, init, jump):
-        # the stream runs in blocks of STEP_BLOCK steps; the jump lands on a block boundary
+        # the stream runs in blocks of STEP_BLOCK steps; the jump lands on a block boundary,
+        # and with no jump the gradient drifts geometrically, 1.001 ** k
         steps, base = 2 * STEP_BLOCK + 1, np.array([0.3, -2.0])
-        exp = StepScaleExperiment(base=base, schedule=[(jump, 7.0)])
+        ks = np.arange(steps)
+        mults = 1.001 ** ks if jump is None else np.where(ks >= jump, 7.0, 1.0)
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, epsilon=0.0, bias_correction=False),
                    OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, weight_decay=0.1)]
-        for cfg, trace in zip(configs, step_scale_cells(exp, configs, steps, init=init)):
+        for cfg, trace in zip(configs, step_scale_cells(base, mults, configs, init=init)):
             state = (MomentState(m=base.copy(), v=base * base, theta=np.zeros(2))
                      if init == "steady" else zero_state(2))
             norms = []
             for k in range(steps):
-                state, upd = adam_step(state, base * (7.0 if k >= jump else 1.0), cfg)
+                state, upd = adam_step(state, base * mults[k], cfg)
                 norms.append(upd.norm())
             assert np.array_equal(trace.norm_r, norms)
 
     def test_empty_grid_gives_no_traces(self):
-        exp = StepScaleExperiment(base=np.ones(1), schedule=[(5, 2.0)])
-        assert step_scale_grid(exp, steps=10) == {}
+        assert step_scale_grid(np.ones(1), step_multipliers([(5, 2.0)], 10), []) == {}
+
+    @pytest.mark.parametrize("mults", [[], [[1.0, 2.0]], [1.0, 0.0], [1.0, -2.0], [1.0, np.nan]],
+                             ids=["empty", "2-d", "zero", "negative", "nan"])
+    def test_multiplier_array_must_be_1d_nonempty_and_positive(self, mults):
+        with pytest.raises(DomainError):
+            step_scale_cells(np.ones(1), np.array(mults), [OptimizerConfig()])
 
 
 class TestNoWorkspaceAliasing:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scale_lab import (DomainError, MomentState, OptimizerConfig, StepScaleExperiment,
-                       TimeScales, exact_invariance_probe, first_order_sensitivity,
-                       run_step_scale_experiment, step_scale_grid)
+from scale_lab import (DomainError, MomentState, OptimizerConfig, TimeScales,
+                       exact_invariance_probe, first_order_sensitivity, step_multipliers,
+                       step_scale_cells, step_scale_grid)
 
 BETA_AXIS = (0.9, 0.99, 0.999)
 
@@ -91,43 +91,36 @@ class TestFirstOrderSensitivity:
 
 class TestStepScaleExperiment:
     def test_multiplier_schedule(self):
-        exp = StepScaleExperiment(base=np.ones(1), schedule=[(10, 10.0), (20, 2.0)])
-        assert exp.multiplier_at(0) == 1.0
-        assert exp.multiplier_at(10) == 10.0
-        assert exp.multiplier_at(25) == 2.0
+        mults = step_multipliers([(10, 10.0), (20, 2.0)], steps=30)
+        assert mults[0] == 1.0
+        assert mults[10] == 10.0
+        assert mults[25] == 2.0
 
     def test_nonpositive_multiplier_rejected(self):
         with pytest.raises(DomainError):
-            StepScaleExperiment(base=np.ones(1), schedule=[(10, -1.0)])
+            step_multipliers([(10, -1.0)], steps=50)
 
     def test_segment_past_end_rejected(self):
-        exp = StepScaleExperiment(base=np.ones(1), schedule=[(100, 2.0)])
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
         with pytest.raises(DomainError):
-            run_step_scale_experiment(exp, cfg, steps=50)
+            step_multipliers([(100, 2.0)], steps=50)
 
     def test_gd_like_jump_is_literal(self):
         # for Adam from steady init the pre-jump norm is pinned at 1
-        exp = StepScaleExperiment(base=np.ones(1), schedule=[(50, 10.0)])
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-        tr = run_step_scale_experiment(exp, cfg, steps=100)
+        tr = step_scale_cells(np.ones(1), step_multipliers([(50, 10.0)], steps=100), [cfg])[0]
         assert np.allclose(tr.norm_r[:50], 1.0, atol=1e-12)
         assert tr.norm_r[50] != pytest.approx(1.0, abs=1e-3)
 
     def test_steady_state_is_scale_free_for_any_betas(self):
         steps, jump = 32000, 16000
-        exp = StepScaleExperiment(base=np.ones(1), schedule=[(jump, 10.0)],
-                                  beta_grid=[(b1, b2) for b1 in BETA_AXIS for b2 in BETA_AXIS])
-        traces = step_scale_grid(exp, steps=steps)
+        traces = step_scale_grid(np.ones(1), step_multipliers([(jump, 10.0)], steps), BETA_AXIS)
         for tr in traces.values():
             assert tr.norm_r[jump - 1] == pytest.approx(1.0, abs=1e-6)
             assert tr.norm_r[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_transient_integral_minimized_on_diagonal(self):
         steps, jump = 32000, 16000
-        exp = StepScaleExperiment(base=np.ones(1), schedule=[(jump, 10.0)],
-                                  beta_grid=[(b1, b2) for b1 in BETA_AXIS for b2 in BETA_AXIS])
-        traces = step_scale_grid(exp, steps=steps)
+        traces = step_scale_grid(np.ones(1), step_multipliers([(jump, 10.0)], steps), BETA_AXIS)
         integrals = {k: tr.transient_integral(jump, reference=1.0)
                      for k, tr in traces.items()}
         for b1 in BETA_AXIS:
@@ -135,26 +128,24 @@ class TestStepScaleExperiment:
             assert min(row, key=row.get) == b1
 
     def test_zero_init_washes_out(self):
-        exp = StepScaleExperiment(base=np.ones(1), schedule=[(400, 10.0)])
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-        tr = run_step_scale_experiment(exp, cfg, steps=800, init="zero")
+        tr = step_scale_cells(np.ones(1), step_multipliers([(400, 10.0)], steps=800), [cfg],
+                              init="zero")[0]
         assert tr.norm_r[399] == pytest.approx(1.0, abs=1e-6)
 
     def test_signsgd_norm_is_constant_sqrt_d(self):
-        exp = StepScaleExperiment(base=np.ones(4), schedule=[(10, 10.0), (20, 0.3)])
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9)
-        tr = run_step_scale_experiment(exp, cfg, steps=40, method="signsgd")
+        tr = step_scale_cells(np.ones(4), step_multipliers([(10, 10.0), (20, 0.3)], steps=40),
+                              [cfg], method="signsgd")[0]
         assert np.allclose(tr.norm_r, 2.0, atol=0.0)  # sqrt(4) at every step
 
     def test_gd_norm_jumps_by_exactly_the_multiplier(self):
-        exp = StepScaleExperiment(base=np.ones(1), schedule=[(10, 10.0)])
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9)
-        tr = run_step_scale_experiment(exp, cfg, steps=20, method="gd")
+        tr = step_scale_cells(np.ones(1), step_multipliers([(10, 10.0)], steps=20), [cfg],
+                              method="gd")[0]
         assert tr.norm_r[9] == 1.0
         assert tr.norm_r[10] == 10.0
 
     def test_duplicate_schedule_entries_rejected(self):
-        exp = StepScaleExperiment(base=np.ones(1), schedule=[(10, 2.0), (10, 3.0)])
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
         with pytest.raises(DomainError):
-            run_step_scale_experiment(exp, cfg, steps=50)
+            step_multipliers([(10, 2.0), (10, 3.0)], steps=50)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scale_lab import (DomainError, MomentState, OptimizerConfig, adam_step,
-                       make_problem, omega_of_trace, run_training, sweep_grid)
+                       make_problem, omega_of_trace, sweep_grid, train_cells)
 
 
 def central_difference_gradient(loss, theta, h=1e-5):
@@ -58,28 +58,28 @@ class TestRunTraining:
     def test_gd_on_quadratic_descends(self):
         prob = make_problem("quadratic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.005)
-        trace = run_training(prob, cfg, seed=0, steps=200, method="gd")
+        trace = train_cells(prob, [cfg], seed=0, steps=200, method="gd")[0]
         assert not trace.diverged
         assert np.all(np.diff(trace.loss) < 0.0)
 
     def test_traces_are_bit_identical(self):
         prob = make_problem("logistic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
-        t1 = run_training(prob, cfg, seed=3, steps=150)
-        t2 = run_training(prob, cfg, seed=3, steps=150)
+        t1 = train_cells(prob, [cfg], seed=3, steps=150)[0]
+        t2 = train_cells(prob, [cfg], seed=3, steps=150)[0]
         assert np.array_equal(t1.loss, t2.loss)
         assert np.array_equal(t1.norm_r, t2.norm_r)
 
     def test_different_seeds_differ(self):
         prob = make_problem("logistic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
-        t1 = run_training(prob, cfg, seed=0, steps=100)
-        t2 = run_training(prob, cfg, seed=1, steps=100)
+        t1 = train_cells(prob, [cfg], seed=0, steps=100)[0]
+        t2 = train_cells(prob, [cfg], seed=1, steps=100)[0]
         assert not np.array_equal(t1.norm_r, t2.norm_r)
 
     def test_trace_length_contract(self):
         prob = make_problem("mlp")
-        trace = run_training(prob, OptimizerConfig(), seed=0, steps=40)
+        trace = train_cells(prob, [OptimizerConfig()], seed=0, steps=40)[0]
         assert trace.k.size == trace.loss.size == trace.norm_r.size == 40
         assert np.all(trace.norm_r >= 0.0)
 
@@ -87,7 +87,7 @@ class TestRunTraining:
         # GD with a step far beyond 2/lambda_max blows the quadratic up to inf
         prob = make_problem("quadratic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=10.0)
-        trace = run_training(prob, cfg, seed=0, steps=2000, method="gd")
+        trace = train_cells(prob, [cfg], seed=0, steps=2000, method="gd")[0]
         assert trace.diverged
         assert trace.k.size < 2000
         assert np.all(np.isfinite(trace.loss))
@@ -95,7 +95,7 @@ class TestRunTraining:
     def test_signsgd_mode_runs(self):
         prob = make_problem("quadratic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.001)
-        trace = run_training(prob, cfg, seed=0, steps=50, method="signsgd")
+        trace = train_cells(prob, [cfg], seed=0, steps=50, method="signsgd")[0]
         # every coordinate contributes a unit sign
         assert trace.norm_r[0] == pytest.approx(np.sqrt(prob.dim_theta))
 
@@ -151,9 +151,9 @@ class TestSweepGrid:
             sweep_grid(make_problem("logistic"), steps=10, metric="omega3")
 
     def test_diverged_cell_becomes_nan(self):
-        trace = run_training(make_problem("quadratic"),
-                             OptimizerConfig(beta1=0.9, beta2=0.999, eta=10.0),
-                             seed=0, steps=2000, method="gd")
+        trace = train_cells(make_problem("quadratic"),
+                            [OptimizerConfig(beta1=0.9, beta2=0.999, eta=10.0)],
+                            seed=0, steps=2000, method="gd")[0]
         assert np.isnan(omega_of_trace(trace))
 
     def test_empty_arguments_rejected(self):
