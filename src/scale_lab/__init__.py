@@ -1,6 +1,6 @@
 """Adam, its continuous-time flow, and gradient-scale-invariance diagnostics."""
 
-from .errors import DimensionError, DomainError, FlowAbort
+from .errors import DimensionError, DomainError, FlowAbort, SweepAbort
 from .flow import (FlowState, FlowTrace, TimeScales, beta_from_tau, flow_rhs,
                    integrate_flow, predict_first_order, steady_state_exponential_gains,
                    steady_state_init, tau_from_beta)

@@ -18,8 +18,9 @@ learning rate or step-scale multiplier that is not positive, a zero
 step-scale base, a beta outside (0, 1), a negative ``--epsilon`` or
 ``--v`` item, a ``--jump`` outside [1, steps - 1] and ``--seeds`` given
 together with ``--seed-list`` are usage errors.  An overflow that aborts a
-flow or a step-scale run, and a flow step too small to grid its interval,
-are runtime errors.
+flow or a step-scale run, a step-scale gradient whose square underflows,
+a flow step too small to grid its interval and a sweep none of whose
+rows can be scored are runtime errors.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, DomainError, FlowAbort
+from .errors import DimensionError, DomainError, FlowAbort, SweepAbort
 from .flow import TimeScales, integrate_flow, steady_state_init
 from .invariance import exact_invariance_probe, step_scale_grid
 from .metrics import grid_report
@@ -204,18 +205,28 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
 
 # ---------------------------------------------------------------- sweep
 
+def _diverged(traces) -> list[str]:
+    """Each diverged cell as ``beta1,beta2,seed:step``, the step read off its trace length."""
+    return [f"{b1},{b2},{s}:{tr.k.size}" for (b1, b2, s), tr in sorted(traces.items())
+            if tr.diverged]
+
+
 def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
     betas = _distinct(_values(args.beta_grid, _beta), "--beta-grid")
     seeds = (list(range(args.seeds or 3)) if args.seed_list is None
              else _distinct(_values(args.seed_list, _seed), "--seed-list"))
     problem = make_problem(args.problem, seed=args.data_seed)
-    result = sweep_grid(problem, beta_axis=betas, seeds=seeds,
-                        steps=args.steps, batch_size=args.batch_size, eta=args.eta,
-                        window=args.window, metric=args.metric)
     manifest.seeds = seeds
-    manifest.observed["diverged"] = [f"{b1},{b2},{s}:{tr.k.size}" for (b1, b2, s), tr
-                                     in sorted(result.traces.items()) if tr.diverged]
+    try:
+        result = sweep_grid(problem, beta_axis=betas, seeds=seeds,
+                            steps=args.steps, batch_size=args.batch_size, eta=args.eta,
+                            window=args.window, metric=args.metric)
+    except SweepAbort as exc:  # no outputs, but the manifest says which cells diverged
+        manifest.observed["diverged"] = _diverged(exc.traces)
+        manifest.write(out)
+        raise
+    manifest.observed["diverged"] = _diverged(result.traces)
 
     files = []
     for (b1, b2, seed), trace in sorted(result.traces.items()):

@@ -27,6 +27,7 @@ from .optimizers import (CellConfigs, MomentState, OptimizerConfig, optimizer_st
 
 EXACT_TOL = 1e-12  # classification threshold for exact invariance / linearity
 STEP_BLOCK = 1024  # stream steps per optimizer-kernel call; blocks bound the memory of a long run
+_NORMAL_SQUARE_FLOOR = 2.0 ** -511  # the smallest |g| whose g * g is still a normal float
 
 
 @dataclass(frozen=True)
@@ -153,16 +154,23 @@ def step_scale_cells(base: np.ndarray, multipliers: np.ndarray,
     of the first gradient (m = g0, v = g0^2), so the pre-jump norm sits
     exactly at its steady value; ``init="zero"`` starts from m = v = 0.
     signSGD and GD are stateless and ignore the init mode.  A block whose
-    moments are not finite (an overflowed gradient or g * g) is a ``DomainError``.
+    moments are not finite (an overflowed gradient or g * g) is a ``DomainError``,
+    and so is a nonzero fed entry ``|multipliers[k] * base|`` below 2**-511,
+    whose square underflows to a subnormal or zero second moment.
     """
     mults = np.array(multipliers, dtype=float)
     if mults.ndim != 1 or mults.size == 0 or not (mults > 0.0).all():
         raise DomainError("multipliers must be a non-empty 1-D array of positive numbers")
     if init not in ("steady", "zero"):
         raise DomainError(f"unknown init mode {init!r}")
+    base = np.asarray(base, dtype=float)
+    smallest = np.abs(base[base != 0.0]).min(initial=np.inf) * mults.min()
+    if smallest < _NORMAL_SQUARE_FLOOR:
+        raise DomainError(f"a fed gradient entry |multipliers[k] * base| = {float(smallest)!r} "
+                          f"is below 2**-511: its square underflows past the normal floats")
     steps = mults.size
     cells = CellConfigs(configs)
-    base_rows = np.tile(np.asarray(base, dtype=float), (len(cells), 1))
+    base_rows = np.tile(base, (len(cells), 1))
     norm_r = np.empty((steps, len(cells)))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments raise below
         m = base_rows * mults[0] if init == "steady" else np.zeros_like(base_rows)

@@ -44,8 +44,9 @@ class Problem:
     (batch,) vector for every row or one row per theta, (C, batch).  A
     stacked call returns C losses and a (C, d) gradient whose row i is
     bit-identical to the call on theta i (and ``idx[i]``) alone, because each
-    row runs the same BLAS calls and reductions as a single theta.  The mlp
-    reuses a hidden-layer buffer between calls, so one problem must not be
+    row runs the same BLAS calls and reductions as a single theta.  The loss is
+    finite at every finite theta with ``max|theta| < loss_finite_below``.  The
+    mlp reuses a hidden-layer buffer between calls, so one problem must not be
     evaluated from two threads at once.
     """
 
@@ -55,6 +56,7 @@ class Problem:
     loss: Callable[[np.ndarray], float | np.ndarray]
     grad: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
     init_theta: Callable[[int], np.ndarray]
+    loss_finite_below: float
     meta: dict = field(default_factory=dict)
 
 
@@ -94,6 +96,11 @@ def _stacked(loss_rows, grad_rows):
     return loss, grad
 
 
+def _finite_below(x: np.ndarray, hidden: int) -> float:
+    """B with |bias + x_i . w| and |bias + (hidden tanh units) . w| <= 1e300 if max|theta| < B."""
+    return 1e300 / (1.0 + np.abs(x).sum(axis=1).max() + hidden)
+
+
 def _make_blobs(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Two overlapping Gaussian blobs, 256 samples per class."""
     rng = CounterRng(seed, stream=_DATA_STREAM)
@@ -124,6 +131,7 @@ def _quadratic(seed: int) -> Problem:
     loss, grad = _stacked(loss_rows, grad_rows)
     return Problem(kind="quadratic", dim_theta=QUADRATIC_DIM, n_samples=0,
                    loss=loss, grad=grad, init_theta=init_theta,
+                   loss_finite_below=float(np.sqrt(1e300 / diag.sum())),
                    meta={"condition": QUADRATIC_CONDITION, "seed": seed})
 
 
@@ -153,7 +161,8 @@ def _logistic(seed: int) -> Problem:
 
     loss, grad = _stacked(loss_rows, grad_rows)
     return Problem(kind="logistic", dim_theta=dim, n_samples=BLOB_SAMPLES,
-                   loss=loss, grad=grad, init_theta=init_theta, meta={"seed": seed})
+                   loss=loss, grad=grad, init_theta=init_theta,
+                   loss_finite_below=_finite_below(x, 0), meta={"seed": seed})
 
 
 def _mlp(seed: int) -> Problem:
@@ -228,7 +237,8 @@ def _mlp(seed: int) -> Problem:
 
     loss, grad = _stacked(loss_rows, grad_rows)
     return Problem(kind="mlp", dim_theta=dim, n_samples=BLOB_SAMPLES,
-                   loss=loss, grad=grad, init_theta=init_theta, meta={"seed": seed})
+                   loss=loss, grad=grad, init_theta=init_theta,
+                   loss_finite_below=_finite_below(x, h), meta={"seed": seed})
 
 
 _FACTORIES = {"quadratic": _quadratic, "logistic": _logistic, "mlp": _mlp}

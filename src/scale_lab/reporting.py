@@ -31,7 +31,7 @@ from .errors import DomainError
 from .flow import FlowTrace
 from .invariance import RescaleProbeResult, StepTrace
 from .metrics import OscillationGridReport, omega_grids
-from .training import RunTrace, SweepResult
+from .training import LOSS_EVERY, RunTrace, SweepResult
 
 
 class CsvParseError(DomainError):
@@ -149,7 +149,10 @@ def flow_trace_csv(trace: FlowTrace, path: Path) -> Path:
 
 
 def run_trace_csv(trace: RunTrace, path: Path) -> Path:
-    return write_csv(path, ["step", "loss", "norm_R"], [trace.k, trace.loss, trace.norm_r])
+    """One row per step; the ``loss`` field is empty except on every LOSS_EVERY-th step."""
+    loss = [""] * trace.k.size
+    loss[::LOSS_EVERY] = trace.loss.tolist()
+    return write_csv(path, ["step", "loss", "norm_R"], [trace.k, loss, trace.norm_r])
 
 
 def step_trace_csv(trace: StepTrace, path: Path) -> Path:

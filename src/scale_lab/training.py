@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, SweepAbort
 from .metrics import (OscillationGridReport, ema_smooth, grid_report, omega_grids,
                       oscillation_omega1, oscillation_omega2)
 from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
@@ -31,11 +31,12 @@ DEFAULT_ETA = {"quadratic": 0.01, "logistic": 0.01, "mlp": 0.003}
 
 _BATCH_STREAM = 2
 _INDEX_BLOCK = 64  # steps of minibatch indices drawn at once per seed, equal to per-step draws
+LOSS_EVERY = 10  # the full-data loss is recorded on steps k % LOSS_EVERY == 0
 
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-step loss and update norm of one training run."""
+    """Per-step update norm of one run; ``loss[j]`` is the loss before step j * LOSS_EVERY."""
 
     k: np.ndarray
     loss: np.ndarray
@@ -52,13 +53,16 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
     ``seed`` is one seed for every row or one per config row.  Row i starts
     from ``problem.init_theta(seed_i)`` and draws its minibatch index row from
     ``CounterRng(seed_i, stream=2)``; each step makes one gradient and one
-    optimizer call for the (C, d) rows and one full-data loss call per seed.
-    Each row is bit-identical to the cell trained alone.
+    optimizer call for the (C, d) rows, and every LOSS_EVERY-th step one
+    full-data loss call per seed.  Each row is bit-identical to the cell
+    trained alone.
 
     The loss is the full-data objective at the pre-step parameters; the
     gradient fed to the optimizer is the minibatch one (full-batch for the
     quadratic).  A cell whose loss or update turns non-finite is flagged as
-    diverged and its trace is cut before that step, instead of raising.  It
+    diverged and its trace is cut before that step, instead of raising; off
+    the cadence the loss runs for that check on each row not inside
+    ``problem.loss_finite_below``, so no non-finite loss goes unseen.  It
     keeps its row and steps on with the batch: rows never mix, so its
     neighbours cannot tell.  The loop ends early once every cell has diverged.
     """
@@ -78,15 +82,25 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
     state = MomentState(m=np.zeros_like(theta), v=np.zeros_like(theta), theta=theta, k=0)
     batches = [CounterRng(s, stream=_BATCH_STREAM) for s in seed_set]
 
-    losses = np.empty((n_cells, steps))
+    losses = np.empty((n_cells, -(-steps // LOSS_EVERY)))
     norms = np.empty((n_cells, steps))
     n_done = np.full(n_cells, steps)
     alive = np.ones(n_cells, dtype=bool)
     # a diverging row overflows silently: it is detected as non-finite below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
+            recorded = k % LOSS_EVERY == 0
+            # off the cadence only a live row the bound cannot vouch for needs its loss
+            # (written as not-below, so a NaN theta is checked too)
+            check = alive if recorded else alive & ~(
+                np.abs(state.theta).max(axis=1) < problem.loss_finite_below)
+            loss_k = np.zeros(n_cells)
             for rows in seed_rows:
-                losses[rows, k] = problem.loss(state.theta[rows])
+                rows = rows[check[rows]]
+                if rows.size:
+                    loss_k[rows] = problem.loss(state.theta[rows])
+            if recorded:
+                losses[:, k // LOSS_EVERY] = loss_k
             if problem.n_samples and k % _INDEX_BLOCK == 0:
                 draws = min(_INDEX_BLOCK, steps - k) * batch_size
                 block = np.stack([b.integers(0, problem.n_samples, draws).reshape(-1, batch_size)
@@ -94,12 +108,12 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
             idx = block[seed_of_row, k % _INDEX_BLOCK] if problem.n_samples else None
             r = optimizer_step(method, state, problem.grad(state.theta, idx)[None], cells)
             norms[:, k] = row_norms(r[0])
-            died = alive & ~(np.isfinite(losses[:, k]) & np.isfinite(norms[:, k]))
+            died = alive & ~(np.isfinite(loss_k) & np.isfinite(norms[:, k]))
             n_done[died], alive[died] = k, False
             if not alive.any():
                 break
 
-    return [RunTrace(k=np.arange(n), loss=losses[i, :n], norm_r=norms[i, :n],
+    return [RunTrace(k=np.arange(n), loss=losses[i, :-(-n // LOSS_EVERY)], norm_r=norms[i, :n],
                      config=cfg, seed=s, diverged=bool(n < steps))
             for i, (cfg, s, n) in enumerate(zip(configs, row_seeds, n_done))]
 
@@ -141,7 +155,8 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     """Run every (beta1, beta2, seed) cell and score diagonal selection.
 
     Every cell of every seed trains as one row of a single lockstep batch;
-    each cell is smoothed once and scored by both metrics.
+    each cell is smoothed once and scored by both metrics.  A ``SweepAbort``,
+    carrying the traces, is raised when no row of the grids can be scored.
     """
     axis = [float(b) for b in beta_axis]
     seed_list = [int(s) for s in seeds]
@@ -160,7 +175,10 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     results = dict(zip(cells, traces))
     omegas = {cell: _omegas(tr, window) for cell, tr in results.items()}
 
-    report = grid_report(omega_grids({cell: om[metric] for cell, om in omegas.items()},
-                                     axis, seed_list), axis)
+    try:
+        report = grid_report(omega_grids({cell: om[metric] for cell, om in omegas.items()},
+                                         axis, seed_list), axis)
+    except DomainError as exc:  # every row unscorable, e.g. every cell diverged
+        raise SweepAbort(results, str(exc)) from None
     return SweepResult(report=report, traces=results, omegas=omegas, window=window,
                        metric=metric)

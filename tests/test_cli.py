@@ -203,6 +203,18 @@ class TestProbeCommand:
         assert "not finite" in err and "Warning" not in err
         assert not (out / "probe.csv").exists()
 
+    @pytest.mark.parametrize("base", ["1e-160", "1e-200"])
+    def test_underflowed_step_scale_gradient_is_runtime_error(self, tmp_path, capsys, base):
+        # g * g is subnormal at 1e-160 (a pre-jump norm_R of 1.0000055664551362, not 1.0)
+        # and zero at 1e-200, which the raw-Adam kernel would report as a zero second moment
+        out = tmp_path / "p"
+        assert run("probe", "--step-scale", "--base", base, "--steps", "100",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"= {float(base)!r} is below 2**-511" in err and "underflows" in err
+        assert "second-moment" not in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
+
     def test_step_scale_mode(self, tmp_path):
         out = tmp_path / "p"
         assert run("probe", "--step-scale", "--multiplier", "10", "--steps", "400",
@@ -446,6 +458,23 @@ class TestManifest:
         assert "observed.diverged=['0.999,0.9,0:32']" in (out / "manifest.txt").read_text()
         cols = read_csv_columns(out / "cells" / "trace_0.999_0.9_s0.csv")
         assert len(cols["step"]) == 32
+
+    def test_sweep_with_no_scorable_row_still_writes_the_manifest(self, tmp_path, capsys):
+        # at this rate every cell overflows at its first step, so no grid row can be scored
+        out = tmp_path / "out"
+        assert run("sweep", "--problem", "logistic", "--steps", "20", "--eta", "1e308",
+                   "--seeds", "1", "--window", "3", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "no row of the grids can be scored" in err and "Traceback" not in err
+        diverged = [f"{b1},{b2},0:1" for b1 in ("0.9", "0.99", "0.999")
+                    for b2 in ("0.9", "0.99", "0.999")]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["command"], manifest["seeds"], manifest["observed"],
+                manifest["outputs"]) == ("sweep", [0], {"diverged": diverged}, {})
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "manifest.txt"]
+        text = (out / "manifest.txt").read_text().splitlines()
+        assert [line for line in text if line.startswith(("observed.", "output."))] == [
+            f"observed.diverged={diverged}"]
 
     @pytest.mark.parametrize("argv,observed,why", [
         (["--delta0", "-2", "--h", "3"], {"clamped": False, "abort_t": 1.5}, "v crossed zero"),

@@ -1,5 +1,8 @@
 """The lockstep cell engine: a cell trained in a batch equals the cell trained alone."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, Op
                        step_scale_grid, sweep_grid, train_cells, zero_state)
 from scale_lab.invariance import STEP_BLOCK
 from scale_lab.rng import CounterRng
-from scale_lab.training import _INDEX_BLOCK, DEFAULT_BETA_AXIS, DEFAULT_ETA
+from scale_lab.training import _INDEX_BLOCK, DEFAULT_BETA_AXIS, DEFAULT_ETA, LOSS_EVERY
 
 BETAS = [(0.9, 0.9), (0.9, 0.999), (0.99, 0.9), (0.999, 0.99)]
 
@@ -126,7 +129,7 @@ class TestMixedSeedRows:
         steps = 2 * _INDEX_BLOCK + 3
         for s, trace in zip((5, 2), train_cells(prob, [cfg, cfg], seed=[5, 2], steps=steps)):
             losses, norms = serial_logistic_adam(prob, cfg, seed=s, steps=steps)
-            assert np.array_equal(trace.loss, losses)
+            assert np.array_equal(trace.loss, losses[::LOSS_EVERY])
             assert np.array_equal(trace.norm_r, norms)
 
     def test_sweep_grid_equals_one_batch_per_seed(self):
@@ -144,6 +147,42 @@ class TestMixedSeedRows:
         with pytest.raises(DimensionError):
             train_cells(make_problem("quadratic"), [OptimizerConfig()] * 2, seed=[0, 1, 2],
                         steps=5)
+
+
+def counting_loss(prob):
+    """``prob`` with its loss wrapped to log the row count of every call, and that log."""
+    rows = []
+
+    def loss(thetas):
+        rows.append(len(thetas))
+        return prob.loss(thetas)
+
+    return dataclasses.replace(prob, loss=loss), rows
+
+
+class TestLossCadence:
+    def test_healthy_batch_evaluates_the_loss_only_on_the_cadence(self):
+        prob, rows = counting_loss(make_problem("mlp", seed=1))
+        pairs = [(b1, b2) for b1 in DEFAULT_BETA_AXIS for b2 in DEFAULT_BETA_AXIS]
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=DEFAULT_ETA["mlp"]) for b1, b2 in pairs]
+        traces = train_cells(prob, configs * 3, seed=[s for s in (2, 0, 1) for _ in pairs],
+                             steps=35)
+        # one call per seed group of 9 rows, on steps 0, 10, 20 and 30
+        assert rows == [len(pairs)] * (3 * math.ceil(35 / LOSS_EVERY))
+        assert all(t.loss.size == math.ceil(35 / LOSS_EVERY) for t in traces)
+
+    def test_rows_past_the_bound_are_evaluated_every_step(self):
+        # both 2e305 rows leave the bound at step 1; the (0.999, 0.9) one dies at step 32
+        prob, rows = counting_loss(make_problem("logistic"))
+        calm = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.01)
+        blow = OptimizerConfig(beta1=0.999, beta2=0.9, eta=2e305)
+        far = OptimizerConfig(beta1=0.9, beta2=0.9, eta=2e305)
+        traces = train_cells(prob, [calm, blow, far], seed=0, steps=40)
+        assert [t.diverged for t in traces] == [False, True, False]
+        died = traces[1].k.size
+        assert died == 32
+        assert rows == [(k % LOSS_EVERY == 0) + (k <= died) + 1 for k in range(40)]
+        assert np.abs(traces[2].loss[1:]).min() > 1e300  # far past the bound, yet finite
 
 
 def serial_logistic_adam(prob, cfg, seed, steps):
@@ -179,7 +218,7 @@ def test_sweep_cells_equal_the_serial_reference_loop():
     configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=0.01) for b1, b2 in BETAS]
     for cfg, trace in zip(configs, train_cells(prob, configs, seed=5, steps=40)):
         losses, norms = serial_logistic_adam(prob, cfg, seed=5, steps=40)
-        assert np.array_equal(trace.loss, losses)
+        assert np.array_equal(trace.loss, losses[::LOSS_EVERY])
         assert np.array_equal(trace.norm_r, norms)
 
 

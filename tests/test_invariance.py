@@ -146,6 +146,16 @@ class TestStepScaleExperiment:
         assert tr.norm_r[9] == 1.0
         assert tr.norm_r[10] == 10.0
 
+    def test_fed_gradient_whose_square_underflows_rejected(self):
+        # 1e-150 alone is fine; scaled by 1e-5 at step 10 its square is below the normal floats
+        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
+        base = np.array([1e-150, -3.0])
+        assert step_scale_cells(base, step_multipliers([(10, 1e-3)], steps=20), [cfg])
+        with pytest.raises(DomainError, match=r"= 1e-155 is below 2\*\*-511.*underflows"):
+            step_scale_cells(base, step_multipliers([(10, 1e-5)], steps=20), [cfg])
+        traces = step_scale_cells(np.array([2.0 ** -511]), np.ones(5), [cfg])
+        assert np.array_equal(traces[0].norm_r, np.ones(5))
+
     def test_duplicate_schedule_entries_rejected(self):
         with pytest.raises(DomainError):
             step_multipliers([(10, 2.0), (10, 3.0)], steps=50)

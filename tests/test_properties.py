@@ -1,9 +1,11 @@
 """Property tests: the signal array contract, the lockstep drift ladder, grid reports,
-the CSV writer, the block optimizer kernel, the relaxation RK4 kernel."""
+the CSV writer, the loss finiteness bound, the block optimizer kernel, the relaxation RK4
+kernel."""
 
 import csv
 import functools
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +16,14 @@ from hypothesis.extra.numpy import arrays
 
 from scale_lab import (CellConfigs, FlowState, FlowTrace, MomentState, OptimizerConfig,
                        TimeScales, binomial_diagonal_test, constant_signal, exponential_signal,
-                       grid_report, integrate_flow, sinusoidal_log_signal, steady_state_init,
-                       step_scale_signal, tabulated_signal, tracking_check)
+                       grid_report, integrate_flow, make_problem, sinusoidal_log_signal,
+                       steady_state_init, step_scale_signal, tabulated_signal, tracking_check)
 from scale_lab import reporting
 from scale_lab.optimizers import optimizer_step
 from scale_lab.drift import _exponential_ladder
 from scale_lab.errors import DomainError, FlowAbort
 from scale_lab.flow import _abort_if_invalid, flow_rhs
+from scale_lab.problems import MLP_HIDDEN, _make_blobs
 
 SIGNALS = {
     "constant": lambda: constant_signal([2.0, -0.5, 3.0]),
@@ -220,6 +223,46 @@ def test_write_csv_bytes_equal_a_csv_writer_of_repr_float_fields(table):
         else:
             assert reporting.write_csv(got, header, columns) == got
             assert got.read_bytes() == want.read_bytes()
+
+
+# ---------------------------------------------------------------- the loss finiteness bound
+
+@functools.lru_cache(maxsize=None)
+def bounded_problem(kind):
+    return make_problem(kind, seed=1)
+
+
+def aligned_corner(prob, corner):
+    """Every coordinate at +-corner, signed so the largest sample's logits add up."""
+    if prob.kind == "quadratic":
+        return np.full(prob.dim_theta, corner)
+    x, _ = _make_blobs(prob.meta["seed"])
+    signs = np.sign(x[np.abs(x).sum(axis=1).argmax()])
+    if prob.kind == "logistic":
+        return corner * np.append(signs, 1.0)
+    # w1 (features, hidden) row-major, b1, w2 (hidden, 2) pulling the classes apart, b2
+    return corner * np.concatenate([np.repeat(signs, MLP_HIDDEN), np.ones(MLP_HIDDEN),
+                                    np.tile([1.0, -1.0], MLP_HIDDEN), [1.0, -1.0]])
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 3))
+def test_loss_is_finite_below_the_problem_bound(kind, data, rows):
+    # the engine skips the loss off its cadence for a row inside the bound: this is why it may
+    prob = bounded_problem(kind)
+    corner = prob.loss_finite_below * (1.0 - 2.0 ** -52)
+    shape = (rows, prob.dim_theta)
+    fractions = data.draw(arrays(float, shape, elements=st.one_of(st.just(1.0),
+                                                                  st.floats(0.0, 1.0))))
+    signs = data.draw(arrays(float, shape, elements=st.sampled_from([-1.0, 1.0])))
+    aligned = aligned_corner(prob, corner)
+    thetas = np.vstack([corner * fractions * signs, aligned, -aligned])
+    assert np.abs(thetas).max() < prob.loss_finite_below
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses = prob.loss(thetas)
+    assert np.isfinite(losses).all()
 
 
 # ---------------------------------------------------------------- block optimizer kernel

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from scale_lab import (DomainError, MomentState, OptimizerConfig, adam_step,
                        make_problem, omega_of_trace, sweep_grid, train_cells)
+from scale_lab.training import LOSS_EVERY
 
 
 def central_difference_gradient(loss, theta, h=1e-5):
@@ -80,7 +83,8 @@ class TestRunTraining:
     def test_trace_length_contract(self):
         prob = make_problem("mlp")
         trace = train_cells(prob, [OptimizerConfig()], seed=0, steps=40)[0]
-        assert trace.k.size == trace.loss.size == trace.norm_r.size == 40
+        assert trace.k.size == trace.norm_r.size == 40
+        assert trace.loss.size == math.ceil(40 / LOSS_EVERY)
         assert np.all(trace.norm_r >= 0.0)
 
     def test_divergence_truncates_with_flag(self):
