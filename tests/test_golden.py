@@ -3,10 +3,11 @@
 The sweep and step-scale sha256 values were recorded with the serial
 one-cell-at-a-time engine that the lockstep engine replaced; the flow and
 probe values with the separate RK4 loops and per-method probe dispatch that
-the shared integrator and ``optimizer_step`` replaced; the hashes of every
-sweep cell trace and of all nine step-scale traces with the row-wise CSV
-writer that the columnar ``write_csv`` replaced (Python 3.11, numpy 2.4
-with its bundled OpenBLAS, x86-64).  Any change to the arithmetic of
+the shared integrator and ``optimizer_step`` replaced; the hashes of all
+nine step-scale traces with the row-wise CSV writer that the columnar
+``write_csv`` replaced; the hashes of every sweep cell trace when the
+trace's loss column went from every step to every 10th (Python 3.11,
+numpy 2.4 with its bundled OpenBLAS, x86-64).  Any change to the arithmetic of
 training, the optimizers, the flow, the drift expansion or the CSV writers
 shows up here as a hash mismatch.  The BLAS kernels decide the last bits,
 so another numpy build or CPU may need the values re-recorded.
@@ -22,24 +23,24 @@ from scale_lab.cli import main
 SWEEP_HASHES = {
     "grid.csv": "80eaef49f00beff2d43a44152dc5925fdd47c2f94c5d3cfcfa76f121671f849f",
     "summary.csv": "ce30fd5a401e2dffb13538af8faa1a08094365e85b74e4fac3ab80f34afd6240",
-    "cells/trace_0.999_0.999_s0.csv": "ee79030edc14af9b6cbeb7776384aba2f5adfb64236754212c4daa44c03516be",
-    "cells/trace_0.999_0.999_s1.csv": "12ae61332af921cdd8fbdddf47691633607dc0aa30b663714f04e0692ac8f2f1",
-    "cells/trace_0.999_0.99_s0.csv": "89e315243fd7e03d6d1aa1fa50472883ae8c8a8f7ed6326e9353a5abdfe5af66",
-    "cells/trace_0.999_0.99_s1.csv": "da8030cec84e8c60efdfd1417b30626058625f910dde3cb44db53c43925c1318",
-    "cells/trace_0.999_0.9_s0.csv": "939020edafc4697440937f12867ed92c693187ada4e027f6ccd82d43900dd92f",
-    "cells/trace_0.999_0.9_s1.csv": "fbed3f86497b330611e6dfedc83a915672c27a6045f95f7568f56cb9b73bd145",
-    "cells/trace_0.99_0.999_s0.csv": "3e278c4accbf56aba8e006ddf417b88de658acbaab64f987d5584b94fc66cd76",
-    "cells/trace_0.99_0.999_s1.csv": "801ac27e27b6f38d31f2ea92e341059515185817b91e1444c774da5433843d90",
-    "cells/trace_0.99_0.99_s0.csv": "bc34a8934dd18136fe950660592c30c7c72e1cb74187bda5a97c7eb3b5a3af6a",
-    "cells/trace_0.99_0.99_s1.csv": "23d611634c718729ddfa57a484ed57c3be22beb80856b6b8bc7599b375890f4c",
-    "cells/trace_0.99_0.9_s0.csv": "e81b1475c4dfb559b6be3e16c0d3fe81006bd48ccbd0fa30fd375c62d90fc015",
-    "cells/trace_0.99_0.9_s1.csv": "7857d361d2a5117331b73606698010d1b667dcfe150a5ab96420df92468d067e",
-    "cells/trace_0.9_0.999_s0.csv": "37e3e7b99328f9229e1fab8306378c4ce5bad9c313be540f4015ac618bbdd9de",
-    "cells/trace_0.9_0.999_s1.csv": "2b4dde0e029e7d4ad69bb57d3e1c20242a05dc2d7f8766bdacf316dd255fa247",
-    "cells/trace_0.9_0.99_s0.csv": "33dd202bea59d926b96a9b4ed7471edab8c68dd9458599d02ef91aa8e278417d",
-    "cells/trace_0.9_0.99_s1.csv": "7ea29107766988b1c2ca07e96b33f388dba639d4a97acebbfbf1f16047207985",
-    "cells/trace_0.9_0.9_s0.csv": "43ae2152019e71164dba8a8a08414cbff09a12e96091545f92824030c008d7df",
-    "cells/trace_0.9_0.9_s1.csv": "023750770ccf2429e66dc8560c5f4eaa55097275031f368b2c21ebaeb3862760",
+    "cells/trace_0.999_0.999_s0.csv": "59bde227a896f42040d7bc88e269845e57665c896b5d82eed8f5b821d09774ab",
+    "cells/trace_0.999_0.999_s1.csv": "9ca80d47705f133dff4be9f4cefaa13cfb9d712eeaec0c2f6005615914280ca3",
+    "cells/trace_0.999_0.99_s0.csv": "170fb13319c5b99cf19a092cf498b2db41b35abd4c8c6f0afd46cf23627fd5c1",
+    "cells/trace_0.999_0.99_s1.csv": "fb59d0e661b7c916e89c80837e708dc3b8ddb1094228e80bf884bc3c1b90ebd7",
+    "cells/trace_0.999_0.9_s0.csv": "4ba096db1ac6803dfd9f10716aced3f84f3dd6c3db159823bebda585639aadfa",
+    "cells/trace_0.999_0.9_s1.csv": "ac62882afe725f1840414474c1dfab7699468384beed849658ec8c26a79b957e",
+    "cells/trace_0.99_0.999_s0.csv": "57c004fa143a9bafe9756de40217d06e3a04f37d6a91099048ec26bbbe303212",
+    "cells/trace_0.99_0.999_s1.csv": "70f701b81db19e8112ffd32df600251f8b15e5f912d998bbab73164887ae75ac",
+    "cells/trace_0.99_0.99_s0.csv": "2cfd4c4be94726ad81abf295b37e5ac14b1469286e43c2f1f4c4de569c3f931b",
+    "cells/trace_0.99_0.99_s1.csv": "b977c14a50fe62b80e0642f3b690b268ad6ea5b58125c57a42f38d20e9b258f8",
+    "cells/trace_0.99_0.9_s0.csv": "1d0f7385925121c689073a20a8ff39865329735962103f098f6794d4989776cf",
+    "cells/trace_0.99_0.9_s1.csv": "5123c06a0ac3485b233f435920495540146d5e7b5c92dc3ba98f57f0800bbe1b",
+    "cells/trace_0.9_0.999_s0.csv": "f354612dd36f984cdc08b08639ffd2481c28c9ae210c292b7e93c00a50a59ab7",
+    "cells/trace_0.9_0.999_s1.csv": "d1b58fdb683d8fe2b8516c5e0cc0a1b7b2d0b1ffb1abe5550d94b1330c5a41f7",
+    "cells/trace_0.9_0.99_s0.csv": "dcc64d42386ef812fbef0e631a4aa01d16265615ac5f615261a33b46f31df893",
+    "cells/trace_0.9_0.99_s1.csv": "d3f454fb13ce3506f3664238bfc1576d37b456ca6ad2a8fcdb756bc2be9daba6",
+    "cells/trace_0.9_0.9_s0.csv": "01d6c3114eee9366d05557479d5db9172da700292a704c0de129b81a6b610599",
+    "cells/trace_0.9_0.9_s1.csv": "4c134d3b893eabcd0629557a698050e643ab7ccfd5c347a3386c8507fb1e9b82",
 }
 
 STEP_SCALE_HASHES = {
