@@ -8,17 +8,15 @@ from .drift import (DriftProfile, RemainderReport, TrackingCheckResult, drift_bo
                     fit_power_law, measure_remainder, remainder_order_sweep, tracking_check)
 from .invariance import (RescaleProbeResult, SensitivityFit, StepTrace, exact_invariance_probe,
                          first_order_sensitivity, step_scale_cells, step_scale_grid)
-from .metrics import (OscillationGridReport, SmoothedSeries, binomial_diagonal_test,
-                      combine_reports, ema_smooth, grid_report, omega_grids,
-                      oscillation_omega1, oscillation_omega2)
-from .optimizers import (CellConfigs, MomentState, OptimizerConfig, UpdateVector, adam_step,
-                         constant_gradient_closed_form, gd_step, signsgd_step, zero_state)
+from .metrics import (OscillationGridReport, binomial_diagonal_test, combine_reports, ema_smooth,
+                      grid_report, omega_grids, oscillation_omega1, oscillation_omega2)
+from .optimizers import (CellConfigs, MomentState, OptimizerConfig, adam_step,
+                         constant_gradient_closed_form, zero_state)
 from .problems import Problem, make_problem
 from .rng import CounterRng
 from .signals import (GradientSignal, constant_signal, exponential_signal,
-                      sinusoidal_log_signal, step_multipliers, step_scale_signal,
-                      tabulated_signal)
-from .training import RunTrace, SweepResult, omega_of_trace, sweep_grid, train_cells
+                      sinusoidal_log_signal, step_multipliers, tabulated_signal)
+from .training import RunTrace, SweepResult, sweep_grid, train_cells
 
 __version__ = "0.1.0"
 

@@ -22,10 +22,9 @@ import numpy as np
 from .drift import _exponential_ladder, fit_power_law
 from .errors import DomainError
 from .flow import TimeScales
-from .optimizers import (CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms,
-                         zero_state)
+from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
 
-EXACT_TOL = 1e-12  # classification threshold for exact invariance / linearity
+EXACT_TOL = 1e-12  # relative classification threshold for exact invariance / linearity
 STEP_BLOCK = 1024  # stream steps per optimizer-kernel call; blocks bound the memory of a long run
 _NORMAL_SQUARE_FLOOR = 2.0 ** -511  # the smallest |g| whose g * g is still a normal float
 
@@ -48,35 +47,41 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
                            config: OptimizerConfig | None = None) -> RescaleProbeResult:
     """Probe one step with the internal state held fixed across rescalings.
 
-    The gradient and its rescalings run as the rows of one ``optimizer_step``
-    from copies of ``state``; gd and signsgd need no state or config.  A
-    rescaled gradient, stepped moment or R that is not finite (an overflow,
-    or the square root of a negative v) is a ``DomainError``, not evidence.
+    ``method`` is adam, gd (R = g) or signsgd (R = sign(g)); gd and signsgd
+    are stateless and need no state or config.  For adam the gradient and its
+    rescalings run as the rows of one ``optimizer_step`` from copies of
+    ``state``.  A rescaled gradient, stepped moment or R that is not finite
+    (an overflow, or the square root of a negative v) is a ``DomainError``,
+    not evidence.  Both checks are relative: a deviation counts as zero when
+    it is at most ``EXACT_TOL * max(||R(g)||_inf, ||R(lambda g)||_inf)``.
     """
     lams = [float(l) for l in lambdas]
     if any(l <= 0.0 for l in lams):
         raise DomainError("rescaling factors must be strictly positive")
+    if method not in ("adam", "gd", "signsgd"):
+        raise DomainError(f"unknown optimizer id {method!r}")
     if method == "adam" and (state is None or config is None):
         raise DomainError("adam probe needs a frozen state and a config")
     g = np.asarray(g, dtype=float)
-    if state is None:
-        state = zero_state(g.size)
-    cells = CellConfigs([config or OptimizerConfig()] * (len(lams) + 1))
-    frozen = MomentState(*(np.tile(a, (len(cells), 1)) for a in (state.m, state.v, state.theta)),
-                         k=state.k)
+    moments = []
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.stack([g] + [lam * g for lam in lams])
-        r = optimizer_step(method, frozen, rows[None], cells)[0]
-    if not all(np.isfinite(a).all() for a in (rows, frozen.m, frozen.v, r)):
+        if method == "adam":
+            frozen = MomentState(*(np.tile(a, (len(rows), 1))
+                                   for a in (state.m, state.v, state.theta)), k=state.k)
+            r = optimizer_step(frozen, rows[None], CellConfigs([config] * len(rows)))[0]
+            moments = [frozen.m, frozen.v]
+        else:
+            r = rows if method == "gd" else np.sign(rows)
+    if not all(np.isfinite(a).all() for a in [rows, r] + moments):
         raise DomainError("a rescaled gradient, stepped moment or R of the probe is not finite")
     base, *scaled = r
+    size = np.max(np.abs(r), axis=1)
+    bounds = [EXACT_TOL * max(size[0], s) for s in size[1:]]
     deviations = [float(np.max(np.abs(r - base))) for r in scaled]
-    # a NaN deviation fails both checks, so it classifies as other
-    linear = all(float(np.max(np.abs(r - lam * base))) < EXACT_TOL
-                 for lam, r in zip(lams, scaled))
-    if all(d < EXACT_TOL for d in deviations):
+    if all(d <= b for d, b in zip(deviations, bounds)):
         cls = "exact-invariant"
-    elif linear:
+    elif all(np.max(np.abs(r - lam * base)) <= b for lam, r, b in zip(lams, scaled, bounds)):
         cls = "scale-linear"
     else:
         cls = "other"
@@ -143,17 +148,15 @@ class StepTrace:
 
 
 def step_scale_cells(base: np.ndarray, multipliers: np.ndarray,
-                     configs: Sequence[OptimizerConfig], init: str = "steady",
-                     method: str = "adam") -> list[StepTrace]:
+                     configs: Sequence[OptimizerConfig], init: str = "steady") -> list[StepTrace]:
     """Feed ``multipliers[k] * base`` to C optimizer cells in lockstep and record ||R_k||.
 
     One positive multiplier per step; ``step_multipliers`` builds them from a
     piecewise schedule.  Every cell sees the same gradient, so the cells run
     as (C, d) rows of one state and each row is bit-identical to the cell run
-    alone.  For Adam, ``init="steady"`` starts the moments at the fixed point
-    of the first gradient (m = g0, v = g0^2), so the pre-jump norm sits
-    exactly at its steady value; ``init="zero"`` starts from m = v = 0.
-    signSGD and GD are stateless and ignore the init mode.  A block whose
+    alone.  ``init="steady"`` starts the moments at the fixed point of the
+    first gradient (m = g0, v = g0^2), so the pre-jump norm sits exactly at
+    its steady value; ``init="zero"`` starts from m = v = 0.  A block whose
     moments are not finite (an overflowed gradient or g * g) is a ``DomainError``,
     and so is a nonzero fed entry ``|multipliers[k] * base|`` below 2**-511,
     whose square underflows to a subnormal or zero second moment.
@@ -177,7 +180,7 @@ def step_scale_cells(base: np.ndarray, multipliers: np.ndarray,
         state = MomentState(m=m, v=m * m, theta=np.zeros_like(m))
         for k in range(0, steps, STEP_BLOCK):
             block = mults[k:k + STEP_BLOCK, None, None]
-            r = optimizer_step(method, state, base_rows * block, cells)
+            r = optimizer_step(state, base_rows * block, cells)
             if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
                 raise DomainError(f"a step-scale moment is not finite by step {k + len(block)}")
             norm_r[k:k + len(block)] = row_norms(r)

@@ -26,49 +26,34 @@ import numpy as np
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class SmoothedSeries:
-    """An EMA-smoothed series along with its window and coefficient."""
-
-    values: np.ndarray
-    window: int
-    alpha: float
-
-
-def ema_smooth(series: Sequence[float], window: int) -> SmoothedSeries:
+def ema_smooth(series: Sequence[float], window: int) -> np.ndarray:
     """EMA with alpha = 2/(window+1), s_0 = x_0; window 1 returns the input bit-exactly."""
     if window < 1:
         raise DomainError(f"window must be >= 1, got {window}")
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise DomainError("cannot smooth an empty series")
-    alpha = 2.0 / (window + 1)
     if window == 1:
-        return SmoothedSeries(values=x.copy(), window=1, alpha=1.0)
+        return x.copy()
+    alpha = 2.0 / (window + 1)
     out = np.empty_like(x)
     out[0] = x[0]
     for k in range(1, x.size):
         out[k] = alpha * x[k] + (1.0 - alpha) * out[k - 1]
-    return SmoothedSeries(values=out, window=window, alpha=alpha)
+    return out
 
 
-def _values(series) -> np.ndarray:
-    if isinstance(series, SmoothedSeries):
-        return series.values
-    return np.asarray(series, dtype=float)
-
-
-def oscillation_omega1(series) -> float:
+def oscillation_omega1(series: Sequence[float]) -> float:
     """Mean absolute first difference."""
-    x = _values(series)
+    x = np.asarray(series, dtype=float)
     if x.size < 2:
         raise DomainError(f"omega1 needs at least 2 samples, got {x.size}")
     return float(np.mean(np.abs(np.diff(x))))
 
 
-def oscillation_omega2(series) -> float:
+def oscillation_omega2(series: Sequence[float]) -> float:
     """Mean absolute second difference over T-1 slots (left slot one-sided)."""
-    x = _values(series)
+    x = np.asarray(series, dtype=float)
     if x.size < 3:
         raise DomainError(f"omega2 needs at least 3 samples, got {x.size}")
     interior = np.abs(x[2:] - 2.0 * x[1:-1] + x[:-2])

@@ -2,7 +2,7 @@
 
 The drift delta(t) = g'(t) / g(t) (coordinate-wise) is the local relative
 growth rate of the gradient magnitude and the expansion parameter of the
-whole analysis.  Analytic kinds carry exact g', delta and delta'; tabulated
+whole analysis.  Analytic kinds carry exact delta and delta'; tabulated
 signals fall back to central finite differences with stencil step
 ``1e-4 * max(1, |t|)``.
 
@@ -39,14 +39,14 @@ class GradientSignal:
     """A vector signal g(t) with optional analytic derivative evaluators.
 
     ``g`` and the optional evaluators map a time, or an array of times of any shape, to an array
-    of shape ``np.shape(t) + (dimension,)``.  When ``g_prime`` or ``delta_prime`` are omitted they
-    are replaced by central finite differences, so every signal supports the full drift API.
+    of shape ``np.shape(t) + (dimension,)``.  When ``delta_analytic`` or ``delta_prime_analytic``
+    are omitted they are replaced by central finite differences, so every signal supports the
+    full drift API.
     """
 
     kind: str
     dimension: int
     g: Callable[[float | np.ndarray], np.ndarray]
-    g_prime: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     delta_analytic: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     delta_prime_analytic: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
@@ -55,11 +55,7 @@ class GradientSignal:
         """Logarithmic drift g'(t)/g(t); domain error on a zero coordinate."""
         gt = self.g(t)
         _require_nonzero(t, gt)
-        if self.delta_analytic is not None:
-            return self.delta_analytic(t)
-        if self.g_prime is not None:
-            return self.g_prime(t) / gt
-        return self.delta_fd(t)
+        return self.delta_fd(t) if self.delta_analytic is None else self.delta_analytic(t)
 
     def delta_fd(self, t) -> np.ndarray:
         """Finite-difference drift, available for every kind."""
@@ -83,20 +79,17 @@ def _vec(value: float | Sequence[float], dimension: int | None) -> np.ndarray:
     return arr
 
 
-def _zero_drift(d: int) -> dict:
-    zeros = lambda t: np.zeros(np.shape(t) + (d,))
-    return {"g_prime": zeros, "delta_analytic": zeros, "delta_prime_analytic": zeros}
-
-
 def constant_signal(value: float | Sequence[float] = 1.0, dimension: int | None = None) -> GradientSignal:
     """g(t) = c; zero drift."""
     c = _vec(value, dimension)
     d = c.size
+    zeros = lambda t: np.zeros(np.shape(t) + (d,))
     return GradientSignal(
         kind="constant",
         dimension=d,
         g=lambda t: np.full(np.shape(t) + (d,), c),
-        **_zero_drift(d),
+        delta_analytic=zeros,
+        delta_prime_analytic=zeros,
         params={"value": c.tolist()},
     )
 
@@ -118,7 +111,6 @@ def exponential_signal(delta0: float | Sequence[float], scale: float | Sequence[
         kind="exponential",
         dimension=d,
         g=lambda t: c * np.exp(rates * np.expand_dims(t, -1)),
-        g_prime=lambda t: rates * c * np.exp(rates * np.expand_dims(t, -1)),
         delta_analytic=lambda t: np.full(np.shape(t) + (d,), rates),
         delta_prime_analytic=lambda t: np.zeros(np.shape(t) + (d,)),
         params={"delta0": rates.tolist() if rates.ndim else delta0, "scale": c.tolist()},
@@ -140,56 +132,28 @@ def sinusoidal_log_signal(amplitude: float, omega: float, scale: float = 1.0,
         kind="sinusoidal-log",
         dimension=d,
         g=lambda t: coords(scale * np.exp(amplitude * np.sin(omega * t))),
-        g_prime=lambda t: coords(
-            scale * amplitude * omega * np.cos(omega * t) * np.exp(amplitude * np.sin(omega * t))
-        ),
         delta_analytic=lambda t: coords(amplitude * omega * np.cos(omega * t)),
         delta_prime_analytic=lambda t: coords(-amplitude * omega * omega * np.sin(omega * t)),
         params={"amplitude": amplitude, "omega": omega, "scale": scale},
     )
 
 
-def _multiplier_schedule(schedule: Sequence[tuple[float, float]]) -> Callable:
-    """Multiplier at t (a number or an array): the last start <= t wins, 1 before the first."""
-    sched = sorted((float(t), float(m)) for t, m in schedule)
-    if not all(m > 0.0 for _, m in sched):
-        raise DomainError("multipliers must be strictly positive")
-    starts = np.array([t for t, _ in sched])
-    mults = np.array([1.0] + [m for _, m in sched])
-    return lambda t: mults[np.searchsorted(starts, t, side="right")]
-
-
 def step_multipliers(schedule: Sequence[tuple[int, float]], steps: int) -> np.ndarray:
     """The per-step multipliers of a piecewise schedule over ``steps`` steps.
 
-    ``schedule`` lists (start step, multiplier) pairs; every segment, the
-    identity one before the first start included, covers at least one step.
+    ``schedule`` lists (start step, multiplier) pairs; the multiplier of step k
+    is the one with the largest start <= k, 1 before the first start.  Every
+    segment, the identity one before the first start included, covers at least
+    one step.
     """
-    bounds = [0] + sorted(k for k, _ in schedule) + [steps]
+    sched = sorted((float(k), float(m)) for k, m in schedule)
+    bounds = [0] + [k for k, _ in sched] + [steps]
     if any(b - a < 1 for a, b in zip(bounds[:-1], bounds[1:])):
         raise DomainError("every schedule segment must cover at least one step")
-    return _multiplier_schedule(schedule)(np.arange(steps))
-
-
-def step_scale_signal(base: float | Sequence[float], schedule: Sequence[tuple[float, float]],
-                      dimension: int | None = None) -> GradientSignal:
-    """Piecewise-constant rescaling of a constant base gradient.
-
-    ``schedule`` lists (start_time, multiplier) pairs; the multiplier active
-    at time t is the one with the largest start_time <= t (identity before
-    the first entry).  Drift is zero away from the jumps.
-    """
-    c = _vec(base, dimension)
-    d = c.size
-    sched = sorted((float(t), float(m)) for t, m in schedule)
-    mult_at = _multiplier_schedule(sched)
-    return GradientSignal(
-        kind="step-scale",
-        dimension=d,
-        g=lambda t: c * np.expand_dims(mult_at(t), -1),
-        **_zero_drift(d),
-        params={"base": c.tolist(), "schedule": sched},
-    )
+    if not all(m > 0.0 for _, m in sched):
+        raise DomainError("multipliers must be strictly positive")
+    mults = np.array([1.0] + [m for _, m in sched])
+    return mults[np.searchsorted([k for k, _ in sched], np.arange(steps), side="right")]
 
 
 def tabulated_signal(ts: Sequence[float], values: np.ndarray) -> GradientSignal:

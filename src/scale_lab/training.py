@@ -47,7 +47,7 @@ class RunTrace:
 
 
 def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int | Sequence[int],
-                steps: int, batch_size: int = DEFAULT_BATCH, method: str = "adam") -> list[RunTrace]:
+                steps: int, batch_size: int = DEFAULT_BATCH) -> list[RunTrace]:
     """Train C cells in lockstep; one trace per config, in order.
 
     ``seed`` is one seed for every row or one per config row.  Row i starts
@@ -106,7 +106,7 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
                 block = np.stack([b.integers(0, problem.n_samples, draws).reshape(-1, batch_size)
                                   for b in batches])
             idx = block[seed_of_row, k % _INDEX_BLOCK] if problem.n_samples else None
-            r = optimizer_step(method, state, problem.grad(state.theta, idx)[None], cells)
+            r = optimizer_step(state, problem.grad(state.theta, idx)[None], cells)
             norms[:, k] = row_norms(r[0])
             died = alive & ~(np.isfinite(loss_k) & np.isfinite(norms[:, k]))
             n_done[died], alive[died] = k, False
@@ -127,13 +127,6 @@ def _omegas(trace: RunTrace, window: int) -> dict[str, float]:
         return dict.fromkeys(METRICS, float("nan"))
     smoothed = ema_smooth(trace.norm_r, window)
     return {"omega1": oscillation_omega1(smoothed), "omega2": oscillation_omega2(smoothed)}
-
-
-def omega_of_trace(trace: RunTrace, window: int = DEFAULT_WINDOW, metric: str = "omega1") -> float:
-    """Oscillation of the smoothed update-norm series; NaN for diverged runs."""
-    if metric not in METRICS:
-        raise DomainError(f"unknown metric {metric!r}")
-    return _omegas(trace, window)[metric]
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,17 @@ class TestProbeCommand:
         assert cols["classification"] == ["scale-linear"]
         assert float(cols["deviation"][0]) == 4.0
 
+    @pytest.mark.parametrize("argv", [
+        ("--method", "gd", "--g", "1e-20", "--lambdas", "2"),
+        ("--method", "adam", "--g", "1e-160", "--lambdas", "2"),
+    ], ids=" ".join)
+    def test_tiny_gradient_is_scale_linear(self, tmp_path, capsys, argv):
+        # the deviation is tiny in absolute terms but half of ||R(2 g)||_inf
+        out = tmp_path / "p"
+        assert run("probe", *argv, "--out", str(out)) == 0
+        assert "classification = scale-linear" in capsys.readouterr().out
+        assert read_csv_columns(out / "probe.csv")["classification"] == ["scale-linear"]
+
     def test_adam_frozen_state(self, tmp_path):
         out = tmp_path / "p"
         assert run("probe", "--method", "adam", "--beta1", "0.9", "--beta2", "0.9",

@@ -16,7 +16,7 @@ def offset_sine_signal():
     return GradientSignal(
         kind="tabulated", dimension=1,
         g=lambda t: (2.0 + np.sin(t))[..., None],
-        g_prime=lambda t: np.cos(t)[..., None],
+        delta_analytic=lambda t: (np.cos(t) / (2.0 + np.sin(t)))[..., None],
     )
 
 

@@ -26,22 +26,21 @@ def assert_same_trace(batched, alone):
 
 class TestTrainCells:
     @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
-    @pytest.mark.parametrize("method", ["adam", "gd", "signsgd"])
-    def test_each_cell_equals_its_one_cell_run(self, kind, method):
+    def test_each_cell_equals_its_one_cell_run(self, kind):
         prob = make_problem(kind, seed=1)
         configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=eps)
                    for (b1, b2), eta, eps in zip(BETAS, (0.01, 0.003, 0.02, 0.001),
                                                  (1e-8, 1e-6, 1e-8, 1e-10))]
-        batched = train_cells(prob, configs, seed=4, steps=60, method=method)
+        batched = train_cells(prob, configs, seed=4, steps=60)
         assert len(batched) == len(configs)
         for cfg, trace in zip(configs, batched):
-            assert_same_trace(trace, train_cells(prob, [cfg], seed=4, steps=60, method=method)[0])
+            assert_same_trace(trace, train_cells(prob, [cfg], seed=4, steps=60)[0])
 
-    def test_mixed_bias_correction_and_weight_decay_rows(self):
+    def test_mixed_bias_correction_rows(self):
         prob = make_problem("logistic")
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
                    OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, bias_correction=False),
-                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, weight_decay=0.3)]
+                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01)]
         for cfg, trace in zip(configs, train_cells(prob, configs, seed=0, steps=50)):
             assert_same_trace(trace, train_cells(prob, [cfg], seed=0, steps=50)[0])
 
@@ -59,11 +58,13 @@ class TestTrainCells:
             assert_same_trace(b, a)
 
     def test_cell_diverging_mid_run_matches_its_one_cell_run(self):
-        # GD far beyond 2 / lambda_max blows up after a few dozen steps
+        # at eta = 3e152 the (0.999, 0.9) row's iterates grow until they overflow at step 449
         prob = make_problem("quadratic")
-        configs = [OptimizerConfig(eta=0.005), OptimizerConfig(eta=10.0), OptimizerConfig(eta=0.001)]
-        batched = train_cells(prob, configs, seed=0, steps=2000, method="gd")
-        alone = [train_cells(prob, [cfg], seed=0, steps=2000, method="gd")[0] for cfg in configs]
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
+                   OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e152),
+                   OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02)]
+        batched = train_cells(prob, configs, seed=0, steps=2000)
+        alone = [train_cells(prob, [cfg], seed=0, steps=2000)[0] for cfg in configs]
         assert [t.diverged for t in batched] == [False, True, False]
         assert 1 < batched[1].k.size < 2000
         for b, a in zip(batched, alone):
@@ -85,11 +86,6 @@ class TestTrainCells:
         assert [t.diverged for t in batched] == [False, True, False]
         for cfg, b in zip(configs, batched):
             assert_same_trace(b, train_cells(prob, [cfg], seed=0, steps=300)[0])
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError):
-            train_cells(make_problem("quadratic"), [OptimizerConfig()], seed=0, steps=5,
-                        method="lion")
 
 
 class TestMixedSeedRows:
@@ -227,7 +223,7 @@ class TestAdamStepCells:
         rng = np.random.default_rng(0)
         configs = [OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.1),
                    OptimizerConfig(beta1=0.5, beta2=0.5, epsilon=0.0, bias_correction=False),
-                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.3, weight_decay=0.2)]
+                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.3)]
         state = MomentState(m=rng.standard_normal((3, 4)), v=rng.uniform(0.1, 1.0, (3, 4)),
                             theta=rng.standard_normal((3, 4)), k=7)
         g = rng.standard_normal((3, 4))
@@ -239,7 +235,7 @@ class TestAdamStepCells:
             assert np.array_equal(new.m[i], one.m)
             assert np.array_equal(new.v[i], one.v)
             assert np.array_equal(new.theta[i], one.theta)
-            assert np.array_equal(upd.r[i], r.r)
+            assert np.array_equal(upd[i], r)
 
     def test_row_count_must_match(self):
         cells = CellConfigs((OptimizerConfig(), OptimizerConfig()))
@@ -271,14 +267,6 @@ class TestStepScaleCells:
             assert np.array_equal(tr.multiplier, alone.multiplier)
             assert (tr.beta1, tr.beta2) == (b1, b2)
 
-    @pytest.mark.parametrize("method", ["gd", "signsgd"])
-    def test_stateless_methods_in_lockstep(self, method):
-        base, mults = np.array([1.0, -3.0]), step_multipliers([(10, 4.0)], 20)
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.9), OptimizerConfig(beta1=0.5, beta2=0.7)]
-        for cfg, tr in zip(configs, step_scale_cells(base, mults, configs, method=method)):
-            alone = step_scale_cells(base, mults, [cfg], method=method)[0]
-            assert np.array_equal(tr.norm_r, alone.norm_r)
-
     @pytest.mark.parametrize("init", ["steady", "zero"])
     @pytest.mark.parametrize("jump", [STEP_BLOCK, 2 * STEP_BLOCK,
                                       pytest.param(None, id="geometric")])
@@ -289,14 +277,14 @@ class TestStepScaleCells:
         ks = np.arange(steps)
         mults = 1.001 ** ks if jump is None else np.where(ks >= jump, 7.0, 1.0)
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, epsilon=0.0, bias_correction=False),
-                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, weight_decay=0.1)]
+                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01)]
         for cfg, trace in zip(configs, step_scale_cells(base, mults, configs, init=init)):
             state = (MomentState(m=base.copy(), v=base * base, theta=np.zeros(2))
                      if init == "steady" else zero_state(2))
             norms = []
             for k in range(steps):
                 state, upd = adam_step(state, base * mults[k], cfg)
-                norms.append(upd.norm())
+                norms.append(float(np.linalg.norm(upd)))
             assert np.array_equal(trace.norm_r, norms)
 
     def test_empty_grid_gives_no_traces(self):

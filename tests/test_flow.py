@@ -222,7 +222,7 @@ class TestDiscreteContinuousConsistency:
         r_disc = np.empty(n)
         for k in range(n):
             state, upd = adam_step(state, sig.g(k * dt), cfg)
-            r_disc[k] = upd.r[0]
+            r_disc[k] = upd[0]
         t, r = flow.t[::8], flow.r[::8]  # the steps of the discrete run
         keep = t[1:] >= ts.burn_in
         return float(np.max(np.abs(r_disc - r[1:, 0])[keep]))

@@ -21,17 +21,15 @@ class TestEmaSmooth:
     def test_window_one_is_bitwise_identity(self):
         x = np.array([0.1, -2.7, 3.14159, 1e-12, 7.0])
         out = ema_smooth(x, 1)
-        assert np.array_equal(out.values, x)
-        assert out.alpha == 1.0
+        assert np.array_equal(out, x) and out is not x
 
     def test_constant_series_fixed_point(self):
         out = ema_smooth(np.full(50, 2.5), 10)
-        assert np.array_equal(out.values, np.full(50, 2.5))
+        assert np.array_equal(out, np.full(50, 2.5))
 
     def test_one_step_recursion(self):
         out = ema_smooth([0.0, 1.0], 3)  # alpha = 0.5
-        assert out.alpha == pytest.approx(0.5)
-        assert np.allclose(out.values, [0.0, 0.5])
+        assert np.array_equal(out, [0.0, 0.5])
 
     def test_window_validation(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scale_lab import (DomainError, constant_signal, exponential_signal,
-                       sinusoidal_log_signal, step_scale_signal, tabulated_signal)
+                       sinusoidal_log_signal, tabulated_signal)
 
 
 class TestConstant:
@@ -50,24 +50,6 @@ class TestSinusoidalLog:
         t_quarter = 0.5 * math.pi / om
         assert sig.delta(t_quarter)[0] == pytest.approx(0.0, abs=1e-14)
         assert sig.delta_prime(t_quarter)[0] == pytest.approx(-amp * om * om, rel=1e-12)
-
-
-class TestStepScale:
-    def test_piecewise_values(self):
-        sig = step_scale_signal(2.0, [(1.0, 10.0), (3.0, 0.5)])
-        assert sig.g(0.5)[0] == 2.0
-        assert sig.g(1.0)[0] == 20.0
-        assert sig.g(2.9)[0] == 20.0
-        assert sig.g(3.0)[0] == 1.0
-
-    def test_zero_drift_between_jumps(self):
-        sig = step_scale_signal(1.0, [(1.0, 5.0)])
-        assert sig.delta(0.5)[0] == 0.0
-        assert sig.delta(2.0)[0] == 0.0
-
-    def test_positive_multipliers_enforced(self):
-        with pytest.raises(DomainError):
-            step_scale_signal(1.0, [(1.0, 0.0)])
 
 
 class TestTabulated:
