@@ -37,6 +37,24 @@ class TestExactInvarianceProbe:
         assert result.classification == "exact-invariant"
         assert result.deviations == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("method,g,cls", [
+        ("adam", 1e-160, "scale-linear"), ("gd", 1e-20, "scale-linear"),
+        ("gd", 1e-300, "scale-linear"), ("signsgd", 1e-300, "exact-invariant"),
+    ], ids=["adam-1e-160", "gd-1e-20", "gd-1e-300", "signsgd-1e-300"])
+    def test_tiny_gradient_is_judged_relative_to_r(self, method, g, cls):
+        # each deviation is far below EXACT_TOL in absolute terms; only its size relative to R counts
+        state = MomentState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1))
+        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
+        result = exact_invariance_probe(method, state, np.array([g]), [2.0], cfg)
+        assert result.classification == cls
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 1000.0])
+    def test_sign_exact_scale_invariance(self, lam):
+        # sign(0) = 0 and sign of a tiny entry is still 1, at every scale
+        result = exact_invariance_probe("signsgd", None, np.array([3.7, -0.01, 0.0, 1e-300]), [lam])
+        assert result.classification == "exact-invariant"
+        assert result.deviations == [0.0]
+
     def test_adam_frozen_state_is_other(self):
         state = MomentState(m=np.array([1.0]), v=np.array([1.0]), theta=np.zeros(1))
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
@@ -140,6 +158,18 @@ class TestStepScaleExperiment:
         tr = step_scale_cells(np.ones(1), step_multipliers([(400, 10.0)], steps=800), [cfg],
                               init="zero")[0]
         assert tr.norm_r[399] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("init", ["steady", "zero"])
+    @pytest.mark.parametrize("c", [2.0 ** -20, 2.0 ** 20], ids=["2**-20", "2**20"])
+    def test_power_of_two_rescale_of_the_run_is_bitwise_invariant(self, c, init):
+        # Adam is zero-order scale invariant for any betas: scaling every gradient by a power of
+        # two scales m by c and v by c**2 without rounding, so every R is bit-identical
+        base, mults = np.array([0.7, -2.5]), step_multipliers([(10, 10.0), (25, 0.3)], steps=40)
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0),
+                   OptimizerConfig(beta1=0.99, beta2=0.9, epsilon=0.0, bias_correction=False)]
+        for a, b in zip(step_scale_cells(base, mults, configs, init=init),
+                        step_scale_cells(base, c * mults, configs, init=init)):
+            assert np.array_equal(a.norm_r, b.norm_r)
 
     def test_fed_gradient_whose_square_underflows_rejected(self):
         # 1e-150 alone is fine; scaled by 1e-5 at step 10 its square is below the normal floats

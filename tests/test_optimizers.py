@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from scale_lab import (DimensionError, DomainError, MomentState, OptimizerConfig,
-                       adam_step, constant_gradient_closed_form, zero_state)
+from scale_lab import (CellConfigs, DimensionError, DomainError, GradientSignal, MomentState,
+                       OptimizerConfig, adam_step, constant_gradient_closed_form, make_problem,
+                       step_scale_cells, train_cells, zero_state)
+from scale_lab.optimizers import optimizer_step
 
 
 def raw_config(b1, b2, **kw):
@@ -73,6 +75,23 @@ class TestConfigValidation:
     def test_negative_epsilon(self):
         with pytest.raises(DomainError):
             OptimizerConfig(epsilon=-1e-8)
+
+
+class TestAdamOnlyEngine:
+    # the engine has one optimizer path: a removed setting fails loudly instead of being ignored
+    @pytest.mark.parametrize("call", [
+        lambda: OptimizerConfig(weight_decay=0.1),
+        lambda: optimizer_step(zero_state(1), np.ones((1, 1, 1)),
+                               CellConfigs([OptimizerConfig()]), method="gd"),
+        lambda: train_cells(make_problem("quadratic"), [OptimizerConfig()], seed=0, steps=5,
+                            method="gd"),
+        lambda: step_scale_cells(np.ones(1), np.ones(5), [OptimizerConfig()], method="gd"),
+        lambda: GradientSignal(kind="constant", dimension=1, g=np.ones, g_prime=np.zeros),
+    ], ids=["weight_decay", "optimizer_step-method", "train_cells-method",
+            "step_scale_cells-method", "g_prime"])
+    def test_removed_setting_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
 
 
 class TestClosedForm:

@@ -66,6 +66,13 @@ class TestRunTraining:
         assert not trace.diverged
         assert np.all(np.diff(trace.loss) < 0.0)
 
+    def test_first_bias_corrected_step_is_a_sign_step(self):
+        # from m = v = 0 the bias-corrected first R is g / |g|: one unit per coordinate
+        prob = make_problem("quadratic")
+        cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.001, epsilon=0.0)
+        trace = train_cells(prob, [cfg], seed=0, steps=50)[0]
+        assert trace.norm_r[0] == pytest.approx(np.sqrt(prob.dim_theta), rel=1e-12)
+
     def test_traces_are_bit_identical(self):
         prob = make_problem("logistic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
