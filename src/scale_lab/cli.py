@@ -192,7 +192,7 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
         if args.method == "adam":
             m = np.array(_values(args.m)) if args.m else np.zeros_like(g)
             v = np.array(_values(args.v, _nonnegative_float)) if args.v else np.ones_like(g)
-            state = MomentState(m=m, v=v, theta=np.zeros_like(g), k=args.k)
+            state = MomentState(m=m, v=v, k=args.k)
             config = OptimizerConfig(beta1=args.beta1, beta2=args.beta2,
                                      epsilon=args.epsilon, bias_correction=args.bias_correction)
         result = exact_invariance_probe(args.method, state, g, lambdas, config)

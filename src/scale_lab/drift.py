@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .flow import (FlowTrace, TimeScales, _relax, _stage_times, integrate_flow,
                    predict_first_order, steady_state_init)
-from .signals import GradientSignal, _fd_step, exponential_signal
+from .signals import GradientSignal, exponential_signal
 
 SUP_INFLATION = 1.01      # dense-sampled suprema are inflated by 1%
 SUP_SAMPLES = 10001
@@ -45,18 +45,17 @@ class DriftProfile:
         return self.lambda_bound ** 2 + self.lambda_prime_bound
 
 
-def _sup_grid(interval: tuple[float, float], samples: int = SUP_SAMPLES) -> np.ndarray:
-    """The dense grid over ``interval`` that sampled suprema are taken on."""
+def _sup_grid(interval: tuple[float, float]) -> np.ndarray:
+    """The dense grid of SUP_SAMPLES points over ``interval`` that suprema are taken on."""
     t0, t1 = interval
     if t1 <= t0:
         raise DomainError(f"empty interval [{t0}, {t1}]")
-    return np.linspace(t0, t1, samples)
+    return np.linspace(t0, t1, SUP_SAMPLES)
 
 
-def drift_bounds(signal: GradientSignal, interval: tuple[float, float],
-                 samples: int = SUP_SAMPLES) -> DriftProfile:
+def drift_bounds(signal: GradientSignal, interval: tuple[float, float]) -> DriftProfile:
     """Estimate Lambda and Lambda' by dense sampling with 1% safety inflation."""
-    grid = _sup_grid(interval, samples)
+    grid = _sup_grid(interval)
     lam = float(np.max(np.abs(signal.delta(grid))))
     lam_p = float(np.max(np.abs(signal.delta_prime(grid))))
     return DriftProfile(SUP_INFLATION * lam, SUP_INFLATION * lam_p, tuple(interval))
@@ -88,9 +87,8 @@ class RemainderReport:
     fitted_order: Optional[float] = None
 
 
-def measure_remainder(trace: FlowTrace, signal: GradientSignal, ts: TimeScales,
-                      burn_in: float | None = None) -> RemainderReport:
-    """Sup of |actual - first-order prediction| per channel, past burn-in.
+def measure_remainder(trace: FlowTrace, signal: GradientSignal, ts: TimeScales) -> RemainderReport:
+    """Sup of |actual - first-order prediction| per channel, past ``ts.burn_in``.
 
     The m and v remainders are also compared pointwise against their explicit
     envelopes
@@ -101,9 +99,7 @@ def measure_remainder(trace: FlowTrace, signal: GradientSignal, ts: TimeScales,
     B = sup |g| over the trace.
     """
     t0 = float(trace.t[0])
-    if burn_in is None:
-        burn_in = ts.burn_in
-    keep = trace.t >= t0 + burn_in
+    keep = trace.t >= t0 + ts.burn_in
     if not np.any(keep):
         raise DomainError("empty post-burn-in window")
     t_win = trace.t[keep]
@@ -202,43 +198,29 @@ class TrackingCheckResult:
 
 
 def tracking_check(y: Callable[[np.ndarray], np.ndarray], tau: float, x0: float,
-                   interval: tuple[float, float],
-                   y_prime: Callable[[np.ndarray], np.ndarray] | None = None,
-                   y_second: Callable[[np.ndarray], np.ndarray] | None = None,
+                   interval: tuple[float, float], y_prime: Callable[[np.ndarray], np.ndarray],
+                   y_second: Callable[[np.ndarray], np.ndarray],
                    h: float | None = None) -> TrackingCheckResult:
     """Verify |x - (y - tau y')| <= |x0 - y0 + tau y'0| e^{-(t-t0)/tau} + tau^2 sup|y''|.
 
     ``y``, ``y_prime`` and ``y_second`` map an array of times to an array of
     the same shape (a constant returned as a scalar is broadcast); each is
-    called on whole time grids only, never once per sample.
-    The state is integrated with fixed-step RK4 (default h = tau/200) and the
-    residual compared against the bound at every sample.  Derivatives of y
-    fall back to central differences when not supplied; a sampled sup|y''| is
-    then inflated by 1%.  ``passed`` allows a relative slack of 1e-9 because
-    signals with zero curvature (constant, linear) attain the bound exactly,
-    which floating point cannot resolve as an inequality.
+    called on whole time grids only, never once per sample.  The state is
+    integrated with fixed-step RK4 (default h = tau/200) and the residual
+    compared against the bound at every sample.  ``passed`` allows a relative
+    slack of 1e-9 because signals with zero curvature (constant, linear)
+    attain the bound exactly, which floating point cannot resolve as an
+    inequality.
     """
     grid = _sup_grid(interval)
     t0, t1 = interval
     if tau <= 0.0:
         raise DomainError("tau must be positive")
 
-    if y_prime is None:
-        def y_prime(t):
-            s = _fd_step(t)
-            return (y(t + s) - y(t - s)) / (2.0 * s)
-    sampled = y_second is None
-    if sampled:
-        def y_second(t):
-            s = _fd_step(t)
-            return (y(t + s) - 2.0 * y(t) + y(t - s)) / (s * s)
-
     def on(f, t: np.ndarray) -> np.ndarray:
         return np.broadcast_to(f(t), t.shape)
 
     m_sup = float(np.max(np.abs(on(y_second, grid))))
-    if sampled:
-        m_sup *= SUP_INFLATION
 
     if h is None:
         h = tau / 200.0

@@ -67,21 +67,22 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.stack([g] + [lam * g for lam in lams])
         if method == "adam":
-            frozen = MomentState(*(np.tile(a, (len(rows), 1))
-                                   for a in (state.m, state.v, state.theta)), k=state.k)
+            frozen = MomentState(*(np.tile(a, (len(rows), 1)) for a in (state.m, state.v)), state.k)
             r = optimizer_step(frozen, rows[None], CellConfigs([config] * len(rows)))[0]
             moments = [frozen.m, frozen.v]
         else:
             r = rows if method == "gd" else np.sign(rows)
-    if not all(np.isfinite(a).all() for a in [rows, r] + moments):
-        raise DomainError("a rescaled gradient, stepped moment or R of the probe is not finite")
-    base, *scaled = r
+        if not all(np.isfinite(a).all() for a in [rows, r] + moments):
+            raise DomainError("a rescaled gradient, stepped moment or R of the probe is not finite")
+        base, *scaled = r
+        # an overflowed lam * R(g) is inf, so that rescaling does not count as linear
+        linear = [np.max(np.abs(r - lam * base)) for lam, r in zip(lams, scaled)]
     size = np.max(np.abs(r), axis=1)
     bounds = [EXACT_TOL * max(size[0], s) for s in size[1:]]
     deviations = [float(np.max(np.abs(r - base))) for r in scaled]
     if all(d <= b for d, b in zip(deviations, bounds)):
         cls = "exact-invariant"
-    elif all(np.max(np.abs(r - lam * base)) <= b for lam, r, b in zip(lams, scaled, bounds)):
+    elif all(x <= b for x, b in zip(linear, bounds)):
         cls = "scale-linear"
     else:
         cls = "other"
@@ -177,7 +178,7 @@ def step_scale_cells(base: np.ndarray, multipliers: np.ndarray,
     norm_r = np.empty((steps, len(cells)))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments raise below
         m = base_rows * mults[0] if init == "steady" else np.zeros_like(base_rows)
-        state = MomentState(m=m, v=m * m, theta=np.zeros_like(m))
+        state = MomentState(m=m, v=m * m)
         for k in range(0, steps, STEP_BLOCK):
             block = mults[k:k + STEP_BLOCK, None, None]
             r = optimizer_step(state, base_rows * block, cells)

@@ -1,17 +1,18 @@
-"""The Adam kernel, exposing the update vector.
+"""The Adam kernel: the moment recurrences and the update vector.
 
 Adam maintains exponential moving averages of the gradient and its square,
 
     m' = b1 * m + (1 - b1) * g
     v' = b2 * v + (1 - b2) * g**2
 
-and steps the parameters along the normalized update
+and normalizes them into the update vector
 
-    R = m_hat / (sqrt(v_hat) + eps),      theta' = theta - eta * R,
+    R = m_hat / (sqrt(v_hat) + eps),
 
 where (m_hat, v_hat) are the bias-corrected moments when enabled and the raw
-ones otherwise.  R is returned separately from the parameter step because the
-scale-sensitivity analysis operates on R alone.
+ones otherwise.  The kernel steps the moments and returns R, which is all the
+scale-sensitivity analysis reads; ``train_cells`` alone takes the parameter
+step ``theta' = theta - eta * R``.
 
 ``optimizer_step`` is the one kernel: it steps C cells stacked as (C, d) rows
 (``CellConfigs``) in place over a block of T gradients, each row and step
@@ -34,7 +35,8 @@ class OptimizerConfig:
     """Adam hyperparameters.
 
     ``epsilon = 0`` is the analysis mode; the caller must then keep v
-    strictly positive.
+    strictly positive.  ``eta`` is read by ``train_cells`` alone: the kernel
+    returns R and takes no parameter step.
     """
 
     beta1: float = 0.9
@@ -52,23 +54,20 @@ class OptimizerConfig:
 
 @dataclass
 class MomentState:
-    """Per-coordinate optimizer state: moments, parameters, step counter; mutable."""
+    """Per-coordinate optimizer state: moments and step counter; mutable."""
 
     m: np.ndarray
     v: np.ndarray
-    theta: np.ndarray
     k: int = 0
 
     def __post_init__(self):
-        if not (self.m.shape == self.v.shape == self.theta.shape):
-            raise DimensionError(f"m/v/theta shapes disagree: "
-                                 f"{self.m.shape}, {self.v.shape}, {self.theta.shape}")
+        if self.m.shape != self.v.shape:
+            raise DimensionError(f"m/v shapes disagree: {self.m.shape}, {self.v.shape}")
 
 
-def zero_state(dim: int, theta: np.ndarray | None = None) -> MomentState:
+def zero_state(dim: int) -> MomentState:
     """Fresh state with m = v = 0."""
-    theta = np.zeros(dim) if theta is None else np.asarray(theta, dtype=float)
-    return MomentState(m=np.zeros(dim), v=np.zeros(dim), theta=theta, k=0)
+    return MomentState(m=np.zeros(dim), v=np.zeros(dim), k=0)
 
 
 class CellConfigs:
@@ -89,7 +88,7 @@ class CellConfigs:
 
         self.betas = np.stack((column(c.beta1 for c in cfgs), column(c.beta2 for c in cfgs)))
         self.keeps = 1.0 - self.betas
-        self.eta, self.epsilon = column(c.eta for c in cfgs), column(c.epsilon for c in cfgs)
+        self.epsilon = column(c.epsilon for c in cfgs)
         # None when no row has epsilon 0, so the kernel skips that check
         self.exact_rows = self.epsilon == 0.0 if (self.epsilon == 0.0).any() else None
         # bias-correction divisors are powers of these betas, b1 rows then b2 rows
@@ -110,7 +109,7 @@ class CellConfigs:
 
 def adam_step(state: MomentState, g: np.ndarray,
               config: OptimizerConfig | CellConfigs) -> tuple[MomentState, np.ndarray]:
-    """One Adam step; returns the new state and the update vector R.
+    """One Adam step; returns the stepped moments and the update vector R.
 
     With an ``OptimizerConfig`` the state is one cell's vectors; with a
     ``CellConfigs`` it holds C cells as (C, d) rows and R has the same shape.
@@ -125,23 +124,22 @@ def adam_step(state: MomentState, g: np.ndarray,
     rows = shape if cells is config else (1, g.size)  # one cell is one row
     if len(rows) != 2 or rows[0] != len(cells):
         raise DimensionError(f"state shape {shape} does not hold {len(cells)} cells")
-    new = MomentState(*(a.reshape(rows).copy() for a in (state.m, state.v, state.theta)), state.k)
+    new = MomentState(state.m.reshape(rows).copy(), state.v.reshape(rows).copy(), state.k)
     r = optimizer_step(new, g.reshape((1,) + rows), cells)[0]
-    return (MomentState(*(a.reshape(shape) for a in (new.m, new.v, new.theta)), new.k),
-            r.reshape(shape))
+    return MomentState(new.m.reshape(shape), new.v.reshape(shape), new.k), r.reshape(shape)
 
 
 def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) -> np.ndarray:
     """Adam-step the (C, d) cells of ``state`` in place over T gradients ``grads`` (T, C, d).
 
     Returns R of every step, shaped (T, C, d), and advances ``state.k`` by T.
-    Step t is bit-identical to the t-th of T one-step calls: only the m, v and
-    theta recurrences run step by step; the increments, bias corrections,
+    Step t is bit-identical to the t-th of T one-step calls: only the m and v
+    recurrences run step by step; the increments, bias corrections,
     ``epsilon = 0`` check and R are computed for the whole block in the same
     operation order.  A ``DomainError`` changes no state.
     """
-    if grads.shape[1:] != state.theta.shape:
-        raise DimensionError(f"gradient block {grads.shape} does not fit state {state.theta.shape}")
+    if grads.shape[1:] != state.m.shape:
+        raise DimensionError(f"gradient block {grads.shape} does not fit state {state.m.shape}")
     # mv[t] = (keep1 * g_t, (keep2 * g_t) * g_t), then the moments after step t
     mv = np.multiply(cells.keeps, grads[:, None])
     mv[:, 1] *= grads
@@ -156,9 +154,6 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
         raise DomainError("epsilon = 0 with a zero second-moment coordinate")
     state.m[...], state.v[...] = prev
     r = np.divide(hat[:, 0], denom, out=denom)
-    step, theta = cells.eta * r, state.theta
-    for t in range(len(r)):  # theta' = theta - eta * R
-        np.subtract(theta, step[t], out=theta)
     state.k += len(r)
     return r
 

@@ -53,9 +53,9 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
     ``seed`` is one seed for every row or one per config row.  Row i starts
     from ``problem.init_theta(seed_i)`` and draws its minibatch index row from
     ``CounterRng(seed_i, stream=2)``; each step makes one gradient and one
-    optimizer call for the (C, d) rows, and every LOSS_EVERY-th step one
-    full-data loss call per seed.  Each row is bit-identical to the cell
-    trained alone.
+    optimizer call for the (C, d) rows, then the parameter step
+    ``theta' = theta - eta * R``, and every LOSS_EVERY-th step one full-data
+    loss call per seed.  Each row is bit-identical to the cell trained alone.
 
     The loss is the full-data objective at the pre-step parameters; the
     gradient fed to the optimizer is the minibatch one (full-batch for the
@@ -79,7 +79,8 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
     # the loss runs per seed, so the mlp's full-data buffer holds one seed's rows
     seed_rows = [np.flatnonzero(seed_of_row == i) for i in range(len(seed_set))]
     theta = np.stack([problem.init_theta(s) for s in row_seeds])
-    state = MomentState(m=np.zeros_like(theta), v=np.zeros_like(theta), theta=theta, k=0)
+    state = MomentState(m=np.zeros_like(theta), v=np.zeros_like(theta), k=0)
+    eta = np.array([[c.eta] for c in configs])
     batches = [CounterRng(s, stream=_BATCH_STREAM) for s in seed_set]
 
     losses = np.empty((n_cells, -(-steps // LOSS_EVERY)))
@@ -93,12 +94,12 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
             # off the cadence only a live row the bound cannot vouch for needs its loss
             # (written as not-below, so a NaN theta is checked too)
             check = alive if recorded else alive & ~(
-                np.abs(state.theta).max(axis=1) < problem.loss_finite_below)
+                np.abs(theta).max(axis=1) < problem.loss_finite_below)
             loss_k = np.zeros(n_cells)
             for rows in seed_rows:
                 rows = rows[check[rows]]
                 if rows.size:
-                    loss_k[rows] = problem.loss(state.theta[rows])
+                    loss_k[rows] = problem.loss(theta[rows])
             if recorded:
                 losses[:, k // LOSS_EVERY] = loss_k
             if problem.n_samples and k % _INDEX_BLOCK == 0:
@@ -106,8 +107,9 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
                 block = np.stack([b.integers(0, problem.n_samples, draws).reshape(-1, batch_size)
                                   for b in batches])
             idx = block[seed_of_row, k % _INDEX_BLOCK] if problem.n_samples else None
-            r = optimizer_step(state, problem.grad(state.theta, idx)[None], cells)
-            norms[:, k] = row_norms(r[0])
+            r = optimizer_step(state, problem.grad(theta, idx)[None], cells)[0]
+            np.subtract(theta, eta * r, out=theta)  # theta' = theta - eta * R
+            norms[:, k] = row_norms(r)
             died = alive & ~(np.isfinite(loss_k) & np.isfinite(norms[:, k]))
             n_done[died], alive[died] = k, False
             if not alive.any():

@@ -117,7 +117,7 @@ def test_criterion_5_discrete_continuous_consistency():
         flow = integrate_flow(sig, ts, init, t_end=n * dt, h=dt / 8.0)
         cfg = OptimizerConfig(beta1=ts.beta1, beta2=ts.beta2, eta=dt,
                               epsilon=0.0, bias_correction=False)
-        state = MomentState(m=init.m.copy(), v=init.v.copy(), theta=np.zeros_like(init.m))
+        state = MomentState(m=init.m.copy(), v=init.v.copy())
         r_disc = np.empty(n)
         for k in range(n):
             state, upd = adam_step(state, sig.g(k * dt), cfg)
@@ -146,7 +146,7 @@ def test_criterion_6_definition_one_probes():
     for lam in gd_lambdas:
         assert gd_probe.deviation_at(lam) == abs(lam - 1.0) * float(np.max(np.abs(g)))
 
-    state = MomentState(m=np.array([1.0]), v=np.array([1.0]), theta=np.zeros(1))
+    state = MomentState(m=np.array([1.0]), v=np.array([1.0]))
     cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
     probe = exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
     r_tilde = 1.0 - probe.deviation_at(2.0)  # R at lambda=1 is exactly 1 here

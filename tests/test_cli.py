@@ -190,6 +190,16 @@ class TestProbeCommand:
         assert "classification = scale-linear" in capsys.readouterr().out
         assert read_csv_columns(out / "probe.csv")["classification"] == ["scale-linear"]
 
+    def test_overflowed_linear_rescaling_is_other_and_silent(self, tmp_path, capsys):
+        # 1e10 * R(g) overflows to inf: the rescaling is not linear, and no overflow warning shows
+        out = tmp_path / "p"
+        assert run("probe", "--method", "adam", "--m", "1e300", "--v", "1", "--g", "1",
+                   "--lambdas", "1e10", "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert "classification = other" in captured.out
+        assert captured.err == ""
+        assert read_csv_columns(out / "probe.csv")["classification"] == ["other"]
+
     def test_adam_frozen_state(self, tmp_path):
         out = tmp_path / "p"
         assert run("probe", "--method", "adam", "--beta1", "0.9", "--beta2", "0.9",

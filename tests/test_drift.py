@@ -210,15 +210,8 @@ class TestTrackingCheck:
         assert res.transient_coeff == pytest.approx(abs(0.0 - 2.0 + 0.5 * 0.7), rel=1e-12)
         assert res.passed
 
-    def test_finite_difference_fallback(self):
-        res = tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0))
-        assert res.passed
-        assert res.curvature_sup == pytest.approx(1.01, rel=1e-3)  # inflated sampled sup
-
-    @pytest.mark.parametrize("analytic", [False, True], ids=["fd", "analytic"])
-    def test_y_is_called_on_whole_grids(self, analytic):
+    def test_y_is_called_on_whole_grids(self):
         # a fixed handful of whole-array calls, however long the interval
-        derivs = {"y_prime": np.cos, "y_second": lambda t: -np.sin(t)} if analytic else {}
         counts = []
         for t1 in (10.0, 40.0):
             calls = []
@@ -227,7 +220,8 @@ class TestTrackingCheck:
                 calls.append(np.ndim(t))
                 return np.sin(t)
 
-            assert tracking_check(y, tau=0.5, x0=0.0, interval=(0.0, t1), **derivs).passed
+            assert tracking_check(y, tau=0.5, x0=0.0, interval=(0.0, t1),
+                                  y_prime=np.cos, y_second=lambda t: -np.sin(t)).passed
             assert 0 not in calls
             counts.append(len(calls))
         assert counts[0] == counts[1] < 20

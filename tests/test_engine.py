@@ -221,32 +221,30 @@ def test_sweep_cells_equal_the_serial_reference_loop():
 class TestAdamStepCells:
     def test_rows_equal_one_cell_steps(self):
         rng = np.random.default_rng(0)
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.1),
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.999),
                    OptimizerConfig(beta1=0.5, beta2=0.5, epsilon=0.0, bias_correction=False),
-                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.3)]
-        state = MomentState(m=rng.standard_normal((3, 4)), v=rng.uniform(0.1, 1.0, (3, 4)),
-                            theta=rng.standard_normal((3, 4)), k=7)
+                   OptimizerConfig(beta1=0.99, beta2=0.9, epsilon=1e-6)]
+        state = MomentState(m=rng.standard_normal((3, 4)), v=rng.uniform(0.1, 1.0, (3, 4)), k=7)
         g = rng.standard_normal((3, 4))
         new, upd = adam_step(state, g, CellConfigs(tuple(configs)))
         assert new.k == 8
         for i, cfg in enumerate(configs):
-            one, r = adam_step(MomentState(state.m[i], state.v[i], state.theta[i], state.k),
-                               g[i], cfg)
+            one, r = adam_step(MomentState(state.m[i], state.v[i], state.k), g[i], cfg)
             assert np.array_equal(new.m[i], one.m)
             assert np.array_equal(new.v[i], one.v)
-            assert np.array_equal(new.theta[i], one.theta)
+            assert one.k == new.k
             assert np.array_equal(upd[i], r)
 
     def test_row_count_must_match(self):
         cells = CellConfigs((OptimizerConfig(), OptimizerConfig()))
-        state = MomentState(m=np.zeros((3, 2)), v=np.zeros((3, 2)), theta=np.zeros((3, 2)))
+        state = MomentState(m=np.zeros((3, 2)), v=np.zeros((3, 2)))
         with pytest.raises(DimensionError):
             adam_step(state, np.ones((3, 2)), cells)
 
     def test_exact_epsilon_row_with_zero_moment_rejected(self):
         cells = CellConfigs((OptimizerConfig(),
                              OptimizerConfig(epsilon=0.0, bias_correction=False)))
-        state = MomentState(m=np.zeros((2, 1)), v=np.zeros((2, 1)), theta=np.zeros((2, 1)))
+        state = MomentState(m=np.zeros((2, 1)), v=np.zeros((2, 1)))
         with pytest.raises(DomainError):
             adam_step(state, np.zeros((2, 1)), cells)
 
@@ -279,7 +277,7 @@ class TestStepScaleCells:
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, epsilon=0.0, bias_correction=False),
                    OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01)]
         for cfg, trace in zip(configs, step_scale_cells(base, mults, configs, init=init)):
-            state = (MomentState(m=base.copy(), v=base * base, theta=np.zeros(2))
+            state = (MomentState(m=base.copy(), v=base * base)
                      if init == "steady" else zero_state(2))
             norms = []
             for k in range(steps):

@@ -218,7 +218,7 @@ class TestDiscreteContinuousConsistency:
         flow = integrate_flow(sig, ts, init, t_end=t_end, h=dt / 8.0)
         cfg = OptimizerConfig(beta1=ts.beta1, beta2=ts.beta2, eta=dt,
                               epsilon=0.0, bias_correction=False)
-        state = MomentState(m=init.m.copy(), v=init.v.copy(), theta=np.zeros_like(init.m))
+        state = MomentState(m=init.m.copy(), v=init.v.copy())
         r_disc = np.empty(n)
         for k in range(n):
             state, upd = adam_step(state, sig.g(k * dt), cfg)

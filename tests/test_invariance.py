@@ -31,7 +31,7 @@ class TestExactInvarianceProbe:
 
     @pytest.mark.parametrize("method", ["adam", "gd", "signsgd"])
     def test_all_zero_update_is_exact_invariant(self, method):
-        state = MomentState(m=np.zeros(2), v=np.ones(2), theta=np.zeros(2))
+        state = MomentState(m=np.zeros(2), v=np.ones(2))
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
         result = exact_invariance_probe(method, state, np.zeros(2), [0.1, 2.0, 10.0], cfg)
         assert result.classification == "exact-invariant"
@@ -43,7 +43,7 @@ class TestExactInvarianceProbe:
     ], ids=["adam-1e-160", "gd-1e-20", "gd-1e-300", "signsgd-1e-300"])
     def test_tiny_gradient_is_judged_relative_to_r(self, method, g, cls):
         # each deviation is far below EXACT_TOL in absolute terms; only its size relative to R counts
-        state = MomentState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1))
+        state = MomentState(m=np.zeros(1), v=np.ones(1))
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
         result = exact_invariance_probe(method, state, np.array([g]), [2.0], cfg)
         assert result.classification == cls
@@ -56,7 +56,7 @@ class TestExactInvarianceProbe:
         assert result.deviations == [0.0]
 
     def test_adam_frozen_state_is_other(self):
-        state = MomentState(m=np.array([1.0]), v=np.array([1.0]), theta=np.zeros(1))
+        state = MomentState(m=np.array([1.0]), v=np.array([1.0]))
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
         result = exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
         assert result.classification == "other"
@@ -66,13 +66,21 @@ class TestExactInvarianceProbe:
 
     def test_non_finite_step_is_domain_error(self):
         # sqrt of a negative stepped v is NaN: no deviation may be reported from it
-        state = MomentState(m=np.zeros(1), v=-np.ones(1), theta=np.zeros(1))
+        state = MomentState(m=np.zeros(1), v=-np.ones(1))
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
         with pytest.raises(DomainError):
             exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
 
+    def test_overflowed_linear_rescaling_is_other(self):
+        # R(g) = 9e299, so 1e10 * R(g) overflows: not linear, and no RuntimeWarning escapes
+        state = MomentState(m=np.array([1e300]), v=np.ones(1))
+        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
+        result = exact_invariance_probe("adam", state, np.array([1.0]), [1e10], cfg)
+        assert result.classification == "other"
+        assert result.deviation_at(1e10) == pytest.approx(9e299, rel=1e-9)
+
     def test_lambda_one_has_zero_deviation(self):
-        state = MomentState(m=np.array([0.4]), v=np.array([0.9]), theta=np.zeros(1))
+        state = MomentState(m=np.array([0.4]), v=np.array([0.9]))
         cfg = OptimizerConfig(beta1=0.95, beta2=0.98)
         result = exact_invariance_probe("adam", state, np.array([1.3]), [1.0], cfg)
         assert result.deviation_at(1.0) == 0.0

@@ -3,7 +3,7 @@ import pytest
 
 from scale_lab import (CellConfigs, DimensionError, DomainError, GradientSignal, MomentState,
                        OptimizerConfig, adam_step, constant_gradient_closed_form, make_problem,
-                       step_scale_cells, train_cells, zero_state)
+                       step_scale_cells, tracking_check, train_cells, zero_state)
 from scale_lab.optimizers import optimizer_step
 
 
@@ -32,7 +32,7 @@ class TestAdamStep:
         assert upd[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_frozen_state_hand_values(self):
-        state = MomentState(m=np.array([1.0]), v=np.array([1.0]), theta=np.zeros(1))
+        state = MomentState(m=np.array([1.0]), v=np.array([1.0]))
         cfg = raw_config(0.9, 0.9)
         new, upd = adam_step(state, np.array([1.0]), cfg)
         assert new.m[0] == pytest.approx(1.0, abs=1e-15)
@@ -44,12 +44,6 @@ class TestAdamStep:
         # 1.1 / sqrt(1.3), exact rational arithmetic
         assert upd[0] == pytest.approx(0.9647638212377321, abs=1e-15)
 
-    def test_theta_moves_against_update(self):
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.1)
-        state, upd = adam_step(zero_state(2, theta=np.array([1.0, -1.0])),
-                               np.array([1.0, -2.0]), cfg)
-        assert np.allclose(state.theta, np.array([1.0, -1.0]) - 0.1 * upd)
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             adam_step(zero_state(2), np.array([1.0]), OptimizerConfig())
@@ -59,9 +53,11 @@ class TestAdamStep:
             adam_step(zero_state(1), np.array([0.0]), raw_config(0.9, 0.9))
 
     def test_inputs_not_mutated(self):
-        state = MomentState(m=np.array([1.0]), v=np.array([2.0]), theta=np.array([3.0]))
-        adam_step(state, np.array([1.0]), OptimizerConfig())
-        assert state.m[0] == 1.0 and state.v[0] == 2.0 and state.theta[0] == 3.0
+        state, g = MomentState(m=np.array([1.0]), v=np.array([2.0]), k=3), np.array([4.0])
+        new, upd = adam_step(state, g, OptimizerConfig())
+        assert state.m[0] == 1.0 and state.v[0] == 2.0 and state.k == 3 and g[0] == 4.0
+        assert new.m[0] != 1.0 and new.v[0] != 2.0 and new.k == 4
+        assert not np.shares_memory(new.m, state.m) and not np.shares_memory(upd, g)
 
 
 class TestConfigValidation:
@@ -87,8 +83,12 @@ class TestAdamOnlyEngine:
                             method="gd"),
         lambda: step_scale_cells(np.ones(1), np.ones(5), [OptimizerConfig()], method="gd"),
         lambda: GradientSignal(kind="constant", dimension=1, g=np.ones, g_prime=np.zeros),
+        lambda: MomentState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1)),
+        lambda: zero_state(1, theta=np.zeros(1)),
+        lambda: tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0)),
     ], ids=["weight_decay", "optimizer_step-method", "train_cells-method",
-            "step_scale_cells-method", "g_prime"])
+            "step_scale_cells-method", "g_prime", "MomentState-theta", "zero_state-theta",
+            "tracking_check-no-derivatives"])
     def test_removed_setting_is_a_type_error(self, call):
         with pytest.raises(TypeError):
             call()
@@ -129,8 +129,8 @@ class TestProperties:
             m, v, g = rng.normal(size=4), rng.uniform(0.5, 2.0, 4), rng.normal(size=4)
             perm = rng.permutation(4)
             cfg = OptimizerConfig(beta1=0.9, beta2=0.99)
-            base = MomentState(m=m, v=v, theta=np.zeros(4))
-            permuted = MomentState(m=m[perm], v=v[perm], theta=np.zeros(4))
+            base = MomentState(m=m, v=v)
+            permuted = MomentState(m=m[perm], v=v[perm])
             s1, r1 = adam_step(base, g, cfg)
             s2, r2 = adam_step(permuted, g[perm], cfg)
             assert np.array_equal(r1[perm], r2)
@@ -139,8 +139,7 @@ class TestProperties:
     def test_sign_of_r_matches_sign_of_new_m(self):
         rng = np.random.default_rng(11)
         cfg = OptimizerConfig(beta1=0.8, beta2=0.95, epsilon=1e-8)
-        state = MomentState(m=rng.normal(size=6), v=rng.uniform(0.1, 1.0, 6),
-                            theta=np.zeros(6))
+        state = MomentState(m=rng.normal(size=6), v=rng.uniform(0.1, 1.0, 6))
         for _ in range(30):
             g = rng.normal(size=6)
             state, upd = adam_step(state, g, cfg)
@@ -161,7 +160,7 @@ class TestProperties:
                     assert np.max(np.abs(r_raw - r_bc)) < 1e-6
 
     def test_adam_update_does_not_advance_state(self):
-        state = MomentState(m=np.array([1.0]), v=np.array([1.0]), theta=np.zeros(1))
+        state = MomentState(m=np.array([1.0]), v=np.array([1.0]))
         _, r1 = adam_step(state, np.array([2.0]), raw_config(0.9, 0.9))
         _, r2 = adam_step(state, np.array([2.0]), raw_config(0.9, 0.9))
         assert np.array_equal(r1, r2)

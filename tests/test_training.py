@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (DomainError, MomentState, OptimizerConfig, adam_step, ema_smooth,
-                       make_problem, oscillation_omega1, oscillation_omega2, sweep_grid,
-                       train_cells)
+from scale_lab import (DomainError, OptimizerConfig, adam_step, ema_smooth, make_problem,
+                       oscillation_omega1, oscillation_omega2, sweep_grid, train_cells,
+                       zero_state)
 from scale_lab.training import LOSS_EVERY
 
 
@@ -108,12 +108,13 @@ class TestRunTraining:
         prob = make_problem("logistic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, epsilon=1e-8)
         theta = prob.init_theta(0)
-        state = MomentState(m=np.zeros_like(theta), v=np.zeros_like(theta), theta=theta)
+        state = zero_state(theta.size)
         from scale_lab.rng import CounterRng
         batches = CounterRng(0, stream=2)
         for k in range(100):
             idx = batches.integers(0, prob.n_samples, 32)
-            state, upd = adam_step(state, prob.grad(state.theta, idx), cfg)
+            state, upd = adam_step(state, prob.grad(theta, idx), cfg)
+            theta = theta - cfg.eta * upd
             m_hat = state.m / (1.0 - cfg.beta1 ** state.k)
             v_hat = state.v / (1.0 - cfg.beta2 ** state.k)
             bound = np.max(np.abs(m_hat) / (np.sqrt(v_hat) + cfg.epsilon))
