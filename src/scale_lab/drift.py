@@ -18,6 +18,7 @@ inequality they are built from on whole time grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -139,23 +140,38 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 3:
         raise DomainError(f"power-law fit needs at least 3 points, got {x.size}")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("power-law fit needs strictly positive data")
+    if not (np.all(np.isfinite(x) & (x > 0.0)) and np.all(np.isfinite(y) & (y > 0.0))):
+        raise DomainError("power-law fit needs finite, strictly positive data")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     return float(slope), float(intercept)
+
+
+@lru_cache(maxsize=1)
+def _ladder_flow(ts: TimeScales, rates: tuple[float, ...], h: float | None) -> FlowTrace:
+    """The lockstep flow of the sorted ``rates``, its arrays read-only because it is cached.
+
+    One entry serves a caller that runs the sensitivity fit and the remainder sweep back to
+    back on one (ts, rates, h), and a fine-step ladder is not held past the next call.
+    """
+    t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
+    ladder = exponential_signal(rates)
+    flow = integrate_flow(ladder, ts, steady_state_init(ladder, ts, t0=0.0), t_end=t_end, h=h)
+    for a in (flow.t, flow.m, flow.v, flow.r):
+        a.flags.writeable = False
+    return flow
 
 
 def _exponential_ladder(ts: TimeScales, rates: Sequence[float],
                         h: float | None) -> Iterator[tuple[GradientSignal, FlowTrace]]:
     """Per drift rate, the signal e^{delta0 t} and its flow from the steady init.
 
-    The rates run as the columns of one flow to 1.2 burn-in + 2 tau_max, each bit for bit its
-    one-rate flow; a ``FlowAbort`` carries the earliest abort time over all rates.
+    The sorted rates run as the columns of one flow to 1.2 burn-in + 2 tau_max, each bit for
+    bit its one-rate flow.  The flow is integrated once per (ts, rates, h) and the last one is
+    kept, so the traces are read-only views of it.  A ``FlowAbort`` carries the earliest abort
+    time over all rates; it is not cached, so a repeated call aborts again at the same time.
     """
-    t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
-    ladder = exponential_signal(rates)
-    flow = integrate_flow(ladder, ts, steady_state_init(ladder, ts, t0=0.0), t_end=t_end, h=h)
+    flow = _ladder_flow(ts, tuple(rates), h)
     for k, d0 in enumerate(rates):
         sig = exponential_signal(d0)
         m, v, r = (a[:, k:k + 1] for a in (flow.m, flow.v, flow.r))

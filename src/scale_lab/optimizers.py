@@ -54,7 +54,7 @@ class OptimizerConfig:
 
 @dataclass
 class MomentState:
-    """Per-coordinate optimizer state: moments and step counter; mutable."""
+    """Per-coordinate optimizer state: moments and step counter k (an integer >= 0); mutable."""
 
     m: np.ndarray
     v: np.ndarray
@@ -63,6 +63,8 @@ class MomentState:
     def __post_init__(self):
         if self.m.shape != self.v.shape:
             raise DimensionError(f"m/v shapes disagree: {self.m.shape}, {self.v.shape}")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 0:
+            raise DomainError(f"step counter k must be an integer >= 0, got {self.k!r}")
 
 
 def zero_state(dim: int) -> MomentState:

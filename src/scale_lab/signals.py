@@ -101,6 +101,9 @@ def exponential_signal(delta0: float | Sequence[float], scale: float | Sequence[
     Coordinate k of a per-coordinate signal is bit for bit ``exponential_signal(delta0[k], c[k])``.
     """
     rates = np.asarray(delta0, dtype=float)
+    bad = rates[~np.isfinite(rates)]
+    if bad.size:
+        raise DomainError(f"exponential signal: drift rate {bad[0]} is not finite")
     c = _vec(scale, dimension or (rates.size if rates.ndim else None))
     d = c.size
     if rates.ndim and rates.shape != (d,):

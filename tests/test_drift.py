@@ -3,12 +3,33 @@ import math
 import numpy as np
 import pytest
 
+from scale_lab import drift
 from scale_lab import (DomainError, FlowAbort, GradientSignal, TimeScales, constant_signal,
-                       drift_bounds, exponential_signal, fit_power_law,
+                       drift_bounds, exponential_signal, first_order_sensitivity, fit_power_law,
                        integrate_flow, measure_remainder,
                        predict_first_order, remainder_order_sweep,
                        sinusoidal_log_signal, steady_state_exponential_gains,
                        steady_state_init, tracking_check)
+
+
+@pytest.fixture(autouse=True)
+def fresh_ladder_cache():
+    drift._ladder_flow.cache_clear()
+    yield
+    drift._ladder_flow.cache_clear()
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """The time scales of every ``integrate_flow`` call the drift module makes."""
+    calls = []
+
+    def counted(signal, ts, *args, **kwargs):
+        calls.append(ts)
+        return integrate_flow(signal, ts, *args, **kwargs)
+
+    monkeypatch.setattr(drift, "integrate_flow", counted)
+    return calls
 
 
 def offset_sine_signal():
@@ -168,6 +189,54 @@ class TestRemainderOrderSweep:
         assert err.value.t == min(aborts)
 
 
+class TestSharedLadder:
+    TS, RATES = TimeScales(1.0, 2.0), [0.01, 0.02, 0.04, 0.08]
+
+    def test_sensitivity_then_sweep_integrates_once(self, flow_calls):
+        first_order_sensitivity(self.TS, self.RATES)
+        cached = remainder_order_sweep(self.TS, self.RATES)
+        assert flow_calls == [self.TS]
+        drift._ladder_flow.cache_clear()
+        assert remainder_order_sweep(self.TS, self.RATES) == cached
+
+    def test_shuffled_rates_hit_the_cache(self, flow_calls):
+        first_order_sensitivity(self.TS, self.RATES)
+        remainder_order_sweep(self.TS, [0.04, 0.01, 0.08, 0.02])
+        assert len(flow_calls) == 1
+
+    @pytest.mark.parametrize("ts, rates, h", [
+        (TimeScales(2.0, 1.0), RATES, None),
+        (TS, RATES, 0.01),
+        (TS, RATES[:3], None),
+    ])
+    def test_another_ladder_integrates_again(self, flow_calls, ts, rates, h):
+        first_order_sensitivity(self.TS, self.RATES)
+        remainder_order_sweep(ts, rates, h=h)
+        assert len(flow_calls) == 2
+
+    def test_traces_are_read_only(self):
+        for _, trace in drift._exponential_ladder(self.TS, self.RATES, None):
+            for a in (trace.t, trace.m, trace.v, trace.r):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    def test_abort_is_not_cached(self, flow_calls):
+        ts, rates, h = TimeScales(1.0, 1.0), [-0.6, -0.3, -0.1], 2.5
+        aborts = []
+        for _ in range(2):
+            with pytest.raises(FlowAbort) as err:
+                remainder_order_sweep(ts, rates, h=h)
+            aborts.append(err.value.t)
+        assert len(flow_calls) == 2 and aborts[0] == aborts[1]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("fit", [first_order_sensitivity, remainder_order_sweep])
+    def test_non_finite_rate_is_a_domain_error(self, flow_calls, fit, bad):
+        with pytest.raises(DomainError, match="not finite"):
+            fit(TimeScales(1.0, 1.0), [0.01, 0.02, bad])
+        assert flow_calls == []
+
+
 class TestFitPowerLaw:
     def test_recovers_exact_power(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
@@ -178,6 +247,13 @@ class TestFitPowerLaw:
     def test_needs_three_points(self):
         with pytest.raises(DomainError):
             fit_power_law([1.0, 2.0], [1.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_needs_finite_positive_data(self, bad):
+        with pytest.raises(DomainError):
+            fit_power_law([1.0, 2.0, 4.0], [1.0, bad, 3.0])
+        with pytest.raises(DomainError):
+            fit_power_law([1.0, bad, 4.0], [1.0, 2.0, 3.0])
 
 
 class TestTrackingCheck:

@@ -61,6 +61,18 @@ class TestAdamStep:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("k", [-1, 2.5, np.array([2]), True, None])
+    def test_step_counter_must_be_a_nonnegative_integer(self, k):
+        with pytest.raises(DomainError, match="step counter"):
+            MomentState(m=np.ones(1), v=np.ones(1), k=k)
+
+    def test_numpy_integer_step_counter(self):
+        state = MomentState(m=np.ones(1), v=np.ones(1), k=np.int64(3))
+        _, upd = adam_step(state, np.ones(1), OptimizerConfig())
+        _, ref = adam_step(MomentState(m=np.ones(1), v=np.ones(1), k=3), np.ones(1),
+                           OptimizerConfig())
+        assert np.array_equal(upd, ref)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_beta_range(self, bad):
         with pytest.raises(DomainError):

@@ -30,6 +30,11 @@ class TestExponential:
         with pytest.raises(DomainError):
             exponential_signal(0.1, scale=0.0)
 
+    @pytest.mark.parametrize("rates", [math.inf, -math.inf, math.nan, [0.1, math.nan]])
+    def test_non_finite_rate_rejected_by_name(self, rates):
+        with pytest.raises(DomainError, match=r"drift rate -?(inf|nan) is not finite"):
+            exponential_signal(rates)
+
     def test_one_rate_per_coordinate(self):
         sig = exponential_signal([0.1, -0.2], scale=3.0)
         assert sig.dimension == 2
