@@ -6,7 +6,7 @@ from .flow import (FlowState, FlowTrace, TimeScales, beta_from_tau, flow_rhs,
                    steady_state_init, tau_from_beta)
 from .drift import (DriftProfile, RemainderReport, TrackingCheckResult, drift_bounds,
                     fit_power_law, measure_remainder, remainder_order_sweep, tracking_check)
-from .invariance import (RescaleProbeResult, SensitivityFit, StepTrace, exact_invariance_probe,
+from .invariance import (RescaleProbeResult, SensitivityFit, exact_invariance_probe,
                          first_order_sensitivity, step_scale_cells, step_scale_grid)
 from .metrics import (OscillationGridReport, binomial_diagonal_test, combine_reports, ema_smooth,
                       grid_report, omega_grids, oscillation_omega1, oscillation_omega2)

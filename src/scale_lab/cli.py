@@ -12,15 +12,16 @@ Four subcommands:
                one externally supplied omega matrix.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
-infinite float flag or list item, an empty list, a negative, fractional or
-repeated seed, a repeated beta, a count below 1, a time scale, step size,
-learning rate or step-scale multiplier that is not positive, a zero
-step-scale base, a beta outside (0, 1), a negative ``--epsilon`` or
-``--v`` item, a ``--jump`` outside [1, steps - 1] and ``--seeds`` given
-together with ``--seed-list`` are usage errors.  An overflow that aborts a
-flow or a step-scale run, a step-scale gradient whose square underflows,
-a flow step too small to grid its interval and a sweep none of whose
-rows can be scored are runtime errors.
+infinite float flag or list item, an empty list, a negative, fractional,
+repeated or 2**64-or-larger seed, a repeated beta, a count below 1, a time
+scale, step size, learning rate or step-scale multiplier that is not
+positive, a zero step-scale base, a beta outside (0, 1), a negative
+``--epsilon`` or ``--v`` item, a ``--jump`` outside [1, steps - 1],
+``--seeds`` given together with ``--seed-list`` and a report without
+exactly one of ``--grid`` and ``--ingest`` are usage errors.  An overflow
+that aborts a flow or a step-scale run, a step-scale gradient whose square
+underflows, a flow step too small to grid its interval and a sweep none
+of whose rows can be scored are runtime errors.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from .metrics import grid_report
 from .optimizers import MomentState, OptimizerConfig
 from .problems import make_problem
 from .reporting import (CsvParseError, RunManifest, flow_trace_csv, probe_csv,
-                        read_omega_grids, read_omega_matrix, run_trace_csv,
-                        step_trace_csv, summary_csv, sweep_grid_csv, write_csv,
-                        write_svg_lines)
+                        read_omega_grids, read_omega_matrix, run_trace_csv, summary_csv,
+                        sweep_grid_csv, write_csv, write_svg_lines)
 from .signals import constant_signal, exponential_signal, sinusoidal_log_signal, step_multipliers
 from .training import sweep_grid
 from .drift import measure_remainder
@@ -78,7 +78,7 @@ _nonnegative_float = _flag_value(float, lambda x: 0.0 <= x < math.inf, "a finite
 _nonzero_float = _flag_value(float, lambda x: x != 0.0 and math.isfinite(x),
                              "a finite non-zero number")
 _beta = _flag_value(float, lambda b: 0.0 < b < 1.0, "a finite number in (0, 1)")
-_seed = _flag_value(int, lambda s: s >= 0, "an integer seed >= 0")
+_seed = _flag_value(int, lambda s: 0 <= s < 2 ** 64, "an integer seed in [0, 2**64)")
 _count = _flag_value(int, lambda n: n >= 1, "an integer >= 1")
 
 
@@ -171,20 +171,21 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
         jump = args.jump if args.jump is not None else args.steps // 2
         if not 1 <= jump < args.steps:
             raise UsageError(f"--jump must lie in [1, steps - 1], got {jump} of {args.steps}")
-        traces = step_scale_grid(np.array([args.base]),
-                                 step_multipliers([(jump, args.multiplier)], args.steps), betas)
-        cells = sorted(traces.items())
-        for (b1, b2), tr in cells:
-            files.append(step_trace_csv(tr, out / f"stepscale_{b1}_{b2}.csv"))
+        mults = step_multipliers([(jump, args.multiplier)], args.steps)
+        cells = sorted(step_scale_grid(np.array([args.base]), mults, betas).items())
+        steps = np.arange(args.steps)
+        for (b1, b2), norms in cells:
+            files.append(write_csv(out / f"stepscale_{b1}_{b2}.csv",
+                                   ["step", "multiplier", "norm_R"], [steps, mults, norms]))
         files.append(write_csv(out / "stepscale_summary.csv",
                                ["beta1", "beta2", "transient_integral"],
                                [[b1 for (b1, _), _ in cells], [b2 for (_, b2), _ in cells],
-                                [tr.transient_integral(jump, reference=1.0) for _, tr in cells]]))
+                                [float(np.sum(np.abs(norms[jump:] - 1.0))) for _, norms in cells]]))
         if args.plot:
-            series = [(f"({b1},{b2})", tr.steps, tr.norm_r) for (b1, b2), tr in cells]
+            series = [(f"({b1},{b2})", steps, norms) for (b1, b2), norms in cells]
             files.append(write_svg_lines(out / "stepscale.svg", series,
                                          title=f"x{args.multiplier} rescale at step {jump}"))
-        print(f"step-scale: {len(traces)} cells, jump x{args.multiplier} at step {jump}")
+        print(f"step-scale: {len(cells)} cells, jump x{args.multiplier} at step {jump}")
     else:
         lambdas = _values(args.lambdas, _positive_float)
         g = np.array(_values(args.g))
@@ -207,7 +208,7 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
 
 def _diverged(traces) -> list[str]:
     """Each diverged cell as ``beta1,beta2,seed:step``, the step read off its trace length."""
-    return [f"{b1},{b2},{s}:{tr.k.size}" for (b1, b2, s), tr in sorted(traces.items())
+    return [f"{b1},{b2},{s}:{tr.norm_r.size}" for (b1, b2, s), tr in sorted(traces.items())
             if tr.diverged]
 
 
@@ -234,7 +235,7 @@ def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
     files.append(sweep_grid_csv(result, out / "grid.csv"))
     files.append(summary_csv(result.report, out / "summary.csv"))
     if args.plot:
-        series = [(f"({b1},{b2})", tr.k, tr.norm_r)
+        series = [(f"({b1},{b2})", np.arange(tr.norm_r.size), tr.norm_r)
                   for (b1, b2, seed), tr in sorted(result.traces.items()) if seed == seeds[0]]
         files.append(write_svg_lines(out / "sweep.svg", series,
                                      title=f"{args.problem} ||R_k||, seed {seeds[0]}"))
@@ -247,14 +248,12 @@ def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
 # ---------------------------------------------------------------- report
 
 def cmd_report(args, manifest: RunManifest) -> list[Path]:
-    if args.ingest:
+    if args.ingest is not None:
         matrix, axis = read_omega_matrix(Path(args.ingest))
         grids, mode = [matrix], "one matrix"
-    elif args.grid:
+    else:
         grids, axis = read_omega_grids(Path(args.grid), metric=args.metric)
         mode = "per-seed"
-    else:
-        raise DomainError("report needs --grid or --ingest")
     rep = grid_report(grids, axis)
     files = [summary_csv(rep, Path(args.out) / "report_summary.csv")]
     print(f"report ({mode}): K={rep.hits} N={rep.trials} rate={rep.rate:.1%} "
@@ -325,9 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="recompute rates and p-values from grids")
-    p.add_argument("--grid", default=None, help="grid.csv from a sweep")
+    inputs = p.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--grid", help="grid.csv from a sweep")
+    inputs.add_argument("--ingest", help="externally supplied omega matrix CSV")
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
-    p.add_argument("--ingest", default=None, help="externally supplied omega matrix CSV")
     p.add_argument("--out", default="scale-lab-out/report")
     p.set_defaults(func=cmd_report)
     return parser

@@ -175,7 +175,7 @@ def _exponential_ladder(ts: TimeScales, rates: Sequence[float],
     for k, d0 in enumerate(rates):
         sig = exponential_signal(d0)
         m, v, r = (a[:, k:k + 1] for a in (flow.m, flow.v, flow.r))
-        yield sig, FlowTrace(flow.t, m, v, r, sig.kind, {**flow.meta, **sig.params})
+        yield sig, FlowTrace(flow.t, m, v, r)
 
 
 def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float],

@@ -17,7 +17,7 @@ to verify against the analytic exponential modes below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,20 +96,15 @@ class FlowTrace:
     m: np.ndarray          # (n, d)
     v: np.ndarray          # (n, d)
     r: np.ndarray          # (n, d)
-    signal_kind: str = ""
-    meta: dict = field(default_factory=dict)
 
     @property
     def norm_r(self) -> np.ndarray:
         return np.linalg.norm(self.r, axis=1)
 
-    def after(self, t_min: float) -> "FlowTrace":
-        """Sub-trace with t >= t_min (burn-in exclusion)."""
-        keep = self.t >= t_min
-        if not np.any(keep):
-            raise DomainError(f"no samples at t >= {t_min}")
-        return FlowTrace(self.t[keep], self.m[keep], self.v[keep], self.r[keep],
-                         self.signal_kind, self.meta)
+    @property
+    def meta(self) -> dict:
+        """``{"h": step}`` read off the uniform grid; the benchmark's RK4-step counter reads it."""
+        return {"h": float(self.t[1] - self.t[0])}
 
 
 def _abort_if_invalid(t: float, y: np.ndarray) -> None:
@@ -246,5 +241,4 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
 
     ys = seq[::4].copy()  # the step points, without holding on to the stage points
     m, v = ys[:, 0], ys[:, 1]
-    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v), signal_kind=signal.kind,
-                     meta={"h": h, **signal.params})
+    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v))

@@ -128,73 +128,50 @@ def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float],
                           deviations=deviations, signed_deviations=signed)
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    """Per-step record of a discrete run under a multiplier schedule."""
-
-    steps: np.ndarray
-    multiplier: np.ndarray
-    norm_r: np.ndarray
-    beta1: float
-    beta2: float
-
-    def transient_integral(self, start: int, reference: float | None = None) -> float:
-        """Sum of |  ||R_k|| - reference | from ``start`` on.
-
-        The reference defaults to the steady value before ``start``.
-        """
-        if reference is None:
-            reference = float(self.norm_r[start - 1])
-        return float(np.sum(np.abs(self.norm_r[start:] - reference)))
-
-
 def step_scale_cells(base: np.ndarray, multipliers: np.ndarray,
-                     configs: Sequence[OptimizerConfig], init: str = "steady") -> list[StepTrace]:
-    """Feed ``multipliers[k] * base`` to C optimizer cells in lockstep and record ||R_k||.
+                     configs: Sequence[OptimizerConfig]) -> np.ndarray:
+    """Feed ``multipliers[k] * base`` to C optimizer cells in lockstep; the (steps, C) ||R_k||.
 
     One positive multiplier per step; ``step_multipliers`` builds them from a
     piecewise schedule.  Every cell sees the same gradient, so the cells run
-    as (C, d) rows of one state and each row is bit-identical to the cell run
-    alone.  ``init="steady"`` starts the moments at the fixed point of the
-    first gradient (m = g0, v = g0^2), so the pre-jump norm sits exactly at
-    its steady value; ``init="zero"`` starts from m = v = 0.  A block whose
-    moments are not finite (an overflowed gradient or g * g) is a ``DomainError``,
-    and so is a nonzero fed entry ``|multipliers[k] * base|`` below 2**-511,
-    whose square underflows to a subnormal or zero second moment.
+    as (C, d) rows of one state and column i, the norms of ``configs[i]``, is
+    bit-identical to the cell run alone.  The moments start at the fixed
+    point of the first gradient (m = g0, v = g0^2), so the pre-jump norm sits
+    exactly at its steady value.  A block whose moments are not finite (an
+    overflowed gradient or g * g) is a ``DomainError``, and so is a nonzero
+    fed entry ``|multipliers[k] * base|`` below 2**-511, whose square
+    underflows to a subnormal or zero second moment.
     """
     mults = np.array(multipliers, dtype=float)
     if mults.ndim != 1 or mults.size == 0 or not (mults > 0.0).all():
         raise DomainError("multipliers must be a non-empty 1-D array of positive numbers")
-    if init not in ("steady", "zero"):
-        raise DomainError(f"unknown init mode {init!r}")
     base = np.asarray(base, dtype=float)
     smallest = np.abs(base[base != 0.0]).min(initial=np.inf) * mults.min()
     if smallest < _NORMAL_SQUARE_FLOOR:
         raise DomainError(f"a fed gradient entry |multipliers[k] * base| = {float(smallest)!r} "
                           f"is below 2**-511: its square underflows past the normal floats")
-    steps = mults.size
     cells = CellConfigs(configs)
     base_rows = np.tile(base, (len(cells), 1))
-    norm_r = np.empty((steps, len(cells)))
+    norm_r = np.empty((mults.size, len(cells)))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments raise below
-        m = base_rows * mults[0] if init == "steady" else np.zeros_like(base_rows)
+        m = base_rows * mults[0]
         state = MomentState(m=m, v=m * m)
-        for k in range(0, steps, STEP_BLOCK):
+        for k in range(0, mults.size, STEP_BLOCK):
             block = mults[k:k + STEP_BLOCK, None, None]
             r = optimizer_step(state, base_rows * block, cells)
             if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
                 raise DomainError(f"a step-scale moment is not finite by step {k + len(block)}")
             norm_r[k:k + len(block)] = row_norms(r)
-    return [StepTrace(steps=np.arange(steps), multiplier=mults, norm_r=norm_r[:, i],
-                      beta1=cfg.beta1, beta2=cfg.beta2) for i, cfg in enumerate(cells.configs)]
+    return norm_r
 
 
-def step_scale_grid(base: np.ndarray, multipliers: np.ndarray, beta_axis: Sequence[float],
-                    init: str = "steady") -> dict[tuple[float, float], StepTrace]:
-    """Raw Adam (epsilon = 0) on every (beta1, beta2) pair of the axis, all cells in lockstep."""
+def step_scale_grid(base: np.ndarray, multipliers: np.ndarray,
+                    beta_axis: Sequence[float]) -> dict[tuple[float, float], np.ndarray]:
+    """Raw Adam (epsilon = 0) on every (beta1, beta2) pair of the axis, all cells in lockstep;
+    each pair maps to its column of the ``step_scale_cells`` norms."""
     grid = [(float(b1), float(b2)) for b1 in beta_axis for b2 in beta_axis]
     if not grid:
         return {}
     configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
                for b1, b2 in grid]
-    return dict(zip(grid, step_scale_cells(base, multipliers, configs, init=init)))
+    return dict(zip(grid, step_scale_cells(base, multipliers, configs).T))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .flow import FlowTrace
-from .invariance import RescaleProbeResult, StepTrace
+from .invariance import RescaleProbeResult
 from .metrics import OscillationGridReport, omega_grids
 from .training import LOSS_EVERY, RunTrace, SweepResult
 
@@ -150,14 +150,10 @@ def flow_trace_csv(trace: FlowTrace, path: Path) -> Path:
 
 def run_trace_csv(trace: RunTrace, path: Path) -> Path:
     """One row per step; the ``loss`` field is empty except on every LOSS_EVERY-th step."""
-    loss = [""] * trace.k.size
+    loss = [""] * trace.norm_r.size
     loss[::LOSS_EVERY] = trace.loss.tolist()
-    return write_csv(path, ["step", "loss", "norm_R"], [trace.k, loss, trace.norm_r])
-
-
-def step_trace_csv(trace: StepTrace, path: Path) -> Path:
-    return write_csv(path, ["step", "multiplier", "norm_R"],
-                     [trace.steps, trace.multiplier, trace.norm_r])
+    return write_csv(path, ["step", "loss", "norm_R"],
+                     [np.arange(trace.norm_r.size), loss, trace.norm_r])
 
 
 def probe_csv(result: RescaleProbeResult, path: Path) -> Path:

@@ -38,8 +38,9 @@ class CounterRng:
     """Deterministic splitmix64 stream addressed by (seed, stream, counter)."""
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise ValueError("seed and stream must be nonnegative integers")
+        if not (0 <= seed <= _MASK and 0 <= stream <= _MASK):  # a wider seed would alias
+            raise ValueError(f"seed and stream must be integers in [0, 2**64), "
+                             f"got {seed} and {stream}")
         seed_word, stream_word = _mix64(np.array([seed & _MASK, (stream + 1) * _GAMMA & _MASK],
                                                  dtype=np.uint64))
         self._base = seed_word ^ stream_word

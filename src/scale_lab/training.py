@@ -38,11 +38,8 @@ LOSS_EVERY = 10  # the full-data loss is recorded on steps k % LOSS_EVERY == 0
 class RunTrace:
     """Per-step update norm of one run; ``loss[j]`` is the loss before step j * LOSS_EVERY."""
 
-    k: np.ndarray
     loss: np.ndarray
-    norm_r: np.ndarray
-    config: OptimizerConfig
-    seed: int
+    norm_r: np.ndarray  # one entry per step run, so its size is the step a diverged run stopped at
     diverged: bool = False
 
 
@@ -115,9 +112,8 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
             if not alive.any():
                 break
 
-    return [RunTrace(k=np.arange(n), loss=losses[i, :-(-n // LOSS_EVERY)], norm_r=norms[i, :n],
-                     config=cfg, seed=s, diverged=bool(n < steps))
-            for i, (cfg, s, n) in enumerate(zip(configs, row_seeds, n_done))]
+    return [RunTrace(loss=losses[i, :-(-n // LOSS_EVERY)], norm_r=norms[i, :n],
+                     diverged=bool(n < steps)) for i, n in enumerate(n_done)]
 
 
 METRICS = ("omega1", "omega2")

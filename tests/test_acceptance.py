@@ -89,8 +89,8 @@ def test_criterion_4_analytic_oracle_agreement():
             trace = integrate_flow(sig, ts, steady_state_init(sig, ts),
                                    t_end=ts.burn_in + 2.0 * ts.tau_max)
             gain = steady_state_exponential_gains(d0, ts)[2]
-            post = trace.after(ts.burn_in)
-            worst = max(worst, float(np.max(np.abs(post.r[:, 0] - gain))))
+            post = trace.t >= ts.burn_in
+            worst = max(worst, float(np.max(np.abs(trace.r[post, 0] - gain))))
     assert worst < 1e-6
 
     # fourth-order step-halving on the pure steady mode
@@ -159,13 +159,9 @@ def test_criterion_7_step_rescale_transients():
     steps, jump = 32000, 16000
     configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
                for b1, b2 in [(0.95, 0.95), (0.9, 0.999)]]
-    balanced, skewed = step_scale_cells(np.ones(1), step_multipliers([(jump, 10.0)], steps),
-                                        configs)
-    for tr in (balanced, skewed):
-        assert tr.norm_r[jump - 1] == pytest.approx(1.0, abs=1e-6)
-        assert tr.norm_r[-1] == pytest.approx(1.0, abs=1e-6)
-    i_balanced = balanced.transient_integral(jump, reference=1.0)
-    i_skewed = skewed.transient_integral(jump, reference=1.0)
+    norms = step_scale_cells(np.ones(1), step_multipliers([(jump, 10.0)], steps), configs)
+    assert np.all(np.abs(norms[[jump - 1, -1]] - 1.0) <= 1e-6)  # both cells, before and after
+    i_balanced, i_skewed = np.sum(np.abs(norms[jump:] - 1.0), axis=0)
     assert i_balanced < i_skewed
     report(f"ACCEPTANCE 7 PASS: x10 rescale transient integral "
            f"{i_balanced:.2f} (0.95,0.95) < {i_skewed:.2f} (0.9,0.999); "

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +24,29 @@ VIT_STYLE_MATRIX = """beta1,0.9,0.99,0.999
 0.999,NaN,204.2,0.0735
 """
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run(*argv):
     return main(list(argv))
+
+
+def readme_commands() -> list[str]:
+    """Every ``scale-lab ...`` line of the README's bash blocks, ``\\`` continuations joined."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("scale-lab ")]
+
+
+def test_readme_commands_parse(capsys):
+    # parsing runs no command: this only catches a README that documents a removed flag
+    commands = readme_commands()
+    assert {c.split()[1] for c in commands} == {"flow", "probe", "sweep", "report"}
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}\n{capsys.readouterr().err}")
 
 
 class TestExitCodes:
@@ -46,8 +69,18 @@ class TestExitCodes:
         empty.write_text("")
         assert run("report", "--ingest", str(empty), "--out", str(tmp_path / "o")) == 2
 
-    def test_report_without_inputs_is_runtime(self, tmp_path):
-        assert run("report", "--out", str(tmp_path)) == 2
+    def test_report_without_inputs_is_usage(self, tmp_path, capsys):
+        assert run("report", "--out", str(tmp_path)) == 1
+        assert "one of the arguments --grid --ingest is required" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_report_with_both_inputs_is_usage(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("beta1,beta2,seed,omega1\n")
+        assert run("report", "--grid", str(grid), "--ingest", str(grid),
+                   "--out", str(tmp_path / "o")) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ("probe", "--lambdas", "nan"),
@@ -67,6 +100,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("sweep", "--problem", "quadratic", "--seed-list", "-1"),
         ("sweep", "--problem", "quadratic", "--data-seed", "-1"),
+        ("sweep", "--problem", "quadratic", "--seed-list", "0,18446744073709551616"),
+        ("sweep", "--problem", "quadratic", "--data-seed", "18446744073709551616"),
         ("sweep", "--problem", "quadratic", "--seed-list", "1.5"),
         ("sweep", "--problem", "quadratic", "--seed-list", "1,1"),
         ("sweep", "--problem", "quadratic", "--batch-size", "0"),

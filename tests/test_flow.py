@@ -124,14 +124,15 @@ class TestIntegrateFlow:
         gaps = np.diff(tr.t)
         assert np.all(gaps > 0)
         assert np.allclose(gaps, gaps[0], rtol=1e-12)
+        assert tr.meta == {"h": gaps[0]}
 
     def test_exponential_steady_gain_after_burn_in(self):
         ts = TimeScales(1.0, 1.0)
         sig = exponential_signal(0.05)
         tr = integrate_flow(sig, ts, steady_state_init(sig, ts), t_end=14.0)
-        post = tr.after(10.0)
+        post = tr.t >= 10.0
         # m(t)/g(t) converges to 1/1.05
-        ratio = post.m[:, 0] / np.array([sig.g(t)[0] for t in post.t])
+        ratio = tr.m[post, 0] / np.array([sig.g(t)[0] for t in tr.t[post]])
         assert np.max(np.abs(ratio - 1.0 / 1.05)) < 1e-6
 
     def test_fourth_order_convergence(self):

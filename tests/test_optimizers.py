@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from scale_lab import (CellConfigs, DimensionError, DomainError, GradientSignal, MomentState,
-                       OptimizerConfig, adam_step, constant_gradient_closed_form, make_problem,
-                       step_scale_cells, tracking_check, train_cells, zero_state)
+import scale_lab
+from scale_lab import (CellConfigs, DimensionError, DomainError, FlowTrace, GradientSignal,
+                       MomentState, OptimizerConfig, RunTrace, adam_step,
+                       constant_gradient_closed_form, make_problem, step_scale_cells,
+                       step_scale_grid, tracking_check, train_cells, zero_state)
+from scale_lab import invariance, reporting
 from scale_lab.optimizers import optimizer_step
 
 
@@ -98,12 +103,24 @@ class TestAdamOnlyEngine:
         lambda: MomentState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1)),
         lambda: zero_state(1, theta=np.zeros(1)),
         lambda: tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0)),
+        lambda: step_scale_cells(np.ones(1), np.ones(5), [OptimizerConfig()], init="zero"),
+        lambda: step_scale_grid(np.ones(1), np.ones(5), (0.9,), init="zero"),
+        lambda: RunTrace(k=np.arange(1), loss=np.zeros(1), norm_r=np.ones(1)),
+        lambda: FlowTrace(np.arange(2.0), *[np.ones((2, 1))] * 3, signal_kind="x"),
     ], ids=["weight_decay", "optimizer_step-method", "train_cells-method",
             "step_scale_cells-method", "g_prime", "MomentState-theta", "zero_state-theta",
-            "tracking_check-no-derivatives"])
+            "tracking_check-no-derivatives", "step_scale_cells-init", "step_scale_grid-init",
+            "RunTrace-k", "FlowTrace-signal_kind"])
     def test_removed_setting_is_a_type_error(self, call):
         with pytest.raises(TypeError):
             call()
+
+    def test_traces_hold_only_what_the_run_computed(self):
+        assert "StepTrace" not in dir(scale_lab) and not hasattr(invariance, "StepTrace")
+        assert not hasattr(reporting, "step_trace_csv")
+        assert not hasattr(FlowTrace, "after")
+        assert [f.name for f in dataclasses.fields(RunTrace)] == ["loss", "norm_r", "diverged"]
+        assert [f.name for f in dataclasses.fields(FlowTrace)] == ["t", "m", "v", "r"]
 
 
 class TestClosedForm:

@@ -79,7 +79,6 @@ def test_ladder_columns_equal_one_rate_flows(taus, rates):
         one = integrate_flow(sig, ts, steady_state_init(sig, ts, t0=0.0), t_end=t_end)
         for name in ("t", "m", "v", "r"):
             assert np.array_equal(getattr(col, name), getattr(one, name)), name
-        assert (col.signal_kind, col.meta) == (one.signal_kind, one.meta)
 
 
 omega_cells = st.one_of(st.floats(min_value=0.0, max_value=10.0),
@@ -355,8 +354,7 @@ def integrate_flow_reference(signal, ts, init, t_end, h):
     t, ys = rk4_reference(functools.partial(flow_rhs, ts=ts), init.t, y, h, signal.g(stages))
     _abort_if_invalid(t[-1], ys[-1])
     m, v = ys[:, 0], ys[:, 1]
-    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v), signal_kind=signal.kind,
-                     meta={"h": h, **signal.params})
+    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v))
 
 
 def flow_outcome(integrate, *args):
@@ -412,7 +410,6 @@ def test_integrate_flow_equals_rk4_over_flow_rhs(data, d, tau1, tau2, h_per_tau,
         assert (a.shape, a.dtype, a.strides) == (b.shape, b.dtype, b.strides), name
         assert a.flags.c_contiguous == b.flags.c_contiguous, name
         assert a.tobytes() == b.tobytes(), name
-    assert (got.signal_kind, got.meta) == (want.signal_kind, want.meta)
 
 
 def tracking_reference(y, y_prime, y_second, tau, x0, interval, h):

@@ -21,7 +21,7 @@ def words_reference(seed: int, stream: int, n: int) -> list[int]:
 
 
 def test_words_match_documented_algorithm():
-    for seed, stream in [(0, 0), (1, 0), (12345, 7), (2**63, 2)]:
+    for seed, stream in [(0, 0), (1, 0), (12345, 7), (2**63, 2), (MASK, MASK)]:
         got = CounterRng(seed, stream).words(8)
         assert [int(w) for w in got] == words_reference(seed, stream, 8)
 
@@ -68,3 +68,10 @@ def test_integers_empty_range_rejected():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         CounterRng(-1)
+
+
+@pytest.mark.parametrize("seed,stream", [(2**64, 0), (2**64 + 5, 0), (0, 2**64), (0, -1)])
+def test_seed_or_stream_outside_64_bits_rejected(seed, stream):
+    # masking would alias 2**64 + 5 to seed 5: two "independent" runs with one stream
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        CounterRng(seed, stream)

@@ -91,7 +91,7 @@ class TestRunTraining:
     def test_trace_length_contract(self):
         prob = make_problem("mlp")
         trace = train_cells(prob, [OptimizerConfig()], seed=0, steps=40)[0]
-        assert trace.k.size == trace.norm_r.size == 40
+        assert trace.norm_r.size == 40
         assert trace.loss.size == math.ceil(40 / LOSS_EVERY)
         assert np.all(trace.norm_r >= 0.0)
 
@@ -101,7 +101,7 @@ class TestRunTraining:
         cfg = OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e152)
         trace = train_cells(prob, [cfg], seed=0, steps=2000)[0]
         assert trace.diverged
-        assert 1 < trace.k.size < 2000
+        assert 1 < trace.norm_r.size < 2000
         assert np.all(np.isfinite(trace.loss))
 
     def test_update_norm_bounded_by_recorded_state(self):
