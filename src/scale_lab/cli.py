@@ -19,9 +19,9 @@ positive, a zero step-scale base, a beta outside (0, 1), a negative
 ``--epsilon`` or ``--v`` item, a ``--jump`` outside [1, steps - 1],
 ``--seeds`` given together with ``--seed-list`` and a report without
 exactly one of ``--grid`` and ``--ingest`` are usage errors.  An overflow
-that aborts a flow or a step-scale run, a step-scale gradient whose square
-underflows, a flow step too small to grid its interval and a sweep none
-of whose rows can be scored are runtime errors.
+in a flow, its remainder report or a step-scale run, a step-scale gradient
+whose square underflows, a flow step too small to grid its interval and a
+sweep none of whose rows can be scored are runtime errors.
 """
 
 from __future__ import annotations
@@ -100,11 +100,10 @@ def _distinct(values: list, flag: str) -> list:
     return values
 
 
-def _manifest(args, skip=("out", "plot", "func")) -> RunManifest:
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in skip and not callable(v)}
-    return RunManifest(command=args.command, config={k: str(v) for k, v in config.items()},
-                       version=__version__)
+def _manifest(args) -> RunManifest:
+    config = {k: str(v) for k, v in sorted(vars(args).items())
+              if k not in ("out", "plot", "func") and not callable(v)}
+    return RunManifest(command=args.command, config=config, version=__version__)
 
 
 # ---------------------------------------------------------------- flow
@@ -124,7 +123,7 @@ def cmd_flow(args, manifest: RunManifest) -> list[Path]:
     ts = TimeScales(args.tau1, args.tau2)
     signal = _build_signal(args)
     t_end = args.t_end if args.t_end is not None else ts.burn_in + 5.0 * ts.tau_max
-    init = steady_state_init(signal, ts, t0=0.0)
+    init = steady_state_init(signal, ts)
     manifest.observed["clamped"] = init.clamped
     try:
         trace = integrate_flow(signal, ts, init, t_end=t_end, h=args.h)
@@ -133,16 +132,16 @@ def cmd_flow(args, manifest: RunManifest) -> list[Path]:
         manifest.write(out)
         raise
 
+    # measured before any file is written, so an overflowing bound leaves no outputs
+    report = measure_remainder(trace, signal, ts) if t_end > ts.burn_in else None
     files = [flow_trace_csv(trace, out / "trace.csv")]
-    report = None
-    if t_end > ts.burn_in:
-        report = measure_remainder(trace, signal, ts)
+    if report is not None:
         chans = report.channels.values()
         files.append(write_csv(out / "remainder.csv",
                                ["channel", "delta0", "remainder", "bound", "constant",
                                 "fitted_order"],
                                [list(report.channels),
-                                [signal.params.get("delta0", "")] * len(chans),
+                                [args.delta0 if args.signal == "exp" else ""] * len(chans),
                                 [ch.max_abs for ch in chans],
                                 ["" if ch.bound_sup is None else ch.bound_sup for ch in chans],
                                 ["" if np.isnan(ch.constant) else ch.constant for ch in chans],

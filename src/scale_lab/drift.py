@@ -55,10 +55,13 @@ def _sup_grid(interval: tuple[float, float]) -> np.ndarray:
 
 
 def drift_bounds(signal: GradientSignal, interval: tuple[float, float]) -> DriftProfile:
-    """Estimate Lambda and Lambda' by dense sampling with 1% safety inflation."""
+    """Lambda and Lambda' by dense sampling, inflated by 1%; a ``DomainError`` unless finite."""
     grid = _sup_grid(interval)
-    lam = float(np.max(np.abs(signal.delta(grid))))
-    lam_p = float(np.max(np.abs(signal.delta_prime(grid))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound is rejected below
+        lam = float(np.max(np.abs(signal.delta(grid))))
+        lam_p = float(np.max(np.abs(signal.delta_prime(grid))))
+    if not np.isfinite(lam + lam_p):
+        raise DomainError(f"drift bounds are not finite: Lambda={lam:g}, Lambda'={lam_p:g}")
     return DriftProfile(SUP_INFLATION * lam, SUP_INFLATION * lam_p, tuple(interval))
 
 
@@ -105,7 +108,6 @@ def measure_remainder(trace: FlowTrace, signal: GradientSignal, ts: TimeScales) 
         raise DomainError("empty post-burn-in window")
     t_win = trace.t[keep]
     profile = drift_bounds(signal, (float(t_win[0]), float(t_win[-1])))
-    factor = profile.remainder_factor
 
     m_pred, v_pred, r_pred = predict_first_order(signal, ts, t_win)
     rm = np.max(np.abs(trace.m[keep] - m_pred), axis=1)
@@ -118,8 +120,15 @@ def measure_remainder(trace: FlowTrace, signal: GradientSignal, ts: TimeScales) 
     coeff_v = float(np.max(np.abs(trace.v[0] - v0_pred)))
     c_m = coeff_m + b_sup
     c_v = coeff_v + 4.0 * b_sup * b_sup
-    env_m = c_m * (np.exp(-(t_win - t0) / ts.tau1) + ts.tau1 ** 2 * factor)
-    env_v = c_v * (np.exp(-(t_win - t0) / ts.tau2) + ts.tau2 ** 2 * factor)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        try:
+            factor = profile.remainder_factor
+            env_m = c_m * (np.exp(-(t_win - t0) / ts.tau1) + ts.tau1 ** 2 * factor)
+            env_v = c_v * (np.exp(-(t_win - t0) / ts.tau2) + ts.tau2 ** 2 * factor)
+        except OverflowError:  # a Python float's ** 2 raises rather than giving inf
+            env_m = env_v = np.array([np.inf])
+    if not (np.isfinite(env_m).all() and np.isfinite(env_v).all()):
+        raise DomainError("the remainder factor Lambda^2 + Lambda' or an m or v envelope overflows")
 
     def constant(max_abs: float) -> float:
         return max_abs / factor if factor > 0.0 else float("nan")
@@ -148,38 +157,37 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
 
 
 @lru_cache(maxsize=1)
-def _ladder_flow(ts: TimeScales, rates: tuple[float, ...], h: float | None) -> FlowTrace:
+def _ladder_flow(ts: TimeScales, rates: tuple[float, ...]) -> FlowTrace:
     """The lockstep flow of the sorted ``rates``, its arrays read-only because it is cached.
 
     One entry serves a caller that runs the sensitivity fit and the remainder sweep back to
-    back on one (ts, rates, h), and a fine-step ladder is not held past the next call.
+    back on one (ts, rates), and a ladder is not held past the next call.
     """
     t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
     ladder = exponential_signal(rates)
-    flow = integrate_flow(ladder, ts, steady_state_init(ladder, ts, t0=0.0), t_end=t_end, h=h)
+    flow = integrate_flow(ladder, ts, steady_state_init(ladder, ts), t_end=t_end)
     for a in (flow.t, flow.m, flow.v, flow.r):
         a.flags.writeable = False
     return flow
 
 
-def _exponential_ladder(ts: TimeScales, rates: Sequence[float],
-                        h: float | None) -> Iterator[tuple[GradientSignal, FlowTrace]]:
+def _exponential_ladder(ts: TimeScales,
+                        rates: Sequence[float]) -> Iterator[tuple[GradientSignal, FlowTrace]]:
     """Per drift rate, the signal e^{delta0 t} and its flow from the steady init.
 
     The sorted rates run as the columns of one flow to 1.2 burn-in + 2 tau_max, each bit for
-    bit its one-rate flow.  The flow is integrated once per (ts, rates, h) and the last one is
+    bit its one-rate flow.  The flow is integrated once per (ts, rates) and the last one is
     kept, so the traces are read-only views of it.  A ``FlowAbort`` carries the earliest abort
     time over all rates; it is not cached, so a repeated call aborts again at the same time.
     """
-    flow = _ladder_flow(ts, tuple(rates), h)
+    flow = _ladder_flow(ts, tuple(rates))
     for k, d0 in enumerate(rates):
         sig = exponential_signal(d0)
         m, v, r = (a[:, k:k + 1] for a in (flow.m, flow.v, flow.r))
         yield sig, FlowTrace(flow.t, m, v, r)
 
 
-def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float],
-                          h: float | None = None) -> RemainderReport:
+def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float]) -> RemainderReport:
     """R-channel remainders over exponential drifts, with a fitted order.
 
     Runs the drift rates as the columns of one lockstep flow, measures each
@@ -190,7 +198,7 @@ def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float],
     """
     rates = sorted(float(d) for d in delta0_grid)
     reports = [measure_remainder(trace, sig, ts)
-               for sig, trace in _exponential_ladder(ts, rates, h)]
+               for sig, trace in _exponential_ladder(ts, rates)]
     slope, _ = fit_power_law([r.profile.lambda_bound for r in reports],
                              [r.channels["R"].max_abs for r in reports])
     report = reports[-1]

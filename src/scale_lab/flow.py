@@ -84,7 +84,6 @@ class FlowState:
 
     m: np.ndarray
     v: np.ndarray
-    t: float = 0.0
     clamped: bool = False
 
 
@@ -197,40 +196,42 @@ def predict_first_order(signal: GradientSignal, ts: TimeScales, t):
     return m_pred, v_pred, r_pred
 
 
-def steady_state_init(signal: GradientSignal, ts: TimeScales, t0: float = 0.0) -> FlowState:
-    """First-order steady initialization: (m, v) from ``predict_first_order`` at t0.
+def steady_state_init(signal: GradientSignal, ts: TimeScales) -> FlowState:
+    """First-order steady initialization: (m, v) from ``predict_first_order`` at t = 0.
 
     Skips the O(exp(-t/tau)) transient up to the expansion remainder.  v is
     floored at a small positive multiple of g^2 if the first-order formula
     goes nonpositive; the returned state is flagged ``clamped`` in that case.
+    An overflow leaves a non-finite state, which ``integrate_flow`` aborts on at t = 0.
     """
-    m, v, _ = predict_first_order(signal, ts, t0)
-    g0 = signal.g(t0)
-    clamped = bool(np.any(v <= 0.0))
-    v = np.maximum(v, 1e-12 * g0 * g0)
-    return FlowState(m=m, v=v, t=t0, clamped=clamped)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, v, _ = predict_first_order(signal, ts, 0.0)
+        g0 = signal.g(0.0)
+        clamped = bool(np.any(v <= 0.0))
+        v = np.maximum(v, 1e-12 * g0 * g0)
+    return FlowState(m=m, v=v, clamped=clamped)
 
 
 def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
                    t_end: float, h: float | None = None) -> FlowTrace:
-    """Fixed-step RK4 integration of the flow from ``init`` to ``t_end``.
+    """Fixed-step RK4 integration of the flow from ``init`` at t = 0 to ``t_end``.
 
-    The step is rounded so the grid hits ``t_end`` exactly, and every step's
-    state is recorded (plus the initial one).  Aborts with ``FlowAbort`` at
-    the first stage point, in time order, with an m or v coordinate that is
-    not finite (an overflowed gradient) or a v coordinate <= 0 (a violated
-    gradient-floor assumption rather than an integrator failure).
+    The step is rounded so the grid hits ``t_end`` exactly, and every step's state is
+    recorded (plus the initial one).  Aborts with ``FlowAbort`` at the first stage point, in
+    time order, with an m or v coordinate that is not finite (an overflowed gradient) or a
+    v coordinate <= 0 (a violated gradient-floor assumption rather than an integrator
+    failure), else at the first sample whose ||R|| overflows.
     """
     if h is None:
         h = min(ts.tau1, ts.tau2) / 50.0
     if h <= 0.0:
         raise DomainError(f"step must be positive, got {h}")
-    if t_end <= init.t:
-        raise DomainError(f"t_end={t_end} must exceed init.t={init.t}")
+    if t_end <= 0.0:
+        raise DomainError(f"t_end={t_end} must be positive")
     if np.any(init.v <= 0.0):
         raise DomainError("initial v must be strictly positive")
 
-    t, stages, h = _stage_times(init.t, t_end, h)
+    t, stages, h = _stage_times(0.0, t_end, h)
     with np.errstate(over="ignore"):  # an overflowed forcing aborts below
         g = signal.g(stages)
         seq = _relax(np.array([init.m, init.v], dtype=float), np.array([[ts.tau1], [ts.tau2]]),
@@ -241,4 +242,9 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
 
     ys = seq[::4].copy()  # the step points, without holding on to the stage points
     m, v = ys[:, 0], ys[:, 1]
-    return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v))
+    trace = FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v))
+    with np.errstate(over="ignore"):
+        bad = t[~np.isfinite(trace.norm_r)]
+    if bad.size:
+        raise FlowAbort(float(bad[0]), f"||R|| is not finite at t={bad[0]:.6g}: it overflowed")
+    return trace

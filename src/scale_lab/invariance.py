@@ -38,9 +38,6 @@ class RescaleProbeResult:
     deviations: list[float]
     classification: str  # exact-invariant | scale-linear | other
 
-    def deviation_at(self, lam: float) -> float:
-        return self.deviations[self.lambda_values.index(lam)]
-
 
 def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray,
                            lambdas: Sequence[float],
@@ -101,8 +98,7 @@ class SensitivityFit:
     signed_deviations: list[float]  # ||R||_inf - 1, sign kept
 
 
-def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float],
-                            h: float | None = None) -> SensitivityFit:
+def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float]) -> SensitivityFit:
     """Fit the asymptotic deviation of ||R|| from 1 across exponential drifts.
 
     Each drift rate is integrated from the first-order steady initialization
@@ -119,7 +115,7 @@ def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float],
         raise DomainError(f"Richardson step needs the two smallest drift rates in ratio 2, "
                           f"got {rates[0]} and {rates[1]}")
     signed = [float(np.max(np.abs(trace.r[-1]))) - 1.0
-              for _, trace in _exponential_ladder(ts, rates, h)]
+              for _, trace in _exponential_ladder(ts, rates)]
     deviations = [abs(s) for s in signed]
     slope, _ = fit_power_law(rates, deviations)
     q0, q1 = signed[0] / rates[0], signed[1] / rates[1]

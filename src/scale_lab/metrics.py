@@ -83,7 +83,6 @@ def binomial_diagonal_test(k: int, n: int, width: int = 3) -> float:
 class OscillationGridReport:
     """Diagonal-selection statistics of per-seed oscillation grids."""
 
-    omega: list[np.ndarray]      # one (n x n) matrix per seed; rows fix beta1
     beta_axis: list[float]
     hits: int                    # K: scored rows whose argmin column equals the row
     trials: int                  # N: scored (row, seed) pairs
@@ -127,7 +126,7 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
     hits, trials = int((cols == np.arange(n)).sum()), int(scored.sum())
     degenerate = (vals == vals[..., :1]).all(axis=2)
     return OscillationGridReport(
-        omega=grids, beta_axis=axis, hits=hits, trials=trials,
+        beta_axis=axis, hits=hits, trials=trials,
         rate=hits / trials, p_value=binomial_diagonal_test(hits, trials, n),
         argmin_cols=cols.tolist(),
         degenerate_rows=list(map(tuple, np.argwhere(degenerate).tolist())),

@@ -17,7 +17,7 @@ minibatches) at once, which is how the training engine steps cells in lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,13 +51,11 @@ class Problem:
     """
 
     kind: str
-    dim_theta: int
     n_samples: int                      # 0 means full-batch only
     loss: Callable[[np.ndarray], float | np.ndarray]
     grad: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
     init_theta: Callable[[int], np.ndarray]
     loss_finite_below: float
-    meta: dict = field(default_factory=dict)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -129,10 +127,8 @@ def _quadratic(seed: int) -> Problem:
         return rng.normal(QUADRATIC_DIM)
 
     loss, grad = _stacked(loss_rows, grad_rows)
-    return Problem(kind="quadratic", dim_theta=QUADRATIC_DIM, n_samples=0,
-                   loss=loss, grad=grad, init_theta=init_theta,
-                   loss_finite_below=float(np.sqrt(1e300 / diag.sum())),
-                   meta={"condition": QUADRATIC_CONDITION, "seed": seed})
+    return Problem(kind="quadratic", n_samples=0, loss=loss, grad=grad, init_theta=init_theta,
+                   loss_finite_below=float(np.sqrt(1e300 / diag.sum())))
 
 
 def _logistic(seed: int) -> Problem:
@@ -160,9 +156,8 @@ def _logistic(seed: int) -> Problem:
         return 0.1 * rng.normal(dim)
 
     loss, grad = _stacked(loss_rows, grad_rows)
-    return Problem(kind="logistic", dim_theta=dim, n_samples=BLOB_SAMPLES,
-                   loss=loss, grad=grad, init_theta=init_theta,
-                   loss_finite_below=_finite_below(x, 0), meta={"seed": seed})
+    return Problem(kind="logistic", n_samples=BLOB_SAMPLES, loss=loss, grad=grad,
+                   init_theta=init_theta, loss_finite_below=_finite_below(x, 0))
 
 
 def _mlp(seed: int) -> Problem:
@@ -170,7 +165,6 @@ def _mlp(seed: int) -> Problem:
     h, c = MLP_HIDDEN, 2
     d = BLOB_FEATURES
     sizes = [d * h, h, h * c, c]
-    dim = sum(sizes)
     label_one = y == 1  # labels are 0 or 1
     # hidden-layer buffers, one per sample count, reused while the row count stays
     workspace: dict[int, np.ndarray] = {}
@@ -236,9 +230,8 @@ def _mlp(seed: int) -> Problem:
         return np.concatenate([w1, b1, w2, b2])
 
     loss, grad = _stacked(loss_rows, grad_rows)
-    return Problem(kind="mlp", dim_theta=dim, n_samples=BLOB_SAMPLES,
-                   loss=loss, grad=grad, init_theta=init_theta,
-                   loss_finite_below=_finite_below(x, h), meta={"seed": seed})
+    return Problem(kind="mlp", n_samples=BLOB_SAMPLES, loss=loss, grad=grad,
+                   init_theta=init_theta, loss_finite_below=_finite_below(x, h))
 
 
 _FACTORIES = {"quadratic": _quadratic, "logistic": _logistic, "mlp": _mlp}

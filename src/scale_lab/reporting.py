@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import re
 import time
@@ -102,27 +103,30 @@ class CsvColumns(dict):
 
 
 def read_csv_columns(path: Path) -> CsvColumns:
-    """Read a headed CSV into string columns; parse errors (a repeated name too) name their line."""
+    """A headed UTF-8 CSV as string columns; parse errors (a repeated name too) name their line."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(path, 1, "empty file")
-        cols = CsvColumns((name, []) for name in header)
-        if len(cols) != len(header):
-            raise CsvParseError(path, 1, f"header repeats a name: {','.join(header)}")
-        cols.lines = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(path, reader.line_num,
-                                    f"expected {len(header)} fields, got {len(row)}")
-            cols.lines.append(reader.line_num)
-            for name, value in zip(header, row):
-                cols[name].append(value)
+    data = path.read_bytes()
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}")
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvParseError(path, 1, "empty file")
+    cols = CsvColumns((name, []) for name in header)
+    if len(cols) != len(header):
+        raise CsvParseError(path, 1, f"header repeats a name: {','.join(header)}")
+    cols.lines = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CsvParseError(path, reader.line_num,
+                                f"expected {len(header)} fields, got {len(row)}")
+        cols.lines.append(reader.line_num)
+        for name, value in zip(header, row):
+            cols[name].append(value)
     return cols
 
 
@@ -279,11 +283,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def write_svg_lines(path: Path, series: Sequence[tuple[str, np.ndarray, np.ndarray]],
-                    title: str = "", width: int = 640, height: int = 400) -> Path:
-    """A minimal multi-series line chart; enough to eyeball a trace."""
+                    title: str = "") -> Path:
+    """A minimal 640 x 400 multi-series line chart; enough to eyeball a trace."""
     if not series:
         raise DomainError("nothing to plot")
-    pad = 50
+    width, height, pad = 640, 400, 50
     xs_all = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
     ys_all = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
     finite = np.isfinite(ys_all)

@@ -7,14 +7,14 @@ signals fall back to central finite differences with stencil step
 ``1e-4 * max(1, |t|)``.
 
 Every evaluator takes ``t`` as a number or as an array of times of any
-shape and returns an array of shape ``np.shape(t) + (dimension,)``, so a
-number gives ``(dimension,)`` and a time grid is evaluated in one call.
+shape and returns an array of shape ``np.shape(t) + (d,)`` for a d-coordinate
+signal, so a number gives ``(d,)`` and a time grid is evaluated in one call.
 Each entry equals the evaluation at that time alone, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,17 +39,14 @@ class GradientSignal:
     """A vector signal g(t) with optional analytic derivative evaluators.
 
     ``g`` and the optional evaluators map a time, or an array of times of any shape, to an array
-    of shape ``np.shape(t) + (dimension,)``.  When ``delta_analytic`` or ``delta_prime_analytic``
+    of shape ``np.shape(t) + (d,)``.  When ``delta_analytic`` or ``delta_prime_analytic``
     are omitted they are replaced by central finite differences, so every signal supports the
     full drift API.
     """
 
-    kind: str
-    dimension: int
     g: Callable[[float | np.ndarray], np.ndarray]
     delta_analytic: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     delta_prime_analytic: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
-    params: dict = field(default_factory=dict)
 
     def delta(self, t) -> np.ndarray:
         """Logarithmic drift g'(t)/g(t); domain error on a zero coordinate."""
@@ -72,30 +69,17 @@ class GradientSignal:
         return (self.delta(t + h) - self.delta(t - h)) / np.expand_dims(2.0 * h, -1)
 
 
-def _vec(value: float | Sequence[float], dimension: int | None) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if dimension is not None and arr.size == 1:
-        arr = np.full(dimension, arr[0])
-    return arr
-
-
-def constant_signal(value: float | Sequence[float] = 1.0, dimension: int | None = None) -> GradientSignal:
+def constant_signal(value: float | Sequence[float] = 1.0) -> GradientSignal:
     """g(t) = c; zero drift."""
-    c = _vec(value, dimension)
+    c = np.atleast_1d(np.asarray(value, dtype=float))
     d = c.size
     zeros = lambda t: np.zeros(np.shape(t) + (d,))
-    return GradientSignal(
-        kind="constant",
-        dimension=d,
-        g=lambda t: np.full(np.shape(t) + (d,), c),
-        delta_analytic=zeros,
-        delta_prime_analytic=zeros,
-        params={"value": c.tolist()},
-    )
+    return GradientSignal(g=lambda t: np.full(np.shape(t) + (d,), c),
+                          delta_analytic=zeros, delta_prime_analytic=zeros)
 
 
-def exponential_signal(delta0: float | Sequence[float], scale: float | Sequence[float] = 1.0,
-                       dimension: int | None = None) -> GradientSignal:
+def exponential_signal(delta0: float | Sequence[float],
+                       scale: float | Sequence[float] = 1.0) -> GradientSignal:
     """g(t) = c * exp(delta0 * t); constant drift delta0, one rate or one rate per coordinate.
 
     Coordinate k of a per-coordinate signal is bit for bit ``exponential_signal(delta0[k], c[k])``.
@@ -104,41 +88,32 @@ def exponential_signal(delta0: float | Sequence[float], scale: float | Sequence[
     bad = rates[~np.isfinite(rates)]
     if bad.size:
         raise DomainError(f"exponential signal: drift rate {bad[0]} is not finite")
-    c = _vec(scale, dimension or (rates.size if rates.ndim else None))
+    c = np.atleast_1d(np.asarray(scale, dtype=float))
+    if rates.ndim and c.size == 1:  # one scale for every rate
+        c = np.full(rates.size, c[0])
     d = c.size
     if rates.ndim and rates.shape != (d,):
         raise DomainError(f"exponential signal: {rates.size} rates for {d} coordinates")
     if np.any(c == 0.0):
         raise DomainError("exponential signal needs a nonzero scale")
-    return GradientSignal(
-        kind="exponential",
-        dimension=d,
-        g=lambda t: c * np.exp(rates * np.expand_dims(t, -1)),
-        delta_analytic=lambda t: np.full(np.shape(t) + (d,), rates),
-        delta_prime_analytic=lambda t: np.zeros(np.shape(t) + (d,)),
-        params={"delta0": rates.tolist() if rates.ndim else delta0, "scale": c.tolist()},
-    )
+    return GradientSignal(g=lambda t: c * np.exp(rates * np.expand_dims(t, -1)),
+                          delta_analytic=lambda t: np.full(np.shape(t) + (d,), rates),
+                          delta_prime_analytic=lambda t: np.zeros(np.shape(t) + (d,)))
 
 
-def sinusoidal_log_signal(amplitude: float, omega: float, scale: float = 1.0,
-                          dimension: int = 1) -> GradientSignal:
-    """log |g| oscillates: g(t) = c * exp(a sin(w t)), so delta = a w cos(w t).
+def sinusoidal_log_signal(amplitude: float, omega: float, scale: float = 1.0) -> GradientSignal:
+    """log |g| oscillates: g(t) = c * exp(a sin(w t)), so delta = a w cos(w t); one coordinate.
 
     Never crosses zero, which keeps it inside the expansion hypotheses for
     any amplitude.
     """
     if scale == 0.0:
         raise DomainError("sinusoidal-log signal needs a nonzero scale")
-    d = dimension
-    coords = lambda x: np.full(np.shape(x) + (d,), np.expand_dims(x, -1))
-    return GradientSignal(
-        kind="sinusoidal-log",
-        dimension=d,
-        g=lambda t: coords(scale * np.exp(amplitude * np.sin(omega * t))),
-        delta_analytic=lambda t: coords(amplitude * omega * np.cos(omega * t)),
-        delta_prime_analytic=lambda t: coords(-amplitude * omega * omega * np.sin(omega * t)),
-        params={"amplitude": amplitude, "omega": omega, "scale": scale},
-    )
+    coord = lambda x: np.expand_dims(x, -1)
+    return GradientSignal(g=lambda t: coord(scale * np.exp(amplitude * np.sin(omega * t))),
+                          delta_analytic=lambda t: coord(amplitude * omega * np.cos(omega * t)),
+                          delta_prime_analytic=lambda t: coord(
+                              -amplitude * omega * omega * np.sin(omega * t)))
 
 
 def step_multipliers(schedule: Sequence[tuple[int, float]], steps: int) -> np.ndarray:
@@ -169,6 +144,5 @@ def tabulated_signal(ts: Sequence[float], values: np.ndarray) -> GradientSignal:
         raise DomainError("tabulated signal: times and values disagree in length")
     d = values.shape[1]
 
-    return GradientSignal(kind="tabulated", dimension=d,
-                          g=lambda t: np.stack([np.interp(t, ts, values[:, i]) for i in range(d)], -1),
-                          params={"t0": float(ts[0]), "t1": float(ts[-1])})
+    return GradientSignal(
+        g=lambda t: np.stack([np.interp(t, ts, values[:, i]) for i in range(d)], -1))

@@ -135,14 +135,12 @@ class SweepResult:
     traces: dict[tuple[float, float, int], RunTrace]
     omegas: dict[tuple[float, float, int], dict[str, float]]
     window: int
-    metric: str
 
 
 def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
                seeds: Sequence[int] = (0, 1, 2), steps: int = 5000,
                batch_size: int = DEFAULT_BATCH, eta: float | None = None,
-               epsilon: float = 1e-8, window: int = DEFAULT_WINDOW,
-               metric: str = "omega1") -> SweepResult:
+               window: int = DEFAULT_WINDOW, metric: str = "omega1") -> SweepResult:
     """Run every (beta1, beta2, seed) cell and score diagonal selection.
 
     Every cell of every seed trains as one row of a single lockstep batch;
@@ -156,10 +154,10 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     if metric not in METRICS:
         raise DomainError(f"unknown metric {metric!r}")
     if eta is None:
-        eta = DEFAULT_ETA.get(problem.kind, 0.01)
+        eta = DEFAULT_ETA[problem.kind]
 
     cells = [(b1, b2, s) for s in seed_list for b1 in axis for b2 in axis]
-    configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=epsilon, bias_correction=True)
+    configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, bias_correction=True)
                for b1, b2, _ in cells]
     traces = train_cells(problem, configs, seed=[s for _, _, s in cells], steps=steps,
                          batch_size=batch_size)
@@ -171,5 +169,4 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
                                          axis, seed_list), axis)
     except DomainError as exc:  # every row unscorable, e.g. every cell diverged
         raise SweepAbort(results, str(exc)) from None
-    return SweepResult(report=report, traces=results, omegas=omegas, window=window,
-                       metric=metric)
+    return SweepResult(report=report, traces=results, omegas=omegas, window=window)

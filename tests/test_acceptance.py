@@ -143,13 +143,13 @@ def test_criterion_6_definition_one_probes():
     g, gd_lambdas = np.array([1.0, -2.0]), (0.5, 2.0, 3.0, 10.0)
     gd_probe = exact_invariance_probe("gd", None, g, gd_lambdas)
     assert gd_probe.classification == "scale-linear"
-    for lam in gd_lambdas:
-        assert gd_probe.deviation_at(lam) == abs(lam - 1.0) * float(np.max(np.abs(g)))
+    for lam, dev in zip(gd_lambdas, gd_probe.deviations):
+        assert dev == abs(lam - 1.0) * float(np.max(np.abs(g)))
 
     state = MomentState(m=np.array([1.0]), v=np.array([1.0]))
     cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
     probe = exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
-    r_tilde = 1.0 - probe.deviation_at(2.0)  # R at lambda=1 is exactly 1 here
+    r_tilde = 1.0 - probe.deviations[0]  # R at lambda=1 is exactly 1 here
     assert r_tilde == pytest.approx(0.9647638212377321, abs=1e-9)
     report(f"ACCEPTANCE 6 PASS: signSGD deviations < 1e-15 over lambda in [1e-3, 1e3]; "
            f"GD scale-linear, deviation exact; Adam frozen-state R~ = {r_tilde:.9f}")
@@ -175,8 +175,7 @@ def test_criterion_8_desk_scale_pipeline(tmp_path):
     mlp = sweep_grid(make_problem("mlp"), seeds=seeds, steps=5000, window=200)
     # determinism: replaying the logistic sweep reproduces the grids bit-exactly
     replay = sweep_grid(make_problem("logistic"), seeds=seeds, steps=5000, window=200)
-    for g1, g2 in zip(logistic.report.omega, replay.report.omega):
-        assert np.array_equal(g1, g2)
+    assert logistic.omegas == replay.omegas
 
     k, n, p = combine_reports([logistic.report, mlp.report])
     summary_csv(logistic.report, tmp_path / "logistic_summary.csv")

@@ -197,6 +197,23 @@ class TestFlowCommand:
         assert not (out / "trace.csv").exists()
 
 
+    @pytest.mark.parametrize("argv,why", [
+        (["--signal", "exp", "--delta0", "1e-160", "--tau1", "1e155", "--tau2", "1e155",
+          "--t-end", "2e156", "--h", "1e154"], "Lambda^2 + Lambda' or an m or v envelope overflows"),
+        (["--signal", "sin-log", "--amplitude", "300", "--omega", "1e152", "--tau1", "1e-160",
+          "--tau2", "1e-160"], "Lambda^2 + Lambda' or an m or v envelope overflows"),
+        (["--signal", "sin-log", "--amplitude", "1e-5", "--omega", "1e160", "--tau1", "1e-160",
+          "--tau2", "1e-160"], "drift bounds are not finite: Lambda=1e+155, Lambda'=inf"),
+    ], ids=["tau-squared", "lambda-squared", "lambda-prime"])
+    def test_overflowing_remainder_bound_is_runtime_error(self, tmp_path, capsys, argv, why):
+        # tau1 ** 2, Lambda ** 2 or the omega ** 2 in delta' overflows: no trace.csv either
+        out = tmp_path / "flow"
+        assert run("flow", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert why in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestProbeCommand:
     def test_signsgd_classification(self, tmp_path):
         out = tmp_path / "p"
@@ -315,9 +332,7 @@ class TestSweepAndReport:
         from scale_lab import make_problem, sweep_grid
         res = sweep_grid(make_problem("logistic"), seeds=(0, 1), steps=80, window=10)
         for b1, b2, s, w in zip(cols["beta1"], cols["beta2"], cols["seed"], cols["omega1"]):
-            i = res.report.beta_axis.index(float(b1))
-            j = res.report.beta_axis.index(float(b2))
-            assert float(w) == res.report.omega[int(s)][i, j]
+            assert float(w) == res.omegas[(float(b1), float(b2), int(s))]["omega1"]
 
     def test_report_from_grid_matches_summary(self, tmp_path):
         out = tmp_path / "s"
@@ -371,6 +386,18 @@ class TestSweepAndReport:
         assert run("report", "--ingest", str(matrix), "--out", str(out)) == 0
         cols = read_csv_columns(out / "report_summary.csv")
         assert (cols["K"], cols["N"]) == (["3"], ["3"])  # NaN loses every argmin
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--grid", b"beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,\xff\n"),
+        ("--ingest", b"beta1,0.9,0.99\n0.9,1,2\n0.99,\xff,1\n"),
+    ], ids=["grid", "ingest"])
+    def test_csv_that_is_not_utf8_is_parse_error(self, tmp_path, capsys, flag, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text)
+        assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert "in.csv:3: not UTF-8" in err and "0xff" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
     def test_malformed_grid_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -533,15 +560,27 @@ class TestManifest:
             f"observed.diverged={diverged}"]
 
     @pytest.mark.parametrize("argv,observed,why", [
-        (["--delta0", "-2", "--h", "3"], {"clamped": False, "abort_t": 1.5}, "v crossed zero"),
-        (["--delta0", "0.6", "--h", "3"], {"clamped": True, "abort_t": 3.0}, "v crossed zero"),
-        (["--delta0", "30"], {"clamped": True, "abort_t": 11.82}, "m or v is not finite"),
-    ], ids=["decaying", "clamped", "overflowed"])
+        (["exp", "--delta0", "-2", "--h", "3"], {"clamped": False, "abort_t": 1.5},
+         "v crossed zero"),
+        (["exp", "--delta0", "0.6", "--h", "3"], {"clamped": True, "abort_t": 3.0},
+         "v crossed zero"),
+        (["exp", "--delta0", "30"], {"clamped": True, "abort_t": 11.82}, "m or v is not finite"),
+        (["const", "--scale", "1e200"], {"clamped": False, "abort_t": 0.0},
+         "m or v is not finite"),
+        (["exp", "--delta0", "1e308"], {"clamped": True, "abort_t": 0.01},
+         "m or v is not finite"),
+        (["exp", "--tau1", "1e300", "--t-end", "12"], {"clamped": False, "abort_t": 0.0},
+         "||R|| is not finite"),
+        (["sin-log", "--omega", "1e300"], {"clamped": True, "abort_t": 0.0},
+         "||R|| is not finite"),
+    ], ids=["decaying", "clamped", "overflowed", "init-overflowed", "init-clamped-overflowed",
+            "norm-overflowed", "sin-log-norm-overflowed"])
     def test_flow_abort_still_writes_the_manifest(self, tmp_path, capsys, argv, observed, why):
         # h three times tau2 makes an RK4 stage of v overshoot below zero; at delta0 = 30,
-        # g * g overflows near t = 709.78 / 60, before the default t_end of 15
+        # g * g overflows near t = 709.78 / 60, before the default t_end of 15; g * g of the
+        # steady init overflows at scale 1e200, and ||R|| squares an R near 5e298 at tau1 1e300
         out = tmp_path / "out"
-        assert run("flow", "--signal", "exp", *argv, "--out", str(out)) == 2
+        assert run("flow", "--signal", *argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert f"{why} at t={observed['abort_t']:g}" in err and "Traceback" not in err
         manifest = json.loads((out / "manifest.json").read_text())

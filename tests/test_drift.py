@@ -35,7 +35,6 @@ def flow_calls(monkeypatch):
 def offset_sine_signal():
     # g(t) = 2 + sin(t): nonvanishing, with analytic drift cos(t)/(2+sin(t))
     return GradientSignal(
-        kind="tabulated", dimension=1,
         g=lambda t: (2.0 + np.sin(t))[..., None],
         delta_analytic=lambda t: (np.cos(t) / (2.0 + np.sin(t)))[..., None],
     )
@@ -54,8 +53,7 @@ class TestLogDrift:
         assert offset_sine_signal().delta(0.0)[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_zero_gradient_rejected(self):
-        sig = GradientSignal(kind="tabulated", dimension=1,
-                             g=lambda t: np.asarray(t, dtype=float)[..., None])
+        sig = GradientSignal(g=lambda t: np.asarray(t, dtype=float)[..., None])
         with pytest.raises(DomainError):
             sig.delta(0.0)
 
@@ -172,20 +170,21 @@ class TestRemainderOrderSweep:
             assert rep.fitted_order == pytest.approx(2.0, abs=0.25)
 
     def test_ladder_abort_carries_earliest_abort_time(self):
-        # a step of 2.5 tau drives an RK4 stage of v below zero for decaying
-        # gradients; the faster-decaying rates abort first
-        ts, rates, h = TimeScales(1.0, 1.0), [-0.6, -0.3, -0.1], 2.5
+        # g * g of e^{delta0 t} overflows once 2 delta0 t > 709.78, so the faster rate
+        # aborts first: 60 near t = 5.92, 30 near t = 11.8
+        ts, rates = TimeScales(1.0, 1.0), [0.01, 30.0, 60.0]
         t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
         aborts = []
         for d0 in rates:
             sig = exponential_signal(d0)
             try:
-                integrate_flow(sig, ts, steady_state_init(sig, ts), t_end=t_end, h=h)
+                integrate_flow(sig, ts, steady_state_init(sig, ts), t_end=t_end)
             except FlowAbort as err:
                 aborts.append(err.t)
-        assert len(aborts) == 2 and aborts[0] < aborts[1]
+        assert len(aborts) == 2 and aborts[0] > aborts[1]
+        assert aborts[1] == pytest.approx(5.92)
         with pytest.raises(FlowAbort) as err:
-            remainder_order_sweep(ts, rates, h=h)
+            remainder_order_sweep(ts, rates)
         assert err.value.t == min(aborts)
 
 
@@ -204,28 +203,27 @@ class TestSharedLadder:
         remainder_order_sweep(self.TS, [0.04, 0.01, 0.08, 0.02])
         assert len(flow_calls) == 1
 
-    @pytest.mark.parametrize("ts, rates, h", [
-        (TimeScales(2.0, 1.0), RATES, None),
-        (TS, RATES, 0.01),
-        (TS, RATES[:3], None),
+    @pytest.mark.parametrize("ts, rates", [
+        (TimeScales(2.0, 1.0), RATES),
+        (TS, RATES[:3]),
     ])
-    def test_another_ladder_integrates_again(self, flow_calls, ts, rates, h):
+    def test_another_ladder_integrates_again(self, flow_calls, ts, rates):
         first_order_sensitivity(self.TS, self.RATES)
-        remainder_order_sweep(ts, rates, h=h)
+        remainder_order_sweep(ts, rates)
         assert len(flow_calls) == 2
 
     def test_traces_are_read_only(self):
-        for _, trace in drift._exponential_ladder(self.TS, self.RATES, None):
+        for _, trace in drift._exponential_ladder(self.TS, self.RATES):
             for a in (trace.t, trace.m, trace.v, trace.r):
                 with pytest.raises(ValueError):
                     a[0] = 0.0
 
     def test_abort_is_not_cached(self, flow_calls):
-        ts, rates, h = TimeScales(1.0, 1.0), [-0.6, -0.3, -0.1], 2.5
+        ts, rates = TimeScales(1.0, 1.0), [0.01, 30.0, 60.0]
         aborts = []
         for _ in range(2):
             with pytest.raises(FlowAbort) as err:
-                remainder_order_sweep(ts, rates, h=h)
+                remainder_order_sweep(ts, rates)
             aborts.append(err.value.t)
         assert len(flow_calls) == 2 and aborts[0] == aborts[1]
 

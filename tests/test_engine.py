@@ -121,7 +121,7 @@ class TestMixedSeedRows:
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
         steps = 2 * _INDEX_BLOCK + 3
         for s, trace in zip((5, 2), train_cells(prob, [cfg, cfg], seed=[5, 2], steps=steps)):
-            losses, norms = serial_logistic_adam(prob, cfg, seed=s, steps=steps)
+            losses, norms = serial_logistic_adam(prob, 3, cfg, seed=s, steps=steps)
             assert np.array_equal(trace.loss, losses[::LOSS_EVERY])
             assert np.array_equal(trace.norm_r, norms)
 
@@ -178,11 +178,11 @@ class TestLossCadence:
         assert np.abs(traces[2].loss[1:]).min() > 1e300  # far past the bound, yet finite
 
 
-def serial_logistic_adam(prob, cfg, seed, steps):
+def serial_logistic_adam(prob, data_seed, cfg, seed, steps):
     """The one-cell loop written out with plain 1-D numpy: the reference the engine must equal."""
     from scale_lab.problems import _make_blobs
     from scale_lab.rng import CounterRng
-    x, y = _make_blobs(prob.meta["seed"])
+    x, y = _make_blobs(data_seed)
     theta = prob.init_theta(seed)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     batches = CounterRng(seed, stream=2)
@@ -210,7 +210,7 @@ def test_sweep_cells_equal_the_serial_reference_loop():
     prob = make_problem("logistic", seed=3)
     configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=0.01) for b1, b2 in BETAS]
     for cfg, trace in zip(configs, train_cells(prob, configs, seed=5, steps=40)):
-        losses, norms = serial_logistic_adam(prob, cfg, seed=5, steps=40)
+        losses, norms = serial_logistic_adam(prob, 3, cfg, seed=5, steps=40)
         assert np.array_equal(trace.loss, losses[::LOSS_EVERY])
         assert np.array_equal(trace.norm_r, norms)
 

@@ -101,7 +101,7 @@ class TestSteadyStateInit:
     def test_zero_gradient_rejected(self):
         sig = tabulated_signal([0.0, 1.0], np.array([[0.0], [1.0]]))
         with pytest.raises(DomainError):
-            steady_state_init(sig, TimeScales(1.0, 1.0), t0=0.0)
+            steady_state_init(sig, TimeScales(1.0, 1.0))
 
     def test_clamp_flag(self):
         st = steady_state_init(exponential_signal(2.0), TimeScales(1.0, 1.0))
@@ -203,8 +203,7 @@ class TestIntegrateFlow:
 def tabulated_like(fn):
     """Wrap a smooth array-aware callable as a 1-d signal with FD drift."""
     from scale_lab import GradientSignal
-    return GradientSignal(kind="tabulated", dimension=1,
-                          g=lambda t: np.asarray(fn(t), dtype=float)[..., None])
+    return GradientSignal(g=lambda t: np.asarray(fn(t), dtype=float)[..., None])
 
 
 class TestDiscreteContinuousConsistency:

@@ -20,13 +20,13 @@ class TestExactInvarianceProbe:
         result = exact_invariance_probe("gd", None, g, [3.0])
         assert result.classification == "scale-linear"
         # || lambda g - g ||_inf = |lambda - 1| * ||g||_inf
-        assert result.deviation_at(3.0) == 4.0
+        assert result.deviations[0] == 4.0
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
     def test_gd_deviation_formula(self, lam):
         g = np.array([0.3, -1.7, 0.9])
         result = exact_invariance_probe("gd", None, g, [lam])
-        assert result.deviation_at(lam) == pytest.approx(
+        assert result.deviations[0] == pytest.approx(
             abs(lam - 1.0) * np.max(np.abs(g)), rel=1e-15)
 
     @pytest.mark.parametrize("method", ["adam", "gd", "signsgd"])
@@ -61,7 +61,7 @@ class TestExactInvarianceProbe:
         result = exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
         assert result.classification == "other"
         # R = 1 at lambda=1 and 1.1/sqrt(1.3) at lambda=2
-        assert result.deviation_at(2.0) == pytest.approx(1.0 - 0.9647638212377321,
+        assert result.deviations[0] == pytest.approx(1.0 - 0.9647638212377321,
                                                          abs=1e-14)
 
     def test_non_finite_step_is_domain_error(self):
@@ -77,13 +77,13 @@ class TestExactInvarianceProbe:
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
         result = exact_invariance_probe("adam", state, np.array([1.0]), [1e10], cfg)
         assert result.classification == "other"
-        assert result.deviation_at(1e10) == pytest.approx(9e299, rel=1e-9)
+        assert result.deviations[0] == pytest.approx(9e299, rel=1e-9)
 
     def test_lambda_one_has_zero_deviation(self):
         state = MomentState(m=np.array([0.4]), v=np.array([0.9]))
         cfg = OptimizerConfig(beta1=0.95, beta2=0.98)
         result = exact_invariance_probe("adam", state, np.array([1.3]), [1.0], cfg)
-        assert result.deviation_at(1.0) == 0.0
+        assert result.deviations[0] == 0.0
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(DomainError):

@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 import scale_lab
-from scale_lab import (CellConfigs, DimensionError, DomainError, FlowTrace, GradientSignal,
-                       MomentState, OptimizerConfig, RunTrace, adam_step,
-                       constant_gradient_closed_form, make_problem, step_scale_cells,
-                       step_scale_grid, tracking_check, train_cells, zero_state)
-from scale_lab import invariance, reporting
+from scale_lab import (CellConfigs, DimensionError, DomainError, FlowState, FlowTrace,
+                       GradientSignal, MomentState, OptimizerConfig, OscillationGridReport,
+                       Problem, RescaleProbeResult, RunTrace, SweepResult, TimeScales,
+                       adam_step, constant_gradient_closed_form, constant_signal,
+                       exponential_signal, first_order_sensitivity, make_problem,
+                       remainder_order_sweep, sinusoidal_log_signal, steady_state_init,
+                       step_scale_cells, step_scale_grid, sweep_grid, tracking_check,
+                       train_cells, zero_state)
+from scale_lab import cli, invariance, reporting
 from scale_lab.optimizers import optimizer_step
+
+PROBLEM = dict(kind="quadratic", n_samples=0, loss=np.sum, grad=np.ones_like,
+               init_theta=np.zeros, loss_finite_below=1.0)
+REPORT = dict(beta_axis=[0.9], hits=1, trials=1, rate=1.0, p_value=1.0, argmin_cols=[[0]],
+              degenerate_rows=[])
 
 
 def raw_config(b1, b2, **kw):
@@ -99,7 +108,7 @@ class TestAdamOnlyEngine:
         lambda: train_cells(make_problem("quadratic"), [OptimizerConfig()], seed=0, steps=5,
                             method="gd"),
         lambda: step_scale_cells(np.ones(1), np.ones(5), [OptimizerConfig()], method="gd"),
-        lambda: GradientSignal(kind="constant", dimension=1, g=np.ones, g_prime=np.zeros),
+        lambda: GradientSignal(g=np.ones, g_prime=np.zeros),
         lambda: MomentState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1)),
         lambda: zero_state(1, theta=np.zeros(1)),
         lambda: tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0)),
@@ -107,10 +116,34 @@ class TestAdamOnlyEngine:
         lambda: step_scale_grid(np.ones(1), np.ones(5), (0.9,), init="zero"),
         lambda: RunTrace(k=np.arange(1), loss=np.zeros(1), norm_r=np.ones(1)),
         lambda: FlowTrace(np.arange(2.0), *[np.ones((2, 1))] * 3, signal_kind="x"),
+        lambda: GradientSignal(g=np.ones, kind="constant"),
+        lambda: GradientSignal(g=np.ones, dimension=1),
+        lambda: GradientSignal(g=np.ones, params={}),
+        lambda: constant_signal(1.5, dimension=4),
+        lambda: exponential_signal(0.1, dimension=2),
+        lambda: sinusoidal_log_signal(0.1, 0.5, dimension=2),
+        lambda: FlowState(m=np.ones(1), v=np.ones(1), t=0.0),
+        lambda: steady_state_init(constant_signal(1.0), TimeScales(1.0, 1.0), t0=0.0),
+        lambda: first_order_sensitivity(TimeScales(1.0, 1.0), [0.01, 0.02, 0.04], h=0.01),
+        lambda: remainder_order_sweep(TimeScales(1.0, 1.0), [0.01, 0.02, 0.04], h=0.01),
+        lambda: sweep_grid(make_problem("quadratic"), seeds=(0,), steps=5, epsilon=0.0),
+        lambda: SweepResult(report=None, traces={}, omegas={}, window=1, metric="omega1"),
+        lambda: Problem(**PROBLEM, dim_theta=1),
+        lambda: Problem(**PROBLEM, meta={}),
+        lambda: OscillationGridReport(**REPORT, omega=[np.zeros((1, 1))]),
+        lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], width=1),
+        lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], height=1),
+        lambda: cli._manifest(cli.build_parser().parse_args(["report", "--grid", "g"]), skip=()),
     ], ids=["weight_decay", "optimizer_step-method", "train_cells-method",
             "step_scale_cells-method", "g_prime", "MomentState-theta", "zero_state-theta",
             "tracking_check-no-derivatives", "step_scale_cells-init", "step_scale_grid-init",
-            "RunTrace-k", "FlowTrace-signal_kind"])
+            "RunTrace-k", "FlowTrace-signal_kind", "GradientSignal-kind",
+            "GradientSignal-dimension", "GradientSignal-params", "constant_signal-dimension",
+            "exponential_signal-dimension", "sinusoidal_log_signal-dimension", "FlowState-t",
+            "steady_state_init-t0", "first_order_sensitivity-h", "remainder_order_sweep-h",
+            "sweep_grid-epsilon", "SweepResult-metric", "Problem-dim_theta", "Problem-meta",
+            "OscillationGridReport-omega", "write_svg_lines-width", "write_svg_lines-height",
+            "_manifest-skip"])
     def test_removed_setting_is_a_type_error(self, call):
         with pytest.raises(TypeError):
             call()
@@ -121,6 +154,16 @@ class TestAdamOnlyEngine:
         assert not hasattr(FlowTrace, "after")
         assert [f.name for f in dataclasses.fields(RunTrace)] == ["loss", "norm_r", "diverged"]
         assert [f.name for f in dataclasses.fields(FlowTrace)] == ["t", "m", "v", "r"]
+
+    def test_records_keep_only_the_fields_the_program_reads(self):
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+        assert names(GradientSignal) == ["g", "delta_analytic", "delta_prime_analytic"]
+        assert names(FlowState) == ["m", "v", "clamped"]
+        assert names(Problem) == list(PROBLEM)
+        assert names(SweepResult) == ["report", "traces", "omegas", "window"]
+        assert names(OscillationGridReport) == list(REPORT)
+        assert not hasattr(RescaleProbeResult, "deviation_at")
 
 
 class TestClosedForm:

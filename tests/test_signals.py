@@ -10,13 +10,8 @@ from scale_lab import (DomainError, constant_signal, exponential_signal,
 class TestConstant:
     def test_vector_value(self):
         sig = constant_signal([2.0, -3.0])
-        assert sig.dimension == 2
         assert np.array_equal(sig.g(5.0), [2.0, -3.0])
         assert np.array_equal(sig.delta(1.0), [0.0, 0.0])
-
-    def test_scalar_broadcast(self):
-        sig = constant_signal(1.5, dimension=4)
-        assert sig.g(0.0).shape == (4,)
 
 
 class TestExponential:
@@ -37,17 +32,17 @@ class TestExponential:
 
     def test_one_rate_per_coordinate(self):
         sig = exponential_signal([0.1, -0.2], scale=3.0)
-        assert sig.dimension == 2
         assert np.array_equal(sig.delta(np.array([0.0, 5.0])), [[0.1, -0.2], [0.1, -0.2]])
         assert np.array_equal(sig.g(1.0), [3.0 * np.exp(0.1), 3.0 * np.exp(-0.2)])
         with pytest.raises(DomainError):
-            exponential_signal([0.1, 0.2, 0.3], dimension=2)
+            exponential_signal([0.1, 0.2, 0.3], scale=[1.0, 2.0])
 
 
 class TestSinusoidalLog:
     def test_never_vanishes_and_drift_formula(self):
         amp, om = 0.3, 0.7
         sig = sinusoidal_log_signal(amp, om, scale=2.0)
+        assert sig.g(np.zeros((2, 3))).shape == (2, 3, 1)  # one coordinate
         for t in np.linspace(0.0, 20.0, 50):
             assert sig.g(float(t))[0] > 0.0
         assert sig.delta(0.0)[0] == pytest.approx(amp * om, rel=1e-14)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (DomainError, OptimizerConfig, adam_step, ema_smooth, make_problem,
-                       oscillation_omega1, oscillation_omega2, sweep_grid, train_cells,
-                       zero_state)
+from scale_lab import (DomainError, OptimizerConfig, adam_step, ema_smooth, grid_report,
+                       make_problem, omega_grids, oscillation_omega1, oscillation_omega2,
+                       sweep_grid, train_cells, zero_state)
+from scale_lab.problems import QUADRATIC_DIM
 from scale_lab.training import LOSS_EVERY
 
 
@@ -22,7 +23,7 @@ def central_difference_gradient(loss, theta, h=1e-5):
 class TestProblems:
     def test_quadratic_minimum(self):
         prob = make_problem("quadratic")
-        theta = np.zeros(prob.dim_theta)
+        theta = np.zeros(QUADRATIC_DIM)
         assert prob.loss(theta) == 0.0
         assert np.array_equal(prob.grad(theta), theta)
 
@@ -71,7 +72,7 @@ class TestRunTraining:
         prob = make_problem("quadratic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.001, epsilon=0.0)
         trace = train_cells(prob, [cfg], seed=0, steps=50)[0]
-        assert trace.norm_r[0] == pytest.approx(np.sqrt(prob.dim_theta), rel=1e-12)
+        assert trace.norm_r[0] == pytest.approx(np.sqrt(QUADRATIC_DIM), rel=1e-12)
 
     def test_traces_are_bit_identical(self):
         prob = make_problem("logistic")
@@ -127,21 +128,22 @@ class TestSweepGrid:
         res1 = sweep_grid(prob, seeds=(0, 1), steps=60, window=10)
         res2 = sweep_grid(prob, seeds=(0, 1), steps=60, window=10)
         assert res1.report.trials == 6
-        assert len(res1.report.omega) == 2
-        for g1, g2 in zip(res1.report.omega, res2.report.omega):
-            assert np.array_equal(g1, g2)
+        assert {seed for _, _, seed in res1.omegas} == {0, 1}
+        assert res1.omegas == res2.omegas
 
     def test_window_one_equals_raw_series_metric(self):
         prob = make_problem("logistic")
         res = sweep_grid(prob, beta_axis=[0.9, 0.99], seeds=(0,), steps=60, window=1)
         trace = res.traces[(0.9, 0.99, 0)]
-        assert res.report.omega[0][0, 1] == oscillation_omega1(trace.norm_r)
+        assert res.omegas[(0.9, 0.99, 0)]["omega1"] == oscillation_omega1(trace.norm_r)
 
     def test_metric_switch(self):
-        prob = make_problem("logistic")
-        r1 = sweep_grid(prob, beta_axis=[0.9, 0.99], seeds=(0,), steps=60, metric="omega1")
-        r2 = sweep_grid(prob, beta_axis=[0.9, 0.99], seeds=(0,), steps=60, metric="omega2")
-        assert not np.array_equal(r1.report.omega[0], r2.report.omega[0])
+        # the report scores the chosen metric's grid
+        prob, axis = make_problem("logistic"), [0.9, 0.99]
+        for metric in ("omega1", "omega2"):
+            res = sweep_grid(prob, beta_axis=axis, seeds=(0,), steps=60, metric=metric)
+            grids = omega_grids({cell: om[metric] for cell, om in res.omegas.items()}, axis, [0])
+            assert res.report == grid_report(grids, axis)
 
     def test_omegas_hold_both_metrics_of_every_cell(self):
         res = sweep_grid(make_problem("logistic"), beta_axis=[0.9, 0.99], seeds=(0, 1),
@@ -162,7 +164,7 @@ class TestSweepGrid:
         for cell, trace in res.traces.items():
             assert trace.diverged == (cell == (0.999, 0.9, 0))
             assert all(math.isnan(v) == trace.diverged for v in res.omegas[cell].values())
-        assert np.isnan(res.report.omega[0][2, 0])
+        assert res.report.argmin_cols[0][2] != 0  # the diverged cell never wins its row
 
     def test_empty_arguments_rejected(self):
         with pytest.raises(DomainError):
