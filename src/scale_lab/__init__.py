@@ -11,11 +11,11 @@ from .invariance import (RescaleProbeResult, SensitivityFit, exact_invariance_pr
 from .metrics import (OscillationGridReport, binomial_diagonal_test, combine_reports, ema_smooth,
                       grid_report, omega_grids, oscillation_omega1, oscillation_omega2)
 from .optimizers import (CellConfigs, MomentState, OptimizerConfig, adam_step,
-                         constant_gradient_closed_form, zero_state)
+                         constant_gradient_closed_form)
 from .problems import Problem, make_problem
 from .rng import CounterRng
 from .signals import (GradientSignal, constant_signal, exponential_signal,
-                      sinusoidal_log_signal, step_multipliers, tabulated_signal)
+                      sinusoidal_log_signal, step_multipliers)
 from .training import RunTrace, SweepResult, sweep_grid, train_cells
 
 __version__ = "0.1.0"

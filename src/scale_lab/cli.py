@@ -171,7 +171,7 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
         if not 1 <= jump < args.steps:
             raise UsageError(f"--jump must lie in [1, steps - 1], got {jump} of {args.steps}")
         mults = step_multipliers([(jump, args.multiplier)], args.steps)
-        cells = sorted(step_scale_grid(np.array([args.base]), mults, betas).items())
+        cells = sorted(step_scale_grid(mults[:, None] * args.base, betas).items())
         steps = np.arange(args.steps)
         for (b1, b2), norms in cells:
             files.append(write_csv(out / f"stepscale_{b1}_{b2}.csv",

@@ -8,8 +8,9 @@ Three experiments:
   fit how the asymptotic deviation of ||R|| from 1 scales with the drift
   rate (slope 2 when tau1 = tau2, slope 1 with coefficient |tau2 - tau1|
   otherwise);
-* a step-rescale experiment: multiply a constant gradient stream by a
-  per-step multiplier array and record how ||R_k|| excurses and recovers.
+* a step-rescale experiment: feed a gradient stream, one (steps, d) array
+  (a constant gradient times a per-step multiplier, say), and record how
+  ||R_k|| excurses and recovers.
 """
 
 from __future__ import annotations
@@ -124,50 +125,49 @@ def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float]) -> Sen
                           deviations=deviations, signed_deviations=signed)
 
 
-def step_scale_cells(base: np.ndarray, multipliers: np.ndarray,
-                     configs: Sequence[OptimizerConfig]) -> np.ndarray:
-    """Feed ``multipliers[k] * base`` to C optimizer cells in lockstep; the (steps, C) ||R_k||.
+def step_scale_cells(stream: np.ndarray, configs: Sequence[OptimizerConfig]) -> np.ndarray:
+    """Feed the gradients ``stream[k]`` of a (steps, d) array to C optimizer cells in lockstep;
+    the (steps, C) ||R_k||.
 
-    One positive multiplier per step; ``step_multipliers`` builds them from a
-    piecewise schedule.  Every cell sees the same gradient, so the cells run
-    as (C, d) rows of one state and column i, the norms of ``configs[i]``, is
-    bit-identical to the cell run alone.  The moments start at the fixed
-    point of the first gradient (m = g0, v = g0^2), so the pre-jump norm sits
-    exactly at its steady value.  A block whose moments are not finite (an
-    overflowed gradient or g * g) is a ``DomainError``, and so is a nonzero
-    fed entry ``|multipliers[k] * base|`` below 2**-511, whose square
-    underflows to a subnormal or zero second moment.
+    A multiplier schedule goes in as ``step_multipliers(...)[:, None] * base``.  Every cell
+    sees the same gradient, so the cells run as (C, d) rows of one state and column i, the
+    norms of ``configs[i]``, is bit-identical to the cell run alone.  The moments start at
+    the fixed point of the first gradient (m = g0, v = g0^2), so a constant stream's norm
+    sits exactly at its steady value.  A stream that is not a non-empty 2-D array is a
+    ``DomainError``; so is a block whose moments are not finite (a NaN or inf entry, an
+    overflowed g * g) and a nonzero entry below 2**-511, whose square underflows to a
+    subnormal or zero second moment.
     """
-    mults = np.array(multipliers, dtype=float)
-    if mults.ndim != 1 or mults.size == 0 or not (mults > 0.0).all():
-        raise DomainError("multipliers must be a non-empty 1-D array of positive numbers")
-    base = np.asarray(base, dtype=float)
-    smallest = np.abs(base[base != 0.0]).min(initial=np.inf) * mults.min()
+    stream = np.asarray(stream, dtype=float)
+    if stream.ndim != 2 or stream.size == 0:
+        raise DomainError(f"a gradient stream must be a non-empty (steps, d) array, "
+                          f"got shape {stream.shape}")
+    smallest = np.abs(stream[stream != 0.0]).min(initial=np.inf)
     if smallest < _NORMAL_SQUARE_FLOOR:
-        raise DomainError(f"a fed gradient entry |multipliers[k] * base| = {float(smallest)!r} "
-                          f"is below 2**-511: its square underflows past the normal floats")
+        raise DomainError(f"a fed gradient entry |g| = {float(smallest)!r} is below 2**-511: "
+                          f"its square underflows past the normal floats")
     cells = CellConfigs(configs)
-    base_rows = np.tile(base, (len(cells), 1))
-    norm_r = np.empty((mults.size, len(cells)))
+    shape = (len(cells), stream.shape[1])
+    norm_r = np.empty((len(stream), len(cells)))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments raise below
-        m = base_rows * mults[0]
+        m = np.repeat(stream[:1], len(cells), axis=0)
         state = MomentState(m=m, v=m * m)
-        for k in range(0, mults.size, STEP_BLOCK):
-            block = mults[k:k + STEP_BLOCK, None, None]
-            r = optimizer_step(state, base_rows * block, cells)
+        for k in range(0, len(stream), STEP_BLOCK):
+            block = stream[k:k + STEP_BLOCK, None]
+            r = optimizer_step(state, np.broadcast_to(block, (len(block),) + shape), cells)
             if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
                 raise DomainError(f"a step-scale moment is not finite by step {k + len(block)}")
             norm_r[k:k + len(block)] = row_norms(r)
     return norm_r
 
 
-def step_scale_grid(base: np.ndarray, multipliers: np.ndarray,
+def step_scale_grid(stream: np.ndarray,
                     beta_axis: Sequence[float]) -> dict[tuple[float, float], np.ndarray]:
     """Raw Adam (epsilon = 0) on every (beta1, beta2) pair of the axis, all cells in lockstep;
-    each pair maps to its column of the ``step_scale_cells`` norms."""
+    each pair maps to its column of the ``step_scale_cells`` norms of ``stream``."""
     grid = [(float(b1), float(b2)) for b1 in beta_axis for b2 in beta_axis]
     if not grid:
         return {}
     configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
                for b1, b2 in grid]
-    return dict(zip(grid, step_scale_cells(base, multipliers, configs).T))
+    return dict(zip(grid, step_scale_cells(stream, configs).T))

@@ -67,11 +67,6 @@ class MomentState:
             raise DomainError(f"step counter k must be an integer >= 0, got {self.k!r}")
 
 
-def zero_state(dim: int) -> MomentState:
-    """Fresh state with m = v = 0."""
-    return MomentState(m=np.zeros(dim), v=np.zeros(dim), k=0)
-
-
 class CellConfigs:
     """C optimizer configurations stepped in lockstep, one row per cell.
 

@@ -102,6 +102,15 @@ class CsvColumns(dict):
     """String columns by header name; ``lines[i]`` is the file line of row i (blank lines skipped)."""
 
 
+def _rows(path: Path, reader):
+    """``reader``'s rows; a ``csv.Error`` (a field past the csv module's size limit) is a
+    ``CsvParseError`` on the reader's line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvParseError(path, reader.line_num, f"unreadable CSV: {exc}") from None
+
+
 def read_csv_columns(path: Path) -> CsvColumns:
     """A headed UTF-8 CSV as string columns; parse errors (a repeated name too) name their line."""
     path = Path(path)
@@ -110,15 +119,16 @@ def read_csv_columns(path: Path) -> CsvColumns:
         reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     except UnicodeDecodeError as exc:
         raise CsvParseError(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}")
+    rows = _rows(path, reader)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise CsvParseError(path, 1, "empty file")
     cols = CsvColumns((name, []) for name in header)
     if len(cols) != len(header):
         raise CsvParseError(path, 1, f"header repeats a name: {','.join(header)}")
     cols.lines = []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         if len(row) != len(header):
@@ -135,6 +145,14 @@ def parse_float(path, line_no: int, text: str) -> float:
         return float(text)
     except ValueError:
         raise CsvParseError(path, line_no, f"not a number: {text!r}")
+
+
+def parse_beta(path, line_no: int, text: str) -> float:
+    """A beta value, as ``sweep --beta-grid`` accepts them: a number in (0, 1)."""
+    beta = parse_float(path, line_no, text)
+    if not 0.0 < beta < 1.0:
+        raise CsvParseError(path, line_no, f"beta outside (0, 1): {text!r}")
+    return beta
 
 
 def parse_seed(path, line_no: int, text: str) -> int:
@@ -190,8 +208,8 @@ def read_omega_grids(path: Path, metric: str = "omega1"):
     for needed in ("beta1", "beta2", "seed", metric):
         if needed not in cols:
             raise CsvParseError(path, 1, f"missing column {needed!r}")
-    b1s = [parse_float(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
-    b2s = [parse_float(path, n, x) for n, x in zip(cols.lines, cols["beta2"])]
+    b1s = [parse_beta(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
+    b2s = [parse_beta(path, n, x) for n, x in zip(cols.lines, cols["beta2"])]
     seeds = [parse_seed(path, n, x) for n, x in zip(cols.lines, cols["seed"])]
     omegas = [parse_float(path, n, x) for n, x in zip(cols.lines, cols[metric])]
     axis = sorted(set(b1s))
@@ -217,11 +235,11 @@ def read_omega_matrix(path: Path):
     names = list(cols.keys())
     if len(names) < 2 or names[0] != "beta1":
         raise CsvParseError(path, 1, "expected header: beta1,<beta2 values...>")
-    axis_cols = [parse_float(path, 1, c) for c in names[1:]]
+    axis_cols = [parse_beta(path, 1, c) for c in names[1:]]
     repeated = [b for i, b in enumerate(axis_cols) if b in axis_cols[:i]]
     if repeated:
         raise CsvParseError(path, 1, f"beta axis repeats the value {repeated[0]!r}")
-    rows_b1 = [parse_float(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
+    rows_b1 = [parse_beta(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
     if rows_b1 != axis_cols:
         raise CsvParseError(path, 1, "row beta1 values must match column beta2 values")
     n = len(axis_cols)

@@ -2,9 +2,9 @@
 
 The drift delta(t) = g'(t) / g(t) (coordinate-wise) is the local relative
 growth rate of the gradient magnitude and the expansion parameter of the
-whole analysis.  Analytic kinds carry exact delta and delta'; tabulated
-signals fall back to central finite differences with stencil step
-``1e-4 * max(1, |t|)``.
+whole analysis.  Every signal carries its exact delta and delta';
+``delta_fd``, the central finite difference with stencil step
+``1e-4 * max(1, |t|)``, is there to check them against.
 
 Every evaluator takes ``t`` as a number or as an array of times of any
 shape and returns an array of shape ``np.shape(t) + (d,)`` for a d-coordinate
@@ -15,7 +15,7 @@ Each entry equals the evaluation at that time alone, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,37 +36,31 @@ def _require_nonzero(t, gt: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GradientSignal:
-    """A vector signal g(t) with optional analytic derivative evaluators.
+    """A vector signal g(t) with its analytic drift delta(t) and drift derivative delta'(t).
 
-    ``g`` and the optional evaluators map a time, or an array of times of any shape, to an array
-    of shape ``np.shape(t) + (d,)``.  When ``delta_analytic`` or ``delta_prime_analytic``
-    are omitted they are replaced by central finite differences, so every signal supports the
-    full drift API.
+    Each evaluator maps a time, or an array of times of any shape, to an array of shape
+    ``np.shape(t) + (d,)``.
     """
 
     g: Callable[[float | np.ndarray], np.ndarray]
-    delta_analytic: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
-    delta_prime_analytic: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
+    delta_analytic: Callable[[float | np.ndarray], np.ndarray]
+    delta_prime_analytic: Callable[[float | np.ndarray], np.ndarray]
 
     def delta(self, t) -> np.ndarray:
         """Logarithmic drift g'(t)/g(t); domain error on a zero coordinate."""
-        gt = self.g(t)
-        _require_nonzero(t, gt)
-        return self.delta_fd(t) if self.delta_analytic is None else self.delta_analytic(t)
+        _require_nonzero(t, self.g(t))
+        return self.delta_analytic(t)
 
     def delta_fd(self, t) -> np.ndarray:
-        """Finite-difference drift, available for every kind."""
+        """Central finite-difference drift, the check on ``delta``."""
         gt = self.g(t)
         _require_nonzero(t, gt)
         h = _fd_step(t)
         return (self.g(t + h) - self.g(t - h)) / (np.expand_dims(2.0 * h, -1) * gt)
 
     def delta_prime(self, t) -> np.ndarray:
-        """d(delta)/dt, analytic when declared, else central difference of delta."""
-        if self.delta_prime_analytic is not None:
-            return self.delta_prime_analytic(t)
-        h = _fd_step(t)
-        return (self.delta(t + h) - self.delta(t - h)) / np.expand_dims(2.0 * h, -1)
+        """d(delta)/dt."""
+        return self.delta_prime_analytic(t)
 
 
 def constant_signal(value: float | Sequence[float] = 1.0) -> GradientSignal:
@@ -132,17 +126,3 @@ def step_multipliers(schedule: Sequence[tuple[int, float]], steps: int) -> np.nd
         raise DomainError("multipliers must be strictly positive")
     mults = np.array([1.0] + [m for _, m in sched])
     return mults[np.searchsorted([k for k, _ in sched], np.arange(steps), side="right")]
-
-
-def tabulated_signal(ts: Sequence[float], values: np.ndarray) -> GradientSignal:
-    """Linear interpolation through sampled values; drift via finite differences."""
-    ts = np.asarray(ts, dtype=float)
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] != ts.size:
-        values = values.T
-    if values.shape[0] != ts.size:
-        raise DomainError("tabulated signal: times and values disagree in length")
-    d = values.shape[1]
-
-    return GradientSignal(
-        g=lambda t: np.stack([np.interp(t, ts, values[:, i]) for i in range(d)], -1))

@@ -159,7 +159,7 @@ def test_criterion_7_step_rescale_transients():
     steps, jump = 32000, 16000
     configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
                for b1, b2 in [(0.95, 0.95), (0.9, 0.999)]]
-    norms = step_scale_cells(np.ones(1), step_multipliers([(jump, 10.0)], steps), configs)
+    norms = step_scale_cells(step_multipliers([(jump, 10.0)], steps)[:, None], configs)
     assert np.all(np.abs(norms[[jump - 1, -1]] - 1.0) <= 1e-6)  # both cells, before and after
     i_balanced, i_skewed = np.sum(np.abs(norms[jump:] - 1.0), axis=0)
     assert i_balanced < i_skewed

@@ -399,6 +399,43 @@ class TestSweepAndReport:
         assert "in.csv:3: not UTF-8" in err and "0xff" in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("flag,text,line", [
+        ("--grid", f"beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,{'1' * 200000}\n", 3),
+        ("--ingest", f"beta1,0.9,0.99\n0.9,{'1' * 200000},2\n0.99,3,1\n", 2),
+    ], ids=["grid", "ingest"])
+    def test_field_past_the_csv_size_limit_is_parse_error(self, tmp_path, capsys, flag, text,
+                                                          line):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"in.csv:{line}:" in err and "field limit" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("axis,beta", [
+        (("0.9", "inf"), "inf"), (("0.9", "-1"), "-1"), (("1e400", "0.9"), "1e400"),
+    ], ids=["inf", "-1", "1e400"])
+    def test_ingest_beta_outside_unit_interval_is_parse_error(self, tmp_path, capsys, axis,
+                                                              beta):
+        # sweep --beta-grid rejects each of these as a usage error
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(f"beta1,{axis[0]},{axis[1]}\n{axis[0]},1,2\n{axis[1]},3,4\n")
+        assert run("report", "--ingest", str(matrix), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"m.csv:1: beta outside (0, 1): {beta!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("beta", ["-0.5", "1.5", "inf", "1e400"])
+    def test_grid_beta_outside_unit_interval_is_parse_error(self, tmp_path, capsys, beta):
+        rows = [f"{b1},{b2},0,{i}" for i, (b1, b2) in enumerate(
+            [(beta, beta), (beta, "0.99"), ("0.99", beta), ("0.99", "0.99")])]
+        grid = tmp_path / "g.csv"
+        grid.write_text("\n".join(["beta1,beta2,seed,omega1", *rows]) + "\n")
+        assert run("report", "--grid", str(grid), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"g.csv:2: beta outside (0, 1): {beta!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     def test_malformed_grid_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("beta1,beta2,seed,omega1,omega2,window\n0.9,0.9,0\n")

@@ -34,9 +34,12 @@ def flow_calls(monkeypatch):
 
 def offset_sine_signal():
     # g(t) = 2 + sin(t): nonvanishing, with analytic drift cos(t)/(2+sin(t))
+    # and drift derivative -(1 + 2 sin(t))/(2 + sin(t))^2
     return GradientSignal(
         g=lambda t: (2.0 + np.sin(t))[..., None],
         delta_analytic=lambda t: (np.cos(t) / (2.0 + np.sin(t)))[..., None],
+        delta_prime_analytic=lambda t: (-(1.0 + 2.0 * np.sin(t))
+                                        / (2.0 + np.sin(t)) ** 2)[..., None],
     )
 
 
@@ -53,14 +56,14 @@ class TestLogDrift:
         assert offset_sine_signal().delta(0.0)[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_zero_gradient_rejected(self):
-        sig = GradientSignal(g=lambda t: np.asarray(t, dtype=float)[..., None])
         with pytest.raises(DomainError):
-            sig.delta(0.0)
+            constant_signal([2.0, 0.0]).delta(0.0)
 
     @pytest.mark.parametrize("make", [
         lambda: exponential_signal(0.07),
         lambda: constant_signal(2.5),
         lambda: sinusoidal_log_signal(0.2, 0.8),
+        offset_sine_signal,
     ])
     def test_finite_difference_matches_analytic(self, make):
         sig = make()
@@ -82,9 +85,11 @@ class TestDriftBounds:
         assert prof.lambda_prime_bound == 0.0
 
     def test_offset_sine_analytic_max(self):
-        # sup |cos t / (2 + sin t)| over a period is 1/sqrt(3)
+        # sup |cos t / (2 + sin t)| over a period is 1/sqrt(3); delta' = -(1 + 2s)/(2 + s)^2
+        # rises monotonically in s = sin t from -1 to 1/3, so sup |delta'| is 1, at s = -1
         prof = drift_bounds(offset_sine_signal(), (0.0, 2.0 * math.pi))
         assert prof.lambda_bound == pytest.approx(1.01 / math.sqrt(3.0), rel=1e-4)
+        assert prof.lambda_prime_bound == pytest.approx(1.01, rel=1e-4)
 
 
 class TestPredictFirstOrder:

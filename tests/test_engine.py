@@ -246,47 +246,63 @@ class TestAdamStepCells:
             adam_step(state, np.zeros((2, 1)), cells)
 
 
+def block_streams() -> list:
+    """(steps, d) streams of more than two STEP_BLOCK blocks: a jump onto each of two block
+    boundaries, a geometric drift 1.001 ** k, and seeded noise about an offset, whose
+    coordinates are not multiples of one base vector."""
+    steps, base = 2 * STEP_BLOCK + 1, np.array([0.3, -2.0])
+    ks = np.arange(steps)[:, None]
+    noise = CounterRng(11).normal(3 * 2500).reshape(2500, 3) + np.array([0.5, -1.0, 2.0])
+    return [pytest.param(np.where(ks >= STEP_BLOCK, 7.0, 1.0) * base, id=str(STEP_BLOCK)),
+            pytest.param(np.where(ks >= 2 * STEP_BLOCK, 7.0, 1.0) * base,
+                         id=str(2 * STEP_BLOCK)),
+            pytest.param(1.001 ** ks * base, id="geometric"),
+            pytest.param(noise, id="noise")]
+
+
 class TestStepScaleCells:
     AXIS = (0.9, 0.99, 0.999)
 
     def test_grid_cells_equal_one_cell_runs(self):
-        base, mults = np.array([0.3, -2.0, 5.0]), step_multipliers([(150, 7.0), (300, 0.2)], 400)
-        columns = step_scale_grid(base, mults, self.AXIS)
+        mults = step_multipliers([(150, 7.0), (300, 0.2)], 400)
+        stream = mults[:, None] * np.array([0.3, -2.0, 5.0])
+        columns = step_scale_grid(stream, self.AXIS)
         assert list(columns) == [(b1, b2) for b1 in self.AXIS for b2 in self.AXIS]
         for (b1, b2), norms in columns.items():
             cfg = OptimizerConfig(beta1=b1, beta2=b2, eta=1e-3, epsilon=0.0,
                                   bias_correction=False)
-            alone = step_scale_cells(base, mults, [cfg])
+            alone = step_scale_cells(stream, [cfg])
             assert alone.shape == (400, 1)
             assert np.array_equal(norms, alone[:, 0])
 
-    @pytest.mark.parametrize("jump", [STEP_BLOCK, 2 * STEP_BLOCK,
-                                      pytest.param(None, id="geometric")])
-    def test_blocks_equal_a_per_step_adam_loop(self, jump):
-        # the stream runs in blocks of STEP_BLOCK steps; the jump lands on a block boundary,
-        # and with no jump the gradient drifts geometrically, 1.001 ** k
-        steps, base = 2 * STEP_BLOCK + 1, np.array([0.3, -2.0])
-        ks = np.arange(steps)
-        mults = 1.001 ** ks if jump is None else np.where(ks >= jump, 7.0, 1.0)
+    @pytest.mark.parametrize("stream", block_streams())
+    def test_blocks_equal_a_per_step_adam_loop(self, stream):
+        # the stream runs in blocks of STEP_BLOCK steps, each block a broadcast view per cell
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, epsilon=0.0, bias_correction=False),
                    OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01)]
-        norms = step_scale_cells(base, mults, configs)
-        assert norms.shape == (steps, len(configs))
+        norms = step_scale_cells(stream, configs)
+        assert norms.shape == (len(stream), len(configs))
         for i, cfg in enumerate(configs):
-            state, loop = MomentState(m=base.copy(), v=base * base), []
-            for k in range(steps):
-                state, upd = adam_step(state, base * mults[k], cfg)
+            state, loop = MomentState(m=stream[0].copy(), v=stream[0] * stream[0]), []
+            for g in stream:
+                state, upd = adam_step(state, g, cfg)
                 loop.append(float(np.linalg.norm(upd)))
             assert np.array_equal(norms[:, i], loop)
 
     def test_empty_grid_gives_no_traces(self):
-        assert step_scale_grid(np.ones(1), step_multipliers([(5, 2.0)], 10), []) == {}
+        assert step_scale_grid(step_multipliers([(5, 2.0)], 10)[:, None], []) == {}
 
-    @pytest.mark.parametrize("mults", [[], [[1.0, 2.0]], [1.0, 0.0], [1.0, -2.0], [1.0, np.nan]],
-                             ids=["empty", "2-d", "zero", "negative", "nan"])
-    def test_multiplier_array_must_be_1d_nonempty_and_positive(self, mults):
-        with pytest.raises(DomainError):
-            step_scale_cells(np.ones(1), np.array(mults), [OptimizerConfig()])
+    @pytest.mark.parametrize("stream,error", [
+        (np.empty((0, 1)), "non-empty"), (np.array([]), "non-empty"),
+        (np.array([1.0, 2.0]), "non-empty"), (np.ones((2, 2, 1)), "non-empty"),
+        (np.array([[1.0], [np.nan]]), "not finite by step 2"),
+        (np.array([[1.0, 2.0], [3.0, -np.inf]]), "not finite by step 2"),
+    ], ids=["empty", "empty-1-d", "1-d", "3-d", "nan", "inf"])
+    def test_stream_must_be_a_nonempty_2d_array_of_finite_gradients(self, stream, error):
+        # zero and negative multipliers are rejected where multipliers are built:
+        # step_multipliers and the CLI's --multiplier flag
+        with pytest.raises(DomainError, match=error):
+            step_scale_cells(stream, [OptimizerConfig()])
 
 
 class TestNoWorkspaceAliasing:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (DomainError, FlowAbort, FlowState, MomentState, OptimizerConfig,
-                       TimeScales, adam_step, beta_from_tau, constant_signal,
+from scale_lab import (DomainError, FlowAbort, FlowState, GradientSignal, MomentState,
+                       OptimizerConfig, TimeScales, adam_step, beta_from_tau, constant_signal,
                        exponential_signal, flow_rhs, integrate_flow,
                        sinusoidal_log_signal, steady_state_exponential_gains,
-                       steady_state_init, tabulated_signal, tau_from_beta)
+                       steady_state_init, tau_from_beta)
 
 
 class TestTauBeta:
@@ -99,9 +99,8 @@ class TestSteadyStateInit:
         assert st.v[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_zero_gradient_rejected(self):
-        sig = tabulated_signal([0.0, 1.0], np.array([[0.0], [1.0]]))
-        with pytest.raises(DomainError):
-            steady_state_init(sig, TimeScales(1.0, 1.0))
+        with pytest.raises(DomainError, match=r"g\(0\.0\) has a zero coordinate"):
+            steady_state_init(constant_signal([1.0, 0.0]), TimeScales(1.0, 1.0))
 
     def test_clamp_flag(self):
         st = steady_state_init(exponential_signal(2.0), TimeScales(1.0, 1.0))
@@ -154,17 +153,17 @@ class TestIntegrateFlow:
         ts = TimeScales(1.0, 1.5)
         ga, gb = 0.7, 1.3
         om_a, om_b = 0.5, 0.9
-        sig_a = tabulated_like(lambda t: ga * (2.0 + np.sin(om_a * t)))
-        sig_b = tabulated_like(lambda t: gb * (2.0 + np.cos(om_b * t)))
-        sig_ab = tabulated_like(lambda t: ga * (2.0 + np.sin(om_a * t))
-                                + gb * (2.0 + np.cos(om_b * t)))
+        sig_a = forcing_only(lambda t: ga * (2.0 + np.sin(om_a * t)))
+        sig_b = forcing_only(lambda t: gb * (2.0 + np.cos(om_b * t)))
+        sig_ab = forcing_only(lambda t: ga * (2.0 + np.sin(om_a * t))
+                              + gb * (2.0 + np.cos(om_b * t)))
         init = lambda s: FlowState(m=s.g(0.0), v=s.g(0.0) ** 2)
         tr_a = integrate_flow(sig_a, ts, init(sig_a), t_end=8.0, h=0.01)
         tr_b = integrate_flow(sig_b, ts, init(sig_b), t_end=8.0, h=0.01)
         tr_ab = integrate_flow(sig_ab, ts, init(sig_ab), t_end=8.0, h=0.01)
         assert np.max(np.abs(tr_ab.m - tr_a.m - tr_b.m)) < 1e-10
         # v channel is linear in its own forcing g^2: drive with sqrt of the sum
-        sig_sq = tabulated_like(lambda t: np.sqrt(sig_a.g(t)[..., 0] ** 2 + sig_b.g(t)[..., 0] ** 2))
+        sig_sq = forcing_only(lambda t: np.sqrt(sig_a.g(t)[..., 0] ** 2 + sig_b.g(t)[..., 0] ** 2))
         tr_sq = integrate_flow(sig_sq, ts, init(sig_sq), t_end=8.0, h=0.01)
         assert np.max(np.abs(tr_sq.v - tr_a.v - tr_b.v)) < 1e-10
 
@@ -185,7 +184,7 @@ class TestIntegrateFlow:
         # is about numerical crossings: a step much larger than tau2 drives
         # an intermediate stage of a decaying v below zero
         ts = TimeScales(1.0, 1.0)
-        sig = tabulated_signal([0.0, 30.0], np.zeros((2, 1)))
+        sig = constant_signal(np.zeros(1))
         init = FlowState(m=np.zeros(1), v=np.ones(1))
         with pytest.raises(FlowAbort) as err:
             integrate_flow(sig, ts, init, t_end=30.0, h=3.0)
@@ -200,10 +199,13 @@ class TestIntegrateFlow:
             integrate_flow(constant_signal(1.0), ts, init, t_end=1.0, h=-0.1)
 
 
-def tabulated_like(fn):
-    """Wrap a smooth array-aware callable as a 1-d signal with FD drift."""
-    from scale_lab import GradientSignal
-    return GradientSignal(g=lambda t: np.asarray(fn(t), dtype=float)[..., None])
+def forcing_only(fn):
+    """Wrap an array-aware callable as a 1-d signal for ``integrate_flow``, which reads g
+    alone: its drift evaluators fail if called."""
+    def unread(t):
+        raise AssertionError("integrate_flow evaluated the drift")
+    return GradientSignal(g=lambda t: np.asarray(fn(t), dtype=float)[..., None],
+                          delta_analytic=unread, delta_prime_analytic=unread)
 
 
 class TestDiscreteContinuousConsistency:

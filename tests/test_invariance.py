@@ -141,21 +141,21 @@ class TestStepScaleExperiment:
     def test_gd_like_jump_is_literal(self):
         # for Adam from steady init the pre-jump norm is pinned at 1
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-        norms = step_scale_cells(np.ones(1), step_multipliers([(50, 10.0)], steps=100), [cfg])
+        norms = step_scale_cells(step_multipliers([(50, 10.0)], steps=100)[:, None], [cfg])
         assert norms.shape == (100, 1)
         assert np.allclose(norms[:50], 1.0, atol=1e-12)
         assert norms[50, 0] != pytest.approx(1.0, abs=1e-3)
 
     def test_steady_state_is_scale_free_for_any_betas(self):
         steps, jump = 32000, 16000
-        columns = step_scale_grid(np.ones(1), step_multipliers([(jump, 10.0)], steps), BETA_AXIS)
+        columns = step_scale_grid(step_multipliers([(jump, 10.0)], steps)[:, None], BETA_AXIS)
         for norms in columns.values():
             assert norms[jump - 1] == pytest.approx(1.0, abs=1e-6)
             assert norms[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_transient_integral_minimized_on_diagonal(self):
         steps, jump = 32000, 16000
-        columns = step_scale_grid(np.ones(1), step_multipliers([(jump, 10.0)], steps), BETA_AXIS)
+        columns = step_scale_grid(step_multipliers([(jump, 10.0)], steps)[:, None], BETA_AXIS)
         integrals = {k: np.sum(np.abs(norms[jump:] - 1.0)) for k, norms in columns.items()}
         for b1 in BETA_AXIS:
             row = {b2: integrals[(b1, b2)] for b2 in BETA_AXIS}
@@ -165,21 +165,21 @@ class TestStepScaleExperiment:
     def test_power_of_two_rescale_of_the_run_is_bitwise_invariant(self, c):
         # Adam is zero-order scale invariant for any betas: scaling every gradient by a power of
         # two scales m by c and v by c**2 without rounding, so every R is bit-identical
-        base, mults = np.array([0.7, -2.5]), step_multipliers([(10, 10.0), (25, 0.3)], steps=40)
+        stream = step_multipliers([(10, 10.0), (25, 0.3)], steps=40)[:, None] * [0.7, -2.5]
         configs = [OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0),
                    OptimizerConfig(beta1=0.99, beta2=0.9, epsilon=0.0, bias_correction=False)]
-        assert np.array_equal(step_scale_cells(base, mults, configs),
-                              step_scale_cells(base, c * mults, configs))
+        assert np.array_equal(step_scale_cells(stream, configs),
+                              step_scale_cells(c * stream, configs))
 
     def test_fed_gradient_whose_square_underflows_rejected(self):
         # 1e-150 alone is fine; scaled by 1e-5 at step 10 its square is below the normal floats
         cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
         base = np.array([1e-150, -3.0])
-        norms = step_scale_cells(base, step_multipliers([(10, 1e-3)], steps=20), [cfg])
+        norms = step_scale_cells(step_multipliers([(10, 1e-3)], steps=20)[:, None] * base, [cfg])
         assert norms.shape == (20, 1) and np.isfinite(norms).all()
         with pytest.raises(DomainError, match=r"= 1e-155 is below 2\*\*-511.*underflows"):
-            step_scale_cells(base, step_multipliers([(10, 1e-5)], steps=20), [cfg])
-        assert np.array_equal(step_scale_cells(np.array([2.0 ** -511]), np.ones(5), [cfg]),
+            step_scale_cells(step_multipliers([(10, 1e-5)], steps=20)[:, None] * base, [cfg])
+        assert np.array_equal(step_scale_cells(np.full((5, 1), 2.0 ** -511), [cfg]),
                               np.ones((5, 1)))
 
     def test_duplicate_schedule_entries_rejected(self):

@@ -11,8 +11,8 @@ from scale_lab import (CellConfigs, DimensionError, DomainError, FlowState, Flow
                        exponential_signal, first_order_sensitivity, make_problem,
                        remainder_order_sweep, sinusoidal_log_signal, steady_state_init,
                        step_scale_cells, step_scale_grid, sweep_grid, tracking_check,
-                       train_cells, zero_state)
-from scale_lab import cli, invariance, reporting
+                       train_cells)
+from scale_lab import cli, invariance, optimizers, reporting, signals
 from scale_lab.optimizers import optimizer_step
 
 PROBLEM = dict(kind="quadratic", n_samples=0, loss=np.sum, grad=np.ones_like,
@@ -29,7 +29,8 @@ def raw_config(b1, b2, **kw):
 
 class TestAdamStep:
     def test_first_step_from_zero_state(self):
-        state, upd = adam_step(zero_state(1), np.array([1.0]), raw_config(0.5, 0.5))
+        state, upd = adam_step(MomentState(np.zeros(1), np.zeros(1)), np.array([1.0]),
+                               raw_config(0.5, 0.5))
         assert state.m[0] == pytest.approx(0.5, abs=0)
         assert state.v[0] == pytest.approx(0.5, abs=0)
         # 0.5 / sqrt(0.5)
@@ -42,7 +43,7 @@ class TestAdamStep:
         # m_hat = g and v_hat = g^2 at the first step, so R = sign(g)
         cfg = OptimizerConfig(beta1=betas[0], beta2=betas[1], epsilon=0.0,
                               bias_correction=True)
-        _, upd = adam_step(zero_state(1), np.array([c]), cfg)
+        _, upd = adam_step(MomentState(np.zeros(1), np.zeros(1)), np.array([c]), cfg)
         assert upd[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_frozen_state_hand_values(self):
@@ -60,11 +61,12 @@ class TestAdamStep:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            adam_step(zero_state(2), np.array([1.0]), OptimizerConfig())
+            adam_step(MomentState(np.zeros(2), np.zeros(2)), np.array([1.0]), OptimizerConfig())
 
     def test_zero_v_with_zero_epsilon(self):
         with pytest.raises(DomainError):
-            adam_step(zero_state(1), np.array([0.0]), raw_config(0.9, 0.9))
+            adam_step(MomentState(np.zeros(1), np.zeros(1)), np.array([0.0]),
+                      raw_config(0.9, 0.9))
 
     def test_inputs_not_mutated(self):
         state, g = MomentState(m=np.array([1.0]), v=np.array([2.0]), k=3), np.array([4.0])
@@ -103,17 +105,17 @@ class TestAdamOnlyEngine:
     # the engine has one optimizer path: a removed setting fails loudly instead of being ignored
     @pytest.mark.parametrize("call", [
         lambda: OptimizerConfig(weight_decay=0.1),
-        lambda: optimizer_step(zero_state(1), np.ones((1, 1, 1)),
+        lambda: optimizer_step(MomentState(np.zeros(1), np.zeros(1)), np.ones((1, 1, 1)),
                                CellConfigs([OptimizerConfig()]), method="gd"),
         lambda: train_cells(make_problem("quadratic"), [OptimizerConfig()], seed=0, steps=5,
                             method="gd"),
-        lambda: step_scale_cells(np.ones(1), np.ones(5), [OptimizerConfig()], method="gd"),
+        lambda: step_scale_cells(np.ones((5, 1)), [OptimizerConfig()], method="gd"),
         lambda: GradientSignal(g=np.ones, g_prime=np.zeros),
         lambda: MomentState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1)),
-        lambda: zero_state(1, theta=np.zeros(1)),
+        lambda: GradientSignal(g=np.ones),
         lambda: tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0)),
-        lambda: step_scale_cells(np.ones(1), np.ones(5), [OptimizerConfig()], init="zero"),
-        lambda: step_scale_grid(np.ones(1), np.ones(5), (0.9,), init="zero"),
+        lambda: step_scale_cells(np.ones((5, 1)), [OptimizerConfig()], init="zero"),
+        lambda: step_scale_grid(np.ones((5, 1)), (0.9,), init="zero"),
         lambda: RunTrace(k=np.arange(1), loss=np.zeros(1), norm_r=np.ones(1)),
         lambda: FlowTrace(np.arange(2.0), *[np.ones((2, 1))] * 3, signal_kind="x"),
         lambda: GradientSignal(g=np.ones, kind="constant"),
@@ -135,7 +137,7 @@ class TestAdamOnlyEngine:
         lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], height=1),
         lambda: cli._manifest(cli.build_parser().parse_args(["report", "--grid", "g"]), skip=()),
     ], ids=["weight_decay", "optimizer_step-method", "train_cells-method",
-            "step_scale_cells-method", "g_prime", "MomentState-theta", "zero_state-theta",
+            "step_scale_cells-method", "g_prime", "MomentState-theta", "GradientSignal-no-drift",
             "tracking_check-no-derivatives", "step_scale_cells-init", "step_scale_grid-init",
             "RunTrace-k", "FlowTrace-signal_kind", "GradientSignal-kind",
             "GradientSignal-dimension", "GradientSignal-params", "constant_signal-dimension",
@@ -165,6 +167,13 @@ class TestAdamOnlyEngine:
         assert names(OscillationGridReport) == list(REPORT)
         assert not hasattr(RescaleProbeResult, "deviation_at")
 
+    def test_test_only_constructors_are_gone(self):
+        # tests build MomentState(zeros, zeros) and their own signals; every src/ signal
+        # carries its analytic drift
+        assert not hasattr(scale_lab, "zero_state") and not hasattr(optimizers, "zero_state")
+        assert not hasattr(scale_lab, "tabulated_signal")
+        assert not hasattr(signals, "tabulated_signal")
+
 
 class TestClosedForm:
     def test_single_step(self):
@@ -187,7 +196,7 @@ class TestClosedForm:
     def test_matches_iterated_raw_adam(self, c, betas):
         # scale independence of raw Adam from zero init, k = 1..50
         cfg = raw_config(*betas)
-        state = zero_state(1)
+        state = MomentState(np.zeros(1), np.zeros(1))
         for k in range(1, 51):
             state, upd = adam_step(state, np.array([c]), cfg)
             oracle = constant_gradient_closed_form(c, k, *betas)
@@ -224,7 +233,7 @@ class TestProperties:
         for b1, b2 in [(0.9, 0.9), (0.8, 0.9), (0.9, 0.5)]:
             raw = raw_config(b1, b2, epsilon=1e-12)
             bc = OptimizerConfig(beta1=b1, beta2=b2, epsilon=1e-12, bias_correction=True)
-            s_raw, s_bc = zero_state(3), zero_state(3)
+            s_raw = s_bc = MomentState(np.zeros(3), np.zeros(3))
             for k, g in enumerate(stream):
                 s_raw, r_raw = adam_step(s_raw, g, raw)
                 s_bc, r_bc = adam_step(s_bc, g, bc)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (DomainError, constant_signal, exponential_signal,
-                       sinusoidal_log_signal, step_multipliers, tabulated_signal)
+from scale_lab import (DomainError, GradientSignal, constant_signal, exponential_signal,
+                       sinusoidal_log_signal, step_multipliers)
 
 
 class TestConstant:
@@ -71,27 +71,22 @@ class TestStepMultipliers:
             step_multipliers([(1, mult)], steps=5)
 
 
-class TestTabulated:
-    def test_interpolation(self):
-        sig = tabulated_signal([0.0, 1.0, 2.0], np.array([[1.0], [3.0], [5.0]]))
-        assert sig.g(0.5)[0] == pytest.approx(2.0)
-        assert sig.g(1.5)[0] == pytest.approx(4.0)
+def crossing_signal() -> GradientSignal:
+    """g(t) = t - 1, which crosses zero at t = 1: delta = 1/(t - 1), delta' = -1/(t - 1)^2."""
+    t_minus_1 = lambda t: np.asarray(t, dtype=float)[..., None] - 1.0
+    return GradientSignal(g=t_minus_1, delta_analytic=lambda t: 1.0 / t_minus_1(t),
+                          delta_prime_analytic=lambda t: -1.0 / t_minus_1(t) ** 2)
 
-    def test_fd_drift_of_exponential_samples(self):
-        ts = np.linspace(0.0, 5.0, 2001)
-        sig = tabulated_signal(ts, np.exp(0.1 * ts).reshape(-1, 1))
-        assert sig.delta(2.5)[0] == pytest.approx(0.1, rel=1e-3)
 
-    def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            tabulated_signal([0.0, 1.0], np.ones((3, 1)))
-
+class TestZeroCoordinate:
     def test_zero_crossing_drift_rejected(self):
-        sig = tabulated_signal([0.0, 2.0], np.array([[-1.0], [1.0]]))
+        sig = crossing_signal()
+        assert sig.delta(3.0)[0] == 0.5
         with pytest.raises(DomainError):
             sig.delta(1.0)
+        with pytest.raises(DomainError):
+            sig.delta_fd(1.0)
 
     def test_zero_on_a_time_grid_names_its_time(self):
-        sig = tabulated_signal([0.0, 2.0], np.array([[-1.0], [1.0]]))
         with pytest.raises(DomainError, match=r"g\(1\.0\) has a zero coordinate"):
-            sig.delta(np.array([[0.5, 1.0], [1.0, 1.5]]))
+            crossing_signal().delta(np.array([[0.5, 1.0], [1.0, 1.5]]))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (DomainError, OptimizerConfig, adam_step, ema_smooth, grid_report,
-                       make_problem, omega_grids, oscillation_omega1, oscillation_omega2,
-                       sweep_grid, train_cells, zero_state)
+from scale_lab import (DomainError, MomentState, OptimizerConfig, adam_step, ema_smooth,
+                       grid_report, make_problem, omega_grids, oscillation_omega1,
+                       oscillation_omega2, sweep_grid, train_cells)
 from scale_lab.problems import QUADRATIC_DIM
 from scale_lab.training import LOSS_EVERY
 
@@ -109,7 +109,7 @@ class TestRunTraining:
         prob = make_problem("logistic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, epsilon=1e-8)
         theta = prob.init_theta(0)
-        state = zero_state(theta.size)
+        state = MomentState(np.zeros(theta.size), np.zeros(theta.size))
         from scale_lab.rng import CounterRng
         batches = CounterRng(0, stream=2)
         for k in range(100):
