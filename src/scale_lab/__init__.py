@@ -1,6 +1,6 @@
 """Adam, its continuous-time flow, and gradient-scale-invariance diagnostics."""
 
-from .errors import DimensionError, DomainError, FlowAbort, SweepAbort
+from .errors import DimensionError, DomainError, FlowAbort
 from .flow import (FlowState, FlowTrace, TimeScales, beta_from_tau, flow_rhs,
                    integrate_flow, predict_first_order, steady_state_exponential_gains,
                    steady_state_init, tau_from_beta)
@@ -8,8 +8,8 @@ from .drift import (DriftProfile, RemainderReport, TrackingCheckResult, drift_bo
                     fit_power_law, measure_remainder, remainder_order_sweep, tracking_check)
 from .invariance import (RescaleProbeResult, SensitivityFit, exact_invariance_probe,
                          first_order_sensitivity, step_scale_cells, step_scale_grid)
-from .metrics import (OscillationGridReport, binomial_diagonal_test, combine_reports, ema_smooth,
-                      grid_report, omega_grids, oscillation_omega1, oscillation_omega2)
+from .metrics import (OscillationGridReport, binomial_diagonal_test, ema_smooth, grid_report,
+                      omega_grids, oscillation_omega1, oscillation_omega2)
 from .optimizers import (CellConfigs, MomentState, OptimizerConfig, adam_step,
                          constant_gradient_closed_form)
 from .problems import Problem, make_problem

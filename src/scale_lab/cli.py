@@ -21,7 +21,11 @@ positive, a zero step-scale base, a beta outside (0, 1), a negative
 exactly one of ``--grid`` and ``--ingest`` are usage errors.  An overflow
 in a flow, its remainder report or a step-scale run, a step-scale gradient
 whose square underflows, a flow step too small to grid its interval and a
-sweep none of whose rows can be scored are runtime errors.
+sweep or report none of whose rows can be scored (each row tied or all
+diverged) are runtime errors.  A ``report`` CSV that is not UTF-8, has a
+field past the csv size limit, a repeated header name, a missing or
+duplicate cell, a seed that is not an integer >= 0, a beta outside (0, 1)
+or an omega below 0 (``-inf`` included) is a parse error naming its line.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, DomainError, FlowAbort, SweepAbort
+from .errors import DimensionError, DomainError, FlowAbort
 from .flow import TimeScales, integrate_flow, steady_state_init
 from .invariance import exact_invariance_probe, step_scale_grid
-from .metrics import grid_report
+from .metrics import grid_report, omega_grids
 from .optimizers import MomentState, OptimizerConfig
 from .problems import make_problem
 from .reporting import (CsvParseError, RunManifest, flow_trace_csv, probe_csv,
@@ -218,27 +222,26 @@ def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
              else _distinct(_values(args.seed_list, _seed), "--seed-list"))
     problem = make_problem(args.problem, seed=args.data_seed)
     manifest.seeds = seeds
+    result = sweep_grid(problem, beta_axis=betas, seeds=seeds, steps=args.steps,
+                        batch_size=args.batch_size, eta=args.eta, window=args.window)
+    manifest.observed["diverged"] = _diverged(result.traces)
+    cells = {cell: om[args.metric] for cell, om in result.omegas.items()}
     try:
-        result = sweep_grid(problem, beta_axis=betas, seeds=seeds,
-                            steps=args.steps, batch_size=args.batch_size, eta=args.eta,
-                            window=args.window, metric=args.metric)
-    except SweepAbort as exc:  # no outputs, but the manifest says which cells diverged
-        manifest.observed["diverged"] = _diverged(exc.traces)
+        rep = grid_report(omega_grids(cells, betas, seeds), betas)
+    except DomainError:  # no outputs, but the manifest says which cells diverged
         manifest.write(out)
         raise
-    manifest.observed["diverged"] = _diverged(result.traces)
 
     files = []
     for (b1, b2, seed), trace in sorted(result.traces.items()):
         files.append(run_trace_csv(trace, out / "cells" / f"trace_{b1}_{b2}_s{seed}.csv"))
     files.append(sweep_grid_csv(result, out / "grid.csv"))
-    files.append(summary_csv(result.report, out / "summary.csv"))
+    files.append(summary_csv(rep, out / "summary.csv"))
     if args.plot:
         series = [(f"({b1},{b2})", np.arange(tr.norm_r.size), tr.norm_r)
                   for (b1, b2, seed), tr in sorted(result.traces.items()) if seed == seeds[0]]
         files.append(write_svg_lines(out / "sweep.svg", series,
                                      title=f"{args.problem} ||R_k||, seed {seeds[0]}"))
-    rep = result.report
     print(f"sweep {args.problem}: metric={args.metric} window={args.window} "
           f"K={rep.hits} N={rep.trials} rate={rep.rate:.1%} p={rep.p_value:.6g}")
     return files
@@ -257,8 +260,10 @@ def cmd_report(args, manifest: RunManifest) -> list[Path]:
     files = [summary_csv(rep, Path(args.out) / "report_summary.csv")]
     print(f"report ({mode}): K={rep.hits} N={rep.trials} rate={rep.rate:.1%} "
           f"p={rep.p_value:.6g}")
-    if rep.degenerate_rows:
-        print(f"  degenerate rows (all-equal): {rep.degenerate_rows}")
+    unscored = [(s, r) for s, cols in enumerate(rep.argmin_cols)
+                for r, col in enumerate(cols) if col == -1]
+    if unscored:
+        print(f"  unscored rows (seed, row): {unscored}")
     return files
 
 

@@ -20,14 +20,3 @@ class FlowAbort(DomainError, RuntimeError):
         self.t = t
         super().__init__(message)
 
-
-class SweepAbort(DomainError):
-    """No row of a sweep's omega grids can be scored.
-
-    Carries the sweep's traces by ``(beta1, beta2, seed)`` cell, so callers
-    can still report which cells diverged and at which step.
-    """
-
-    def __init__(self, traces: dict, message: str):
-        self.traces = traces
-        super().__init__(message)

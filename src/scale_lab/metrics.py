@@ -11,8 +11,9 @@ both normalized over T - 1 terms; omega2 fills its leftmost slot, which has
 no centered stencil, by reusing the first interior difference one-sidedly.
 
 Whether the smoothest column of an n x n (beta1, beta2) grid sits on the
-diagonal is scored per (row, seed) and tested against a Binomial(N, 1/n)
-null with an exact one-sided tail computed in integer arithmetic.
+diagonal is scored per (row, seed), on the rows whose minimum one column
+holds alone, and tested against a Binomial(N, 1/n) null with an exact
+one-sided tail computed in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ class OscillationGridReport:
     trials: int                  # N: scored (row, seed) pairs
     rate: float
     p_value: float
-    argmin_cols: list[list[int]]            # per seed, per row; -1 for an unscored row
-    degenerate_rows: list[tuple[int, int]]  # (seed, row) with an all-equal row
+    argmin_cols: list[list[int]]  # per seed, per row; -1 for an unscored row
 
 
 def omega_grids(cells: Mapping[tuple[float, float, int], float], axis: Sequence[float],
@@ -103,10 +103,11 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
     """Score diagonal selection over (row, seed) pairs and attach the exact test.
 
     NaN and infinite entries are +inf in the argmin (a diverged run never
-    wins); ties resolve to the lowest column index.  Rows whose entries are
-    all equal are flagged as degenerate; they are still scored by the tie rule
-    unless every entry is NaN or infinite, in which case no column can win and
-    the row is left out of K and N.  Raises ``DomainError`` when no row can be scored.
+    wins).  A row is scored only when exactly one column holds its minimum
+    and that minimum is finite: a tied row or a row of diverged cells is no
+    evidence either way, so it is left out of K and N and its argmin is -1.
+    Pooling independent grids of one axis is one call on their concatenated
+    list.  Raises ``DomainError`` when no row can be scored.
     """
     grids = [np.asarray(g, dtype=float) for g in omega_grids]
     if not grids:
@@ -119,25 +120,15 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
 
     vals = np.stack(grids)
     vals[~np.isfinite(vals)] = np.inf
-    scored = (vals != np.inf).any(axis=2)  # a row of diverged cells is no evidence either way
+    low = vals.min(axis=2, keepdims=True, initial=np.inf)  # an empty axis scores no row
+    scored = ((vals == low).sum(axis=2) == 1) & (low[..., 0] < np.inf)
     if not scored.any():
-        raise DomainError("no row of the grids can be scored: every cell is NaN or +inf")
-    cols = np.where(scored, vals.argmin(axis=2), -1)  # argmin takes the first minimum on ties
+        raise DomainError("no row of the grids can be scored: "
+                          "every row is tied or all NaN or +inf")
+    cols = np.where(scored, vals.argmin(axis=2), -1)
     hits, trials = int((cols == np.arange(n)).sum()), int(scored.sum())
-    degenerate = (vals == vals[..., :1]).all(axis=2)
     return OscillationGridReport(
         beta_axis=axis, hits=hits, trials=trials,
         rate=hits / trials, p_value=binomial_diagonal_test(hits, trials, n),
         argmin_cols=cols.tolist(),
-        degenerate_rows=list(map(tuple, np.argwhere(degenerate).tolist())),
     )
-
-
-def combine_reports(reports: Sequence[OscillationGridReport]) -> tuple[int, int, float]:
-    """Pool diagonal hits across independent reports of one axis width: (K, N, p)."""
-    widths = {len(r.beta_axis) for r in reports}
-    if len(widths) != 1:
-        raise DomainError(f"cannot pool reports over axis widths {sorted(widths)}")
-    k = sum(r.hits for r in reports)
-    n = sum(r.trials for r in reports)
-    return k, n, binomial_diagonal_test(k, n, widths.pop())

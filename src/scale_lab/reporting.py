@@ -155,6 +155,14 @@ def parse_beta(path, line_no: int, text: str) -> float:
     return beta
 
 
+def parse_omega(path, line_no: int, text: str) -> float:
+    """An omega, a mean of absolute differences: NaN (a diverged cell) or a number >= 0."""
+    omega = parse_float(path, line_no, text)
+    if omega < 0.0:
+        raise CsvParseError(path, line_no, f"negative omega: {text!r}")
+    return omega
+
+
 def parse_seed(path, line_no: int, text: str) -> int:
     if not (text.strip().isascii() and text.strip().isdigit()):
         raise CsvParseError(path, line_no, f"not a seed (an integer >= 0): {text!r}")
@@ -211,7 +219,7 @@ def read_omega_grids(path: Path, metric: str = "omega1"):
     b1s = [parse_beta(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
     b2s = [parse_beta(path, n, x) for n, x in zip(cols.lines, cols["beta2"])]
     seeds = [parse_seed(path, n, x) for n, x in zip(cols.lines, cols["seed"])]
-    omegas = [parse_float(path, n, x) for n, x in zip(cols.lines, cols[metric])]
+    omegas = [parse_omega(path, n, x) for n, x in zip(cols.lines, cols[metric])]
     axis = sorted(set(b1s))
     if sorted(set(b2s)) != axis:
         raise CsvParseError(path, 1, "beta1 and beta2 axes disagree")
@@ -242,14 +250,9 @@ def read_omega_matrix(path: Path):
     rows_b1 = [parse_beta(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
     if rows_b1 != axis_cols:
         raise CsvParseError(path, 1, "row beta1 values must match column beta2 values")
-    n = len(axis_cols)
-    matrix = np.full((n, n), np.nan)
-    for j, name in enumerate(names[1:]):
-        for i, (line, x) in enumerate(zip(cols.lines, cols[name])):
-            if x.strip().lower() in ("nan", ""):
-                matrix[i, j] = np.nan
-            else:
-                matrix[i, j] = parse_float(path, line, x)
+    rows = zip(cols.lines, zip(*(cols[name] for name in names[1:])))
+    matrix = np.array([[parse_omega(path, line, x) if x.strip() else np.nan for x in fields]
+                       for line, fields in rows])  # an empty field is NaN
     return matrix, axis_cols
 
 

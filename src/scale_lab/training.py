@@ -2,8 +2,9 @@
 
 The protocol: train each problem over the 3x3 grid
 (beta1, beta2) in {0.9, 0.99, 0.999}^2, repeat across seeds, smooth the
-||R_k|| series with a window-200 EMA, score the oscillation per cell, and
-test how often each row's smoothest column lands on the diagonal.
+||R_k|| series with a window-200 EMA and measure the oscillation per cell;
+``metrics.grid_report`` then tests how often each row's smoothest column
+lands on the diagonal.
 
 Everything is deterministic given (problem, config, seed): minibatches come
 from a counter-based stream, so reruns are bit-identical.  A sweep trains
@@ -17,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SweepAbort
-from .metrics import (OscillationGridReport, ema_smooth, grid_report, omega_grids,
-                      oscillation_omega1, oscillation_omega2)
+from .errors import DimensionError, DomainError
+from .metrics import ema_smooth, oscillation_omega1, oscillation_omega2
 from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
 from .problems import Problem
 from .rng import CounterRng
@@ -129,9 +129,8 @@ def _omegas(trace: RunTrace, window: int) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All traces of a grid sweep, their omega1 and omega2, and the diagonal-selection report."""
+    """All traces of a grid sweep and their omega1 and omega2, by (beta1, beta2, seed) cell."""
 
-    report: OscillationGridReport
     traces: dict[tuple[float, float, int], RunTrace]
     omegas: dict[tuple[float, float, int], dict[str, float]]
     window: int
@@ -140,19 +139,17 @@ class SweepResult:
 def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
                seeds: Sequence[int] = (0, 1, 2), steps: int = 5000,
                batch_size: int = DEFAULT_BATCH, eta: float | None = None,
-               window: int = DEFAULT_WINDOW, metric: str = "omega1") -> SweepResult:
-    """Run every (beta1, beta2, seed) cell and score diagonal selection.
+               window: int = DEFAULT_WINDOW) -> SweepResult:
+    """Run every (beta1, beta2, seed) cell and measure its omegas.
 
     Every cell of every seed trains as one row of a single lockstep batch;
-    each cell is smoothed once and scored by both metrics.  A ``SweepAbort``,
-    carrying the traces, is raised when no row of the grids can be scored.
+    each cell is smoothed once and measured by both metrics.  Scoring is
+    ``grid_report`` over ``omega_grids`` of one metric.
     """
     axis = [float(b) for b in beta_axis]
     seed_list = [int(s) for s in seeds]
     if not axis or not seed_list:
         raise DomainError("beta axis and seed list must be nonempty")
-    if metric not in METRICS:
-        raise DomainError(f"unknown metric {metric!r}")
     if eta is None:
         eta = DEFAULT_ETA[problem.kind]
 
@@ -163,10 +160,4 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
                          batch_size=batch_size)
     results = dict(zip(cells, traces))
     omegas = {cell: _omegas(tr, window) for cell, tr in results.items()}
-
-    try:
-        report = grid_report(omega_grids({cell: om[metric] for cell, om in omegas.items()},
-                                         axis, seed_list), axis)
-    except DomainError as exc:  # every row unscorable, e.g. every cell diverged
-        raise SweepAbort(results, str(exc)) from None
-    return SweepResult(report=report, traces=results, omegas=omegas, window=window)
+    return SweepResult(traces=results, omegas=omegas, window=window)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from scale_lab import (FlowState, MomentState, OptimizerConfig, TimeScales, adam_step,
-                       binomial_diagonal_test, combine_reports, ema_smooth,
-                       exact_invariance_probe, exponential_signal,
-                       first_order_sensitivity, integrate_flow, make_problem,
+                       binomial_diagonal_test, ema_smooth, exact_invariance_probe,
+                       exponential_signal, first_order_sensitivity, grid_report,
+                       integrate_flow, make_problem, omega_grids,
                        oscillation_omega1, oscillation_omega2,
                        sinusoidal_log_signal, steady_state_exponential_gains,
                        steady_state_init, step_multipliers, step_scale_cells, sweep_grid,
@@ -177,16 +177,24 @@ def test_criterion_8_desk_scale_pipeline(tmp_path):
     replay = sweep_grid(make_problem("logistic"), seeds=seeds, steps=5000, window=200)
     assert logistic.omegas == replay.omegas
 
-    k, n, p = combine_reports([logistic.report, mlp.report])
-    summary_csv(logistic.report, tmp_path / "logistic_summary.csv")
-    summary_csv(mlp.report, tmp_path / "mlp_summary.csv")
+    # pooling is one grid_report call over both sweeps' per-seed grids
+    axis = [0.9, 0.99, 0.999]
+    logistic_grids, mlp_grids = (
+        omega_grids({cell: om["omega1"] for cell, om in res.omegas.items()}, axis, seeds)
+        for res in (logistic, mlp))
+    logistic_rep, mlp_rep = grid_report(logistic_grids, axis), grid_report(mlp_grids, axis)
+    pooled = grid_report(logistic_grids + mlp_grids, axis)
+    k, n, p = pooled.hits, pooled.trials, pooled.p_value
+    summary_csv(logistic_rep, tmp_path / "logistic_summary.csv")
+    summary_csv(mlp_rep, tmp_path / "mlp_summary.csv")
     elapsed = time.perf_counter() - start
     assert (tmp_path / "logistic_summary.csv").exists()
     assert elapsed < 300.0
-    assert n == 18
+    assert (k, n) == (logistic_rep.hits + mlp_rep.hits, 18)
+    assert p == binomial_diagonal_test(k, n, 3)
     assert p < 0.05
-    report(f"ACCEPTANCE 8 PASS: logistic K={logistic.report.hits}/9, "
-           f"mlp K={mlp.report.hits}/9, combined K={k}/{n}, p={p:.3g} < 0.05 "
+    report(f"ACCEPTANCE 8 PASS: logistic K={logistic_rep.hits}/9, "
+           f"mlp K={mlp_rep.hits}/9, combined K={k}/{n}, p={p:.3g} < 0.05 "
            f"({elapsed:.0f}s)")
 
 

@@ -370,11 +370,12 @@ class TestSweepAndReport:
                if b1 == "0.9" and b2 == "0.99"]
         assert got[0] == oscillation_omega1(trace.norm_r)
 
-    def test_ingest_single_grid(self, tmp_path):
+    def test_ingest_single_grid(self, tmp_path, capsys):
         matrix = tmp_path / "m.csv"
         matrix.write_text(TABLE_STYLE_MATRIX)
         out = tmp_path / "r"
         assert run("report", "--ingest", str(matrix), "--out", str(out)) == 0
+        assert "unscored" not in capsys.readouterr().out  # every row is scored
         cols = read_csv_columns(out / "report_summary.csv")
         assert (cols["K"], cols["N"]) == (["3"], ["3"])  # one matrix: N is its rows
         assert float(cols["p_value"][0]) == pytest.approx(0.037037037, rel=1e-6)
@@ -386,6 +387,35 @@ class TestSweepAndReport:
         assert run("report", "--ingest", str(matrix), "--out", str(out)) == 0
         cols = read_csv_columns(out / "report_summary.csv")
         assert (cols["K"], cols["N"]) == (["3"], ["3"])  # NaN loses every argmin
+
+    def test_ingest_tied_row_is_unscored_and_listed(self, tmp_path, capsys):
+        # row 0.9 is tied: the first-column rule used to count it as a hit (K=2 N=2 p=0.25)
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("beta1,0.9,0.99\n0.9,1,1\n0.99,2,1\n")
+        out = tmp_path / "r"
+        assert run("report", "--ingest", str(matrix), "--out", str(out)) == 0
+        stdout = capsys.readouterr().out
+        assert "K=1 N=1 rate=100.0% p=0.5" in stdout
+        assert "  unscored rows (seed, row): [(0, 0)]" in stdout.splitlines()
+        cols = read_csv_columns(out / "report_summary.csv")
+        assert (cols["K"], cols["N"], cols["p_value"]) == (["1"], ["1"], ["0.5"])
+
+    @pytest.mark.parametrize("flag,text,line,field", [
+        ("--ingest", "beta1,0.9,0.99\n0.9,-3,1\n0.99,2,-1e300\n", 2, "-3"),
+        ("--ingest", "beta1,0.9,0.99\n0.9,1,nan\n0.99,-inf,\n", 3, "-inf"),
+        ("--grid", "beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,-1e-300\n"
+                   "0.99,0.9,0,0.3\n0.99,0.99,0,0.4\n", 3, "-1e-300"),
+        ("--grid", "beta1,beta2,seed,omega1\n0.9,0.9,0,nan\n0.9,0.99,0,inf\n"
+                   "0.99,0.9,0,0.3\n0.99,0.99,0,-inf\n", 5, "-inf"),
+    ], ids=["ingest", "ingest-minus-inf", "grid", "grid-minus-inf"])
+    def test_negative_omega_is_parse_error(self, tmp_path, capsys, flag, text, line, field):
+        # omega1 and omega2 are means of absolute differences: never below 0
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"in.csv:{line}: negative omega: {field!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("flag,text", [
         ("--grid", b"beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,\xff\n"),

@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scale_lab import (DomainError, binomial_diagonal_test, combine_reports,
-                       ema_smooth, grid_report, oscillation_omega1,
-                       oscillation_omega2)
+from scale_lab import (DomainError, binomial_diagonal_test, ema_smooth, grid_report,
+                       oscillation_omega1, oscillation_omega2)
 
 # Row-published oscillation grid used as an external fixture: each row's
 # minimum sits on the diagonal.
@@ -150,15 +149,21 @@ class TestGridReport:
     def test_nan_treated_as_infinite(self):
         grid = DIAGONAL_GRID.copy()
         grid[2] = [np.nan, 204.2, 0.0735]  # diverged cell loses the argmin
+        grid[1] = [np.nan, 0.3, np.inf]    # two cells tied at +inf are no tie of the minimum
         report = grid_report([grid], self.AXIS)
-        assert report.argmin_cols[0][2] == 2
+        assert report.argmin_cols == [[0, 1, 2]]
 
-    def test_ties_select_first_column_and_flag_degenerate(self):
-        grid = np.ones((3, 3))
+    def test_tied_rows_are_left_out_not_scored_by_first_column(self):
+        # a row counts only when one column holds its minimum alone
+        grid = np.array([[1.0, 1.0, 2.0],   # tie between columns 0 and 1: unscored
+                         [3.0, 1.0, 2.0],   # strict minimum on the diagonal: a hit
+                         [1.0, 2.0, 1.0]])  # tie between columns 0 and 2: unscored
         report = grid_report([grid], self.AXIS)
-        assert report.argmin_cols[0] == [0, 0, 0]
-        assert (report.hits, report.trials) == (1, 3)
-        assert len(report.degenerate_rows) == 3
+        assert report.argmin_cols == [[-1, 1, -1]]
+        assert (report.hits, report.trials) == (1, 1)
+        assert report.p_value == binomial_diagonal_test(1, 1, 3)
+        with pytest.raises(DomainError, match="can be scored"):
+            grid_report([np.ones((3, 3))], self.AXIS)  # every row all-equal
 
     def test_all_nan_row_is_left_out_not_a_hit(self):
         grid = DIAGONAL_GRID.copy()
@@ -167,7 +172,6 @@ class TestGridReport:
         assert report.argmin_cols == [[-1, 1, 2]]
         assert (report.hits, report.trials) == (2, 2)
         assert report.p_value == binomial_diagonal_test(2, 2, 3)
-        assert report.degenerate_rows == [(0, 0)]
 
     def test_no_scorable_row_raises(self):
         with pytest.raises(DomainError):
@@ -178,6 +182,8 @@ class TestGridReport:
             grid_report([np.ones((2, 2))], self.AXIS)
         with pytest.raises(DomainError):
             grid_report([], self.AXIS)
+        with pytest.raises(DomainError, match="can be scored"):
+            grid_report([np.zeros((0, 0))], [])
 
     def test_two_by_two_all_hits_over_three_seeds(self):
         grid = np.array([[0.1, 1.0], [1.0, 0.1]])
@@ -185,15 +191,20 @@ class TestGridReport:
         assert (report.hits, report.trials) == (6, 6)
         assert report.p_value == 0.015625  # 0.5^6
 
-    def test_combine_reports_rejects_mixed_widths(self):
-        r3 = grid_report([DIAGONAL_GRID], self.AXIS)
-        r2 = grid_report([np.array([[0.1, 1.0], [1.0, 0.1]])], [0.9, 0.99])
-        with pytest.raises(DomainError):
-            combine_reports([r3, r2])
+    def test_pooling_mixed_widths_is_a_shape_error(self):
+        # a pooled count is one grid_report call, so grids of another width are rejected
+        small = np.array([[0.1, 1.0], [1.0, 0.1]])
+        with pytest.raises(DomainError, match="does not match axis length 3"):
+            grid_report([DIAGONAL_GRID, small], self.AXIS)
 
-    def test_combine_reports_pools_counts(self):
-        r1 = grid_report([DIAGONAL_GRID] * 3, self.AXIS)   # 9 of 9
-        r2 = grid_report([np.ones((3, 3))], self.AXIS)     # 1 of 3
-        k, n, p = combine_reports([r1, r2])
-        assert (k, n) == (10, 12)
-        assert p == binomial_diagonal_test(10, 12)
+    def test_pooled_report_sums_the_counts(self):
+        g1 = [DIAGONAL_GRID] * 3                        # 9 of 9
+        g2 = [np.array([[1.0, 1.0, 2.0],                # tied: unscored
+                        [0.5, 1.0, 2.0],                # a miss
+                        [3.0, 2.0, 1.0]])]              # a hit
+        r1, r2 = grid_report(g1, self.AXIS), grid_report(g2, self.AXIS)
+        pooled = grid_report(g1 + g2, self.AXIS)
+        assert (r2.hits, r2.trials) == (1, 2)
+        assert (pooled.hits, pooled.trials) == (r1.hits + r2.hits, r1.trials + r2.trials)
+        assert pooled.p_value == binomial_diagonal_test(10, 11, 3)
+        assert pooled.argmin_cols == r1.argmin_cols + r2.argmin_cols

@@ -12,13 +12,13 @@ from scale_lab import (CellConfigs, DimensionError, DomainError, FlowState, Flow
                        remainder_order_sweep, sinusoidal_log_signal, steady_state_init,
                        step_scale_cells, step_scale_grid, sweep_grid, tracking_check,
                        train_cells)
-from scale_lab import cli, invariance, optimizers, reporting, signals
+from scale_lab import (cli, errors, invariance, metrics, optimizers, reporting, signals,
+                       training)
 from scale_lab.optimizers import optimizer_step
 
 PROBLEM = dict(kind="quadratic", n_samples=0, loss=np.sum, grad=np.ones_like,
                init_theta=np.zeros, loss_finite_below=1.0)
-REPORT = dict(beta_axis=[0.9], hits=1, trials=1, rate=1.0, p_value=1.0, argmin_cols=[[0]],
-              degenerate_rows=[])
+REPORT = dict(beta_axis=[0.9], hits=1, trials=1, rate=1.0, p_value=1.0, argmin_cols=[[0]])
 
 
 def raw_config(b1, b2, **kw):
@@ -129,10 +129,13 @@ class TestAdamOnlyEngine:
         lambda: first_order_sensitivity(TimeScales(1.0, 1.0), [0.01, 0.02, 0.04], h=0.01),
         lambda: remainder_order_sweep(TimeScales(1.0, 1.0), [0.01, 0.02, 0.04], h=0.01),
         lambda: sweep_grid(make_problem("quadratic"), seeds=(0,), steps=5, epsilon=0.0),
-        lambda: SweepResult(report=None, traces={}, omegas={}, window=1, metric="omega1"),
+        lambda: SweepResult(traces={}, omegas={}, window=1, metric="omega1"),
+        lambda: sweep_grid(make_problem("quadratic"), seeds=(0,), steps=5, metric="omega1"),
+        lambda: SweepResult(report=None, traces={}, omegas={}, window=1),
         lambda: Problem(**PROBLEM, dim_theta=1),
         lambda: Problem(**PROBLEM, meta={}),
         lambda: OscillationGridReport(**REPORT, omega=[np.zeros((1, 1))]),
+        lambda: OscillationGridReport(**REPORT, degenerate_rows=[]),
         lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], width=1),
         lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], height=1),
         lambda: cli._manifest(cli.build_parser().parse_args(["report", "--grid", "g"]), skip=()),
@@ -143,9 +146,10 @@ class TestAdamOnlyEngine:
             "GradientSignal-dimension", "GradientSignal-params", "constant_signal-dimension",
             "exponential_signal-dimension", "sinusoidal_log_signal-dimension", "FlowState-t",
             "steady_state_init-t0", "first_order_sensitivity-h", "remainder_order_sweep-h",
-            "sweep_grid-epsilon", "SweepResult-metric", "Problem-dim_theta", "Problem-meta",
-            "OscillationGridReport-omega", "write_svg_lines-width", "write_svg_lines-height",
-            "_manifest-skip"])
+            "sweep_grid-epsilon", "SweepResult-metric", "sweep_grid-metric", "SweepResult-report",
+            "Problem-dim_theta", "Problem-meta", "OscillationGridReport-omega",
+            "OscillationGridReport-degenerate_rows", "write_svg_lines-width",
+            "write_svg_lines-height", "_manifest-skip"])
     def test_removed_setting_is_a_type_error(self, call):
         with pytest.raises(TypeError):
             call()
@@ -163,7 +167,7 @@ class TestAdamOnlyEngine:
         assert names(GradientSignal) == ["g", "delta_analytic", "delta_prime_analytic"]
         assert names(FlowState) == ["m", "v", "clamped"]
         assert names(Problem) == list(PROBLEM)
-        assert names(SweepResult) == ["report", "traces", "omegas", "window"]
+        assert names(SweepResult) == ["traces", "omegas", "window"]
         assert names(OscillationGridReport) == list(REPORT)
         assert not hasattr(RescaleProbeResult, "deviation_at")
 
@@ -173,6 +177,14 @@ class TestAdamOnlyEngine:
         assert not hasattr(scale_lab, "zero_state") and not hasattr(optimizers, "zero_state")
         assert not hasattr(scale_lab, "tabulated_signal")
         assert not hasattr(signals, "tabulated_signal")
+
+    def test_second_scoring_surface_is_gone(self):
+        # grid_report is the one path from cell scores to K, N and p: pooling is one call on
+        # the concatenated grids, and a sweep with no scorable row raises its DomainError
+        for module, name in [(scale_lab, "combine_reports"), (metrics, "combine_reports"),
+                             (scale_lab, "SweepAbort"), (errors, "SweepAbort"),
+                             (training, "SweepAbort"), (training, "grid_report")]:
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 class TestClosedForm:
