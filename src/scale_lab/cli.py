@@ -13,9 +13,10 @@ Four subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
 infinite float flag or list item, an empty list, a negative, fractional,
-repeated or 2**64-or-larger seed, a repeated beta, a count below 1, a time
-scale, step size, learning rate or step-scale multiplier that is not
-positive, a zero step-scale base, a beta outside (0, 1), a negative
+repeated or 2**64-or-larger seed, a repeated beta, a count below 1, a
+``sweep --steps`` below 3 (omega2 needs 3 samples), a time scale, step
+size, learning rate or step-scale multiplier that is not positive, a zero
+step-scale base, a beta outside (0, 1), a negative
 ``--epsilon`` or ``--v`` item, a ``--jump`` outside [1, steps - 1],
 ``--seeds`` given together with ``--seed-list`` and a report without
 exactly one of ``--grid`` and ``--ingest`` are usage errors.  An overflow
@@ -175,7 +176,8 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
         if not 1 <= jump < args.steps:
             raise UsageError(f"--jump must lie in [1, steps - 1], got {jump} of {args.steps}")
         mults = step_multipliers([(jump, args.multiplier)], args.steps)
-        cells = sorted(step_scale_grid(mults[:, None] * args.base, betas).items())
+        with np.errstate(over="ignore"):  # step_scale_grid reports an overflowed entry
+            cells = sorted(step_scale_grid(mults[:, None] * args.base, betas).items())
         steps = np.arange(args.steps)
         for (b1, b2), norms in cells:
             files.append(write_csv(out / f"stepscale_{b1}_{b2}.csv",
@@ -317,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--seeds", type=_count, default=None, help="seeds 0..n-1 (default 3)")
     seeds.add_argument("--seed-list", default=None, help="explicit comma-separated seeds")
     p.add_argument("--data-seed", type=_seed, default=0)
-    p.add_argument("--steps", type=_count, default=5000)
+    p.add_argument("--steps", type=_flag_value(int, lambda n: n >= 3, "an integer >= 3, "
+                                               "the 3 samples omega2 needs"), default=5000)
     p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--eta", type=_positive_float, default=None)
     p.add_argument("--window", type=_count, default=200)

@@ -27,21 +27,24 @@ import numpy as np
 from .errors import DomainError
 
 
-def ema_smooth(series: Sequence[float], window: int) -> np.ndarray:
-    """EMA with alpha = 2/(window+1), s_0 = x_0; window 1 returns the input bit-exactly."""
+def ema_smooth(series: Sequence[float] | np.ndarray, window: int) -> np.ndarray:
+    """EMA with alpha = 2/(window+1), s_0 = x_0, of each row of a (..., T) array (a 1-D
+    series is one row); the loop runs over T, each step for every row at once, so each
+    row is bit-identical to its own 1-D call.  Window 1 returns the input bit-exactly."""
     if window < 1:
         raise DomainError(f"window must be >= 1, got {window}")
     x = np.asarray(series, dtype=float)
-    if x.size == 0:
+    if x.ndim == 0 or x.shape[-1] == 0:
         raise DomainError("cannot smooth an empty series")
     if window == 1:
         return x.copy()
     alpha = 2.0 / (window + 1)
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for k in range(1, x.size):
-        out[k] = alpha * x[k] + (1.0 - alpha) * out[k - 1]
-    return out
+    steps = np.moveaxis(x, -1, 0)  # views: steps[k] holds sample k of every row
+    out = np.empty_like(steps)
+    out[0] = steps[0]
+    for k in range(1, len(steps)):
+        out[k] = alpha * steps[k] + (1.0 - alpha) * out[k - 1]
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def oscillation_omega1(series: Sequence[float]) -> float:

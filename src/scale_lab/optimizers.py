@@ -88,10 +88,14 @@ class CellConfigs:
         self.epsilon = column(c.epsilon for c in cfgs)
         # None when no row has epsilon 0, so the kernel skips that check
         self.exact_rows = self.epsilon == 0.0 if (self.epsilon == 0.0).any() else None
-        # bias-correction divisors are powers of these betas, b1 rows then b2 rows
-        self._corrected = ([c.beta1 if c.bias_correction else None for c in cfgs]
-                           + [c.beta2 if c.bias_correction else None for c in cfgs])
-        self.bias_correction = any(c.bias_correction for c in cfgs)
+        # bias-correction divisors are powers of the distinct corrected betas; _slots maps
+        # the b1 rows over the b2 rows to their beta's slot, slot 0 holding 1.0 for no correction
+        corrected = [[c.beta1 if c.bias_correction else None for c in cfgs],
+                     [c.beta2 if c.bias_correction else None for c in cfgs]]
+        self._bases = sorted({b for row in corrected for b in row} - {None})
+        self._slots = np.array([[0 if b is None else 1 + self._bases.index(b) for b in row]
+                                for row in corrected])
+        self.bias_correction = bool(self._bases)
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -99,9 +103,9 @@ class CellConfigs:
     def divisors(self, k: int, steps: int) -> np.ndarray:
         """Bias-correction divisors ``1 - b ** j`` of steps j = k + 1 .. k + steps as Python
         floats, as one cell computes them, shaped (steps, 2, C, 1); 1.0 for uncorrected rows."""
-        return np.array([1.0 if b is None else 1.0 - b ** j
-                         for j in range(k + 1, k + steps + 1) for b in self._corrected]
-                        ).reshape(steps, 2, len(self), 1)
+        table = np.array([[1.0] + [1.0 - b ** j for b in self._bases]
+                          for j in range(k + 1, k + steps + 1)])
+        return table[:, self._slots, None]
 
 
 def adam_step(state: MomentState, g: np.ndarray,
@@ -131,28 +135,35 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
 
     Returns R of every step, shaped (T, C, d), and advances ``state.k`` by T.
     Step t is bit-identical to the t-th of T one-step calls: only the m and v
-    recurrences run step by step; the increments, bias corrections,
-    ``epsilon = 0`` check and R are computed for the whole block in the same
-    operation order.  A ``DomainError`` changes no state.
+    recurrences run step by step, step 0 on the state's own (C, d) planes and
+    each later step in two calls for both moments; the increments, bias
+    corrections, ``epsilon = 0`` check and R are computed for the whole block
+    in the same operation order, in one (T, 2, C, d) buffer that R is a view
+    of.  A ``DomainError`` changes no state.
     """
     if grads.shape[1:] != state.m.shape:
         raise DimensionError(f"gradient block {grads.shape} does not fit state {state.m.shape}")
     # mv[t] = (keep1 * g_t, (keep2 * g_t) * g_t), then the moments after step t
     mv = np.multiply(cells.keeps, grads[:, None])
     mv[:, 1] *= grads
-    prev, decayed = np.array((state.m, state.v)), np.empty((2,) + state.m.shape)
-    for t in range(len(mv)):  # m = b1 * m + keep1 * g,  v = b2 * v + keep2 * g * g
-        np.multiply(cells.betas, prev, out=decayed)
-        prev = np.add(decayed, mv[t], out=mv[t])
+    # m = b1 * m + keep1 * g,  v = b2 * v + keep2 * g * g
+    for plane, beta, moment in zip(mv[0], cells.betas, (state.m, state.v)):
+        plane += beta * moment
+    decayed = np.empty(mv.shape[1:]) if len(mv) > 1 else None
+    for prev, moments in zip(mv[:-1], mv[1:]):
+        np.add(np.multiply(cells.betas, prev, out=decayed), moments, out=moments)
 
-    hat = mv / cells.divisors(state.k, len(mv)) if cells.bias_correction else mv
-    denom = np.sqrt(hat[:, 1]) + cells.epsilon
-    if cells.exact_rows is not None and ((denom == 0.0) & cells.exact_rows).any():
+    # v == 0 exactly where sqrt(v_hat) + epsilon == 0 on an epsilon = 0 row: 1 - b ** j
+    # lies in (0, 1], so the bias correction never makes a nonzero v zero
+    if cells.exact_rows is not None and ((mv[:, 1] == 0.0) & cells.exact_rows).any():
         raise DomainError("epsilon = 0 with a zero second-moment coordinate")
-    state.m[...], state.v[...] = prev
-    r = np.divide(hat[:, 0], denom, out=denom)
-    state.k += len(r)
-    return r
+    state.m[...], state.v[...] = mv[-1]
+    if cells.bias_correction:
+        mv /= cells.divisors(state.k, len(mv))
+    state.k += len(mv)
+    denom = np.sqrt(mv[:, 1], out=mv[:, 1])
+    denom += cells.epsilon
+    return np.divide(mv[:, 0], denom, out=denom)
 
 
 def row_norms(r: np.ndarray) -> np.ndarray:

@@ -59,12 +59,10 @@ class Problem:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) otherwise, so no exp overflows."""
+    e = np.exp(-np.abs(z))
+    one_plus = 1.0 + e
+    return np.where(z >= 0, np.divide(1.0, one_plus), np.divide(e, one_plus, out=e))
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -92,6 +90,12 @@ def _stacked(loss_rows, grad_rows):
         return grad_rows(theta, idx)
 
     return loss, grad
+
+
+def _sample_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` of a (rows, samples, k) array, bit for bit: each sum still adds the
+    samples in order, but over a sample-major copy, one (rows, k) plane at a time."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).sum(axis=0)
 
 
 def _finite_below(x: np.ndarray, hidden: int) -> float:
@@ -144,7 +148,7 @@ def _logistic(seed: int) -> Problem:
         return np.mean(_softplus(z) - y * z, axis=1)
 
     def grad_rows(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        xs, ys = (x, y) if idx is None else (x[idx], y[idx])
+        xs, ys = (x, y) if idx is None else (np.take(x, idx, axis=0), np.take(y, idx))
         err = _sigmoid(_logits(xs, thetas)) - ys
         g = np.empty_like(thetas)
         g[:, :-1] = np.matmul(np.swapaxes(xs, -1, -2), err[:, :, None])[..., 0] / xs.shape[-2]
@@ -166,6 +170,7 @@ def _mlp(seed: int) -> Problem:
     d = BLOB_FEATURES
     sizes = [d * h, h, h * c, c]
     label_one = y == 1  # labels are 0 or 1
+    one_hot = np.eye(c)[y]  # row i is 1.0 at sample i's class, 0.0 at the other
     # hidden-layer buffers, one per sample count, reused while the row count stays
     workspace: dict[int, np.ndarray] = {}
 
@@ -207,19 +212,24 @@ def _mlp(seed: int) -> Problem:
         return -np.mean(log_p, axis=1)
 
     def grad_rows(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        xs, ys = (x, y) if idx is None else (x[idx], y[idx])
-        rows, n = thetas.shape[0], xs.shape[-2]
-        _, _, w2, _ = _unpack(thetas)
+        xs, labels = ((x, one_hot) if idx is None
+                      else (np.take(x, idx, axis=0), np.take(one_hot, idx, axis=0)))
+        n = xs.shape[-2]
+        w2t = np.ascontiguousarray(_unpack(thetas)[2].transpose(0, 2, 1))
         hidden, shifted, log_z = _forward(thetas, xs)
         dlogits = np.exp(shifted - log_z[..., None])
-        dlogits[np.arange(rows)[:, None], np.arange(n), ys] -= 1.0
+        dlogits -= labels  # p - 0.0 == p, so only each sample's own class moves
         dlogits /= n
-        dw2 = np.matmul(hidden.transpose(0, 2, 1), dlogits)
-        db2 = dlogits.sum(axis=1)
-        dhidden = np.matmul(dlogits, w2.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
-        dw1 = np.matmul(np.swapaxes(xs, -1, -2), dhidden)
-        db1 = dhidden.sum(axis=1)
-        return np.concatenate([dw1.reshape(rows, -1), db1, dw2.reshape(rows, -1), db2], axis=1)
+        g = np.empty_like(thetas)
+        dw1, db1, dw2, db2 = _unpack(g)  # views: the backprop writes straight into g
+        np.matmul(hidden.transpose(0, 2, 1), dlogits, out=dw2)
+        db2[...] = _sample_sums(dlogits)
+        slope = np.multiply(hidden, hidden, out=hidden)  # the buffer is read no more
+        dhidden = np.matmul(dlogits, w2t)
+        dhidden *= np.subtract(1.0, slope, out=slope)  # tanh' = 1 - tanh**2
+        np.matmul(np.swapaxes(xs, -1, -2), dhidden, out=dw1)
+        db1[...] = _sample_sums(dhidden)
+        return g
 
     def init_theta(init_seed: int) -> np.ndarray:
         rng = CounterRng(init_seed, stream=_INIT_STREAM)

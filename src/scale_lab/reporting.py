@@ -51,10 +51,12 @@ _NEEDS_QUOTING = re.compile(r'[,"\r\n]')
 
 
 def _checked(texts: list[str], lone: bool) -> list[str]:
-    """``texts`` unchanged, unless one would need quoting (csv also quotes a lone empty field)."""
-    for text in texts:
-        if _NEEDS_QUOTING.search(text) or (lone and not text):
-            raise DomainError(f"CSV field would need quoting: {text!r}")
+    """``texts`` unchanged, unless one would need quoting (csv also quotes a lone empty field);
+    one search covers the whole block, and only a hit looks for the first field at fault."""
+    if _NEEDS_QUOTING.search("".join(texts)) or (lone and "" in texts):
+        for text in texts:
+            if _NEEDS_QUOTING.search(text) or (lone and not text):
+                raise DomainError(f"CSV field would need quoting: {text!r}")
     return texts
 
 
@@ -76,7 +78,7 @@ def _format_block(block, lone: bool) -> list[str]:
         return _format_floats(block)
     if isinstance(block, np.ndarray) and block.dtype.kind in "iu":
         return list(map(str, block.tolist()))
-    return _checked(list(map(_format_value, block)), lone)
+    return _checked([x if isinstance(x, str) else _format_value(x) for x in block], lone)
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> Path:
@@ -181,7 +183,7 @@ def flow_trace_csv(trace: FlowTrace, path: Path) -> Path:
 def run_trace_csv(trace: RunTrace, path: Path) -> Path:
     """One row per step; the ``loss`` field is empty except on every LOSS_EVERY-th step."""
     loss = [""] * trace.norm_r.size
-    loss[::LOSS_EVERY] = trace.loss.tolist()
+    loss[::LOSS_EVERY] = _format_floats(trace.loss)
     return write_csv(path, ["step", "loss", "norm_R"],
                      [np.arange(trace.norm_r.size), loss, trace.norm_r])
 

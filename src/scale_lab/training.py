@@ -93,7 +93,7 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
             check = alive if recorded else alive & ~(
                 np.abs(theta).max(axis=1) < problem.loss_finite_below)
             loss_k = np.zeros(n_cells)
-            for rows in seed_rows:
+            for rows in seed_rows if check.any() else ():
                 rows = rows[check[rows]]
                 if rows.size:
                     loss_k[rows] = problem.loss(theta[rows])
@@ -105,12 +105,14 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
                                   for b in batches])
             idx = block[seed_of_row, k % _INDEX_BLOCK] if problem.n_samples else None
             r = optimizer_step(state, problem.grad(theta, idx)[None], cells)[0]
-            np.subtract(theta, eta * r, out=theta)  # theta' = theta - eta * R
             norms[:, k] = row_norms(r)
+            theta -= np.multiply(eta, r, out=r)  # theta' = theta - eta * R
+            del r  # frees R's moment buffer before the next step allocates its own
             died = alive & ~(np.isfinite(loss_k) & np.isfinite(norms[:, k]))
-            n_done[died], alive[died] = k, False
-            if not alive.any():
-                break
+            if died.any():
+                n_done[died], alive[died] = k, False
+                if not alive.any():
+                    break
 
     return [RunTrace(loss=losses[i, :-(-n // LOSS_EVERY)], norm_r=norms[i, :n],
                      diverged=bool(n < steps)) for i, n in enumerate(n_done)]
@@ -119,12 +121,17 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
 METRICS = ("omega1", "omega2")
 
 
-def _omegas(trace: RunTrace, window: int) -> dict[str, float]:
-    """omega1 and omega2 of one smoothing of the update-norm series; NaN for diverged runs."""
-    if trace.diverged or trace.norm_r.size < 3:
-        return dict.fromkeys(METRICS, float("nan"))
-    smoothed = ema_smooth(trace.norm_r, window)
-    return {"omega1": oscillation_omega1(smoothed), "omega2": oscillation_omega2(smoothed)}
+def _omegas(traces: Sequence[RunTrace], window: int) -> list[dict[str, float]]:
+    """omega1 and omega2 of each trace's smoothed update-norm series, NaN for a diverged
+    run or one shorter than 3 steps; every other trace has the full step count, so all of
+    them are smoothed in one call."""
+    finished = [i for i, tr in enumerate(traces) if not tr.diverged and tr.norm_r.size >= 3]
+    omegas = [dict.fromkeys(METRICS, float("nan")) for _ in traces]
+    if finished:
+        smoothed = ema_smooth(np.stack([traces[i].norm_r for i in finished]), window)
+        for i, row in zip(finished, smoothed):
+            omegas[i] = {"omega1": oscillation_omega1(row), "omega2": oscillation_omega2(row)}
+    return omegas
 
 
 @dataclass(frozen=True)
@@ -143,8 +150,8 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     """Run every (beta1, beta2, seed) cell and measure its omegas.
 
     Every cell of every seed trains as one row of a single lockstep batch;
-    each cell is smoothed once and measured by both metrics.  Scoring is
-    ``grid_report`` over ``omega_grids`` of one metric.
+    the finished cells are smoothed in one call and each is measured by both
+    metrics.  Scoring is ``grid_report`` over ``omega_grids`` of one metric.
     """
     axis = [float(b) for b in beta_axis]
     seed_list = [int(s) for s in seeds]
@@ -158,6 +165,5 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
                for b1, b2, _ in cells]
     traces = train_cells(problem, configs, seed=[s for _, _, s in cells], steps=steps,
                          batch_size=batch_size)
-    results = dict(zip(cells, traces))
-    omegas = {cell: _omegas(tr, window) for cell, tr in results.items()}
-    return SweepResult(traces=results, omegas=omegas, window=window)
+    return SweepResult(traces=dict(zip(cells, traces)),
+                       omegas=dict(zip(cells, _omegas(traces, window))), window=window)

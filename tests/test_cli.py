@@ -158,6 +158,20 @@ class TestExitCodes:
         assert "error" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("steps", ["0", "1", "2"])
+    def test_sweep_shorter_than_omega2_minimum_is_usage_error(self, tmp_path, capsys, steps):
+        # omega2 needs 3 samples: a shorter sweep would leave every cell NaN and score no row
+        assert run("sweep", "--problem", "logistic", "--seeds", "1", "--steps", steps,
+                   "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "--steps" in err and "the 3 samples omega2 needs" in err
+        assert "Traceback" not in err and not any(tmp_path.iterdir())
+
+    def test_sweep_of_omega2_minimum_scores_every_row(self, tmp_path, capsys):
+        assert run("sweep", "--problem", "logistic", "--seeds", "1", "--steps", "3",
+                   "--metric", "omega2", "--out", str(tmp_path)) == 0
+        assert "N=3" in capsys.readouterr().out
+
 
 class TestFlowCommand:
     def test_exponential_flow_matches_gain_formula(self, tmp_path, capsys):
@@ -267,9 +281,11 @@ class TestProbeCommand:
         ("--method", "gd", "--g", "1e300", "--lambdas", "1e10"),
         ("--method", "adam", "--g", "1e300", "--lambdas", "1e10"),
         ("--step-scale", "--base", "1e200", "--steps", "100"),
+        ("--step-scale", "--base", "1e300", "--multiplier", "1e300", "--steps", "40"),
     ], ids=" ".join)
     def test_overflowed_probe_is_runtime_error(self, tmp_path, capsys, argv):
-        # (keep2 * g) * g or lambda * g overflows: no deviation or ||R|| may be reported from it
+        # (keep2 * g) * g, lambda * g or multiplier * base overflows: no deviation or ||R||
+        # may be reported from it
         out = tmp_path / "p"
         assert run("probe", *argv, "--out", str(out)) == 2
         err = capsys.readouterr().err

@@ -215,6 +215,41 @@ def test_sweep_cells_equal_the_serial_reference_loop():
         assert np.array_equal(trace.norm_r, norms)
 
 
+def plain_mlp_grad(x, y, theta, idx):
+    """One row's mlp backprop written out with 2-D numpy: a fancy-index gather, the label
+    subtracted by a scatter write, the four gradients concatenated."""
+    from scale_lab.problems import BLOB_FEATURES as d, MLP_HIDDEN as h
+    w1, b1 = theta[:d * h].reshape(d, h), theta[d * h:d * h + h]
+    w2, b2 = theta[d * h + h:-2].reshape(h, 2), theta[-2:]
+    xs, ys = (x, y) if idx is None else (x[idx], y[idx])
+    hidden = np.tanh(xs @ w1 + b1)
+    shifted = hidden @ w2 + b2
+    shifted -= np.maximum(shifted[:, 0], shifted[:, 1])[:, None]
+    e = np.exp(shifted)
+    dlogits = np.exp(shifted - np.log(e[:, 0] + e[:, 1])[:, None])
+    dlogits[np.arange(len(xs)), ys] -= 1.0
+    dlogits /= len(xs)
+    dhidden = (dlogits @ w2.T) * (1.0 - hidden * hidden)
+    return np.concatenate([(xs.T @ dhidden).ravel(), dhidden.sum(axis=0),
+                           (hidden.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0], ids=["init", "saturated"])
+@pytest.mark.parametrize("index", ["full", "shared", "per-row"])
+def test_mlp_backprop_equals_the_plain_reference(scale, index):
+    from scale_lab.problems import _make_blobs
+    x, y = _make_blobs(4)
+    prob = make_problem("mlp", seed=4)
+    thetas = scale * np.stack([prob.init_theta(s) for s in range(5)])
+    rng = np.random.default_rng(7)
+    idx = {"full": None, "shared": rng.integers(0, prob.n_samples, 32),
+           "per-row": rng.integers(0, prob.n_samples, (5, 32))}[index]
+    grads = prob.grad(thetas, idx)
+    for i, theta in enumerate(thetas):
+        row_idx = idx[i] if index == "per-row" else idx
+        assert grads[i].tobytes() == plain_mlp_grad(x, y, theta, row_idx).tobytes(), i
+
+
 class TestAdamStepCells:
     def test_rows_equal_one_cell_steps(self):
         rng = np.random.default_rng(0)

@@ -6,8 +6,10 @@ probe values with the separate RK4 loops and per-method probe dispatch that
 the shared integrator and ``optimizer_step`` replaced; the hashes of all
 nine step-scale traces with the row-wise CSV writer that the columnar
 ``write_csv`` replaced; the hashes of every sweep cell trace when the
-trace's loss column went from every step to every 10th (Python 3.11,
-numpy 2.4 with its bundled OpenBLAS, x86-64).  Any change to the arithmetic of
+trace's loss column went from every step to every 10th; the logistic sweep
+values with the masked sigmoid, fancy-index minibatch gather and stacked
+one-step Adam call that the lean training step replaced (Python 3.11, numpy
+2.4 with its bundled OpenBLAS, x86-64).  Any change to the arithmetic of
 training, the optimizers, the flow, the drift expansion or the CSV writers
 shows up here as a hash mismatch.  The BLAS kernels decide the last bits,
 so another numpy build or CPU may need the values re-recorded.
@@ -43,6 +45,29 @@ SWEEP_HASHES = {
     "cells/trace_0.9_0.9_s1.csv": "4c134d3b893eabcd0629557a698050e643ab7ccfd5c347a3386c8507fb1e9b82",
 }
 
+LOGISTIC_SWEEP_HASHES = {
+    "grid.csv": "9221bbed4dafdab4fae81ba4d6b506c606ffa13fa88fe81a9caef8864d455c79",
+    "summary.csv": "ce30fd5a401e2dffb13538af8faa1a08094365e85b74e4fac3ab80f34afd6240",
+    "cells/trace_0.999_0.999_s0.csv": "5920051f1a6ddf701538f35bbe979bacc4fc397f033f7211318b2908846cec4e",
+    "cells/trace_0.999_0.999_s1.csv": "6f3fb1331afd79509def9e6971f7d91d7704c7bf9530ec6391c7851a915c6a52",
+    "cells/trace_0.999_0.99_s0.csv": "a2510f16789b72b5379bee90920568cc796694514651d6eacd12be1964fdfe24",
+    "cells/trace_0.999_0.99_s1.csv": "156354a2643d13a511b31e298bc1dfd6c95bb2af03278b73691a2b2bd58c3f2f",
+    "cells/trace_0.999_0.9_s0.csv": "fcdef8c12ea001a29aa47cda9015f61c2cb8946b8f62d551d018ef12ba390d9d",
+    "cells/trace_0.999_0.9_s1.csv": "c7e6a7693d6c9c2e4c8c747d4b123ce557069e3adb635bfa3642779016d9ad17",
+    "cells/trace_0.99_0.999_s0.csv": "7b8143ff01af6b088aa54861585de1e306f505d04992cb821a8cea54c966ab6b",
+    "cells/trace_0.99_0.999_s1.csv": "4a9ff6c53a5629e793108e25989b4687e1c63aa048762e5915ce2050126429eb",
+    "cells/trace_0.99_0.99_s0.csv": "f5f2390989344bf020548c04347dd78125d02773ea4f2f812b1e582006b66b50",
+    "cells/trace_0.99_0.99_s1.csv": "4df0ed4afab18d170c45d10d9cf43ffe3976b2f3bf08ea0fa8d779db2e1f3189",
+    "cells/trace_0.99_0.9_s0.csv": "0258c47c61301e2308df904ceb1058d365012e12f39e59ea294602709420858a",
+    "cells/trace_0.99_0.9_s1.csv": "e711fa390e597b8592841eefe1c809919dd6c85d4b4550d38c65333300bf60c7",
+    "cells/trace_0.9_0.999_s0.csv": "11aa6b2b83932a2ba5d9f6853078507e3d0b80169dd9b8db7eddefe5d4aa9170",
+    "cells/trace_0.9_0.999_s1.csv": "fbbf8e2dd464a28788ca79c542fed8970d04212f7bd68f351aaeb767adc1bc68",
+    "cells/trace_0.9_0.99_s0.csv": "5fa9390def0db15b19c8b3bb6ff42be75ce26689484a269cb4abae5e42cd5f1a",
+    "cells/trace_0.9_0.99_s1.csv": "ef7064197d7947ced7b7624285b649c47675dfd7d352d38b9b0d2095a381e1b0",
+    "cells/trace_0.9_0.9_s0.csv": "206a3e963628ec778c6d63b19a7fe5216cb4436bdcfb9b6ac33e5e2de3108086",
+    "cells/trace_0.9_0.9_s1.csv": "18e81f70bd835b1d17edfff1f7eb4d93ab143a9baae81516f0a78afe86b83c90",
+}
+
 STEP_SCALE_HASHES = {
     "stepscale_summary.csv": "179231629d29c7a7e6120fd47f1b98d1ae53ce2439274805fafc2fde102843aa",
     "stepscale_0.999_0.9.csv": "b28f991b0a2c1f06f8b8c4d0f516d0475bc9f5ac70131e8b91c90b2699859360",
@@ -61,13 +86,21 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def check_sweep_hashes(out, problem, hashes):
+    assert main(["sweep", "--problem", problem, "--seeds", "2", "--steps", "80",
+                 "--window", "10", "--out", str(out)]) == 0
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*.csv"))
+    assert written == sorted(hashes)
+    for name, digest in hashes.items():
+        assert sha256(out / name) == digest, name
+
+
 def test_mlp_sweep_outputs_match_golden_hashes(tmp_path):
-    assert main(["sweep", "--problem", "mlp", "--seeds", "2", "--steps", "80",
-                 "--window", "10", "--out", str(tmp_path)]) == 0
-    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv"))
-    assert written == sorted(SWEEP_HASHES)
-    for name, digest in SWEEP_HASHES.items():
-        assert sha256(tmp_path / name) == digest, name
+    check_sweep_hashes(tmp_path, "mlp", SWEEP_HASHES)
+
+
+def test_logistic_sweep_outputs_match_golden_hashes(tmp_path):
+    check_sweep_hashes(tmp_path, "logistic", LOGISTIC_SWEEP_HASHES)
 
 
 def test_step_scale_probe_outputs_match_golden_hashes(tmp_path):

@@ -1,6 +1,7 @@
 """Property tests: the signal array contract, the lockstep drift ladder, grid reports,
-the CSV writer, the loss finiteness bound, the block optimizer kernel, the relaxation RK4
-kernel, and the CLI's exit codes under malformed flags and CSV inputs."""
+the CSV writer, the loss finiteness bound, the block optimizer kernel, row-wise EMA
+smoothing, the relaxation RK4 kernel, and the CLI's exit codes under malformed flags and
+CSV inputs."""
 
 import argparse
 import contextlib
@@ -16,11 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from scale_lab import (CellConfigs, FlowState, FlowTrace, GradientSignal, MomentState,
                        OptimizerConfig, TimeScales, binomial_diagonal_test, constant_signal,
-                       exponential_signal, grid_report, integrate_flow, make_problem,
+                       ema_smooth, exponential_signal, grid_report, integrate_flow, make_problem,
                        sinusoidal_log_signal, steady_state_init, tracking_check)
 from scale_lab import reporting
 from scale_lab.optimizers import optimizer_step
@@ -284,10 +285,16 @@ def run_kernel(state, grads, cells):
         return str(exc)
 
 
+# the one-step call (T = 1) and a block (T > 1) each also run at a training-sized width
+@pytest.mark.parametrize("steps_drawn, d_drawn", [
+    (st.integers(1, 8), st.integers(1, 5)),
+    (st.just(1), st.integers(64, 80)),
+    (st.integers(2, 8), st.integers(64, 80)),
+], ids=["narrow", "wide-one-step", "wide-block"])
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), c=st.integers(1, 4), d=st.integers(1, 5), steps=st.integers(1, 8),
-       k0=st.integers(0, 3))
-def test_block_kernel_equals_single_steps(data, c, d, steps, k0):
+@given(data=st.data(), c=st.integers(1, 4), k0=st.integers(0, 3))
+def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
+    steps, d = data.draw(steps_drawn), data.draw(d_drawn)
     cells = CellConfigs(data.draw(st.lists(kernel_configs, min_size=c, max_size=c)))
     grads = data.draw(arrays(float, (steps, c, d), elements=kernel_values))
     m0 = data.draw(arrays(float, (c, d), elements=kernel_values))
@@ -455,6 +462,19 @@ def test_tracking_check_equals_the_scalar_rk4_loop(a, w, c, tau, x0, t1, h_per_t
     for name, want in (("t", t), ("residual", residual), ("bound", bound)):
         assert getattr(got, name).tobytes() == want.tobytes(), name
     assert got.margin == margin
+
+
+# ---------------------------------------------------------------- row-wise EMA smoothing
+
+@pytest.mark.parametrize("window", [1, 2, 200])
+@settings(max_examples=100, deadline=None)
+@given(series=arrays(float, array_shapes(min_dims=1, max_dims=3, max_side=12),
+                     elements=st.one_of(st.floats(-1e300, 1e300), st.just(np.nan))))
+def test_ema_rows_equal_their_one_dimensional_calls(window, series):
+    smoothed = ema_smooth(series, window)
+    assert smoothed.shape == series.shape and smoothed.flags.c_contiguous
+    for lead in np.ndindex(series.shape[:-1]):
+        assert smoothed[lead].tobytes() == ema_smooth(series[lead], window).tobytes(), lead
 
 
 # ---------------------------------------------------------------- the CLI under malformed input

@@ -30,3 +30,13 @@ def test_array_columns_keep_their_dtype_text(tmp_path):
 def test_malformed_tables_are_domain_errors(tmp_path, header, columns):
     with pytest.raises(DomainError):
         write_csv(tmp_path / "bad.csv", header, columns)
+
+
+@pytest.mark.parametrize("header, columns, named", [
+    (["a", "b"], [["ok", "fine", 'x"y', "more", "z,w"], [1, 2, 3, 4, 5]], "'x\"y'"),
+    (["a"], [["ok", "fine", "", "more", "z\r\n"]], "''"),
+], ids=["quote-before-comma", "lone-empty-before-newline"])
+def test_first_bad_field_of_a_block_is_named(tmp_path, header, columns, named):
+    # the block is searched once; the error still names its first field at fault
+    with pytest.raises(DomainError, match=f"would need quoting: {named}$"):
+        write_csv(tmp_path / "bad.csv", header, columns)
