@@ -10,8 +10,7 @@ from .invariance import (RescaleProbeResult, SensitivityFit, exact_invariance_pr
                          first_order_sensitivity, step_scale_cells, step_scale_grid)
 from .metrics import (OscillationGridReport, binomial_diagonal_test, ema_smooth, grid_report,
                       omega_grids, oscillation_omega1, oscillation_omega2)
-from .optimizers import (CellConfigs, MomentState, OptimizerConfig, adam_step,
-                         constant_gradient_closed_form)
+from .optimizers import CellConfigs, MomentState, OptimizerConfig, constant_gradient_closed_form
 from .problems import Problem, make_problem
 from .rng import CounterRng
 from .signals import (GradientSignal, constant_signal, exponential_signal,

@@ -17,7 +17,8 @@ repeated or 2**64-or-larger seed, a repeated beta, a count below 1, a
 ``sweep --steps`` below 3 (omega2 needs 3 samples), a time scale, step
 size, learning rate or step-scale multiplier that is not positive, a zero
 step-scale base, a beta outside (0, 1), a negative
-``--epsilon`` or ``--v`` item, a ``--jump`` outside [1, steps - 1],
+``--epsilon`` or ``--v`` item, an adam probe's ``--m`` or ``--v`` whose
+length differs from ``--g``'s, a ``--jump`` outside [1, steps - 1],
 ``--seeds`` given together with ``--seed-list`` and a report without
 exactly one of ``--grid`` and ``--ingest`` are usage errors.  An overflow
 in a flow, its remainder report or a step-scale run, a step-scale gradient
@@ -198,6 +199,8 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
         if args.method == "adam":
             m = np.array(_values(args.m)) if args.m else np.zeros_like(g)
             v = np.array(_values(args.v, _nonnegative_float)) if args.v else np.ones_like(g)
+            if len(m) != len(g) or len(v) != len(g):
+                raise UsageError(f"--g, --m, --v need one length, got {len(g)}, {len(m)}, {len(v)}")
             state = MomentState(m=m, v=v, k=args.k)
             config = OptimizerConfig(beta1=args.beta1, beta2=args.beta2,
                                      epsilon=args.epsilon, bias_correction=args.bias_correction)

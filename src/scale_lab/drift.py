@@ -211,7 +211,6 @@ class TrackingCheckResult:
     """Outcome of the scalar tracking-bound check for tau x' = -x + y."""
 
     max_residual: float
-    bound_at_max: float
     margin: float              # min over samples of (bound - |residual|)
     passed: bool
     transient_coeff: float     # |x0 - y(t0) + tau y'(t0)|
@@ -262,7 +261,6 @@ def tracking_check(y: Callable[[np.ndarray], np.ndarray], tau: float, x0: float,
     margin = float(np.min(margins))
     return TrackingCheckResult(
         max_residual=float(np.abs(residual[i_max])),
-        bound_at_max=float(bound[i_max]),
         margin=margin,
         passed=bool(margin >= -TRACKING_SLACK * scale),
         transient_coeff=coeff,

@@ -14,10 +14,10 @@ ones otherwise.  The kernel steps the moments and returns R, which is all the
 scale-sensitivity analysis reads; ``train_cells`` alone takes the parameter
 step ``theta' = theta - eta * R``.
 
-``optimizer_step`` is the one kernel: it steps C cells stacked as (C, d) rows
-(``CellConfigs``) in place over a block of T gradients, each row and step
-bit-identical to that cell stepped alone, one step at a time.  ``adam_step``
-is the pure one-step API on top of it.
+``optimizer_step`` is the one kernel entry: it steps C cells stacked as
+(C, d) rows (``CellConfigs``, one epsilon and bias correction for all) in
+place over a block of T gradients, each row and step bit-identical to that
+cell stepped alone, one step at a time.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise DomainError(f"betas must lie in (0,1), got ({self.beta1}, {self.beta2})")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:  # NaN too
             raise DomainError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
@@ -70,64 +70,36 @@ class MomentState:
 class CellConfigs:
     """C optimizer configurations stepped in lockstep, one row per cell.
 
-    Each hyperparameter becomes a (C, 1) column that broadcasts against
-    (C, d) state, so row i computes exactly what ``configs[i]`` computes
-    alone; the moment coefficients stack as (2, C, 1), b1 over b2.
+    One epsilon and one bias-correction setting serve every row (a batch
+    mixing either is a ``DomainError``); the betas become (C, 1) columns that
+    broadcast against (C, d) state, so row i computes exactly what
+    ``configs[i]`` computes alone, the moment coefficients stacked as (2, C, 1).
     """
 
     def __init__(self, configs: Sequence[OptimizerConfig]):
         self.configs = cfgs = tuple(configs)
         if not cfgs:
             raise DomainError("a cell batch needs at least one config")
-
-        def column(values) -> np.ndarray:
-            return np.array([[x] for x in values], dtype=float)
-
-        self.betas = np.stack((column(c.beta1 for c in cfgs), column(c.beta2 for c in cfgs)))
+        shared = sorted({(c.epsilon, c.bias_correction) for c in cfgs})
+        if len(shared) > 1:
+            raise DomainError(f"a cell batch shares one (epsilon, bias_correction), got {shared}")
+        self.epsilon, self.bias_correction = float(shared[0][0]), bool(shared[0][1])
+        betas = [[c.beta1 for c in cfgs], [c.beta2 for c in cfgs]]
+        self.betas = np.array(betas, dtype=float)[:, :, None]
         self.keeps = 1.0 - self.betas
-        self.epsilon = column(c.epsilon for c in cfgs)
-        # None when no row has epsilon 0, so the kernel skips that check
-        self.exact_rows = self.epsilon == 0.0 if (self.epsilon == 0.0).any() else None
-        # bias-correction divisors are powers of the distinct corrected betas; _slots maps
-        # the b1 rows over the b2 rows to their beta's slot, slot 0 holding 1.0 for no correction
-        corrected = [[c.beta1 if c.bias_correction else None for c in cfgs],
-                     [c.beta2 if c.bias_correction else None for c in cfgs]]
-        self._bases = sorted({b for row in corrected for b in row} - {None})
-        self._slots = np.array([[0 if b is None else 1 + self._bases.index(b) for b in row]
-                                for row in corrected])
-        self.bias_correction = bool(self._bases)
+        # divisors are powers of the distinct betas; _slots maps b1 over b2 rows to their slots
+        self._bases = sorted({b for row in betas for b in row})
+        self._slots = np.array([[self._bases.index(b) for b in row] for row in betas])
 
     def __len__(self) -> int:
         return len(self.configs)
 
     def divisors(self, k: int, steps: int) -> np.ndarray:
         """Bias-correction divisors ``1 - b ** j`` of steps j = k + 1 .. k + steps as Python
-        floats, as one cell computes them, shaped (steps, 2, C, 1); 1.0 for uncorrected rows."""
-        table = np.array([[1.0] + [1.0 - b ** j for b in self._bases]
+        floats, as one cell computes them, shaped (steps, 2, C, 1)."""
+        table = np.array([[1.0 - b ** j for b in self._bases]
                           for j in range(k + 1, k + steps + 1)])
         return table[:, self._slots, None]
-
-
-def adam_step(state: MomentState, g: np.ndarray,
-              config: OptimizerConfig | CellConfigs) -> tuple[MomentState, np.ndarray]:
-    """One Adam step; returns the stepped moments and the update vector R.
-
-    With an ``OptimizerConfig`` the state is one cell's vectors; with a
-    ``CellConfigs`` it holds C cells as (C, d) rows and R has the same shape.
-    The kernel steps copies, so ``state`` and ``g`` are never mutated.
-    Raises ``DimensionError`` on shape mismatch and ``DomainError`` when
-    ``epsilon = 0`` meets a zero second-moment coordinate.
-    """
-    g, shape = np.asarray(g, dtype=float), state.m.shape
-    if g.shape != shape:
-        raise DimensionError(f"gradient shape {g.shape} != state shape {shape}")
-    cells = config if isinstance(config, CellConfigs) else CellConfigs([config])
-    rows = shape if cells is config else (1, g.size)  # one cell is one row
-    if len(rows) != 2 or rows[0] != len(cells):
-        raise DimensionError(f"state shape {shape} does not hold {len(cells)} cells")
-    new = MomentState(state.m.reshape(rows).copy(), state.v.reshape(rows).copy(), state.k)
-    r = optimizer_step(new, g.reshape((1,) + rows), cells)[0]
-    return MomentState(new.m.reshape(shape), new.v.reshape(shape), new.k), r.reshape(shape)
 
 
 def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) -> np.ndarray:
@@ -141,8 +113,9 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
     in the same operation order, in one (T, 2, C, d) buffer that R is a view
     of.  A ``DomainError`` changes no state.
     """
-    if grads.shape[1:] != state.m.shape:
-        raise DimensionError(f"gradient block {grads.shape} does not fit state {state.m.shape}")
+    if grads.shape[1:] != state.m.shape or state.m.shape[:-1] != (len(cells),):
+        raise DimensionError(f"gradient block {grads.shape} does not fit the state "
+                             f"{state.m.shape} of {len(cells)} cells")
     # mv[t] = (keep1 * g_t, (keep2 * g_t) * g_t), then the moments after step t
     mv = np.multiply(cells.keeps, grads[:, None])
     mv[:, 1] *= grads
@@ -153,9 +126,9 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
     for prev, moments in zip(mv[:-1], mv[1:]):
         np.add(np.multiply(cells.betas, prev, out=decayed), moments, out=moments)
 
-    # v == 0 exactly where sqrt(v_hat) + epsilon == 0 on an epsilon = 0 row: 1 - b ** j
+    # with epsilon = 0, v == 0 exactly where sqrt(v_hat) + epsilon == 0: 1 - b ** j
     # lies in (0, 1], so the bias correction never makes a nonzero v zero
-    if cells.exact_rows is not None and ((mv[:, 1] == 0.0) & cells.exact_rows).any():
+    if cells.epsilon == 0.0 and (mv[:, 1] == 0.0).any():
         raise DomainError("epsilon = 0 with a zero second-moment coordinate")
     state.m[...], state.v[...] = mv[-1]
     if cells.bias_correction:

@@ -11,7 +11,7 @@ differences can audit them:
 * ``mlp``: a 20 -> 16 tanh -> 2 softmax cross-entropy network on the same
   blobs, gradients by hand-written backprop.
 
-Each loss and gradient also evaluates C stacked parameter vectors (and
+Each loss and gradient evaluates C parameter vectors stacked as (C, d) rows (and
 minibatches) at once, which is how the training engine steps cells in lockstep.
 """
 
@@ -39,12 +39,12 @@ _INIT_STREAM = 1
 class Problem:
     """A differentiable training problem over a flat parameter vector.
 
-    ``loss`` and ``grad`` take one theta of shape (d,) or C thetas stacked
-    as (C, d) rows; ``grad``'s minibatch ``idx`` is None (all samples), a
-    (batch,) vector for every row or one row per theta, (C, batch).  A
-    stacked call returns C losses and a (C, d) gradient whose row i is
-    bit-identical to the call on theta i (and ``idx[i]``) alone, because each
-    row runs the same BLAS calls and reductions as a single theta.  The loss is
+    ``loss`` and ``grad`` take C thetas stacked as (C, d) float rows, one
+    theta as (1, d); ``grad``'s minibatch ``idx`` is None (all samples), a
+    (batch,) vector for every row or one row per theta, (C, batch).  A call
+    returns C losses and a (C, d) gradient whose row i is bit-identical to
+    the call on ``thetas[i:i + 1]`` (and ``idx[i]``) alone, because each row
+    runs the same BLAS calls and reductions as a single theta.  The loss is
     finite at every finite theta with ``max|theta| < loss_finite_below``.  The
     mlp reuses a hidden-layer buffer between calls, so one problem must not be
     evaluated from two threads at once.
@@ -52,7 +52,7 @@ class Problem:
 
     kind: str
     n_samples: int                      # 0 means full-batch only
-    loss: Callable[[np.ndarray], float | np.ndarray]
+    loss: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
     init_theta: Callable[[int], np.ndarray]
     loss_finite_below: float
@@ -72,24 +72,6 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row pair, one BLAS dot per row as for 1-D vectors."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _stacked(loss_rows, grad_rows):
-    """``loss`` and ``grad`` over (C, d) rows, with a 1-D theta as the C = 1 case."""
-
-    def loss(theta: np.ndarray) -> float | np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            return float(loss_rows(theta[None])[0])
-        return loss_rows(theta)
-
-    def grad(theta: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            return grad_rows(theta[None], idx)[0]
-        return grad_rows(theta, idx)
-
-    return loss, grad
 
 
 def _sample_sums(a: np.ndarray) -> np.ndarray:
@@ -120,17 +102,16 @@ def _quadratic(seed: int) -> Problem:
     exponents = np.linspace(0.0, 1.0, QUADRATIC_DIM)
     diag = QUADRATIC_CONDITION ** exponents  # eigenvalues from 1 to the condition number
 
-    def loss_rows(thetas: np.ndarray) -> np.ndarray:
+    def loss(thetas: np.ndarray) -> np.ndarray:
         return 0.5 * _row_dots(thetas, diag * thetas)
 
-    def grad_rows(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    def grad(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         return diag * thetas
 
     def init_theta(init_seed: int) -> np.ndarray:
         rng = CounterRng(init_seed, stream=_INIT_STREAM)
         return rng.normal(QUADRATIC_DIM)
 
-    loss, grad = _stacked(loss_rows, grad_rows)
     return Problem(kind="quadratic", n_samples=0, loss=loss, grad=grad, init_theta=init_theta,
                    loss_finite_below=float(np.sqrt(1e300 / diag.sum())))
 
@@ -143,11 +124,11 @@ def _logistic(seed: int) -> Problem:
         # one gemv per row: (n, features) @ (features, 1), plus the bias
         return np.matmul(xs, thetas[:, :-1, None])[..., 0] + thetas[:, -1:]
 
-    def loss_rows(thetas: np.ndarray) -> np.ndarray:
+    def loss(thetas: np.ndarray) -> np.ndarray:
         z = _logits(x, thetas)
         return np.mean(_softplus(z) - y * z, axis=1)
 
-    def grad_rows(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    def grad(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         xs, ys = (x, y) if idx is None else (np.take(x, idx, axis=0), np.take(y, idx))
         err = _sigmoid(_logits(xs, thetas)) - ys
         g = np.empty_like(thetas)
@@ -159,7 +140,6 @@ def _logistic(seed: int) -> Problem:
         rng = CounterRng(init_seed, stream=_INIT_STREAM)
         return 0.1 * rng.normal(dim)
 
-    loss, grad = _stacked(loss_rows, grad_rows)
     return Problem(kind="logistic", n_samples=BLOB_SAMPLES, loss=loss, grad=grad,
                    init_theta=init_theta, loss_finite_below=_finite_below(x, 0))
 
@@ -205,13 +185,13 @@ def _mlp(seed: int) -> Problem:
         e = np.exp(shifted)
         return hidden, shifted, np.log(e[..., 0] + e[..., 1])
 
-    def loss_rows(thetas: np.ndarray) -> np.ndarray:
+    def loss(thetas: np.ndarray) -> np.ndarray:
         _, shifted, log_z = _forward(thetas, x)
         # log p of each sample's own class
         log_p = np.where(label_one, shifted[..., 1], shifted[..., 0]) - log_z
         return -np.mean(log_p, axis=1)
 
-    def grad_rows(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    def grad(thetas: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         xs, labels = ((x, one_hot) if idx is None
                       else (np.take(x, idx, axis=0), np.take(one_hot, idx, axis=0)))
         n = xs.shape[-2]
@@ -239,7 +219,6 @@ def _mlp(seed: int) -> Problem:
         b2 = np.zeros(c)
         return np.concatenate([w1, b1, w2, b2])
 
-    loss, grad = _stacked(loss_rows, grad_rows)
     return Problem(kind="mlp", n_samples=BLOB_SAMPLES, loss=loss, grad=grad,
                    init_theta=init_theta, loss_finite_below=_finite_below(x, h))
 

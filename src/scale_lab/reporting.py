@@ -81,13 +81,20 @@ def _format_block(block, lone: bool) -> list[str]:
     return _checked([x if isinstance(x, str) else _format_value(x) for x in block], lone)
 
 
+def _is_flat(column) -> bool:
+    """Whether a column is 1-D, without converting a list of strings to an array to find out."""
+    if isinstance(column, np.ndarray):
+        return column.ndim == 1
+    return not any(np.ndim(x) for x in column if not isinstance(x, str))
+
+
 def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> Path:
     """Write ``columns`` (1-D numpy arrays or sequences) under ``header``, ``_BLOCK_ROWS``
     rows at a time; the byte contract is in the module docstring."""
     path = Path(path)
     columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
     n_rows = len(columns[0]) if columns else 0
-    if len(columns) != len(header) or any(np.ndim(c) != 1 or len(c) != n_rows for c in columns):
+    if len(columns) != len(header) or any(len(c) != n_rows or not _is_flat(c) for c in columns):
         raise DomainError(f"a CSV table needs one 1-D column per header name {list(header)}, "
                           f"all of one length; got lengths {[len(c) for c in columns]}")
     lone = len(columns) == 1

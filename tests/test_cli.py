@@ -128,6 +128,8 @@ class TestExitCodes:
         ("probe", "--method", "adam", "--beta1", "1.5"),
         ("probe", "--method", "adam", "--beta2", "0"),
         ("probe", "--method", "adam", "--epsilon", "-1"),
+        ("probe", "--method", "adam", "--g", "1,2", "--m", "1", "--v", "1"),
+        ("probe", "--method", "adam", "--g", "1,2", "--m", "1"),
         ("probe", "--step-scale", "--eta", "-1", "--steps", "100"),
         ("sweep", "--problem", "quadratic", "--eta", "-1", "--steps", "10", "--seeds", "1"),
         ("flow", "--signal", "const", "--h", "0"),
@@ -157,6 +159,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+    def test_probe_length_mismatch_names_the_three_lengths(self, tmp_path, capsys):
+        assert run("probe", "--method", "adam", "--g", "1,2,3", "--v", "1,1",
+                   "--out", str(tmp_path)) == 1
+        assert "need one length, got 3, 3, 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps", ["0", "1", "2"])
     def test_sweep_shorter_than_omega2_minimum_is_usage_error(self, tmp_path, capsys, steps):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, OptimizerConfig,
-                       adam_step, make_problem, step_multipliers, step_scale_cells,
-                       step_scale_grid, sweep_grid, train_cells)
+                       make_problem, step_multipliers, step_scale_cells, step_scale_grid,
+                       sweep_grid, train_cells)
 from scale_lab.invariance import STEP_BLOCK
+from scale_lab.optimizers import optimizer_step
 from scale_lab.rng import CounterRng
 from scale_lab.training import _INDEX_BLOCK, DEFAULT_BETA_AXIS, DEFAULT_ETA, LOSS_EVERY
 
@@ -23,24 +24,29 @@ def assert_same_trace(batched, alone):
 
 
 class TestTrainCells:
+    @pytest.mark.parametrize("bias_correction", [True, False], ids=["corrected", "raw"])
     @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
-    def test_each_cell_equals_its_one_cell_run(self, kind):
+    def test_each_cell_equals_its_one_cell_run(self, kind, bias_correction):
         prob = make_problem(kind, seed=1)
-        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=eps)
-                   for (b1, b2), eta, eps in zip(BETAS, (0.01, 0.003, 0.02, 0.001),
-                                                 (1e-8, 1e-6, 1e-8, 1e-10))]
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=1e-6,
+                                   bias_correction=bias_correction)
+                   for (b1, b2), eta in zip(BETAS, (0.01, 0.003, 0.02, 0.001))]
         batched = train_cells(prob, configs, seed=4, steps=60)
         assert len(batched) == len(configs)
         for cfg, trace in zip(configs, batched):
             assert_same_trace(trace, train_cells(prob, [cfg], seed=4, steps=60)[0])
 
-    def test_mixed_bias_correction_rows(self):
-        prob = make_problem("logistic")
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
-                   OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, bias_correction=False),
-                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01)]
-        for cfg, trace in zip(configs, train_cells(prob, configs, seed=0, steps=50)):
-            assert_same_trace(trace, train_cells(prob, [cfg], seed=0, steps=50)[0])
+    @pytest.mark.parametrize("other", [
+        OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, epsilon=1e-6),
+        OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, bias_correction=False),
+    ], ids=["epsilon", "bias-correction"])
+    def test_a_batch_mixing_epsilon_or_bias_correction_is_a_domain_error(self, other):
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01), other]
+        # the error names both (epsilon, bias_correction) pairs it got
+        with pytest.raises(DomainError, match=r"got \[\(.+\), \(.+\)\]$"):
+            CellConfigs(configs)
+        with pytest.raises(DomainError, match="shares one"):
+            train_cells(make_problem("logistic"), configs, seed=0, steps=5)
 
     def test_cell_diverging_at_step_one_leaves_neighbours_alone(self):
         prob = make_problem("quadratic")
@@ -96,7 +102,7 @@ class TestMixedSeedRows:
     def test_each_row_equals_its_one_cell_run(self, kind, blowup, diverged):
         prob = make_problem(kind, seed=1)
         calm = [OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.01),
-                OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.003, epsilon=1e-6)]
+                OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.003)]
         blow = OptimizerConfig(beta1=0.999, beta2=0.9, eta=blowup)
         rows = [(calm[0], 4), (blow, 0), (calm[1], 1), (blow, 1), (calm[0], 0)]
         configs, seeds = zip(*rows)
@@ -112,8 +118,8 @@ class TestMixedSeedRows:
         idx = CounterRng(9, stream=2).integers(0, prob.n_samples, 4 * 32).reshape(4, 32)
         grads = prob.grad(thetas, idx)
         assert grads.shape == thetas.shape
-        for i, theta in enumerate(thetas):
-            assert np.array_equal(grads[i], prob.grad(theta, idx[i]))
+        for i in range(len(thetas)):
+            assert np.array_equal(grads[i], prob.grad(thetas[i:i + 1], idx[i])[0])
 
     def test_block_drawn_indices_equal_per_step_draws(self):
         # the run crosses two boundaries of the blocks the minibatch indices are drawn in
@@ -250,35 +256,42 @@ def test_mlp_backprop_equals_the_plain_reference(scale, index):
         assert grads[i].tobytes() == plain_mlp_grad(x, y, theta, row_idx).tobytes(), i
 
 
-class TestAdamStepCells:
-    def test_rows_equal_one_cell_steps(self):
+class TestOptimizerStepCells:
+    @pytest.mark.parametrize("epsilon,bias_correction", [(1e-8, True), (1e-6, False),
+                                                         (0.0, False)])
+    def test_rows_equal_one_cell_steps(self, epsilon, bias_correction):
         rng = np.random.default_rng(0)
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.999),
-                   OptimizerConfig(beta1=0.5, beta2=0.5, epsilon=0.0, bias_correction=False),
-                   OptimizerConfig(beta1=0.99, beta2=0.9, epsilon=1e-6)]
-        state = MomentState(m=rng.standard_normal((3, 4)), v=rng.uniform(0.1, 1.0, (3, 4)), k=7)
-        g = rng.standard_normal((3, 4))
-        new, upd = adam_step(state, g, CellConfigs(tuple(configs)))
-        assert new.k == 8
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=epsilon,
+                                   bias_correction=bias_correction)
+                   for b1, b2 in [(0.9, 0.999), (0.5, 0.5), (0.99, 0.9)]]
+        m, v = rng.standard_normal((3, 4)), rng.uniform(0.1, 1.0, (3, 4))
+        g = rng.standard_normal((1, 3, 4))
+        state = MomentState(m=m.copy(), v=v.copy(), k=7)
+        upd = optimizer_step(state, g, CellConfigs(configs))
+        assert state.k == 8
         for i, cfg in enumerate(configs):
-            one, r = adam_step(MomentState(state.m[i], state.v[i], state.k), g[i], cfg)
-            assert np.array_equal(new.m[i], one.m)
-            assert np.array_equal(new.v[i], one.v)
-            assert one.k == new.k
-            assert np.array_equal(upd[i], r)
+            one = MomentState(m[i:i + 1].copy(), v[i:i + 1].copy(), 7)
+            r = optimizer_step(one, g[:, i:i + 1], CellConfigs([cfg]))
+            assert np.array_equal(state.m[i], one.m[0])
+            assert np.array_equal(state.v[i], one.v[0])
+            assert one.k == state.k
+            assert np.array_equal(upd[:, i], r[:, 0])
 
     def test_row_count_must_match(self):
         cells = CellConfigs((OptimizerConfig(), OptimizerConfig()))
-        state = MomentState(m=np.zeros((3, 2)), v=np.zeros((3, 2)))
-        with pytest.raises(DimensionError):
-            adam_step(state, np.ones((3, 2)), cells)
+        for shape in [(3, 2), (2,), (1, 2, 2)]:
+            state = MomentState(m=np.zeros(shape), v=np.zeros(shape))
+            with pytest.raises(DimensionError, match="of 2 cells$"):
+                optimizer_step(state, np.ones((1,) + shape), cells)
 
     def test_exact_epsilon_row_with_zero_moment_rejected(self):
-        cells = CellConfigs((OptimizerConfig(),
-                             OptimizerConfig(epsilon=0.0, bias_correction=False)))
-        state = MomentState(m=np.zeros((2, 1)), v=np.zeros((2, 1)))
-        with pytest.raises(DomainError):
-            adam_step(state, np.zeros((2, 1)), cells)
+        # only row 1 meets v = 0; the error changes no state
+        cells = CellConfigs([OptimizerConfig(beta1=b, epsilon=0.0, bias_correction=False)
+                             for b in (0.9, 0.5)])
+        state = MomentState(m=np.zeros((2, 1)), v=np.array([[1.0], [0.0]]))
+        with pytest.raises(DomainError, match="zero second-moment"):
+            optimizer_step(state, np.zeros((1, 2, 1)), cells)
+        assert state.k == 0 and np.array_equal(state.v, [[1.0], [0.0]])
 
 
 def block_streams() -> list:
@@ -310,19 +323,21 @@ class TestStepScaleCells:
             assert alone.shape == (400, 1)
             assert np.array_equal(norms, alone[:, 0])
 
+    @pytest.mark.parametrize("epsilon,bias_correction", [(0.0, False), (1e-8, True)],
+                             ids=["raw", "corrected"])
     @pytest.mark.parametrize("stream", block_streams())
-    def test_blocks_equal_a_per_step_adam_loop(self, stream):
-        # the stream runs in blocks of STEP_BLOCK steps, each block a broadcast view per cell
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, epsilon=0.0, bias_correction=False),
-                   OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01)]
+    def test_blocks_equal_one_block_per_cell(self, stream, epsilon, bias_correction):
+        # the stream runs in blocks of STEP_BLOCK steps, each block a broadcast view per cell;
+        # a cell fed the whole stream as one (steps, 1, d) block must see the same norms
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=epsilon,
+                                   bias_correction=bias_correction)
+                   for b1, b2 in [(0.9, 0.99), (0.99, 0.9)]]
         norms = step_scale_cells(stream, configs)
         assert norms.shape == (len(stream), len(configs))
         for i, cfg in enumerate(configs):
-            state, loop = MomentState(m=stream[0].copy(), v=stream[0] * stream[0]), []
-            for g in stream:
-                state, upd = adam_step(state, g, cfg)
-                loop.append(float(np.linalg.norm(upd)))
-            assert np.array_equal(norms[:, i], loop)
+            state = MomentState(m=stream[:1].copy(), v=stream[:1] * stream[:1])
+            r = optimizer_step(state, stream[:, None], CellConfigs([cfg]))
+            assert np.array_equal(norms[:, i], [np.linalg.norm(row) for row in r[:, 0]])
 
     def test_empty_grid_gives_no_traces(self):
         assert step_scale_grid(step_multipliers([(5, 2.0)], 10)[:, None], []) == {}
@@ -348,9 +363,9 @@ class TestNoWorkspaceAliasing:
         t2 = np.stack([prob.init_theta(s) for s in (3, 4, 5)])
         idx = np.arange(32) if prob.n_samples else None
         loss1, grad1, full1 = prob.loss(t1), prob.grad(t1, idx), prob.grad(t1)
-        one = prob.grad(t1[0], idx)
+        one = prob.grad(t1[:1], idx)
         saved = [a.copy() for a in (loss1, grad1, full1, one)]
-        prob.loss(t2), prob.grad(t2, idx), prob.grad(t2), prob.grad(t2[0], idx)
+        prob.loss(t2), prob.grad(t2, idx), prob.grad(t2), prob.grad(t2[:1], idx)
         for kept, now in zip(saved, (loss1, grad1, full1, one)):
             assert np.array_equal(kept, now)
 
@@ -361,6 +376,6 @@ class TestNoWorkspaceAliasing:
         idx = np.arange(5, 37) if prob.n_samples else None
         losses, grads = prob.loss(thetas), prob.grad(thetas, idx)
         assert losses.shape == (4,) and grads.shape == thetas.shape
-        for i, theta in enumerate(thetas):
-            assert losses[i] == prob.loss(theta)
-            assert np.array_equal(grads[i], prob.grad(theta, idx))
+        for i in range(len(thetas)):
+            assert losses[i] == prob.loss(thetas[i:i + 1])[0]
+            assert np.array_equal(grads[i], prob.grad(thetas[i:i + 1], idx)[0])

@@ -161,13 +161,15 @@ class TestStepScaleExperiment:
             row = {b2: integrals[(b1, b2)] for b2 in BETA_AXIS}
             assert min(row, key=row.get) == b1
 
+    @pytest.mark.parametrize("bias_correction", [True, False], ids=["corrected", "raw"])
     @pytest.mark.parametrize("c", [2.0 ** -20, 2.0 ** 20], ids=["2**-20", "2**20"])
-    def test_power_of_two_rescale_of_the_run_is_bitwise_invariant(self, c):
+    def test_power_of_two_rescale_of_the_run_is_bitwise_invariant(self, c, bias_correction):
         # Adam is zero-order scale invariant for any betas: scaling every gradient by a power of
         # two scales m by c and v by c**2 without rounding, so every R is bit-identical
         stream = step_multipliers([(10, 10.0), (25, 0.3)], steps=40)[:, None] * [0.7, -2.5]
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0),
-                   OptimizerConfig(beta1=0.99, beta2=0.9, epsilon=0.0, bias_correction=False)]
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0,
+                                   bias_correction=bias_correction)
+                   for b1, b2 in [(0.9, 0.999), (0.99, 0.9)]]
         assert np.array_equal(step_scale_cells(stream, configs),
                               step_scale_cells(c * stream, configs))
 

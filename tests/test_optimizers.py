@@ -7,13 +7,13 @@ import scale_lab
 from scale_lab import (CellConfigs, DimensionError, DomainError, FlowState, FlowTrace,
                        GradientSignal, MomentState, OptimizerConfig, OscillationGridReport,
                        Problem, RescaleProbeResult, RunTrace, SweepResult, TimeScales,
-                       adam_step, constant_gradient_closed_form, constant_signal,
+                       TrackingCheckResult, constant_gradient_closed_form, constant_signal,
                        exponential_signal, first_order_sensitivity, make_problem,
                        remainder_order_sweep, sinusoidal_log_signal, steady_state_init,
                        step_scale_cells, step_scale_grid, sweep_grid, tracking_check,
                        train_cells)
-from scale_lab import (cli, errors, invariance, metrics, optimizers, reporting, signals,
-                       training)
+from scale_lab import (cli, errors, invariance, metrics, optimizers, problems, reporting,
+                       signals, training)
 from scale_lab.optimizers import optimizer_step
 
 PROBLEM = dict(kind="quadratic", n_samples=0, loss=np.sum, grad=np.ones_like,
@@ -27,14 +27,19 @@ def raw_config(b1, b2, **kw):
     return OptimizerConfig(beta1=b1, beta2=b2, **kw)
 
 
-class TestAdamStep:
+def one_cell(m, v, k=0):
+    """The state of one cell as a (1, d) row."""
+    return MomentState(np.array([m], dtype=float), np.array([v], dtype=float), k)
+
+
+class TestOptimizerStep:
     def test_first_step_from_zero_state(self):
-        state, upd = adam_step(MomentState(np.zeros(1), np.zeros(1)), np.array([1.0]),
-                               raw_config(0.5, 0.5))
-        assert state.m[0] == pytest.approx(0.5, abs=0)
-        assert state.v[0] == pytest.approx(0.5, abs=0)
+        state = one_cell([0.0], [0.0])
+        upd = optimizer_step(state, np.ones((1, 1, 1)), CellConfigs([raw_config(0.5, 0.5)]))
+        assert state.m[0, 0] == pytest.approx(0.5, abs=0)
+        assert state.v[0, 0] == pytest.approx(0.5, abs=0)
         # 0.5 / sqrt(0.5)
-        assert upd[0] == pytest.approx(0.7071067811865476, abs=1e-15)
+        assert upd[0, 0, 0] == pytest.approx(0.7071067811865476, abs=1e-15)
         assert state.k == 1
 
     @pytest.mark.parametrize("c", [1.0, 3.0, 0.25])
@@ -43,37 +48,31 @@ class TestAdamStep:
         # m_hat = g and v_hat = g^2 at the first step, so R = sign(g)
         cfg = OptimizerConfig(beta1=betas[0], beta2=betas[1], epsilon=0.0,
                               bias_correction=True)
-        _, upd = adam_step(MomentState(np.zeros(1), np.zeros(1)), np.array([c]), cfg)
-        assert upd[0] == pytest.approx(1.0, abs=1e-14)
+        upd = optimizer_step(one_cell([0.0], [0.0]), np.full((1, 1, 1), c), CellConfigs([cfg]))
+        assert upd[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_frozen_state_hand_values(self):
-        state = MomentState(m=np.array([1.0]), v=np.array([1.0]))
-        cfg = raw_config(0.9, 0.9)
-        new, upd = adam_step(state, np.array([1.0]), cfg)
-        assert new.m[0] == pytest.approx(1.0, abs=1e-15)
-        assert new.v[0] == pytest.approx(1.0, abs=1e-15)
-        assert upd[0] == pytest.approx(1.0, abs=1e-15)
-        new, upd = adam_step(state, np.array([2.0]), cfg)
-        assert new.m[0] == pytest.approx(1.1, abs=1e-15)
-        assert new.v[0] == pytest.approx(1.3, abs=1e-15)
+        # one state, two rows of one config: g = 1 keeps it fixed, g = 2 moves it
+        state = MomentState(m=np.ones((2, 1)), v=np.ones((2, 1)))
+        upd = optimizer_step(state, np.array([[[1.0], [2.0]]]),
+                             CellConfigs([raw_config(0.9, 0.9)] * 2))
+        assert state.m[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert state.v[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert upd[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert state.m[1, 0] == pytest.approx(1.1, abs=1e-15)
+        assert state.v[1, 0] == pytest.approx(1.3, abs=1e-15)
         # 1.1 / sqrt(1.3), exact rational arithmetic
-        assert upd[0] == pytest.approx(0.9647638212377321, abs=1e-15)
+        assert upd[0, 1, 0] == pytest.approx(0.9647638212377321, abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            adam_step(MomentState(np.zeros(2), np.zeros(2)), np.array([1.0]), OptimizerConfig())
+            optimizer_step(one_cell([0.0, 0.0], [0.0, 0.0]), np.ones((1, 1, 1)),
+                           CellConfigs([OptimizerConfig()]))
 
     def test_zero_v_with_zero_epsilon(self):
         with pytest.raises(DomainError):
-            adam_step(MomentState(np.zeros(1), np.zeros(1)), np.array([0.0]),
-                      raw_config(0.9, 0.9))
-
-    def test_inputs_not_mutated(self):
-        state, g = MomentState(m=np.array([1.0]), v=np.array([2.0]), k=3), np.array([4.0])
-        new, upd = adam_step(state, g, OptimizerConfig())
-        assert state.m[0] == 1.0 and state.v[0] == 2.0 and state.k == 3 and g[0] == 4.0
-        assert new.m[0] != 1.0 and new.v[0] != 2.0 and new.k == 4
-        assert not np.shares_memory(new.m, state.m) and not np.shares_memory(upd, g)
+            optimizer_step(one_cell([0.0], [0.0]), np.zeros((1, 1, 1)),
+                           CellConfigs([raw_config(0.9, 0.9)]))
 
 
 class TestConfigValidation:
@@ -83,10 +82,9 @@ class TestConfigValidation:
             MomentState(m=np.ones(1), v=np.ones(1), k=k)
 
     def test_numpy_integer_step_counter(self):
-        state = MomentState(m=np.ones(1), v=np.ones(1), k=np.int64(3))
-        _, upd = adam_step(state, np.ones(1), OptimizerConfig())
-        _, ref = adam_step(MomentState(m=np.ones(1), v=np.ones(1), k=3), np.ones(1),
-                           OptimizerConfig())
+        cells = CellConfigs([OptimizerConfig()])
+        upd = optimizer_step(one_cell([1.0], [1.0], np.int64(3)), np.ones((1, 1, 1)), cells)
+        ref = optimizer_step(one_cell([1.0], [1.0], 3), np.ones((1, 1, 1)), cells)
         assert np.array_equal(upd, ref)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
@@ -99,6 +97,11 @@ class TestConfigValidation:
     def test_negative_epsilon(self):
         with pytest.raises(DomainError):
             OptimizerConfig(epsilon=-1e-8)
+
+    def test_nan_epsilon(self):
+        # a NaN epsilon would make every R NaN, and no two NaN configs could share a batch
+        with pytest.raises(DomainError, match="nonnegative"):
+            OptimizerConfig(epsilon=float("nan"))
 
 
 class TestAdamOnlyEngine:
@@ -170,6 +173,9 @@ class TestAdamOnlyEngine:
         assert names(SweepResult) == ["traces", "omegas", "window"]
         assert names(OscillationGridReport) == list(REPORT)
         assert not hasattr(RescaleProbeResult, "deviation_at")
+        assert names(TrackingCheckResult) == ["max_residual", "margin", "passed",
+                                              "transient_coeff", "curvature_sup", "t",
+                                              "residual", "bound"]
 
     def test_test_only_constructors_are_gone(self):
         # tests build MomentState(zeros, zeros) and their own signals; every src/ signal
@@ -177,6 +183,13 @@ class TestAdamOnlyEngine:
         assert not hasattr(scale_lab, "zero_state") and not hasattr(optimizers, "zero_state")
         assert not hasattr(scale_lab, "tabulated_signal")
         assert not hasattr(signals, "tabulated_signal")
+
+    def test_one_cell_conveniences_are_gone(self):
+        # optimizer_step is the one kernel entry and the problems take (C, d) rows only;
+        # a batch shares one epsilon, so no row mask of exact rows is kept
+        assert not hasattr(scale_lab, "adam_step") and not hasattr(optimizers, "adam_step")
+        assert not hasattr(problems, "_stacked")
+        assert not hasattr(CellConfigs([OptimizerConfig(epsilon=0.0)]), "exact_rows")
 
     def test_second_scoring_surface_is_gone(self):
         # grid_report is the one path from cell scores to K, N and p: pooling is one call on
@@ -207,12 +220,11 @@ class TestClosedForm:
     @pytest.mark.parametrize("betas", [(0.9, 0.9), (0.9, 0.999), (0.99, 0.5)])
     def test_matches_iterated_raw_adam(self, c, betas):
         # scale independence of raw Adam from zero init, k = 1..50
-        cfg = raw_config(*betas)
-        state = MomentState(np.zeros(1), np.zeros(1))
+        upd = optimizer_step(one_cell([0.0], [0.0]), np.full((50, 1, 1), c),
+                             CellConfigs([raw_config(*betas)]))
         for k in range(1, 51):
-            state, upd = adam_step(state, np.array([c]), cfg)
             oracle = constant_gradient_closed_form(c, k, *betas)
-            assert upd[0] == pytest.approx(oracle[0], abs=1e-12)
+            assert upd[k - 1, 0, 0] == pytest.approx(oracle[0], abs=1e-12)
 
 
 class TestProperties:
@@ -221,40 +233,29 @@ class TestProperties:
         for _ in range(10):
             m, v, g = rng.normal(size=4), rng.uniform(0.5, 2.0, 4), rng.normal(size=4)
             perm = rng.permutation(4)
-            cfg = OptimizerConfig(beta1=0.9, beta2=0.99)
-            base = MomentState(m=m, v=v)
-            permuted = MomentState(m=m[perm], v=v[perm])
-            s1, r1 = adam_step(base, g, cfg)
-            s2, r2 = adam_step(permuted, g[perm], cfg)
-            assert np.array_equal(r1[perm], r2)
-            assert np.array_equal(s1.m[perm], s2.m)
+            cells = CellConfigs([OptimizerConfig(beta1=0.9, beta2=0.99)])
+            base, permuted = one_cell(m, v), one_cell(m[perm], v[perm])
+            r1 = optimizer_step(base, g[None, None], cells)
+            r2 = optimizer_step(permuted, g[perm][None, None], cells)
+            assert np.array_equal(r1[..., perm], r2)
+            assert np.array_equal(base.m[:, perm], permuted.m)
 
     def test_sign_of_r_matches_sign_of_new_m(self):
         rng = np.random.default_rng(11)
-        cfg = OptimizerConfig(beta1=0.8, beta2=0.95, epsilon=1e-8)
-        state = MomentState(m=rng.normal(size=6), v=rng.uniform(0.1, 1.0, 6))
+        cells = CellConfigs([OptimizerConfig(beta1=0.8, beta2=0.95, epsilon=1e-8)])
+        state = one_cell(rng.normal(size=6), rng.uniform(0.1, 1.0, 6))
         for _ in range(30):
-            g = rng.normal(size=6)
-            state, upd = adam_step(state, g, cfg)
-            assert np.array_equal(np.sign(upd), np.sign(state.m))
+            upd = optimizer_step(state, rng.normal(size=(1, 1, 6)), cells)
+            assert np.array_equal(np.sign(upd[0]), np.sign(state.m))
 
     def test_bias_correction_is_transient_only(self):
         # raw and bias-corrected traces agree to 1e-6 from step 300 on
         rng = np.random.default_rng(3)
         stream = rng.uniform(0.5, 1.5, size=(400, 3)) * np.sign(rng.normal(size=(400, 3)))
         for b1, b2 in [(0.9, 0.9), (0.8, 0.9), (0.9, 0.5)]:
-            raw = raw_config(b1, b2, epsilon=1e-12)
-            bc = OptimizerConfig(beta1=b1, beta2=b2, epsilon=1e-12, bias_correction=True)
-            s_raw = s_bc = MomentState(np.zeros(3), np.zeros(3))
-            for k, g in enumerate(stream):
-                s_raw, r_raw = adam_step(s_raw, g, raw)
-                s_bc, r_bc = adam_step(s_bc, g, bc)
-                if k + 1 >= 300:
-                    assert np.max(np.abs(r_raw - r_bc)) < 1e-6
-
-    def test_adam_update_does_not_advance_state(self):
-        state = MomentState(m=np.array([1.0]), v=np.array([1.0]))
-        _, r1 = adam_step(state, np.array([2.0]), raw_config(0.9, 0.9))
-        _, r2 = adam_step(state, np.array([2.0]), raw_config(0.9, 0.9))
-        assert np.array_equal(r1, r2)
-        assert state.k == 0
+            r_raw, r_bc = (optimizer_step(one_cell([0.0] * 3, [0.0] * 3), stream[:, None],
+                                          CellConfigs([OptimizerConfig(
+                                              beta1=b1, beta2=b2, epsilon=1e-12,
+                                              bias_correction=bc)]))
+                           for bc in (False, True))
+            assert np.max(np.abs(r_raw - r_bc)[299:]) < 1e-6

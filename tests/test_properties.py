@@ -270,9 +270,15 @@ def test_loss_is_finite_below_the_problem_bound(kind, data, rows):
 
 # ---------------------------------------------------------------- block optimizer kernel
 
-kernel_configs = st.builds(OptimizerConfig, beta1=st.sampled_from([0.5, 0.9, 0.99]),
-                           beta2=st.sampled_from([0.5, 0.9, 0.999]),
-                           epsilon=st.sampled_from([0.0, 1e-8]), bias_correction=st.booleans())
+@st.composite
+def kernel_configs(draw, c: int) -> list:
+    """c configs whose betas vary by row, sharing one drawn epsilon and bias correction."""
+    shared = dict(epsilon=draw(st.sampled_from([0.0, 1e-8])), bias_correction=draw(st.booleans()))
+    return [OptimizerConfig(beta1=draw(st.sampled_from([0.5, 0.9, 0.99])),
+                            beta2=draw(st.sampled_from([0.5, 0.9, 0.999])), **shared)
+            for _ in range(c)]
+
+
 # zeros are frequent, so epsilon = 0 rows often meet a zero second moment
 kernel_values = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False))
 
@@ -295,7 +301,7 @@ def run_kernel(state, grads, cells):
 @given(data=st.data(), c=st.integers(1, 4), k0=st.integers(0, 3))
 def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
     steps, d = data.draw(steps_drawn), data.draw(d_drawn)
-    cells = CellConfigs(data.draw(st.lists(kernel_configs, min_size=c, max_size=c)))
+    cells = CellConfigs(data.draw(kernel_configs(c)))
     grads = data.draw(arrays(float, (steps, c, d), elements=kernel_values))
     m0 = data.draw(arrays(float, (c, d), elements=kernel_values))
     v0 = np.abs(data.draw(arrays(float, (c, d), elements=kernel_values)))
@@ -322,13 +328,13 @@ def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
 
 
 def test_block_kernel_zero_moment_error_matches_single_steps():
-    # v = 2e-323 halves to zero at step 3 of the epsilon = 0, beta2 = 0.5 row
-    cells = CellConfigs([OptimizerConfig(),
-                         OptimizerConfig(beta2=0.5, epsilon=0.0, bias_correction=False)])
+    # v = 2e-323 halves to zero at step 3 of the beta2 = 0.5 row; the other row's v stays 1
+    cells = CellConfigs([OptimizerConfig(beta2=b2, epsilon=0.0, bias_correction=False)
+                         for b2 in (0.999, 0.5)])
     grads = np.zeros((4, 2, 1))
 
     def fresh():
-        return MomentState(np.ones((2, 1)), np.full((2, 1), 2e-323))
+        return MomentState(np.ones((2, 1)), np.array([[1.0], [2e-323]]))
 
     block, single = fresh(), fresh()
     got = run_kernel(block, grads, cells)

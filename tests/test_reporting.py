@@ -26,7 +26,8 @@ def test_array_columns_keep_their_dtype_text(tmp_path):
     (["a"], [np.zeros((2, 2))]),
     (["a", "b"], [["x,y"], [1]]),
     (["a"], [[""]]),
-], ids=["ragged", "header-width", "2-d", "comma", "lone-empty"])
+    (["a"], [[[1.0], [2.0]]]),
+], ids=["ragged", "header-width", "2-d", "comma", "lone-empty", "nested-list"])
 def test_malformed_tables_are_domain_errors(tmp_path, header, columns):
     with pytest.raises(DomainError):
         write_csv(tmp_path / "bad.csv", header, columns)

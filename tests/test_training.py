@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (DomainError, MomentState, OptimizerConfig, adam_step, ema_smooth,
+from scale_lab import (CellConfigs, DomainError, MomentState, OptimizerConfig, ema_smooth,
                        grid_report, make_problem, omega_grids, oscillation_omega1,
                        oscillation_omega2, sweep_grid, train_cells)
+from scale_lab.optimizers import optimizer_step
 from scale_lab.problems import QUADRATIC_DIM
 from scale_lab.training import LOSS_EVERY
 
@@ -19,25 +20,22 @@ def omega1_report(res):
 
 
 def central_difference_gradient(loss, theta, h=1e-5):
-    g = np.empty_like(theta)
-    for i in range(theta.size):
-        up, down = theta.copy(), theta.copy()
-        up[i] += h
-        down[i] -= h
-        g[i] = (loss(up) - loss(down)) / (2.0 * h)
-    return g
+    """Central differences of ``loss`` at a (1, d) theta, each coordinate's pair a row of one
+    stacked call."""
+    step = h * np.eye(theta.shape[1])
+    return ((loss(theta + step) - loss(theta - step)) / (2.0 * h))[None]
 
 
 class TestProblems:
     def test_quadratic_minimum(self):
         prob = make_problem("quadratic")
-        theta = np.zeros(QUADRATIC_DIM)
-        assert prob.loss(theta) == 0.0
+        theta = np.zeros((1, QUADRATIC_DIM))
+        assert prob.loss(theta)[0] == 0.0
         assert np.array_equal(prob.grad(theta), theta)
 
     def test_quadratic_closed_form_gradient(self):
         prob = make_problem("quadratic")
-        theta = prob.init_theta(0)
+        theta = prob.init_theta(0)[None]
         g = prob.grad(theta)
         # grad = D theta, so the ratio reveals the fixed spectrum 1..100
         d = g / theta
@@ -49,7 +47,7 @@ class TestProblems:
     def test_gradients_match_finite_differences(self, kind, seed):
         prob = make_problem(kind, seed=seed)
         for probe in range(5):
-            theta = prob.init_theta(100 * seed + probe)
+            theta = prob.init_theta(100 * seed + probe)[None]
             g = prob.grad(theta)
             fd = central_difference_gradient(prob.loss, theta)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-30)
@@ -57,7 +55,7 @@ class TestProblems:
 
     def test_minibatch_gradient_uses_subset(self):
         prob = make_problem("logistic")
-        theta = prob.init_theta(0)
+        theta = prob.init_theta(0)[None]
         full = prob.grad(theta)
         sub = prob.grad(theta, np.arange(32))
         assert not np.allclose(full, sub)
@@ -116,13 +114,14 @@ class TestRunTraining:
     def test_update_norm_bounded_by_recorded_state(self):
         prob = make_problem("logistic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, epsilon=1e-8)
-        theta = prob.init_theta(0)
-        state = MomentState(np.zeros(theta.size), np.zeros(theta.size))
+        cells = CellConfigs([cfg])
+        theta = prob.init_theta(0)[None]
+        state = MomentState(np.zeros_like(theta), np.zeros_like(theta))
         from scale_lab.rng import CounterRng
         batches = CounterRng(0, stream=2)
         for k in range(100):
             idx = batches.integers(0, prob.n_samples, 32)
-            state, upd = adam_step(state, prob.grad(theta, idx), cfg)
+            upd = optimizer_step(state, prob.grad(theta, idx)[None], cells)[0]
             theta = theta - cfg.eta * upd
             m_hat = state.m / (1.0 - cfg.beta1 ** state.k)
             v_hat = state.v / (1.0 - cfg.beta2 ** state.k)
