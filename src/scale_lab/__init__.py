@@ -4,10 +4,11 @@ from .errors import DimensionError, DomainError, FlowAbort
 from .flow import (FlowState, FlowTrace, TimeScales, beta_from_tau, flow_rhs,
                    integrate_flow, predict_first_order, steady_state_exponential_gains,
                    steady_state_init, tau_from_beta)
-from .drift import (DriftProfile, RemainderReport, TrackingCheckResult, drift_bounds,
-                    fit_power_law, measure_remainder, remainder_order_sweep, tracking_check)
-from .invariance import (RescaleProbeResult, SensitivityFit, exact_invariance_probe,
-                         first_order_sensitivity, step_scale_cells, step_scale_grid)
+from .drift import (DriftProfile, RemainderReport, SensitivityFit, TrackingCheckResult,
+                    drift_bounds, first_order_sensitivity, fit_power_law, measure_remainder,
+                    remainder_order_sweep, tracking_check)
+from .invariance import (RescaleProbeResult, exact_invariance_probe, step_scale_cells,
+                         step_scale_grid)
 from .metrics import (OscillationGridReport, binomial_diagonal_test, ema_smooth, grid_report,
                       omega_grids, oscillation_omega1, oscillation_omega2)
 from .optimizers import CellConfigs, MomentState, OptimizerConfig, constant_gradient_closed_form

@@ -22,12 +22,13 @@ length differs from ``--g``'s, a ``--jump`` outside [1, steps - 1],
 ``--seeds`` given together with ``--seed-list`` and a report without
 exactly one of ``--grid`` and ``--ingest`` are usage errors.  An overflow
 in a flow, its remainder report or a step-scale run, a step-scale gradient
-whose square underflows, a flow step too small to grid its interval and a
+whose square underflows, a flow step too small to grid its interval, a
 sweep or report none of whose rows can be scored (each row tied or all
-diverged) are runtime errors.  A ``report`` CSV that is not UTF-8, has a
-field past the csv size limit, a repeated header name, a missing or
-duplicate cell, a seed that is not an integer >= 0, a beta outside (0, 1)
-or an omega below 0 (``-inf`` included) is a parse error naming its line.
+diverged) and a run out of memory are runtime errors.  A ``report`` CSV
+that is not UTF-8, has a field past the csv size limit, a repeated header
+name, a missing or duplicate cell, a seed that is not an integer >= 0, a
+beta outside (0, 1) or an omega below 0 (``-inf`` included) is a parse
+error naming its line.
 """
 
 from __future__ import annotations
@@ -360,6 +361,9 @@ def main(argv=None) -> int:
         return 1
     except (DomainError, DimensionError, CsvParseError, FlowAbort) as exc:
         print(f"scale-lab: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"scale-lab: error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"scale-lab: i/o error: {exc}", file=sys.stderr)

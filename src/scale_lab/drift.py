@@ -12,20 +12,22 @@ the drift and its derivative over the window.  The first-order term of R
 cancels exactly when tau1 = tau2, which is the invariance property under
 test.  This module measures the remainders of those expansions against the
 explicit envelopes that come with them, and checks the scalar tracking
-inequality they are built from on whole time grids.
+inequality they are built from on whole time grids.  Two fits share one flow
+over a ladder of exponential drifts: the first-order sensitivity of ||R||
+(slope 2 when tau1 = tau2, else 1) and the order of the R remainder (2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .flow import (FlowTrace, TimeScales, _relax, _stage_times, integrate_flow,
-                   predict_first_order, steady_state_init)
+from .flow import (FlowTrace, TimeScales, _finite_positive, _relax, _stage_times,
+                   integrate_flow, predict_first_order, steady_state_init)
 from .signals import GradientSignal, exponential_signal
 
 SUP_INFLATION = 1.01      # dense-sampled suprema are inflated by 1%
@@ -158,10 +160,10 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
 
 @lru_cache(maxsize=1)
 def _ladder_flow(ts: TimeScales, rates: tuple[float, ...]) -> FlowTrace:
-    """The lockstep flow of the sorted ``rates``, its arrays read-only because it is cached.
-
-    One entry serves a caller that runs the sensitivity fit and the remainder sweep back to
-    back on one (ts, rates), and a ladder is not held past the next call.
+    """The flow of e^{delta0 t} from the steady init to 1.2 burn-in + 2 tau_max; column k is
+    bit for bit the one-rate flow of ``rates[k]``.  Only the last (ts, rates) is cached, so
+    the two ladder fits share one flow, its arrays read-only.  A ``FlowAbort`` carries the
+    earliest abort time over all rates and is not cached: a repeated call aborts again.
     """
     t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
     ladder = exponential_signal(rates)
@@ -171,20 +173,40 @@ def _ladder_flow(ts: TimeScales, rates: tuple[float, ...]) -> FlowTrace:
     return flow
 
 
-def _exponential_ladder(ts: TimeScales,
-                        rates: Sequence[float]) -> Iterator[tuple[GradientSignal, FlowTrace]]:
-    """Per drift rate, the signal e^{delta0 t} and its flow from the steady init.
+@dataclass(frozen=True)
+class SensitivityFit:
+    """Fitted scale sensitivity of the flow's asymptotic update norm."""
 
-    The sorted rates run as the columns of one flow to 1.2 burn-in + 2 tau_max, each bit for
-    bit its one-rate flow.  The flow is integrated once per (ts, rates) and the last one is
-    kept, so the traces are read-only views of it.  A ``FlowAbort`` carries the earliest abort
-    time over all rates; it is not cached, so a repeated call aborts again at the same time.
+    slope: float            # log-log slope of | ||R|| - 1 | against delta0
+    coefficient: float      # |deviation / delta0| extrapolated to delta0 -> 0
+    delta0_grid: list[float]
+    deviations: list[float]         # | ||R||_inf - 1 | per drift rate
+    signed_deviations: list[float]  # ||R||_inf - 1, sign kept
+
+
+def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float]) -> SensitivityFit:
+    """Fit the asymptotic deviation of ||R|| from 1 across exponential drifts.
+
+    Each drift rate is a column of the ladder flow from the first-order steady
+    initialization until well past burn-in, and its deviation is read off the
+    final sample.  The coefficient uses Richardson extrapolation on the two
+    smallest rates, which must be in ratio 2 as in a doubling grid, so the
+    first-order coefficient |tau2 - tau1| is recovered even though the
+    deviation carries an O(delta0^2) tail.
     """
-    flow = _ladder_flow(ts, tuple(rates))
-    for k, d0 in enumerate(rates):
-        sig = exponential_signal(d0)
-        m, v, r = (a[:, k:k + 1] for a in (flow.m, flow.v, flow.r))
-        yield sig, FlowTrace(flow.t, m, v, r)
+    rates = sorted(float(d) for d in delta0_grid)
+    if len(rates) < 3:
+        raise DomainError(f"sensitivity fit needs at least 3 drift rates, got {len(rates)}")
+    if abs(rates[1] - 2.0 * rates[0]) > 2e-12 * abs(rates[0]):
+        raise DomainError(f"Richardson step needs the two smallest drift rates in ratio 2, "
+                          f"got {rates[0]} and {rates[1]}")
+    signed = (np.abs(_ladder_flow(ts, tuple(rates)).r[-1]) - 1.0).tolist()
+    deviations = [abs(s) for s in signed]
+    slope, _ = fit_power_law(rates, deviations)
+    q0, q1 = signed[0] / rates[0], signed[1] / rates[1]
+    coefficient = abs(2.0 * q0 - q1)
+    return SensitivityFit(slope=slope, coefficient=coefficient, delta0_grid=rates,
+                          deviations=deviations, signed_deviations=signed)
 
 
 def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float]) -> RemainderReport:
@@ -197,8 +219,11 @@ def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float]) -> Remai
     rate aborts, ``FlowAbort.t`` is the earliest abort over all rates.
     """
     rates = sorted(float(d) for d in delta0_grid)
-    reports = [measure_remainder(trace, sig, ts)
-               for sig, trace in _exponential_ladder(ts, rates)]
+    flow = _ladder_flow(ts, tuple(rates))
+    reports = []
+    for k, d0 in enumerate(rates):
+        column = FlowTrace(flow.t, *(a[:, k:k + 1] for a in (flow.m, flow.v, flow.r)))
+        reports.append(measure_remainder(column, exponential_signal(d0), ts))
     slope, _ = fit_power_law([r.profile.lambda_bound for r in reports],
                              [r.channels["R"].max_abs for r in reports])
     report = reports[-1]
@@ -237,8 +262,7 @@ def tracking_check(y: Callable[[np.ndarray], np.ndarray], tau: float, x0: float,
     """
     grid = _sup_grid(interval)
     t0, t1 = interval
-    if tau <= 0.0:
-        raise DomainError("tau must be positive")
+    _finite_positive("tau", tau)
 
     def on(f, t: np.ndarray) -> np.ndarray:
         return np.broadcast_to(f(t), t.shape)

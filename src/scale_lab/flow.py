@@ -27,42 +27,38 @@ from .signals import GradientSignal
 BURN_IN_FACTOR = 10.0  # transients treated as decayed after 10 * max(tau)
 
 
+def _finite_positive(name: str, x: float) -> float:
+    """``x`` unchanged, or a ``DomainError`` naming it unless it is a finite float > 0."""
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"{name} must be finite and strictly positive, got {x}")
+    return x
+
+
 def tau_from_beta(beta: float, dt: float) -> float:
     """Relaxation time tau = -dt / ln(beta) of a discrete EMA coefficient."""
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0,1), got {beta}")
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    return -dt / math.log(beta)
+    return _finite_positive("tau", -_finite_positive("dt", dt) / math.log(beta))
 
 
 def beta_from_tau(tau: float, dt: float) -> float:
-    """Inverse map beta = exp(-dt / tau)."""
-    if tau <= 0.0 or dt <= 0.0:
-        raise DomainError("tau and dt must be positive")
-    return math.exp(-dt / tau)
+    """Inverse map beta = exp(-dt / tau); a beta that rounds to 0 or 1 is a ``DomainError``."""
+    beta = math.exp(-_finite_positive("dt", dt) / _finite_positive("tau", tau))
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta = exp(-dt / tau) rounds to {beta} at tau={tau}, dt={dt}")
+    return beta
 
 
 @dataclass(frozen=True)
 class TimeScales:
-    """Continuous-time parameters of the flow."""
+    """The flow's two relaxation times; ``tau_from_beta`` maps a discrete beta to one."""
 
     tau1: float
     tau2: float
-    dt: float = 1.0
 
     def __post_init__(self):
-        for name in ("tau1", "tau2", "dt"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be strictly positive")
-
-    @property
-    def beta1(self) -> float:
-        return beta_from_tau(self.tau1, self.dt)
-
-    @property
-    def beta2(self) -> float:
-        return beta_from_tau(self.tau2, self.dt)
+        _finite_positive("tau1", self.tau1)
+        _finite_positive("tau2", self.tau2)
 
     @property
     def tau_max(self) -> float:
@@ -71,11 +67,6 @@ class TimeScales:
     @property
     def burn_in(self) -> float:
         return BURN_IN_FACTOR * self.tau_max
-
-    @classmethod
-    def from_betas(cls, beta1: float, beta2: float, dt: float) -> "TimeScales":
-        """Discrete (beta1, beta2) at step dt mapped to flow time scales."""
-        return cls(tau1=tau_from_beta(beta1, dt), tau2=tau_from_beta(beta2, dt), dt=dt)
 
 
 @dataclass(frozen=True)
@@ -125,8 +116,9 @@ def flow_rhs(t: float, y: np.ndarray, g: np.ndarray, ts: TimeScales) -> np.ndarr
 
 def _stage_times(t0: float, t1: float, h: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Grid t_i = t0 + i * h, its (n, 3) RK4 stage times t_i + (0, h/2, h), h rounded to hit t1;
-    a ``DomainError`` if the stage times would outgrow numpy's index type."""
-    n_steps = (t1 - t0) / h
+    a ``DomainError`` unless h is finite and positive or if the stage times would outgrow
+    numpy's index type."""
+    n_steps = (t1 - t0) / _finite_positive("step h", h)
     if not n_steps < np.iinfo(np.intp).max // 24:  # 24 bytes of stage times per step
         raise DomainError(f"h={h:g} splits [{t0:g}, {t1:g}] into {n_steps:g} steps, "
                           f"more than numpy can index")
@@ -224,10 +216,7 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
     """
     if h is None:
         h = min(ts.tau1, ts.tau2) / 50.0
-    if h <= 0.0:
-        raise DomainError(f"step must be positive, got {h}")
-    if t_end <= 0.0:
-        raise DomainError(f"t_end={t_end} must be positive")
+    _finite_positive("t_end", t_end)
     if np.any(init.v <= 0.0):
         raise DomainError("initial v must be strictly positive")
 

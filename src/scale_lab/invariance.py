@@ -1,13 +1,9 @@
 """Operational probes of gradient scale invariance.
 
-Three experiments:
+Two experiments on the discrete optimizer (the flow's sensitivity fit is in ``drift``):
 
 * an instantaneous probe: freeze the optimizer state, rescale the current
   gradient by lambda > 0, and compare the update vectors;
-* a first-order sensitivity fit: drive the flow with exponential drifts and
-  fit how the asymptotic deviation of ||R|| from 1 scales with the drift
-  rate (slope 2 when tau1 = tau2, slope 1 with coefficient |tau2 - tau1|
-  otherwise);
 * a step-rescale experiment: feed a gradient stream, one (steps, d) array
   (a constant gradient times a per-step multiplier, say), and record how
   ||R_k|| excurses and recovers.
@@ -20,9 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .drift import _exponential_ladder, fit_power_law
 from .errors import DomainError
-from .flow import TimeScales
 from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
 
 EXACT_TOL = 1e-12  # relative classification threshold for exact invariance / linearity
@@ -48,19 +42,22 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
     ``method`` is adam, gd (R = g) or signsgd (R = sign(g)); gd and signsgd
     are stateless and need no state or config.  For adam the gradient and its
     rescalings run as the rows of one ``optimizer_step`` from copies of
-    ``state``.  A rescaled gradient, stepped moment or R that is not finite
+    ``state``.  An empty ``lambdas`` or ``g`` is a ``DomainError``: no rescaling is no
+    evidence.  A rescaled gradient, stepped moment or R that is not finite
     (an overflow, or the square root of a negative v) is a ``DomainError``,
     not evidence.  Both checks are relative: a deviation counts as zero when
     it is at most ``EXACT_TOL * max(||R(g)||_inf, ||R(lambda g)||_inf)``.
     """
     lams = [float(l) for l in lambdas]
+    g = np.asarray(g, dtype=float)
+    if not lams or g.size == 0:
+        raise DomainError(f"nothing to probe: {len(lams)} rescalings of {g.size} gradient entries")
     if any(l <= 0.0 for l in lams):
         raise DomainError("rescaling factors must be strictly positive")
     if method not in ("adam", "gd", "signsgd"):
         raise DomainError(f"unknown optimizer id {method!r}")
     if method == "adam" and (state is None or config is None):
         raise DomainError("adam probe needs a frozen state and a config")
-    g = np.asarray(g, dtype=float)
     moments = []
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.stack([g] + [lam * g for lam in lams])
@@ -86,43 +83,6 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
         cls = "other"
     return RescaleProbeResult(method=method, lambda_values=lams,
                               deviations=deviations, classification=cls)
-
-
-@dataclass(frozen=True)
-class SensitivityFit:
-    """Fitted scale sensitivity of the flow's asymptotic update norm."""
-
-    slope: float            # log-log slope of | ||R|| - 1 | against delta0
-    coefficient: float      # |deviation / delta0| extrapolated to delta0 -> 0
-    delta0_grid: list[float]
-    deviations: list[float]         # | ||R||_inf - 1 | per drift rate
-    signed_deviations: list[float]  # ||R||_inf - 1, sign kept
-
-
-def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float]) -> SensitivityFit:
-    """Fit the asymptotic deviation of ||R|| from 1 across exponential drifts.
-
-    Each drift rate is integrated from the first-order steady initialization
-    until well past burn-in, and the deviation is read off the final sample.
-    The coefficient uses Richardson extrapolation on the two smallest rates,
-    which must be in ratio 2 as in a doubling grid, so the first-order
-    coefficient is recovered even though the deviation carries an
-    O(delta0^2) tail.
-    """
-    rates = sorted(float(d) for d in delta0_grid)
-    if len(rates) < 3:
-        raise DomainError(f"sensitivity fit needs at least 3 drift rates, got {len(rates)}")
-    if abs(rates[1] - 2.0 * rates[0]) > 2e-12 * abs(rates[0]):
-        raise DomainError(f"Richardson step needs the two smallest drift rates in ratio 2, "
-                          f"got {rates[0]} and {rates[1]}")
-    signed = [float(np.max(np.abs(trace.r[-1]))) - 1.0
-              for _, trace in _exponential_ladder(ts, rates)]
-    deviations = [abs(s) for s in signed]
-    slope, _ = fit_power_law(rates, deviations)
-    q0, q1 = signed[0] / rates[0], signed[1] / rates[1]
-    coefficient = abs(2.0 * q0 - q1)
-    return SensitivityFit(slope=slope, coefficient=coefficient, delta0_grid=rates,
-                          deviations=deviations, signed_deviations=signed)
 
 
 def step_scale_cells(stream: np.ndarray, configs: Sequence[OptimizerConfig]) -> np.ndarray:

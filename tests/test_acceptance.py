@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from scale_lab import (CellConfigs, FlowState, MomentState, OptimizerConfig, TimeScales,
-                       binomial_diagonal_test, ema_smooth, exact_invariance_probe,
+                       beta_from_tau, binomial_diagonal_test, ema_smooth, exact_invariance_probe,
                        exponential_signal, first_order_sensitivity, grid_report,
                        integrate_flow, make_problem, omega_grids,
                        oscillation_omega1, oscillation_omega2,
@@ -111,12 +111,13 @@ def test_criterion_4_analytic_oracle_agreement():
 
 def test_criterion_5_discrete_continuous_consistency():
     def deviation(dt: float) -> float:
-        ts = TimeScales(1.0, 2.0, dt=dt)
+        ts = TimeScales(1.0, 2.0)
         sig = sinusoidal_log_signal(amplitude=0.05, omega=0.5)
         init = steady_state_init(sig, ts)
         n = round((ts.burn_in + 8.0 * math.pi) / dt)
         flow = integrate_flow(sig, ts, init, t_end=n * dt, h=dt / 8.0)
-        cfg = OptimizerConfig(beta1=ts.beta1, beta2=ts.beta2, eta=dt,
+        cfg = OptimizerConfig(beta1=beta_from_tau(ts.tau1, dt), beta2=beta_from_tau(ts.tau2, dt),
+                              eta=dt,
                               epsilon=0.0, bias_correction=False)
         state = MomentState(m=init.m[None].copy(), v=init.v[None].copy())
         # the whole stream as one (n, 1, 1) block: bit-identical to n one-step calls

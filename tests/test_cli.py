@@ -680,3 +680,17 @@ class TestManifest:
         text = (out / "manifest.txt").read_text().splitlines()
         assert [line for line in text if line.startswith(("observed.", "output."))] == [
             f"observed.{k}={observed[k]}" for k in sorted(observed)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("probe", "--step-scale", "--steps", str(10 ** 15)),
+    ("sweep", "--problem", "mlp", "--steps", str(10 ** 15)),
+], ids=["probe-step-scale", "sweep-mlp"])
+def test_out_of_memory_is_runtime_error(tmp_path, capsys, argv):
+    # the first allocations, 7.1 PiB and 19.2 PiB, exceed any 47-bit address space, so they
+    # fail at once even where memory is overcommitted
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scale-lab: error: out of memory: ") and "Traceback" not in err
+    assert not list(out.glob("*.csv"))

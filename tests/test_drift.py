@@ -218,8 +218,9 @@ class TestSharedLadder:
         assert len(flow_calls) == 2
 
     def test_traces_are_read_only(self):
-        for _, trace in drift._exponential_ladder(self.TS, self.RATES):
-            for a in (trace.t, trace.m, trace.v, trace.r):
+        ladder = drift._ladder_flow(self.TS, tuple(self.RATES))
+        for k in range(len(self.RATES)):
+            for a in (ladder.t, ladder.m[:, k:k + 1], ladder.v[:, k:k + 1], ladder.r[:, k:k + 1]):
                 with pytest.raises(ValueError):
                     a[0] = 0.0
 
@@ -281,6 +282,17 @@ class TestTrackingCheck:
         late = res.t >= 5.0
         assert np.max(np.abs(res.residual[late])) <= 0.25
         assert res.curvature_sup == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("kw, name", [
+        (dict(h=-0.1), "step h"), (dict(h=0.0), "step h"), (dict(h=math.nan), "step h"),
+        (dict(tau=math.inf), "tau"), (dict(tau=math.nan), "tau"),
+    ], ids=["h-negative", "h-zero", "h-nan", "tau-inf", "tau-nan"])
+    def test_step_and_tau_must_be_finite_and_positive(self, kw, name):
+        # a negative h used to grid the interval as one step and report on it
+        args = dict(tau=0.5, x0=0.0, interval=(0.0, 10.0), y_prime=np.cos,
+                    y_second=lambda t: -np.sin(t)) | kw
+        with pytest.raises(DomainError, match=f"^{name} must be finite and strictly positive"):
+            tracking_check(np.sin, **args)
 
     def test_transient_coefficient_formula(self):
         res = tracking_check(lambda t: 2.0 + 0.7 * t, tau=0.5, x0=0.0,

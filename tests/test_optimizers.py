@@ -12,7 +12,7 @@ from scale_lab import (CellConfigs, DimensionError, DomainError, FlowState, Flow
                        remainder_order_sweep, sinusoidal_log_signal, steady_state_init,
                        step_scale_cells, step_scale_grid, sweep_grid, tracking_check,
                        train_cells)
-from scale_lab import (cli, errors, invariance, metrics, optimizers, problems, reporting,
+from scale_lab import (cli, drift, errors, invariance, metrics, optimizers, problems, reporting,
                        signals, training)
 from scale_lab.optimizers import optimizer_step
 
@@ -131,6 +131,7 @@ class TestAdamOnlyEngine:
         lambda: steady_state_init(constant_signal(1.0), TimeScales(1.0, 1.0), t0=0.0),
         lambda: first_order_sensitivity(TimeScales(1.0, 1.0), [0.01, 0.02, 0.04], h=0.01),
         lambda: remainder_order_sweep(TimeScales(1.0, 1.0), [0.01, 0.02, 0.04], h=0.01),
+        lambda: TimeScales(1.0, 1.0, dt=1.0),
         lambda: sweep_grid(make_problem("quadratic"), seeds=(0,), steps=5, epsilon=0.0),
         lambda: SweepResult(traces={}, omegas={}, window=1, metric="omega1"),
         lambda: sweep_grid(make_problem("quadratic"), seeds=(0,), steps=5, metric="omega1"),
@@ -149,6 +150,7 @@ class TestAdamOnlyEngine:
             "GradientSignal-dimension", "GradientSignal-params", "constant_signal-dimension",
             "exponential_signal-dimension", "sinusoidal_log_signal-dimension", "FlowState-t",
             "steady_state_init-t0", "first_order_sensitivity-h", "remainder_order_sweep-h",
+            "TimeScales-dt",
             "sweep_grid-epsilon", "SweepResult-metric", "sweep_grid-metric", "SweepResult-report",
             "Problem-dim_theta", "Problem-meta", "OscillationGridReport-omega",
             "OscillationGridReport-degenerate_rows", "write_svg_lines-width",
@@ -169,6 +171,7 @@ class TestAdamOnlyEngine:
             return [f.name for f in dataclasses.fields(cls)]
         assert names(GradientSignal) == ["g", "delta_analytic", "delta_prime_analytic"]
         assert names(FlowState) == ["m", "v", "clamped"]
+        assert names(TimeScales) == ["tau1", "tau2"]
         assert names(Problem) == list(PROBLEM)
         assert names(SweepResult) == ["traces", "omegas", "window"]
         assert names(OscillationGridReport) == list(REPORT)
@@ -190,6 +193,17 @@ class TestAdamOnlyEngine:
         assert not hasattr(scale_lab, "adam_step") and not hasattr(optimizers, "adam_step")
         assert not hasattr(problems, "_stacked")
         assert not hasattr(CellConfigs([OptimizerConfig(epsilon=0.0)]), "exact_rows")
+
+    def test_each_flow_concept_has_one_home(self):
+        # both ladder fits live in drift next to the ladder flow they share, and the
+        # beta <-> tau map is tau_from_beta / beta_from_tau alone
+        assert drift.first_order_sensitivity is scale_lab.first_order_sensitivity
+        assert drift.SensitivityFit is scale_lab.SensitivityFit
+        for module, name in [(invariance, "first_order_sensitivity"),
+                             (invariance, "SensitivityFit"), (drift, "_exponential_ladder"),
+                             (TimeScales, "from_betas"), (TimeScales, "beta1"),
+                             (TimeScales, "beta2")]:
+            assert not hasattr(module, name), (module.__name__, name)
 
     def test_second_scoring_surface_is_gone(self):
         # grid_report is the one path from cell scores to K, N and p: pooling is one call on

@@ -26,7 +26,7 @@ from scale_lab import (CellConfigs, FlowState, FlowTrace, GradientSignal, Moment
 from scale_lab import reporting
 from scale_lab.optimizers import optimizer_step
 from scale_lab.cli import build_parser, main
-from scale_lab.drift import _exponential_ladder
+from scale_lab.drift import _ladder_flow
 from scale_lab.errors import DomainError, FlowAbort
 from scale_lab.flow import _abort_if_invalid, flow_rhs
 from scale_lab.problems import MLP_HIDDEN, QUADRATIC_DIM, _make_blobs
@@ -73,11 +73,13 @@ def test_array_evaluation_equals_stacked_scalar_evaluations(kind, flat, wide):
 def test_ladder_columns_equal_one_rate_flows(taus, rates):
     ts = TimeScales(*taus)
     t_end = 1.2 * ts.burn_in + 2.0 * ts.tau_max
-    for d0, (sig, col) in zip(rates, _exponential_ladder(ts, rates)):
-        assert np.array_equal(sig.delta(0.0), [d0])
+    ladder = _ladder_flow(ts, tuple(rates))
+    for k, d0 in enumerate(rates):
+        sig = exponential_signal(d0)
         one = integrate_flow(sig, ts, steady_state_init(sig, ts), t_end=t_end)
-        for name in ("t", "m", "v", "r"):
-            assert np.array_equal(getattr(col, name), getattr(one, name)), name
+        assert np.array_equal(ladder.t, one.t)
+        for name in ("m", "v", "r"):
+            assert np.array_equal(getattr(ladder, name)[:, k:k + 1], getattr(one, name)), name
 
 
 omega_cells = st.one_of(st.floats(min_value=0.0, max_value=10.0),
