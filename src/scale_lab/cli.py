@@ -49,7 +49,7 @@ from .optimizers import MomentState, OptimizerConfig
 from .problems import make_problem
 from .reporting import (CsvParseError, RunManifest, flow_trace_csv, probe_csv,
                         read_omega_grids, read_omega_matrix, run_trace_csv, summary_csv,
-                        sweep_grid_csv, write_csv, write_svg_lines)
+                        sweep_grid_csv, write_csv, write_csvs, write_svg_lines)
 from .signals import constant_signal, exponential_signal, sinusoidal_log_signal, step_multipliers
 from .training import sweep_grid
 from .drift import measure_remainder
@@ -181,9 +181,9 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
         with np.errstate(over="ignore"):  # step_scale_grid reports an overflowed entry
             cells = sorted(step_scale_grid(mults[:, None] * args.base, betas).items())
         steps = np.arange(args.steps)
-        for (b1, b2), norms in cells:
-            files.append(write_csv(out / f"stepscale_{b1}_{b2}.csv",
-                                   ["step", "multiplier", "norm_R"], [steps, mults, norms]))
+        files += write_csvs([out / f"stepscale_{b1}_{b2}.csv" for (b1, b2), _ in cells],
+                            ["step", "multiplier", "norm_R"], [steps, mults],
+                            [[norms] for _, norms in cells])
         files.append(write_csv(out / "stepscale_summary.csv",
                                ["beta1", "beta2", "transient_integral"],
                                [[b1 for (b1, _), _ in cells], [b2 for (_, b2), _ in cells],

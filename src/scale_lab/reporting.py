@@ -1,6 +1,6 @@
 """CSV emission, run manifests, and minimal SVG line charts.
 
-Every CSV goes through one writer, ``write_csv``, and has one byte
+Every CSV goes through one writer, ``write_csvs``, and has one byte
 contract: a header line, then one line per row, every line ending in
 ``\r\n``; fields separated by commas with no quoting; a float (Python or
 numpy) written as the ``repr`` of the Python float, which is the shortest
@@ -9,9 +9,14 @@ integer in decimal; any other value as its ``str``.  A field that would
 need quoting (one holding a comma, a double quote or a line break, or the
 empty field of a one-column row) is a ``DomainError``; no CLI output has
 one.  So any CSV reader parses the files, and rerunning a deterministic
-command reproduces them byte for byte.  Each CLI run writes a manifest
-(flat key=value text plus a JSON mirror) tying every output file to a
-SHA-256 hash.
+command reproduces them byte for byte.  Tables that share their leading
+columns (the step-scale probe's ``step`` and ``multiplier``) are written in
+one call: per block of ``_BLOCK_ROWS`` rows each shared column is
+formatted once and each table appends its own columns.  At most
+``_OPEN_FILES`` (64) files are open at once, so a larger family is written
+in groups of 64.  ``write_csv`` is the one-table case.  Each CLI run writes
+a manifest (flat key=value text plus a JSON mirror) tying every output
+file to a SHA-256 hash.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import io
 import json
 import re
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -88,23 +94,55 @@ def _is_flat(column) -> bool:
     return not any(np.ndim(x) for x in column if not isinstance(x, str))
 
 
+# Files one ``write_csvs`` call holds open at once, so a large beta grid cannot run out
+# of file descriptors; a larger family is written in groups, each formatting the shared
+# columns again.
+_OPEN_FILES = 64
+
+
+def write_csvs(paths: Sequence[Path], header: Sequence[str], shared: Sequence,
+               tables: Sequence[Sequence]) -> list[Path]:
+    """Write one CSV per path under one ``header``: the ``shared`` columns, then that path's
+    own columns of ``tables`` (1-D numpy arrays or sequences, all of one length).  Per block
+    of ``_BLOCK_ROWS`` rows each shared column is formatted once for up to ``_OPEN_FILES``
+    files; the byte contract is in the module docstring."""
+    def flat_columns(columns):
+        return [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+
+    paths = [Path(p) for p in paths]
+    shared = flat_columns(shared)
+    tables = [flat_columns(t) for t in tables]
+    if len(tables) != len(paths):
+        raise DomainError(f"one table per path: got {len(tables)} tables for {len(paths)} paths")
+    every = [*shared, *(c for table in tables for c in table)]
+    n_rows = len(every[0]) if every else 0
+    for table in tables:
+        columns = shared + table
+        if len(columns) != len(header) or any(len(c) != n_rows or not _is_flat(c) for c in columns):
+            raise DomainError(f"a CSV table needs one 1-D column per header name {list(header)}, "
+                              f"all of one length; got lengths {[len(c) for c in columns]}")
+    lone = len(header) == 1
+    head = ",".join(_checked([str(name) for name in header], lone)) + "\r\n"
+    for group in range(0, len(paths), _OPEN_FILES):
+        with ExitStack() as stack:
+            handles = []
+            for path in paths[group:group + _OPEN_FILES]:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                handles.append(stack.enter_context(path.open("w", newline="")))
+                handles[-1].write(head)
+            for start in range(0, n_rows, _BLOCK_ROWS):
+                rows = slice(start, start + _BLOCK_ROWS)
+                lead = [_format_block(c[rows], lone) for c in shared]
+                lead = [list(map(",".join, zip(*lead)))] if lead else []
+                for fh, table in zip(handles, tables[group:group + _OPEN_FILES]):
+                    fields = [_format_block(c[rows], lone) for c in table]
+                    fh.write("\r\n".join(map(",".join, zip(*lead, *fields))) + "\r\n")
+    return paths
+
+
 def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> Path:
-    """Write ``columns`` (1-D numpy arrays or sequences) under ``header``, ``_BLOCK_ROWS``
-    rows at a time; the byte contract is in the module docstring."""
-    path = Path(path)
-    columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
-    n_rows = len(columns[0]) if columns else 0
-    if len(columns) != len(header) or any(len(c) != n_rows or not _is_flat(c) for c in columns):
-        raise DomainError(f"a CSV table needs one 1-D column per header name {list(header)}, "
-                          f"all of one length; got lengths {[len(c) for c in columns]}")
-    lone = len(columns) == 1
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(_checked([str(name) for name in header], lone)) + "\r\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            fields = [_format_block(c[start:start + _BLOCK_ROWS], lone) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
-    return path
+    """Write ``columns`` under ``header``: ``write_csvs`` with one table and no shared columns."""
+    return write_csvs([path], header, [], [columns])[0]
 
 
 class CsvColumns(dict):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scale_lab import __version__
+from scale_lab import __version__, cli, reporting
 from scale_lab.cli import build_parser, main
 from scale_lab.reporting import read_csv_columns
 
@@ -320,6 +320,34 @@ class TestProbeCommand:
         cell = read_csv_columns(out / "stepscale_0.9_0.9.csv")
         assert float(cell["multiplier"][0]) == 1.0
         assert float(cell["multiplier"][-1]) == 10.0
+
+    def test_step_scale_cells_beyond_the_open_file_bound(self, tmp_path, monkeypatch):
+        # 25 cell files written two at a time read byte for byte as one write_csv per cell
+        argv = ("probe", "--step-scale", "--steps", "3000", "--jump", "1100",
+                "--beta-grid", "0.5,0.8,0.9,0.95,0.99")
+        monkeypatch.setattr(reporting, "_OPEN_FILES", 2)
+        open_at_once, real_open = [], Path.open
+        handles = []
+
+        def tracked_open(self, *args, **kwargs):
+            open_at_once.append(1 + sum(not fh.closed for fh in handles))
+            handles.append(real_open(self, *args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(Path, "open", tracked_open)
+        assert run(*argv, "--out", str(tmp_path / "grouped")) == 0
+        assert max(open_at_once) == 2
+
+        def one_call_per_cell(paths, header, shared, tables):
+            return [reporting.write_csv(p, header, [*shared, *t]) for p, t in zip(paths, tables)]
+
+        monkeypatch.setattr(cli, "write_csvs", one_call_per_cell)
+        assert run(*argv, "--out", str(tmp_path / "per_cell")) == 0
+        names = sorted(p.name for p in (tmp_path / "grouped").glob("*.csv"))
+        assert len(names) == 26
+        for name in names:
+            assert ((tmp_path / "grouped" / name).read_bytes()
+                    == (tmp_path / "per_cell" / name).read_bytes())
 
 
 class TestSweepAndReport:
