@@ -326,8 +326,7 @@ class TestProbeCommand:
         argv = ("probe", "--step-scale", "--steps", "3000", "--jump", "1100",
                 "--beta-grid", "0.5,0.8,0.9,0.95,0.99")
         monkeypatch.setattr(reporting, "_OPEN_FILES", 2)
-        open_at_once, real_open = [], Path.open
-        handles = []
+        real_open, handles, open_at_once = Path.open, [], []
 
         def tracked_open(self, *args, **kwargs):
             open_at_once.append(1 + sum(not fh.closed for fh in handles))

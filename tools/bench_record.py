@@ -77,18 +77,19 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
 
 
 def main() -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--pairs", default="stepscale=10,sweep=5,flow=5")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float,
-                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
+    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     args = parser.parse_args()
     plan = {w: int(n) for w, n in (item.split("=") for item in args.pairs.split(","))}
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    if min(plan.values()) < 2:
+        parser.error("quartiles need at least 2 pairs per workload")
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         sides = {side: Path(tmp) / side for side in ("parent", "change")}
