@@ -3,17 +3,19 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_record.py --parent REF --change REF --out BENCH_<n>.json \
-        [--pairs stepscale=10,sweep=5,flow=5] [--seed N] [--seconds S]
+        [--pairs stepscale=10,sweep=5,flow=5] [--seed N]
 
 Both commits are exported with ``git archive`` into fresh directories, and
-each runs its own unedited ``bench/run.py --trace 0``.  For every workload,
-pair i runs the parent first when i is even and the change first when it is
-odd, so drift of the host's speed falls on both sides alike.  The record
+each runs its own unedited ``bench/run.py --trace 0`` for ``BENCHMARK.json``'s
+``run_seconds``.  For every workload, pair i runs the parent first when i is
+even and the change first when it is odd, so drift of the host's speed falls
+on both sides alike.  The record
 holds every run's detail and result lines as ``bench/run.py`` printed them,
 the per-metric medians and quartiles of each side, how many pairs the change
 won (a tie counts for neither side), the environment line, and both sides'
-``src/`` line counts.  A run whose result is not ``correct``, or a pair whose
-output digests differ, ends the recording with exit status 1.
+``src/`` line counts as their ``bench/run.py`` reports them.  A run that exits
+nonzero or whose result is not ``correct``, or a pair whose output digests
+differ, ends the recording with exit status 1.
 """
 
 from __future__ import annotations
@@ -42,14 +44,12 @@ def _export(ref: str, into: Path) -> str:
     return sha
 
 
-def _src_loc(checkout: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted((checkout / "src").rglob("*.py")))
-
-
 def _bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", repr(seconds)],
-                          cwd=checkout, check=True, capture_output=True, text=True)
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_record: {checkout.name} {workload}: {proc.stderr.strip()}")
     detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     if result.get("correct") is not True:
         raise SystemExit(f"bench_record: {checkout.name} {workload} run failed its checks: {result}")
@@ -84,34 +84,33 @@ def main() -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--pairs", default="stepscale=10,sweep=5,flow=5")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     args = parser.parse_args()
     plan = {w: int(n) for w, n in (item.split("=") for item in args.pairs.split(","))}
     if min(plan.values()) < 2:
         parser.error("quartiles need at least 2 pairs per workload")
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         sides = {side: Path(tmp) / side for side in ("parent", "change")}
         shas = {side: _export(getattr(args, side), path) for side, path in sides.items()}
-        record = {"parent": {"ref": args.parent, "sha": shas["parent"],
-                             "src_loc": _src_loc(sides["parent"])},
-                  "change": {"ref": args.change, "sha": shas["change"],
-                             "src_loc": _src_loc(sides["change"])},
-                  "seed": args.seed, "seconds": args.seconds, "workloads": {}}
+        record = {side: {"ref": getattr(args, side), "sha": sha} for side, sha in shas.items()}
+        record.update(seed=args.seed, seconds=seconds, workloads={})
         for workload, n_pairs in plan.items():
             pairs = []
             for i in range(n_pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = _bench(sides[side], workload, args.seed, args.seconds)
+                    pair[side] = _bench(sides[side], workload, args.seed, seconds)
                     print(f"{workload} pair {i} {side}: "
                           f"{json.dumps(pair[side]['result']['metrics'])}", file=sys.stderr)
                 if pair["parent"]["detail"]["digest"] != pair["change"]["detail"]["digest"]:
                     raise SystemExit(f"bench_record: {workload} pair {i}: outputs differ")
                 pairs.append(pair)
             record["workloads"][workload] = {"summary": _summary(pairs, better), "pairs": pairs}
+        for side in sides:
+            record[side]["src_loc"] = pairs[0][side]["detail"]["environment"]["src_loc"]
         record["environment"] = pairs[0]["change"]["detail"]["environment"]
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
