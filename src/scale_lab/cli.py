@@ -14,21 +14,21 @@ Four subcommands:
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
 infinite float flag or list item, an empty list, a negative, fractional,
 repeated or 2**64-or-larger seed, a repeated beta, a count below 1, a
-``sweep --steps`` below 3 (omega2 needs 3 samples), a time scale, step
-size, learning rate or step-scale multiplier that is not positive, a zero
-step-scale base, a beta outside (0, 1), a negative
-``--epsilon`` or ``--v`` item, an adam probe's ``--m`` or ``--v`` whose
-length differs from ``--g``'s, a ``--jump`` outside [1, steps - 1],
-``--seeds`` given together with ``--seed-list`` and a report without
-exactly one of ``--grid`` and ``--ingest`` are usage errors.  An overflow
-in a flow, its remainder report or a step-scale run, a step-scale gradient
-whose square underflows, a flow step too small to grid its interval, a
-sweep or report none of whose rows can be scored (each row tied or all
-diverged) and a run out of memory are runtime errors.  A ``report`` CSV
-that is not UTF-8, has a field past the csv size limit, a repeated header
-name, a missing or duplicate cell, a seed that is not an integer >= 0, a
-beta outside (0, 1) or an omega below 0 (``-inf`` included) is a parse
-error naming its line.
+``sweep --steps`` below 3 (omega2 needs 3 samples), a time scale, step size,
+learning rate or step-scale multiplier that is not positive, a zero
+step-scale base, a beta outside (0, 1), a negative ``--epsilon`` or ``--v``
+item, an adam probe's ``--m`` or ``--v`` whose length differs from
+``--g``'s, a ``--jump`` outside [1, steps - 1], ``--seeds`` given together
+with ``--seed-list`` and a report without exactly one of ``--grid`` and
+``--ingest`` are usage errors.  An overflow in a flow or its remainder
+report, a step-scale gradient entry that is not finite, at least 2**511 or
+below 2**-511 (checked up front and named by its step), a flow step too
+small to grid its interval, a sweep or report none of whose rows can be
+scored (each row tied or all diverged) and a run out of memory are runtime
+errors.  A ``report`` CSV that is not UTF-8, has a field past the csv size
+limit, a repeated header name, a missing or duplicate cell, a seed that is
+not an integer >= 0, a beta outside (0, 1) or an omega below 0 (``-inf``
+included) is a parse error naming its line.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .metrics import grid_report, omega_grids
 from .optimizers import MomentState, OptimizerConfig
 from .problems import make_problem
 from .reporting import (CsvParseError, RunManifest, flow_trace_csv, probe_csv,
-                        read_omega_grids, read_omega_matrix, run_trace_csv, summary_csv,
+                        read_omega_grids, read_omega_matrix, run_trace_csvs, summary_csv,
                         sweep_grid_csv, write_csv, write_csvs, write_svg_lines)
 from .signals import constant_signal, exponential_signal, sinusoidal_log_signal, step_multipliers
 from .training import sweep_grid
@@ -238,9 +238,8 @@ def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
         manifest.write(out)
         raise
 
-    files = []
-    for (b1, b2, seed), trace in sorted(result.traces.items()):
-        files.append(run_trace_csv(trace, out / "cells" / f"trace_{b1}_{b2}_s{seed}.csv"))
+    files = run_trace_csvs({out / "cells" / f"trace_{b1}_{b2}_s{seed}.csv": trace
+                            for (b1, b2, seed), trace in sorted(result.traces.items())})
     files.append(sweep_grid_csv(result, out / "grid.csv"))
     files.append(summary_csv(rep, out / "summary.csv"))
     if args.plot:

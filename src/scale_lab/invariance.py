@@ -21,7 +21,6 @@ from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_ste
 
 EXACT_TOL = 1e-12  # relative classification threshold for exact invariance / linearity
 STEP_BLOCK = 1024  # stream steps per optimizer-kernel call; blocks bound the memory of a long run
-_NORMAL_SQUARE_FLOOR = 2.0 ** -511  # the smallest |g| whose g * g is still a normal float
 
 
 @dataclass(frozen=True)
@@ -94,29 +93,30 @@ def step_scale_cells(stream: np.ndarray, configs: Sequence[OptimizerConfig]) -> 
     norms of ``configs[i]``, is bit-identical to the cell run alone.  The moments start at
     the fixed point of the first gradient (m = g0, v = g0^2), so a constant stream's norm
     sits exactly at its steady value.  A stream that is not a non-empty 2-D array is a
-    ``DomainError``; so is a block whose moments are not finite (a NaN or inf entry, an
-    overflowed g * g) and a nonzero entry below 2**-511, whose square underflows to a
-    subnormal or zero second moment.
+    ``DomainError``; so is, up front and named by its step, an entry that is not finite or
+    at least 2**511 and a nonzero one below 2**-511, whose square underflows to a subnormal
+    or zero.  In between, m and v are convex combinations of finite values below 2**1022.
     """
     stream = np.asarray(stream, dtype=float)
     if stream.ndim != 2 or stream.size == 0:
         raise DomainError(f"a gradient stream must be a non-empty (steps, d) array, "
                           f"got shape {stream.shape}")
-    smallest = np.abs(stream[stream != 0.0]).min(initial=np.inf)
-    if smallest < _NORMAL_SQUARE_FLOOR:
-        raise DomainError(f"a fed gradient entry |g| = {float(smallest)!r} is below 2**-511: "
-                          f"its square underflows past the normal floats")
+    size = np.abs(stream)
+    for outside, why in [(~(size < 2.0 ** 511), "is not finite or at least 2**511"),  # NaN too
+                         ((size > 0.0) & (size < 2.0 ** -511), "is below 2**-511: g * g underflows")]:
+        if outside.any():
+            step, i = np.argwhere(outside)[0]
+            raise DomainError(f"a fed gradient entry at step {step}, coordinate {i}: "
+                              f"|g| = {float(size[step, i])!r} {why}")
     cells = CellConfigs(configs)
     shape = (len(cells), stream.shape[1])
     norm_r = np.empty((len(stream), len(cells)))
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments raise below
+    with np.errstate(over="ignore"):  # m and v stay finite; a corrected v or an R may not
         m = np.repeat(stream[:1], len(cells), axis=0)
         state = MomentState(m=m, v=m * m)
         for k in range(0, len(stream), STEP_BLOCK):
             block = stream[k:k + STEP_BLOCK, None]
             r = optimizer_step(state, np.broadcast_to(block, (len(block),) + shape), cells)
-            if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
-                raise DomainError(f"a step-scale moment is not finite by step {k + len(block)}")
             norm_r[k:k + len(block)] = row_norms(r)
     return norm_r
 

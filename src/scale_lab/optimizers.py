@@ -14,10 +14,12 @@ ones otherwise.  The kernel steps the moments and returns R, which is all the
 scale-sensitivity analysis reads; ``train_cells`` alone takes the parameter
 step ``theta' = theta - eta * R``.
 
-``optimizer_step`` is the one kernel entry: it steps C cells stacked as
-(C, d) rows (``CellConfigs``, one epsilon and bias correction for all) in
-place over a block of T gradients, each row and step bit-identical to that
-cell stepped alone, one step at a time.
+``optimizer_step`` is the one kernel entry: it steps C cells stacked as (C, d)
+rows (``CellConfigs``, one epsilon and bias correction for all) in place over
+a block of T gradients, each row and step bit-identical to that cell stepped
+alone, one step at a time.  A steady block, whose T > 1 gradients share the
+float64 bits of the first (0.0 and -0.0 differ) and whose step 0 leaves m and
+v bit-identical, is filled with step 0's moments: later steps repeat its bits.
 """
 
 from __future__ import annotations
@@ -102,6 +104,13 @@ class CellConfigs:
         return table[:, self._slots, None]
 
 
+def _repeats_step_zero(grads: np.ndarray, moments: np.ndarray, state: MomentState) -> bool:
+    """Whether all ``grads`` have the bits of the first and step 0's ``moments`` the state's."""
+    g, mv, m, v = (np.asarray(a, dtype=float).view(np.int64)
+                   for a in (grads, moments, state.m, state.v))
+    return bool((g[1:] == g[0]).all()) and np.array_equal(mv, np.stack((m, v)))
+
+
 def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) -> np.ndarray:
     """Adam-step the (C, d) cells of ``state`` in place over T gradients ``grads`` (T, C, d).
 
@@ -111,7 +120,8 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
     each later step in two calls for both moments; the increments, bias
     corrections, ``epsilon = 0`` check and R are computed for the whole block
     in the same operation order, in one (T, 2, C, d) buffer that R is a view
-    of.  A ``DomainError`` changes no state.
+    of.  A steady block (module docstring) is filled, not stepped.  A
+    ``DomainError`` changes no state.
     """
     if grads.shape[1:] != state.m.shape or state.m.shape[:-1] != (len(cells),):
         raise DimensionError(f"gradient block {grads.shape} does not fit the state "
@@ -122,9 +132,12 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
     # m = b1 * m + keep1 * g,  v = b2 * v + keep2 * g * g
     for plane, beta, moment in zip(mv[0], cells.betas, (state.m, state.v)):
         plane += beta * moment
-    decayed = np.empty(mv.shape[1:]) if len(mv) > 1 else None
-    for prev, moments in zip(mv[:-1], mv[1:]):
-        np.add(np.multiply(cells.betas, prev, out=decayed), moments, out=moments)
+    if len(mv) > 1 and _repeats_step_zero(grads, mv[0], state):
+        mv[1:] = mv[0]
+    elif len(mv) > 1:
+        decayed = np.empty(mv.shape[1:])
+        for prev, moments in zip(mv[:-1], mv[1:]):
+            np.add(np.multiply(cells.betas, prev, out=decayed), moments, out=moments)
 
     # with epsilon = 0, v == 0 exactly where sqrt(v_hat) + epsilon == 0: 1 - b ** j
     # lies in (0, 1], so the bias correction never makes a nonzero v zero

@@ -45,9 +45,7 @@ class Problem:
     returns C losses and a (C, d) gradient whose row i is bit-identical to
     the call on ``thetas[i:i + 1]`` (and ``idx[i]``) alone, because each row
     runs the same BLAS calls and reductions as a single theta.  The loss is
-    finite at every finite theta with ``max|theta| < loss_finite_below``.  The
-    mlp reuses a hidden-layer buffer between calls, so one problem must not be
-    evaluated from two threads at once.
+    finite at every finite theta with ``max|theta| < loss_finite_below``.
     """
 
     kind: str
@@ -151,8 +149,6 @@ def _mlp(seed: int) -> Problem:
     sizes = [d * h, h, h * c, c]
     label_one = y == 1  # labels are 0 or 1
     one_hot = np.eye(c)[y]  # row i is 1.0 at sample i's class, 0.0 at the other
-    # hidden-layer buffers, one per sample count, reused while the row count stays
-    workspace: dict[int, np.ndarray] = {}
 
     def _unpack(thetas: np.ndarray):
         rows = thetas.shape[0]
@@ -168,11 +164,7 @@ def _mlp(seed: int) -> Problem:
     def _forward(thetas: np.ndarray, xs: np.ndarray):
         """Hidden layer, max-shifted logits and their log-partition per sample."""
         w1, b1, w2, b2 = _unpack(thetas)
-        shape = (thetas.shape[0], xs.shape[-2], h)
-        hidden = workspace.get(shape[1])
-        if hidden is None or hidden.shape != shape:
-            hidden = workspace[shape[1]] = np.empty(shape)
-        np.matmul(xs, w1, out=hidden)
+        hidden = np.matmul(xs, w1)
         hidden += b1[:, None, :]
         np.tanh(hidden, out=hidden)
         shifted = np.matmul(hidden, w2)
@@ -204,7 +196,7 @@ def _mlp(seed: int) -> Problem:
         dw1, db1, dw2, db2 = _unpack(g)  # views: the backprop writes straight into g
         np.matmul(hidden.transpose(0, 2, 1), dlogits, out=dw2)
         db2[...] = _sample_sums(dlogits)
-        slope = np.multiply(hidden, hidden, out=hidden)  # the buffer is read no more
+        slope = np.multiply(hidden, hidden, out=hidden)  # hidden is read no more
         dhidden = np.matmul(dlogits, w2t)
         dhidden *= np.subtract(1.0, slope, out=slope)  # tanh' = 1 - tanh**2
         np.matmul(np.swapaxes(xs, -1, -2), dhidden, out=dw1)

@@ -9,10 +9,11 @@ integer in decimal; any other value as its ``str``.  A field that would
 need quoting (one holding a comma, a double quote or a line break, or the
 empty field of a one-column row) is a ``DomainError``; no CLI output has
 one.  So any CSV reader parses the files, and rerunning a deterministic
-command reproduces them byte for byte.  Tables that share their leading
-columns (the step-scale probe's ``step`` and ``multiplier``) are written in
-one call: per block of ``_BLOCK_ROWS`` rows each shared column is
-formatted once and each table appends its own columns.  At most
+command reproduces them byte for byte.  Each block of ``_BLOCK_ROWS`` rows
+is one flat list of fields and separators, written with one join.  Tables
+that share their leading columns (the step-scale probe's ``step`` and
+``multiplier``, a sweep's ``step``) are written in one call: per block each
+shared column is formatted once and each table fills in its own.  At most
 ``_OPEN_FILES`` (64) files are open at once, so a larger family is written
 in groups of 64.  ``write_csv`` is the one-table case.  Each CLI run writes
 a manifest (flat key=value text plus a JSON mirror) tying every output
@@ -123,6 +124,7 @@ def write_csvs(paths: Sequence[Path], header: Sequence[str], shared: Sequence,
                               f"all of one length; got lengths {[len(c) for c in columns]}")
     lone = len(header) == 1
     head = ",".join(_checked([str(name) for name in header], lone)) + "\r\n"
+    row = [","] * (2 * len(header) - 1) + ["\r\n"]  # a row's field j goes to 2 * j
     for group in range(0, len(paths), _OPEN_FILES):
         with ExitStack() as stack:
             handles = []
@@ -132,11 +134,13 @@ def write_csvs(paths: Sequence[Path], header: Sequence[str], shared: Sequence,
                 handles[-1].write(head)
             for start in range(0, n_rows, _BLOCK_ROWS):
                 rows = slice(start, start + _BLOCK_ROWS)
-                lead = [_format_block(c[rows], lone) for c in shared]
-                lead = [list(map(",".join, zip(*lead)))] if lead else []
+                flat = row * min(_BLOCK_ROWS, n_rows - start)
+                for j, column in enumerate(shared):
+                    flat[2 * j::len(row)] = _format_block(column[rows], lone)
                 for fh, table in zip(handles, tables[group:group + _OPEN_FILES]):
-                    fields = [_format_block(c[rows], lone) for c in table]
-                    fh.write("\r\n".join(map(",".join, zip(*lead, *fields))) + "\r\n")
+                    for j, column in enumerate(table, len(shared)):
+                        flat[2 * j::len(row)] = _format_block(column[rows], lone)
+                    fh.write("".join(flat))
     return paths
 
 
@@ -225,12 +229,17 @@ def flow_trace_csv(trace: FlowTrace, path: Path) -> Path:
     return write_csv(path, header, [trace.t, *trace.m.T, *trace.v.T, *trace.r.T, trace.norm_r])
 
 
-def run_trace_csv(trace: RunTrace, path: Path) -> Path:
-    """One row per step; the ``loss`` field is empty except on every LOSS_EVERY-th step."""
-    loss = [""] * trace.norm_r.size
-    loss[::LOSS_EVERY] = _format_floats(trace.loss)
-    return write_csv(path, ["step", "loss", "norm_R"],
-                     [np.arange(trace.norm_r.size), loss, trace.norm_r])
+def run_trace_csvs(traces: dict[Path, RunTrace]) -> list[Path]:
+    """One row per step, the ``loss`` field empty off every LOSS_EVERY-th step; traces of one
+    length (a diverged one stops early) share their ``step`` column in one ``write_csvs`` call."""
+    by_length: dict[int, dict[Path, list]] = {}
+    for path, trace in traces.items():
+        loss = [""] * trace.norm_r.size
+        loss[::LOSS_EVERY] = _format_floats(trace.loss)
+        by_length.setdefault(trace.norm_r.size, {})[path] = [loss, trace.norm_r]
+    for n, group in by_length.items():
+        write_csvs(list(group), ["step", "loss", "norm_R"], [np.arange(n)], list(group.values()))
+    return list(traces)
 
 
 def probe_csv(result: RescaleProbeResult, path: Path) -> Path:

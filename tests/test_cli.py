@@ -299,6 +299,15 @@ class TestProbeCommand:
         assert "not finite" in err and "Warning" not in err
         assert not (out / "probe.csv").exists()
 
+    def test_overflowing_step_scale_gradient_is_named_by_its_step(self, tmp_path, capsys):
+        # g * g of 1e160 overflows from step 0 on, not first at the end of a 1024-step block
+        out = tmp_path / "p"
+        assert run("probe", "--step-scale", "--base", "1e160", "--steps", "2000",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "at step 0, coordinate 0: |g| = 1e+160 is not finite or at least 2**511" in err
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("base", ["1e-160", "1e-200"])
     def test_underflowed_step_scale_gradient_is_runtime_error(self, tmp_path, capsys, base):
         # g * g is subnormal at 1e-160 (a pre-jump norm_R of 1.0000055664551362, not 1.0)

@@ -345,9 +345,12 @@ class TestStepScaleCells:
     @pytest.mark.parametrize("stream,error", [
         (np.empty((0, 1)), "non-empty"), (np.array([]), "non-empty"),
         (np.array([1.0, 2.0]), "non-empty"), (np.ones((2, 2, 1)), "non-empty"),
-        (np.array([[1.0], [np.nan]]), "not finite by step 2"),
-        (np.array([[1.0, 2.0], [3.0, -np.inf]]), "not finite by step 2"),
-    ], ids=["empty", "empty-1-d", "1-d", "3-d", "nan", "inf"])
+        (np.array([[1.0], [np.nan]]), r"step 1, coordinate 0: \|g\| = nan is not finite"),
+        (np.array([[1.0, 2.0], [3.0, -np.inf]]),
+         r"step 1, coordinate 1: \|g\| = inf is not finite"),
+        (np.array([[1.0, -2.0 ** 511]]),
+         r"step 0, coordinate 1: \|g\| = 6\.7\d*e\+153 is not finite or at least 2\*\*511"),
+    ], ids=["empty", "empty-1-d", "1-d", "3-d", "nan", "inf", "2**511"])
     def test_stream_must_be_a_nonempty_2d_array_of_finite_gradients(self, stream, error):
         # zero and negative multipliers are rejected where multipliers are built:
         # step_multipliers and the CLI's --multiplier flag

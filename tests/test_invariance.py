@@ -194,6 +194,23 @@ class TestStepScaleExperiment:
         assert np.array_equal(step_scale_cells(np.full((5, 1), 2.0 ** -511), [cfg]),
                               np.ones((5, 1)))
 
+    @pytest.mark.parametrize("bias_correction", [True, False], ids=["corrected", "raw"])
+    def test_largest_fed_gradient_keeps_every_moment_finite(self, bias_correction):
+        # just below 2**511 the raw norms stay finite (a corrected v_hat may overflow, so R is
+        # 0 there); at 2**511 the entry is refused by its step before any moment is stepped
+        top = np.nextafter(2.0 ** 511, 0.0)
+        stream = step_multipliers([(10, 0.5), (15, 1.0)], steps=20)[:, None] * [top, -top]
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0,
+                                   bias_correction=bias_correction)
+                   for b1, b2 in [(0.9, 0.999), (0.999, 0.9)]]
+        norms = step_scale_cells(stream, configs)
+        assert np.isfinite(norms).all()
+        if not bias_correction:
+            assert np.array_equal(norms[:10], np.full((10, 2), np.sqrt(2.0)))
+        stream[16, 1] = -2.0 ** 511
+        with pytest.raises(DomainError, match=r"step 16, coordinate 1: \|g\| = 6\.7\d*e\+153"):
+            step_scale_cells(stream, configs)
+
     def test_duplicate_schedule_entries_rejected(self):
         with pytest.raises(DomainError):
             step_multipliers([(10, 2.0), (10, 3.0)], steps=50)

@@ -182,52 +182,63 @@ float_bits = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(SPECIAL_B
 SAFE_TEXT = "abcXYZ019 .-_+e"
 
 
+def csv_column(draw, kind, n, text):
+    """(column, reference field texts): a float64/int64 array, or a float or text list."""
+    if kind == "int":
+        col = draw(arrays(np.int64, n, elements=st.integers(-2**63, 2**63 - 1)))
+        return col, [str(x) for x in col.tolist()]
+    if kind == "text":
+        pool = draw(st.lists(text, min_size=1, max_size=4))
+        picks = draw(arrays(np.int64, n, elements=st.integers(0, len(pool) - 1)))
+        col = [pool[i] for i in picks]
+        return col, col
+    col = draw(arrays(np.int64, n, elements=float_bits)).view(np.float64)
+    if kind == "float-list":  # Python floats or numpy float64 scalars
+        col = col.tolist() if draw(st.booleans()) else list(col)
+    return col, [repr(float(x)) for x in col]
+
+
 @st.composite
-def csv_tables(draw):
-    """(header, columns, reference field texts): float64/int64 arrays, float and text lists."""
+def csv_families(draw):
+    """(header, shared, tables): 1-4 tables under one header of 1-4 names, the first 0-2
+    columns shared; each column is a (column, reference field texts) pair."""
     n = draw(st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
     alphabet = draw(st.sampled_from(["", ",", '"', "\r", "\n"])) + SAFE_TEXT
     text = st.text(alphabet, max_size=4)
     kinds = draw(st.lists(st.sampled_from(["float", "int", "float-list", "text"]),
                           min_size=1, max_size=4))
-    columns, texts = [], []
-    for kind in kinds:
-        if kind == "int":
-            col = draw(arrays(np.int64, n, elements=st.integers(-2**63, 2**63 - 1)))
-            texts.append([str(x) for x in col.tolist()])
-        elif kind == "text":
-            pool = draw(st.lists(text, min_size=1, max_size=4))
-            picks = draw(arrays(np.int64, n, elements=st.integers(0, len(pool) - 1)))
-            col = [pool[i] for i in picks]
-            texts.append(col)
-        else:
-            col = draw(arrays(np.int64, n, elements=float_bits)).view(np.float64)
-            if kind == "float-list":  # Python floats or numpy float64 scalars
-                col = col.tolist() if draw(st.booleans()) else list(col)
-            texts.append([repr(float(x)) for x in col])
-        columns.append(col)
-    return draw(st.lists(text, min_size=len(kinds), max_size=len(kinds))), columns, texts
+    n_shared = draw(st.integers(0, min(2, len(kinds))))
+    shared = [csv_column(draw, kind, n, text) for kind in kinds[:n_shared]]
+    tables = [[csv_column(draw, kind, n, text) for kind in kinds[n_shared:]]
+              for _ in range(draw(st.integers(1, 4)))]
+    return draw(st.lists(text, min_size=len(kinds), max_size=len(kinds))), shared, tables
 
 
 @settings(max_examples=100, deadline=None)
-@given(table=csv_tables())
-def test_write_csv_bytes_equal_a_csv_writer_of_repr_float_fields(table):
-    header, columns, texts = table
-    lone = len(columns) == 1
-    fields = [header] + [list(row) for row in zip(*texts)]
-    quoted = any(any(c in f for c in ',"\r\n') or (lone and f == "") for row in fields for f in row)
+@given(family=csv_families())
+def test_write_csv_bytes_equal_a_csv_writer_of_repr_float_fields(family):
+    header, shared, tables = family
+    lone = len(header) == 1
+    files = [[header] + [list(row) for row in zip(*(texts for _, texts in shared + table))]
+             for table in tables]
+    quoted = any(any(c in f for c in ',"\r\n') or (lone and f == "")
+                 for fields in files for row in fields for f in row)
     with tempfile.TemporaryDirectory() as tmp:
-        want, got = Path(tmp) / "want.csv", Path(tmp) / "got.csv"
-        with want.open("w", newline="") as fh:
-            csv.writer(fh).writerows(fields)
+        want = [Path(tmp) / f"want_{k}.csv" for k in range(len(tables))]
+        got = [Path(tmp) / f"got_{k}.csv" for k in range(len(tables))]
+        for path, fields in zip(want, files):
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows(fields)
+        args = (got, header, [col for col, _ in shared], [[col for col, _ in t] for t in tables])
         if quoted:  # csv.writer quoted a field; the writer refuses instead
-            naive = "".join(",".join(row) + "\r\n" for row in fields).encode()
-            assert want.read_bytes() != naive
+            naive = ["".join(",".join(row) + "\r\n" for row in fields).encode()
+                     for fields in files]
+            assert [path.read_bytes() for path in want] != naive
             with pytest.raises(DomainError, match="quoting"):
-                reporting.write_csv(got, header, columns)
+                reporting.write_csvs(*args)
         else:
-            assert reporting.write_csv(got, header, columns) == got
-            assert got.read_bytes() == want.read_bytes()
+            assert reporting.write_csvs(*args) == got
+            assert [path.read_bytes() for path in got] == [path.read_bytes() for path in want]
 
 
 # ---------------------------------------------------------------- the loss finiteness bound
@@ -285,6 +296,30 @@ def kernel_configs(draw, c: int) -> list:
 kernel_values = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False))
 
 
+@st.composite
+def kernel_blocks(draw, steps: int, c: int, d: int):
+    """(grads, m0, v0): free draws; or one gradient g repeated from its fixed point (m = g,
+    v = g * g), where the kernel may fill the block with step 0; or that block with the sign
+    of some zeros flipped after the first row, which it must not fill."""
+    mode = draw(st.sampled_from(["free", "steady", "signed-zero"]))
+    if mode == "free":
+        m0 = draw(arrays(float, (c, d), elements=kernel_values))
+        v0 = np.abs(draw(arrays(float, (c, d), elements=kernel_values)))
+        return draw(arrays(float, (steps, c, d), elements=kernel_values)), m0, v0
+    g = draw(arrays(float, (c, d), elements=st.one_of(st.just(-0.0), kernel_values)))
+    grads = np.repeat(g[None], steps, axis=0)
+    if mode == "signed-zero":
+        flip = draw(arrays(bool, grads.shape)) & (grads == 0.0)
+        flip[0] = False
+        grads[flip] = -grads[flip]
+    return grads, g.copy(), g * g
+
+
+def same_bits(a, b) -> bool:
+    """Equal float64 bit patterns, so 0.0 and -0.0 differ."""
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
 def run_kernel(state, grads, cells):
     """R of every step, or the DomainError message."""
     try:
@@ -304,9 +339,7 @@ def run_kernel(state, grads, cells):
 def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
     steps, d = data.draw(steps_drawn), data.draw(d_drawn)
     cells = CellConfigs(data.draw(kernel_configs(c)))
-    grads = data.draw(arrays(float, (steps, c, d), elements=kernel_values))
-    m0 = data.draw(arrays(float, (c, d), elements=kernel_values))
-    v0 = np.abs(data.draw(arrays(float, (c, d), elements=kernel_values)))
+    grads, m0, v0 = data.draw(kernel_blocks(steps, c, d))
     block, single = (MomentState(m0.copy(), v0.copy(), k0) for _ in range(2))
 
     got = run_kernel(block, grads, cells)
@@ -320,12 +353,12 @@ def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
     if isinstance(got, str):  # the same error, and the block left the state alone
         assert got == want
         for name, start in (("m", m0), ("v", v0)):
-            assert np.array_equal(getattr(block, name), start), name
+            assert same_bits(getattr(block, name), start), name
         assert block.k == k0
         return
-    assert np.array_equal(got, np.stack(want))
+    assert same_bits(got, np.stack(want))
     for name in ("m", "v"):
-        assert np.array_equal(getattr(block, name), getattr(single, name)), name
+        assert same_bits(getattr(block, name), getattr(single, name)), name
     assert block.k == single.k == k0 + steps
 
 
