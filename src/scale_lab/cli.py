@@ -14,21 +14,22 @@ Four subcommands:
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
 infinite float flag or list item, an empty list, a negative, fractional,
 repeated or 2**64-or-larger seed, a repeated beta, a count below 1, a
-``sweep --steps`` below 3 (omega2 needs 3 samples), a time scale, step size,
-learning rate or step-scale multiplier that is not positive, a zero
-step-scale base, a beta outside (0, 1), a negative ``--epsilon`` or ``--v``
-item, an adam probe's ``--m`` or ``--v`` whose length differs from
-``--g``'s, a ``--jump`` outside [1, steps - 1], ``--seeds`` given together
-with ``--seed-list`` and a report without exactly one of ``--grid`` and
-``--ingest`` are usage errors.  An overflow in a flow or its remainder
-report, a step-scale gradient entry that is not finite, at least 2**511 or
-below 2**-511 (checked up front and named by its step), a flow step too
-small to grid its interval, a sweep or report none of whose rows can be
-scored (each row tied or all diverged) and a run out of memory are runtime
-errors.  A ``report`` CSV that is not UTF-8, has a field past the csv size
-limit, a repeated header name, a missing or duplicate cell, a seed that is
-not an integer >= 0, a beta outside (0, 1) or an omega below 0 (``-inf``
-included) is a parse error naming its line.
+``sweep --steps`` below 3 (omega2 needs 3 samples), a time scale, step
+size, learning rate or step-scale multiplier that is not positive, a zero
+step-scale base, a beta outside (0, 1), a negative
+``--epsilon`` or ``--v`` item, an adam probe's ``--m`` or ``--v`` whose
+length differs from ``--g``'s, a ``--jump`` outside [1, steps - 1],
+``--seeds`` given together with ``--seed-list`` and a report without
+exactly one of ``--grid`` and ``--ingest`` are usage errors.  An overflow
+in a flow or its remainder report, a step-scale gradient entry that is not
+finite, at least 2**511 or below 2**-511 (named by its step), a flow step
+too small to grid its interval, a
+sweep or report none of whose rows can be scored (each row tied or all
+diverged) and a run out of memory are runtime errors.  A ``report`` CSV
+that is not UTF-8, has a field past the csv size limit, a repeated header
+name, a missing or duplicate cell, a seed that is not an integer >= 0, a
+beta outside (0, 1) or an omega below 0 (``-inf`` included) is a parse
+error naming its line.
 """
 
 from __future__ import annotations

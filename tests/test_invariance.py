@@ -196,8 +196,8 @@ class TestStepScaleExperiment:
 
     @pytest.mark.parametrize("bias_correction", [True, False], ids=["corrected", "raw"])
     def test_largest_fed_gradient_keeps_every_moment_finite(self, bias_correction):
-        # just below 2**511 the raw norms stay finite (a corrected v_hat may overflow, so R is
-        # 0 there); at 2**511 the entry is refused by its step before any moment is stepped
+        # just below 2**511 every norm stays finite (only the raw ones are pinned: a corrected
+        # v_hat overflows there); at 2**511 the entry is refused by its step before any step
         top = np.nextafter(2.0 ** 511, 0.0)
         stream = step_multipliers([(10, 0.5), (15, 1.0)], steps=20)[:, None] * [top, -top]
         configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0,
