@@ -47,12 +47,12 @@ from .flow import TimeScales, integrate_flow, steady_state_init
 from .invariance import exact_invariance_probe, step_scale_grid
 from .metrics import grid_report, omega_grids
 from .optimizers import MomentState, OptimizerConfig
-from .problems import make_problem
+from .problems import PROBLEMS, make_problem
 from .reporting import (CsvParseError, RunManifest, flow_trace_csv, probe_csv,
                         read_omega_grids, read_omega_matrix, run_trace_csvs, summary_csv,
                         sweep_grid_csv, write_csv, write_csvs, write_svg_lines)
 from .signals import constant_signal, exponential_signal, sinusoidal_log_signal, step_multipliers
-from .training import sweep_grid
+from .training import DEFAULT_BATCH, DEFAULT_BETA_AXIS, DEFAULT_WINDOW, sweep_grid
 from .drift import measure_remainder
 
 
@@ -276,6 +276,7 @@ def cmd_report(args, manifest: RunManifest) -> list[Path]:
 # ---------------------------------------------------------------- wiring
 
 def build_parser() -> argparse.ArgumentParser:
+    beta_grid = ",".join(map(str, DEFAULT_BETA_AXIS))  # "0.9,0.99,0.999"
     parser = _Parser(prog="scale-lab",
                      description="Adam flow, scale-invariance probes, and oscillation statistics")
     parser.add_argument("--version", action="version", version=f"scale-lab {__version__}")
@@ -311,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplier", type=_positive_float, default=10.0)
     p.add_argument("--jump", type=_count, default=None)
     p.add_argument("--steps", type=_count, default=32000)
-    p.add_argument("--beta-grid", default="0.9,0.99,0.999")
+    p.add_argument("--beta-grid", default=beta_grid)
     p.add_argument("--out", default="scale-lab-out/probe")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("sweep", help="momentum-grid training sweep")
-    p.add_argument("--problem", required=True, choices=("quadratic", "logistic", "mlp"))
+    p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     seeds = p.add_mutually_exclusive_group()
     # default None: argparse's group check misses a given value that is the default object
     seeds.add_argument("--seeds", type=_count, default=None, help="seeds 0..n-1 (default 3)")
@@ -325,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-seed", type=_seed, default=0)
     p.add_argument("--steps", type=_flag_value(int, lambda n: n >= 3, "an integer >= 3, "
                                                "the 3 samples omega2 needs"), default=5000)
-    p.add_argument("--batch-size", type=_count, default=32)
+    p.add_argument("--batch-size", type=_count, default=DEFAULT_BATCH)
     p.add_argument("--eta", type=_positive_float, default=None)
-    p.add_argument("--window", type=_count, default=200)
+    p.add_argument("--window", type=_count, default=DEFAULT_WINDOW)
     p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
-    p.add_argument("--beta-grid", default="0.9,0.99,0.999")
+    p.add_argument("--beta-grid", default=beta_grid)
     p.add_argument("--out", default="scale-lab-out/sweep")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_sweep)

@@ -19,7 +19,7 @@ over a ladder of exponential drifts: the first-order sensitivity of ||R||
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -41,7 +41,6 @@ class DriftProfile:
 
     lambda_bound: float        # Lambda  = sup ||delta||_inf (inflated)
     lambda_prime_bound: float  # Lambda' = sup ||delta'||_inf (inflated)
-    interval: tuple[float, float]
 
     @property
     def remainder_factor(self) -> float:
@@ -64,7 +63,7 @@ def drift_bounds(signal: GradientSignal, interval: tuple[float, float]) -> Drift
         lam_p = float(np.max(np.abs(signal.delta_prime(grid))))
     if not np.isfinite(lam + lam_p):
         raise DomainError(f"drift bounds are not finite: Lambda={lam:g}, Lambda'={lam_p:g}")
-    return DriftProfile(SUP_INFLATION * lam, SUP_INFLATION * lam_p, tuple(interval))
+    return DriftProfile(SUP_INFLATION * lam, SUP_INFLATION * lam_p)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class RemainderReport:
 
     channels: dict[str, RemainderChannel]
     profile: DriftProfile
-    window: tuple[float, float]
     fitted_order: Optional[float] = None
 
 
@@ -142,8 +140,7 @@ def measure_remainder(trace: FlowTrace, signal: GradientSignal, ts: TimeScales) 
                               float(np.min(env_v - rv)), float(np.max(env_v))),
         "R": RemainderChannel(float(np.max(rr)), constant(float(np.max(rr))), None, None),
     }
-    return RemainderReport(channels=channels, profile=profile,
-                           window=(float(t_win[0]), float(t_win[-1])))
+    return RemainderReport(channels=channels, profile=profile)
 
 
 def fit_power_law(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
@@ -179,9 +176,8 @@ class SensitivityFit:
 
     slope: float            # log-log slope of | ||R|| - 1 | against delta0
     coefficient: float      # |deviation / delta0| extrapolated to delta0 -> 0
-    delta0_grid: list[float]
-    deviations: list[float]         # | ||R||_inf - 1 | per drift rate
-    signed_deviations: list[float]  # ||R||_inf - 1, sign kept
+    delta0_grid: list[float]        # the drift rates, sorted
+    signed_deviations: list[float]  # ||R||_inf - 1 per drift rate
 
 
 def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float]) -> SensitivityFit:
@@ -201,22 +197,21 @@ def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float]) -> Sen
         raise DomainError(f"Richardson step needs the two smallest drift rates in ratio 2, "
                           f"got {rates[0]} and {rates[1]}")
     signed = (np.abs(_ladder_flow(ts, tuple(rates)).r[-1]) - 1.0).tolist()
-    deviations = [abs(s) for s in signed]
-    slope, _ = fit_power_law(rates, deviations)
+    slope, _ = fit_power_law(rates, np.abs(signed))
     q0, q1 = signed[0] / rates[0], signed[1] / rates[1]
     coefficient = abs(2.0 * q0 - q1)
     return SensitivityFit(slope=slope, coefficient=coefficient, delta0_grid=rates,
-                          deviations=deviations, signed_deviations=signed)
+                          signed_deviations=signed)
 
 
 def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float]) -> RemainderReport:
     """R-channel remainders over exponential drifts, with a fitted order.
 
-    Runs the drift rates as the columns of one lockstep flow, measures each
-    column's deviation from the first-order prediction, and fits the log-log
-    slope against the drift bound; the slope should sit near 2 for any
-    (tau1, tau2) because the first-order term has been subtracted.  If any
-    rate aborts, ``FlowAbort.t`` is the earliest abort over all rates.
+    Runs the drift rates as the columns of one lockstep flow, measures each column's
+    deviation from the first-order prediction, and fits the log-log slope against the drift
+    bound; the slope should sit near 2 for any (tau1, tau2) because the first-order term has
+    been subtracted.  The channels and profile are the largest rate's.  If any rate aborts,
+    ``FlowAbort.t`` is the earliest abort over all rates.
     """
     rates = sorted(float(d) for d in delta0_grid)
     flow = _ladder_flow(ts, tuple(rates))
@@ -226,9 +221,7 @@ def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float]) -> Remai
         reports.append(measure_remainder(column, exponential_signal(d0), ts))
     slope, _ = fit_power_law([r.profile.lambda_bound for r in reports],
                              [r.channels["R"].max_abs for r in reports])
-    report = reports[-1]
-    return RemainderReport(channels=dict(report.channels), profile=report.profile,
-                           window=report.window, fitted_order=slope)
+    return replace(reports[-1], fitted_order=slope)
 
 
 @dataclass(frozen=True)

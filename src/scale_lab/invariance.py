@@ -42,9 +42,9 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
     are stateless and need no state or config.  For adam the gradient and its
     rescalings run as the rows of one ``optimizer_step`` from copies of
     ``state``.  An empty ``lambdas`` or ``g`` is a ``DomainError``: no rescaling is no
-    evidence.  A rescaled gradient, stepped moment or R that is not finite
-    (an overflow, or the square root of a negative v) is a ``DomainError``,
-    not evidence.  Both checks are relative: a deviation counts as zero when
+    evidence.  A rescaled gradient, stepped moment, corrected v (whose overflow makes R 0) or
+    R that is not finite (an overflow, or the square root of a negative v) is a
+    ``DomainError``, not evidence.  Both checks are relative: a deviation counts as zero when
     it is at most ``EXACT_TOL * max(||R(g)||_inf, ||R(lambda g)||_inf)``.
     """
     lams = [float(l) for l in lambdas]
@@ -61,13 +61,15 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.stack([g] + [lam * g for lam in lams])
         if method == "adam":
+            cells = CellConfigs([config] * len(rows))
             frozen = MomentState(*(np.tile(a, (len(rows), 1)) for a in (state.m, state.v)), state.k)
-            r = optimizer_step(frozen, rows[None], CellConfigs([config] * len(rows)))[0]
-            moments = [frozen.m, frozen.v]
+            r = optimizer_step(frozen, rows[None], cells)[0]
+            moments = [frozen.m, frozen.v / cells.divisors(state.k, 1)[0, 1]
+                       if config.bias_correction else frozen.v]
         else:
             r = rows if method == "gd" else np.sign(rows)
         if not all(np.isfinite(a).all() for a in [rows, r] + moments):
-            raise DomainError("a rescaled gradient, stepped moment or R of the probe is not finite")
+            raise DomainError("a rescaled gradient, moment or R of the probe is not finite")
         base, *scaled = r
         # an overflowed lam * R(g) is inf, so that rescaling does not count as linear
         linear = [np.max(np.abs(r - lam * base)) for lam, r in zip(lams, scaled)]
@@ -94,24 +96,28 @@ def step_scale_cells(stream: np.ndarray, configs: Sequence[OptimizerConfig]) -> 
     the fixed point of the first gradient (m = g0, v = g0^2), so a constant stream's norm
     sits exactly at its steady value.  A stream that is not a non-empty 2-D array is a
     ``DomainError``; so is, up front and named by its step, an entry that is not finite or
-    at least 2**511 and a nonzero one below 2**-511, whose square underflows to a subnormal
-    or zero.  In between, m and v are convex combinations of finite values below 2**1022.
+    at least 2**511 (times sqrt(1 - max beta2) if bias-corrected, so a corrected v stays
+    finite) and a nonzero one below 2**-511, whose square underflows to a subnormal or zero.
+    In between, m and v are convex combinations of finite values below 2**1022.
     """
     stream = np.asarray(stream, dtype=float)
     if stream.ndim != 2 or stream.size == 0:
         raise DomainError(f"a gradient stream must be a non-empty (steps, d) array, "
                           f"got shape {stream.shape}")
+    cells = CellConfigs(configs)
+    top = float(cells.betas[1].max()) if cells.bias_correction else 0.0  # v / (1 - top) < 2**1022
+    ceiling = f"2**511 * sqrt(1 - {top!r})" if top else "2**511"
     size = np.abs(stream)
-    for outside, why in [(~(size < 2.0 ** 511), "is not finite or at least 2**511"),  # NaN too
+    for outside, why in [(~(size < 2.0 ** 511 * np.sqrt(1.0 - top)),  # NaN too
+                          f"is not finite or at least {ceiling}"),
                          ((size > 0.0) & (size < 2.0 ** -511), "is below 2**-511: g * g underflows")]:
         if outside.any():
             step, i = np.argwhere(outside)[0]
             raise DomainError(f"a fed gradient entry at step {step}, coordinate {i}: "
                               f"|g| = {float(size[step, i])!r} {why}")
-    cells = CellConfigs(configs)
     shape = (len(cells), stream.shape[1])
     norm_r = np.empty((len(stream), len(cells)))
-    with np.errstate(over="ignore"):  # m and v stay finite; a corrected v or an R may not
+    with np.errstate(over="ignore"):  # m, v and a corrected v stay finite; an R may not
         m = np.repeat(stream[:1], len(cells), axis=0)
         state = MomentState(m=m, v=m * m)
         for k in range(0, len(stream), STEP_BLOCK):

@@ -48,12 +48,12 @@ class Problem:
     finite at every finite theta with ``max|theta| < loss_finite_below``.
     """
 
-    kind: str
     n_samples: int                      # 0 means full-batch only
     loss: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
     init_theta: Callable[[int], np.ndarray]
     loss_finite_below: float
+    default_eta: float                  # the learning rate of a sweep given none
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -110,8 +110,8 @@ def _quadratic(seed: int) -> Problem:
         rng = CounterRng(init_seed, stream=_INIT_STREAM)
         return rng.normal(QUADRATIC_DIM)
 
-    return Problem(kind="quadratic", n_samples=0, loss=loss, grad=grad, init_theta=init_theta,
-                   loss_finite_below=float(np.sqrt(1e300 / diag.sum())))
+    return Problem(n_samples=0, loss=loss, grad=grad, init_theta=init_theta,
+                   loss_finite_below=float(np.sqrt(1e300 / diag.sum())), default_eta=0.01)
 
 
 def _logistic(seed: int) -> Problem:
@@ -138,8 +138,8 @@ def _logistic(seed: int) -> Problem:
         rng = CounterRng(init_seed, stream=_INIT_STREAM)
         return 0.1 * rng.normal(dim)
 
-    return Problem(kind="logistic", n_samples=BLOB_SAMPLES, loss=loss, grad=grad,
-                   init_theta=init_theta, loss_finite_below=_finite_below(x, 0))
+    return Problem(n_samples=BLOB_SAMPLES, loss=loss, grad=grad, init_theta=init_theta,
+                   loss_finite_below=_finite_below(x, 0), default_eta=0.01)
 
 
 def _mlp(seed: int) -> Problem:
@@ -211,17 +211,17 @@ def _mlp(seed: int) -> Problem:
         b2 = np.zeros(c)
         return np.concatenate([w1, b1, w2, b2])
 
-    return Problem(kind="mlp", n_samples=BLOB_SAMPLES, loss=loss, grad=grad,
-                   init_theta=init_theta, loss_finite_below=_finite_below(x, h))
+    return Problem(n_samples=BLOB_SAMPLES, loss=loss, grad=grad, init_theta=init_theta,
+                   loss_finite_below=_finite_below(x, h), default_eta=0.003)
 
 
-_FACTORIES = {"quadratic": _quadratic, "logistic": _logistic, "mlp": _mlp}
+PROBLEMS = {"quadratic": _quadratic, "logistic": _logistic, "mlp": _mlp}
 
 
 def make_problem(kind: str, seed: int = 0) -> Problem:
     """Build a problem by kind; the seed fixes its synthetic dataset."""
     try:
-        factory = _FACTORIES[kind]
+        factory = PROBLEMS[kind]
     except KeyError:
-        raise DomainError(f"unknown problem kind {kind!r}; expected one of {sorted(_FACTORIES)}")
+        raise DomainError(f"unknown problem kind {kind!r}; expected one of {sorted(PROBLEMS)}")
     return factory(seed)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scale_lab import __version__, cli, reporting
+from scale_lab import __version__, cli, problems, reporting, training
+from scale_lab.optimizers import OptimizerConfig
 from scale_lab.cli import build_parser, main
 from scale_lab.reporting import read_csv_columns
 
@@ -287,12 +289,15 @@ class TestProbeCommand:
         ("--method", "adam", "--g", "1e200", "--lambdas", "2"),
         ("--method", "gd", "--g", "1e300", "--lambdas", "1e10"),
         ("--method", "adam", "--g", "1e300", "--lambdas", "1e10"),
+        ("--method", "adam", "--beta1", "0.9", "--beta2", "0.999", "--bias-correction",
+         "--g", "1", "--m", "0", "--v", "1e306", "--lambdas", "2,10"),
         ("--step-scale", "--base", "1e200", "--steps", "100"),
         ("--step-scale", "--base", "1e300", "--multiplier", "1e300", "--steps", "40"),
     ], ids=" ".join)
     def test_overflowed_probe_is_runtime_error(self, tmp_path, capsys, argv):
-        # (keep2 * g) * g, lambda * g or multiplier * base overflows: no deviation or ||R||
-        # may be reported from it
+        # (keep2 * g) * g, lambda * g, multiplier * base or a corrected v (1e306 / (1 - 0.999),
+        # which would make every R 0: exact-invariant) overflows: no deviation or ||R|| may be
+        # reported from it
         out = tmp_path / "p"
         assert run("probe", *argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -362,6 +367,28 @@ class TestSweepAndReport:
     def sweep(self, out, *extra):
         return run("sweep", "--problem", "logistic", "--seeds", "2", "--steps", "80",
                    "--window", "10", "--out", str(out), *extra)
+
+    def test_each_problem_is_offered_once_with_the_eta_its_sweep_trains_at(self):
+        # a problem is registered in problems.PROBLEMS alone: sweep --problem offers its kinds
+        # in order, and a sweep without --eta trains at the factory's default_eta
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flag = next(a for a in sub.choices["sweep"]._actions if a.dest == "problem")
+        assert list(flag.choices) == list(problems.PROBLEMS) == ["quadratic", "logistic", "mlp"]
+        for kind in flag.choices:
+            prob = problems.make_problem(kind)
+            res = training.sweep_grid(prob, beta_axis=[0.9], seeds=(0,), steps=5, window=1)
+            for eta, same in [(prob.default_eta, True), (2.0 * prob.default_eta, False)]:
+                cfg = OptimizerConfig(beta1=0.9, beta2=0.9, eta=eta)
+                (alone,) = training.train_cells(prob, [cfg], seed=0, steps=5)
+                assert np.array_equal(res.traces[(0.9, 0.9, 0)].norm_r, alone.norm_r) == same
+
+    def test_sweep_protocol_defaults_live_in_training(self):
+        sweep = build_parser().parse_args(["sweep", "--problem", "mlp"])
+        probe = build_parser().parse_args(["probe", "--step-scale"])
+        assert sweep.beta_grid == probe.beta_grid == "0.9,0.99,0.999"  # as the manifest records
+        assert tuple(map(float, sweep.beta_grid.split(","))) == training.DEFAULT_BETA_AXIS
+        assert sweep.window == training.DEFAULT_WINDOW
+        assert sweep.batch_size == training.DEFAULT_BATCH
 
     def test_sweep_outputs_and_manifest(self, tmp_path):
         out = tmp_path / "s"

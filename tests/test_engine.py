@@ -12,7 +12,7 @@ from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, Op
 from scale_lab.invariance import STEP_BLOCK
 from scale_lab.optimizers import optimizer_step
 from scale_lab.rng import CounterRng
-from scale_lab.training import _INDEX_BLOCK, DEFAULT_BETA_AXIS, DEFAULT_ETA, LOSS_EVERY
+from scale_lab.training import _INDEX_BLOCK, DEFAULT_BETA_AXIS, LOSS_EVERY
 
 BETAS = [(0.9, 0.9), (0.9, 0.999), (0.99, 0.9), (0.999, 0.99)]
 
@@ -136,7 +136,7 @@ class TestMixedSeedRows:
         seeds, axis = (2, 0, 1), DEFAULT_BETA_AXIS
         result = sweep_grid(prob, seeds=seeds, steps=60, window=10)
         pairs = [(b1, b2) for b1 in axis for b2 in axis]
-        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=DEFAULT_ETA["mlp"]) for b1, b2 in pairs]
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=prob.default_eta) for b1, b2 in pairs]
         assert list(result.traces) == [(b1, b2, s) for s in seeds for b1, b2 in pairs]
         for s in seeds:
             for (b1, b2), alone in zip(pairs, train_cells(prob, configs, seed=s, steps=60)):
@@ -163,7 +163,7 @@ class TestLossCadence:
     def test_healthy_batch_evaluates_the_loss_only_on_the_cadence(self):
         prob, rows = counting_loss(make_problem("mlp", seed=1))
         pairs = [(b1, b2) for b1 in DEFAULT_BETA_AXIS for b2 in DEFAULT_BETA_AXIS]
-        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=DEFAULT_ETA["mlp"]) for b1, b2 in pairs]
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=prob.default_eta) for b1, b2 in pairs]
         traces = train_cells(prob, configs * 3, seed=[s for s in (2, 0, 1) for _ in pairs],
                              steps=35)
         # one call per seed group of 9 rows, on steps 0, 10, 20 and 30

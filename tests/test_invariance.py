@@ -71,6 +71,16 @@ class TestExactInvarianceProbe:
         with pytest.raises(DomainError):
             exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
 
+    def test_overflowed_corrected_second_moment_is_domain_error(self):
+        # v_hat = 1e306 / (1 - 0.999) overflows while m, v and R stay finite (R = 0 for every
+        # rescaling, which would read as exact invariance)
+        state = MomentState(m=np.zeros(1), v=np.array([1e306]))
+        cfg = OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=True)
+        with pytest.raises(DomainError, match="moment or R of the probe is not finite"):
+            exact_invariance_probe("adam", state, np.ones(1), [2.0, 10.0], cfg)
+        raw = OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=False)
+        assert exact_invariance_probe("adam", state, np.ones(1), [2.0], raw).deviations[0] > 0.0
+
     def test_overflowed_linear_rescaling_is_other(self):
         # R(g) = 9e299, so 1e10 * R(g) overflows: not linear, and no RuntimeWarning escapes
         state = MomentState(m=np.array([1e300]), v=np.ones(1))
@@ -196,20 +206,33 @@ class TestStepScaleExperiment:
 
     @pytest.mark.parametrize("bias_correction", [True, False], ids=["corrected", "raw"])
     def test_largest_fed_gradient_keeps_every_moment_finite(self, bias_correction):
-        # just below 2**511 every norm stays finite (only the raw ones are pinned: a corrected
-        # v_hat overflows there); at 2**511 the entry is refused by its step before any step
-        top = np.nextafter(2.0 ** 511, 0.0)
+        # just below the ceiling (2**511, times sqrt(1 - 0.999) for a corrected batch, so that
+        # v_hat stays finite) every norm is finite and nonzero; at 2**511 the entry is refused
+        # by its step before any step
+        ceiling = 2.0 ** 511 * (np.sqrt(1.0 - 0.999) if bias_correction else 1.0)
+        top = np.nextafter(ceiling, 0.0)
         stream = step_multipliers([(10, 0.5), (15, 1.0)], steps=20)[:, None] * [top, -top]
         configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0,
                                    bias_correction=bias_correction)
                    for b1, b2 in [(0.9, 0.999), (0.999, 0.9)]]
         norms = step_scale_cells(stream, configs)
-        assert np.isfinite(norms).all()
+        assert np.isfinite(norms).all() and (norms > 0.0).all()
         if not bias_correction:
             assert np.array_equal(norms[:10], np.full((10, 2), np.sqrt(2.0)))
         stream[16, 1] = -2.0 ** 511
         with pytest.raises(DomainError, match=r"step 16, coordinate 1: \|g\| = 6\.7\d*e\+153"):
             step_scale_cells(stream, configs)
+
+    def test_corrected_v_that_would_overflow_is_refused_by_its_step(self):
+        # v / (1 - 0.999) of g just below 2**511 overflows, and R = m_hat / inf would read 0
+        cfg = OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=True)
+        stream = np.full((5, 1), np.nextafter(2.0 ** 511, 0.0))
+        with pytest.raises(DomainError, match=r"step 0, coordinate 0: \|g\| = 6\.7\d*e\+153 is "
+                           r"not finite or at least 2\*\*511 \* sqrt\(1 - 0\.999\)"):
+            step_scale_cells(stream, [cfg])
+        # scaled into range, the same stream steps as it does far below the ceiling
+        assert np.array_equal(step_scale_cells(stream * 2.0 ** -10, [cfg]),
+                              step_scale_cells(stream * 2.0 ** -600, [cfg]))
 
     def test_duplicate_schedule_entries_rejected(self):
         with pytest.raises(DomainError):

@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 import scale_lab
-from scale_lab import (CellConfigs, DimensionError, DomainError, FlowState, FlowTrace,
-                       GradientSignal, MomentState, OptimizerConfig, OscillationGridReport,
-                       Problem, RescaleProbeResult, RunTrace, SweepResult, TimeScales,
-                       TrackingCheckResult, constant_gradient_closed_form, constant_signal,
-                       exponential_signal, first_order_sensitivity, make_problem,
-                       remainder_order_sweep, sinusoidal_log_signal, steady_state_init,
-                       step_scale_cells, step_scale_grid, sweep_grid, tracking_check,
-                       train_cells)
+from scale_lab import (CellConfigs, DimensionError, DomainError, DriftProfile, FlowState,
+                       FlowTrace, GradientSignal, MomentState, OptimizerConfig,
+                       OscillationGridReport, Problem, RemainderReport, RescaleProbeResult,
+                       RunTrace, SensitivityFit, SweepResult, TimeScales, TrackingCheckResult,
+                       constant_gradient_closed_form, constant_signal, exponential_signal,
+                       first_order_sensitivity, make_problem, remainder_order_sweep,
+                       sinusoidal_log_signal, steady_state_init, step_scale_cells,
+                       step_scale_grid, sweep_grid, tracking_check, train_cells)
 from scale_lab import (cli, drift, errors, invariance, metrics, optimizers, problems, reporting,
                        signals, training)
 from scale_lab.optimizers import optimizer_step
 
-PROBLEM = dict(kind="quadratic", n_samples=0, loss=np.sum, grad=np.ones_like,
-               init_theta=np.zeros, loss_finite_below=1.0)
+PROBLEM = dict(n_samples=0, loss=np.sum, grad=np.ones_like, init_theta=np.zeros,
+               loss_finite_below=1.0, default_eta=0.01)
+PROFILE = dict(lambda_bound=0.1, lambda_prime_bound=0.0)
+FIT = dict(slope=2.0, coefficient=0.0, delta0_grid=[0.01], signed_deviations=[0.0])
 REPORT = dict(beta_axis=[0.9], hits=1, trials=1, rate=1.0, p_value=1.0, argmin_cols=[[0]])
 
 
@@ -138,6 +140,10 @@ class TestAdamOnlyEngine:
         lambda: SweepResult(report=None, traces={}, omegas={}, window=1),
         lambda: Problem(**PROBLEM, dim_theta=1),
         lambda: Problem(**PROBLEM, meta={}),
+        lambda: Problem(**PROBLEM, kind="quadratic"),
+        lambda: DriftProfile(**PROFILE, interval=(0.0, 1.0)),
+        lambda: RemainderReport(channels={}, profile=DriftProfile(**PROFILE), window=(0.0, 1.0)),
+        lambda: SensitivityFit(**FIT, deviations=[0.0]),
         lambda: OscillationGridReport(**REPORT, omega=[np.zeros((1, 1))]),
         lambda: OscillationGridReport(**REPORT, degenerate_rows=[]),
         lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], width=1),
@@ -152,7 +158,8 @@ class TestAdamOnlyEngine:
             "steady_state_init-t0", "first_order_sensitivity-h", "remainder_order_sweep-h",
             "TimeScales-dt",
             "sweep_grid-epsilon", "SweepResult-metric", "sweep_grid-metric", "SweepResult-report",
-            "Problem-dim_theta", "Problem-meta", "OscillationGridReport-omega",
+            "Problem-dim_theta", "Problem-meta", "Problem-kind", "DriftProfile-interval",
+            "RemainderReport-window", "SensitivityFit-deviations", "OscillationGridReport-omega",
             "OscillationGridReport-degenerate_rows", "write_svg_lines-width",
             "write_svg_lines-height", "_manifest-skip"])
     def test_removed_setting_is_a_type_error(self, call):
@@ -179,6 +186,11 @@ class TestAdamOnlyEngine:
         assert names(TrackingCheckResult) == ["max_residual", "margin", "passed",
                                               "transient_coeff", "curvature_sup", "t",
                                               "residual", "bound"]
+        assert names(DriftProfile) == list(PROFILE)
+        assert names(drift.RemainderChannel) == ["max_abs", "constant", "bound_margin",
+                                                 "bound_sup"]
+        assert names(RemainderReport) == ["channels", "profile", "fitted_order"]
+        assert names(SensitivityFit) == list(FIT)
 
     def test_test_only_constructors_are_gone(self):
         # tests build MomentState(zeros, zeros) and their own signals; every src/ signal

@@ -248,13 +248,13 @@ def bounded_problem(kind):
     return make_problem(kind, seed=1)
 
 
-def aligned_corner(prob, corner):
+def aligned_corner(kind, corner):
     """Every coordinate at +-corner, signed so the largest sample's logits add up."""
-    if prob.kind == "quadratic":
+    if kind == "quadratic":
         return np.full(QUADRATIC_DIM, corner)
     x, _ = _make_blobs(1)  # the data seed of ``bounded_problem``
     signs = np.sign(x[np.abs(x).sum(axis=1).argmax()])
-    if prob.kind == "logistic":
+    if kind == "logistic":
         return corner * np.append(signs, 1.0)
     # w1 (features, hidden) row-major, b1, w2 (hidden, 2) pulling the classes apart, b2
     return corner * np.concatenate([np.repeat(signs, MLP_HIDDEN), np.ones(MLP_HIDDEN),
@@ -272,7 +272,7 @@ def test_loss_is_finite_below_the_problem_bound(kind, data, rows):
     fractions = data.draw(arrays(float, shape, elements=st.one_of(st.just(1.0),
                                                                   st.floats(0.0, 1.0))))
     signs = data.draw(arrays(float, shape, elements=st.sampled_from([-1.0, 1.0])))
-    aligned = aligned_corner(prob, corner)
+    aligned = aligned_corner(kind, corner)
     thetas = np.vstack([corner * fractions * signs, aligned, -aligned])
     assert np.abs(thetas).max() < prob.loss_finite_below
     with warnings.catch_warnings():
