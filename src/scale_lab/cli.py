@@ -48,11 +48,11 @@ from .invariance import exact_invariance_probe, step_scale_grid
 from .metrics import grid_report, omega_grids
 from .optimizers import MomentState, OptimizerConfig
 from .problems import PROBLEMS, make_problem
-from .reporting import (CsvParseError, RunManifest, flow_trace_csv, probe_csv,
-                        read_omega_grids, read_omega_matrix, run_trace_csvs, summary_csv,
-                        sweep_grid_csv, write_csv, write_csvs, write_svg_lines)
+from .reporting import (RunManifest, flow_trace_csv, probe_csv, read_omega_grids,
+                        read_omega_matrix, run_trace_csvs, summary_csv, sweep_grid_csv,
+                        write_csv, write_csvs, write_svg_lines)
 from .signals import constant_signal, exponential_signal, sinusoidal_log_signal, step_multipliers
-from .training import DEFAULT_BATCH, DEFAULT_BETA_AXIS, DEFAULT_WINDOW, sweep_grid
+from .training import DEFAULT_BATCH, DEFAULT_BETA_AXIS, DEFAULT_WINDOW, METRICS, sweep_grid
 from .drift import measure_remainder
 
 
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=_count, default=DEFAULT_BATCH)
     p.add_argument("--eta", type=_positive_float, default=None)
     p.add_argument("--window", type=_count, default=DEFAULT_WINDOW)
-    p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
+    p.add_argument("--metric", choices=METRICS, default=METRICS[0])
     p.add_argument("--beta-grid", default=beta_grid)
     p.add_argument("--out", default="scale-lab-out/sweep")
     p.add_argument("--plot", action="store_true")
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs = p.add_mutually_exclusive_group(required=True)
     inputs.add_argument("--grid", help="grid.csv from a sweep")
     inputs.add_argument("--ingest", help="externally supplied omega matrix CSV")
-    p.add_argument("--metric", choices=("omega1", "omega2"), default="omega1")
+    p.add_argument("--metric", choices=METRICS, default=METRICS[0])
     p.add_argument("--out", default="scale-lab-out/report")
     p.set_defaults(func=cmd_report)
     return parser
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"scale-lab: usage error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, DimensionError, CsvParseError, FlowAbort) as exc:
+    except (DomainError, DimensionError) as exc:  # CsvParseError and FlowAbort included
         print(f"scale-lab: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

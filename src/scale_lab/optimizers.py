@@ -12,7 +12,9 @@ and normalizes them into the update vector
 where (m_hat, v_hat) are the bias-corrected moments when enabled and the raw
 ones otherwise.  The kernel steps the moments and returns R, which is all the
 scale-sensitivity analysis reads; ``train_cells`` alone takes the parameter
-step ``theta' = theta - eta * R``.
+step ``theta' = theta - eta * R``.  Overflow is decided here: wherever
+``sqrt(v_hat) + eps`` is inf, R is NaN, never 0, so a non-finite m, v or
+v_hat is a non-finite R, which is what every caller checks.
 
 ``optimizer_step`` is the one kernel entry: it steps C cells stacked as (C, d)
 rows (``CellConfigs``, one epsilon and bias correction for all) in place over
@@ -120,8 +122,8 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
     each later step in two calls for both moments; the increments, bias
     corrections, ``epsilon = 0`` check and R are computed for the whole block
     in the same operation order, in one (T, 2, C, d) buffer that R is a view
-    of.  A steady block (module docstring) is filled, not stepped.  A
-    ``DomainError`` changes no state.
+    of.  R is NaN wherever the denominator overflowed (module docstring).  A
+    steady block is filled, not stepped.  A ``DomainError`` changes no state.
     """
     if grads.shape[1:] != state.m.shape or state.m.shape[:-1] != (len(cells),):
         raise DimensionError(f"gradient block {grads.shape} does not fit the state "
@@ -149,6 +151,7 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
     state.k += len(mv)
     denom = np.sqrt(mv[:, 1], out=mv[:, 1])
     denom += cells.epsilon
+    denom[denom == np.inf] = np.nan  # an overflowed v or v_hat makes R NaN, not 0
     return np.divide(mv[:, 0], denom, out=denom)
 
 

@@ -296,8 +296,8 @@ class TestProbeCommand:
     ], ids=" ".join)
     def test_overflowed_probe_is_runtime_error(self, tmp_path, capsys, argv):
         # (keep2 * g) * g, lambda * g, multiplier * base or a corrected v (1e306 / (1 - 0.999),
-        # which would make every R 0: exact-invariant) overflows: no deviation or ||R|| may be
-        # reported from it
+        # which makes R NaN; were it 0, every rescaling would read exact-invariant) overflows:
+        # no deviation or ||R|| may be reported from it
         out = tmp_path / "p"
         assert run("probe", *argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -711,6 +711,18 @@ class TestManifest:
         text = (out / "manifest.txt").read_text().splitlines()
         assert [line for line in text if line.startswith(("observed.", "output."))] == [
             f"observed.diverged={diverged}"]
+
+    def test_sweep_whose_second_moments_overflow_scores_nothing(self, tmp_path, capsys):
+        # every cell's bias-corrected v overflows at step 1, so every cell is diverged there
+        # and no grid row can be scored
+        out = tmp_path / "out"
+        assert run("sweep", "--problem", "quadratic", "--seed-list", "0", "--steps", "2000",
+                   "--eta", "3e152", "--out", str(out)) == 2
+        assert "no row of the grids can be scored" in capsys.readouterr().err
+        axis = ("0.9", "0.99", "0.999")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["observed"] == {"diverged": [f"{b1},{b2},0:1" for b1 in axis
+                                                     for b2 in axis]}
 
     @pytest.mark.parametrize("argv,observed,why", [
         (["exp", "--delta0", "-2", "--h", "3"], {"clamped": False, "abort_t": 1.5},

@@ -62,10 +62,11 @@ class TestTrainCells:
             assert_same_trace(b, a)
 
     def test_cell_diverging_mid_run_matches_its_one_cell_run(self):
-        # at eta = 3e152 the (0.999, 0.9) row's iterates grow until they overflow at step 449
+        # at eta = 3e151 the (0.999, 0.9) row's iterates grow until its bias-corrected v
+        # overflows at step 1423 (at 3e152 it overflows at step 1)
         prob = make_problem("quadratic")
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
-                   OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e152),
+                   OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e151),
                    OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02)]
         batched = train_cells(prob, configs, seed=0, steps=2000)
         alone = [train_cells(prob, [cfg], seed=0, steps=2000)[0] for cfg in configs]

@@ -72,8 +72,8 @@ class TestExactInvarianceProbe:
             exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
 
     def test_overflowed_corrected_second_moment_is_domain_error(self):
-        # v_hat = 1e306 / (1 - 0.999) overflows while m, v and R stay finite (R = 0 for every
-        # rescaling, which would read as exact invariance)
+        # v_hat = 1e306 / (1 - 0.999) overflows while m and v stay finite, so R is NaN (were
+        # it 0 for every rescaling, it would read as exact invariance)
         state = MomentState(m=np.zeros(1), v=np.array([1e306]))
         cfg = OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=True)
         with pytest.raises(DomainError, match="moment or R of the probe is not finite"):

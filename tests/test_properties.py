@@ -362,6 +362,33 @@ def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
     assert block.k == single.k == k0 + steps
 
 
+# huge entries overflow the stepped m and v, or only the corrected v
+overflow_values = st.one_of(kernel_values, st.sampled_from([1e154, 1e306, 1.7e308, -1.7e308]),
+                            st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), c=st.integers(1, 3), d=st.integers(1, 4), k0=st.integers(0, 3))
+@example(data=None, c=1, d=1, k0=0)
+def test_an_overflowed_moment_makes_r_non_finite(data, c, d, k0):
+    if data is None:  # m, v and R(g = 1) finite, but v_hat = 1e306 / (1 - 0.999) overflows
+        configs = [OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=True)]
+        grads, m0, v0 = np.ones((1, 1, 1)), np.zeros((1, 1)), np.full((1, 1), 1e306)
+    else:
+        configs = data.draw(kernel_configs(c))
+        grads = data.draw(arrays(float, (1, c, d), elements=overflow_values))
+        m0 = data.draw(arrays(float, (c, d), elements=overflow_values))
+        v0 = np.abs(data.draw(arrays(float, (c, d), elements=overflow_values)))
+    state = MomentState(m0, v0, k0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = run_kernel(state, grads, CellConfigs(configs))
+        assume(not isinstance(r, str))  # epsilon = 0 met a zero second moment
+        v_hat = state.v / np.array([[1.0 - cfg.beta2 ** state.k if cfg.bias_correction else 1.0]
+                                    for cfg in configs])
+    overflowed = ~(np.isfinite(state.m) & np.isfinite(state.v) & np.isfinite(v_hat))
+    assert not np.isfinite(r[0][overflowed]).any()
+
+
 def test_block_kernel_zero_moment_error_matches_single_steps():
     # v = 2e-323 halves to zero at step 3 of the beta2 = 0.5 row; the other row's v stays 1
     cells = CellConfigs([OptimizerConfig(beta2=b2, epsilon=0.0, bias_correction=False)

@@ -103,13 +103,23 @@ class TestRunTraining:
         assert np.all(trace.norm_r >= 0.0)
 
     def test_divergence_truncates_with_flag(self):
-        # at eta = 3e152 the (0.999, 0.9) iterates grow until they overflow at step 449
+        # at eta = 3e151 the (0.999, 0.9) iterates grow until the bias-corrected v
+        # overflows at step 1423 (at 3e152 it overflows at step 1)
         prob = make_problem("quadratic")
-        cfg = OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e152)
+        cfg = OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e151)
         trace = train_cells(prob, [cfg], seed=0, steps=2000)[0]
         assert trace.diverged
         assert 1 < trace.norm_r.size < 2000
         assert np.all(np.isfinite(trace.loss))
+
+    @pytest.mark.parametrize("eta, dies_at", [(1e152, 347), (3e151, 1423)])
+    def test_overflowed_second_moment_cuts_the_trace(self, eta, dies_at):
+        # the (0.999, 0.9) cell's bias-corrected v first overflows at step dies_at: that step's
+        # R is NaN, not 0, so the run is diverged there instead of training on to 2000
+        cfg = OptimizerConfig(beta1=0.999, beta2=0.9, eta=eta)
+        trace = train_cells(make_problem("quadratic"), [cfg], seed=0, steps=2000)[0]
+        assert trace.diverged and trace.norm_r.size == dies_at
+        assert np.isfinite(trace.norm_r).all()
 
     def test_update_norm_bounded_by_recorded_state(self):
         prob = make_problem("logistic")
@@ -154,8 +164,9 @@ class TestSweepGrid:
                                         "omega2": oscillation_omega2(smoothed)}
 
     def test_diverged_cell_becomes_nan(self):
-        # at eta = 3e152 only the (0.999, 0.9) cell diverges, at step 449
-        res = sweep_grid(make_problem("quadratic"), seeds=(0,), steps=2000, eta=3e152)
+        # at eta = 3e151 only the (0.999, 0.9) cell diverges, its corrected v overflowing
+        # at step 1423
+        res = sweep_grid(make_problem("quadratic"), seeds=(0,), steps=2000, eta=3e151)
         for cell, trace in res.traces.items():
             assert trace.diverged == (cell == (0.999, 0.9, 0))
             assert all(math.isnan(v) == trace.diverged for v in res.omegas[cell].values())
