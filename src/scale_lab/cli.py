@@ -27,9 +27,9 @@ too small to grid its interval, a
 sweep or report none of whose rows can be scored (each row tied or all
 diverged) and a run out of memory are runtime errors.  A ``report`` CSV
 that is not UTF-8, has a field past the csv size limit, a repeated header
-name, a missing or duplicate cell, a seed that is not an integer >= 0, a
-beta outside (0, 1) or an omega below 0 (``-inf`` included) is a parse
-error naming its line.
+name, a missing or duplicate cell, a seed that is not an integer in
+[0, 2**64), a beta outside (0, 1) or an omega below 0 (``-inf`` included)
+is a parse error naming its line.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .invariance import exact_invariance_probe, step_scale_grid
 from .metrics import grid_report, omega_grids
 from .optimizers import MomentState, OptimizerConfig
 from .problems import PROBLEMS, make_problem
+from .rng import SEED_RANGE, is_seed
 from .reporting import (RunManifest, flow_trace_csv, probe_csv, read_omega_grids,
                         read_omega_matrix, run_trace_csvs, summary_csv, sweep_grid_csv,
                         write_csv, write_csvs, write_svg_lines)
@@ -86,7 +87,7 @@ _nonnegative_float = _flag_value(float, lambda x: 0.0 <= x < math.inf, "a finite
 _nonzero_float = _flag_value(float, lambda x: x != 0.0 and math.isfinite(x),
                              "a finite non-zero number")
 _beta = _flag_value(float, lambda b: 0.0 < b < 1.0, "a finite number in (0, 1)")
-_seed = _flag_value(int, lambda s: 0 <= s < 2 ** 64, "an integer seed in [0, 2**64)")
+_seed = _flag_value(int, is_seed, f"an integer seed in {SEED_RANGE}")
 _count = _flag_value(int, lambda n: n >= 1, "an integer >= 1")
 
 

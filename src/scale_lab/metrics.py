@@ -87,7 +87,6 @@ def binomial_diagonal_test(k: int, n: int, width: int = 3) -> float:
 class OscillationGridReport:
     """Diagonal-selection statistics of per-seed oscillation grids."""
 
-    beta_axis: list[float]
     hits: int                    # K: scored rows whose argmin column equals the row
     trials: int                  # N: scored (row, seed) pairs
     rate: float
@@ -115,8 +114,7 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
     grids = [np.asarray(g, dtype=float) for g in omega_grids]
     if not grids:
         raise DomainError("empty grid list")
-    axis = [float(b) for b in beta_axis]
-    n = len(axis)
+    n = len(beta_axis)
     for g in grids:
         if g.shape != (n, n):
             raise DomainError(f"grid shape {g.shape} does not match axis length {n}")
@@ -131,7 +129,6 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
     cols = np.where(scored, vals.argmin(axis=2), -1)
     hits, trials = int((cols == np.arange(n)).sum()), int(scored.sum())
     return OscillationGridReport(
-        beta_axis=axis, hits=hits, trials=trials,
-        rate=hits / trials, p_value=binomial_diagonal_test(hits, trials, n),
-        argmin_cols=cols.tolist(),
+        hits=hits, trials=trials, rate=hits / trials,
+        p_value=binomial_diagonal_test(hits, trials, n), argmin_cols=cols.tolist(),
     )

@@ -10,10 +10,13 @@ need quoting (one holding a comma, a double quote or a line break, or the
 empty field of a one-column row) is a ``DomainError``; no CLI output has
 one.  So any CSV reader parses the files, and rerunning a deterministic
 command reproduces them byte for byte.  Each block of ``_BLOCK_ROWS`` rows
-is one flat list of fields and separators, written with one join.  Tables
+is one flat list of fields and separators, written with one join; a float
+block whose values all have one bit pattern is formatted once.  Tables
 that share their leading columns (the step-scale probe's ``step`` and
 ``multiplier``, a sweep's ``step``) are written in one call: per block each
-shared column is formatted once and each table fills in its own.  At most
+row's shared fields are formatted and joined once, with the comma after
+them, into a lead string, and each table's row is that lead, its own fields
+and their separators (3 items for a step-scale file).  At most
 ``_OPEN_FILES`` (64) files are open at once, so a larger family is written
 in groups of 64.  ``write_csv`` is the one-table case.  Each CLI run writes
 a manifest (flat key=value text plus a JSON mirror) tying every output
@@ -30,6 +33,7 @@ import re
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -39,6 +43,7 @@ from .errors import DomainError
 from .flow import FlowTrace
 from .invariance import RescaleProbeResult
 from .metrics import OscillationGridReport, omega_grids
+from .rng import SEED_RANGE, is_seed
 from .training import LOSS_EVERY, RunTrace, SweepResult
 
 
@@ -68,10 +73,12 @@ def _checked(texts: list[str], lone: bool) -> list[str]:
 
 
 def _format_floats(block: np.ndarray) -> list[str]:
-    """``repr`` per value, each distinct bit pattern formatted once (so -0.0 stays -0.0)."""
-    _, first, inverse = np.unique(block.view(np.int64), return_index=True, return_inverse=True)
-    texts = np.array(list(map(repr, block[first].tolist())), dtype=object)
-    return texts[inverse].tolist()
+    """``repr`` per value; a constant block, every value with the first one's bits (compared
+    as ``int64``, so -0.0 stays -0.0 beside 0.0), is formatted once and its text repeated."""
+    bits = block.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return [repr(float(block[0]))] * bits.size
+    return list(map(repr, block.tolist()))
 
 
 def _format_value(x) -> str:
@@ -124,7 +131,12 @@ def write_csvs(paths: Sequence[Path], header: Sequence[str], shared: Sequence,
                               f"all of one length; got lengths {[len(c) for c in columns]}")
     lone = len(header) == 1
     head = ",".join(_checked([str(name) for name in header], lone)) + "\r\n"
-    row = [","] * (2 * len(header) - 1) + ["\r\n"]  # a row's field j goes to 2 * j
+    # A row is its lead, if there are shared columns (their fields, joined once per block for
+    # every table, and the comma before the first own field, if any), then its own fields and
+    # separators: own field j goes to first + 2 * j.
+    own = len(header) - len(shared)
+    first = int(bool(shared))
+    row = [""] * first + [","] * (2 * own - 1) + ["\r\n"]
     for group in range(0, len(paths), _OPEN_FILES):
         with ExitStack() as stack:
             handles = []
@@ -135,11 +147,12 @@ def write_csvs(paths: Sequence[Path], header: Sequence[str], shared: Sequence,
             for start in range(0, n_rows, _BLOCK_ROWS):
                 rows = slice(start, start + _BLOCK_ROWS)
                 flat = row * min(_BLOCK_ROWS, n_rows - start)
-                for j, column in enumerate(shared):
-                    flat[2 * j::len(row)] = _format_block(column[rows], lone)
+                if shared:
+                    texts = [_format_block(column[rows], lone) for column in shared]
+                    flat[::len(row)] = map(",".join, zip(*texts, *[repeat("")] * (own > 0)))
                 for fh, table in zip(handles, tables[group:group + _OPEN_FILES]):
-                    for j, column in enumerate(table, len(shared)):
-                        flat[2 * j::len(row)] = _format_block(column[rows], lone)
+                    for j, column in enumerate(table):
+                        flat[first + 2 * j::len(row)] = _format_block(column[rows], lone)
                     fh.write("".join(flat))
     return paths
 
@@ -215,8 +228,11 @@ def parse_omega(path, line_no: int, text: str) -> float:
 
 
 def parse_seed(path, line_no: int, text: str) -> int:
-    if not (text.strip().isascii() and text.strip().isdigit()):
-        raise CsvParseError(path, line_no, f"not a seed (an integer >= 0): {text!r}")
+    """A seed, as ``sweep --seed-list`` accepts them: an integer in ``rng.SEED_RANGE``."""
+    digits = text.strip()  # int() refuses a string of over 4300 digits; no seed has 21
+    if not (digits.isascii() and digits.isdigit() and len(digits.lstrip("0")) <= 20
+            and is_seed(int(digits))):
+        raise CsvParseError(path, line_no, f"not a seed (an integer in {SEED_RANGE}): {text!r}")
     return int(text)
 
 

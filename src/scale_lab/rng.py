@@ -22,10 +22,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+SEED_RANGE = "[0, 2**64)"  # every seed and stream; a wider integer would alias a smaller one
+
+
+def is_seed(value: int) -> bool:
+    """Whether ``value`` lies in ``SEED_RANGE``, so it can seed (or name the stream of) a
+    ``CounterRng``."""
+    return 0 <= value <= _MASK
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -38,9 +48,9 @@ class CounterRng:
     """Deterministic splitmix64 stream addressed by (seed, stream, counter)."""
 
     def __init__(self, seed: int, stream: int = 0):
-        if not (0 <= seed <= _MASK and 0 <= stream <= _MASK):  # a wider seed would alias
-            raise ValueError(f"seed and stream must be integers in [0, 2**64), "
-                             f"got {seed} and {stream}")
+        if not (is_seed(seed) and is_seed(stream)):
+            raise DomainError(f"seed and stream must be integers in {SEED_RANGE}, "
+                              f"got {seed} and {stream}")
         seed_word, stream_word = _mix64(np.array([seed & _MASK, (stream + 1) * _GAMMA & _MASK],
                                                  dtype=np.uint64))
         self._base = seed_word ^ stream_word
@@ -70,6 +80,6 @@ class CounterRng:
     def integers(self, low: int, high: int, size: int) -> np.ndarray:
         """Integers in [low, high), modulo-reduced."""
         if high <= low:
-            raise ValueError("empty integer range")
+            raise DomainError("empty integer range")
         span = np.uint64(high - low)
         return (self.words(size) % span).astype(np.int64) + low

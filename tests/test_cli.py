@@ -583,6 +583,18 @@ class TestSweepAndReport:
         assert "g.csv:4:" in err and repr(seed) in err and "Traceback" not in err
         assert not (tmp_path / "r" / "report_summary.csv").exists()
 
+    @pytest.mark.parametrize("seed", [str(2 ** 64), "9" * 5000], ids=["2**64", "5000-digits"])
+    def test_grid_seed_outside_64_bits_is_parse_error(self, tmp_path, capsys, seed):
+        # a complete, scorable grid whose first row has a seed sweep could never have written
+        rows = [f"{b1},{b2},{s},{1.0 if b1 == b2 else 2.0}"
+                for s in (seed, "0") for b1 in (0.9, 0.99) for b2 in (0.9, 0.99)]
+        grid = tmp_path / "g.csv"
+        grid.write_text("\n".join(["beta1,beta2,seed,omega1", *rows]) + "\n")
+        assert run("report", "--grid", str(grid), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert "g.csv:2: not a seed" in err and "[0, 2**64)" in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "report_summary.csv").exists()
+
     def test_parse_error_after_blank_line_names_its_real_line(self, tmp_path, capsys):
         grid = tmp_path / "g.csv"
         grid.write_text("beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n\nx,0.99,0,0.2\n")

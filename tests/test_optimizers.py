@@ -20,7 +20,7 @@ PROBLEM = dict(n_samples=0, loss=np.sum, grad=np.ones_like, init_theta=np.zeros,
                loss_finite_below=1.0, default_eta=0.01)
 PROFILE = dict(lambda_bound=0.1, lambda_prime_bound=0.0)
 FIT = dict(slope=2.0, coefficient=0.0, delta0_grid=[0.01], signed_deviations=[0.0])
-REPORT = dict(beta_axis=[0.9], hits=1, trials=1, rate=1.0, p_value=1.0, argmin_cols=[[0]])
+REPORT = dict(hits=1, trials=1, rate=1.0, p_value=1.0, argmin_cols=[[0]])
 
 
 def raw_config(b1, b2, **kw):

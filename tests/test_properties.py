@@ -179,7 +179,27 @@ BLOCK = reporting._BLOCK_ROWS
 SPECIAL_BITS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
                          2.2250738585072014e-308, 1e16, 0.1, 1.0]).view(np.int64).tolist()
 float_bits = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(SPECIAL_BITS))
+NAN_PAYLOADS = [0x7FF800000000BEEF, 0x7FF8000000000001]
+CONSTANT_BITS = [*np.array([-0.0, 5e-324]).view(np.int64).tolist(), NAN_PAYLOADS[0]]
+# (bits, odd bits): equal as floats, or both NaN, but not as bits
+NEAR_PAIRS = [tuple(np.array([0.0, -0.0]).view(np.int64).tolist()), tuple(NAN_PAYLOADS)]
 SAFE_TEXT = "abcXYZ019 .-_+e"
+
+
+def float_column_bits(draw, n):
+    """Any bits; or one bit pattern throughout; or that with one odd entry at row 0, at the
+    last row, or on either side of the first block boundary."""
+    shape = draw(st.sampled_from(["any", "constant", "near-constant"]))
+    if shape == "any":
+        return draw(arrays(np.int64, n, elements=float_bits))
+    if shape == "constant":
+        return np.full(n, draw(st.one_of(st.sampled_from(CONSTANT_BITS), float_bits)), np.int64)
+    bits, odd = draw(st.sampled_from(NEAR_PAIRS + [pair[::-1] for pair in NEAR_PAIRS]))
+    col = np.full(n, bits, np.int64)
+    rows = [i for i in (0, n - 1, BLOCK - 1, BLOCK) if 0 <= i < n]
+    if rows:
+        col[draw(st.sampled_from(rows))] = odd
+    return col
 
 
 def csv_column(draw, kind, n, text):
@@ -192,7 +212,7 @@ def csv_column(draw, kind, n, text):
         picks = draw(arrays(np.int64, n, elements=st.integers(0, len(pool) - 1)))
         col = [pool[i] for i in picks]
         return col, col
-    col = draw(arrays(np.int64, n, elements=float_bits)).view(np.float64)
+    col = float_column_bits(draw, n).view(np.float64)
     if kind == "float-list":  # Python floats or numpy float64 scalars
         col = col.tolist() if draw(st.booleans()) else list(col)
     return col, [repr(float(x)) for x in col]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scale_lab import CounterRng
+from scale_lab import CounterRng, DomainError, make_problem
 
 MASK = 0xFFFFFFFFFFFFFFFF
 GAMMA = 0x9E3779B97F4A7C15
@@ -75,3 +75,10 @@ def test_seed_or_stream_outside_64_bits_rejected(seed, stream):
     # masking would alias 2**64 + 5 to seed 5: two "independent" runs with one stream
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         CounterRng(seed, stream)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_problem_seed_outside_64_bits_is_domain_error(seed):
+    # the library's contract for an input outside an operation's domain
+    with pytest.raises(DomainError, match=r"\[0, 2\*\*64\)"):
+        make_problem("logistic", seed=seed)
