@@ -11,25 +11,25 @@ Four subcommands:
 * ``report`` -- recompute rates and p-values from stored grids, or score
                one externally supplied omega matrix.
 
-Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A NaN or
-infinite float flag or list item, an empty list, a negative, fractional,
-repeated or 2**64-or-larger seed, a repeated beta, a count below 1, a
-``sweep --steps`` below 3 (omega2 needs 3 samples), a time scale, step
-size, learning rate or step-scale multiplier that is not positive, a zero
-step-scale base, a beta outside (0, 1), a negative
+Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A seed, in a
+flag or a ``report --grid`` row alike, is ASCII decimal digits (no sign, ``_``
+or other script's digit) below 2**64.  A NaN or infinite float flag or list
+item, an empty list, a repeated seed or one that is not a seed, a repeated
+beta, a count below 1, a ``sweep --steps`` below 3 (omega2 needs 3 samples),
+a time scale, step size, learning rate or step-scale multiplier that is not
+positive, a zero step-scale base, a beta outside (0, 1), a negative
 ``--epsilon`` or ``--v`` item, an adam probe's ``--m`` or ``--v`` whose
 length differs from ``--g``'s, a ``--jump`` outside [1, steps - 1],
-``--seeds`` given together with ``--seed-list`` and a report without
-exactly one of ``--grid`` and ``--ingest`` are usage errors.  An overflow
-in a flow or its remainder report, a step-scale gradient entry that is not
-finite, at least 2**511 or below 2**-511 (named by its step), a flow step
-too small to grid its interval, a
-sweep or report none of whose rows can be scored (each row tied or all
-diverged) and a run out of memory are runtime errors.  A ``report`` CSV
-that is not UTF-8, has a field past the csv size limit, a repeated header
-name, a missing or duplicate cell, a seed that is not an integer in
-[0, 2**64), a beta outside (0, 1) or an omega below 0 (``-inf`` included)
-is a parse error naming its line.
+``--seeds`` given together with ``--seed-list`` and a report without exactly
+one of ``--grid`` and ``--ingest`` are usage errors.  An overflow in a flow
+or its remainder report, a step-scale gradient entry that is not finite, at
+least 2**511 or below 2**-511 (named by its step), a flow step too small to
+grid its interval, a sweep or report none of whose rows can be scored (each
+row tied or all diverged) and a run out of memory are runtime errors.  A
+``report`` CSV that is not UTF-8, has a field past the csv size limit, a
+repeated header name, a missing or duplicate cell, a seed that is not one, a
+beta outside (0, 1) or an omega below 0 (``-inf`` included) is a parse error
+naming its line.
 """
 
 from __future__ import annotations
@@ -45,15 +45,15 @@ from . import __version__
 from .errors import DimensionError, DomainError, FlowAbort
 from .flow import TimeScales, integrate_flow, steady_state_init
 from .invariance import exact_invariance_probe, step_scale_grid
-from .metrics import grid_report, omega_grids
+from .metrics import METRICS, grid_report, omega_grids
 from .optimizers import MomentState, OptimizerConfig
 from .problems import PROBLEMS, make_problem
-from .rng import SEED_RANGE, is_seed
+from .rng import SEED_RANGE, parse_seed
 from .reporting import (RunManifest, flow_trace_csv, probe_csv, read_omega_grids,
                         read_omega_matrix, run_trace_csvs, summary_csv, sweep_grid_csv,
                         write_csv, write_csvs, write_svg_lines)
 from .signals import constant_signal, exponential_signal, sinusoidal_log_signal, step_multipliers
-from .training import DEFAULT_BATCH, DEFAULT_BETA_AXIS, DEFAULT_WINDOW, METRICS, sweep_grid
+from .training import DEFAULT_BATCH, DEFAULT_BETA_AXIS, DEFAULT_WINDOW, sweep_grid
 from .drift import measure_remainder
 
 
@@ -87,7 +87,7 @@ _nonnegative_float = _flag_value(float, lambda x: 0.0 <= x < math.inf, "a finite
 _nonzero_float = _flag_value(float, lambda x: x != 0.0 and math.isfinite(x),
                              "a finite non-zero number")
 _beta = _flag_value(float, lambda b: 0.0 < b < 1.0, "a finite number in (0, 1)")
-_seed = _flag_value(int, is_seed, f"an integer seed in {SEED_RANGE}")
+_seed = _flag_value(parse_seed, lambda _: True, f"a seed: ASCII decimal digits in {SEED_RANGE}")
 _count = _flag_value(int, lambda n: n >= 1, "an integer >= 1")
 
 
@@ -122,9 +122,7 @@ def _build_signal(args):
         return constant_signal(args.scale)
     if args.signal == "exp":
         return exponential_signal(args.delta0, args.scale)
-    if args.signal == "sin-log":
-        return sinusoidal_log_signal(args.amplitude, args.omega, args.scale)
-    raise DomainError(f"unknown signal {args.signal!r}")
+    return sinusoidal_log_signal(args.amplitude, args.omega, args.scale)  # "sin-log"
 
 
 def cmd_flow(args, manifest: RunManifest) -> list[Path]:
@@ -217,6 +215,15 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
 
 # ---------------------------------------------------------------- sweep
 
+def _print_report(prefix: str, rep) -> None:
+    """``prefix`` and the K/N/p line of a scored grid, then its unscored (seed, row) pairs."""
+    print(f"{prefix} K={rep.hits} N={rep.trials} rate={rep.rate:.1%} p={rep.p_value:.6g}")
+    unscored = [(s, r) for s, cols in enumerate(rep.argmin_cols)
+                for r, col in enumerate(cols) if col == -1]
+    if unscored:
+        print(f"  unscored rows (seed, row): {unscored}")
+
+
 def _diverged(traces) -> list[str]:
     """Each diverged cell as ``beta1,beta2,seed:step``, the step read off its trace length."""
     return [f"{b1},{b2},{s}:{tr.norm_r.size}" for (b1, b2, s), tr in sorted(traces.items())
@@ -233,24 +240,22 @@ def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
     result = sweep_grid(problem, beta_axis=betas, seeds=seeds, steps=args.steps,
                         batch_size=args.batch_size, eta=args.eta, window=args.window)
     manifest.observed["diverged"] = _diverged(result.traces)
-    cells = {cell: om[args.metric] for cell, om in result.omegas.items()}
     try:
-        rep = grid_report(omega_grids(cells, betas, seeds), betas)
+        rep = grid_report(omega_grids(result.omegas[args.metric], betas, seeds), betas)
     except DomainError:  # no outputs, but the manifest says which cells diverged
         manifest.write(out)
         raise
 
     files = run_trace_csvs({out / "cells" / f"trace_{b1}_{b2}_s{seed}.csv": trace
                             for (b1, b2, seed), trace in sorted(result.traces.items())})
-    files.append(sweep_grid_csv(result, out / "grid.csv"))
+    files.append(sweep_grid_csv(result, args.window, out / "grid.csv"))
     files.append(summary_csv(rep, out / "summary.csv"))
     if args.plot:
         series = [(f"({b1},{b2})", np.arange(tr.norm_r.size), tr.norm_r)
                   for (b1, b2, seed), tr in sorted(result.traces.items()) if seed == seeds[0]]
         files.append(write_svg_lines(out / "sweep.svg", series,
                                      title=f"{args.problem} ||R_k||, seed {seeds[0]}"))
-    print(f"sweep {args.problem}: metric={args.metric} window={args.window} "
-          f"K={rep.hits} N={rep.trials} rate={rep.rate:.1%} p={rep.p_value:.6g}")
+    _print_report(f"sweep {args.problem}: metric={args.metric} window={args.window}", rep)
     return files
 
 
@@ -265,12 +270,7 @@ def cmd_report(args, manifest: RunManifest) -> list[Path]:
         mode = "per-seed"
     rep = grid_report(grids, axis)
     files = [summary_csv(rep, Path(args.out) / "report_summary.csv")]
-    print(f"report ({mode}): K={rep.hits} N={rep.trials} rate={rep.rate:.1%} "
-          f"p={rep.p_value:.6g}")
-    unscored = [(s, r) for s, cols in enumerate(rep.argmin_cols)
-                for r, col in enumerate(cols) if col == -1]
-    if unscored:
-        print(f"  unscored rows (seed, row): {unscored}")
+    _print_report(f"report ({mode}):", rep)
     return files
 
 
@@ -278,6 +278,7 @@ def cmd_report(args, manifest: RunManifest) -> list[Path]:
 
 def build_parser() -> argparse.ArgumentParser:
     beta_grid = ",".join(map(str, DEFAULT_BETA_AXIS))  # "0.9,0.99,0.999"
+    metric = dict(choices=tuple(METRICS), default=next(iter(METRICS)))
     parser = _Parser(prog="scale-lab",
                      description="Adam flow, scale-invariance probes, and oscillation statistics")
     parser.add_argument("--version", action="version", version=f"scale-lab {__version__}")
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=_count, default=DEFAULT_BATCH)
     p.add_argument("--eta", type=_positive_float, default=None)
     p.add_argument("--window", type=_count, default=DEFAULT_WINDOW)
-    p.add_argument("--metric", choices=METRICS, default=METRICS[0])
+    p.add_argument("--metric", **metric)
     p.add_argument("--beta-grid", default=beta_grid)
     p.add_argument("--out", default="scale-lab-out/sweep")
     p.add_argument("--plot", action="store_true")
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs = p.add_mutually_exclusive_group(required=True)
     inputs.add_argument("--grid", help="grid.csv from a sweep")
     inputs.add_argument("--ingest", help="externally supplied omega matrix CSV")
-    p.add_argument("--metric", choices=METRICS, default=METRICS[0])
+    p.add_argument("--metric", **metric)
     p.add_argument("--out", default="scale-lab-out/report")
     p.set_defaults(func=cmd_report)
     return parser

@@ -65,7 +65,11 @@ def oscillation_omega2(series: Sequence[float]) -> float:
     return float(np.sum(terms) / (x.size - 1))
 
 
-def binomial_diagonal_test(k: int, n: int, width: int = 3) -> float:
+# How a sweep cell is scored, by name: --metric's choices (first the default) and grid.csv's order
+METRICS = {"omega1": oscillation_omega1, "omega2": oscillation_omega2}
+
+
+def binomial_diagonal_test(k: int, n: int, width: int) -> float:
     """Exact one-sided tail P(X >= k) for X ~ Binomial(n, 1/width).
 
     ``width`` is the length of the beta axis: under the null each row's
@@ -89,9 +93,12 @@ class OscillationGridReport:
 
     hits: int                    # K: scored rows whose argmin column equals the row
     trials: int                  # N: scored (row, seed) pairs
-    rate: float
     p_value: float
     argmin_cols: list[list[int]]  # per seed, per row; -1 for an unscored row
+
+    @property
+    def rate(self) -> float:
+        return self.hits / self.trials
 
 
 def omega_grids(cells: Mapping[tuple[float, float, int], float], axis: Sequence[float],
@@ -128,7 +135,5 @@ def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -
                           "every row is tied or all NaN or +inf")
     cols = np.where(scored, vals.argmin(axis=2), -1)
     hits, trials = int((cols == np.arange(n)).sum()), int(scored.sum())
-    return OscillationGridReport(
-        hits=hits, trials=trials, rate=hits / trials,
-        p_value=binomial_diagonal_test(hits, trials, n), argmin_cols=cols.tolist(),
-    )
+    return OscillationGridReport(hits=hits, trials=trials, argmin_cols=cols.tolist(),
+                                 p_value=binomial_diagonal_test(hits, trials, n))

@@ -18,6 +18,7 @@ minibatches) at once, which is how the training engine steps cells in lockstep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -146,20 +147,14 @@ def _mlp(seed: int) -> Problem:
     x, y = _make_blobs(seed)
     h, c = MLP_HIDDEN, 2
     d = BLOB_FEATURES
-    sizes = [d * h, h, h * c, c]
+    ends = [0, *accumulate([d * h, h, h * c, c])]  # column bounds of w1, b1, w2, b2
     label_one = y == 1  # labels are 0 or 1
     one_hot = np.eye(c)[y]  # row i is 1.0 at sample i's class, 0.0 at the other
 
     def _unpack(thetas: np.ndarray):
         rows = thetas.shape[0]
-        a, b = 0, sizes[0]
-        w1 = thetas[:, a:b].reshape(rows, d, h)
-        a, b = b, b + sizes[1]
-        b1 = thetas[:, a:b]
-        a, b = b, b + sizes[2]
-        w2 = thetas[:, a:b].reshape(rows, h, c)
-        b2 = thetas[:, b:]
-        return w1, b1, w2, b2
+        w1, b1, w2, b2 = (thetas[:, a:b] for a, b in zip(ends, ends[1:]))
+        return w1.reshape(rows, d, h), b1, w2.reshape(rows, h, c), b2
 
     def _forward(thetas: np.ndarray, xs: np.ndarray):
         """Hidden layer, max-shifted logits and their log-partition per sample."""

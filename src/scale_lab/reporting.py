@@ -42,8 +42,8 @@ import numpy as np
 from .errors import DomainError
 from .flow import FlowTrace
 from .invariance import RescaleProbeResult
-from .metrics import OscillationGridReport, omega_grids
-from .rng import SEED_RANGE, is_seed
+from . import rng
+from .metrics import METRICS, OscillationGridReport, omega_grids
 from .training import LOSS_EVERY, RunTrace, SweepResult
 
 
@@ -228,12 +228,11 @@ def parse_omega(path, line_no: int, text: str) -> float:
 
 
 def parse_seed(path, line_no: int, text: str) -> int:
-    """A seed, as ``sweep --seed-list`` accepts them: an integer in ``rng.SEED_RANGE``."""
-    digits = text.strip()  # int() refuses a string of over 4300 digits; no seed has 21
-    if not (digits.isascii() and digits.isdigit() and len(digits.lstrip("0")) <= 20
-            and is_seed(int(digits))):
-        raise CsvParseError(path, line_no, f"not a seed (an integer in {SEED_RANGE}): {text!r}")
-    return int(text)
+    """A seed, as ``sweep --seed-list`` accepts them: ``rng.parse_seed``."""
+    try:
+        return rng.parse_seed(text)
+    except DomainError as exc:
+        raise CsvParseError(path, line_no, str(exc)) from None
 
 
 # ---------------------------------------------------------------- traces
@@ -267,14 +266,12 @@ def probe_csv(result: RescaleProbeResult, path: Path) -> Path:
 
 # ---------------------------------------------------------------- grids
 
-def sweep_grid_csv(result: SweepResult, path: Path) -> Path:
-    """Per-cell oscillation rows: beta1, beta2, seed, omega1, omega2, window."""
-    cells = sorted(result.omegas.items())
-    return write_csv(path, ["beta1", "beta2", "seed", "omega1", "omega2", "window"],
-                     [[b1 for (b1, _, _), _ in cells], [b2 for (_, b2, _), _ in cells],
-                      [seed for (_, _, seed), _ in cells],
-                      [om["omega1"] for _, om in cells], [om["omega2"] for _, om in cells],
-                      [result.window] * len(cells)])
+def sweep_grid_csv(result: SweepResult, window: int, path: Path) -> Path:
+    """Per-cell rows: beta1, beta2, seed, one column per metric of ``METRICS``, the EMA window."""
+    cells = sorted(result.traces)
+    return write_csv(path, ["beta1", "beta2", "seed", *METRICS, "window"],
+                     [*zip(*cells), *([result.omegas[name][cell] for cell in cells]
+                                      for name in METRICS), [window] * len(cells)])
 
 
 def summary_csv(report: OscillationGridReport, path: Path) -> Path:
@@ -282,8 +279,8 @@ def summary_csv(report: OscillationGridReport, path: Path) -> Path:
                      [[report.rate], [report.hits], [report.trials], [report.p_value]])
 
 
-def read_omega_grids(path: Path, metric: str = "omega1"):
-    """Rebuild per-seed omega matrices from a sweep grid CSV."""
+def read_omega_grids(path: Path, metric: str):
+    """Rebuild per-seed matrices of one metric's column from a sweep grid CSV."""
     cols = read_csv_columns(path)
     for needed in ("beta1", "beta2", "seed", metric):
         if needed not in cols:

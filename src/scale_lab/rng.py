@@ -32,10 +32,14 @@ _MIX2 = 0x94D049BB133111EB
 SEED_RANGE = "[0, 2**64)"  # every seed and stream; a wider integer would alias a smaller one
 
 
-def is_seed(value: int) -> bool:
-    """Whether ``value`` lies in ``SEED_RANGE``, so it can seed (or name the stream of) a
-    ``CounterRng``."""
-    return 0 <= value <= _MASK
+def parse_seed(text: str) -> int:
+    """``text`` as a seed: ASCII decimal digits, blanks around them allowed, at most 20 after
+    leading zeros (``int()`` refuses over 4300), in ``SEED_RANGE``; else a ``DomainError``."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit() and len(digits.lstrip("0")) <= 20
+            and int(digits) <= _MASK):
+        raise DomainError(f"not a seed (an integer in {SEED_RANGE}): {text!r}")
+    return int(digits)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -48,7 +52,7 @@ class CounterRng:
     """Deterministic splitmix64 stream addressed by (seed, stream, counter)."""
 
     def __init__(self, seed: int, stream: int = 0):
-        if not (is_seed(seed) and is_seed(stream)):
+        if not (0 <= seed <= _MASK and 0 <= stream <= _MASK):
             raise DomainError(f"seed and stream must be integers in {SEED_RANGE}, "
                               f"got {seed} and {stream}")
         seed_word, stream_word = _mix64(np.array([seed & _MASK, (stream + 1) * _GAMMA & _MASK],

@@ -1,8 +1,8 @@
 """Training runs over the momentum grid and their oscillation statistics.
 
-The protocol: train each problem over the 3x3 grid
-(beta1, beta2) in {0.9, 0.99, 0.999}^2, repeat across seeds, smooth the
-||R_k|| series with a window-200 EMA and measure the oscillation per cell;
+The protocol: train each problem over the 3x3 grid (beta1, beta2) in
+{0.9, 0.99, 0.999}^2, repeat across seeds, smooth the ||R_k|| series with a
+window-200 EMA and score each cell by every metric of ``metrics.METRICS``;
 ``metrics.grid_report`` then tests how often each row's smoothest column
 lands on the diagonal.
 
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .metrics import ema_smooth, oscillation_omega1, oscillation_omega2
+from .metrics import METRICS, ema_smooth
 from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
 from .problems import Problem
 from .rng import CounterRng
@@ -117,29 +117,24 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
                      diverged=bool(n < steps)) for i, n in enumerate(n_done)]
 
 
-METRICS = ("omega1", "omega2")
-
-
-def _omegas(traces: Sequence[RunTrace], window: int) -> list[dict[str, float]]:
-    """omega1 and omega2 of each trace's smoothed update-norm series, NaN for a diverged
-    run or one shorter than 3 steps; every other trace has the full step count, so all of
-    them are smoothed in one call."""
-    finished = [i for i, tr in enumerate(traces) if not tr.diverged and tr.norm_r.size >= 3]
-    omegas = [dict.fromkeys(METRICS, float("nan")) for _ in traces]
+def _omegas(traces: dict, window: int) -> dict[str, dict]:
+    """Per metric of ``METRICS``, each cell's score of its smoothed update-norm trace, NaN for a
+    diverged run or one shorter than 3 steps; the rest have the full step count: one smoothing."""
+    finished = [cell for cell, tr in traces.items() if not tr.diverged and tr.norm_r.size >= 3]
+    omegas = {name: dict.fromkeys(traces, np.nan) for name in METRICS}
     if finished:
-        smoothed = ema_smooth(np.stack([traces[i].norm_r for i in finished]), window)
-        for i, row in zip(finished, smoothed):
-            omegas[i] = {"omega1": oscillation_omega1(row), "omega2": oscillation_omega2(row)}
+        smoothed = ema_smooth(np.stack([traces[cell].norm_r for cell in finished]), window)
+        for name, metric in METRICS.items():
+            omegas[name].update(zip(finished, map(metric, smoothed)))
     return omegas
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All traces of a grid sweep and their omega1 and omega2, by (beta1, beta2, seed) cell."""
+    """A sweep's traces by cell, and ``omegas[metric][cell]``, the cell's score by that metric."""
 
     traces: dict[tuple[float, float, int], RunTrace]
-    omegas: dict[tuple[float, float, int], dict[str, float]]
-    window: int
+    omegas: dict[str, dict[tuple[float, float, int], float]]
 
 
 def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS, *,
@@ -149,7 +144,8 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
 
     Every cell of every seed trains at ``eta`` (by default ``problem.default_eta``) as one
     row of a single lockstep batch; the finished cells are smoothed in one call and each is
-    measured by both metrics.  Scoring is ``grid_report`` over ``omega_grids`` of one metric.
+    measured by every metric of ``METRICS``.  Scoring is
+    ``grid_report(omega_grids(result.omegas[metric], axis, seeds), axis)``.
     """
     axis = [float(b) for b in beta_axis]
     seed_list = [int(s) for s in seeds]
@@ -161,7 +157,6 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     cells = [(b1, b2, s) for s in seed_list for b1 in axis for b2 in axis]
     configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, bias_correction=True)
                for b1, b2, _ in cells]
-    traces = train_cells(problem, configs, seed=[s for _, _, s in cells], steps=steps,
-                         batch_size=batch_size)
-    return SweepResult(traces=dict(zip(cells, traces)),
-                       omegas=dict(zip(cells, _omegas(traces, window))), window=window)
+    traces = dict(zip(cells, train_cells(problem, configs, seed=[s for _, _, s in cells],
+                                         steps=steps, batch_size=batch_size)))
+    return SweepResult(traces=traces, omegas=_omegas(traces, window))

@@ -29,7 +29,7 @@ def report(line: str) -> None:
 def test_criterion_1_binomial_arithmetic():
     start = time.perf_counter()
     cases = {(3, 3): 0.037037, (9, 9): 5.08e-5, (7, 9): 0.008281}
-    got = {kn: binomial_diagonal_test(*kn) for kn in cases}
+    got = {kn: binomial_diagonal_test(*kn, 3) for kn in cases}
     for kn, expected in cases.items():
         assert got[kn] == pytest.approx(expected, rel=5e-4)  # 3 significant figures
     elapsed = time.perf_counter() - start
@@ -179,9 +179,8 @@ def test_criterion_8_desk_scale_pipeline(tmp_path):
 
     # pooling is one grid_report call over both sweeps' per-seed grids
     axis = [0.9, 0.99, 0.999]
-    logistic_grids, mlp_grids = (
-        omega_grids({cell: om["omega1"] for cell, om in res.omegas.items()}, axis, seeds)
-        for res in (logistic, mlp))
+    logistic_grids, mlp_grids = (omega_grids(res.omegas["omega1"], axis, seeds)
+                                 for res in (logistic, mlp))
     logistic_rep, mlp_rep = grid_report(logistic_grids, axis), grid_report(mlp_grids, axis)
     pooled = grid_report(logistic_grids + mlp_grids, axis)
     k, n, p = pooled.hits, pooled.trials, pooled.p_value

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scale_lab import __version__, cli, problems, reporting, training
+from scale_lab import __version__, cli, metrics, problems, reporting, training
 from scale_lab.optimizers import OptimizerConfig
 from scale_lab.cli import build_parser, main
 from scale_lab.reporting import read_csv_columns
@@ -108,6 +108,13 @@ class TestExitCodes:
         ("sweep", "--problem", "quadratic", "--seed-list", "1,1"),
         ("sweep", "--problem", "quadratic", "--batch-size", "0"),
         ("sweep", "--problem", "quadratic", "--seed-list", ","),
+        # a seed is ASCII decimal digits alone, as report --grid reads it back
+        ("sweep", "--problem", "quadratic", "--seed-list", "5_0"),
+        ("sweep", "--problem", "quadratic", "--seed-list", "0,+1"),
+        ("sweep", "--problem", "quadratic", "--seed-list", "\uff11"),
+        ("sweep", "--problem", "quadratic", "--data-seed", "5_0"),
+        ("sweep", "--problem", "quadratic", "--data-seed", "+1"),
+        ("sweep", "--problem", "quadratic", "--data-seed", "\uff11"),
         ("probe", "--g", ""),
         ("probe", "--lambdas", "2,x"),
         ("probe", "--step-scale", "--beta-grid", ","),
@@ -418,7 +425,7 @@ class TestSweepAndReport:
         from scale_lab import make_problem, sweep_grid
         res = sweep_grid(make_problem("logistic"), seeds=(0, 1), steps=80, window=10)
         for b1, b2, s, w in zip(cols["beta1"], cols["beta2"], cols["seed"], cols["omega1"]):
-            assert float(w) == res.omegas[(float(b1), float(b2), int(s))]["omega1"]
+            assert float(w) == res.omegas["omega1"][(float(b1), float(b2), int(s))]
 
     def test_report_from_grid_matches_summary(self, tmp_path):
         out = tmp_path / "s"
@@ -455,6 +462,33 @@ class TestSweepAndReport:
         got = [float(w) for b1, b2, w in zip(cols["beta1"], cols["beta2"], cols["omega1"])
                if b1 == "0.9" and b2 == "0.99"]
         assert got[0] == oscillation_omega1(trace.norm_r)
+
+    def test_a_metric_is_registered_in_metrics_alone(self, tmp_path, monkeypatch):
+        # metrics.METRICS feeds --metric's choices, the sweep's scores and grid.csv's columns
+        monkeypatch.setitem(metrics.METRICS, "spread", lambda x: float(np.ptp(x)))
+        out = tmp_path / "s"
+        assert run("sweep", "--problem", "logistic", "--seeds", "2", "--steps", "30",
+                   "--window", "5", "--beta-grid", "0.9,0.99", "--metric", "spread",
+                   "--out", str(out)) == 0
+        cols = read_csv_columns(out / "grid.csv")
+        assert list(cols) == ["beta1", "beta2", "seed", "omega1", "omega2", "spread", "window"]
+        assert run("report", "--grid", str(out / "grid.csv"), "--metric", "spread",
+                   "--out", str(tmp_path / "r")) == 0
+        assert (read_csv_columns(out / "summary.csv")
+                == read_csv_columns(tmp_path / "r" / "report_summary.csv"))
+
+    def test_sweep_lists_its_unscored_rows_as_report_does(self, tmp_path, capsys):
+        # at this rate both cells of row 0.999 overflow in each seed, and row 0.9 is scored
+        out = tmp_path / "s"
+        assert run("sweep", "--problem", "logistic", "--seeds", "2", "--steps", "40",
+                   "--window", "5", "--beta-grid", "0.9,0.999", "--eta", "2.5e305",
+                   "--out", str(out)) == 0
+        swept = capsys.readouterr().out.splitlines()
+        assert run("report", "--grid", str(out / "grid.csv"), "--out", str(tmp_path / "r")) == 0
+        reported = capsys.readouterr().out.splitlines()
+        assert swept == ["sweep logistic: metric=omega1 window=5 K=1 N=2 rate=50.0% p=0.75",
+                         "  unscored rows (seed, row): [(0, 1), (1, 1)]"]
+        assert reported == ["report (per-seed): K=1 N=2 rate=50.0% p=0.75", swept[1]]
 
     def test_ingest_single_grid(self, tmp_path, capsys):
         matrix = tmp_path / "m.csv"
@@ -550,6 +584,22 @@ class TestSweepAndReport:
         assert run("report", "--grid", str(grid), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert f"g.csv:2: beta outside (0, 1): {beta!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flag,text,message", [
+        ("--ingest", "b1,0.9,0.99\n0.9,1,2\n0.99,2,1\n", "expected header: beta1,"),
+        ("--ingest", "beta1\n0.9\n", "expected header: beta1,"),
+        ("--ingest", "beta1,0.9,0.99\n0.99,1,2\n0.9,2,1\n", "row beta1 values must match"),
+        ("--grid", "beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,0.2\n"
+                   "0.99,0.9,0,0.3\n0.99,0.98,0,0.4\n", "beta1 and beta2 axes disagree"),
+    ], ids=["ingest-header", "ingest-no-axis", "ingest-rows", "grid-axes"])
+    def test_axis_that_does_not_match_is_parse_error_on_line_1(self, tmp_path, capsys, flag,
+                                                               text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"in.csv:1: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     def test_malformed_grid_reports_line_number(self, tmp_path, capsys):
@@ -694,6 +744,19 @@ class TestManifest:
         assert [line for line in text if line.startswith(("config.", "output."))] == (
             [f"config.{k}={config[k]}" for k in sorted(config)]
             + [f"output.{p}={h}" for p, h in sorted(manifest["outputs"].items())])
+
+    @pytest.mark.parametrize("argv,svg", [
+        (["sweep", "--problem", "quadratic", "--seeds", "2", "--steps", "20", "--window", "5"],
+         "sweep.svg"),
+        (["probe", "--step-scale", "--steps", "40"], "stepscale.svg"),
+    ], ids=["sweep", "probe"])
+    def test_plot_is_written_and_hashed_in_the_manifest(self, tmp_path, capsys, argv, svg):
+        out = tmp_path / "out"
+        assert run(*argv, "--beta-grid", "0.9,0.99", "--plot", "--out", str(out)) == 0
+        path = out / svg
+        assert path.read_text().startswith("<svg") and path.read_text().count("<polyline") == 4
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_sweep_manifest_records_each_diverged_cell_and_its_step(self, tmp_path, capsys):
         # at this rate the (0.999, 0.9) cell of seed 0 overflows at step 32; seed 1 runs on

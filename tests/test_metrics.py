@@ -98,28 +98,28 @@ class TestOmega2:
 
 class TestBinomialTest:
     def test_published_values(self):
-        assert binomial_diagonal_test(3, 3) == pytest.approx(0.037037037, rel=1e-6)
-        assert binomial_diagonal_test(9, 9) == pytest.approx(5.0805e-5, rel=1e-4)
-        assert binomial_diagonal_test(7, 9) == pytest.approx(0.008281, rel=1e-4)
+        assert binomial_diagonal_test(3, 3, 3) == pytest.approx(0.037037037, rel=1e-6)
+        assert binomial_diagonal_test(9, 9, 3) == pytest.approx(5.0805e-5, rel=1e-4)
+        assert binomial_diagonal_test(7, 9, 3) == pytest.approx(0.008281, rel=1e-4)
 
     def test_full_count_is_power_of_one_third(self):
         for n in range(1, 21):
             expected = Fraction(1, 3) ** n
-            assert binomial_diagonal_test(n, n) == pytest.approx(float(expected), rel=1e-12)
+            assert binomial_diagonal_test(n, n, 3) == pytest.approx(float(expected), rel=1e-12)
 
     def test_strictly_decreasing_in_k(self):
         for n in (3, 9, 18):
-            values = [binomial_diagonal_test(k, n) for k in range(n + 1)]
+            values = [binomial_diagonal_test(k, n, 3) for k in range(n + 1)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_k_zero_is_one(self):
-        assert binomial_diagonal_test(0, 7) == 1.0
+        assert binomial_diagonal_test(0, 7, 3) == 1.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            binomial_diagonal_test(1, 0)
+            binomial_diagonal_test(1, 0, 3)
         with pytest.raises(DomainError):
-            binomial_diagonal_test(5, 3)
+            binomial_diagonal_test(5, 3, 3)
         with pytest.raises(DomainError):
             binomial_diagonal_test(1, 3, width=0)
 

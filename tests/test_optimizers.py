@@ -20,7 +20,7 @@ PROBLEM = dict(n_samples=0, loss=np.sum, grad=np.ones_like, init_theta=np.zeros,
                loss_finite_below=1.0, default_eta=0.01)
 PROFILE = dict(lambda_bound=0.1, lambda_prime_bound=0.0)
 FIT = dict(slope=2.0, coefficient=0.0, delta0_grid=[0.01], signed_deviations=[0.0])
-REPORT = dict(hits=1, trials=1, rate=1.0, p_value=1.0, argmin_cols=[[0]])
+REPORT = dict(hits=1, trials=1, p_value=1.0, argmin_cols=[[0]])
 
 
 def raw_config(b1, b2, **kw):
@@ -135,9 +135,10 @@ class TestAdamOnlyEngine:
         lambda: remainder_order_sweep(TimeScales(1.0, 1.0), [0.01, 0.02, 0.04], h=0.01),
         lambda: TimeScales(1.0, 1.0, dt=1.0),
         lambda: sweep_grid(make_problem("quadratic"), seeds=(0,), steps=5, epsilon=0.0),
-        lambda: SweepResult(traces={}, omegas={}, window=1, metric="omega1"),
+        lambda: SweepResult(traces={}, omegas={}, metric="omega1"),
         lambda: sweep_grid(make_problem("quadratic"), seeds=(0,), steps=5, metric="omega1"),
-        lambda: SweepResult(report=None, traces={}, omegas={}, window=1),
+        lambda: SweepResult(report=None, traces={}, omegas={}),
+        lambda: SweepResult(traces={}, omegas={}, window=1),
         lambda: Problem(**PROBLEM, dim_theta=1),
         lambda: Problem(**PROBLEM, meta={}),
         lambda: Problem(**PROBLEM, kind="quadratic"),
@@ -146,6 +147,7 @@ class TestAdamOnlyEngine:
         lambda: SensitivityFit(**FIT, deviations=[0.0]),
         lambda: OscillationGridReport(**REPORT, omega=[np.zeros((1, 1))]),
         lambda: OscillationGridReport(**REPORT, degenerate_rows=[]),
+        lambda: OscillationGridReport(**REPORT, rate=1.0),
         lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], width=1),
         lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], height=1),
         lambda: cli._manifest(cli.build_parser().parse_args(["report", "--grid", "g"]), skip=()),
@@ -158,9 +160,11 @@ class TestAdamOnlyEngine:
             "steady_state_init-t0", "first_order_sensitivity-h", "remainder_order_sweep-h",
             "TimeScales-dt",
             "sweep_grid-epsilon", "SweepResult-metric", "sweep_grid-metric", "SweepResult-report",
+            "SweepResult-window",
             "Problem-dim_theta", "Problem-meta", "Problem-kind", "DriftProfile-interval",
             "RemainderReport-window", "SensitivityFit-deviations", "OscillationGridReport-omega",
-            "OscillationGridReport-degenerate_rows", "write_svg_lines-width",
+            "OscillationGridReport-degenerate_rows", "OscillationGridReport-rate",
+            "write_svg_lines-width",
             "write_svg_lines-height", "_manifest-skip"])
     def test_removed_setting_is_a_type_error(self, call):
         with pytest.raises(TypeError):
@@ -180,7 +184,7 @@ class TestAdamOnlyEngine:
         assert names(FlowState) == ["m", "v", "clamped"]
         assert names(TimeScales) == ["tau1", "tau2"]
         assert names(Problem) == list(PROBLEM)
-        assert names(SweepResult) == ["traces", "omegas", "window"]
+        assert names(SweepResult) == ["traces", "omegas"]
         assert names(OscillationGridReport) == list(REPORT)
         assert not hasattr(RescaleProbeResult, "deviation_at")
         assert names(TrackingCheckResult) == ["max_residual", "margin", "passed",

@@ -114,6 +114,13 @@ def test_a_table_of_another_length_is_named_before_any_file_opens(tmp_path, open
     assert not opened and not any(p.exists() for p in paths)
 
 
+def test_fewer_tables_than_paths_is_named_before_any_file_opens(tmp_path, opened):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    with pytest.raises(DomainError, match="one table per path: got 1 tables for 2 paths"):
+        reporting.write_csvs(paths, ["step", "x"], [np.arange(3)], [[np.zeros(3)]])
+    assert not opened and not any(p.exists() for p in paths)
+
+
 def test_a_shared_field_that_needs_quoting_closes_every_file(tmp_path, opened):
     paths = [tmp_path / f"{k}.csv" for k in range(3)]
     with pytest.raises(DomainError, match="would need quoting: 'a,b'"):

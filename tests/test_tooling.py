@@ -1,14 +1,15 @@
-"""The test configuration itself: a failing property test fails; it does not end the run."""
+"""The test configuration and the tools: a failing property test fails without ending the
+run, and ``tools/bench_record.py`` rejects a malformed plan before it exports a commit."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = """
 from hypothesis import given, strategies as st
@@ -25,6 +26,7 @@ def test_passes():
 
 
 def test_failing_given_test_does_not_abort_the_run(tmp_path):
+    pytest.importorskip("hypothesis")
     # hypothesis's pytest plugin reports a failing @given test through libcst where it is
     # installed; no warning on that path may turn into an INTERNALERROR (exit 3) that ends
     # the run before the passing test after it
@@ -34,3 +36,22 @@ def test_failing_given_test_does_not_abort_the_run(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+@pytest.mark.parametrize("pairs", ["sweep", "sweep=x", "sweep=-3", "nosuch=3", "sweep=4,"],
+                         ids=["no-count", "text-count", "negative-count", "unknown", "empty"])
+def test_bench_record_rejects_a_malformed_pairs_plan_before_any_export(monkeypatch, capsys,
+                                                                       pairs):
+    path = ROOT / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    exported = []
+    monkeypatch.setattr(bench_record, "_export", lambda ref, into: exported.append(ref))
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--parent", "HEAD", "--change", "HEAD",
+                                      "--out", "unused.json", "--pairs", pairs])
+    with pytest.raises(SystemExit) as exit_:
+        bench_record.main()
+    assert exit_.value.code == 2 and not exported
+    err = capsys.readouterr().err
+    assert "error: --pairs items are workload=count" in err and repr(pairs.split(",")[-1]) in err

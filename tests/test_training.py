@@ -13,10 +13,9 @@ from scale_lab.training import LOSS_EVERY
 
 def omega1_report(res):
     """``grid_report`` of a sweep's omega1 grids, the way ``sweep`` and ``report --grid`` score."""
-    axis = sorted({b1 for b1, _, _ in res.omegas})
-    seeds = sorted({s for _, _, s in res.omegas})
-    cells = {cell: om["omega1"] for cell, om in res.omegas.items()}
-    return grid_report(omega_grids(cells, axis, seeds), axis)
+    axis = sorted({b1 for b1, _, _ in res.traces})
+    seeds = sorted({s for _, _, s in res.traces})
+    return grid_report(omega_grids(res.omegas["omega1"], axis, seeds), axis)
 
 
 def central_difference_gradient(loss, theta, h=1e-5):
@@ -145,23 +144,24 @@ class TestSweepGrid:
         res1 = sweep_grid(prob, seeds=(0, 1), steps=60, window=10)
         res2 = sweep_grid(prob, seeds=(0, 1), steps=60, window=10)
         assert omega1_report(res1).trials == 6
-        assert {seed for _, _, seed in res1.omegas} == {0, 1}
+        assert {seed for _, _, seed in res1.omegas["omega1"]} == {0, 1}
         assert res1.omegas == res2.omegas
 
     def test_window_one_equals_raw_series_metric(self):
         prob = make_problem("logistic")
         res = sweep_grid(prob, beta_axis=[0.9, 0.99], seeds=(0,), steps=60, window=1)
         trace = res.traces[(0.9, 0.99, 0)]
-        assert res.omegas[(0.9, 0.99, 0)]["omega1"] == oscillation_omega1(trace.norm_r)
+        assert res.omegas["omega1"][(0.9, 0.99, 0)] == oscillation_omega1(trace.norm_r)
 
     def test_omegas_hold_both_metrics_of_every_cell(self):
         res = sweep_grid(make_problem("logistic"), beta_axis=[0.9, 0.99], seeds=(0, 1),
                          steps=60, window=10)
-        assert res.omegas.keys() == res.traces.keys()
+        assert list(res.omegas) == ["omega1", "omega2"]
         for cell, trace in res.traces.items():
             smoothed = ema_smooth(trace.norm_r, 10)
-            assert res.omegas[cell] == {"omega1": oscillation_omega1(smoothed),
-                                        "omega2": oscillation_omega2(smoothed)}
+            assert (res.omegas["omega1"][cell], res.omegas["omega2"][cell]) == (
+                oscillation_omega1(smoothed), oscillation_omega2(smoothed))
+        assert all(scores.keys() == res.traces.keys() for scores in res.omegas.values())
 
     def test_diverged_cell_becomes_nan(self):
         # at eta = 3e151 only the (0.999, 0.9) cell diverges, its corrected v overflowing
@@ -169,7 +169,8 @@ class TestSweepGrid:
         res = sweep_grid(make_problem("quadratic"), seeds=(0,), steps=2000, eta=3e151)
         for cell, trace in res.traces.items():
             assert trace.diverged == (cell == (0.999, 0.9, 0))
-            assert all(math.isnan(v) == trace.diverged for v in res.omegas[cell].values())
+            assert all(math.isnan(scores[cell]) == trace.diverged
+                       for scores in res.omegas.values())
         assert omega1_report(res).argmin_cols[0][2] != 0  # the diverged cell never wins its row
 
     def test_empty_arguments_rejected(self):

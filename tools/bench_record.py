@@ -85,7 +85,14 @@ def main() -> int:
     parser.add_argument("--pairs", default="stepscale=10,sweep=5,flow=5")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    plan = {w: int(n) for w, n in (item.split("=") for item in args.pairs.split(","))}
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    plan = {}
+    for item in args.pairs.split(","):  # checked before either commit is exported
+        workload, _, count = item.partition("=")
+        if workload not in workloads or not (count.isascii() and count.isdigit()):
+            parser.error(f"--pairs items are workload=count, the workload one of {workloads}: "
+                         f"got {item!r}")
+        plan[workload] = int(count)
     if min(plan.values()) < 2:
         parser.error("quartiles need at least 2 pairs per workload")
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
