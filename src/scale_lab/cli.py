@@ -202,7 +202,7 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
             v = np.array(_values(args.v, _nonnegative_float)) if args.v else np.ones_like(g)
             if len(m) != len(g) or len(v) != len(g):
                 raise UsageError(f"--g, --m, --v need one length, got {len(g)}, {len(m)}, {len(v)}")
-            state = MomentState(m=m, v=v, k=args.k)
+            state = MomentState(np.stack((m, v)), k=args.k)
             config = OptimizerConfig(beta1=args.beta1, beta2=args.beta2,
                                      epsilon=args.epsilon, bias_correction=args.bias_correction)
         result = exact_invariance_probe(args.method, state, g, lambdas, config)

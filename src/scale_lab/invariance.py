@@ -60,7 +60,7 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.stack([g] + [lam * g for lam in lams])
         if method == "adam":
-            frozen = MomentState(*(np.tile(a, (len(rows), 1)) for a in (state.m, state.v)), state.k)
+            frozen = MomentState(np.tile(state.mv[:, None], (len(rows), 1)), state.k)
             r = optimizer_step(frozen, rows[None], CellConfigs([config] * len(rows)))[0]
         else:
             r = rows if method == "gd" else np.sign(rows)
@@ -114,8 +114,7 @@ def step_scale_cells(stream: np.ndarray, configs: Sequence[OptimizerConfig]) -> 
     shape = (len(cells), stream.shape[1])
     norm_r = np.empty((len(stream), len(cells)))
     with np.errstate(over="ignore"):  # m, v and a corrected v stay finite; an R may not
-        m = np.repeat(stream[:1], len(cells), axis=0)
-        state = MomentState(m=m, v=m * m)
+        state = MomentState(np.repeat([stream[:1], stream[:1] * stream[:1]], len(cells), axis=1))
         for k in range(0, len(stream), STEP_BLOCK):
             block = stream[k:k + STEP_BLOCK, None]
             r = optimizer_step(state, np.broadcast_to(block, (len(block),) + shape), cells)

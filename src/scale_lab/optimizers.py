@@ -58,15 +58,14 @@ class OptimizerConfig:
 
 @dataclass
 class MomentState:
-    """Per-coordinate optimizer state: moments and step counter k (an integer >= 0); mutable."""
+    """Mutable optimizer state: moments ``mv``, m then v as (2, ..., d), and step counter k >= 0."""
 
-    m: np.ndarray
-    v: np.ndarray
+    mv: np.ndarray
     k: int = 0
 
     def __post_init__(self):
-        if self.m.shape != self.v.shape:
-            raise DimensionError(f"m/v shapes disagree: {self.m.shape}, {self.v.shape}")
+        if self.mv.ndim < 2 or len(self.mv) != 2:
+            raise DimensionError(f"moments must stack m and v as (2, ..., d), got {self.mv.shape}")
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 0:
             raise DomainError(f"step counter k must be an integer >= 0, got {self.k!r}")
 
@@ -75,13 +74,13 @@ class CellConfigs:
     """C optimizer configurations stepped in lockstep, one row per cell.
 
     One epsilon and one bias-correction setting serve every row (a batch
-    mixing either is a ``DomainError``); the betas become (C, 1) columns that
-    broadcast against (C, d) state, so row i computes exactly what
-    ``configs[i]`` computes alone, the moment coefficients stacked as (2, C, 1).
+    mixing either is a ``DomainError``); the betas become (2, C, 1) columns,
+    b1 then b2, that broadcast against the (2, C, d) moments, so row i
+    computes exactly what ``configs[i]`` computes alone.
     """
 
     def __init__(self, configs: Sequence[OptimizerConfig]):
-        self.configs = cfgs = tuple(configs)
+        cfgs = tuple(configs)
         if not cfgs:
             raise DomainError("a cell batch needs at least one config")
         shared = sorted({(c.epsilon, c.bias_correction) for c in cfgs})
@@ -96,7 +95,7 @@ class CellConfigs:
         self._slots = np.array([[self._bases.index(b) for b in row] for row in betas])
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return self.betas.shape[1]
 
     def divisors(self, k: int, steps: int) -> np.ndarray:
         """Bias-correction divisors ``1 - b ** j`` of steps j = k + 1 .. k + steps as Python
@@ -106,35 +105,34 @@ class CellConfigs:
         return table[:, self._slots, None]
 
 
-def _repeats_step_zero(grads: np.ndarray, moments: np.ndarray, state: MomentState) -> bool:
-    """Whether all ``grads`` have the bits of the first and step 0's ``moments`` the state's."""
-    g, mv, m, v = (np.asarray(a, dtype=float).view(np.int64)
-                   for a in (grads, moments, state.m, state.v))
-    return bool((g[1:] == g[0]).all()) and np.array_equal(mv, np.stack((m, v)))
+def _repeats_step_zero(grads: np.ndarray, moments: np.ndarray, start: np.ndarray) -> bool:
+    """Whether all ``grads`` have the first's bits and step 0's ``moments`` those of ``start``."""
+    g, after, before = (np.asarray(a, dtype=float).view(np.int64)
+                        for a in (grads, moments, start))
+    return bool((g[1:] == g[0]).all()) and np.array_equal(after, before)
 
 
 def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) -> np.ndarray:
-    """Adam-step the (C, d) cells of ``state`` in place over T gradients ``grads`` (T, C, d).
+    """Adam-step the (2, C, d) moments of ``state`` in place over T gradients ``grads`` (T, C, d).
 
     Returns R of every step, shaped (T, C, d), and advances ``state.k`` by T.
     Step t is bit-identical to the t-th of T one-step calls: only the m and v
-    recurrences run step by step, step 0 on the state's own (C, d) planes and
-    each later step in two calls for both moments; the increments, bias
-    corrections, ``epsilon = 0`` check and R are computed for the whole block
-    in the same operation order, in one (T, 2, C, d) buffer that R is a view
-    of.  R is NaN wherever the denominator overflowed (module docstring).  A
-    steady block is filled, not stepped.  A ``DomainError`` changes no state.
+    recurrences run step by step, each step in two calls for both moments,
+    step 0 from the state's own moments; the increments, bias corrections,
+    ``epsilon = 0`` check and R are computed for the whole block in the same
+    operation order, in one (T, 2, C, d) buffer that R is a view of.  R is
+    NaN wherever the denominator overflowed (module docstring).  A steady
+    block is filled, not stepped.  A ``DomainError`` changes no state.
     """
-    if grads.shape[1:] != state.m.shape or state.m.shape[:-1] != (len(cells),):
+    if grads.shape[1:] != state.mv.shape[1:] or state.mv.shape[1:-1] != (len(cells),):
         raise DimensionError(f"gradient block {grads.shape} does not fit the state "
-                             f"{state.m.shape} of {len(cells)} cells")
+                             f"{state.mv.shape} of {len(cells)} cells")
     # mv[t] = (keep1 * g_t, (keep2 * g_t) * g_t), then the moments after step t
     mv = np.multiply(cells.keeps, grads[:, None])
     mv[:, 1] *= grads
     # m = b1 * m + keep1 * g,  v = b2 * v + keep2 * g * g
-    for plane, beta, moment in zip(mv[0], cells.betas, (state.m, state.v)):
-        plane += beta * moment
-    if len(mv) > 1 and _repeats_step_zero(grads, mv[0], state):
+    mv[0] += cells.betas * state.mv
+    if len(mv) > 1 and _repeats_step_zero(grads, mv[0], state.mv):
         mv[1:] = mv[0]
     elif len(mv) > 1:
         decayed = np.empty(mv.shape[1:])
@@ -145,7 +143,7 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
     # lies in (0, 1], so the bias correction never makes a nonzero v zero
     if cells.epsilon == 0.0 and (mv[:, 1] == 0.0).any():
         raise DomainError("epsilon = 0 with a zero second-moment coordinate")
-    state.m[...], state.v[...] = mv[-1]
+    state.mv[...] = mv[-1]
     if cells.bias_correction:
         mv /= cells.divisors(state.k, len(mv))
     state.k += len(mv)

@@ -33,7 +33,7 @@ import re
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import repeat, zip_longest
 from pathlib import Path
 from typing import Sequence
 
@@ -317,8 +317,10 @@ def read_omega_matrix(path: Path):
     if repeated:
         raise CsvParseError(path, 1, f"beta axis repeats the value {repeated[0]!r}")
     rows_b1 = [parse_beta(path, n, x) for n, x in zip(cols.lines, cols["beta1"])]
-    if rows_b1 != axis_cols:
-        raise CsvParseError(path, 1, "row beta1 values must match column beta2 values")
+    if rows_b1 != axis_cols:  # name the first row off the axis, or the last if one is missing
+        i = next(i for i, (b1, b2) in enumerate(zip_longest(rows_b1, axis_cols)) if b1 != b2)
+        raise CsvParseError(path, cols.lines[min(i, len(cols.lines) - 1)] if cols.lines else 1,
+                            "row beta1 values must match column beta2 values")
     rows = zip(cols.lines, zip(*(cols[name] for name in names[1:])))
     matrix = np.array([[parse_omega(path, line, x) if x.strip() else np.nan for x in fields]
                        for line, fields in rows])  # an empty field is NaN

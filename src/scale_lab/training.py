@@ -75,7 +75,7 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
     # one loss call per seed: one over all 27 rows of an mlp sweep peaks 1.6 MB higher, no faster
     seed_rows = [np.flatnonzero(seed_of_row == i) for i in range(len(seed_set))]
     theta = np.stack([problem.init_theta(s) for s in row_seeds])
-    state = MomentState(m=np.zeros_like(theta), v=np.zeros_like(theta), k=0)
+    state = MomentState(np.zeros((2,) + theta.shape))
     eta = np.array([[c.eta] for c in configs])
     batches = [CounterRng(s, stream=_BATCH_STREAM) for s in seed_set]
 

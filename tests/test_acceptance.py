@@ -119,7 +119,7 @@ def test_criterion_5_discrete_continuous_consistency():
         cfg = OptimizerConfig(beta1=beta_from_tau(ts.tau1, dt), beta2=beta_from_tau(ts.tau2, dt),
                               eta=dt,
                               epsilon=0.0, bias_correction=False)
-        state = MomentState(m=init.m[None].copy(), v=init.v[None].copy())
+        state = MomentState(np.stack((init.m, init.v))[:, None])
         # the whole stream as one (n, 1, 1) block: bit-identical to n one-step calls
         r_disc = optimizer_step(state, sig.g(np.arange(n) * dt)[:, None], CellConfigs([cfg]))
         t, r = flow.t[::8], flow.r[::8]  # the steps of the discrete run
@@ -146,7 +146,7 @@ def test_criterion_6_definition_one_probes():
     for lam, dev in zip(gd_lambdas, gd_probe.deviations):
         assert dev == abs(lam - 1.0) * float(np.max(np.abs(g)))
 
-    state = MomentState(m=np.array([1.0]), v=np.array([1.0]))
+    state = MomentState(np.array([[1.0], [1.0]]))
     cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
     probe = exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
     r_tilde = 1.0 - probe.deviations[0]  # R at lambda=1 is exactly 1 here

@@ -589,10 +589,9 @@ class TestSweepAndReport:
     @pytest.mark.parametrize("flag,text,message", [
         ("--ingest", "b1,0.9,0.99\n0.9,1,2\n0.99,2,1\n", "expected header: beta1,"),
         ("--ingest", "beta1\n0.9\n", "expected header: beta1,"),
-        ("--ingest", "beta1,0.9,0.99\n0.99,1,2\n0.9,2,1\n", "row beta1 values must match"),
         ("--grid", "beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,0.2\n"
                    "0.99,0.9,0,0.3\n0.99,0.98,0,0.4\n", "beta1 and beta2 axes disagree"),
-    ], ids=["ingest-header", "ingest-no-axis", "ingest-rows", "grid-axes"])
+    ], ids=["ingest-header", "ingest-no-axis", "grid-axes"])
     def test_axis_that_does_not_match_is_parse_error_on_line_1(self, tmp_path, capsys, flag,
                                                                text, message):
         path = tmp_path / "in.csv"
@@ -600,6 +599,20 @@ class TestSweepAndReport:
         assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert f"in.csv:1: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("rows,line", [
+        (["0.99,1,2", "0.9,2,1"], 2),               # swapped: row 1 is already off the axis
+        (["0.9,1,2"], 2),                           # the 0.99 row is missing: the last row's line
+        (["0.9,1,2", "0.99,2,1", "0.999,3,3"], 4),  # an extra row: its own line
+    ], ids=["swapped", "missing", "extra"])
+    def test_ingest_rows_off_the_axis_name_the_first_differing_line(self, tmp_path, capsys, rows,
+                                                                     line):
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(["beta1,0.9,0.99", *rows]) + "\n")
+        assert run("report", "--ingest", str(path), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"in.csv:{line}: row beta1 values must match" in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     def test_malformed_grid_reports_line_number(self, tmp_path, capsys):

@@ -185,25 +185,15 @@ class TestLossCadence:
         assert np.abs(traces[2].loss[1:]).min() > 1e300  # far past the bound, yet finite
 
 
-def serial_logistic_adam(prob, data_seed, cfg, seed, steps):
-    """The one-cell loop written out with plain 1-D numpy: the reference the engine must equal."""
-    from scale_lab.problems import _make_blobs
-    from scale_lab.rng import CounterRng
-    x, y = _make_blobs(data_seed)
-    theta = prob.init_theta(seed)
+def serial_adam(loss, grad, theta, cfg, seed, steps, n_samples):
+    """One cell's run written out with plain 1-D numpy over ``loss(theta)`` and
+    ``grad(theta, idx)``, a loss before every step: the reference the engine must equal."""
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     batches = CounterRng(seed, stream=2)
     losses, norms = [], []
     for k in range(steps):
-        z = x @ theta[:-1] + theta[-1]
-        losses.append(float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z)))
-        idx = batches.integers(0, prob.n_samples, 32)
-        xs, ys = x[idx], y[idx]
-        z = xs @ theta[:-1] + theta[-1]
-        with np.errstate(over="ignore"):
-            sigmoid = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-        err = sigmoid - ys
-        g = np.append(xs.T @ err / xs.shape[0], np.mean(err))
+        losses.append(loss(theta))
+        g = grad(theta, batches.integers(0, n_samples, 32))
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
         r = (m / (1.0 - cfg.beta1 ** (k + 1))) / (np.sqrt(v / (1.0 - cfg.beta2 ** (k + 1)))
@@ -211,6 +201,26 @@ def serial_logistic_adam(prob, data_seed, cfg, seed, steps):
         theta = theta - cfg.eta * r
         norms.append(float(np.linalg.norm(r)))
     return np.array(losses), np.array(norms)
+
+
+def serial_logistic_adam(prob, data_seed, cfg, seed, steps):
+    """``serial_adam`` of the logistic loss and minibatch gradient, written out in 1-D numpy."""
+    from scale_lab.problems import _make_blobs
+    x, y = _make_blobs(data_seed)
+
+    def loss(theta):
+        z = x @ theta[:-1] + theta[-1]
+        return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
+
+    def grad(theta, idx):
+        xs, ys = x[idx], y[idx]
+        z = xs @ theta[:-1] + theta[-1]
+        with np.errstate(over="ignore"):
+            sigmoid = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        err = sigmoid - ys
+        return np.append(xs.T @ err / xs.shape[0], np.mean(err))
+
+    return serial_adam(loss, grad, prob.init_theta(seed), cfg, seed, steps, prob.n_samples)
 
 
 def test_sweep_cells_equal_the_serial_reference_loop():
@@ -222,12 +232,27 @@ def test_sweep_cells_equal_the_serial_reference_loop():
         assert np.array_equal(trace.norm_r, norms)
 
 
+def plain_mlp_layers(theta):
+    """w1, b1, w2, b2 of one mlp theta."""
+    from scale_lab.problems import BLOB_FEATURES as d, MLP_HIDDEN as h
+    return (theta[:d * h].reshape(d, h), theta[d * h:d * h + h],
+            theta[d * h + h:-2].reshape(h, 2), theta[-2:])
+
+
+def plain_mlp_loss(x, y, theta):
+    """One theta's full-data mlp cross-entropy with 2-D numpy: max-shifted logits, a gather of
+    each sample's own class."""
+    w1, b1, w2, b2 = plain_mlp_layers(theta)
+    shifted = np.tanh(x @ w1 + b1) @ w2 + b2
+    shifted -= np.maximum(shifted[:, 0], shifted[:, 1])[:, None]
+    log_z = np.log(np.exp(shifted[:, 0]) + np.exp(shifted[:, 1]))
+    return float(-np.mean(shifted[np.arange(len(y)), y] - log_z))
+
+
 def plain_mlp_grad(x, y, theta, idx):
     """One row's mlp backprop written out with 2-D numpy: a fancy-index gather, the label
     subtracted by a scatter write, the four gradients concatenated."""
-    from scale_lab.problems import BLOB_FEATURES as d, MLP_HIDDEN as h
-    w1, b1 = theta[:d * h].reshape(d, h), theta[d * h:d * h + h]
-    w2, b2 = theta[d * h + h:-2].reshape(h, 2), theta[-2:]
+    w1, b1, w2, b2 = plain_mlp_layers(theta)
     xs, ys = (x, y) if idx is None else (x[idx], y[idx])
     hidden = np.tanh(xs @ w1 + b1)
     shifted = hidden @ w2 + b2
@@ -239,6 +264,22 @@ def plain_mlp_grad(x, y, theta, idx):
     dhidden = (dlogits @ w2.T) * (1.0 - hidden * hidden)
     return np.concatenate([(xs.T @ dhidden).ravel(), dhidden.sum(axis=0),
                            (hidden.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+
+
+def test_mlp_sweep_cells_equal_the_serial_reference_loop():
+    # the bench sweep's shape, 3 seeds x the 3x3 axis = 27 rows, past the first index block
+    from scale_lab.problems import _make_blobs
+    x, y = _make_blobs(0)
+    prob, steps = make_problem("mlp", seed=0), _INDEX_BLOCK + 8
+    result = sweep_grid(prob, seeds=[0, 1, 2], steps=steps)
+    assert len(result.traces) == 27
+    for (b1, b2, seed), trace in result.traces.items():
+        cfg = OptimizerConfig(beta1=b1, beta2=b2, eta=prob.default_eta)
+        losses, norms = serial_adam(lambda theta: plain_mlp_loss(x, y, theta),
+                                    lambda theta, idx: plain_mlp_grad(x, y, theta, idx),
+                                    prob.init_theta(seed), cfg, seed, steps, prob.n_samples)
+        assert np.array_equal(trace.loss, losses[::LOSS_EVERY]), (b1, b2, seed)
+        assert np.array_equal(trace.norm_r, norms), (b1, b2, seed)
 
 
 @pytest.mark.parametrize("scale", [1.0, 30.0], ids=["init", "saturated"])
@@ -267,21 +308,20 @@ class TestOptimizerStepCells:
                    for b1, b2 in [(0.9, 0.999), (0.5, 0.5), (0.99, 0.9)]]
         m, v = rng.standard_normal((3, 4)), rng.uniform(0.1, 1.0, (3, 4))
         g = rng.standard_normal((1, 3, 4))
-        state = MomentState(m=m.copy(), v=v.copy(), k=7)
+        state = MomentState(np.stack((m, v)), 7)
         upd = optimizer_step(state, g, CellConfigs(configs))
         assert state.k == 8
         for i, cfg in enumerate(configs):
-            one = MomentState(m[i:i + 1].copy(), v[i:i + 1].copy(), 7)
+            one = MomentState(np.stack((m[i:i + 1], v[i:i + 1])), 7)
             r = optimizer_step(one, g[:, i:i + 1], CellConfigs([cfg]))
-            assert np.array_equal(state.m[i], one.m[0])
-            assert np.array_equal(state.v[i], one.v[0])
+            assert np.array_equal(state.mv[:, i], one.mv[:, 0])
             assert one.k == state.k
             assert np.array_equal(upd[:, i], r[:, 0])
 
     def test_row_count_must_match(self):
         cells = CellConfigs((OptimizerConfig(), OptimizerConfig()))
         for shape in [(3, 2), (2,), (1, 2, 2)]:
-            state = MomentState(m=np.zeros(shape), v=np.zeros(shape))
+            state = MomentState(np.zeros((2,) + shape))
             with pytest.raises(DimensionError, match="of 2 cells$"):
                 optimizer_step(state, np.ones((1,) + shape), cells)
 
@@ -289,10 +329,10 @@ class TestOptimizerStepCells:
         # only row 1 meets v = 0; the error changes no state
         cells = CellConfigs([OptimizerConfig(beta1=b, epsilon=0.0, bias_correction=False)
                              for b in (0.9, 0.5)])
-        state = MomentState(m=np.zeros((2, 1)), v=np.array([[1.0], [0.0]]))
+        state = MomentState(np.array([[[0.0], [0.0]], [[1.0], [0.0]]]))
         with pytest.raises(DomainError, match="zero second-moment"):
             optimizer_step(state, np.zeros((1, 2, 1)), cells)
-        assert state.k == 0 and np.array_equal(state.v, [[1.0], [0.0]])
+        assert state.k == 0 and np.array_equal(state.mv, [[[0.0], [0.0]], [[1.0], [0.0]]])
 
 
 def block_streams() -> list:
@@ -336,7 +376,7 @@ class TestStepScaleCells:
         norms = step_scale_cells(stream, configs)
         assert norms.shape == (len(stream), len(configs))
         for i, cfg in enumerate(configs):
-            state = MomentState(m=stream[:1].copy(), v=stream[:1] * stream[:1])
+            state = MomentState(np.stack((stream[:1], stream[:1] * stream[:1])))
             r = optimizer_step(state, stream[:, None], CellConfigs([cfg]))
             assert np.array_equal(norms[:, i], [np.linalg.norm(row) for row in r[:, 0]])
 

@@ -247,7 +247,7 @@ class TestDiscreteContinuousConsistency:
         beta = beta_from_tau(ts.tau1, dt)
         cfg = OptimizerConfig(beta1=beta, beta2=beta, eta=dt,
                               epsilon=0.0, bias_correction=False)
-        state = MomentState(m=init.m[None].copy(), v=init.v[None].copy())
+        state = MomentState(np.stack((init.m, init.v))[:, None])
         # the whole stream as one (n, 1, 1) block: bit-identical to n one-step calls
         r_disc = optimizer_step(state, sig.g(np.arange(n) * dt)[:, None], CellConfigs([cfg]))
         t, r = flow.t[::8], flow.r[::8]  # the steps of the discrete run

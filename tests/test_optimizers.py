@@ -31,15 +31,15 @@ def raw_config(b1, b2, **kw):
 
 def one_cell(m, v, k=0):
     """The state of one cell as a (1, d) row."""
-    return MomentState(np.array([m], dtype=float), np.array([v], dtype=float), k)
+    return MomentState(np.array([[m], [v]], dtype=float), k)
 
 
 class TestOptimizerStep:
     def test_first_step_from_zero_state(self):
         state = one_cell([0.0], [0.0])
         upd = optimizer_step(state, np.ones((1, 1, 1)), CellConfigs([raw_config(0.5, 0.5)]))
-        assert state.m[0, 0] == pytest.approx(0.5, abs=0)
-        assert state.v[0, 0] == pytest.approx(0.5, abs=0)
+        assert state.mv[0, 0, 0] == pytest.approx(0.5, abs=0)
+        assert state.mv[1, 0, 0] == pytest.approx(0.5, abs=0)
         # 0.5 / sqrt(0.5)
         assert upd[0, 0, 0] == pytest.approx(0.7071067811865476, abs=1e-15)
         assert state.k == 1
@@ -55,14 +55,14 @@ class TestOptimizerStep:
 
     def test_frozen_state_hand_values(self):
         # one state, two rows of one config: g = 1 keeps it fixed, g = 2 moves it
-        state = MomentState(m=np.ones((2, 1)), v=np.ones((2, 1)))
+        state = MomentState(np.ones((2, 2, 1)))
         upd = optimizer_step(state, np.array([[[1.0], [2.0]]]),
                              CellConfigs([raw_config(0.9, 0.9)] * 2))
-        assert state.m[0, 0] == pytest.approx(1.0, abs=1e-15)
-        assert state.v[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert state.mv[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert state.mv[1, 0, 0] == pytest.approx(1.0, abs=1e-15)
         assert upd[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
-        assert state.m[1, 0] == pytest.approx(1.1, abs=1e-15)
-        assert state.v[1, 0] == pytest.approx(1.3, abs=1e-15)
+        assert state.mv[0, 1, 0] == pytest.approx(1.1, abs=1e-15)
+        assert state.mv[1, 1, 0] == pytest.approx(1.3, abs=1e-15)
         # 1.1 / sqrt(1.3), exact rational arithmetic
         assert upd[0, 1, 0] == pytest.approx(0.9647638212377321, abs=1e-15)
 
@@ -81,7 +81,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("k", [-1, 2.5, np.array([2]), True, None])
     def test_step_counter_must_be_a_nonnegative_integer(self, k):
         with pytest.raises(DomainError, match="step counter"):
-            MomentState(m=np.ones(1), v=np.ones(1), k=k)
+            MomentState(np.ones((2, 1)), k)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1), (3, 1), (4, 2, 1)])
+    def test_moments_stack_m_and_v_on_a_leading_axis_of_2(self, shape):
+        with pytest.raises(DimensionError, match="stack m and v"):
+            MomentState(np.ones(shape))
 
     def test_numpy_integer_step_counter(self):
         cells = CellConfigs([OptimizerConfig()])
@@ -110,13 +115,13 @@ class TestAdamOnlyEngine:
     # the engine has one optimizer path: a removed setting fails loudly instead of being ignored
     @pytest.mark.parametrize("call", [
         lambda: OptimizerConfig(weight_decay=0.1),
-        lambda: optimizer_step(MomentState(np.zeros(1), np.zeros(1)), np.ones((1, 1, 1)),
+        lambda: optimizer_step(MomentState(np.zeros((2, 1))), np.ones((1, 1, 1)),
                                CellConfigs([OptimizerConfig()]), method="gd"),
         lambda: train_cells(make_problem("quadratic"), [OptimizerConfig()], seed=0, steps=5,
                             method="gd"),
         lambda: step_scale_cells(np.ones((5, 1)), [OptimizerConfig()], method="gd"),
         lambda: GradientSignal(g=np.ones, g_prime=np.zeros),
-        lambda: MomentState(m=np.zeros(1), v=np.ones(1), theta=np.zeros(1)),
+        lambda: MomentState(np.zeros((2, 1)), theta=np.zeros(1)),
         lambda: GradientSignal(g=np.ones),
         lambda: tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0)),
         lambda: step_scale_cells(np.ones((5, 1)), [OptimizerConfig()], init="zero"),
@@ -185,6 +190,8 @@ class TestAdamOnlyEngine:
         assert names(TimeScales) == ["tau1", "tau2"]
         assert names(Problem) == list(PROBLEM)
         assert names(SweepResult) == ["traces", "omegas"]
+        assert names(MomentState) == ["mv", "k"]
+        assert not hasattr(CellConfigs([OptimizerConfig()]), "configs")
         assert names(OscillationGridReport) == list(REPORT)
         assert not hasattr(RescaleProbeResult, "deviation_at")
         assert names(TrackingCheckResult) == ["max_residual", "margin", "passed",
@@ -197,7 +204,7 @@ class TestAdamOnlyEngine:
         assert names(SensitivityFit) == list(FIT)
 
     def test_test_only_constructors_are_gone(self):
-        # tests build MomentState(zeros, zeros) and their own signals; every src/ signal
+        # tests build their own zero MomentState and their own signals; every src/ signal
         # carries its analytic drift
         assert not hasattr(scale_lab, "zero_state") and not hasattr(optimizers, "zero_state")
         assert not hasattr(scale_lab, "tabulated_signal")
@@ -268,7 +275,7 @@ class TestProperties:
             r1 = optimizer_step(base, g[None, None], cells)
             r2 = optimizer_step(permuted, g[perm][None, None], cells)
             assert np.array_equal(r1[..., perm], r2)
-            assert np.array_equal(base.m[:, perm], permuted.m)
+            assert np.array_equal(base.mv[..., perm], permuted.mv)
 
     def test_sign_of_r_matches_sign_of_new_m(self):
         rng = np.random.default_rng(11)
@@ -276,7 +283,7 @@ class TestProperties:
         state = one_cell(rng.normal(size=6), rng.uniform(0.1, 1.0, 6))
         for _ in range(30):
             upd = optimizer_step(state, rng.normal(size=(1, 1, 6)), cells)
-            assert np.array_equal(np.sign(upd[0]), np.sign(state.m))
+            assert np.array_equal(np.sign(upd[0]), np.sign(state.mv[0]))
 
     def test_bias_correction_is_transient_only(self):
         # raw and bias-corrected traces agree to 1e-6 from step 300 on

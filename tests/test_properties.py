@@ -9,6 +9,7 @@ import csv
 import functools
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -360,7 +361,7 @@ def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
     steps, d = data.draw(steps_drawn), data.draw(d_drawn)
     cells = CellConfigs(data.draw(kernel_configs(c)))
     grads, m0, v0 = data.draw(kernel_blocks(steps, c, d))
-    block, single = (MomentState(m0.copy(), v0.copy(), k0) for _ in range(2))
+    block, single = (MomentState(np.stack((m0, v0)), k0) for _ in range(2))
 
     got = run_kernel(block, grads, cells)
     want = []
@@ -372,14 +373,55 @@ def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
         want.append(r[0])
     if isinstance(got, str):  # the same error, and the block left the state alone
         assert got == want
-        for name, start in (("m", m0), ("v", v0)):
-            assert same_bits(getattr(block, name), start), name
+        assert same_bits(block.mv, np.stack((m0, v0)))
         assert block.k == k0
         return
     assert same_bits(got, np.stack(want))
-    for name in ("m", "v"):
-        assert same_bits(getattr(block, name), getattr(single, name)), name
+    assert same_bits(block.mv, single.mv)
     assert block.k == single.k == k0 + steps
+
+
+def adam_by_coordinate(configs, grads, m0, v0, k0):
+    """(R, m, v) of ``grads`` (T, C, d) stepped from (m0, v0) at step k0, as a Python-float loop
+    over rows, coordinates and steps in the kernel's operation order; None where epsilon = 0
+    meets a zero second moment.  It shares no array layout with the kernel."""
+    r, m, v = np.empty(grads.shape), m0.copy(), v0.copy()
+    for i, cfg in enumerate(configs):
+        b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+        for x in range(grads.shape[2]):
+            mi, vi = float(m0[i, x]), float(v0[i, x])
+            for t, g in enumerate(grads[:, i, x].tolist()):
+                mi = (1.0 - b1) * g + b1 * mi
+                vi = ((1.0 - b2) * g) * g + b2 * vi
+                if eps == 0.0 and vi == 0.0:
+                    return None
+                m_hat, v_hat = mi, vi
+                if cfg.bias_correction:
+                    j = k0 + t + 1
+                    m_hat, v_hat = mi / (1.0 - b1 ** j), vi / (1.0 - b2 ** j)
+                denom = math.sqrt(v_hat) + eps
+                r[t, i, x] = m_hat / (math.nan if denom == math.inf else denom)
+            m[i, x], v[i, x] = mi, vi
+    return r, m, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), steps=st.integers(1, 8), c=st.integers(1, 3), d=st.integers(1, 4),
+       k0=st.integers(0, 3))
+def test_kernel_equals_a_python_float_loop(data, steps, c, d, k0):
+    configs = data.draw(kernel_configs(c))
+    grads, m0, v0 = data.draw(kernel_blocks(steps, c, d))
+    state = MomentState(np.stack((m0, v0)), k0)
+    got = run_kernel(state, grads, CellConfigs(configs))
+    want = adam_by_coordinate(configs, grads, m0, v0, k0)
+    if want is None:
+        assert isinstance(got, str) and "epsilon = 0" in got
+        assert same_bits(state.mv, np.stack((m0, v0))) and state.k == k0
+        return
+    r, m, v = want
+    assert same_bits(got, r)
+    assert same_bits(state.mv, np.stack((m, v)))
+    assert state.k == k0 + steps
 
 
 # huge entries overflow the stepped m and v, or only the corrected v
@@ -399,13 +441,13 @@ def test_an_overflowed_moment_makes_r_non_finite(data, c, d, k0):
         grads = data.draw(arrays(float, (1, c, d), elements=overflow_values))
         m0 = data.draw(arrays(float, (c, d), elements=overflow_values))
         v0 = np.abs(data.draw(arrays(float, (c, d), elements=overflow_values)))
-    state = MomentState(m0, v0, k0)
+    state = MomentState(np.stack((m0, v0)), k0)
     with np.errstate(over="ignore", invalid="ignore"):
         r = run_kernel(state, grads, CellConfigs(configs))
         assume(not isinstance(r, str))  # epsilon = 0 met a zero second moment
-        v_hat = state.v / np.array([[1.0 - cfg.beta2 ** state.k if cfg.bias_correction else 1.0]
-                                    for cfg in configs])
-    overflowed = ~(np.isfinite(state.m) & np.isfinite(state.v) & np.isfinite(v_hat))
+        v_hat = state.mv[1] / np.array([[1.0 - cfg.beta2 ** state.k if cfg.bias_correction else 1.0]
+                                        for cfg in configs])
+    overflowed = ~(np.isfinite(state.mv).all(axis=0) & np.isfinite(v_hat))
     assert not np.isfinite(r[0][overflowed]).any()
 
 
@@ -416,14 +458,14 @@ def test_block_kernel_zero_moment_error_matches_single_steps():
     grads = np.zeros((4, 2, 1))
 
     def fresh():
-        return MomentState(np.ones((2, 1)), np.array([[1.0], [2e-323]]))
+        return MomentState(np.array([[[1.0], [1.0]], [[1.0], [2e-323]]]))
 
     block, single = fresh(), fresh()
     got = run_kernel(block, grads, cells)
     want = [run_kernel(single, g[None], cells) for g in grads[:3]]
     assert isinstance(got, str) and "epsilon = 0" in got
     assert [isinstance(w, str) for w in want] == [False, False, True] and want[2] == got
-    assert block.k == 0 and np.array_equal(block.v, fresh().v)
+    assert block.k == 0 and np.array_equal(block.mv, fresh().mv)
     assert single.k == 2
 
 

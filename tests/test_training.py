@@ -125,15 +125,15 @@ class TestRunTraining:
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, epsilon=1e-8)
         cells = CellConfigs([cfg])
         theta = prob.init_theta(0)[None]
-        state = MomentState(np.zeros_like(theta), np.zeros_like(theta))
+        state = MomentState(np.zeros((2,) + theta.shape))
         from scale_lab.rng import CounterRng
         batches = CounterRng(0, stream=2)
         for k in range(100):
             idx = batches.integers(0, prob.n_samples, 32)
             upd = optimizer_step(state, prob.grad(theta, idx)[None], cells)[0]
             theta = theta - cfg.eta * upd
-            m_hat = state.m / (1.0 - cfg.beta1 ** state.k)
-            v_hat = state.v / (1.0 - cfg.beta2 ** state.k)
+            m_hat = state.mv[0] / (1.0 - cfg.beta1 ** state.k)
+            v_hat = state.mv[1] / (1.0 - cfg.beta2 ** state.k)
             bound = np.max(np.abs(m_hat) / (np.sqrt(v_hat) + cfg.epsilon))
             assert np.max(np.abs(upd)) <= bound * (1.0 + 1e-12)
 
