@@ -30,12 +30,17 @@ row tied or all diverged) and a run out of memory are runtime errors.  A
 repeated header name, a missing or duplicate cell, a seed that is not one, a
 beta outside (0, 1) or an omega below 0 (``-inf`` included) is a parse error
 naming its line.
+
+A flag's value may begin with ``-`` when a digit, or ``.`` and a digit, follows
+(``--delta0 -2e-2``, ``--g -1,2``); any other value that begins with ``-``
+(``-inf``) is read as a flag unless written ``--flag=value``.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -62,6 +67,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token of "-" then a digit, or "." and a digit, is a value (-2e-2, -1,2), not a flag;
+        # argparse alone takes only plain decimals such as -2 or -.5
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")

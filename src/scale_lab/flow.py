@@ -129,32 +129,41 @@ def _stage_times(t0: float, t1: float, h: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _relax(x0, tau, forcing, h: float) -> np.ndarray:
-    """Classical fixed-step RK4 of tau x' = -x + f; returns every stage point and the end state.
+    """Classical fixed-step RK4 of tau x' = f - x; returns every stage point and the end state.
 
     ``x0`` is a float or an array, ``tau`` broadcasts to its shape and ``forcing[i]`` holds f at
     the ``_stage_times`` of step i.  Rows 4i to 4i + 3 of the (4n + 1, ...) result are the points
-    step i evaluates f - x at (row 4i: the state at t0 + i * h), as Python floats in numpy's order.
+    step i evaluates f - x at (row 4i: the state at t0 + i * h).  Only the recurrence is serial:
+    each coordinate steps its rows 4i as Python floats, then array ops over all of its steps
+    fill its stage points x2, x3, x4 (rows 4i + 1 to 4i + 3) in place with the loop's own
+    operations in its order, so every row has the bits the Python-float loop computes for it.
     """
     shape, n = np.shape(x0), len(forcing)
     forcing = np.reshape(forcing, (3 * n, -1))
     taus = np.broadcast_to(tau, shape).ravel().tolist()
     points = np.empty((4 * n + 1, forcing.shape[1]))
     half, sixth = 0.5 * h, h / 6.0
-    for c, (x, tau_c) in enumerate(zip(np.ravel(x0).tolist(), taus)):
-        f = iter(forcing[:, c].tolist())  # one coordinate's floats at a time keeps memory flat
-        pts = []
-        for f1, f2, f4 in zip(f, f, f):
-            k1 = (-x + f1) / tau_c
-            x2 = x + half * k1
-            k2 = (-x2 + f2) / tau_c
-            x3 = x + half * k2
-            k3 = (-x3 + f2) / tau_c
-            x4 = x + h * k3
-            k4 = (-x4 + f4) / tau_c
-            pts += (x, x2, x3, x4)
-            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        pts.append(x)
-        points[:, c] = pts
+    # one coordinate's column at a time: numpy would buffer 2-D ops on the strided stage rows
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as in the loop
+        for c, (x, tau_c) in enumerate(zip(np.ravel(x0).tolist(), taus)):
+            f, col = forcing[:, c], points[:, c]
+            fs = iter(memoryview(f))  # floats made one at a time keep memory flat
+            xs = [x]
+            for f1, f2, f4 in zip(fs, fs, fs):
+                k1 = (f1 - x) / tau_c
+                k2 = (f2 - (x + half * k1)) / tau_c
+                k3 = (f2 - (x + half * k2)) / tau_c
+                k4 = (f4 - (x + h * k3)) / tau_c
+                x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                xs.append(x)
+            col[::4] = xs
+            for row, f_row, step in ((1, f[0::3], half), (2, f[1::3], half), (3, f[1::3], h)):
+                # x + step * ((f - previous stage) / tau) in place: * and + commute bit for bit
+                stage = col[row::4]
+                np.subtract(f_row, col[row - 1:-1:4], out=stage)
+                stage /= tau_c
+                stage *= step
+                stage += col[:-1:4]
     return points.reshape((4 * n + 1,) + shape)
 
 
@@ -209,14 +218,18 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
     """Fixed-step RK4 integration of the flow from ``init`` at t = 0 to ``t_end``.
 
     The step is rounded so the grid hits ``t_end`` exactly, and every step's state is
-    recorded (plus the initial one).  Aborts with ``FlowAbort`` at the first stage point, in
-    time order, with an m or v coordinate that is not finite (an overflowed gradient) or a
-    v coordinate <= 0 (a violated gradient-floor assumption rather than an integrator
-    failure), else at the first sample whose ||R|| overflows.
+    recorded (plus the initial one).  A state with no coordinates is a ``DomainError``.
+    Aborts with ``FlowAbort`` at the first stage point, in time order, with an m or v
+    coordinate that is not finite (an overflowed gradient) or a v coordinate <= 0 (a
+    violated gradient-floor assumption rather than an integrator failure), else at the
+    first sample whose ||R|| overflows.
     """
     if h is None:
         h = min(ts.tau1, ts.tau2) / 50.0
     _finite_positive("t_end", t_end)
+    if np.size(init.m) == 0 or np.size(init.v) == 0:
+        raise DomainError(f"a flow needs at least one coordinate, got m of shape "
+                          f"{np.shape(init.m)} and v of shape {np.shape(init.v)}")
     if np.any(init.v <= 0.0):
         raise DomainError("initial v must be strictly positive")
 

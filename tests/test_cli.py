@@ -188,6 +188,28 @@ class TestExitCodes:
                    "--metric", "omega2", "--out", str(tmp_path)) == 0
         assert "N=3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("flow", "--signal", "exp", "--t-end", "12"), "--delta0", "-2e-2"),
+        (("probe",), "--g", "-1,2"),
+        (("probe", "--step-scale", "--steps", "40"), "--base", "-1e-3"),
+    ], ids=["flow --delta0", "probe --g", "probe --step-scale --base"])
+    def test_negative_value_after_its_flag_reads_as_its_equals_form(self, tmp_path, capsys,
+                                                                    argv, flag, value):
+        runs = []
+        for form, tail in (("split", [flag, value]), ("equals", [f"{flag}={value}"])):
+            out = tmp_path / form
+            assert run(*argv, *tail, "--out", str(out)) == 0
+            written = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                       if p.is_file() and not p.name.startswith("manifest.")}
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            runs.append((written, config, capsys.readouterr().out))
+        assert runs[0][0] and runs[0] == runs[1]
+
+    def test_non_numeric_negative_value_after_its_flag_is_usage_error(self, tmp_path, capsys):
+        assert run("flow", "--signal", "exp", "--delta0", "-inf", "--out", str(tmp_path)) == 1
+        assert "argument --delta0: expected one argument" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestFlowCommand:
     def test_exponential_flow_matches_gain_formula(self, tmp_path, capsys):

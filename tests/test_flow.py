@@ -223,6 +223,16 @@ class TestIntegrateFlow:
         with pytest.raises(DomainError):
             integrate_flow(constant_signal(1.0), ts, init, t_end=1.0, h=-0.1)
 
+    @pytest.mark.parametrize("signal", [constant_signal([]), exponential_signal([], [])],
+                             ids=["const", "exp"])
+    def test_flow_without_coordinates_is_domain_error(self, signal):
+        # an empty trace would have ||R|| = 0 and no maximum for measure_remainder to take
+        ts = TimeScales(1.0, 1.0)
+        init = steady_state_init(signal, ts)
+        with pytest.raises(DomainError, match=r"^a flow needs at least one coordinate, got m "
+                                              r"of shape \(0,\) and v of shape \(0,\)$"):
+            integrate_flow(signal, ts, init, t_end=1.0)
+
 
 def forcing_only(fn):
     """Wrap an array-aware callable as a 1-d signal for ``integrate_flow``, which reads g

@@ -29,7 +29,7 @@ from scale_lab.optimizers import optimizer_step
 from scale_lab.cli import build_parser, main
 from scale_lab.drift import _ladder_flow
 from scale_lab.errors import DomainError, FlowAbort
-from scale_lab.flow import _abort_if_invalid, flow_rhs
+from scale_lab.flow import _abort_if_invalid, _relax, flow_rhs
 from scale_lab.problems import MLP_HIDDEN, QUADRATIC_DIM, _make_blobs
 
 SIGNALS = {
@@ -592,6 +592,71 @@ def test_tracking_check_equals_the_scalar_rk4_loop(a, w, c, tau, x0, t1, h_per_t
     for name, want in (("t", t), ("residual", residual), ("bound", bound)):
         assert getattr(got, name).tobytes() == want.tobytes(), name
     assert got.margin == margin
+
+
+def relax_reference(x0, tau, forcing, h):
+    """The relaxation kernel as one Python-float loop per coordinate that steps and stores every
+    stage point x, x2, x3, x4 of each step serially, k written as (-x + f) / tau."""
+    shape, n = np.shape(x0), len(forcing)
+    forcing = np.reshape(forcing, (3 * n, -1))
+    taus = np.broadcast_to(tau, shape).ravel().tolist()
+    points = np.empty((4 * n + 1, forcing.shape[1]))
+    half, sixth = 0.5 * h, h / 6.0
+    for c, (x, tau_c) in enumerate(zip(np.ravel(x0).tolist(), taus)):
+        f = iter(forcing[:, c].tolist())
+        pts = []
+        for f1, f2, f4 in zip(f, f, f):
+            k1 = (-x + f1) / tau_c
+            x2 = x + half * k1
+            k2 = (-x2 + f2) / tau_c
+            x3 = x + half * k2
+            k3 = (-x3 + f2) / tau_c
+            x4 = x + h * k3
+            k4 = (-x4 + f4) / tau_c
+            pts += (x, x2, x3, x4)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pts.append(x)
+        points[:, c] = pts
+    return points.reshape((4 * n + 1,) + shape)
+
+
+# signed zeros, ordinary values, and values whose stage slopes or sums overflow
+relax_values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0),
+                         st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def relax_cases(draw):
+    """(x0, tau, forcing, h) as the kernel's callers pass them: a float state with a float tau
+    (``tracking_check``), or a (2, d) state with a (2, 1) tau broadcast over d
+    (``integrate_flow``'s stacked m and v)."""
+    n, h = draw(st.integers(1, 12)), draw(st.floats(1e-3, 4.0))
+    shape = draw(st.sampled_from([(), (2, 1), (2, 3), (2, 7)]))
+    taus = st.floats(0.05, 5.0)
+    if shape:
+        x0 = draw(arrays(float, shape, elements=relax_values))
+        tau = draw(arrays(float, (2, 1), elements=taus))
+    else:
+        x0, tau = draw(relax_values), draw(taus)
+    return x0, tau, draw(arrays(float, (n, 3) + shape, elements=relax_values)), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=relax_cases())
+@example(case=(-0.0, 0.5, np.array([[-0.0, 0.0, -0.0]]), 0.1))  # signed zeros, n = 1
+@example(case=(np.array([[0.0, -0.0], [-0.0, 0.0]]), np.array([[1.0], [2.0]]),
+               np.array([[[[-0.0, 0.0], [0.0, -0.0]]] * 3] * 2), 0.25))
+@example(case=(1.0, 0.05, np.array([[1.7e308, -1.7e308, 1e308]]), 4.0))  # the slopes overflow
+@example(case=(0.5, 1.0, np.broadcast_to(2.0, (4, 3)), 0.5))  # tracking_check's constant y
+@example(case=(np.array([[1e308], [-1e308]]), np.array([[0.5], [0.05]]),
+               np.full((3, 3, 2, 1), 1.7e308), 1.0))
+def test_relax_equals_the_serial_stage_point_loop(case):
+    got, want = _relax(*case), relax_reference(*case)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    nan = np.isnan(want)  # a NaN's sign may differ: -x + f and f - x differ only there
+    assert np.array_equal(np.isnan(got), nan)
+    assert same_bits(got[~nan], want[~nan])
 
 
 # ---------------------------------------------------------------- row-wise EMA smoothing
