@@ -1,17 +1,16 @@
 """Adam, its continuous-time flow, and gradient-scale-invariance diagnostics."""
 
 from .errors import DimensionError, DomainError, FlowAbort
-from .flow import (FlowState, FlowTrace, TimeScales, beta_from_tau, flow_rhs,
-                   integrate_flow, predict_first_order, steady_state_exponential_gains,
-                   steady_state_init, tau_from_beta)
-from .drift import (DriftProfile, RemainderReport, SensitivityFit, TrackingCheckResult,
-                    drift_bounds, first_order_sensitivity, fit_power_law, measure_remainder,
-                    remainder_order_sweep, tracking_check)
+from .flow import (FlowState, FlowTrace, TimeScales, beta_from_tau, integrate_flow,
+                   predict_first_order, steady_state_init, tau_from_beta)
+from .drift import (DriftProfile, RemainderReport, SensitivityFit, drift_bounds,
+                    first_order_sensitivity, fit_power_law, measure_remainder,
+                    remainder_order_sweep)
 from .invariance import (RescaleProbeResult, exact_invariance_probe, step_scale_cells,
                          step_scale_grid)
 from .metrics import (OscillationGridReport, binomial_diagonal_test, ema_smooth, grid_report,
                       omega_grids, oscillation_omega1, oscillation_omega2)
-from .optimizers import CellConfigs, MomentState, OptimizerConfig, constant_gradient_closed_form
+from .optimizers import CellConfigs, MomentState, OptimizerConfig
 from .problems import Problem, make_problem
 from .rng import CounterRng
 from .signals import (GradientSignal, constant_signal, exponential_signal,

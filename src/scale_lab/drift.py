@@ -1,4 +1,4 @@
-"""Logarithmic-drift expansion: predictors, remainders, and tracking bounds.
+"""Logarithmic-drift expansion: its remainders and the two ladder fits.
 
 For a slowly varying gradient the moments track their inputs with a lag set
 by the relaxation times, and after transients the flow obeys
@@ -11,28 +11,25 @@ up to remainders of order Lambda^2 + Lambda', where Lambda and Lambda' bound
 the drift and its derivative over the window.  The first-order term of R
 cancels exactly when tau1 = tau2, which is the invariance property under
 test.  This module measures the remainders of those expansions against the
-explicit envelopes that come with them, and checks the scalar tracking
-inequality they are built from on whole time grids.  Two fits share one flow
-over a ladder of exponential drifts: the first-order sensitivity of ||R||
-(slope 2 when tau1 = tau2, else 1) and the order of the R remainder (2).
+explicit envelopes that come with them.  Two fits share one flow over a
+ladder of exponential drifts: the first-order sensitivity of ||R|| (slope 2
+when tau1 = tau2, else 1) and the order of the R remainder (2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .flow import (FlowTrace, TimeScales, _finite_positive, _relax, _stage_times,
-                   integrate_flow, predict_first_order, steady_state_init)
+from .flow import FlowTrace, TimeScales, integrate_flow, predict_first_order, steady_state_init
 from .signals import GradientSignal, exponential_signal
 
 SUP_INFLATION = 1.01      # dense-sampled suprema are inflated by 1%
 SUP_SAMPLES = 10001
-TRACKING_SLACK = 1e-9     # FP slack: zero-curvature signals meet the bound with equality
 
 
 @dataclass(frozen=True)
@@ -48,9 +45,10 @@ class DriftProfile:
 
 
 def _sup_grid(interval: tuple[float, float]) -> np.ndarray:
-    """The dense grid of SUP_SAMPLES points over ``interval`` that suprema are taken on."""
+    """The dense grid of SUP_SAMPLES points over ``interval`` that suprema are taken on; a
+    one-point interval [t, t] is SUP_SAMPLES copies of t, so its suprema are the values at t."""
     t0, t1 = interval
-    if t1 <= t0:
+    if t1 < t0:
         raise DomainError(f"empty interval [{t0}, {t1}]")
     return np.linspace(t0, t1, SUP_SAMPLES)
 
@@ -144,13 +142,16 @@ def measure_remainder(trace: FlowTrace, signal: GradientSignal, ts: TimeScales) 
 
 
 def fit_power_law(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope and intercept of log y against log x."""
+    """Least-squares slope and intercept of log y against log x; a ``DomainError`` unless
+    there are 3 points or more, all finite and > 0, with 2 distinct log x values or more."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 3:
         raise DomainError(f"power-law fit needs at least 3 points, got {x.size}")
     if not (np.all(np.isfinite(x) & (x > 0.0)) and np.all(np.isfinite(y) & (y > 0.0))):
         raise DomainError("power-law fit needs finite, strictly positive data")
     lx, ly = np.log(x), np.log(y)
+    if np.all(lx == lx[0]):  # a slope fitted over one abscissa is rank-deficient noise
+        raise DomainError(f"power-law fit needs at least 2 distinct x values, got only {float(x[0])!r}")
     slope, intercept = np.polyfit(lx, ly, 1)
     return float(slope), float(intercept)
 
@@ -222,65 +223,3 @@ def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float]) -> Remai
     slope, _ = fit_power_law([r.profile.lambda_bound for r in reports],
                              [r.channels["R"].max_abs for r in reports])
     return replace(reports[-1], fitted_order=slope)
-
-
-@dataclass(frozen=True)
-class TrackingCheckResult:
-    """Outcome of the scalar tracking-bound check for tau x' = -x + y."""
-
-    max_residual: float
-    margin: float              # min over samples of (bound - |residual|)
-    passed: bool
-    transient_coeff: float     # |x0 - y(t0) + tau y'(t0)|
-    curvature_sup: float       # sup |y''| over the interval
-    t: np.ndarray
-    residual: np.ndarray
-    bound: np.ndarray
-
-
-def tracking_check(y: Callable[[np.ndarray], np.ndarray], tau: float, x0: float,
-                   interval: tuple[float, float], y_prime: Callable[[np.ndarray], np.ndarray],
-                   y_second: Callable[[np.ndarray], np.ndarray],
-                   h: float | None = None) -> TrackingCheckResult:
-    """Verify |x - (y - tau y')| <= |x0 - y0 + tau y'0| e^{-(t-t0)/tau} + tau^2 sup|y''|.
-
-    ``y``, ``y_prime`` and ``y_second`` map an array of times to an array of
-    the same shape (a constant returned as a scalar is broadcast); each is
-    called on whole time grids only, never once per sample.  The state is
-    integrated with fixed-step RK4 (default h = tau/200) and the residual
-    compared against the bound at every sample.  ``passed`` allows a relative
-    slack of 1e-9 because signals with zero curvature (constant, linear)
-    attain the bound exactly, which floating point cannot resolve as an
-    inequality.
-    """
-    grid = _sup_grid(interval)
-    t0, t1 = interval
-    _finite_positive("tau", tau)
-
-    def on(f, t: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(f(t), t.shape)
-
-    m_sup = float(np.max(np.abs(on(y_second, grid))))
-
-    if h is None:
-        h = tau / 200.0
-    ts_out, stages, h = _stage_times(t0, t1, h)
-    xs_out = _relax(float(x0), tau, on(y, stages), h)[::4]
-
-    y_vals, yp_vals = on(y, ts_out), on(y_prime, ts_out)
-    residual = xs_out - (y_vals - tau * yp_vals)
-    coeff = abs(x0 - float(y_vals[0]) + tau * float(yp_vals[0]))
-    bound = coeff * np.exp(-(ts_out - t0) / tau) + tau * tau * m_sup
-
-    margins = bound - np.abs(residual)
-    i_max = int(np.argmax(np.abs(residual)))
-    scale = max(1.0, coeff, tau * tau * m_sup)
-    margin = float(np.min(margins))
-    return TrackingCheckResult(
-        max_residual=float(np.abs(residual[i_max])),
-        margin=margin,
-        passed=bool(margin >= -TRACKING_SLACK * scale),
-        transient_coeff=coeff,
-        curvature_sup=m_sup,
-        t=ts_out, residual=residual, bound=bound,
-    )

@@ -11,7 +11,7 @@ analysis tracks; under a prescribed g(t) the parameters never feed back into
 it.  Integration is classical fourth-order Runge-Kutta with a fixed step,
 which keeps traces uniformly sampled for the oscillation metrics; the moment
 equations are linear scalar relaxations, so the global O(h^4) error is easy
-to verify against the analytic exponential modes below.
+to verify against their analytic exponential modes.
 """
 
 from __future__ import annotations
@@ -105,15 +105,6 @@ def _abort_if_invalid(t: float, y: np.ndarray) -> None:
         raise FlowAbort(t, f"v crossed zero at t={t:.6g}: gradient floor assumption violated")
 
 
-def flow_rhs(t: float, y: np.ndarray, g: np.ndarray, ts: TimeScales) -> np.ndarray:
-    """Right-hand side d(m, v)/dt at the stacked (2, d) state ``y`` and gradient ``g``.
-
-    Raises ``FlowAbort`` (a ``DomainError``) unless m and v are finite and v > 0.
-    """
-    _abort_if_invalid(t, y)
-    return np.stack([(-y[0] + g) / ts.tau1, (-y[1] + g * g) / ts.tau2])
-
-
 def _stage_times(t0: float, t1: float, h: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Grid t_i = t0 + i * h, its (n, 3) RK4 stage times t_i + (0, h/2, h), h rounded to hit t1;
     a ``DomainError`` unless h is finite and positive or if the stage times would outgrow
@@ -165,26 +156,6 @@ def _relax(x0, tau, forcing, h: float) -> np.ndarray:
                 stage *= step
                 stage += col[:-1:4]
     return points.reshape((4 * n + 1,) + shape)
-
-
-def steady_state_exponential_gains(delta0: float, ts: TimeScales) -> tuple[float, float, float]:
-    """Exact asymptotic ratios (m/g, v/g^2, R/sign(g)) under g(t) = c e^{delta0 t}.
-
-    Substituting the exponential ansatz into the linear moment equations gives
-
-        m_gain = 1 / (1 + tau1 * delta0)
-        v_gain = 1 / (1 + 2 * tau2 * delta0)
-        R_gain = m_gain / sqrt(v_gain)
-
-    valid whenever both denominators stay positive (pole guard).
-    """
-    pm = 1.0 + ts.tau1 * delta0
-    pv = 1.0 + 2.0 * ts.tau2 * delta0
-    if pm <= 0.0 or pv <= 0.0:
-        raise DomainError(f"steady-state pole crossed: 1+tau1*d0={pm}, 1+2*tau2*d0={pv}")
-    m_gain = 1.0 / pm
-    v_gain = 1.0 / pv
-    return m_gain, v_gain, m_gain / math.sqrt(v_gain)
 
 
 def predict_first_order(signal: GradientSignal, ts: TimeScales, t):

@@ -161,22 +161,3 @@ def row_norms(r: np.ndarray) -> np.ndarray:
     to ``np.linalg.norm(row)``.
     """
     return np.sqrt(np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0])
-
-
-def constant_gradient_closed_form(c: float | np.ndarray, k: int, beta1: float, beta2: float) -> np.ndarray:
-    """R after ``k`` raw Adam steps from zero state under a constant gradient c.
-
-    Geometric sums give m_k = (1 - b1**k) c and v_k = (1 - b2**k) c**2, hence
-
-        R_k = sign(c) * (1 - b1**k) / sqrt(1 - b2**k),
-
-    independent of |c|.  Serves as the oracle for the scale-independence of
-    raw Adam from zero initialization.
-    """
-    if k < 1:
-        raise DomainError(f"closed form needs k >= 1, got {k}")
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if np.any(c == 0.0):
-        raise DomainError("closed form requires a nonzero constant gradient")
-    magnitude = (1.0 - beta1 ** k) / np.sqrt(1.0 - beta2 ** k)
-    return np.sign(c) * magnitude

@@ -176,13 +176,15 @@ def _rows(path: Path, reader):
 
 
 def read_csv_columns(path: Path) -> CsvColumns:
-    """A headed UTF-8 CSV as string columns; parse errors (a repeated name too) name their line."""
+    """A headed UTF-8 CSV as string columns, a leading byte-order mark skipped (spreadsheets
+    write one); parse errors (a repeated name too) name their line."""
     path = Path(path)
     data = path.read_bytes()
     try:
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    except UnicodeDecodeError as exc:
-        raise CsvParseError(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}")
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    except UnicodeDecodeError as exc:  # exc.start indexes exc.object, the bytes after a mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CsvParseError(path, line, f"not UTF-8: {exc}")
     rows = _rows(path, reader)
     try:
         header = next(rows)

@@ -14,7 +14,8 @@ GAMMA = 0x9E3779B97F4A7C15 and mix64 is the standard finalizer
     z ^= z >> 31
 
 Uniform doubles take the top 53 bits: u = (word >> 11) * 2**-53.
-Normals are Box-Muller pairs on consecutive uniforms (u1 shifted into (0, 1]).
+Normals are Box-Muller pairs on one block of uniforms: u1 is its first half shifted
+into (0, 1], u2 its second half.
 Integer draws reduce words modulo the span (bias < 2**-53 for spans here).
 """
 
@@ -73,9 +74,8 @@ class CounterRng:
     def normal(self, size: int) -> np.ndarray:
         """Standard normals via Box-Muller."""
         pairs = (size + 1) // 2
-        u = self.words(2 * pairs).reshape(2, pairs)
-        u1 = ((u[0] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53  # (0, 1]
-        u2 = (u[1] >> np.uint64(11)) * 2.0 ** -53
+        u1, u2 = self.uniform(2 * pairs).reshape(2, pairs)
+        u1 += 2.0 ** -53  # (0, 1]: (k + 1) * 2**-53 is exact for k < 2**53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])

@@ -2,9 +2,7 @@
 
 The drift delta(t) = g'(t) / g(t) (coordinate-wise) is the local relative
 growth rate of the gradient magnitude and the expansion parameter of the
-whole analysis.  Every signal carries its exact delta and delta';
-``delta_fd``, the central finite difference with stencil step
-``1e-4 * max(1, |t|)``, is there to check them against.
+whole analysis.  Every signal carries its exact delta and delta'.
 
 Every evaluator takes ``t`` as a number or as an array of times of any
 shape and returns an array of shape ``np.shape(t) + (d,)`` for a d-coordinate
@@ -20,12 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-
-FD_STEP_SCALE = 1e-4
-
-
-def _fd_step(t):
-    return FD_STEP_SCALE * np.maximum(1.0, np.abs(t))
 
 
 def _require_nonzero(t, gt: np.ndarray) -> None:
@@ -50,13 +42,6 @@ class GradientSignal:
         """Logarithmic drift g'(t)/g(t); domain error on a zero coordinate."""
         _require_nonzero(t, self.g(t))
         return self.delta_analytic(t)
-
-    def delta_fd(self, t) -> np.ndarray:
-        """Central finite-difference drift, the check on ``delta``."""
-        gt = self.g(t)
-        _require_nonzero(t, gt)
-        h = _fd_step(t)
-        return (self.g(t + h) - self.g(t - h)) / (np.expand_dims(2.0 * h, -1) * gt)
 
     def delta_prime(self, t) -> np.ndarray:
         """d(delta)/dt."""

@@ -15,11 +15,11 @@ from scale_lab import (CellConfigs, FlowState, MomentState, OptimizerConfig, Tim
                        exponential_signal, first_order_sensitivity, grid_report,
                        integrate_flow, make_problem, omega_grids,
                        oscillation_omega1, oscillation_omega2,
-                       sinusoidal_log_signal, steady_state_exponential_gains,
-                       steady_state_init, step_multipliers, step_scale_cells, sweep_grid,
-                       tracking_check)
+                       sinusoidal_log_signal, steady_state_init, step_multipliers,
+                       step_scale_cells, sweep_grid)
 from scale_lab.optimizers import optimizer_step
 from scale_lab.reporting import summary_csv
+from oracles import steady_state_exponential_gains, tracking_check
 
 
 def report(line: str) -> None:

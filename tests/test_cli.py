@@ -239,6 +239,16 @@ class TestFlowCommand:
         svg = (out / "flow.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("argv", [("--signal", "exp", "--t-end", "10.01"),
+                                      ("--signal", "const", "--h", "1e300")], ids=" ".join)
+    def test_one_sample_past_burn_in_is_a_window(self, tmp_path, capsys, argv):
+        # the rounded grid leaves one sample at t >= burn-in (10): its remainders are measured
+        out = tmp_path / "flow"
+        assert run("flow", *argv, "--out", str(out)) == 0
+        rem = read_csv_columns(out / "remainder.csv")
+        assert rem["channel"] == ["m", "v", "R"]
+        assert all(float(r) <= float(b) for r, b in zip(rem["remainder"], rem["bound"][:2]))
+
     @pytest.mark.parametrize("argv", [("--h", "1e-300"), ("--t-end", "1e300")], ids=" ".join)
     def test_step_count_beyond_numpy_index_is_runtime_error(self, tmp_path, capsys, argv):
         # rejected before any grid is allocated
@@ -562,7 +572,8 @@ class TestSweepAndReport:
     @pytest.mark.parametrize("flag,text", [
         ("--grid", b"beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,\xff\n"),
         ("--ingest", b"beta1,0.9,0.99\n0.9,1,2\n0.99,\xff,1\n"),
-    ], ids=["grid", "ingest"])
+        ("--ingest", b"\xef\xbb\xbfbeta1,0.9,0.99\n0.9,1,2\n\xff.99,2,1\n"),
+    ], ids=["grid", "ingest", "ingest-after-byte-order-mark"])
     def test_csv_that_is_not_utf8_is_parse_error(self, tmp_path, capsys, flag, text):
         path = tmp_path / "in.csv"
         path.write_bytes(text)
@@ -570,6 +581,22 @@ class TestSweepAndReport:
         err = capsys.readouterr().err
         assert "in.csv:3: not UTF-8" in err and "0xff" in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--ingest", TABLE_STYLE_MATRIX),
+        ("--grid", "beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,0.2\n"
+                   "0.99,0.9,0,0.3\n0.99,0.99,0,0.4\n"),
+    ], ids=["ingest", "grid"])
+    def test_csv_with_a_byte_order_mark_reads_as_without(self, tmp_path, capsys, flag, text):
+        # a spreadsheet's "CSV UTF-8" starts with a BOM, which used to hide the name beta1
+        runs = []
+        for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(mark + text.encode())
+            assert run("report", flag, str(path), "--out", str(tmp_path / name)) == 0
+            runs.append((capsys.readouterr().out,
+                         (tmp_path / name / "report_summary.csv").read_bytes()))
+        assert runs[0] == runs[1] and "K=" in runs[0][0]
 
     @pytest.mark.parametrize("flag,text,line", [
         ("--grid", f"beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,{'1' * 200000}\n", 3),

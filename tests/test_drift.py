@@ -8,8 +8,8 @@ from scale_lab import (DomainError, FlowAbort, GradientSignal, TimeScales, const
                        drift_bounds, exponential_signal, first_order_sensitivity, fit_power_law,
                        integrate_flow, measure_remainder,
                        predict_first_order, remainder_order_sweep,
-                       sinusoidal_log_signal, steady_state_exponential_gains,
-                       steady_state_init, tracking_check)
+                       sinusoidal_log_signal, steady_state_init)
+from oracles import delta_fd, steady_state_exponential_gains, tracking_check
 
 
 @pytest.fixture(autouse=True)
@@ -69,7 +69,7 @@ class TestLogDrift:
         sig = make()
         for t in np.linspace(0.0, 6.0, 13):
             ana = sig.delta(float(t))
-            fd = sig.delta_fd(float(t))
+            fd = delta_fd(sig, float(t))
             assert np.allclose(fd, ana, rtol=1e-6, atol=1e-9)
 
 
@@ -90,6 +90,19 @@ class TestDriftBounds:
         prof = drift_bounds(offset_sine_signal(), (0.0, 2.0 * math.pi))
         assert prof.lambda_bound == pytest.approx(1.01 / math.sqrt(3.0), rel=1e-4)
         assert prof.lambda_prime_bound == pytest.approx(1.01, rel=1e-4)
+
+    @pytest.mark.parametrize("make", [lambda: exponential_signal(0.05), offset_sine_signal])
+    def test_one_point_interval_bounds_the_values_at_that_point(self, make):
+        # a flow whose rounded grid leaves one sample past burn-in measures its window there
+        sig, t = make(), 10.01
+        prof = drift_bounds(sig, (t, t))
+        assert prof.lambda_bound == drift.SUP_INFLATION * float(np.max(np.abs(sig.delta(t))))
+        assert prof.lambda_prime_bound == drift.SUP_INFLATION * float(
+            np.max(np.abs(sig.delta_prime(t))))
+
+    def test_reversed_interval_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"empty interval \[1\.0, 0\.5\]"):
+            drift_bounds(constant_signal(1.0), (1.0, 0.5))
 
 
 class TestPredictFirstOrder:
@@ -258,6 +271,16 @@ class TestFitPowerLaw:
             fit_power_law([1.0, 2.0, 4.0], [1.0, bad, 3.0])
         with pytest.raises(DomainError):
             fit_power_law([1.0, bad, 4.0], [1.0, 2.0, 3.0])
+
+    def test_needs_two_distinct_x_values(self):
+        # np.polyfit over one abscissa is rank-deficient: it returned a slope, not an error
+        with pytest.raises(DomainError, match="at least 2 distinct x values, got only 0.02"):
+            fit_power_law([0.02] * 3, [1e-3, 2e-3, 3e-3])
+
+    def test_ladder_of_one_repeated_rate_is_a_domain_error(self):
+        # every rate has one drift bound, so the fitted order was 1.096 of rounding noise
+        with pytest.raises(DomainError, match="distinct x values"):
+            remainder_order_sweep(TimeScales(1.0, 1.0), [0.02] * 3)
 
 
 class TestTrackingCheck:

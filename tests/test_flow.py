@@ -5,10 +5,10 @@ import pytest
 
 from scale_lab import (CellConfigs, DomainError, FlowAbort, FlowState, GradientSignal,
                        MomentState, OptimizerConfig, TimeScales, beta_from_tau, constant_signal,
-                       exponential_signal, flow_rhs, integrate_flow,
-                       sinusoidal_log_signal, steady_state_exponential_gains,
+                       exponential_signal, integrate_flow, sinusoidal_log_signal,
                        steady_state_init, tau_from_beta)
 from scale_lab.optimizers import optimizer_step
+from oracles import flow_rhs, steady_state_exponential_gains
 
 
 class TestTauBeta:

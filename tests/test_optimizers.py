@@ -7,14 +7,14 @@ import scale_lab
 from scale_lab import (CellConfigs, DimensionError, DomainError, DriftProfile, FlowState,
                        FlowTrace, GradientSignal, MomentState, OptimizerConfig,
                        OscillationGridReport, Problem, RemainderReport, RescaleProbeResult,
-                       RunTrace, SensitivityFit, SweepResult, TimeScales, TrackingCheckResult,
-                       constant_gradient_closed_form, constant_signal, exponential_signal,
-                       first_order_sensitivity, make_problem, remainder_order_sweep,
-                       sinusoidal_log_signal, steady_state_init, step_scale_cells,
-                       step_scale_grid, sweep_grid, tracking_check, train_cells)
-from scale_lab import (cli, drift, errors, invariance, metrics, optimizers, problems, reporting,
-                       signals, training)
+                       RunTrace, SensitivityFit, SweepResult, TimeScales, constant_signal,
+                       exponential_signal, first_order_sensitivity, make_problem,
+                       remainder_order_sweep, sinusoidal_log_signal, steady_state_init,
+                       step_scale_cells, step_scale_grid, sweep_grid, train_cells)
+from scale_lab import (cli, drift, errors, flow, invariance, metrics, optimizers, problems,
+                       reporting, signals, training)
 from scale_lab.optimizers import optimizer_step
+from oracles import TrackingCheckResult, constant_gradient_closed_form, tracking_check
 
 PROBLEM = dict(n_samples=0, loss=np.sum, grad=np.ones_like, init_theta=np.zeros,
                loss_finite_below=1.0, default_eta=0.01)
@@ -209,6 +209,16 @@ class TestAdamOnlyEngine:
         assert not hasattr(scale_lab, "zero_state") and not hasattr(optimizers, "zero_state")
         assert not hasattr(scale_lab, "tabulated_signal")
         assert not hasattr(signals, "tabulated_signal")
+
+    def test_test_only_oracles_left_the_package(self):
+        # references that only tests call live in tests/oracles.py
+        for module, name in [(flow, "flow_rhs"), (flow, "steady_state_exponential_gains"),
+                             (drift, "tracking_check"), (drift, "TrackingCheckResult"),
+                             (drift, "TRACKING_SLACK"), (signals, "FD_STEP_SCALE"),
+                             (signals, "_fd_step"), (GradientSignal, "delta_fd"),
+                             (optimizers, "constant_gradient_closed_form")]:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert not hasattr(scale_lab, name), name
 
     def test_one_cell_conveniences_are_gone(self):
         # optimizer_step is the one kernel entry and the problems take (C, d) rows only;

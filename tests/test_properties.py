@@ -23,14 +23,15 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scale_lab import (CellConfigs, FlowState, FlowTrace, GradientSignal, MomentState,
                        OptimizerConfig, TimeScales, binomial_diagonal_test, constant_signal,
                        ema_smooth, exponential_signal, grid_report, integrate_flow, make_problem,
-                       sinusoidal_log_signal, steady_state_init, tracking_check)
+                       sinusoidal_log_signal, steady_state_init)
 from scale_lab import reporting
 from scale_lab.optimizers import optimizer_step
 from scale_lab.cli import build_parser, main
 from scale_lab.drift import _ladder_flow
 from scale_lab.errors import DomainError, FlowAbort
-from scale_lab.flow import _abort_if_invalid, _relax, flow_rhs
+from scale_lab.flow import _abort_if_invalid, _relax
 from scale_lab.problems import MLP_HIDDEN, QUADRATIC_DIM, _make_blobs
+from oracles import delta_fd, flow_rhs, tracking_check
 
 SIGNALS = {
     "constant": lambda: constant_signal([2.0, -0.5, 3.0]),
@@ -47,7 +48,8 @@ times = st.floats(min_value=-4.0, max_value=14.0, allow_nan=False)
 
 
 def evaluators(sig):
-    return {name: getattr(sig, name) for name in FIELDS + METHODS}
+    return {name: functools.partial(delta_fd, sig) if name == "delta_fd" else getattr(sig, name)
+            for name in FIELDS + METHODS}
 
 
 @pytest.mark.parametrize("kind", list(SIGNALS))

@@ -5,6 +5,7 @@ import pytest
 
 from scale_lab import (DomainError, GradientSignal, constant_signal, exponential_signal,
                        sinusoidal_log_signal, step_multipliers)
+from oracles import delta_fd
 
 
 class TestConstant:
@@ -85,7 +86,7 @@ class TestZeroCoordinate:
         with pytest.raises(DomainError):
             sig.delta(1.0)
         with pytest.raises(DomainError):
-            sig.delta_fd(1.0)
+            delta_fd(sig, 1.0)
 
     def test_zero_on_a_time_grid_names_its_time(self):
         with pytest.raises(DomainError, match=r"g\(1\.0\) has a zero coordinate"):
