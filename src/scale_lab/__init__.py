@@ -15,7 +15,7 @@ from .problems import Problem, make_problem
 from .rng import CounterRng
 from .signals import (GradientSignal, constant_signal, exponential_signal,
                       sinusoidal_log_signal, step_multipliers)
-from .training import RunTrace, SweepResult, sweep_grid, train_cells
+from .training import RunPoint, RunTrace, SweepResult, start_point, sweep_grid, train_cells
 
 __version__ = "0.1.0"
 

@@ -14,7 +14,7 @@ Four subcommands:
 Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A seed, in a
 flag or a ``report --grid`` row alike, is ASCII decimal digits (no sign, ``_``
 or other script's digit) below 2**64.  A NaN or infinite float flag or list
-item, an empty list, a repeated seed or one that is not a seed, a repeated
+item, an empty list or item, a repeated seed or one not a seed, a repeated
 beta, a count below 1, a ``sweep --steps`` below 3 (omega2 needs 3 samples),
 a time scale, step size, learning rate or step-scale multiplier that is not
 positive, a zero step-scale base, a beta outside (0, 1), a negative
@@ -105,12 +105,9 @@ _count = _flag_value(int, lambda n: n >= 1, "an integer >= 1")
 def _values(text: str, parse=_finite_float) -> list:
     """A non-empty comma-separated list; an empty or bad item is a usage error."""
     try:
-        values = [parse(x) for x in text.split(",") if x.strip() != ""]
+        return [parse(x) for x in text.split(",")]
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"{exc} in the list {text!r}")
-    if not values:
-        raise UsageError(f"empty list: {text!r}")
-    return values
 
 
 def _distinct(values: list, flag: str) -> list:
@@ -169,7 +166,7 @@ def cmd_flow(args, manifest: RunManifest) -> list[Path]:
                                      [("norm_R", trace.t, trace.norm_r)],
                                      title=f"flow {args.signal}"))
     r_last = float(np.max(np.abs(trace.r[-1])))
-    print(f"flow: {trace.t.size} samples to t={trace.t[-1]:.3g}; ||R||_inf(end) = {r_last:.9f}")
+    print(f"flow: {trace.t.size} samples to t={trace.t[-1]:.10g}; ||R||_inf(end) = {r_last:.9f}")
     if report is None:
         print(f"  (run shorter than burn-in {ts.burn_in:g}; no remainder report)")
     else:

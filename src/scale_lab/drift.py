@@ -156,6 +156,16 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
     return float(slope), float(intercept)
 
 
+def _ladder(delta0_grid: Sequence[float]) -> tuple[float, ...]:
+    """The drift rates as sorted floats; a ``DomainError``, before any flow is integrated,
+    unless there are 3 or more, none zero, with 2 distinct magnitudes or more."""
+    rates = tuple(sorted(float(d) for d in delta0_grid))
+    if len(rates) < 3 or 0.0 in rates or len({abs(d) for d in rates}) < 2:
+        raise DomainError(f"a drift-rate ladder needs 3 or more non-zero rates of 2 or more "
+                          f"distinct magnitudes, got {list(rates)}")
+    return rates
+
+
 @lru_cache(maxsize=1)
 def _ladder_flow(ts: TimeScales, rates: tuple[float, ...]) -> FlowTrace:
     """The flow of e^{delta0 t} from the steady init to 1.2 burn-in + 2 tau_max; column k is
@@ -191,17 +201,15 @@ def first_order_sensitivity(ts: TimeScales, delta0_grid: Sequence[float]) -> Sen
     first-order coefficient |tau2 - tau1| is recovered even though the
     deviation carries an O(delta0^2) tail.
     """
-    rates = sorted(float(d) for d in delta0_grid)
-    if len(rates) < 3:
-        raise DomainError(f"sensitivity fit needs at least 3 drift rates, got {len(rates)}")
+    rates = _ladder(delta0_grid)
     if abs(rates[1] - 2.0 * rates[0]) > 2e-12 * abs(rates[0]):
         raise DomainError(f"Richardson step needs the two smallest drift rates in ratio 2, "
                           f"got {rates[0]} and {rates[1]}")
-    signed = (np.abs(_ladder_flow(ts, tuple(rates)).r[-1]) - 1.0).tolist()
+    signed = (np.abs(_ladder_flow(ts, rates).r[-1]) - 1.0).tolist()
     slope, _ = fit_power_law(rates, np.abs(signed))
     q0, q1 = signed[0] / rates[0], signed[1] / rates[1]
     coefficient = abs(2.0 * q0 - q1)
-    return SensitivityFit(slope=slope, coefficient=coefficient, delta0_grid=rates,
+    return SensitivityFit(slope=slope, coefficient=coefficient, delta0_grid=list(rates),
                           signed_deviations=signed)
 
 
@@ -214,8 +222,8 @@ def remainder_order_sweep(ts: TimeScales, delta0_grid: Sequence[float]) -> Remai
     been subtracted.  The channels and profile are the largest rate's.  If any rate aborts,
     ``FlowAbort.t`` is the earliest abort over all rates.
     """
-    rates = sorted(float(d) for d in delta0_grid)
-    flow = _ladder_flow(ts, tuple(rates))
+    rates = _ladder(delta0_grid)
+    flow = _ladder_flow(ts, rates)
     reports = []
     for k, d0 in enumerate(rates):
         column = FlowTrace(flow.t, *(a[:, k:k + 1] for a in (flow.m, flow.v, flow.r)))

@@ -19,8 +19,7 @@ them, into a lead string, and each table's row is that lead, its own fields
 and their separators (3 items for a step-scale file).  At most
 ``_OPEN_FILES`` (64) files are open at once, so a larger family is written
 in groups of 64.  ``write_csv`` is the one-table case.  Each CLI run writes
-a manifest (flat key=value text plus a JSON mirror) tying every output
-file to a SHA-256 hash.
+a JSON manifest tying every output file to a SHA-256 hash.
 """
 
 from __future__ import annotations
@@ -348,27 +347,17 @@ class RunManifest:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         self.outputs[str(path)] = digest
 
-    def write(self, directory: Path) -> tuple[Path, Path]:
+    def write(self, directory: Path) -> Path:
         self.duration_s = time.time() - self.started
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        txt = directory / "manifest.txt"
-        lines = [f"command={self.command}", f"version={self.version}",
-                 f"duration_s={self.duration_s:.3f}",
-                 f"seeds={','.join(str(s) for s in self.seeds)}"]
-        lines += [f"observed.{key}={self.observed[key]}" for key in sorted(self.observed)]
-        for key in sorted(self.config):
-            lines.append(f"config.{key}={self.config[key]}")
-        for path in sorted(self.outputs):
-            lines.append(f"output.{path}={self.outputs[path]}")
-        txt.write_text("\n".join(lines) + "\n")
         js = directory / "manifest.json"
         js.write_text(json.dumps({
             "command": self.command, "version": self.version,
             "duration_s": self.duration_s, "seeds": self.seeds,
             "config": self.config, "observed": self.observed, "outputs": self.outputs,
         }, indent=2, sort_keys=True) + "\n")
-        return txt, js
+        return js
 
 
 # ---------------------------------------------------------------- SVG plots

@@ -50,16 +50,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 class CounterRng:
-    """Deterministic splitmix64 stream addressed by (seed, stream, counter)."""
+    """Deterministic splitmix64 stream addressed by (seed, stream, counter); the first word
+    drawn is word(``counter``)."""
 
-    def __init__(self, seed: int, stream: int = 0):
-        if not (0 <= seed <= _MASK and 0 <= stream <= _MASK):
-            raise DomainError(f"seed and stream must be integers in {SEED_RANGE}, "
-                              f"got {seed} and {stream}")
+    def __init__(self, seed: int, stream: int = 0, counter: int = 0):
+        if not (0 <= seed <= _MASK and 0 <= stream <= _MASK and 0 <= counter <= _MASK):
+            raise DomainError(f"seed, stream and counter must be integers in {SEED_RANGE}, "
+                              f"got {seed}, {stream} and {counter}")
         seed_word, stream_word = _mix64(np.array([seed & _MASK, (stream + 1) * _GAMMA & _MASK],
                                                  dtype=np.uint64))
         self._base = seed_word ^ stream_word
-        self._counter = 0
+        self._counter = counter
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 words."""

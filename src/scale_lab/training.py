@@ -35,57 +35,77 @@ LOSS_EVERY = 10  # the full-data loss is recorded on steps k % LOSS_EVERY == 0
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-step update norm of one run; ``loss[j]`` is the loss before step j * LOSS_EVERY."""
+    """Per-step update norm of one run; ``loss[j]`` is the loss before its j-th step whose global
+    k is a multiple of LOSS_EVERY, so a continued trace's ``loss[0]`` is at the first one from its
+    start.  ``run_trace_csvs`` is handed only traces that start at step 0."""
 
     loss: np.ndarray
     norm_r: np.ndarray  # one entry per step run, so its size is the step a diverged run stopped at
     diverged: bool = False
 
 
-def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int | Sequence[int],
+@dataclass
+class RunPoint:
+    """A lockstep run between two steps, which ``train_cells`` advances in place: the (C, d)
+    parameters, the (2, C, d) moments and step counter k, each row's seed and which rows live."""
+
+    theta: np.ndarray
+    state: MomentState
+    seeds: Sequence[int]
+    alive: np.ndarray  # (C,) bool: False from the step a row diverged at
+
+
+def start_point(problem: Problem, seeds: Sequence[int]) -> RunPoint:
+    """Step 0 of one row per seed: ``problem.init_theta(seed)``, zero moments, every row alive."""
+    seeds = [int(s) for s in seeds]
+    theta = np.stack([problem.init_theta(s) for s in seeds])
+    return RunPoint(theta, MomentState(np.zeros((2,) + theta.shape)), seeds,
+                    np.ones(len(seeds), dtype=bool))
+
+
+def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], point: RunPoint,
                 steps: int, batch_size: int = DEFAULT_BATCH) -> list[RunTrace]:
-    """Train C cells in lockstep; one trace per config, in order.
+    """Train the C rows of ``point`` in lockstep for ``steps`` steps; one trace per config.
 
-    ``seed`` is one seed for every row or one per config row.  Row i starts
-    from ``problem.init_theta(seed_i)`` and draws its minibatch index row from
-    ``CounterRng(seed_i, stream=2)``; each step makes one gradient and one
-    optimizer call for the (C, d) rows, then the parameter step
-    ``theta' = theta - eta * R``, and every LOSS_EVERY-th step one full-data
-    loss call per seed.  Each row is bit-identical to the cell trained alone.
+    Row i steps with ``configs[i]``; its minibatch index row at step k, the point's global step
+    counter, is words [k * batch, (k + 1) * batch) of ``CounterRng(seed_i, stream=2)``.  Each
+    step makes one gradient and one optimizer call for the (C, d) rows, then the parameter step
+    ``theta' = theta - eta * R``, and at every k that is a multiple of LOSS_EVERY one full-data
+    loss call per seed.  So j steps continued for n - j equal n steps, and each row is
+    bit-identical to the cell trained alone.
 
-    The loss is the full-data objective at the pre-step parameters; the
-    gradient fed to the optimizer is the minibatch one (full-batch for the
-    quadratic).  A cell whose loss or update turns non-finite is flagged as
-    diverged and its trace is cut before that step, instead of raising; off
-    the cadence the loss runs for that check on each row not inside
-    ``problem.loss_finite_below``, so no non-finite loss goes unseen.  It
-    keeps its row and steps on with the batch: rows never mix, so its
-    neighbours cannot tell.  The loop ends early once every cell has diverged.
+    The loss is the full-data objective at the pre-step parameters; the gradient fed to the
+    optimizer is the minibatch one (full-batch for the quadratic).  A cell whose loss or update
+    turns non-finite is flagged as diverged and its trace is cut before that step, instead of
+    raising; off the cadence the loss runs for that check on each row not inside
+    ``problem.loss_finite_below``, so no non-finite loss goes unseen.  It keeps its row and
+    steps on with the batch: rows never mix, so its neighbours cannot tell.  The loop ends early
+    once every cell has diverged, and a row dead at the start has an empty, diverged trace.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     configs = tuple(configs)
     cells = CellConfigs(configs)
     n_cells = len(configs)
-    row_seeds = [int(seed)] * n_cells if np.ndim(seed) == 0 else [int(s) for s in seed]
-    if len(row_seeds) != n_cells:
-        raise DimensionError(f"{len(row_seeds)} seeds for {n_cells} config rows")
-    seed_set = list(dict.fromkeys(row_seeds))
-    seed_of_row = np.array([seed_set.index(s) for s in row_seeds])
+    if len(point.seeds) != n_cells:
+        raise DimensionError(f"{len(point.seeds)} seeds for {n_cells} config rows")
+    theta, state, alive, k0 = point.theta, point.state, point.alive, point.state.k
+    seed_set = list(dict.fromkeys(point.seeds))
+    seed_of_row = np.array([seed_set.index(s) for s in point.seeds])
     # one loss call per seed: one over all 27 rows of an mlp sweep peaks 1.6 MB higher, no faster
     seed_rows = [np.flatnonzero(seed_of_row == i) for i in range(len(seed_set))]
-    theta = np.stack([problem.init_theta(s) for s in row_seeds])
-    state = MomentState(np.zeros((2,) + theta.shape))
     eta = np.array([[c.eta] for c in configs])
-    batches = [CounterRng(s, stream=_BATCH_STREAM) for s in seed_set]
+    batches = [CounterRng(s, stream=_BATCH_STREAM, counter=k0 * batch_size) for s in seed_set]
 
-    losses = np.empty((n_cells, -(-steps // LOSS_EVERY)))
+    first = -(-k0 // LOSS_EVERY)  # the first recorded loss is at step first * LOSS_EVERY
+    losses = np.empty((n_cells, -(-(k0 + steps) // LOSS_EVERY) - first))
     norms = np.empty((n_cells, steps))
-    n_done = np.full(n_cells, steps)
-    alive = np.ones(n_cells, dtype=bool)
+    n_done = np.where(alive, steps, 0)
     # a diverging row overflows silently: it is detected as non-finite below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        # a point whose rows are all dead takes no step, as the run that killed them stopped
+        for j in range(steps if alive.any() else 0):
+            k = k0 + j
             recorded = k % LOSS_EVERY == 0
             # off the cadence only a live row the bound cannot vouch for needs its loss
             # (written as not-below, so a NaN theta is checked too)
@@ -97,23 +117,23 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], seed: int 
                 if rows.size:
                     loss_k[rows] = problem.loss(theta[rows])
             if recorded:
-                losses[:, k // LOSS_EVERY] = loss_k
-            if problem.n_samples and k % _INDEX_BLOCK == 0:
-                draws = min(_INDEX_BLOCK, steps - k) * batch_size
+                losses[:, k // LOSS_EVERY - first] = loss_k
+            if problem.n_samples and j % _INDEX_BLOCK == 0:
+                draws = min(_INDEX_BLOCK, steps - j) * batch_size
                 block = np.stack([b.integers(0, problem.n_samples, draws).reshape(-1, batch_size)
                                   for b in batches])
-            idx = block[seed_of_row, k % _INDEX_BLOCK] if problem.n_samples else None
+            idx = block[seed_of_row, j % _INDEX_BLOCK] if problem.n_samples else None
             r = optimizer_step(state, problem.grad(theta, idx)[None], cells)[0]
-            norms[:, k] = row_norms(r)
+            norms[:, j] = row_norms(r)
             theta -= np.multiply(eta, r, out=r)  # theta' = theta - eta * R
             del r  # frees R's moment buffer before the next step allocates its own
-            died = alive & ~(np.isfinite(loss_k) & np.isfinite(norms[:, k]))
+            died = alive & ~(np.isfinite(loss_k) & np.isfinite(norms[:, j]))
             if died.any():
-                n_done[died], alive[died] = k, False
+                n_done[died], alive[died] = j, False
                 if not alive.any():
                     break
 
-    return [RunTrace(loss=losses[i, :-(-n // LOSS_EVERY)], norm_r=norms[i, :n],
+    return [RunTrace(loss=losses[i, :-(-(k0 + n) // LOSS_EVERY) - first], norm_r=norms[i, :n],
                      diverged=bool(n < steps)) for i, n in enumerate(n_done)]
 
 
@@ -157,6 +177,6 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     cells = [(b1, b2, s) for s in seed_list for b1 in axis for b2 in axis]
     configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, bias_correction=True)
                for b1, b2, _ in cells]
-    traces = dict(zip(cells, train_cells(problem, configs, seed=[s for _, _, s in cells],
-                                         steps=steps, batch_size=batch_size)))
+    point = start_point(problem, [s for _, _, s in cells])
+    traces = dict(zip(cells, train_cells(problem, configs, point, steps, batch_size)))
     return SweepResult(traces=traces, omegas=_omegas(traces, window))

@@ -108,6 +108,7 @@ class TestExitCodes:
         ("sweep", "--problem", "quadratic", "--seed-list", "1,1"),
         ("sweep", "--problem", "quadratic", "--batch-size", "0"),
         ("sweep", "--problem", "quadratic", "--seed-list", ","),
+        ("sweep", "--problem", "quadratic", "--seed-list", "0,1,"),
         # a seed is ASCII decimal digits alone, as report --grid reads it back
         ("sweep", "--problem", "quadratic", "--seed-list", "5_0"),
         ("sweep", "--problem", "quadratic", "--seed-list", "0,+1"),
@@ -118,6 +119,7 @@ class TestExitCodes:
         ("probe", "--g", ""),
         ("probe", "--lambdas", "2,x"),
         ("probe", "--step-scale", "--beta-grid", ","),
+        ("probe", "--step-scale", "--beta-grid", "0.9,,0.99"),
     ], ids=" ".join)
     def test_malformed_seeds_batch_size_and_lists_are_usage_errors(self, tmp_path, capsys,
                                                                    argv):
@@ -248,6 +250,12 @@ class TestFlowCommand:
         rem = read_csv_columns(out / "remainder.csv")
         assert rem["channel"] == ["m", "v", "R"]
         assert all(float(r) <= float(b) for r, b in zip(rem["remainder"], rem["bound"][:2]))
+
+    @pytest.mark.parametrize("t_end,samples", [("10.01", 501), ("12", 601), ("0.3", 16)])
+    def test_summary_prints_the_end_time_the_grid_reached(self, tmp_path, capsys, t_end, samples):
+        # the rounded grid ends on t_end: 3 significant digits printed 10.01 as t=10
+        assert run("flow", "--signal", "exp", "--t-end", t_end, "--out", str(tmp_path)) == 0
+        assert f"flow: {samples} samples to t={t_end}; " in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [("--h", "1e-300"), ("--t-end", "1e300")], ids=" ".join)
     def test_step_count_beyond_numpy_index_is_runtime_error(self, tmp_path, capsys, argv):
@@ -418,7 +426,8 @@ class TestSweepAndReport:
             res = training.sweep_grid(prob, beta_axis=[0.9], seeds=(0,), steps=5, window=1)
             for eta, same in [(prob.default_eta, True), (2.0 * prob.default_eta, False)]:
                 cfg = OptimizerConfig(beta1=0.9, beta2=0.9, eta=eta)
-                (alone,) = training.train_cells(prob, [cfg], seed=0, steps=5)
+                point = training.start_point(prob, [0])
+                (alone,) = training.train_cells(prob, [cfg], point, steps=5)
                 assert np.array_equal(res.traces[(0.9, 0.9, 0)].norm_r, alone.norm_r) == same
 
     def test_sweep_protocol_defaults_live_in_training(self):
@@ -486,10 +495,11 @@ class TestSweepAndReport:
         assert run("sweep", "--problem", "logistic", "--seeds", "1", "--steps", "60",
                    "--window", "1", "--beta-grid", "0.9,0.99", "--out", str(out)) == 0
         cols = read_csv_columns(out / "grid.csv")
-        from scale_lab import OptimizerConfig, make_problem, oscillation_omega1, train_cells
-        trace = train_cells(make_problem("logistic"),
-                            [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)],
-                            seed=0, steps=60)[0]
+        from scale_lab import (OptimizerConfig, make_problem, oscillation_omega1, start_point,
+                               train_cells)
+        prob = make_problem("logistic")
+        trace = train_cells(prob, [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)],
+                            start_point(prob, [0]), steps=60)[0]
         row = cols["beta1"].index("0.9")
         got = [float(w) for b1, b2, w in zip(cols["beta1"], cols["beta2"], cols["omega1"])
                if b1 == "0.9" and b2 == "0.99"]
@@ -798,14 +808,12 @@ class TestManifest:
             "command": command, "version": __version__, "seeds": seeds, "config": config,
             "observed": observed}
         assert manifest["duration_s"] >= 0.0
-        text = (out / "manifest.txt").read_text().splitlines()
-        assert text[:2] == [f"command={command}", f"version={__version__}"]
-        assert f"seeds={','.join(map(str, seeds))}" in text
-        assert [line for line in text if line.startswith("observed.")] == [
-            f"observed.{k}={observed[k]}" for k in sorted(observed)]
-        assert [line for line in text if line.startswith(("config.", "output."))] == (
-            [f"config.{k}={config[k]}" for k in sorted(config)]
-            + [f"output.{p}={h}" for p, h in sorted(manifest["outputs"].items())])
+        # the JSON record is the one manifest, written with sorted keys
+        assert sorted(p.name for p in out.rglob("manifest.*")) == ["manifest.json"]
+        assert set(manifest) == {"command", "version", "duration_s", "seeds", "config",
+                                 "observed", "outputs"}
+        assert (out / "manifest.json").read_text() == json.dumps(manifest, indent=2,
+                                                                  sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("argv,svg", [
         (["sweep", "--problem", "quadratic", "--seeds", "2", "--steps", "20", "--window", "5"],
@@ -828,7 +836,6 @@ class TestManifest:
                    "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["observed"] == {"diverged": ["0.999,0.9,0:32"]}
-        assert "observed.diverged=['0.999,0.9,0:32']" in (out / "manifest.txt").read_text()
         cols = read_csv_columns(out / "cells" / "trace_0.999_0.9_s0.csv")
         assert len(cols["step"]) == 32
 
@@ -844,10 +851,7 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["command"], manifest["seeds"], manifest["observed"],
                 manifest["outputs"]) == ("sweep", [0], {"diverged": diverged}, {})
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "manifest.txt"]
-        text = (out / "manifest.txt").read_text().splitlines()
-        assert [line for line in text if line.startswith(("observed.", "output."))] == [
-            f"observed.diverged={diverged}"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_sweep_whose_second_moments_overflow_scores_nothing(self, tmp_path, capsys):
         # every cell's bias-corrected v overflows at step 1, so every cell is diverged there
@@ -888,10 +892,7 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["command"], manifest["observed"], manifest["outputs"]) == (
             "flow", observed, {})
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "manifest.txt"]
-        text = (out / "manifest.txt").read_text().splitlines()
-        assert [line for line in text if line.startswith(("observed.", "output."))] == [
-            f"observed.{k}={observed[k]}" for k in sorted(observed)]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("argv", [

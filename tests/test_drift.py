@@ -279,8 +279,21 @@ class TestFitPowerLaw:
 
     def test_ladder_of_one_repeated_rate_is_a_domain_error(self):
         # every rate has one drift bound, so the fitted order was 1.096 of rounding noise
-        with pytest.raises(DomainError, match="distinct x values"):
+        with pytest.raises(DomainError, match="distinct magnitudes"):
             remainder_order_sweep(TimeScales(1.0, 1.0), [0.02] * 3)
+        assert drift._ladder_flow.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("rates", [[0.02] * 3, [0.02, -0.02, 0.02], [0.01, 0.02],
+                                   [0.0, 0.01, 0.02], [], [0.01, -0.0, 0.02, 0.04]],
+                         ids=["repeated", "one-magnitude", "two-rates", "zero", "empty",
+                              "negative-zero"])
+@pytest.mark.parametrize("fit", [first_order_sensitivity, remainder_order_sweep])
+def test_bad_ladder_is_rejected_before_any_flow(flow_calls, fit, rates):
+    # the fits share one ladder check, run before the ladder's flow is integrated
+    with pytest.raises(DomainError, match="drift-rate ladder needs 3 or more non-zero rates"):
+        fit(TimeScales(1.0, 1.0), rates)
+    assert flow_calls == [] and drift._ladder_flow.cache_info().misses == 0
 
 
 class TestTrackingCheck:

@@ -8,9 +8,10 @@ import pytest
 
 from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, OptimizerConfig,
                        make_problem, step_multipliers, step_scale_cells, step_scale_grid,
-                       sweep_grid, train_cells)
+                       start_point, sweep_grid, train_cells)
 from scale_lab.invariance import STEP_BLOCK
 from scale_lab.optimizers import optimizer_step
+from scale_lab.problems import PROBLEMS
 from scale_lab.rng import CounterRng
 from scale_lab.training import _INDEX_BLOCK, DEFAULT_BETA_AXIS, LOSS_EVERY
 
@@ -31,10 +32,10 @@ class TestTrainCells:
         configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=1e-6,
                                    bias_correction=bias_correction)
                    for (b1, b2), eta in zip(BETAS, (0.01, 0.003, 0.02, 0.001))]
-        batched = train_cells(prob, configs, seed=4, steps=60)
+        batched = train_cells(prob, configs, start_point(prob, [4] * 4), steps=60)
         assert len(batched) == len(configs)
         for cfg, trace in zip(configs, batched):
-            assert_same_trace(trace, train_cells(prob, [cfg], seed=4, steps=60)[0])
+            assert_same_trace(trace, train_cells(prob, [cfg], start_point(prob, [4]), steps=60)[0])
 
     @pytest.mark.parametrize("other", [
         OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, epsilon=1e-6),
@@ -46,15 +47,16 @@ class TestTrainCells:
         with pytest.raises(DomainError, match=r"got \[\(.+\), \(.+\)\]$"):
             CellConfigs(configs)
         with pytest.raises(DomainError, match="shares one"):
-            train_cells(make_problem("logistic"), configs, seed=0, steps=5)
+            prob = make_problem("logistic")
+            train_cells(prob, configs, start_point(prob, [0, 0]), steps=5)
 
     def test_cell_diverging_at_step_one_leaves_neighbours_alone(self):
         prob = make_problem("quadratic")
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
                    OptimizerConfig(beta1=0.9, beta2=0.99, eta=1e300),
                    OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02)]
-        batched = train_cells(prob, configs, seed=0, steps=200)
-        alone = [train_cells(prob, [cfg], seed=0, steps=200)[0] for cfg in configs]
+        batched = train_cells(prob, configs, start_point(prob, [0] * 3), steps=200)
+        alone = [train_cells(prob, [cfg], start_point(prob, [0]), steps=200)[0] for cfg in configs]
         healthy_left, blown, healthy_right = batched
         assert blown.diverged and blown.norm_r.size == 1
         assert not healthy_left.diverged and not healthy_right.diverged
@@ -68,8 +70,8 @@ class TestTrainCells:
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
                    OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e151),
                    OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02)]
-        batched = train_cells(prob, configs, seed=0, steps=2000)
-        alone = [train_cells(prob, [cfg], seed=0, steps=2000)[0] for cfg in configs]
+        batched = train_cells(prob, configs, start_point(prob, [0] * 3), steps=2000)
+        alone = [train_cells(prob, [cfg], start_point(prob, [0]), steps=2000)[0] for cfg in configs]
         assert [t.diverged for t in batched] == [False, True, False]
         assert 1 < batched[1].norm_r.size < 2000
         for b, a in zip(batched, alone):
@@ -78,7 +80,7 @@ class TestTrainCells:
     def test_every_cell_diverging_ends_the_run(self):
         prob = make_problem("quadratic")
         configs = [OptimizerConfig(eta=1e300), OptimizerConfig(beta1=0.5, eta=1e300)]
-        traces = train_cells(prob, configs, seed=0, steps=50)
+        traces = train_cells(prob, configs, start_point(prob, [0, 0]), steps=50)
         assert all(t.diverged and t.norm_r.size == 1 for t in traces)
 
     def test_dead_exact_epsilon_row_never_trips_the_zero_moment_check(self):
@@ -87,10 +89,10 @@ class TestTrainCells:
         configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, epsilon=0.0),
                    OptimizerConfig(beta1=0.9, beta2=0.99, eta=1e300, epsilon=0.0),
                    OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02, epsilon=0.0)]
-        batched = train_cells(prob, configs, seed=0, steps=300)
+        batched = train_cells(prob, configs, start_point(prob, [0] * 3), steps=300)
         assert [t.diverged for t in batched] == [False, True, False]
         for cfg, b in zip(configs, batched):
-            assert_same_trace(b, train_cells(prob, [cfg], seed=0, steps=300)[0])
+            assert_same_trace(b, train_cells(prob, [cfg], start_point(prob, [0]), steps=300)[0])
 
 
 class TestMixedSeedRows:
@@ -107,10 +109,10 @@ class TestMixedSeedRows:
         blow = OptimizerConfig(beta1=0.999, beta2=0.9, eta=blowup)
         rows = [(calm[0], 4), (blow, 0), (calm[1], 1), (blow, 1), (calm[0], 0)]
         configs, seeds = zip(*rows)
-        batched = train_cells(prob, configs, seed=seeds, steps=70)
+        batched = train_cells(prob, configs, start_point(prob, seeds), steps=70)
         assert [t.diverged for t in batched] == diverged
         for (cfg, s), trace in zip(rows, batched):
-            assert_same_trace(trace, train_cells(prob, [cfg], seed=s, steps=70)[0])
+            assert_same_trace(trace, train_cells(prob, [cfg], start_point(prob, [s]), steps=70)[0])
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     def test_index_rows_equal_row_by_row_calls(self, kind):
@@ -127,7 +129,8 @@ class TestMixedSeedRows:
         prob = make_problem("logistic", seed=3)
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
         steps = 2 * _INDEX_BLOCK + 3
-        for s, trace in zip((5, 2), train_cells(prob, [cfg, cfg], seed=[5, 2], steps=steps)):
+        traces = train_cells(prob, [cfg, cfg], start_point(prob, [5, 2]), steps=steps)
+        for s, trace in zip((5, 2), traces):
             losses, norms = serial_logistic_adam(prob, 3, cfg, seed=s, steps=steps)
             assert np.array_equal(trace.loss, losses[::LOSS_EVERY])
             assert np.array_equal(trace.norm_r, norms)
@@ -140,13 +143,74 @@ class TestMixedSeedRows:
         configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=prob.default_eta) for b1, b2 in pairs]
         assert list(result.traces) == [(b1, b2, s) for s in seeds for b1, b2 in pairs]
         for s in seeds:
-            for (b1, b2), alone in zip(pairs, train_cells(prob, configs, seed=s, steps=60)):
+            alone_cells = train_cells(prob, configs, start_point(prob, [s] * 9), steps=60)
+            for (b1, b2), alone in zip(pairs, alone_cells):
                 assert_same_trace(result.traces[(b1, b2, s)], alone)
 
     def test_seed_count_must_match_the_rows(self):
         with pytest.raises(DimensionError):
-            train_cells(make_problem("quadratic"), [OptimizerConfig()] * 2, seed=[0, 1, 2],
-                        steps=5)
+            prob = make_problem("quadratic")
+            train_cells(prob, [OptimizerConfig()] * 2, start_point(prob, [0, 1, 2]), steps=5)
+
+
+# per problem, (eta, beta1, beta2, seed) of a row that diverges before step 73 and of one that
+# diverges after step 137 of a 300-step run
+SPLIT_ROWS = {"quadratic": ((1e300, 0.9, 0.99, 1), (1.6e152, 0.999, 0.9, 0)),
+              "logistic": ((2.5e305, 0.99, 0.9, 1), (1.6e305, 0.999, 0.9, 0)),
+              "mlp": ((5.6e304, 0.99, 0.9, 1), (1e304, 0.999, 0.9, 0))}
+
+
+class TestContinuedRun:
+    @pytest.mark.parametrize("j", [1, 73, 137])
+    @pytest.mark.parametrize("kind", list(PROBLEMS))
+    def test_split_run_equals_one_run(self, kind, j):
+        # j is a multiple of neither LOSS_EVERY nor _INDEX_BLOCK: the continuation starts off
+        # the loss cadence and inside an index block
+        prob, n = make_problem(kind), 300
+        calm = [OptimizerConfig(beta1=0.9, beta2=0.999, eta=prob.default_eta),
+                OptimizerConfig(beta1=0.99, beta2=0.9, eta=prob.default_eta)]
+        blow = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta)
+                for eta, b1, b2, _ in SPLIT_ROWS[kind]]
+        seeds = [0, 1] + [s for *_, s in SPLIT_ROWS[kind]]
+        one = start_point(prob, seeds)
+        whole = train_cells(prob, calm + blow, one, n)
+        assert [t.diverged for t in whole] == [False, False, True, True]
+        assert whole[2].norm_r.size < 73 and whole[3].norm_r.size > 137
+        split = start_point(prob, seeds)
+        head = train_cells(prob, calm + blow, split, j)
+        assert split.state.k == j
+        tail = train_cells(prob, calm + blow, split, n - j)
+        for w, h, t in zip(whole, head, tail):
+            assert np.array_equal(w.loss, np.concatenate([h.loss, t.loss]))
+            assert np.array_equal(w.norm_r, np.concatenate([h.norm_r, t.norm_r]))
+            assert w.diverged == t.diverged
+        if j > whole[2].norm_r.size:  # dead at the split: an empty, diverged continuation
+            assert tail[2].diverged and tail[2].norm_r.size == tail[2].loss.size == 0
+        assert split.state.k == one.state.k == n
+        assert split.theta.tobytes() == one.theta.tobytes()
+        assert split.state.mv.tobytes() == one.state.mv.tobytes()
+        assert list(split.alive) == list(one.alive) == [True, True, False, False]
+
+    def test_point_whose_rows_all_died_takes_no_step(self):
+        prob = make_problem("quadratic")
+        configs = [OptimizerConfig(eta=1e300), OptimizerConfig(beta1=0.5, eta=1e300)]
+        point = start_point(prob, [0, 1])
+        train_cells(prob, configs, point, 50)
+        theta, mv = point.theta.copy(), point.state.mv.copy()
+        assert point.state.k == 2 and not point.alive.any()
+        traces = train_cells(prob, configs, point, 50)
+        assert all(t.diverged and t.norm_r.size == t.loss.size == 0 for t in traces)
+        assert point.state.k == 2
+        assert point.theta.tobytes() == theta.tobytes() and point.state.mv.tobytes() == mv.tobytes()
+
+    def test_fresh_point_is_advanced_in_place(self):
+        prob = make_problem("logistic")
+        point = start_point(prob, [3, 3])
+        theta, mv = point.theta, point.state.mv
+        assert point.state.k == 0 and not mv.any() and point.alive.all()
+        assert np.array_equal(theta, np.stack([prob.init_theta(3)] * 2))
+        train_cells(prob, [OptimizerConfig(), OptimizerConfig(beta1=0.5)], point, 5)
+        assert point.theta is theta and point.state.mv is mv and point.state.k == 5
 
 
 def counting_loss(prob):
@@ -165,8 +229,8 @@ class TestLossCadence:
         prob, rows = counting_loss(make_problem("mlp", seed=1))
         pairs = [(b1, b2) for b1 in DEFAULT_BETA_AXIS for b2 in DEFAULT_BETA_AXIS]
         configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=prob.default_eta) for b1, b2 in pairs]
-        traces = train_cells(prob, configs * 3, seed=[s for s in (2, 0, 1) for _ in pairs],
-                             steps=35)
+        point = start_point(prob, [s for s in (2, 0, 1) for _ in pairs])
+        traces = train_cells(prob, configs * 3, point, steps=35)
         # one call per seed group of 9 rows, on steps 0, 10, 20 and 30
         assert rows == [len(pairs)] * (3 * math.ceil(35 / LOSS_EVERY))
         assert all(t.loss.size == math.ceil(35 / LOSS_EVERY) for t in traces)
@@ -177,7 +241,7 @@ class TestLossCadence:
         calm = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.01)
         blow = OptimizerConfig(beta1=0.999, beta2=0.9, eta=2e305)
         far = OptimizerConfig(beta1=0.9, beta2=0.9, eta=2e305)
-        traces = train_cells(prob, [calm, blow, far], seed=0, steps=40)
+        traces = train_cells(prob, [calm, blow, far], start_point(prob, [0] * 3), steps=40)
         assert [t.diverged for t in traces] == [False, True, False]
         died = traces[1].norm_r.size
         assert died == 32
@@ -226,7 +290,8 @@ def serial_logistic_adam(prob, data_seed, cfg, seed, steps):
 def test_sweep_cells_equal_the_serial_reference_loop():
     prob = make_problem("logistic", seed=3)
     configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=0.01) for b1, b2 in BETAS]
-    for cfg, trace in zip(configs, train_cells(prob, configs, seed=5, steps=40)):
+    traces = train_cells(prob, configs, start_point(prob, [5] * 4), steps=40)
+    for cfg, trace in zip(configs, traces):
         losses, norms = serial_logistic_adam(prob, 3, cfg, seed=5, steps=40)
         assert np.array_equal(trace.loss, losses[::LOSS_EVERY])
         assert np.array_equal(trace.norm_r, norms)

@@ -10,7 +10,7 @@ from scale_lab import (CellConfigs, DimensionError, DomainError, DriftProfile, F
                        RunTrace, SensitivityFit, SweepResult, TimeScales, constant_signal,
                        exponential_signal, first_order_sensitivity, make_problem,
                        remainder_order_sweep, sinusoidal_log_signal, steady_state_init,
-                       step_scale_cells, step_scale_grid, sweep_grid, train_cells)
+                       start_point, step_scale_cells, step_scale_grid, sweep_grid, train_cells)
 from scale_lab import (cli, drift, errors, flow, invariance, metrics, optimizers, problems,
                        reporting, signals, training)
 from scale_lab.optimizers import optimizer_step
@@ -117,7 +117,8 @@ class TestAdamOnlyEngine:
         lambda: OptimizerConfig(weight_decay=0.1),
         lambda: optimizer_step(MomentState(np.zeros((2, 1))), np.ones((1, 1, 1)),
                                CellConfigs([OptimizerConfig()]), method="gd"),
-        lambda: train_cells(make_problem("quadratic"), [OptimizerConfig()], seed=0, steps=5,
+        lambda: train_cells(make_problem("quadratic"), [OptimizerConfig()],
+                            start_point(make_problem("quadratic"), [0]), steps=5,
                             method="gd"),
         lambda: step_scale_cells(np.ones((5, 1)), [OptimizerConfig()], method="gd"),
         lambda: GradientSignal(g=np.ones, g_prime=np.zeros),

@@ -77,6 +77,20 @@ def test_seed_or_stream_outside_64_bits_rejected(seed, stream):
         CounterRng(seed, stream)
 
 
+@pytest.mark.parametrize("counter", [0, 1, 37, 64 * 32])
+@pytest.mark.parametrize("seed,stream", [(0, 0), (5, 2), (MASK, MASK)])
+def test_counter_start_skips_the_words_before_it(seed, stream, counter):
+    # a stream started at word c draws what a fresh stream draws after its first c words
+    fresh = CounterRng(seed, stream).words(counter + 9)
+    assert np.array_equal(CounterRng(seed, stream, counter=counter).words(9), fresh[counter:])
+
+
+@pytest.mark.parametrize("counter", [-1, 2**64, 2**64 + 5])
+def test_counter_outside_64_bits_is_domain_error(counter):
+    with pytest.raises(DomainError, match=r"\[0, 2\*\*64\)"):
+        CounterRng(0, 2, counter=counter)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_problem_seed_outside_64_bits_is_domain_error(seed):
     # the library's contract for an input outside an operation's domain

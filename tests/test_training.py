@@ -5,7 +5,7 @@ import pytest
 
 from scale_lab import (CellConfigs, DomainError, MomentState, OptimizerConfig, ema_smooth,
                        grid_report, make_problem, omega_grids, oscillation_omega1,
-                       oscillation_omega2, sweep_grid, train_cells)
+                       oscillation_omega2, start_point, sweep_grid, train_cells)
 from scale_lab.optimizers import optimizer_step
 from scale_lab.problems import QUADRATIC_DIM
 from scale_lab.training import LOSS_EVERY
@@ -68,7 +68,7 @@ class TestRunTraining:
     def test_adam_on_quadratic_descends(self):
         prob = make_problem("quadratic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.005)
-        trace = train_cells(prob, [cfg], seed=0, steps=200)[0]
+        trace = train_cells(prob, [cfg], start_point(prob, [0]), steps=200)[0]
         assert not trace.diverged
         assert np.all(np.diff(trace.loss) < 0.0)
 
@@ -76,27 +76,27 @@ class TestRunTraining:
         # from m = v = 0 the bias-corrected first R is g / |g|: one unit per coordinate
         prob = make_problem("quadratic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.001, epsilon=0.0)
-        trace = train_cells(prob, [cfg], seed=0, steps=50)[0]
+        trace = train_cells(prob, [cfg], start_point(prob, [0]), steps=50)[0]
         assert trace.norm_r[0] == pytest.approx(np.sqrt(QUADRATIC_DIM), rel=1e-12)
 
     def test_traces_are_bit_identical(self):
         prob = make_problem("logistic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
-        t1 = train_cells(prob, [cfg], seed=3, steps=150)[0]
-        t2 = train_cells(prob, [cfg], seed=3, steps=150)[0]
+        t1 = train_cells(prob, [cfg], start_point(prob, [3]), steps=150)[0]
+        t2 = train_cells(prob, [cfg], start_point(prob, [3]), steps=150)[0]
         assert np.array_equal(t1.loss, t2.loss)
         assert np.array_equal(t1.norm_r, t2.norm_r)
 
     def test_different_seeds_differ(self):
         prob = make_problem("logistic")
         cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
-        t1 = train_cells(prob, [cfg], seed=0, steps=100)[0]
-        t2 = train_cells(prob, [cfg], seed=1, steps=100)[0]
+        t1 = train_cells(prob, [cfg], start_point(prob, [0]), steps=100)[0]
+        t2 = train_cells(prob, [cfg], start_point(prob, [1]), steps=100)[0]
         assert not np.array_equal(t1.norm_r, t2.norm_r)
 
     def test_trace_length_contract(self):
         prob = make_problem("mlp")
-        trace = train_cells(prob, [OptimizerConfig()], seed=0, steps=40)[0]
+        trace = train_cells(prob, [OptimizerConfig()], start_point(prob, [0]), steps=40)[0]
         assert trace.norm_r.size == 40
         assert trace.loss.size == math.ceil(40 / LOSS_EVERY)
         assert np.all(trace.norm_r >= 0.0)
@@ -106,7 +106,7 @@ class TestRunTraining:
         # overflows at step 1423 (at 3e152 it overflows at step 1)
         prob = make_problem("quadratic")
         cfg = OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e151)
-        trace = train_cells(prob, [cfg], seed=0, steps=2000)[0]
+        trace = train_cells(prob, [cfg], start_point(prob, [0]), steps=2000)[0]
         assert trace.diverged
         assert 1 < trace.norm_r.size < 2000
         assert np.all(np.isfinite(trace.loss))
@@ -115,8 +115,8 @@ class TestRunTraining:
     def test_overflowed_second_moment_cuts_the_trace(self, eta, dies_at):
         # the (0.999, 0.9) cell's bias-corrected v first overflows at step dies_at: that step's
         # R is NaN, not 0, so the run is diverged there instead of training on to 2000
-        cfg = OptimizerConfig(beta1=0.999, beta2=0.9, eta=eta)
-        trace = train_cells(make_problem("quadratic"), [cfg], seed=0, steps=2000)[0]
+        cfg, prob = OptimizerConfig(beta1=0.999, beta2=0.9, eta=eta), make_problem("quadratic")
+        trace = train_cells(prob, [cfg], start_point(prob, [0]), steps=2000)[0]
         assert trace.diverged and trace.norm_r.size == dies_at
         assert np.isfinite(trace.norm_r).all()
 
