@@ -13,8 +13,7 @@ from .metrics import (OscillationGridReport, binomial_diagonal_test, ema_smooth,
 from .optimizers import CellConfigs, MomentState, OptimizerConfig
 from .problems import Problem, make_problem
 from .rng import CounterRng
-from .signals import (GradientSignal, constant_signal, exponential_signal,
-                      sinusoidal_log_signal, step_multipliers)
+from .signals import GradientSignal, constant_signal, exponential_signal, sinusoidal_log_signal
 from .training import RunPoint, RunTrace, SweepResult, start_point, sweep_grid, train_cells
 
 __version__ = "0.1.0"

@@ -22,10 +22,12 @@ positive, a zero step-scale base, a beta outside (0, 1), a negative
 length differs from ``--g``'s, a ``--jump`` outside [1, steps - 1],
 ``--seeds`` given together with ``--seed-list`` and a report without exactly
 one of ``--grid`` and ``--ingest`` are usage errors.  An overflow in a flow
-or its remainder report, a step-scale gradient entry that is not finite, at
-least 2**511 or below 2**-511 (named by its step), a flow step too small to
-grid its interval, a sweep or report none of whose rows can be scored (each
-row tied or all diverged) and a run out of memory are runtime errors.  A
+or a failure of its remainder report (an undefined drift too), a step-scale
+gradient entry that is not finite, at least 2**511 or below 2**-511 (named by
+its step), a flow step too small to grid its interval, a ``--steps``,
+``--seeds`` or ``--batch-size`` that would size an array past numpy's index
+type, a sweep or report none of whose rows can be scored (each row tied or
+all diverged) and a run out of memory are runtime errors.  A
 ``report`` CSV that is not UTF-8, has a field past the csv size limit, a
 repeated header name, a missing or duplicate cell, a seed that is not one, a
 beta outside (0, 1) or an omega below 0 (``-inf`` included) is a parse error
@@ -47,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, DomainError, FlowAbort
+from .errors import DimensionError, DomainError, FlowAbort, require_indexable
 from .flow import TimeScales, integrate_flow, steady_state_init
 from .invariance import exact_invariance_probe, step_scale_grid
 from .metrics import METRICS, grid_report, omega_grids
@@ -57,7 +59,7 @@ from .rng import SEED_RANGE, parse_seed
 from .reporting import (RunManifest, flow_trace_csv, probe_csv, read_omega_grids,
                         read_omega_matrix, run_trace_csvs, summary_csv, sweep_grid_csv,
                         write_csv, write_csvs, write_svg_lines)
-from .signals import constant_signal, exponential_signal, sinusoidal_log_signal, step_multipliers
+from .signals import constant_signal, exponential_signal, sinusoidal_log_signal
 from .training import DEFAULT_BATCH, DEFAULT_BETA_AXIS, DEFAULT_WINDOW, sweep_grid
 from .drift import measure_remainder
 
@@ -142,13 +144,13 @@ def cmd_flow(args, manifest: RunManifest) -> list[Path]:
     manifest.observed["clamped"] = init.clamped
     try:
         trace = integrate_flow(signal, ts, init, t_end=t_end, h=args.h)
-    except FlowAbort as exc:  # no outputs, but the manifest says where v left its domain
-        manifest.observed["abort_t"] = exc.t
+        # measured before any file is written, so a failed report leaves no outputs
+        report = measure_remainder(trace, signal, ts) if t_end > ts.burn_in else None
+    except DomainError as exc:  # no outputs, but the manifest says whether and where it failed
+        if isinstance(exc, FlowAbort):  # v left its domain at exc.t
+            manifest.observed["abort_t"] = exc.t
         manifest.write(out)
         raise
-
-    # measured before any file is written, so an overflowing bound leaves no outputs
-    report = measure_remainder(trace, signal, ts) if t_end > ts.burn_in else None
     files = [flow_trace_csv(trace, out / "trace.csv")]
     if report is not None:
         chans = report.channels.values()
@@ -185,10 +187,12 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
         jump = args.jump if args.jump is not None else args.steps // 2
         if not 1 <= jump < args.steps:
             raise UsageError(f"--jump must lie in [1, steps - 1], got {jump} of {args.steps}")
-        mults = step_multipliers([(jump, args.multiplier)], args.steps)
+        require_indexable(args.steps, 8 * len(betas) ** 2,
+                          f"{args.steps} steps of {len(betas) ** 2} cells")
+        steps = np.arange(args.steps)
+        mults = np.where(steps < jump, 1.0, args.multiplier)
         with np.errstate(over="ignore"):  # step_scale_grid reports an overflowed entry
             cells = sorted(step_scale_grid(mults[:, None] * args.base, betas).items())
-        steps = np.arange(args.steps)
         files += write_csvs([out / f"stepscale_{b1}_{b2}.csv" for (b1, b2), _ in cells],
                             ["step", "multiplier", "norm_R"], [steps, mults],
                             [[norms] for _, norms in cells])
@@ -241,15 +245,18 @@ def _diverged(traces) -> list[str]:
 def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
     betas = _distinct(_values(args.beta_grid, _beta), "--beta-grid")
-    seeds = (list(range(args.seeds or 3)) if args.seed_list is None
+    n_seeds = args.seeds or 3  # each seed trains a row per cell
+    require_indexable(n_seeds, 8 * len(betas) ** 2, f"{n_seeds} seeds of {len(betas) ** 2} cells")
+    seeds = (list(range(n_seeds)) if args.seed_list is None
              else _distinct(_values(args.seed_list, _seed), "--seed-list"))
     problem = make_problem(args.problem, seed=args.data_seed)
     manifest.seeds = seeds
     result = sweep_grid(problem, beta_axis=betas, seeds=seeds, steps=args.steps,
                         batch_size=args.batch_size, eta=args.eta, window=args.window)
     manifest.observed["diverged"] = _diverged(result.traces)
-    try:
-        rep = grid_report(omega_grids(result.omegas[args.metric], betas, seeds), betas)
+    try:  # scored over the sorted axis and seeds, as report scores the grid.csv
+        axis = sorted(betas)
+        rep = grid_report(omega_grids(result.omegas[args.metric], axis, sorted(seeds)), axis)
     except DomainError:  # no outputs, but the manifest says which cells diverged
         manifest.write(out)
         raise

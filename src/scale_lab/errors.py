@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the size check that refuses an array numpy cannot index."""
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -20,3 +22,10 @@ class FlowAbort(DomainError, RuntimeError):
         self.t = t
         super().__init__(message)
 
+
+def require_indexable(count, item_bytes: int, what: str) -> None:
+    """A ``DomainError`` saying ``what`` unless ``count`` items of ``item_bytes`` bytes each stay
+    below numpy's index limit, checked where an array is sized so that nothing is allocated
+    first; a NaN or infinite count is refused too."""
+    if not count < np.iinfo(np.intp).max // item_bytes:
+        raise DomainError(f"{what}, more than numpy can index")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FlowAbort
+from .errors import DomainError, FlowAbort, require_indexable
 from .signals import GradientSignal
 
 BURN_IN_FACTOR = 10.0  # transients treated as decayed after 10 * max(tau)
@@ -110,9 +110,8 @@ def _stage_times(t0: float, t1: float, h: float) -> tuple[np.ndarray, np.ndarray
     a ``DomainError`` unless h is finite and positive or if the stage times would outgrow
     numpy's index type."""
     n_steps = (t1 - t0) / _finite_positive("step h", h)
-    if not n_steps < np.iinfo(np.intp).max // 24:  # 24 bytes of stage times per step
-        raise DomainError(f"h={h:g} splits [{t0:g}, {t1:g}] into {n_steps:g} steps, "
-                          f"more than numpy can index")
+    # 24 bytes of stage times per step
+    require_indexable(n_steps, 24, f"h={h:g} splits [{t0:g}, {t1:g}] into {n_steps:g} steps")
     n_steps = max(1, round(n_steps))
     h = (t1 - t0) / n_steps
     t = t0 + np.arange(n_steps + 1) * h

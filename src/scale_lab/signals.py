@@ -94,20 +94,3 @@ def sinusoidal_log_signal(amplitude: float, omega: float, scale: float = 1.0) ->
                           delta_prime_analytic=lambda t: coord(
                               -amplitude * omega * omega * np.sin(omega * t)))
 
-
-def step_multipliers(schedule: Sequence[tuple[int, float]], steps: int) -> np.ndarray:
-    """The per-step multipliers of a piecewise schedule over ``steps`` steps.
-
-    ``schedule`` lists (start step, multiplier) pairs; the multiplier of step k
-    is the one with the largest start <= k, 1 before the first start.  Every
-    segment, the identity one before the first start included, covers at least
-    one step.
-    """
-    sched = sorted((float(k), float(m)) for k, m in schedule)
-    bounds = [0] + [k for k, _ in sched] + [steps]
-    if any(b - a < 1 for a, b in zip(bounds[:-1], bounds[1:])):
-        raise DomainError("every schedule segment must cover at least one step")
-    if not all(m > 0.0 for _, m in sched):
-        raise DomainError("multipliers must be strictly positive")
-    mults = np.array([1.0] + [m for _, m in sched])
-    return mults[np.searchsorted([k for k, _ in sched], np.arange(steps), side="right")]

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, require_indexable
 from .metrics import METRICS, ema_smooth
 from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
 from .problems import Problem
@@ -81,6 +81,8 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], point: Run
     ``problem.loss_finite_below``, so no non-finite loss goes unseen.  It keeps its row and
     steps on with the batch: rows never mix, so its neighbours cannot tell.  The loop ends early
     once every cell has diverged, and a row dead at the start has an empty, diverged trace.
+    Rows times ``steps``, or an index block, past numpy's index type is a ``DomainError``
+    raised before anything is allocated.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
@@ -94,6 +96,10 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], point: Run
     seed_of_row = np.array([seed_set.index(s) for s in point.seeds])
     # one loss call per seed: one over all 27 rows of an mlp sweep peaks 1.6 MB higher, no faster
     seed_rows = [np.flatnonzero(seed_of_row == i) for i in range(len(seed_set))]
+    require_indexable(n_cells * steps, 8, f"{n_cells} rows of {steps} steps")
+    if problem.n_samples:  # each index block draws (seeds, up to _INDEX_BLOCK steps, batch)
+        require_indexable(len(seed_set) * min(_INDEX_BLOCK, steps) * batch_size, 8,
+                          f"index blocks of {len(seed_set)} seeds at batch size {batch_size}")
     eta = np.array([[c.eta] for c in configs])
     batches = [CounterRng(s, stream=_BATCH_STREAM, counter=k0 * batch_size) for s in seed_set]
 

@@ -15,8 +15,7 @@ from scale_lab import (CellConfigs, FlowState, MomentState, OptimizerConfig, Tim
                        exponential_signal, first_order_sensitivity, grid_report,
                        integrate_flow, make_problem, omega_grids,
                        oscillation_omega1, oscillation_omega2,
-                       sinusoidal_log_signal, steady_state_init, step_multipliers,
-                       step_scale_cells, sweep_grid)
+                       sinusoidal_log_signal, steady_state_init, step_scale_cells, sweep_grid)
 from scale_lab.optimizers import optimizer_step
 from scale_lab.reporting import summary_csv
 from oracles import steady_state_exponential_gains, tracking_check
@@ -157,9 +156,8 @@ def test_criterion_6_definition_one_probes():
 
 def test_criterion_7_step_rescale_transients():
     steps, jump = 32000, 16000
-    configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
-               for b1, b2 in [(0.95, 0.95), (0.9, 0.999)]]
-    norms = step_scale_cells(step_multipliers([(jump, 10.0)], steps)[:, None], configs)
+    stream = np.where(np.arange(steps) < jump, 1.0, 10.0)[:, None]
+    norms = step_scale_cells(stream, [(0.95, 0.95), (0.9, 0.999)])
     assert np.all(np.abs(norms[[jump - 1, -1]] - 1.0) <= 1e-6)  # both cells, before and after
     i_balanced, i_skewed = np.sum(np.abs(norms[jump:] - 1.0), axis=0)
     assert i_balanced < i_skewed

@@ -190,6 +190,25 @@ class TestExitCodes:
                    "--metric", "omega2", "--out", str(tmp_path)) == 0
         assert "N=3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,what", [
+        (("probe", "--step-scale", "--steps", str(2 ** 62)), f"{2 ** 62} steps of 9 cells"),
+        (("probe", "--step-scale", "--steps", str(2 ** 63)), f"{2 ** 63} steps of 9 cells"),
+        (("sweep", "--problem", "quadratic", "--seeds", "1", "--steps", str(2 ** 62)),
+         f"9 rows of {2 ** 62} steps"),
+        (("sweep", "--problem", "logistic", "--steps", "3", "--seeds", "1",
+          "--batch-size", str(10 ** 20)), f"index blocks of 1 seeds at batch size {10 ** 20}"),
+        (("sweep", "--problem", "quadratic", "--steps", "3", "--seeds", str(10 ** 20)),
+         f"{10 ** 20} seeds of 9 cells"),
+    ], ids=["probe-steps-2**62", "probe-steps-2**63", "sweep-steps-2**62", "sweep-batch-size",
+            "sweep-seeds"])
+    def test_count_beyond_numpy_index_is_runtime_error(self, tmp_path, capsys, argv, what):
+        # refused where its arrays are sized, before any allocation; 2**63 steps no longer
+        # read as an empty stream
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"scale-lab: error: {what}, more than numpy can index\n"
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("argv, flag, value", [
         (("flow", "--signal", "exp", "--t-end", "12"), "--delta0", "-2e-2"),
         (("probe",), "--g", "-1,2"),
@@ -281,7 +300,22 @@ class TestFlowCommand:
         assert run("flow", *argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert why in err and "Traceback" not in err
-        assert not out.exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == {}
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_remainder_report_failing_after_the_flow_still_writes_the_manifest(self, tmp_path,
+                                                                               capsys):
+        # g = exp(-50 t) underflows to 0 at t = 14.903 < 15: the flow integrates, but the drift
+        # its remainder report reads is undefined there
+        out = tmp_path / "flow"
+        assert run("flow", "--signal", "exp", "--delta0", "-50", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "scale-lab: error: drift undefined: g(14.903) has a zero coordinate\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["command"], manifest["observed"], manifest["outputs"]) == (
+            "flow", {"clamped": False}, {})
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 class TestProbeCommand:
@@ -519,12 +553,15 @@ class TestSweepAndReport:
         assert (read_csv_columns(out / "summary.csv")
                 == read_csv_columns(tmp_path / "r" / "report_summary.csv"))
 
-    def test_sweep_lists_its_unscored_rows_as_report_does(self, tmp_path, capsys):
-        # at this rate both cells of row 0.999 overflow in each seed, and row 0.9 is scored
+    @pytest.mark.parametrize("argv", [("--seeds", "2", "--beta-grid", "0.9,0.999"),
+                                      ("--seed-list", "1,0", "--beta-grid", "0.999,0.9")],
+                             ids=["sorted", "unsorted"])
+    def test_sweep_lists_its_unscored_rows_as_report_does(self, tmp_path, capsys, argv):
+        # at this rate both cells of row 0.999 overflow in each seed, and row 0.9 is scored;
+        # the sweep scores its axis and seeds sorted, as report reads them from grid.csv
         out = tmp_path / "s"
-        assert run("sweep", "--problem", "logistic", "--seeds", "2", "--steps", "40",
-                   "--window", "5", "--beta-grid", "0.9,0.999", "--eta", "2.5e305",
-                   "--out", str(out)) == 0
+        assert run("sweep", "--problem", "logistic", *argv, "--steps", "40", "--window", "5",
+                   "--eta", "2.5e305", "--out", str(out)) == 0
         swept = capsys.readouterr().out.splitlines()
         assert run("report", "--grid", str(out / "grid.csv"), "--out", str(tmp_path / "r")) == 0
         reported = capsys.readouterr().out.splitlines()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, OptimizerConfig,
-                       make_problem, step_multipliers, step_scale_cells, step_scale_grid,
-                       start_point, sweep_grid, train_cells)
+                       make_problem, start_point, step_scale_cells, step_scale_grid,
+                       sweep_grid, train_cells)
 from scale_lab.invariance import STEP_BLOCK
 from scale_lab.optimizers import optimizer_step
 from scale_lab.problems import PROBLEMS
@@ -418,35 +418,45 @@ class TestStepScaleCells:
     AXIS = (0.9, 0.99, 0.999)
 
     def test_grid_cells_equal_one_cell_runs(self):
-        mults = step_multipliers([(150, 7.0), (300, 0.2)], 400)
-        stream = mults[:, None] * np.array([0.3, -2.0, 5.0])
+        stream = np.repeat([1.0, 7.0, 0.2], [150, 150, 100])[:, None] * np.array([0.3, -2.0, 5.0])
         columns = step_scale_grid(stream, self.AXIS)
         assert list(columns) == [(b1, b2) for b1 in self.AXIS for b2 in self.AXIS]
-        for (b1, b2), norms in columns.items():
-            cfg = OptimizerConfig(beta1=b1, beta2=b2, eta=1e-3, epsilon=0.0,
-                                  bias_correction=False)
-            alone = step_scale_cells(stream, [cfg])
+        for pair, norms in columns.items():
+            alone = step_scale_cells(stream, [pair])
             assert alone.shape == (400, 1)
             assert np.array_equal(norms, alone[:, 0])
 
-    @pytest.mark.parametrize("epsilon,bias_correction", [(0.0, False), (1e-8, True)],
-                             ids=["raw", "corrected"])
     @pytest.mark.parametrize("stream", block_streams())
-    def test_blocks_equal_one_block_per_cell(self, stream, epsilon, bias_correction):
+    def test_blocks_equal_one_block_per_cell(self, stream):
         # the stream runs in blocks of STEP_BLOCK steps, each block a broadcast view per cell;
-        # a cell fed the whole stream as one (steps, 1, d) block must see the same norms
-        configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=epsilon,
-                                   bias_correction=bias_correction)
-                   for b1, b2 in [(0.9, 0.99), (0.99, 0.9)]]
-        norms = step_scale_cells(stream, configs)
-        assert norms.shape == (len(stream), len(configs))
-        for i, cfg in enumerate(configs):
+        # a raw cell fed the whole stream as one (steps, 1, d) block must see the same norms
+        pairs = [(0.9, 0.99), (0.99, 0.9)]
+        norms = step_scale_cells(stream, pairs)
+        assert norms.shape == (len(stream), len(pairs))
+        for i, (b1, b2) in enumerate(pairs):
+            cfg = OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
             state = MomentState(np.stack((stream[:1], stream[:1] * stream[:1])))
             r = optimizer_step(state, stream[:, None], CellConfigs([cfg]))
             assert np.array_equal(norms[:, i], [np.linalg.norm(row) for row in r[:, 0]])
 
-    def test_empty_grid_gives_no_traces(self):
-        assert step_scale_grid(step_multipliers([(5, 2.0)], 10)[:, None], []) == {}
+    @pytest.mark.parametrize("stream", block_streams())
+    def test_corrected_kernel_blocks_equal_one_block(self, stream):
+        # bias correction counts steps across calls: STEP_BLOCK-step calls of two corrected
+        # cells equal one call per cell over the whole stream, bit for bit
+        configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=1e-8)
+                   for b1, b2 in [(0.9, 0.99), (0.99, 0.9)]]
+        start = np.stack((stream[:1], stream[:1] * stream[:1]))
+        state, cells = MomentState(np.repeat(start, 2, axis=1)), CellConfigs(configs)
+        r = np.concatenate([optimizer_step(state, np.repeat(stream[k:k + STEP_BLOCK, None], 2, 1),
+                                           cells) for k in range(0, len(stream), STEP_BLOCK)])
+        for i, cfg in enumerate(configs):
+            alone = optimizer_step(MomentState(start.copy()), stream[:, None], CellConfigs([cfg]))
+            assert np.array_equal(r[:, i], alone[:, 0])
+
+    def test_empty_grid_is_a_domain_error(self):
+        # no pair is no cell, as an empty axis is in sweep_grid
+        with pytest.raises(DomainError, match="at least one config"):
+            step_scale_grid(np.repeat([1.0, 2.0], 5)[:, None], [])
 
     @pytest.mark.parametrize("stream,error", [
         (np.empty((0, 1)), "non-empty"), (np.array([]), "non-empty"),
@@ -455,13 +465,13 @@ class TestStepScaleCells:
         (np.array([[1.0, 2.0], [3.0, -np.inf]]),
          r"step 1, coordinate 1: \|g\| = inf is not finite"),
         (np.array([[1.0, -2.0 ** 511]]),
-         r"step 0, coordinate 1: \|g\| = 6\.7\d*e\+153 is not finite or at least 2\*\*511"),
+         r"step 0, coordinate 1: \|g\| = 6\.7\d*e\+153 is not finite or at least 2\*\*511$"),
     ], ids=["empty", "empty-1-d", "1-d", "3-d", "nan", "inf", "2**511"])
     def test_stream_must_be_a_nonempty_2d_array_of_finite_gradients(self, stream, error):
-        # zero and negative multipliers are rejected where multipliers are built:
-        # step_multipliers and the CLI's --multiplier flag
+        # zero and negative multipliers are rejected where multipliers are built: the CLI's
+        # --multiplier flag
         with pytest.raises(DomainError, match=error):
-            step_scale_cells(stream, [OptimizerConfig()])
+            step_scale_cells(stream, [(0.9, 0.999)])
 
 
 class TestNoWorkspaceAliasing:

@@ -120,12 +120,15 @@ class TestAdamOnlyEngine:
         lambda: train_cells(make_problem("quadratic"), [OptimizerConfig()],
                             start_point(make_problem("quadratic"), [0]), steps=5,
                             method="gd"),
-        lambda: step_scale_cells(np.ones((5, 1)), [OptimizerConfig()], method="gd"),
+        lambda: step_scale_cells(np.ones((5, 1)), [(0.9, 0.9)], method="gd"),
         lambda: GradientSignal(g=np.ones, g_prime=np.zeros),
         lambda: MomentState(np.zeros((2, 1)), theta=np.zeros(1)),
         lambda: GradientSignal(g=np.ones),
         lambda: tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0)),
-        lambda: step_scale_cells(np.ones((5, 1)), [OptimizerConfig()], init="zero"),
+        lambda: step_scale_cells(np.ones((5, 1)), [(0.9, 0.9)], init="zero"),
+        lambda: step_scale_cells(np.ones((5, 1)), configs=[OptimizerConfig()]),
+        lambda: step_scale_cells(np.ones((5, 1)), [(0.9, 0.9)], bias_correction=True),
+        lambda: step_scale_cells(np.ones((5, 1)), [(0.9, 0.9)], epsilon=1e-8),
         lambda: step_scale_grid(np.ones((5, 1)), (0.9,), init="zero"),
         lambda: RunTrace(k=np.arange(1), loss=np.zeros(1), norm_r=np.ones(1)),
         lambda: FlowTrace(np.arange(2.0), *[np.ones((2, 1))] * 3, signal_kind="x"),
@@ -159,7 +162,8 @@ class TestAdamOnlyEngine:
         lambda: cli._manifest(cli.build_parser().parse_args(["report", "--grid", "g"]), skip=()),
     ], ids=["weight_decay", "optimizer_step-method", "train_cells-method",
             "step_scale_cells-method", "g_prime", "MomentState-theta", "GradientSignal-no-drift",
-            "tracking_check-no-derivatives", "step_scale_cells-init", "step_scale_grid-init",
+            "tracking_check-no-derivatives", "step_scale_cells-init", "step_scale_cells-configs",
+            "step_scale_cells-bias_correction", "step_scale_cells-epsilon", "step_scale_grid-init",
             "RunTrace-k", "FlowTrace-signal_kind", "GradientSignal-kind",
             "GradientSignal-dimension", "GradientSignal-params", "constant_signal-dimension",
             "exponential_signal-dimension", "sinusoidal_log_signal-dimension", "FlowState-t",
@@ -227,6 +231,11 @@ class TestAdamOnlyEngine:
         assert not hasattr(scale_lab, "adam_step") and not hasattr(optimizers, "adam_step")
         assert not hasattr(problems, "_stacked")
         assert not hasattr(CellConfigs([OptimizerConfig(epsilon=0.0)]), "exact_rows")
+
+    def test_one_jump_multiplier_column_is_built_by_the_cli(self):
+        # probe --step-scale builds its one-jump column with np.where; no schedule builder is kept
+        assert not hasattr(scale_lab, "step_multipliers")
+        assert not hasattr(signals, "step_multipliers")
 
     def test_each_flow_concept_has_one_home(self):
         # both ladder fits live in drift next to the ladder flow they share, and the

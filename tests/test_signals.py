@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scale_lab import (DomainError, GradientSignal, constant_signal, exponential_signal,
-                       sinusoidal_log_signal, step_multipliers)
+                       sinusoidal_log_signal)
 from oracles import delta_fd
 
 
@@ -51,25 +51,6 @@ class TestSinusoidalLog:
         t_quarter = 0.5 * math.pi / om
         assert sig.delta(t_quarter)[0] == pytest.approx(0.0, abs=1e-14)
         assert sig.delta_prime(t_quarter)[0] == pytest.approx(-amp * om * om, rel=1e-12)
-
-
-class TestStepMultipliers:
-    def test_schedule_order_does_not_matter(self):
-        mults = step_multipliers([(3, 0.5), (1, 10.0)], steps=5)
-        assert mults.tolist() == [1.0, 10.0, 10.0, 0.5, 0.5]
-
-    def test_empty_schedule_is_all_ones(self):
-        assert step_multipliers([], steps=4).tolist() == [1.0] * 4
-
-    def test_start_at_step_zero_rejected(self):
-        # the identity segment before the first start would cover no step
-        with pytest.raises(DomainError):
-            step_multipliers([(0, 2.0)], steps=5)
-
-    @pytest.mark.parametrize("mult", [0.0, -math.inf, math.nan])
-    def test_positive_multipliers_enforced(self, mult):
-        with pytest.raises(DomainError):
-            step_multipliers([(1, mult)], steps=5)
 
 
 def crossing_signal() -> GradientSignal:
