@@ -1,6 +1,6 @@
 """Adam, its continuous-time flow, and gradient-scale-invariance diagnostics."""
 
-from .errors import DimensionError, DomainError, FlowAbort
+from .errors import DomainError, FlowAbort
 from .flow import (FlowState, FlowTrace, TimeScales, beta_from_tau, integrate_flow,
                    predict_first_order, steady_state_init, tau_from_beta)
 from .drift import (DriftProfile, RemainderReport, SensitivityFit, drift_bounds,

@@ -11,27 +11,11 @@ Four subcommands:
 * ``report`` -- recompute rates and p-values from stored grids, or score
                one externally supplied omega matrix.
 
-Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A seed, in a
-flag or a ``report --grid`` row alike, is ASCII decimal digits (no sign, ``_``
-or other script's digit) below 2**64.  A NaN or infinite float flag or list
-item, an empty list or item, a repeated seed or one not a seed, a repeated
-beta, a count below 1, a ``sweep --steps`` below 3 (omega2 needs 3 samples),
-a time scale, step size, learning rate or step-scale multiplier that is not
-positive, a zero step-scale base, a beta outside (0, 1), a negative
-``--epsilon`` or ``--v`` item, an adam probe's ``--m`` or ``--v`` whose
-length differs from ``--g``'s, a ``--jump`` outside [1, steps - 1],
-``--seeds`` given together with ``--seed-list`` and a report without exactly
-one of ``--grid`` and ``--ingest`` are usage errors.  An overflow in a flow
-or a failure of its remainder report (an undefined drift too), a step-scale
-gradient entry that is not finite, at least 2**511 or below 2**-511 (named by
-its step), a flow step too small to grid its interval, a ``--steps``,
-``--seeds`` or ``--batch-size`` that would size an array past numpy's index
-type, a sweep or report none of whose rows can be scored (each row tied or
-all diverged) and a run out of memory are runtime errors.  A
-``report`` CSV that is not UTF-8, has a field past the csv size limit, a
-repeated header name, a missing or duplicate cell, a seed that is not one, a
-beta outside (0, 1) or an omega below 0 (``-inf`` included) is a parse error
-naming its line.
+Exit codes: 0 success, 1 usage error, 2 runtime or parse error.  A usage error
+(a flag value the command cannot take) writes nothing.  A runtime or parse error
+writes the manifest alone, with no outputs and what the run observed before it
+failed (an aborted flow's ``abort_t`` too); an i/o error writing it is reported
+after the error line.  README's CLI section lists which input ends in which status.
 
 A flag's value may begin with ``-`` when a digit, or ``.`` and a digit, follows
 (``--delta0 -2e-2``, ``--g -1,2``); any other value that begins with ``-``
@@ -49,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, DomainError, FlowAbort, require_indexable
+from .errors import DomainError, FlowAbort, require_indexable
 from .flow import TimeScales, integrate_flow, steady_state_init
 from .invariance import exact_invariance_probe, step_scale_grid
 from .metrics import METRICS, grid_report, omega_grids
@@ -142,15 +126,9 @@ def cmd_flow(args, manifest: RunManifest) -> list[Path]:
     t_end = args.t_end if args.t_end is not None else ts.burn_in + 5.0 * ts.tau_max
     init = steady_state_init(signal, ts)
     manifest.observed["clamped"] = init.clamped
-    try:
-        trace = integrate_flow(signal, ts, init, t_end=t_end, h=args.h)
-        # measured before any file is written, so a failed report leaves no outputs
-        report = measure_remainder(trace, signal, ts) if t_end > ts.burn_in else None
-    except DomainError as exc:  # no outputs, but the manifest says whether and where it failed
-        if isinstance(exc, FlowAbort):  # v left its domain at exc.t
-            manifest.observed["abort_t"] = exc.t
-        manifest.write(out)
-        raise
+    trace = integrate_flow(signal, ts, init, t_end=t_end, h=args.h)
+    # measured before any file is written, so a failed report leaves no outputs
+    report = measure_remainder(trace, signal, ts) if t_end > ts.burn_in else None
     files = [flow_trace_csv(trace, out / "trace.csv")]
     if report is not None:
         chans = report.channels.values()
@@ -254,12 +232,8 @@ def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
     result = sweep_grid(problem, beta_axis=betas, seeds=seeds, steps=args.steps,
                         batch_size=args.batch_size, eta=args.eta, window=args.window)
     manifest.observed["diverged"] = _diverged(result.traces)
-    try:  # scored over the sorted axis and seeds, as report scores the grid.csv
-        axis = sorted(betas)
-        rep = grid_report(omega_grids(result.omegas[args.metric], axis, sorted(seeds)), axis)
-    except DomainError:  # no outputs, but the manifest says which cells diverged
-        manifest.write(out)
-        raise
+    axis = sorted(betas)  # scored over the sorted axis and seeds, as report scores the grid.csv
+    rep = grid_report(omega_grids(result.omegas[args.metric], axis, sorted(seeds)), axis)
 
     files = run_trace_csvs({out / "cells" / f"trace_{b1}_{b2}_s{seed}.csv": trace
                             for (b1, b2, seed), trace in sorted(result.traces.items())})
@@ -370,19 +344,21 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     manifest = _manifest(args)  # built first, so duration_s spans the command
     try:
-        for f in args.func(args, manifest):
-            manifest.add_output(f)
-        manifest.write(Path(args.out))
-        return 0
+        try:
+            for f in args.func(args, manifest):
+                manifest.add_output(f)
+            status = 0
+        except (DomainError, MemoryError) as exc:  # CsvParseError and FlowAbort included
+            oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+            print(f"scale-lab: error: {oom}{exc}", file=sys.stderr)
+            if isinstance(exc, FlowAbort):  # the flow left its domain at exc.t
+                manifest.observed["abort_t"] = exc.t
+            status = 2
+        manifest.write(Path(args.out))  # a failed run's too: no outputs, what it observed
+        return status
     except UsageError as exc:
         print(f"scale-lab: usage error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, DimensionError) as exc:  # CsvParseError and FlowAbort included
-        print(f"scale-lab: error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"scale-lab: error: out of memory: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"scale-lab: i/o error: {exc}", file=sys.stderr)
         return 2

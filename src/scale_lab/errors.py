@@ -3,16 +3,12 @@
 import numpy as np
 
 
-class DimensionError(ValueError):
-    """Structural mismatch between array shapes (state vs gradient, grids, ...)."""
-
-
 class DomainError(ValueError):
-    """Inputs outside the mathematical domain of an operation."""
+    """Inputs outside the mathematical domain of an operation, or shapes that do not fit."""
 
 
-class FlowAbort(DomainError, RuntimeError):
-    """Integration aborted: the second moment crossed zero, leaving the flow's domain v > 0.
+class FlowAbort(DomainError):
+    """Integration aborted: m or v stopped being finite, or v crossed zero (the domain is v > 0).
 
     Carries the abort time so callers can diagnose which signal violated the
     positive-gradient-floor assumption.

@@ -100,7 +100,7 @@ class FlowTrace:
 def _abort_if_invalid(t: float, y: np.ndarray) -> None:
     """``FlowAbort`` at time t unless the stacked moments ``y`` = (m, v) are finite with v > 0."""
     if not np.isfinite(y).all():
-        raise FlowAbort(t, f"m or v is not finite at t={t:.6g}: the gradient overflowed")
+        raise FlowAbort(t, f"m or v is not finite at t={t:.6g}: the gradient is not finite")
     if np.any(y[1] <= 0.0):
         raise FlowAbort(t, f"v crossed zero at t={t:.6g}: gradient floor assumption violated")
 
@@ -190,7 +190,7 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
     The step is rounded so the grid hits ``t_end`` exactly, and every step's state is
     recorded (plus the initial one).  A state with no coordinates is a ``DomainError``.
     Aborts with ``FlowAbort`` at the first stage point, in time order, with an m or v
-    coordinate that is not finite (an overflowed gradient) or a v coordinate <= 0 (a
+    coordinate that is not finite (an overflowed or NaN gradient) or a v coordinate <= 0 (a
     violated gradient-floor assumption rather than an integrator failure), else at the
     first sample whose ||R|| overflows.
     """
@@ -204,7 +204,7 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
         raise DomainError("initial v must be strictly positive")
 
     t, stages, h = _stage_times(0.0, t_end, h)
-    with np.errstate(over="ignore"):  # an overflowed forcing aborts below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite forcing aborts below
         g = signal.g(stages)
         seq = _relax(np.array([init.m, init.v], dtype=float), np.array([[ts.tau1], [ts.tau2]]),
                      np.stack([g, g * g], axis=2), h)

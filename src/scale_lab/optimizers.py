@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class MomentState:
 
     def __post_init__(self):
         if self.mv.ndim < 2 or len(self.mv) != 2:
-            raise DimensionError(f"moments must stack m and v as (2, ..., d), got {self.mv.shape}")
+            raise DomainError(f"moments must stack m and v as (2, ..., d), got {self.mv.shape}")
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 0:
             raise DomainError(f"step counter k must be an integer >= 0, got {self.k!r}")
 
@@ -125,8 +125,8 @@ def optimizer_step(state: MomentState, grads: np.ndarray, cells: CellConfigs) ->
     block is filled, not stepped.  A ``DomainError`` changes no state.
     """
     if grads.shape[1:] != state.mv.shape[1:] or state.mv.shape[1:-1] != (len(cells),):
-        raise DimensionError(f"gradient block {grads.shape} does not fit the state "
-                             f"{state.mv.shape} of {len(cells)} cells")
+        raise DomainError(f"gradient block {grads.shape} does not fit the state "
+                          f"{state.mv.shape} of {len(cells)} cells")
     # mv[t] = (keep1 * g_t, (keep2 * g_t) * g_t), then the moments after step t
     mv = np.multiply(cells.keeps, grads[:, None])
     mv[:, 1] *= grads

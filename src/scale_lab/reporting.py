@@ -47,10 +47,9 @@ from .training import LOSS_EVERY, RunTrace, SweepResult
 
 
 class CsvParseError(DomainError):
-    """Malformed CSV; carries the offending line number."""
+    """Malformed CSV; the message names the file and the offending line."""
 
     def __init__(self, path, line_no: int, message: str):
-        self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, require_indexable
+from .errors import DomainError, require_indexable
 from .metrics import METRICS, ema_smooth
 from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
 from .problems import Problem
@@ -84,13 +84,13 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], point: Run
     Rows times ``steps``, or an index block, past numpy's index type is a ``DomainError``
     raised before anything is allocated.
     """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    if steps < 1 or batch_size < 1:
+        raise DomainError(f"steps and batch_size must be >= 1, got {steps} and {batch_size}")
     configs = tuple(configs)
     cells = CellConfigs(configs)
     n_cells = len(configs)
     if len(point.seeds) != n_cells:
-        raise DimensionError(f"{len(point.seeds)} seeds for {n_cells} config rows")
+        raise DomainError(f"{len(point.seeds)} seeds for {n_cells} config rows")
     theta, state, alive, k0 = point.theta, point.state, point.alive, point.state.k
     seed_set = list(dict.fromkeys(point.seeds))
     seed_of_row = np.array([seed_set.index(s) for s in point.seeds])
@@ -173,6 +173,8 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     measured by every metric of ``METRICS``.  Scoring is
     ``grid_report(omega_grids(result.omegas[metric], axis, seeds), axis)``.
     """
+    if window < 1:
+        raise DomainError(f"window must be >= 1, got {window}")
     axis = [float(b) for b in beta_axis]
     seed_list = [int(s) for s in seeds]
     if not axis or not seed_list:

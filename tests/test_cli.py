@@ -33,6 +33,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def failure_manifest(out: Path) -> dict:
+    """The manifest a failed run writes: alone in ``out``, and listing no outputs."""
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == {}
+    return manifest
+
+
 def readme_commands() -> list[str]:
     """Every ``scale-lab ...`` line of the README's bash blocks, ``\\`` continuations joined."""
     blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), flags=re.S)
@@ -614,7 +622,7 @@ class TestSweepAndReport:
         assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert f"in.csv:{line}: negative omega: {field!r}" in err and "Traceback" not in err
-        assert not (tmp_path / "r").exists()
+        assert failure_manifest(tmp_path / "r")["command"] == "report"
 
     @pytest.mark.parametrize("flag,text", [
         ("--grid", b"beta1,beta2,seed,omega1\n0.9,0.9,0,0.1\n0.9,0.99,0,\xff\n"),
@@ -627,7 +635,7 @@ class TestSweepAndReport:
         assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert "in.csv:3: not UTF-8" in err and "0xff" in err and "Traceback" not in err
-        assert not (tmp_path / "r").exists()
+        assert failure_manifest(tmp_path / "r")["command"] == "report"
 
     @pytest.mark.parametrize("flag,text", [
         ("--ingest", TABLE_STYLE_MATRIX),
@@ -656,7 +664,7 @@ class TestSweepAndReport:
         assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert f"in.csv:{line}:" in err and "field limit" in err and "Traceback" not in err
-        assert not (tmp_path / "r").exists()
+        assert failure_manifest(tmp_path / "r")["command"] == "report"
 
     @pytest.mark.parametrize("axis,beta", [
         (("0.9", "inf"), "inf"), (("0.9", "-1"), "-1"), (("1e400", "0.9"), "1e400"),
@@ -669,7 +677,7 @@ class TestSweepAndReport:
         assert run("report", "--ingest", str(matrix), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert f"m.csv:1: beta outside (0, 1): {beta!r}" in err and "Traceback" not in err
-        assert not (tmp_path / "r").exists()
+        assert failure_manifest(tmp_path / "r")["command"] == "report"
 
     @pytest.mark.parametrize("beta", ["-0.5", "1.5", "inf", "1e400"])
     def test_grid_beta_outside_unit_interval_is_parse_error(self, tmp_path, capsys, beta):
@@ -680,7 +688,7 @@ class TestSweepAndReport:
         assert run("report", "--grid", str(grid), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert f"g.csv:2: beta outside (0, 1): {beta!r}" in err and "Traceback" not in err
-        assert not (tmp_path / "r").exists()
+        assert failure_manifest(tmp_path / "r")["command"] == "report"
 
     @pytest.mark.parametrize("flag,text,message", [
         ("--ingest", "b1,0.9,0.99\n0.9,1,2\n0.99,2,1\n", "expected header: beta1,"),
@@ -695,7 +703,7 @@ class TestSweepAndReport:
         assert run("report", flag, str(path), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert f"in.csv:1: {message}" in err and "Traceback" not in err
-        assert not (tmp_path / "r").exists()
+        assert failure_manifest(tmp_path / "r")["command"] == "report"
 
     @pytest.mark.parametrize("rows,line", [
         (["0.99,1,2", "0.9,2,1"], 2),               # swapped: row 1 is already off the axis
@@ -709,7 +717,7 @@ class TestSweepAndReport:
         assert run("report", "--ingest", str(path), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert f"in.csv:{line}: row beta1 values must match" in err and "Traceback" not in err
-        assert not (tmp_path / "r").exists()
+        assert failure_manifest(tmp_path / "r")["command"] == "report"
 
     def test_malformed_grid_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -916,8 +924,10 @@ class TestManifest:
          "||R|| is not finite"),
         (["sin-log", "--omega", "1e300"], {"clamped": True, "abort_t": 0.0},
          "||R|| is not finite"),
+        (["sin-log", "--omega", "1e308"], {"clamped": True, "abort_t": 1.8},
+         "m or v is not finite"),
     ], ids=["decaying", "clamped", "overflowed", "init-overflowed", "init-clamped-overflowed",
-            "norm-overflowed", "sin-log-norm-overflowed"])
+            "norm-overflowed", "sin-log-norm-overflowed", "sin-log-phase-overflowed"])
     def test_flow_abort_still_writes_the_manifest(self, tmp_path, capsys, argv, observed, why):
         # h three times tau2 makes an RK4 stage of v overshoot below zero; at delta0 = 30,
         # g * g overflows near t = 709.78 / 60, before the default t_end of 15; g * g of the
@@ -930,6 +940,37 @@ class TestManifest:
         assert (manifest["command"], manifest["observed"], manifest["outputs"]) == (
             "flow", observed, {})
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ("flow", "--signal", "const", "--scale", "0"),
+        ("probe", "--method", "adam", "--g", "1e200", "--lambdas", "2"),
+        ("probe", "--step-scale", "--base", "1e160"),
+        ("report", "--grid", "g.csv"),
+        ("sweep", "--problem", "quadratic", "--seeds", "1", "--steps", str(2 ** 62)),
+    ], ids=["flow-init", "probe", "probe-step-scale", "report-grid", "sweep-steps"])
+    def test_every_runtime_error_writes_the_manifest_alone(self, tmp_path, monkeypatch, capsys,
+                                                            argv):
+        # one handler in main writes it, whichever command failed and wherever it did: the
+        # flow's init, the probe's step, the step-scale stream check, a CSV parse, a sizing
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.csv").write_text("beta1,beta2,seed,omega1\n0.9,0.9,0,-1\n")
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scale-lab: error: ") and err.count("\n") == 1
+        manifest = failure_manifest(out)
+        assert (manifest["command"], manifest["observed"]) == (argv[0], {})
+
+    def test_failure_whose_manifest_cannot_be_written_prints_both_lines(self, tmp_path, capsys):
+        # the abort's own line comes first; the i/o error of writing the manifest follows
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run("flow", "--signal", "exp", "--delta0", "30", "--out", str(out)) == 2
+        abort, io_error = capsys.readouterr().err.splitlines()
+        assert abort == ("scale-lab: error: m or v is not finite at t=11.82: "
+                         "the gradient is not finite")
+        assert io_error.startswith("scale-lab: i/o error: ") and str(out) in io_error
+        assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("argv", [

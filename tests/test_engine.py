@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (CellConfigs, DimensionError, DomainError, MomentState, OptimizerConfig,
+from scale_lab import (CellConfigs, DomainError, MomentState, OptimizerConfig,
                        make_problem, start_point, step_scale_cells, step_scale_grid,
                        sweep_grid, train_cells)
 from scale_lab.invariance import STEP_BLOCK
@@ -148,9 +148,26 @@ class TestMixedSeedRows:
                 assert_same_trace(result.traces[(b1, b2, s)], alone)
 
     def test_seed_count_must_match_the_rows(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             prob = make_problem("quadratic")
             train_cells(prob, [OptimizerConfig()] * 2, start_point(prob, [0, 1, 2]), steps=5)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda prob: sweep_grid(prob, seeds=[0, 1, 2], steps=2000, window=0),
+         "window must be >= 1, got 0"),
+        (lambda prob: sweep_grid(prob, seeds=[0], steps=5, batch_size=0),
+         "batch_size must be >= 1, got 5 and 0"),
+        (lambda prob: train_cells(prob, [OptimizerConfig()], start_point(prob, [0]), steps=5,
+                                  batch_size=0), "batch_size must be >= 1, got 5 and 0"),
+    ], ids=["sweep-window", "sweep-batch-size", "train-batch-size"])
+    def test_bad_window_or_batch_size_is_refused_before_training(self, call, message):
+        # the window used to be refused only after every cell had trained, and a zero batch
+        # ended in numpy's reshape error
+        def untouchable(*args):
+            raise AssertionError("the problem was evaluated")
+        prob = dataclasses.replace(make_problem("mlp"), loss=untouchable, grad=untouchable)
+        with pytest.raises(DomainError, match=message):
+            call(prob)
 
 
 # per problem, (eta, beta1, beta2, seed) of a row that diverges before step 73 and of one that
@@ -387,7 +404,7 @@ class TestOptimizerStepCells:
         cells = CellConfigs((OptimizerConfig(), OptimizerConfig()))
         for shape in [(3, 2), (2,), (1, 2, 2)]:
             state = MomentState(np.zeros((2,) + shape))
-            with pytest.raises(DimensionError, match="of 2 cells$"):
+            with pytest.raises(DomainError, match="of 2 cells$"):
                 optimizer_step(state, np.ones((1,) + shape), cells)
 
     def test_exact_epsilon_row_with_zero_moment_rejected(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scale_lab
-from scale_lab import (CellConfigs, DimensionError, DomainError, DriftProfile, FlowState,
+from scale_lab import (CellConfigs, DomainError, DriftProfile, FlowState,
                        FlowTrace, GradientSignal, MomentState, OptimizerConfig,
                        OscillationGridReport, Problem, RemainderReport, RescaleProbeResult,
                        RunTrace, SensitivityFit, SweepResult, TimeScales, constant_signal,
@@ -67,7 +67,7 @@ class TestOptimizerStep:
         assert upd[0, 1, 0] == pytest.approx(0.9647638212377321, abs=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             optimizer_step(one_cell([0.0, 0.0], [0.0, 0.0]), np.ones((1, 1, 1)),
                            CellConfigs([OptimizerConfig()]))
 
@@ -85,7 +85,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("shape", [(2,), (1, 1), (3, 1), (4, 2, 1)])
     def test_moments_stack_m_and_v_on_a_leading_axis_of_2(self, shape):
-        with pytest.raises(DimensionError, match="stack m and v"):
+        with pytest.raises(DomainError, match="stack m and v"):
             MomentState(np.ones(shape))
 
     def test_numpy_integer_step_counter(self):

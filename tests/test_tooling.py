@@ -38,10 +38,16 @@ def test_failing_given_test_does_not_abort_the_run(tmp_path):
     assert "1 failed, 1 passed" in done.stdout
 
 
-@pytest.mark.parametrize("pairs", ["sweep", "sweep=x", "sweep=-3", "nosuch=3", "sweep=4,"],
-                         ids=["no-count", "text-count", "negative-count", "unknown", "empty"])
+MALFORMED = "error: --pairs items are workload=count"
+
+
+@pytest.mark.parametrize("pairs,error", [
+    ("sweep", MALFORMED), ("sweep=x", MALFORMED), ("sweep=-3", MALFORMED),
+    ("nosuch=3", MALFORMED), ("sweep=4,", MALFORMED),
+    ("sweep=3,flow=2,sweep=5", "error: --pairs repeats a workload"),
+], ids=["no-count", "text-count", "negative-count", "unknown", "empty", "repeated"])
 def test_bench_record_rejects_a_malformed_pairs_plan_before_any_export(monkeypatch, capsys,
-                                                                       pairs):
+                                                                       pairs, error):
     path = ROOT / "tools" / "bench_record.py"
     spec = importlib.util.spec_from_file_location("bench_record", path)
     bench_record = importlib.util.module_from_spec(spec)
@@ -54,4 +60,4 @@ def test_bench_record_rejects_a_malformed_pairs_plan_before_any_export(monkeypat
         bench_record.main()
     assert exit_.value.code == 2 and not exported
     err = capsys.readouterr().err
-    assert "error: --pairs items are workload=count" in err and repr(pairs.split(",")[-1]) in err
+    assert error in err and repr(pairs.split(",")[-1]) in err

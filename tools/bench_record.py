@@ -92,6 +92,8 @@ def main() -> int:
         if workload not in workloads or not (count.isascii() and count.isdigit()):
             parser.error(f"--pairs items are workload=count, the workload one of {workloads}: "
                          f"got {item!r}")
+        if workload in plan:  # a second count would silently replace the first
+            parser.error(f"--pairs repeats a workload: got {item!r}")
         plan[workload] = int(count)
     if min(plan.values()) < 2:
         parser.error("quartiles need at least 2 pairs per workload")
