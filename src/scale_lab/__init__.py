@@ -10,7 +10,7 @@ from .invariance import (RescaleProbeResult, exact_invariance_probe, step_scale_
                          step_scale_grid)
 from .metrics import (OscillationGridReport, binomial_diagonal_test, ema_smooth, grid_report,
                       omega_grids, oscillation_omega1, oscillation_omega2)
-from .optimizers import CellConfigs, MomentState, OptimizerConfig
+from .optimizers import CellConfigs, MomentState
 from .problems import Problem, make_problem
 from .rng import CounterRng
 from .signals import GradientSignal, constant_signal, exponential_signal, sinusoidal_log_signal

@@ -37,7 +37,7 @@ from .errors import DomainError, FlowAbort, require_indexable
 from .flow import TimeScales, integrate_flow, steady_state_init
 from .invariance import exact_invariance_probe, step_scale_grid
 from .metrics import METRICS, grid_report, omega_grids
-from .optimizers import MomentState, OptimizerConfig
+from .optimizers import CellConfigs, MomentState
 from .problems import PROBLEMS, make_problem
 from .rng import SEED_RANGE, parse_seed
 from .reporting import (RunManifest, flow_trace_csv, probe_csv, read_omega_grids,
@@ -186,16 +186,15 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
     else:
         lambdas = _values(args.lambdas, _positive_float)
         g = np.array(_values(args.g))
-        state = config = None
+        state = cells = None
         if args.method == "adam":
             m = np.array(_values(args.m)) if args.m else np.zeros_like(g)
             v = np.array(_values(args.v, _nonnegative_float)) if args.v else np.ones_like(g)
             if len(m) != len(g) or len(v) != len(g):
                 raise UsageError(f"--g, --m, --v need one length, got {len(g)}, {len(m)}, {len(v)}")
             state = MomentState(np.stack((m, v)), k=args.k)
-            config = OptimizerConfig(beta1=args.beta1, beta2=args.beta2,
-                                     epsilon=args.epsilon, bias_correction=args.bias_correction)
-        result = exact_invariance_probe(args.method, state, g, lambdas, config)
+            cells = CellConfigs([(args.beta1, args.beta2)], args.epsilon, args.bias_correction)
+        result = exact_invariance_probe(args.method, state, g, lambdas, cells)
         files.append(probe_csv(result, out / "probe.csv"))
         print(f"probe {args.method}: classification = {result.classification}")
         for lam, dev in zip(result.lambda_values, result.deviations):

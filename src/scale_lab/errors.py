@@ -1,4 +1,4 @@
-"""Shared exception types, and the size check that refuses an array numpy cannot index."""
+"""Shared exception types, and the checks that refuse an unindexable size or a repeated value."""
 
 import numpy as np
 
@@ -25,3 +25,11 @@ def require_indexable(count, item_bytes: int, what: str) -> None:
     first; a NaN or infinite count is refused too."""
     if not count < np.iinfo(np.intp).max // item_bytes:
         raise DomainError(f"{what}, more than numpy can index")
+
+
+def require_distinct(values: list, what: str) -> None:
+    """A ``DomainError`` naming the first of ``values`` that repeats: a repeated seed or beta
+    would count one run as two."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise DomainError(f"{what} repeats {value!r}")

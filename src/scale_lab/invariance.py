@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
+from .errors import DomainError, require_distinct
+from .optimizers import CellConfigs, MomentState, optimizer_step, row_norms
 
 EXACT_TOL = 1e-12  # relative classification threshold for exact invariance / linearity
 STEP_BLOCK = 1024  # stream steps per optimizer-kernel call; blocks bound the memory of a long run
@@ -35,17 +35,18 @@ class RescaleProbeResult:
 
 def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray,
                            lambdas: Sequence[float],
-                           config: OptimizerConfig | None = None) -> RescaleProbeResult:
+                           cells: CellConfigs | None = None) -> RescaleProbeResult:
     """Probe one step with the internal state held fixed across rescalings.
 
-    ``method`` is adam, gd (R = g) or signsgd (R = sign(g)); gd and signsgd
-    are stateless and need no state or config.  For adam the gradient and its
-    rescalings run as the rows of one ``optimizer_step`` from copies of
-    ``state``.  An empty ``lambdas`` or ``g`` is a ``DomainError``: no rescaling is no
-    evidence.  A rescaled gradient or R that is not finite (an overflowed m, v or corrected
-    v, or the square root of a negative v) is a ``DomainError``, not evidence.  Both checks
-    are relative: a deviation counts as zero when it is at most
-    ``EXACT_TOL * max(||R(g)||_inf, ||R(lambda g)||_inf)``.
+    ``method`` is adam, gd (R = g) or signsgd (R = sign(g)); gd and signsgd are stateless and
+    need no state or cells.  For adam, ``cells`` is one cell and ``state`` its (2, d) moments;
+    the gradient and its rescalings run side by side along the coordinate axis of that cell,
+    from copies of ``state``, in one ``optimizer_step``: every Adam operation acts per
+    coordinate, so each is bit-identical to its own step.  An empty ``lambdas`` or ``g`` is a
+    ``DomainError``: no rescaling is no evidence.  A rescaled gradient or R that is not finite
+    (an overflowed m, v or corrected v, or the square root of a negative v) is a
+    ``DomainError``, not evidence.  Both checks are relative: a deviation counts as zero when
+    it is at most ``EXACT_TOL * max(||R(g)||_inf, ||R(lambda g)||_inf)``.
     """
     lams = [float(l) for l in lambdas]
     g = np.asarray(g, dtype=float)
@@ -55,13 +56,13 @@ def exact_invariance_probe(method: str, state: MomentState | None, g: np.ndarray
         raise DomainError("rescaling factors must be strictly positive")
     if method not in ("adam", "gd", "signsgd"):
         raise DomainError(f"unknown optimizer id {method!r}")
-    if method == "adam" and (state is None or config is None):
-        raise DomainError("adam probe needs a frozen state and a config")
+    if method == "adam" and (state is None or cells is None):
+        raise DomainError("adam probe needs a frozen state and its cell")
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.stack([g] + [lam * g for lam in lams])
         if method == "adam":
-            frozen = MomentState(np.tile(state.mv[:, None], (len(rows), 1)), state.k)
-            r = optimizer_step(frozen, rows[None], CellConfigs([config] * len(rows)))[0]
+            frozen = MomentState(np.tile(state.mv, len(rows))[:, None], state.k)
+            r = optimizer_step(frozen, rows.reshape(1, 1, -1), cells).reshape(rows.shape)
         else:
             r = rows if method == "gd" else np.sign(rows)
         if not (np.isfinite(rows).all() and np.isfinite(r).all()):
@@ -98,8 +99,7 @@ def step_scale_cells(stream: np.ndarray, pairs: Sequence[tuple[float, float]]) -
     if stream.ndim != 2 or stream.size == 0:
         raise DomainError(f"a gradient stream must be a non-empty (steps, d) array, "
                           f"got shape {stream.shape}")
-    cells = CellConfigs([OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
-                         for b1, b2 in pairs])
+    cells = CellConfigs(pairs, epsilon=0.0, bias_correction=False)
     size = np.abs(stream)
     for outside, why in [(~(size < 2.0 ** 511), "is not finite or at least 2**511"),  # NaN too
                          ((size > 0.0) & (size < 2.0 ** -511), "is below 2**-511: g * g underflows")]:
@@ -121,6 +121,9 @@ def step_scale_cells(stream: np.ndarray, pairs: Sequence[tuple[float, float]]) -
 def step_scale_grid(stream: np.ndarray,
                     beta_axis: Sequence[float]) -> dict[tuple[float, float], np.ndarray]:
     """Every (beta1, beta2) pair of the axis mapped to its column of the ``step_scale_cells``
-    norms of ``stream``, all pairs in lockstep."""
-    grid = [(float(b1), float(b2)) for b1 in beta_axis for b2 in beta_axis]
+    norms of ``stream``, all pairs in lockstep.  A repeated beta is a ``DomainError``: its
+    pairs would be computed twice and kept once."""
+    axis = [float(b) for b in beta_axis]
+    require_distinct(axis, "the beta axis")
+    grid = [(b1, b2) for b1 in axis for b2 in axis]
     return dict(zip(grid, step_scale_cells(stream, grid).T))

@@ -17,11 +17,12 @@ step ``theta' = theta - eta * R``.  Overflow is decided here: wherever
 v_hat is a non-finite R, which is what every caller checks.
 
 ``optimizer_step`` is the one kernel entry: it steps C cells stacked as (C, d)
-rows (``CellConfigs``, one epsilon and bias correction for all) in place over
-a block of T gradients, each row and step bit-identical to that cell stepped
-alone, one step at a time.  A steady block, whose T > 1 gradients share the
-float64 bits of the first (0.0 and -0.0 differ) and whose step 0 leaves m and
-v bit-identical, is filled with step 0's moments: later steps repeat its bits.
+rows (``CellConfigs``: a (beta1, beta2) pair per row, one epsilon and bias
+correction for all) in place over a block of T gradients, each row and step
+bit-identical to that cell stepped alone, one step at a time.  A steady block,
+whose T > 1 gradients share the float64 bits of the first (0.0 and -0.0
+differ) and whose step 0 leaves m and v bit-identical, is filled with step 0's
+moments: later steps repeat its bits.
 """
 
 from __future__ import annotations
@@ -32,28 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Adam hyperparameters.
-
-    ``epsilon = 0`` is the analysis mode; the caller must then keep v
-    strictly positive.  ``eta`` is read by ``train_cells`` alone: the kernel
-    returns R and takes no parameter step.
-    """
-
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eta: float = 1e-3
-    epsilon: float = 1e-8
-    bias_correction: bool = True
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise DomainError(f"betas must lie in (0,1), got ({self.beta1}, {self.beta2})")
-        if not self.epsilon >= 0.0:  # NaN too
-            raise DomainError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
 @dataclass
@@ -71,24 +50,27 @@ class MomentState:
 
 
 class CellConfigs:
-    """C optimizer configurations stepped in lockstep, one row per cell.
+    """C Adam cells stepped in lockstep: one (beta1, beta2) pair per row, one epsilon and one
+    bias-correction setting for all.
 
-    One epsilon and one bias-correction setting serve every row (a batch
-    mixing either is a ``DomainError``); the betas become (2, C, 1) columns,
-    b1 then b2, that broadcast against the (2, C, d) moments, so row i
-    computes exactly what ``configs[i]`` computes alone.
+    ``epsilon = 0`` is the analysis mode; the caller must then keep v strictly positive.  The
+    betas become (2, C, 1) columns, b1 then b2, that broadcast against the (2, C, d) moments,
+    so row i computes exactly what ``pairs[i]`` computes alone.
     """
 
-    def __init__(self, configs: Sequence[OptimizerConfig]):
-        cfgs = tuple(configs)
-        if not cfgs:
+    def __init__(self, pairs: Sequence[tuple[float, float]], epsilon: float = 1e-8,
+                 bias_correction: bool = True):
+        pairs = [(float(b1), float(b2)) for b1, b2 in pairs]
+        if not pairs:
             raise DomainError("a cell batch needs at least one config")
-        shared = sorted({(c.epsilon, c.bias_correction) for c in cfgs})
-        if len(shared) > 1:
-            raise DomainError(f"a cell batch shares one (epsilon, bias_correction), got {shared}")
-        self.epsilon, self.bias_correction = float(shared[0][0]), bool(shared[0][1])
-        betas = [[c.beta1 for c in cfgs], [c.beta2 for c in cfgs]]
-        self.betas = np.array(betas, dtype=float)[:, :, None]
+        for b1, b2 in pairs:
+            if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):  # NaN too
+                raise DomainError(f"betas must lie in (0,1), got ({b1}, {b2})")
+        if not epsilon >= 0.0:  # NaN too
+            raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
+        self.epsilon, self.bias_correction = float(epsilon), bool(bias_correction)
+        betas = list(zip(*pairs))  # b1 then b2
+        self.betas = np.array(betas)[:, :, None]
         self.keeps = 1.0 - self.betas
         # divisors are powers of the distinct betas; _slots maps b1 over b2 rows to their slots
         self._bases = sorted({b for row in betas for b in row})

@@ -6,9 +6,10 @@ window-200 EMA and score each cell by every metric of ``metrics.METRICS``;
 ``metrics.grid_report`` then tests how often each row's smoothest column
 lands on the diagonal.
 
-Everything is deterministic given (problem, config, seed): minibatches come
+Everything is deterministic given (problem, betas, eta, seed): minibatches come
 from a counter-based stream, so reruns are bit-identical.  A sweep trains
-every (beta1, beta2, seed) cell as one row of a single lockstep batch.
+every (beta1, beta2, seed) cell as one row of a single lockstep batch: one
+``CellConfigs`` row and one learning rate per cell.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, require_indexable
+from .errors import DomainError, require_distinct, require_indexable
 from .metrics import METRICS, ema_smooth
-from .optimizers import CellConfigs, MomentState, OptimizerConfig, optimizer_step, row_norms
+from .optimizers import CellConfigs, MomentState, optimizer_step, row_norms
 from .problems import Problem
 from .rng import CounterRng
 
@@ -56,20 +57,24 @@ class RunPoint:
 
 
 def start_point(problem: Problem, seeds: Sequence[int]) -> RunPoint:
-    """Step 0 of one row per seed: ``problem.init_theta(seed)``, zero moments, every row alive."""
+    """Step 0 of one row per seed: ``problem.init_theta(seed)``, zero moments, every row alive.
+    An empty seed list is a ``DomainError``."""
     seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise DomainError("a run point needs at least one seed")
     theta = np.stack([problem.init_theta(s) for s in seeds])
     return RunPoint(theta, MomentState(np.zeros((2,) + theta.shape)), seeds,
                     np.ones(len(seeds), dtype=bool))
 
 
-def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], point: RunPoint,
-                steps: int, batch_size: int = DEFAULT_BATCH) -> list[RunTrace]:
-    """Train the C rows of ``point`` in lockstep for ``steps`` steps; one trace per config.
+def train_cells(problem: Problem, cells: CellConfigs, point: RunPoint, steps: int,
+                eta: float | Sequence[float], batch_size: int = DEFAULT_BATCH) -> list[RunTrace]:
+    """Train the C rows of ``point`` in lockstep for ``steps`` steps; one trace per row.
 
-    Row i steps with ``configs[i]``; its minibatch index row at step k, the point's global step
-    counter, is words [k * batch, (k + 1) * batch) of ``CounterRng(seed_i, stream=2)``.  Each
-    step makes one gradient and one optimizer call for the (C, d) rows, then the parameter step
+    Row i steps with row i of ``cells`` at ``eta``, one learning rate for every row or one per
+    row; its minibatch index row at step k, the point's global step counter, is words
+    [k * batch, (k + 1) * batch) of ``CounterRng(seed_i, stream=2)``.  Each step makes one
+    gradient and one optimizer call for the (C, d) rows, then the parameter step
     ``theta' = theta - eta * R``, and at every k that is a multiple of LOSS_EVERY one full-data
     loss call per seed.  So j steps continued for n - j equal n steps, and each row is
     bit-identical to the cell trained alone.
@@ -86,11 +91,11 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], point: Run
     """
     if steps < 1 or batch_size < 1:
         raise DomainError(f"steps and batch_size must be >= 1, got {steps} and {batch_size}")
-    configs = tuple(configs)
-    cells = CellConfigs(configs)
-    n_cells = len(configs)
-    if len(point.seeds) != n_cells:
-        raise DomainError(f"{len(point.seeds)} seeds for {n_cells} config rows")
+    n_cells, etas = len(cells), np.asarray(eta, dtype=float).ravel()
+    if len(point.seeds) != n_cells or etas.size not in (1, n_cells):
+        raise DomainError(f"{len(point.seeds)} seeds and {etas.size} eta values for "
+                          f"{n_cells} config rows")
+    eta = np.broadcast_to(etas, n_cells)[:, None].copy()  # a (C, 1) column, one rate per row
     theta, state, alive, k0 = point.theta, point.state, point.alive, point.state.k
     seed_set = list(dict.fromkeys(point.seeds))
     seed_of_row = np.array([seed_set.index(s) for s in point.seeds])
@@ -100,7 +105,6 @@ def train_cells(problem: Problem, configs: Sequence[OptimizerConfig], point: Run
     if problem.n_samples:  # each index block draws (seeds, up to _INDEX_BLOCK steps, batch)
         require_indexable(len(seed_set) * min(_INDEX_BLOCK, steps) * batch_size, 8,
                           f"index blocks of {len(seed_set)} seeds at batch size {batch_size}")
-    eta = np.array([[c.eta] for c in configs])
     batches = [CounterRng(s, stream=_BATCH_STREAM, counter=k0 * batch_size) for s in seed_set]
 
     first = -(-k0 // LOSS_EVERY)  # the first recorded loss is at step first * LOSS_EVERY
@@ -171,7 +175,8 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     Every cell of every seed trains at ``eta`` (by default ``problem.default_eta``) as one
     row of a single lockstep batch; the finished cells are smoothed in one call and each is
     measured by every metric of ``METRICS``.  Scoring is
-    ``grid_report(omega_grids(result.omegas[metric], axis, seeds), axis)``.
+    ``grid_report(omega_grids(result.omegas[metric], axis, seeds), axis)``.  A repeated beta
+    or seed would count one run as two, so it is a ``DomainError``, raised before training.
     """
     if window < 1:
         raise DomainError(f"window must be >= 1, got {window}")
@@ -179,12 +184,13 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
     seed_list = [int(s) for s in seeds]
     if not axis or not seed_list:
         raise DomainError("beta axis and seed list must be nonempty")
+    require_distinct(axis, "the beta axis")
+    require_distinct(seed_list, "the seed list")
     if eta is None:
         eta = problem.default_eta
 
     cells = [(b1, b2, s) for s in seed_list for b1 in axis for b2 in axis]
-    configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, bias_correction=True)
-               for b1, b2, _ in cells]
+    configs = CellConfigs([(b1, b2) for b1, b2, _ in cells])
     point = start_point(problem, [s for _, _, s in cells])
-    traces = dict(zip(cells, train_cells(problem, configs, point, steps, batch_size)))
+    traces = dict(zip(cells, train_cells(problem, configs, point, steps, eta, batch_size)))
     return SweepResult(traces=traces, omegas=_omegas(traces, window))

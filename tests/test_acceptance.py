@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from scale_lab import (CellConfigs, FlowState, MomentState, OptimizerConfig, TimeScales,
+from scale_lab import (CellConfigs, FlowState, MomentState, TimeScales,
                        beta_from_tau, binomial_diagonal_test, ema_smooth, exact_invariance_probe,
                        exponential_signal, first_order_sensitivity, grid_report,
                        integrate_flow, make_problem, omega_grids,
@@ -115,12 +115,11 @@ def test_criterion_5_discrete_continuous_consistency():
         init = steady_state_init(sig, ts)
         n = round((ts.burn_in + 8.0 * math.pi) / dt)
         flow = integrate_flow(sig, ts, init, t_end=n * dt, h=dt / 8.0)
-        cfg = OptimizerConfig(beta1=beta_from_tau(ts.tau1, dt), beta2=beta_from_tau(ts.tau2, dt),
-                              eta=dt,
-                              epsilon=0.0, bias_correction=False)
+        cell = CellConfigs([(beta_from_tau(ts.tau1, dt), beta_from_tau(ts.tau2, dt))],
+                           epsilon=0.0, bias_correction=False)
         state = MomentState(np.stack((init.m, init.v))[:, None])
         # the whole stream as one (n, 1, 1) block: bit-identical to n one-step calls
-        r_disc = optimizer_step(state, sig.g(np.arange(n) * dt)[:, None], CellConfigs([cfg]))
+        r_disc = optimizer_step(state, sig.g(np.arange(n) * dt)[:, None], cell)
         t, r = flow.t[::8], flow.r[::8]  # the steps of the discrete run
         keep = t[1:] >= ts.burn_in
         return float(np.max(np.abs(r_disc[:, 0, 0] - r[1:, 0])[keep]))
@@ -146,8 +145,8 @@ def test_criterion_6_definition_one_probes():
         assert dev == abs(lam - 1.0) * float(np.max(np.abs(g)))
 
     state = MomentState(np.array([[1.0], [1.0]]))
-    cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-    probe = exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
+    cell = CellConfigs([(0.9, 0.9)], epsilon=0.0, bias_correction=False)
+    probe = exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cell)
     r_tilde = 1.0 - probe.deviations[0]  # R at lambda=1 is exactly 1 here
     assert r_tilde == pytest.approx(0.9647638212377321, abs=1e-9)
     report(f"ACCEPTANCE 6 PASS: signSGD deviations < 1e-15 over lambda in [1e-3, 1e3]; "

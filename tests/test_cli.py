@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from scale_lab import __version__, cli, metrics, problems, reporting, training
-from scale_lab.optimizers import OptimizerConfig
+from scale_lab.optimizers import CellConfigs
 from scale_lab.cli import build_parser, main
 from scale_lab.reporting import read_csv_columns
 
@@ -467,9 +467,9 @@ class TestSweepAndReport:
             prob = problems.make_problem(kind)
             res = training.sweep_grid(prob, beta_axis=[0.9], seeds=(0,), steps=5, window=1)
             for eta, same in [(prob.default_eta, True), (2.0 * prob.default_eta, False)]:
-                cfg = OptimizerConfig(beta1=0.9, beta2=0.9, eta=eta)
                 point = training.start_point(prob, [0])
-                (alone,) = training.train_cells(prob, [cfg], point, steps=5)
+                (alone,) = training.train_cells(prob, CellConfigs([(0.9, 0.9)]), point, steps=5,
+                                                eta=eta)
                 assert np.array_equal(res.traces[(0.9, 0.9, 0)].norm_r, alone.norm_r) == same
 
     def test_sweep_protocol_defaults_live_in_training(self):
@@ -537,11 +537,11 @@ class TestSweepAndReport:
         assert run("sweep", "--problem", "logistic", "--seeds", "1", "--steps", "60",
                    "--window", "1", "--beta-grid", "0.9,0.99", "--out", str(out)) == 0
         cols = read_csv_columns(out / "grid.csv")
-        from scale_lab import (OptimizerConfig, make_problem, oscillation_omega1, start_point,
+        from scale_lab import (CellConfigs, make_problem, oscillation_omega1, start_point,
                                train_cells)
         prob = make_problem("logistic")
-        trace = train_cells(prob, [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)],
-                            start_point(prob, [0]), steps=60)[0]
+        trace = train_cells(prob, CellConfigs([(0.9, 0.99)]), start_point(prob, [0]), steps=60,
+                            eta=0.01)[0]
         row = cols["beta1"].index("0.9")
         got = [float(w) for b1, b2, w in zip(cols["beta1"], cols["beta2"], cols["omega1"])
                if b1 == "0.9" and b2 == "0.99"]

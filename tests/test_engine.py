@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (CellConfigs, DomainError, MomentState, OptimizerConfig,
-                       make_problem, start_point, step_scale_cells, step_scale_grid,
-                       sweep_grid, train_cells)
+from scale_lab import (CellConfigs, DomainError, MomentState, make_problem, start_point,
+                       step_scale_cells, step_scale_grid, sweep_grid, train_cells)
 from scale_lab.invariance import STEP_BLOCK
 from scale_lab.optimizers import optimizer_step
 from scale_lab.problems import PROBLEMS
@@ -16,6 +15,13 @@ from scale_lab.rng import CounterRng
 from scale_lab.training import _INDEX_BLOCK, DEFAULT_BETA_AXIS, LOSS_EVERY
 
 BETAS = [(0.9, 0.9), (0.9, 0.999), (0.99, 0.9), (0.999, 0.99)]
+
+
+def train_rows(prob, rows, point, steps, **shared):
+    """``train_cells`` from ``point`` of (beta1, beta2, eta) rows, each a ``CellConfigs`` row
+    at its own learning rate; ``shared`` is the batch's epsilon and bias correction."""
+    cells = CellConfigs([(b1, b2) for b1, b2, _ in rows], **shared)
+    return train_cells(prob, cells, point, steps, [eta for *_, eta in rows])
 
 
 def assert_same_trace(batched, alone):
@@ -29,34 +35,19 @@ class TestTrainCells:
     @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
     def test_each_cell_equals_its_one_cell_run(self, kind, bias_correction):
         prob = make_problem(kind, seed=1)
-        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta, epsilon=1e-6,
-                                   bias_correction=bias_correction)
-                   for (b1, b2), eta in zip(BETAS, (0.01, 0.003, 0.02, 0.001))]
-        batched = train_cells(prob, configs, start_point(prob, [4] * 4), steps=60)
-        assert len(batched) == len(configs)
-        for cfg, trace in zip(configs, batched):
-            assert_same_trace(trace, train_cells(prob, [cfg], start_point(prob, [4]), steps=60)[0])
-
-    @pytest.mark.parametrize("other", [
-        OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, epsilon=1e-6),
-        OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.01, bias_correction=False),
-    ], ids=["epsilon", "bias-correction"])
-    def test_a_batch_mixing_epsilon_or_bias_correction_is_a_domain_error(self, other):
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01), other]
-        # the error names both (epsilon, bias_correction) pairs it got
-        with pytest.raises(DomainError, match=r"got \[\(.+\), \(.+\)\]$"):
-            CellConfigs(configs)
-        with pytest.raises(DomainError, match="shares one"):
-            prob = make_problem("logistic")
-            train_cells(prob, configs, start_point(prob, [0, 0]), steps=5)
+        rows = [(b1, b2, eta) for (b1, b2), eta in zip(BETAS, (0.01, 0.003, 0.02, 0.001))]
+        shared = dict(epsilon=1e-6, bias_correction=bias_correction)
+        batched = train_rows(prob, rows, start_point(prob, [4] * 4), 60, **shared)
+        assert len(batched) == len(rows)
+        for row, trace in zip(rows, batched):
+            alone = train_rows(prob, [row], start_point(prob, [4]), 60, **shared)[0]
+            assert_same_trace(trace, alone)
 
     def test_cell_diverging_at_step_one_leaves_neighbours_alone(self):
         prob = make_problem("quadratic")
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
-                   OptimizerConfig(beta1=0.9, beta2=0.99, eta=1e300),
-                   OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02)]
-        batched = train_cells(prob, configs, start_point(prob, [0] * 3), steps=200)
-        alone = [train_cells(prob, [cfg], start_point(prob, [0]), steps=200)[0] for cfg in configs]
+        rows = [(0.9, 0.99, 0.01), (0.9, 0.99, 1e300), (0.99, 0.999, 0.02)]
+        batched = train_rows(prob, rows, start_point(prob, [0] * 3), 200)
+        alone = [train_rows(prob, [row], start_point(prob, [0]), 200)[0] for row in rows]
         healthy_left, blown, healthy_right = batched
         assert blown.diverged and blown.norm_r.size == 1
         assert not healthy_left.diverged and not healthy_right.diverged
@@ -67,11 +58,9 @@ class TestTrainCells:
         # at eta = 3e151 the (0.999, 0.9) row's iterates grow until its bias-corrected v
         # overflows at step 1423 (at 3e152 it overflows at step 1)
         prob = make_problem("quadratic")
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01),
-                   OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e151),
-                   OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02)]
-        batched = train_cells(prob, configs, start_point(prob, [0] * 3), steps=2000)
-        alone = [train_cells(prob, [cfg], start_point(prob, [0]), steps=2000)[0] for cfg in configs]
+        rows = [(0.9, 0.99, 0.01), (0.999, 0.9, 3e151), (0.99, 0.999, 0.02)]
+        batched = train_rows(prob, rows, start_point(prob, [0] * 3), 2000)
+        alone = [train_rows(prob, [row], start_point(prob, [0]), 2000)[0] for row in rows]
         assert [t.diverged for t in batched] == [False, True, False]
         assert 1 < batched[1].norm_r.size < 2000
         for b, a in zip(batched, alone):
@@ -79,20 +68,19 @@ class TestTrainCells:
 
     def test_every_cell_diverging_ends_the_run(self):
         prob = make_problem("quadratic")
-        configs = [OptimizerConfig(eta=1e300), OptimizerConfig(beta1=0.5, eta=1e300)]
-        traces = train_cells(prob, configs, start_point(prob, [0, 0]), steps=50)
+        rows = [(0.9, 0.999, 1e300), (0.5, 0.999, 1e300)]
+        traces = train_rows(prob, rows, start_point(prob, [0, 0]), 50)
         assert all(t.diverged and t.norm_r.size == 1 for t in traces)
 
     def test_dead_exact_epsilon_row_never_trips_the_zero_moment_check(self):
         # the blown row keeps stepping in place after it diverges at step 1
         prob = make_problem("quadratic")
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, epsilon=0.0),
-                   OptimizerConfig(beta1=0.9, beta2=0.99, eta=1e300, epsilon=0.0),
-                   OptimizerConfig(beta1=0.99, beta2=0.999, eta=0.02, epsilon=0.0)]
-        batched = train_cells(prob, configs, start_point(prob, [0] * 3), steps=300)
+        rows = [(0.9, 0.99, 0.01), (0.9, 0.99, 1e300), (0.99, 0.999, 0.02)]
+        batched = train_rows(prob, rows, start_point(prob, [0] * 3), 300, epsilon=0.0)
         assert [t.diverged for t in batched] == [False, True, False]
-        for cfg, b in zip(configs, batched):
-            assert_same_trace(b, train_cells(prob, [cfg], start_point(prob, [0]), steps=300)[0])
+        for row, b in zip(rows, batched):
+            assert_same_trace(b, train_rows(prob, [row], start_point(prob, [0]), 300,
+                                            epsilon=0.0)[0])
 
 
 class TestMixedSeedRows:
@@ -104,15 +92,14 @@ class TestMixedSeedRows:
     ])
     def test_each_row_equals_its_one_cell_run(self, kind, blowup, diverged):
         prob = make_problem(kind, seed=1)
-        calm = [OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.01),
-                OptimizerConfig(beta1=0.99, beta2=0.9, eta=0.003)]
-        blow = OptimizerConfig(beta1=0.999, beta2=0.9, eta=blowup)
+        calm = [(0.9, 0.999, 0.01), (0.99, 0.9, 0.003)]
+        blow = (0.999, 0.9, blowup)
         rows = [(calm[0], 4), (blow, 0), (calm[1], 1), (blow, 1), (calm[0], 0)]
-        configs, seeds = zip(*rows)
-        batched = train_cells(prob, configs, start_point(prob, seeds), steps=70)
+        cell_rows, seeds = zip(*rows)
+        batched = train_rows(prob, cell_rows, start_point(prob, seeds), 70)
         assert [t.diverged for t in batched] == diverged
         for (cfg, s), trace in zip(rows, batched):
-            assert_same_trace(trace, train_cells(prob, [cfg], start_point(prob, [s]), steps=70)[0])
+            assert_same_trace(trace, train_rows(prob, [cfg], start_point(prob, [s]), 70)[0])
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     def test_index_rows_equal_row_by_row_calls(self, kind):
@@ -127,9 +114,9 @@ class TestMixedSeedRows:
     def test_block_drawn_indices_equal_per_step_draws(self):
         # the run crosses two boundaries of the blocks the minibatch indices are drawn in
         prob = make_problem("logistic", seed=3)
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
+        cfg = (0.9, 0.99, 0.01)
         steps = 2 * _INDEX_BLOCK + 3
-        traces = train_cells(prob, [cfg, cfg], start_point(prob, [5, 2]), steps=steps)
+        traces = train_rows(prob, [cfg, cfg], start_point(prob, [5, 2]), steps)
         for s, trace in zip((5, 2), traces):
             losses, norms = serial_logistic_adam(prob, 3, cfg, seed=s, steps=steps)
             assert np.array_equal(trace.loss, losses[::LOSS_EVERY])
@@ -140,25 +127,53 @@ class TestMixedSeedRows:
         seeds, axis = (2, 0, 1), DEFAULT_BETA_AXIS
         result = sweep_grid(prob, seeds=seeds, steps=60, window=10)
         pairs = [(b1, b2) for b1 in axis for b2 in axis]
-        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=prob.default_eta) for b1, b2 in pairs]
         assert list(result.traces) == [(b1, b2, s) for s in seeds for b1, b2 in pairs]
         for s in seeds:
-            alone_cells = train_cells(prob, configs, start_point(prob, [s] * 9), steps=60)
+            alone_cells = train_cells(prob, CellConfigs(pairs), start_point(prob, [s] * 9),
+                                      steps=60, eta=prob.default_eta)
             for (b1, b2), alone in zip(pairs, alone_cells):
                 assert_same_trace(result.traces[(b1, b2, s)], alone)
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(seeds=[0, 0]), "the seed list repeats 0$"),
+        (dict(seeds=[0], beta_axis=[0.9, 0.99, 0.9]), "the beta axis repeats 0.9$"),
+    ], ids=["seed", "beta"])
+    def test_repeated_seed_or_beta_is_refused_before_training(self, kw, message):
+        # a repeated seed or beta would count one run as two: seeds [0, 0] train 18 rows for 9
+        # traces, and scoring them reads K=2 N=6 where seed 0 alone reads K=1 N=3
+        def untouchable(*args):
+            raise AssertionError("the problem was evaluated")
+        prob = dataclasses.replace(make_problem("logistic"), loss=untouchable, grad=untouchable,
+                                   init_theta=untouchable)
+        with pytest.raises(DomainError, match=message):
+            sweep_grid(prob, steps=50, window=5, **kw)
 
     def test_seed_count_must_match_the_rows(self):
         with pytest.raises(DomainError):
             prob = make_problem("quadratic")
-            train_cells(prob, [OptimizerConfig()] * 2, start_point(prob, [0, 1, 2]), steps=5)
+            train_cells(prob, CellConfigs([(0.9, 0.999)] * 2), start_point(prob, [0, 1, 2]),
+                        steps=5, eta=1e-3)
+
+    def test_eta_count_must_match_the_rows(self):
+        # one rate for every row, or one per row
+        prob = make_problem("quadratic")
+        with pytest.raises(DomainError, match="3 eta values for 2 config rows"):
+            train_cells(prob, CellConfigs([(0.9, 0.999)] * 2), start_point(prob, [0, 1]),
+                        steps=5, eta=[1e-3] * 3)
+        one, per_row = (train_cells(prob, CellConfigs([(0.9, 0.999)] * 2),
+                                    start_point(prob, [0, 1]), steps=5, eta=eta)
+                        for eta in (1e-3, [1e-3, 1e-3]))
+        for a, b in zip(one, per_row):
+            assert_same_trace(a, b)
 
     @pytest.mark.parametrize("call,message", [
         (lambda prob: sweep_grid(prob, seeds=[0, 1, 2], steps=2000, window=0),
          "window must be >= 1, got 0"),
         (lambda prob: sweep_grid(prob, seeds=[0], steps=5, batch_size=0),
          "batch_size must be >= 1, got 5 and 0"),
-        (lambda prob: train_cells(prob, [OptimizerConfig()], start_point(prob, [0]), steps=5,
-                                  batch_size=0), "batch_size must be >= 1, got 5 and 0"),
+        (lambda prob: train_cells(prob, CellConfigs([(0.9, 0.999)]), start_point(prob, [0]),
+                                  steps=5, eta=1e-3, batch_size=0),
+         "batch_size must be >= 1, got 5 and 0"),
     ], ids=["sweep-window", "sweep-batch-size", "train-batch-size"])
     def test_bad_window_or_batch_size_is_refused_before_training(self, call, message):
         # the window used to be refused only after every cell had trained, and a zero batch
@@ -184,19 +199,17 @@ class TestContinuedRun:
         # j is a multiple of neither LOSS_EVERY nor _INDEX_BLOCK: the continuation starts off
         # the loss cadence and inside an index block
         prob, n = make_problem(kind), 300
-        calm = [OptimizerConfig(beta1=0.9, beta2=0.999, eta=prob.default_eta),
-                OptimizerConfig(beta1=0.99, beta2=0.9, eta=prob.default_eta)]
-        blow = [OptimizerConfig(beta1=b1, beta2=b2, eta=eta)
-                for eta, b1, b2, _ in SPLIT_ROWS[kind]]
+        calm = [(0.9, 0.999, prob.default_eta), (0.99, 0.9, prob.default_eta)]
+        blow = [(b1, b2, eta) for eta, b1, b2, _ in SPLIT_ROWS[kind]]
         seeds = [0, 1] + [s for *_, s in SPLIT_ROWS[kind]]
         one = start_point(prob, seeds)
-        whole = train_cells(prob, calm + blow, one, n)
+        whole = train_rows(prob, calm + blow, one, n)
         assert [t.diverged for t in whole] == [False, False, True, True]
         assert whole[2].norm_r.size < 73 and whole[3].norm_r.size > 137
         split = start_point(prob, seeds)
-        head = train_cells(prob, calm + blow, split, j)
+        head = train_rows(prob, calm + blow, split, j)
         assert split.state.k == j
-        tail = train_cells(prob, calm + blow, split, n - j)
+        tail = train_rows(prob, calm + blow, split, n - j)
         for w, h, t in zip(whole, head, tail):
             assert np.array_equal(w.loss, np.concatenate([h.loss, t.loss]))
             assert np.array_equal(w.norm_r, np.concatenate([h.norm_r, t.norm_r]))
@@ -208,14 +221,19 @@ class TestContinuedRun:
         assert split.state.mv.tobytes() == one.state.mv.tobytes()
         assert list(split.alive) == list(one.alive) == [True, True, False, False]
 
+    def test_point_without_seeds_is_a_domain_error(self):
+        # named by the program, not left to numpy's "need at least one array to stack"
+        with pytest.raises(DomainError, match="at least one seed"):
+            start_point(make_problem("quadratic"), [])
+
     def test_point_whose_rows_all_died_takes_no_step(self):
         prob = make_problem("quadratic")
-        configs = [OptimizerConfig(eta=1e300), OptimizerConfig(beta1=0.5, eta=1e300)]
+        rows = [(0.9, 0.999, 1e300), (0.5, 0.999, 1e300)]
         point = start_point(prob, [0, 1])
-        train_cells(prob, configs, point, 50)
+        train_rows(prob, rows, point, 50)
         theta, mv = point.theta.copy(), point.state.mv.copy()
         assert point.state.k == 2 and not point.alive.any()
-        traces = train_cells(prob, configs, point, 50)
+        traces = train_rows(prob, rows, point, 50)
         assert all(t.diverged and t.norm_r.size == t.loss.size == 0 for t in traces)
         assert point.state.k == 2
         assert point.theta.tobytes() == theta.tobytes() and point.state.mv.tobytes() == mv.tobytes()
@@ -226,7 +244,7 @@ class TestContinuedRun:
         theta, mv = point.theta, point.state.mv
         assert point.state.k == 0 and not mv.any() and point.alive.all()
         assert np.array_equal(theta, np.stack([prob.init_theta(3)] * 2))
-        train_cells(prob, [OptimizerConfig(), OptimizerConfig(beta1=0.5)], point, 5)
+        train_cells(prob, CellConfigs([(0.9, 0.999), (0.5, 0.999)]), point, 5, 1e-3)
         assert point.theta is theta and point.state.mv is mv and point.state.k == 5
 
 
@@ -245,9 +263,8 @@ class TestLossCadence:
     def test_healthy_batch_evaluates_the_loss_only_on_the_cadence(self):
         prob, rows = counting_loss(make_problem("mlp", seed=1))
         pairs = [(b1, b2) for b1 in DEFAULT_BETA_AXIS for b2 in DEFAULT_BETA_AXIS]
-        configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=prob.default_eta) for b1, b2 in pairs]
         point = start_point(prob, [s for s in (2, 0, 1) for _ in pairs])
-        traces = train_cells(prob, configs * 3, point, steps=35)
+        traces = train_cells(prob, CellConfigs(pairs * 3), point, steps=35, eta=prob.default_eta)
         # one call per seed group of 9 rows, on steps 0, 10, 20 and 30
         assert rows == [len(pairs)] * (3 * math.ceil(35 / LOSS_EVERY))
         assert all(t.loss.size == math.ceil(35 / LOSS_EVERY) for t in traces)
@@ -255,10 +272,8 @@ class TestLossCadence:
     def test_rows_past_the_bound_are_evaluated_every_step(self):
         # both 2e305 rows leave the bound at step 1; the (0.999, 0.9) one dies at step 32
         prob, rows = counting_loss(make_problem("logistic"))
-        calm = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.01)
-        blow = OptimizerConfig(beta1=0.999, beta2=0.9, eta=2e305)
-        far = OptimizerConfig(beta1=0.9, beta2=0.9, eta=2e305)
-        traces = train_cells(prob, [calm, blow, far], start_point(prob, [0] * 3), steps=40)
+        calm, blow, far = (0.9, 0.999, 0.01), (0.999, 0.9, 2e305), (0.9, 0.9, 2e305)
+        traces = train_rows(prob, [calm, blow, far], start_point(prob, [0] * 3), 40)
         assert [t.diverged for t in traces] == [False, True, False]
         died = traces[1].norm_r.size
         assert died == 32
@@ -267,19 +282,20 @@ class TestLossCadence:
 
 
 def serial_adam(loss, grad, theta, cfg, seed, steps, n_samples):
-    """One cell's run written out with plain 1-D numpy over ``loss(theta)`` and
-    ``grad(theta, idx)``, a loss before every step: the reference the engine must equal."""
+    """One cell's run at ``cfg = (beta1, beta2, eta)`` with the default epsilon 1e-8, written
+    out with plain 1-D numpy over ``loss(theta)`` and ``grad(theta, idx)``, a loss before every
+    step: the reference the engine must equal."""
+    b1, b2, eta = cfg
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     batches = CounterRng(seed, stream=2)
     losses, norms = [], []
     for k in range(steps):
         losses.append(loss(theta))
         g = grad(theta, batches.integers(0, n_samples, 32))
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        r = (m / (1.0 - cfg.beta1 ** (k + 1))) / (np.sqrt(v / (1.0 - cfg.beta2 ** (k + 1)))
-                                                  + cfg.epsilon)
-        theta = theta - cfg.eta * r
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        r = (m / (1.0 - b1 ** (k + 1))) / (np.sqrt(v / (1.0 - b2 ** (k + 1))) + 1e-8)
+        theta = theta - eta * r
         norms.append(float(np.linalg.norm(r)))
     return np.array(losses), np.array(norms)
 
@@ -306,9 +322,9 @@ def serial_logistic_adam(prob, data_seed, cfg, seed, steps):
 
 def test_sweep_cells_equal_the_serial_reference_loop():
     prob = make_problem("logistic", seed=3)
-    configs = [OptimizerConfig(beta1=b1, beta2=b2, eta=0.01) for b1, b2 in BETAS]
-    traces = train_cells(prob, configs, start_point(prob, [5] * 4), steps=40)
-    for cfg, trace in zip(configs, traces):
+    rows = [(b1, b2, 0.01) for b1, b2 in BETAS]
+    traces = train_rows(prob, rows, start_point(prob, [5] * 4), 40)
+    for cfg, trace in zip(rows, traces):
         losses, norms = serial_logistic_adam(prob, 3, cfg, seed=5, steps=40)
         assert np.array_equal(trace.loss, losses[::LOSS_EVERY])
         assert np.array_equal(trace.norm_r, norms)
@@ -356,7 +372,7 @@ def test_mlp_sweep_cells_equal_the_serial_reference_loop():
     result = sweep_grid(prob, seeds=[0, 1, 2], steps=steps)
     assert len(result.traces) == 27
     for (b1, b2, seed), trace in result.traces.items():
-        cfg = OptimizerConfig(beta1=b1, beta2=b2, eta=prob.default_eta)
+        cfg = (b1, b2, prob.default_eta)
         losses, norms = serial_adam(lambda theta: plain_mlp_loss(x, y, theta),
                                     lambda theta, idx: plain_mlp_grad(x, y, theta, idx),
                                     prob.init_theta(seed), cfg, seed, steps, prob.n_samples)
@@ -385,23 +401,21 @@ class TestOptimizerStepCells:
                                                          (0.0, False)])
     def test_rows_equal_one_cell_steps(self, epsilon, bias_correction):
         rng = np.random.default_rng(0)
-        configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=epsilon,
-                                   bias_correction=bias_correction)
-                   for b1, b2 in [(0.9, 0.999), (0.5, 0.5), (0.99, 0.9)]]
+        pairs = [(0.9, 0.999), (0.5, 0.5), (0.99, 0.9)]
         m, v = rng.standard_normal((3, 4)), rng.uniform(0.1, 1.0, (3, 4))
         g = rng.standard_normal((1, 3, 4))
         state = MomentState(np.stack((m, v)), 7)
-        upd = optimizer_step(state, g, CellConfigs(configs))
+        upd = optimizer_step(state, g, CellConfigs(pairs, epsilon, bias_correction))
         assert state.k == 8
-        for i, cfg in enumerate(configs):
+        for i, pair in enumerate(pairs):
             one = MomentState(np.stack((m[i:i + 1], v[i:i + 1])), 7)
-            r = optimizer_step(one, g[:, i:i + 1], CellConfigs([cfg]))
+            r = optimizer_step(one, g[:, i:i + 1], CellConfigs([pair], epsilon, bias_correction))
             assert np.array_equal(state.mv[:, i], one.mv[:, 0])
             assert one.k == state.k
             assert np.array_equal(upd[:, i], r[:, 0])
 
     def test_row_count_must_match(self):
-        cells = CellConfigs((OptimizerConfig(), OptimizerConfig()))
+        cells = CellConfigs(((0.9, 0.999), (0.9, 0.999)))
         for shape in [(3, 2), (2,), (1, 2, 2)]:
             state = MomentState(np.zeros((2,) + shape))
             with pytest.raises(DomainError, match="of 2 cells$"):
@@ -409,8 +423,7 @@ class TestOptimizerStepCells:
 
     def test_exact_epsilon_row_with_zero_moment_rejected(self):
         # only row 1 meets v = 0; the error changes no state
-        cells = CellConfigs([OptimizerConfig(beta1=b, epsilon=0.0, bias_correction=False)
-                             for b in (0.9, 0.5)])
+        cells = CellConfigs([(b, 0.999) for b in (0.9, 0.5)], epsilon=0.0, bias_correction=False)
         state = MomentState(np.array([[[0.0], [0.0]], [[1.0], [0.0]]]))
         with pytest.raises(DomainError, match="zero second-moment"):
             optimizer_step(state, np.zeros((1, 2, 1)), cells)
@@ -451,24 +464,30 @@ class TestStepScaleCells:
         norms = step_scale_cells(stream, pairs)
         assert norms.shape == (len(stream), len(pairs))
         for i, (b1, b2) in enumerate(pairs):
-            cfg = OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0, bias_correction=False)
+            cells = CellConfigs([(b1, b2)], epsilon=0.0, bias_correction=False)
             state = MomentState(np.stack((stream[:1], stream[:1] * stream[:1])))
-            r = optimizer_step(state, stream[:, None], CellConfigs([cfg]))
+            r = optimizer_step(state, stream[:, None], cells)
             assert np.array_equal(norms[:, i], [np.linalg.norm(row) for row in r[:, 0]])
 
     @pytest.mark.parametrize("stream", block_streams())
     def test_corrected_kernel_blocks_equal_one_block(self, stream):
         # bias correction counts steps across calls: STEP_BLOCK-step calls of two corrected
         # cells equal one call per cell over the whole stream, bit for bit
-        configs = [OptimizerConfig(beta1=b1, beta2=b2, epsilon=1e-8)
-                   for b1, b2 in [(0.9, 0.99), (0.99, 0.9)]]
+        pairs = [(0.9, 0.99), (0.99, 0.9)]
         start = np.stack((stream[:1], stream[:1] * stream[:1]))
-        state, cells = MomentState(np.repeat(start, 2, axis=1)), CellConfigs(configs)
+        state, cells = MomentState(np.repeat(start, 2, axis=1)), CellConfigs(pairs, epsilon=1e-8)
         r = np.concatenate([optimizer_step(state, np.repeat(stream[k:k + STEP_BLOCK, None], 2, 1),
                                            cells) for k in range(0, len(stream), STEP_BLOCK)])
-        for i, cfg in enumerate(configs):
-            alone = optimizer_step(MomentState(start.copy()), stream[:, None], CellConfigs([cfg]))
+        for i, pair in enumerate(pairs):
+            alone = optimizer_step(MomentState(start.copy()), stream[:, None],
+                                   CellConfigs([pair], epsilon=1e-8))
             assert np.array_equal(r[:, i], alone[:, 0])
+
+    def test_repeated_beta_is_refused_before_the_stream_is_read(self):
+        # [0.9, 0.9] would step 4 columns for 1 key; the NaN stream shows the axis is checked
+        # before any work
+        with pytest.raises(DomainError, match="the beta axis repeats 0.9$"):
+            step_scale_grid(np.array([[np.nan]]), [0.9, 0.9])
 
     def test_empty_grid_is_a_domain_error(self):
         # no pair is no cell, as an empty axis is in sweep_grid

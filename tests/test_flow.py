@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scale_lab import (CellConfigs, DomainError, FlowAbort, FlowState, GradientSignal,
-                       MomentState, OptimizerConfig, TimeScales, beta_from_tau, constant_signal,
+                       MomentState, TimeScales, beta_from_tau, constant_signal,
                        exponential_signal, integrate_flow, sinusoidal_log_signal,
                        steady_state_init, tau_from_beta)
 from scale_lab.optimizers import optimizer_step
@@ -255,11 +255,10 @@ class TestDiscreteContinuousConsistency:
         t_end = n * dt
         flow = integrate_flow(sig, ts, init, t_end=t_end, h=dt / 8.0)
         beta = beta_from_tau(ts.tau1, dt)
-        cfg = OptimizerConfig(beta1=beta, beta2=beta, eta=dt,
-                              epsilon=0.0, bias_correction=False)
+        cell = CellConfigs([(beta, beta)], epsilon=0.0, bias_correction=False)
         state = MomentState(np.stack((init.m, init.v))[:, None])
         # the whole stream as one (n, 1, 1) block: bit-identical to n one-step calls
-        r_disc = optimizer_step(state, sig.g(np.arange(n) * dt)[:, None], CellConfigs([cfg]))
+        r_disc = optimizer_step(state, sig.g(np.arange(n) * dt)[:, None], cell)
         t, r = flow.t[::8], flow.r[::8]  # the steps of the discrete run
         keep = t[1:] >= ts.burn_in
         return float(np.max(np.abs(r_disc[:, 0, 0] - r[1:, 0])[keep]))

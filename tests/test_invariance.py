@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scale_lab import (CellConfigs, DomainError, MomentState, OptimizerConfig, TimeScales,
+from scale_lab import (CellConfigs, DomainError, MomentState, TimeScales,
                        exact_invariance_probe, first_order_sensitivity, step_scale_cells,
                        step_scale_grid)
 from scale_lab.optimizers import optimizer_step
@@ -33,8 +33,8 @@ class TestExactInvarianceProbe:
     @pytest.mark.parametrize("method", ["adam", "gd", "signsgd"])
     def test_all_zero_update_is_exact_invariant(self, method):
         state = MomentState(np.stack((np.zeros(2), np.ones(2))))
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-        result = exact_invariance_probe(method, state, np.zeros(2), [0.1, 2.0, 10.0], cfg)
+        cell = CellConfigs([(0.9, 0.9)], epsilon=0.0, bias_correction=False)
+        result = exact_invariance_probe(method, state, np.zeros(2), [0.1, 2.0, 10.0], cell)
         assert result.classification == "exact-invariant"
         assert result.deviations == [0.0, 0.0, 0.0]
 
@@ -45,8 +45,8 @@ class TestExactInvarianceProbe:
     def test_tiny_gradient_is_judged_relative_to_r(self, method, g, cls):
         # each deviation is far below EXACT_TOL in absolute terms; only its size relative to R counts
         state = MomentState(np.array([[0.0], [1.0]]))
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-        result = exact_invariance_probe(method, state, np.array([g]), [2.0], cfg)
+        cell = CellConfigs([(0.9, 0.9)], epsilon=0.0, bias_correction=False)
+        result = exact_invariance_probe(method, state, np.array([g]), [2.0], cell)
         assert result.classification == cls
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 1000.0])
@@ -58,8 +58,8 @@ class TestExactInvarianceProbe:
 
     def test_adam_frozen_state_is_other(self):
         state = MomentState(np.array([[1.0], [1.0]]))
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-        result = exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
+        cell = CellConfigs([(0.9, 0.9)], epsilon=0.0, bias_correction=False)
+        result = exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cell)
         assert result.classification == "other"
         # R = 1 at lambda=1 and 1.1/sqrt(1.3) at lambda=2
         assert result.deviations[0] == pytest.approx(1.0 - 0.9647638212377321,
@@ -68,32 +68,32 @@ class TestExactInvarianceProbe:
     def test_non_finite_step_is_domain_error(self):
         # sqrt of a negative stepped v is NaN: no deviation may be reported from it
         state = MomentState(np.array([[0.0], [-1.0]]))
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
+        cell = CellConfigs([(0.9, 0.9)], epsilon=0.0, bias_correction=False)
         with pytest.raises(DomainError):
-            exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cfg)
+            exact_invariance_probe("adam", state, np.array([1.0]), [2.0], cell)
 
     def test_overflowed_corrected_second_moment_is_domain_error(self):
         # v_hat = 1e306 / (1 - 0.999) overflows while m and v stay finite, so R is NaN (were
         # it 0 for every rescaling, it would read as exact invariance)
         state = MomentState(np.array([[0.0], [1e306]]))
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=True)
+        cell = CellConfigs([(0.9, 0.999)], epsilon=0.0, bias_correction=True)
         with pytest.raises(DomainError, match="moment or R of the probe is not finite"):
-            exact_invariance_probe("adam", state, np.ones(1), [2.0, 10.0], cfg)
-        raw = OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=False)
+            exact_invariance_probe("adam", state, np.ones(1), [2.0, 10.0], cell)
+        raw = CellConfigs([(0.9, 0.999)], epsilon=0.0, bias_correction=False)
         assert exact_invariance_probe("adam", state, np.ones(1), [2.0], raw).deviations[0] > 0.0
 
     def test_overflowed_linear_rescaling_is_other(self):
         # R(g) = 9e299, so 1e10 * R(g) overflows: not linear, and no RuntimeWarning escapes
         state = MomentState(np.array([[1e300], [1.0]]))
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-        result = exact_invariance_probe("adam", state, np.array([1.0]), [1e10], cfg)
+        cell = CellConfigs([(0.9, 0.9)], epsilon=0.0, bias_correction=False)
+        result = exact_invariance_probe("adam", state, np.array([1.0]), [1e10], cell)
         assert result.classification == "other"
         assert result.deviations[0] == pytest.approx(9e299, rel=1e-9)
 
     def test_lambda_one_has_zero_deviation(self):
         state = MomentState(np.array([[0.4], [0.9]]))
-        cfg = OptimizerConfig(beta1=0.95, beta2=0.98)
-        result = exact_invariance_probe("adam", state, np.array([1.3]), [1.0], cfg)
+        cell = CellConfigs([(0.95, 0.98)])
+        result = exact_invariance_probe("adam", state, np.array([1.3]), [1.0], cell)
         assert result.deviations[0] == 0.0
 
     def test_nonpositive_lambda_rejected(self):
@@ -110,9 +110,9 @@ class TestExactInvarianceProbe:
     def test_probe_without_evidence_is_domain_error(self, method, g, lambdas):
         # no rescaling (or nothing to rescale) proves nothing, not even for GD
         state = MomentState(np.stack((np.zeros(g.size), np.ones(g.size))))
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
+        cell = CellConfigs([(0.9, 0.9)], epsilon=0.0, bias_correction=False)
         with pytest.raises(DomainError, match="nothing to probe"):
-            exact_invariance_probe(method, state, g, lambdas, cfg)
+            exact_invariance_probe(method, state, g, lambdas, cell)
 
 
 class TestFirstOrderSensitivity:
@@ -181,8 +181,7 @@ class TestStepScaleExperiment:
     def test_power_of_two_rescale_of_a_corrected_run_is_bitwise_invariant(self, c):
         # the same holds with bias correction: its divisors 1 - b ** j do not depend on g
         stream = np.repeat([1.0, 10.0, 0.3], [10, 15, 15])[:, None, None] * [0.7, -2.5]
-        cells = CellConfigs([OptimizerConfig(beta1=b1, beta2=b2, epsilon=0.0)
-                             for b1, b2 in [(0.9, 0.999), (0.99, 0.9)]])
+        cells = CellConfigs([(0.9, 0.999), (0.99, 0.9)], epsilon=0.0)
 
         def run(grads):
             state = MomentState(np.repeat([grads[0], grads[0] * grads[0]], 2, axis=1))

@@ -5,7 +5,7 @@ import pytest
 
 import scale_lab
 from scale_lab import (CellConfigs, DomainError, DriftProfile, FlowState,
-                       FlowTrace, GradientSignal, MomentState, OptimizerConfig,
+                       FlowTrace, GradientSignal, MomentState,
                        OscillationGridReport, Problem, RemainderReport, RescaleProbeResult,
                        RunTrace, SensitivityFit, SweepResult, TimeScales, constant_signal,
                        exponential_signal, first_order_sensitivity, make_problem,
@@ -23,10 +23,9 @@ FIT = dict(slope=2.0, coefficient=0.0, delta0_grid=[0.01], signed_deviations=[0.
 REPORT = dict(hits=1, trials=1, p_value=1.0, argmin_cols=[[0]])
 
 
-def raw_config(b1, b2, **kw):
-    kw.setdefault("epsilon", 0.0)
-    kw.setdefault("bias_correction", False)
-    return OptimizerConfig(beta1=b1, beta2=b2, **kw)
+def raw_cells(*pairs):
+    """Raw Adam cells (epsilon 0, no bias correction), one per (beta1, beta2) pair."""
+    return CellConfigs(pairs, epsilon=0.0, bias_correction=False)
 
 
 def one_cell(m, v, k=0):
@@ -37,7 +36,7 @@ def one_cell(m, v, k=0):
 class TestOptimizerStep:
     def test_first_step_from_zero_state(self):
         state = one_cell([0.0], [0.0])
-        upd = optimizer_step(state, np.ones((1, 1, 1)), CellConfigs([raw_config(0.5, 0.5)]))
+        upd = optimizer_step(state, np.ones((1, 1, 1)), raw_cells((0.5, 0.5)))
         assert state.mv[0, 0, 0] == pytest.approx(0.5, abs=0)
         assert state.mv[1, 0, 0] == pytest.approx(0.5, abs=0)
         # 0.5 / sqrt(0.5)
@@ -48,16 +47,15 @@ class TestOptimizerStep:
     @pytest.mark.parametrize("betas", [(0.9, 0.999), (0.5, 0.5), (0.99, 0.9)])
     def test_bias_correction_first_step_is_unit(self, c, betas):
         # m_hat = g and v_hat = g^2 at the first step, so R = sign(g)
-        cfg = OptimizerConfig(beta1=betas[0], beta2=betas[1], epsilon=0.0,
-                              bias_correction=True)
-        upd = optimizer_step(one_cell([0.0], [0.0]), np.full((1, 1, 1), c), CellConfigs([cfg]))
+        cells = CellConfigs([betas], epsilon=0.0, bias_correction=True)
+        upd = optimizer_step(one_cell([0.0], [0.0]), np.full((1, 1, 1), c), cells)
         assert upd[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_frozen_state_hand_values(self):
         # one state, two rows of one config: g = 1 keeps it fixed, g = 2 moves it
         state = MomentState(np.ones((2, 2, 1)))
         upd = optimizer_step(state, np.array([[[1.0], [2.0]]]),
-                             CellConfigs([raw_config(0.9, 0.9)] * 2))
+                             raw_cells((0.9, 0.9), (0.9, 0.9)))
         assert state.mv[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
         assert state.mv[1, 0, 0] == pytest.approx(1.0, abs=1e-15)
         assert upd[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -69,12 +67,12 @@ class TestOptimizerStep:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             optimizer_step(one_cell([0.0, 0.0], [0.0, 0.0]), np.ones((1, 1, 1)),
-                           CellConfigs([OptimizerConfig()]))
+                           CellConfigs([(0.9, 0.999)]))
 
     def test_zero_v_with_zero_epsilon(self):
         with pytest.raises(DomainError):
             optimizer_step(one_cell([0.0], [0.0]), np.zeros((1, 1, 1)),
-                           CellConfigs([raw_config(0.9, 0.9)]))
+                           raw_cells((0.9, 0.9)))
 
 
 class TestConfigValidation:
@@ -89,36 +87,39 @@ class TestConfigValidation:
             MomentState(np.ones(shape))
 
     def test_numpy_integer_step_counter(self):
-        cells = CellConfigs([OptimizerConfig()])
+        cells = CellConfigs([(0.9, 0.999)])
         upd = optimizer_step(one_cell([1.0], [1.0], np.int64(3)), np.ones((1, 1, 1)), cells)
         ref = optimizer_step(one_cell([1.0], [1.0], 3), np.ones((1, 1, 1)), cells)
         assert np.array_equal(upd, ref)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_beta_range(self, bad):
-        with pytest.raises(DomainError):
-            OptimizerConfig(beta1=bad)
-        with pytest.raises(DomainError):
-            OptimizerConfig(beta2=bad)
+        # every row's pair is checked, not only the first
+        with pytest.raises(DomainError, match=r"betas must lie in \(0,1\)"):
+            CellConfigs([(0.9, 0.999), (bad, 0.999)])
+        with pytest.raises(DomainError, match=r"betas must lie in \(0,1\)"):
+            CellConfigs([(0.9, bad)])
 
     def test_negative_epsilon(self):
         with pytest.raises(DomainError):
-            OptimizerConfig(epsilon=-1e-8)
+            CellConfigs([(0.9, 0.999)], epsilon=-1e-8)
 
     def test_nan_epsilon(self):
-        # a NaN epsilon would make every R NaN, and no two NaN configs could share a batch
+        # a NaN epsilon would make every R NaN
         with pytest.raises(DomainError, match="nonnegative"):
-            OptimizerConfig(epsilon=float("nan"))
+            CellConfigs([(0.9, 0.999)], epsilon=float("nan"))
 
 
 class TestAdamOnlyEngine:
     # the engine has one optimizer path: a removed setting fails loudly instead of being ignored
     @pytest.mark.parametrize("call", [
-        lambda: OptimizerConfig(weight_decay=0.1),
+        lambda: CellConfigs([(0.9, 0.999)], weight_decay=0.1),
+        lambda: CellConfigs([(0.9, 0.9)], eta=0.01),
+        lambda: CellConfigs([(0.9, 0.9)], beta1=0.9),
         lambda: optimizer_step(MomentState(np.zeros((2, 1))), np.ones((1, 1, 1)),
-                               CellConfigs([OptimizerConfig()]), method="gd"),
-        lambda: train_cells(make_problem("quadratic"), [OptimizerConfig()],
-                            start_point(make_problem("quadratic"), [0]), steps=5,
+                               CellConfigs([(0.9, 0.999)]), method="gd"),
+        lambda: train_cells(make_problem("quadratic"), CellConfigs([(0.9, 0.999)]),
+                            start_point(make_problem("quadratic"), [0]), steps=5, eta=1e-3,
                             method="gd"),
         lambda: step_scale_cells(np.ones((5, 1)), [(0.9, 0.9)], method="gd"),
         lambda: GradientSignal(g=np.ones, g_prime=np.zeros),
@@ -126,7 +127,7 @@ class TestAdamOnlyEngine:
         lambda: GradientSignal(g=np.ones),
         lambda: tracking_check(np.sin, tau=0.5, x0=0.0, interval=(0.0, 10.0)),
         lambda: step_scale_cells(np.ones((5, 1)), [(0.9, 0.9)], init="zero"),
-        lambda: step_scale_cells(np.ones((5, 1)), configs=[OptimizerConfig()]),
+        lambda: step_scale_cells(np.ones((5, 1)), configs=CellConfigs([(0.9, 0.999)])),
         lambda: step_scale_cells(np.ones((5, 1)), [(0.9, 0.9)], bias_correction=True),
         lambda: step_scale_cells(np.ones((5, 1)), [(0.9, 0.9)], epsilon=1e-8),
         lambda: step_scale_grid(np.ones((5, 1)), (0.9,), init="zero"),
@@ -160,7 +161,8 @@ class TestAdamOnlyEngine:
         lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], width=1),
         lambda: reporting.write_svg_lines("x.svg", [("a", [0.0], [1.0])], height=1),
         lambda: cli._manifest(cli.build_parser().parse_args(["report", "--grid", "g"]), skip=()),
-    ], ids=["weight_decay", "optimizer_step-method", "train_cells-method",
+    ], ids=["weight_decay", "CellConfigs-eta", "CellConfigs-beta1", "optimizer_step-method",
+            "train_cells-method",
             "step_scale_cells-method", "g_prime", "MomentState-theta", "GradientSignal-no-drift",
             "tracking_check-no-derivatives", "step_scale_cells-init", "step_scale_cells-configs",
             "step_scale_cells-bias_correction", "step_scale_cells-epsilon", "step_scale_grid-init",
@@ -180,6 +182,26 @@ class TestAdamOnlyEngine:
         with pytest.raises(TypeError):
             call()
 
+    def test_public_surface(self):
+        # every export, pinned so that one added or removed shows in review; the submodules
+        # are listed because the package's own imports bind them.  CellConfigs is the one
+        # type that carries betas, epsilon and bias correction into optimizer_step
+        assert sorted(scale_lab.__all__) == [
+            "CellConfigs", "CounterRng", "DomainError", "DriftProfile", "FlowAbort", "FlowState",
+            "FlowTrace", "GradientSignal", "MomentState", "OscillationGridReport", "Problem",
+            "RemainderReport", "RescaleProbeResult", "RunPoint", "RunTrace", "SensitivityFit",
+            "SweepResult", "TimeScales", "beta_from_tau", "binomial_diagonal_test",
+            "constant_signal", "drift", "drift_bounds", "ema_smooth", "errors",
+            "exact_invariance_probe", "exponential_signal", "first_order_sensitivity",
+            "fit_power_law", "flow", "grid_report", "integrate_flow", "invariance",
+            "make_problem", "measure_remainder", "metrics", "omega_grids", "optimizers",
+            "oscillation_omega1", "oscillation_omega2", "predict_first_order", "problems",
+            "remainder_order_sweep", "rng", "signals", "sinusoidal_log_signal", "start_point",
+            "steady_state_init", "step_scale_cells", "step_scale_grid", "sweep_grid",
+            "tau_from_beta", "train_cells", "training"]
+        assert "OptimizerConfig" not in dir(scale_lab)
+        assert not hasattr(optimizers, "OptimizerConfig")
+
     def test_traces_hold_only_what_the_run_computed(self):
         assert "StepTrace" not in dir(scale_lab) and not hasattr(invariance, "StepTrace")
         assert not hasattr(reporting, "step_trace_csv")
@@ -196,7 +218,7 @@ class TestAdamOnlyEngine:
         assert names(Problem) == list(PROBLEM)
         assert names(SweepResult) == ["traces", "omegas"]
         assert names(MomentState) == ["mv", "k"]
-        assert not hasattr(CellConfigs([OptimizerConfig()]), "configs")
+        assert not hasattr(CellConfigs([(0.9, 0.999)]), "configs")
         assert names(OscillationGridReport) == list(REPORT)
         assert not hasattr(RescaleProbeResult, "deviation_at")
         assert names(TrackingCheckResult) == ["max_residual", "margin", "passed",
@@ -230,7 +252,7 @@ class TestAdamOnlyEngine:
         # a batch shares one epsilon, so no row mask of exact rows is kept
         assert not hasattr(scale_lab, "adam_step") and not hasattr(optimizers, "adam_step")
         assert not hasattr(problems, "_stacked")
-        assert not hasattr(CellConfigs([OptimizerConfig(epsilon=0.0)]), "exact_rows")
+        assert not hasattr(CellConfigs([(0.9, 0.999)], epsilon=0.0), "exact_rows")
 
     def test_one_jump_multiplier_column_is_built_by_the_cli(self):
         # probe --step-scale builds its one-jump column with np.where; no schedule builder is kept
@@ -278,7 +300,7 @@ class TestClosedForm:
     def test_matches_iterated_raw_adam(self, c, betas):
         # scale independence of raw Adam from zero init, k = 1..50
         upd = optimizer_step(one_cell([0.0], [0.0]), np.full((50, 1, 1), c),
-                             CellConfigs([raw_config(*betas)]))
+                             raw_cells(betas))
         for k in range(1, 51):
             oracle = constant_gradient_closed_form(c, k, *betas)
             assert upd[k - 1, 0, 0] == pytest.approx(oracle[0], abs=1e-12)
@@ -290,7 +312,7 @@ class TestProperties:
         for _ in range(10):
             m, v, g = rng.normal(size=4), rng.uniform(0.5, 2.0, 4), rng.normal(size=4)
             perm = rng.permutation(4)
-            cells = CellConfigs([OptimizerConfig(beta1=0.9, beta2=0.99)])
+            cells = CellConfigs([(0.9, 0.99)])
             base, permuted = one_cell(m, v), one_cell(m[perm], v[perm])
             r1 = optimizer_step(base, g[None, None], cells)
             r2 = optimizer_step(permuted, g[perm][None, None], cells)
@@ -299,7 +321,7 @@ class TestProperties:
 
     def test_sign_of_r_matches_sign_of_new_m(self):
         rng = np.random.default_rng(11)
-        cells = CellConfigs([OptimizerConfig(beta1=0.8, beta2=0.95, epsilon=1e-8)])
+        cells = CellConfigs([(0.8, 0.95)], epsilon=1e-8)
         state = one_cell(rng.normal(size=6), rng.uniform(0.1, 1.0, 6))
         for _ in range(30):
             upd = optimizer_step(state, rng.normal(size=(1, 1, 6)), cells)
@@ -311,8 +333,7 @@ class TestProperties:
         stream = rng.uniform(0.5, 1.5, size=(400, 3)) * np.sign(rng.normal(size=(400, 3)))
         for b1, b2 in [(0.9, 0.9), (0.8, 0.9), (0.9, 0.5)]:
             r_raw, r_bc = (optimizer_step(one_cell([0.0] * 3, [0.0] * 3), stream[:, None],
-                                          CellConfigs([OptimizerConfig(
-                                              beta1=b1, beta2=b2, epsilon=1e-12,
-                                              bias_correction=bc)]))
+                                          CellConfigs([(b1, b2)], epsilon=1e-12,
+                                                      bias_correction=bc))
                            for bc in (False, True))
             assert np.max(np.abs(r_raw - r_bc)[299:]) < 1e-6

@@ -1,5 +1,6 @@
 """Property tests: the signal array contract, the lockstep drift ladder, grid reports,
-the CSV writer, the loss finiteness bound, the block optimizer kernel, row-wise EMA
+the CSV writer, the loss finiteness bound, the block optimizer kernel and the adam probe
+built on it, row-wise EMA
 smoothing, the relaxation RK4 kernel, and the CLI's exit codes under malformed flags and
 CSV inputs."""
 
@@ -13,6 +14,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,10 +23,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from scale_lab import (CellConfigs, FlowState, FlowTrace, GradientSignal, MomentState,
-                       OptimizerConfig, TimeScales, binomial_diagonal_test, constant_signal,
-                       ema_smooth, exponential_signal, grid_report, integrate_flow, make_problem,
-                       sinusoidal_log_signal, steady_state_init)
-from scale_lab import reporting
+                       TimeScales, binomial_diagonal_test, constant_signal, ema_smooth,
+                       exact_invariance_probe, exponential_signal, grid_report, integrate_flow,
+                       make_problem, sinusoidal_log_signal, steady_state_init)
+from scale_lab import invariance, reporting
 from scale_lab.optimizers import optimizer_step
 from scale_lab.cli import build_parser, main
 from scale_lab.drift import _ladder_flow
@@ -307,12 +309,13 @@ def test_loss_is_finite_below_the_problem_bound(kind, data, rows):
 # ---------------------------------------------------------------- block optimizer kernel
 
 @st.composite
-def kernel_configs(draw, c: int) -> list:
-    """c configs whose betas vary by row, sharing one drawn epsilon and bias correction."""
-    shared = dict(epsilon=draw(st.sampled_from([0.0, 1e-8])), bias_correction=draw(st.booleans()))
-    return [OptimizerConfig(beta1=draw(st.sampled_from([0.5, 0.9, 0.99])),
-                            beta2=draw(st.sampled_from([0.5, 0.9, 0.999])), **shared)
-            for _ in range(c)]
+def kernel_batches(draw, c: int) -> tuple:
+    """(pairs, epsilon, bias_correction), the arguments of a ``CellConfigs``: c (beta1, beta2)
+    pairs that vary by row, and one drawn epsilon and bias correction."""
+    epsilon, bias_correction = draw(st.sampled_from([0.0, 1e-8])), draw(st.booleans())
+    pairs = [(draw(st.sampled_from([0.5, 0.9, 0.99])), draw(st.sampled_from([0.5, 0.9, 0.999])))
+             for _ in range(c)]
+    return pairs, epsilon, bias_correction
 
 
 # zeros are frequent, so epsilon = 0 rows often meet a zero second moment
@@ -361,7 +364,7 @@ def run_kernel(state, grads, cells):
 @given(data=st.data(), c=st.integers(1, 4), k0=st.integers(0, 3))
 def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
     steps, d = data.draw(steps_drawn), data.draw(d_drawn)
-    cells = CellConfigs(data.draw(kernel_configs(c)))
+    cells = CellConfigs(*data.draw(kernel_batches(c)))
     grads, m0, v0 = data.draw(kernel_blocks(steps, c, d))
     block, single = (MomentState(np.stack((m0, v0)), k0) for _ in range(2))
 
@@ -383,13 +386,14 @@ def test_block_kernel_equals_single_steps(steps_drawn, d_drawn, data, c, k0):
     assert block.k == single.k == k0 + steps
 
 
-def adam_by_coordinate(configs, grads, m0, v0, k0):
-    """(R, m, v) of ``grads`` (T, C, d) stepped from (m0, v0) at step k0, as a Python-float loop
-    over rows, coordinates and steps in the kernel's operation order; None where epsilon = 0
-    meets a zero second moment.  It shares no array layout with the kernel."""
+def adam_by_coordinate(batch, grads, m0, v0, k0):
+    """(R, m, v) of ``grads`` (T, C, d) stepped from (m0, v0) at step k0 by the cells of
+    ``batch = (pairs, epsilon, bias_correction)``, as a Python-float loop over rows,
+    coordinates and steps in the kernel's operation order; None where epsilon = 0 meets a zero
+    second moment.  It shares no array layout with the kernel."""
     r, m, v = np.empty(grads.shape), m0.copy(), v0.copy()
-    for i, cfg in enumerate(configs):
-        b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    pairs, eps, bias_correction = batch
+    for i, (b1, b2) in enumerate(pairs):
         for x in range(grads.shape[2]):
             mi, vi = float(m0[i, x]), float(v0[i, x])
             for t, g in enumerate(grads[:, i, x].tolist()):
@@ -398,7 +402,7 @@ def adam_by_coordinate(configs, grads, m0, v0, k0):
                 if eps == 0.0 and vi == 0.0:
                     return None
                 m_hat, v_hat = mi, vi
-                if cfg.bias_correction:
+                if bias_correction:
                     j = k0 + t + 1
                     m_hat, v_hat = mi / (1.0 - b1 ** j), vi / (1.0 - b2 ** j)
                 denom = math.sqrt(v_hat) + eps
@@ -411,11 +415,11 @@ def adam_by_coordinate(configs, grads, m0, v0, k0):
 @given(data=st.data(), steps=st.integers(1, 8), c=st.integers(1, 3), d=st.integers(1, 4),
        k0=st.integers(0, 3))
 def test_kernel_equals_a_python_float_loop(data, steps, c, d, k0):
-    configs = data.draw(kernel_configs(c))
+    batch = data.draw(kernel_batches(c))
     grads, m0, v0 = data.draw(kernel_blocks(steps, c, d))
     state = MomentState(np.stack((m0, v0)), k0)
-    got = run_kernel(state, grads, CellConfigs(configs))
-    want = adam_by_coordinate(configs, grads, m0, v0, k0)
+    got = run_kernel(state, grads, CellConfigs(*batch))
+    want = adam_by_coordinate(batch, grads, m0, v0, k0)
     if want is None:
         assert isinstance(got, str) and "epsilon = 0" in got
         assert same_bits(state.mv, np.stack((m0, v0))) and state.k == k0
@@ -436,27 +440,27 @@ overflow_values = st.one_of(kernel_values, st.sampled_from([1e154, 1e306, 1.7e30
 @example(data=None, c=1, d=1, k0=0)
 def test_an_overflowed_moment_makes_r_non_finite(data, c, d, k0):
     if data is None:  # m, v and R(g = 1) finite, but v_hat = 1e306 / (1 - 0.999) overflows
-        configs = [OptimizerConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=True)]
+        batch = [(0.9, 0.999)], 0.0, True
         grads, m0, v0 = np.ones((1, 1, 1)), np.zeros((1, 1)), np.full((1, 1), 1e306)
     else:
-        configs = data.draw(kernel_configs(c))
+        batch = data.draw(kernel_batches(c))
         grads = data.draw(arrays(float, (1, c, d), elements=overflow_values))
         m0 = data.draw(arrays(float, (c, d), elements=overflow_values))
         v0 = np.abs(data.draw(arrays(float, (c, d), elements=overflow_values)))
     state = MomentState(np.stack((m0, v0)), k0)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = run_kernel(state, grads, CellConfigs(configs))
+        r = run_kernel(state, grads, CellConfigs(*batch))
         assume(not isinstance(r, str))  # epsilon = 0 met a zero second moment
-        v_hat = state.mv[1] / np.array([[1.0 - cfg.beta2 ** state.k if cfg.bias_correction else 1.0]
-                                        for cfg in configs])
+        pairs, _, bias_correction = batch
+        v_hat = state.mv[1] / np.array([[1.0 - b2 ** state.k if bias_correction else 1.0]
+                                        for _, b2 in pairs])
     overflowed = ~(np.isfinite(state.mv).all(axis=0) & np.isfinite(v_hat))
     assert not np.isfinite(r[0][overflowed]).any()
 
 
 def test_block_kernel_zero_moment_error_matches_single_steps():
     # v = 2e-323 halves to zero at step 3 of the beta2 = 0.5 row; the other row's v stays 1
-    cells = CellConfigs([OptimizerConfig(beta2=b2, epsilon=0.0, bias_correction=False)
-                         for b2 in (0.999, 0.5)])
+    cells = CellConfigs([(0.9, b2) for b2 in (0.999, 0.5)], epsilon=0.0, bias_correction=False)
     grads = np.zeros((4, 2, 1))
 
     def fresh():
@@ -469,6 +473,37 @@ def test_block_kernel_zero_moment_error_matches_single_steps():
     assert [isinstance(w, str) for w in want] == [False, False, True] and want[2] == got
     assert block.k == 0 and np.array_equal(block.mv, fresh().mv)
     assert single.k == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), k=st.integers(0, 5))
+def test_adam_probe_equals_one_cell_steps(data, d, k):
+    # the probe steps the gradient and its rescalings side by side in one cell; each R must be,
+    # bit for bit, the step of that one rescaled gradient from its own copy of the state
+    batch = data.draw(kernel_batches(1))
+    cell = CellConfigs(*batch)
+    m = data.draw(arrays(float, d, elements=st.floats(-10.0, 10.0)))
+    v = data.draw(arrays(float, d, elements=st.floats(1e-3, 10.0)))  # epsilon = 0 needs v > 0
+    g = data.draw(arrays(float, d, elements=kernel_values))
+    lambdas = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    state = MomentState(np.stack((m, v)), k)
+    calls = []
+
+    def recorded_step(*args):
+        calls.append(optimizer_step(*args))
+        return calls[-1]
+
+    with mock.patch.object(invariance, "optimizer_step", recorded_step):
+        result = exact_invariance_probe("adam", state, g, lambdas, cell)
+    assert len(calls) == 1
+    probed = calls[0].reshape(len(lambdas) + 1, d)
+    alone = []
+    for lam in [None] + lambdas:
+        one = MomentState(np.stack((m, v))[:, None], k)
+        alone.append(optimizer_step(one, (g if lam is None else lam * g)[None, None], cell)[0, 0])
+    assert same_bits(probed, np.stack(alone))
+    assert state.k == k and same_bits(state.mv, np.stack((m, v)))
+    assert result.deviations == [float(np.max(np.abs(r - alone[0]))) for r in alone[1:]]
 
 
 def rk4_reference(rhs, t0, y, h, forcing):

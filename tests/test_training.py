@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scale_lab import (CellConfigs, DomainError, MomentState, OptimizerConfig, ema_smooth,
+from scale_lab import (CellConfigs, DomainError, MomentState, ema_smooth,
                        grid_report, make_problem, omega_grids, oscillation_omega1,
                        oscillation_omega2, start_point, sweep_grid, train_cells)
 from scale_lab.optimizers import optimizer_step
@@ -67,36 +67,37 @@ class TestProblems:
 class TestRunTraining:
     def test_adam_on_quadratic_descends(self):
         prob = make_problem("quadratic")
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.005)
-        trace = train_cells(prob, [cfg], start_point(prob, [0]), steps=200)[0]
+        cell = CellConfigs([(0.9, 0.999)])
+        trace = train_cells(prob, cell, start_point(prob, [0]), steps=200, eta=0.005)[0]
         assert not trace.diverged
         assert np.all(np.diff(trace.loss) < 0.0)
 
     def test_first_bias_corrected_step_is_a_sign_step(self):
         # from m = v = 0 the bias-corrected first R is g / |g|: one unit per coordinate
         prob = make_problem("quadratic")
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.999, eta=0.001, epsilon=0.0)
-        trace = train_cells(prob, [cfg], start_point(prob, [0]), steps=50)[0]
+        cell = CellConfigs([(0.9, 0.999)], epsilon=0.0)
+        trace = train_cells(prob, cell, start_point(prob, [0]), steps=50, eta=0.001)[0]
         assert trace.norm_r[0] == pytest.approx(np.sqrt(QUADRATIC_DIM), rel=1e-12)
 
     def test_traces_are_bit_identical(self):
         prob = make_problem("logistic")
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
-        t1 = train_cells(prob, [cfg], start_point(prob, [3]), steps=150)[0]
-        t2 = train_cells(prob, [cfg], start_point(prob, [3]), steps=150)[0]
+        cell = CellConfigs([(0.9, 0.99)])
+        t1 = train_cells(prob, cell, start_point(prob, [3]), steps=150, eta=0.01)[0]
+        t2 = train_cells(prob, cell, start_point(prob, [3]), steps=150, eta=0.01)[0]
         assert np.array_equal(t1.loss, t2.loss)
         assert np.array_equal(t1.norm_r, t2.norm_r)
 
     def test_different_seeds_differ(self):
         prob = make_problem("logistic")
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01)
-        t1 = train_cells(prob, [cfg], start_point(prob, [0]), steps=100)[0]
-        t2 = train_cells(prob, [cfg], start_point(prob, [1]), steps=100)[0]
+        cell = CellConfigs([(0.9, 0.99)])
+        t1 = train_cells(prob, cell, start_point(prob, [0]), steps=100, eta=0.01)[0]
+        t2 = train_cells(prob, cell, start_point(prob, [1]), steps=100, eta=0.01)[0]
         assert not np.array_equal(t1.norm_r, t2.norm_r)
 
     def test_trace_length_contract(self):
         prob = make_problem("mlp")
-        trace = train_cells(prob, [OptimizerConfig()], start_point(prob, [0]), steps=40)[0]
+        trace = train_cells(prob, CellConfigs([(0.9, 0.999)]), start_point(prob, [0]), steps=40,
+                            eta=1e-3)[0]
         assert trace.norm_r.size == 40
         assert trace.loss.size == math.ceil(40 / LOSS_EVERY)
         assert np.all(trace.norm_r >= 0.0)
@@ -105,8 +106,8 @@ class TestRunTraining:
         # at eta = 3e151 the (0.999, 0.9) iterates grow until the bias-corrected v
         # overflows at step 1423 (at 3e152 it overflows at step 1)
         prob = make_problem("quadratic")
-        cfg = OptimizerConfig(beta1=0.999, beta2=0.9, eta=3e151)
-        trace = train_cells(prob, [cfg], start_point(prob, [0]), steps=2000)[0]
+        cell = CellConfigs([(0.999, 0.9)])
+        trace = train_cells(prob, cell, start_point(prob, [0]), steps=2000, eta=3e151)[0]
         assert trace.diverged
         assert 1 < trace.norm_r.size < 2000
         assert np.all(np.isfinite(trace.loss))
@@ -115,15 +116,15 @@ class TestRunTraining:
     def test_overflowed_second_moment_cuts_the_trace(self, eta, dies_at):
         # the (0.999, 0.9) cell's bias-corrected v first overflows at step dies_at: that step's
         # R is NaN, not 0, so the run is diverged there instead of training on to 2000
-        cfg, prob = OptimizerConfig(beta1=0.999, beta2=0.9, eta=eta), make_problem("quadratic")
-        trace = train_cells(prob, [cfg], start_point(prob, [0]), steps=2000)[0]
+        cell, prob = CellConfigs([(0.999, 0.9)]), make_problem("quadratic")
+        trace = train_cells(prob, cell, start_point(prob, [0]), steps=2000, eta=eta)[0]
         assert trace.diverged and trace.norm_r.size == dies_at
         assert np.isfinite(trace.norm_r).all()
 
     def test_update_norm_bounded_by_recorded_state(self):
         prob = make_problem("logistic")
-        cfg = OptimizerConfig(beta1=0.9, beta2=0.99, eta=0.01, epsilon=1e-8)
-        cells = CellConfigs([cfg])
+        b1, b2, eta, eps = 0.9, 0.99, 0.01, 1e-8
+        cells = CellConfigs([(b1, b2)], epsilon=eps)
         theta = prob.init_theta(0)[None]
         state = MomentState(np.zeros((2,) + theta.shape))
         from scale_lab.rng import CounterRng
@@ -131,10 +132,10 @@ class TestRunTraining:
         for k in range(100):
             idx = batches.integers(0, prob.n_samples, 32)
             upd = optimizer_step(state, prob.grad(theta, idx)[None], cells)[0]
-            theta = theta - cfg.eta * upd
-            m_hat = state.mv[0] / (1.0 - cfg.beta1 ** state.k)
-            v_hat = state.mv[1] / (1.0 - cfg.beta2 ** state.k)
-            bound = np.max(np.abs(m_hat) / (np.sqrt(v_hat) + cfg.epsilon))
+            theta = theta - eta * upd
+            m_hat = state.mv[0] / (1.0 - b1 ** state.k)
+            v_hat = state.mv[1] / (1.0 - b2 ** state.k)
+            bound = np.max(np.abs(m_hat) / (np.sqrt(v_hat) + eps))
             assert np.max(np.abs(upd)) <= bound * (1.0 + 1e-12)
 
 
