@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, FlowAbort, require_indexable
 from .flow import TimeScales, integrate_flow, steady_state_init
-from .invariance import exact_invariance_probe, step_scale_grid
+from .invariance import exact_invariance_probe, step_scale_cells
 from .metrics import METRICS, grid_report, omega_grids
 from .optimizers import CellConfigs, MomentState
 from .problems import PROBLEMS, make_problem
@@ -161,7 +161,7 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
     out = Path(args.out)
     files = []
     if args.step_scale:
-        betas = _distinct(_values(args.beta_grid, _beta), "--beta-grid")
+        betas = sorted(_distinct(_values(args.beta_grid, _beta), "--beta-grid"))
         jump = args.jump if args.jump is not None else args.steps // 2
         if not 1 <= jump < args.steps:
             raise UsageError(f"--jump must lie in [1, steps - 1], got {jump} of {args.steps}")
@@ -169,20 +169,21 @@ def cmd_probe(args, manifest: RunManifest) -> list[Path]:
                           f"{args.steps} steps of {len(betas) ** 2} cells")
         steps = np.arange(args.steps)
         mults = np.where(steps < jump, 1.0, args.multiplier)
-        with np.errstate(over="ignore"):  # step_scale_grid reports an overflowed entry
-            cells = sorted(step_scale_grid(mults[:, None] * args.base, betas).items())
-        files += write_csvs([out / f"stepscale_{b1}_{b2}.csv" for (b1, b2), _ in cells],
+        pairs = [(b1, b2) for b1 in betas for b2 in betas]  # the cells in (beta1, beta2) order
+        with np.errstate(over="ignore"):  # step_scale_cells reports an overflowed entry
+            columns = step_scale_cells(mults[:, None] * args.base, pairs).T
+        files += write_csvs([out / f"stepscale_{b1}_{b2}.csv" for b1, b2 in pairs],
                             ["step", "multiplier", "norm_R"], [steps, mults],
-                            [[norms] for _, norms in cells])
+                            [[norms] for norms in columns])
         files.append(write_csv(out / "stepscale_summary.csv",
                                ["beta1", "beta2", "transient_integral"],
-                               [[b1 for (b1, _), _ in cells], [b2 for (_, b2), _ in cells],
-                                [float(np.sum(np.abs(norms[jump:] - 1.0))) for _, norms in cells]]))
+                               [[b1 for b1, _ in pairs], [b2 for _, b2 in pairs],
+                                [float(np.sum(np.abs(norms[jump:] - 1.0))) for norms in columns]]))
         if args.plot:
-            series = [(f"({b1},{b2})", steps, norms) for (b1, b2), norms in cells]
+            series = [(f"({b1},{b2})", steps, norms) for (b1, b2), norms in zip(pairs, columns)]
             files.append(write_svg_lines(out / "stepscale.svg", series,
                                          title=f"x{args.multiplier} rescale at step {jump}"))
-        print(f"step-scale: {len(cells)} cells, jump x{args.multiplier} at step {jump}")
+        print(f"step-scale: {len(pairs)} cells, jump x{args.multiplier} at step {jump}")
     else:
         lambdas = _values(args.lambdas, _positive_float)
         g = np.array(_values(args.g))

@@ -10,8 +10,8 @@ class DomainError(ValueError):
 class FlowAbort(DomainError):
     """Integration aborted: m or v stopped being finite, or v crossed zero (the domain is v > 0).
 
-    Carries the abort time so callers can diagnose which signal violated the
-    positive-gradient-floor assumption.
+    Carries the abort time.  The exact flow keeps v > 0 for any real gradient, so a v that
+    crossed zero is an RK4 stage overshooting at a step much larger than tau2.
     """
 
     def __init__(self, t: float, message: str):

@@ -97,12 +97,14 @@ class FlowTrace:
         return {"h": float(self.t[1] - self.t[0])}
 
 
-def _abort_if_invalid(t: float, y: np.ndarray) -> None:
-    """``FlowAbort`` at time t unless the stacked moments ``y`` = (m, v) are finite with v > 0."""
+def _abort_if_invalid(t: float, y: np.ndarray, h: float, tau2: float) -> None:
+    """``FlowAbort`` at time t unless the stacked moments ``y`` = (m, v) are finite with v > 0;
+    the exact flow keeps v > 0, so a v <= 0 is an RK4 stage of step ``h`` >> ``tau2`` overshooting."""
     if not np.isfinite(y).all():
         raise FlowAbort(t, f"m or v is not finite at t={t:.6g}: the gradient is not finite")
     if np.any(y[1] <= 0.0):
-        raise FlowAbort(t, f"v crossed zero at t={t:.6g}: gradient floor assumption violated")
+        raise FlowAbort(t, f"v crossed zero at t={t:.6g}: an RK4 stage overshot; "
+                           f"the step h={h:.6g} is too large for tau2={tau2:.6g}")
 
 
 def _stage_times(t0: float, t1: float, h: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -190,9 +192,9 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
     The step is rounded so the grid hits ``t_end`` exactly, and every step's state is
     recorded (plus the initial one).  A state with no coordinates is a ``DomainError``.
     Aborts with ``FlowAbort`` at the first stage point, in time order, with an m or v
-    coordinate that is not finite (an overflowed or NaN gradient) or a v coordinate <= 0 (a
-    violated gradient-floor assumption rather than an integrator failure), else at the
-    first sample whose ||R|| overflows.
+    coordinate that is not finite (an overflowed or NaN gradient) or a v coordinate <= 0 (an
+    RK4 stage overshooting at a step much larger than tau2: the exact flow keeps v > 0), else
+    at the first sample whose ||R|| overflows.
     """
     if h is None:
         h = min(ts.tau1, ts.tau2) / 50.0
@@ -210,7 +212,7 @@ def integrate_flow(signal: GradientSignal, ts: TimeScales, init: FlowState,
                      np.stack([g, g * g], axis=2), h)
     bad = ~np.isfinite(seq).all(axis=(1, 2)) | np.any(seq[:, 1] <= 0.0, axis=-1)
     k = int(np.argmax(bad))  # the first invalid point, if any
-    _abort_if_invalid(float(np.append(stages[:, [0, 1, 1, 2]], t[-1])[k]), seq[k])
+    _abort_if_invalid(float(np.append(stages[:, [0, 1, 1, 2]], t[-1])[k]), seq[k], h, ts.tau2)
 
     ys = seq[::4].copy()  # the step points, without holding on to the stage points
     m, v = ys[:, 0], ys[:, 1]

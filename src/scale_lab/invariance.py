@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, require_distinct
+from .errors import DomainError
 from .optimizers import CellConfigs, MomentState, optimizer_step, row_norms
 
 EXACT_TOL = 1e-12  # relative classification threshold for exact invariance / linearity
@@ -117,13 +117,3 @@ def step_scale_cells(stream: np.ndarray, pairs: Sequence[tuple[float, float]]) -
             norm_r[k:k + len(block)] = row_norms(r)
     return norm_r
 
-
-def step_scale_grid(stream: np.ndarray,
-                    beta_axis: Sequence[float]) -> dict[tuple[float, float], np.ndarray]:
-    """Every (beta1, beta2) pair of the axis mapped to its column of the ``step_scale_cells``
-    norms of ``stream``, all pairs in lockstep.  A repeated beta is a ``DomainError``: its
-    pairs would be computed twice and kept once."""
-    axis = [float(b) for b in beta_axis]
-    require_distinct(axis, "the beta axis")
-    grid = [(b1, b2) for b1 in axis for b2 in axis]
-    return dict(zip(grid, step_scale_cells(stream, grid).T))

@@ -31,12 +31,13 @@ TRACKING_SLACK = 1e-9     # FP slack: zero-curvature signals meet the bound with
 
 # ---------------------------------------------------------------- flow
 
-def flow_rhs(t: float, y: np.ndarray, g: np.ndarray, ts: TimeScales) -> np.ndarray:
+def flow_rhs(t: float, y: np.ndarray, g: np.ndarray, ts: TimeScales, h: float) -> np.ndarray:
     """Right-hand side d(m, v)/dt at the stacked (2, d) state ``y`` and gradient ``g``.
 
-    Raises ``FlowAbort`` (a ``DomainError``) unless m and v are finite and v > 0.
+    Raises ``FlowAbort`` (a ``DomainError``) unless m and v are finite and v > 0; its message
+    names ``h``, the step of the RK4 loop that called it.
     """
-    _abort_if_invalid(t, y)
+    _abort_if_invalid(t, y, h, ts.tau2)
     return np.stack([(-y[0] + g) / ts.tau1, (-y[1] + g * g) / ts.tau2])
 
 

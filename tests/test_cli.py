@@ -424,6 +424,24 @@ class TestProbeCommand:
         assert float(cell["multiplier"][0]) == 1.0
         assert float(cell["multiplier"][-1]) == 10.0
 
+    def test_step_scale_cells_follow_the_sorted_axis_not_the_flag_order(self, tmp_path):
+        # the golden hashes cover only the sorted default axis; a shuffled --beta-grid must write
+        # the same files, the summary's rows sorted by (beta1, beta2)
+        outs = {}
+        for grid in ("0.999,0.9,0.99", "0.9,0.99,0.999"):
+            outs[grid] = tmp_path / grid
+            assert run("probe", "--step-scale", "--steps", "40", "--beta-grid", grid,
+                       "--out", str(outs[grid])) == 0
+        shuffled, ordered = outs.values()
+        names = sorted(p.name for p in ordered.glob("*.csv"))
+        assert names == sorted(p.name for p in shuffled.glob("*.csv")) and len(names) == 10
+        for name in names:
+            assert (shuffled / name).read_bytes() == (ordered / name).read_bytes(), name
+        summary = read_csv_columns(shuffled / "stepscale_summary.csv")
+        rows = [(float(b1), float(b2)) for b1, b2 in zip(summary["beta1"], summary["beta2"])]
+        axis = (0.9, 0.99, 0.999)
+        assert rows == [(b1, b2) for b1 in axis for b2 in axis]
+
     def test_step_scale_cells_beyond_the_open_file_bound(self, tmp_path, monkeypatch):
         # 25 cell files written two at a time read byte for byte as one write_csv per cell
         argv = ("probe", "--step-scale", "--steps", "3000", "--jump", "1100",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scale_lab import (CellConfigs, DomainError, MomentState, make_problem, start_point,
-                       step_scale_cells, step_scale_grid, sweep_grid, train_cells)
+                       step_scale_cells, sweep_grid, train_cells)
 from scale_lab.invariance import STEP_BLOCK
 from scale_lab.optimizers import optimizer_step
 from scale_lab.problems import PROBLEMS
@@ -445,13 +445,12 @@ def block_streams() -> list:
 
 
 class TestStepScaleCells:
-    AXIS = (0.9, 0.99, 0.999)
-
     def test_grid_cells_equal_one_cell_runs(self):
         stream = np.repeat([1.0, 7.0, 0.2], [150, 150, 100])[:, None] * np.array([0.3, -2.0, 5.0])
-        columns = step_scale_grid(stream, self.AXIS)
-        assert list(columns) == [(b1, b2) for b1 in self.AXIS for b2 in self.AXIS]
-        for pair, norms in columns.items():
+        pairs = [(b1, b2) for b1 in DEFAULT_BETA_AXIS for b2 in DEFAULT_BETA_AXIS]
+        columns = step_scale_cells(stream, pairs)
+        assert columns.shape == (400, len(pairs))
+        for pair, norms in zip(pairs, columns.T):
             alone = step_scale_cells(stream, [pair])
             assert alone.shape == (400, 1)
             assert np.array_equal(norms, alone[:, 0])
@@ -483,16 +482,10 @@ class TestStepScaleCells:
                                    CellConfigs([pair], epsilon=1e-8))
             assert np.array_equal(r[:, i], alone[:, 0])
 
-    def test_repeated_beta_is_refused_before_the_stream_is_read(self):
-        # [0.9, 0.9] would step 4 columns for 1 key; the NaN stream shows the axis is checked
-        # before any work
-        with pytest.raises(DomainError, match="the beta axis repeats 0.9$"):
-            step_scale_grid(np.array([[np.nan]]), [0.9, 0.9])
-
     def test_empty_grid_is_a_domain_error(self):
         # no pair is no cell, as an empty axis is in sweep_grid
         with pytest.raises(DomainError, match="at least one config"):
-            step_scale_grid(np.repeat([1.0, 2.0], 5)[:, None], [])
+            step_scale_cells(np.repeat([1.0, 2.0], 5)[:, None], [])
 
     @pytest.mark.parametrize("stream,error", [
         (np.empty((0, 1)), "non-empty"), (np.array([]), "non-empty"),

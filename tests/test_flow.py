@@ -65,13 +65,13 @@ class TestFlowRhs:
         ts = TimeScales(2.0, 3.0)
         sig = constant_signal([2.0, -1.0])
         g = sig.g(0.0)
-        dm, dv = flow_rhs(0.0, np.array([g, g * g]), sig.g(0.0), ts)
+        dm, dv = flow_rhs(0.0, np.array([g, g * g]), sig.g(0.0), ts, 0.01)
         assert np.allclose(dm, 0.0, atol=1e-15)
         assert np.allclose(dv, 0.0, atol=1e-15)
 
     def test_direct_formula(self):
         ts = TimeScales(2.0, 1.0)
-        dm, _ = flow_rhs(0.0, np.array([[0.0], [1.0]]), constant_signal(1.0).g(0.0), ts)
+        dm, _ = flow_rhs(0.0, np.array([[0.0], [1.0]]), constant_signal(1.0).g(0.0), ts, 0.01)
         assert dm[0] == pytest.approx(0.5)
 
     def test_steady_exponential_mode_growth_rates(self):
@@ -81,13 +81,15 @@ class TestFlowRhs:
         sig = exponential_signal(d0)
         m = np.array([1.0 / (1.0 + d0 * ts.tau1)])
         v = np.array([1.0 / (1.0 + 2.0 * d0 * ts.tau2)])
-        dm, dv = flow_rhs(0.0, np.array([m, v]), sig.g(0.0), ts)
+        dm, dv = flow_rhs(0.0, np.array([m, v]), sig.g(0.0), ts, 0.01)
         assert dm[0] == pytest.approx(d0 * m[0], rel=1e-12)
         assert dv[0] == pytest.approx(2.0 * d0 * v[0], rel=1e-12)
 
     def test_nonpositive_v_rejected(self):
-        with pytest.raises(DomainError):
-            flow_rhs(0.0, np.zeros((2, 1)), constant_signal(1.0).g(0.0), TimeScales(1.0, 1.0))
+        # named by its cause: the exact flow keeps v > 0, an RK4 stage at a large step does not
+        with pytest.raises(DomainError, match="v crossed zero at t=0: an RK4 stage overshot; "
+                                              "the step h=3 is too large for tau2=1$"):
+            flow_rhs(0.0, np.zeros((2, 1)), constant_signal(1.0).g(0.0), TimeScales(1.0, 1.0), 3.0)
 
 
 class TestSteadyGains:
@@ -214,6 +216,7 @@ class TestIntegrateFlow:
         with pytest.raises(FlowAbort) as err:
             integrate_flow(sig, ts, init, t_end=30.0, h=3.0)
         assert err.value.t > 0.0
+        assert str(err.value).endswith("an RK4 stage overshot; the step h=3 is too large for tau2=1")
 
     def test_bad_arguments(self):
         ts = TimeScales(1.0, 1.0)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from scale_lab import (CellConfigs, DomainError, MomentState, TimeScales,
-                       exact_invariance_probe, first_order_sensitivity, step_scale_cells,
-                       step_scale_grid)
+                       exact_invariance_probe, first_order_sensitivity, step_scale_cells)
 from scale_lab.optimizers import optimizer_step
 
 BETA_AXIS = (0.9, 0.99, 0.999)
+BETA_PAIRS = [(b1, b2) for b1 in BETA_AXIS for b2 in BETA_AXIS]
 
 
 class TestExactInvarianceProbe:
@@ -154,17 +154,17 @@ class TestStepScaleExperiment:
 
     def test_steady_state_is_scale_free_for_any_betas(self):
         steps, jump = 32000, 16000
-        columns = step_scale_grid(np.where(np.arange(steps) < jump, 1.0, 10.0)[:, None],
-                                  BETA_AXIS)
-        for norms in columns.values():
+        columns = step_scale_cells(np.where(np.arange(steps) < jump, 1.0, 10.0)[:, None],
+                                   BETA_PAIRS)
+        for norms in columns.T:
             assert norms[jump - 1] == pytest.approx(1.0, abs=1e-6)
             assert norms[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_transient_integral_minimized_on_diagonal(self):
         steps, jump = 32000, 16000
-        columns = step_scale_grid(np.where(np.arange(steps) < jump, 1.0, 10.0)[:, None],
-                                  BETA_AXIS)
-        integrals = {k: np.sum(np.abs(norms[jump:] - 1.0)) for k, norms in columns.items()}
+        columns = step_scale_cells(np.where(np.arange(steps) < jump, 1.0, 10.0)[:, None],
+                                   BETA_PAIRS)
+        integrals = dict(zip(BETA_PAIRS, np.sum(np.abs(columns[jump:] - 1.0), axis=0)))
         for b1 in BETA_AXIS:
             row = {b2: integrals[(b1, b2)] for b2 in BETA_AXIS}
             assert min(row, key=row.get) == b1

@@ -527,8 +527,8 @@ def integrate_flow_reference(signal, ts, init, t_end, h):
     h = t_end / n_steps
     stages = (np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5 * h, h])
     y = np.array([init.m, init.v], dtype=float)
-    t, ys = rk4_reference(functools.partial(flow_rhs, ts=ts), 0.0, y, h, signal.g(stages))
-    _abort_if_invalid(t[-1], ys[-1])
+    t, ys = rk4_reference(functools.partial(flow_rhs, ts=ts, h=h), 0.0, y, h, signal.g(stages))
+    _abort_if_invalid(t[-1], ys[-1], h, ts.tau2)
     m, v = ys[:, 0], ys[:, 1]
     return FlowTrace(t=t, m=m, v=v, r=m / np.sqrt(v))
 

@@ -3,19 +3,22 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_record.py --parent REF --change REF --out BENCH_<n>.json \
-        [--pairs stepscale=10,sweep=5,flow=5] [--seed N]
+        [--pairs sweep=10,stepscale=10,flow=10] [--seed N]
 
 Both commits are exported with ``git archive`` into fresh directories, and
 each runs its own unedited ``bench/run.py --trace 0`` for ``BENCHMARK.json``'s
-``run_seconds``.  For every workload, pair i runs the parent first when i is
-even and the change first when it is odd, so drift of the host's speed falls
-on both sides alike.  The record
-holds every run's detail and result lines as ``bench/run.py`` printed them,
-the per-metric medians and quartiles of each side, how many pairs the change
-won (a tie counts for neither side), the environment line, and both sides'
-``src/`` line counts as their ``bench/run.py`` reports them.  A run that exits
-nonzero or whose result is not ``correct``, or a pair whose output digests
-differ, ends the recording with exit status 1.
+``run_seconds``.  ``--pairs`` defaults to ten pairs of every workload.  For
+every workload, pair i runs the parent first when i is even and the change
+first when it is odd, so drift of the host's speed falls on both sides alike.
+The record holds every run's detail and result lines as ``bench/run.py``
+printed them, the per-metric medians and quartiles of each side, how many
+pairs the change won (a tie counts for neither side), whether the gain rule
+holds, the environment line, and both sides' ``src/`` line counts as their
+``bench/run.py`` reports them.  The gain rule holds for a metric when there
+are at least ten pairs, the change wins at least nine tenths of them, and its
+median is better than the parent's by more than the parent's interquartile
+range.  A run that exits nonzero or whose result is not ``correct``, or a pair
+whose output digests differ, ends the recording with exit status 1.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GAIN_PAIRS = 10  # the fewest pairs, and the default count, for the gain rule
+GAIN_WIN_SHARE = 0.9  # the share of the pairs the change must win for the gain rule
 
 
 def _export(ref: str, into: Path) -> str:
@@ -70,22 +75,25 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
         wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
         losses = sum(sign * (a - b) > 0 for b, a in zip(before, after))
         parent, change = _spread(before), _spread(after)
+        gain = (len(pairs) >= GAIN_PAIRS and wins >= GAIN_WIN_SHARE * len(pairs)
+                and sign * (parent["median"] - change["median"]) > parent["iqr"])
         summary[name] = {"better": direction, "parent": parent, "change": change,
-                         "change_wins": wins, "parent_wins": losses, "pairs": len(pairs),
+                         "change_wins": wins, "gain_rule_holds": gain, "parent_wins": losses,
+                         "pairs": len(pairs),
                          "median_rel_change": change["median"] / parent["median"] - 1.0}
     return summary
 
 
 def main() -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", default="stepscale=10,sweep=5,flow=5")
+    parser.add_argument("--pairs", default=",".join(f"{w}={GAIN_PAIRS}" for w in workloads))
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    workloads = [w["name"] for w in benchmark["workloads"]]
     plan = {}
     for item in args.pairs.split(","):  # checked before either commit is exported
         workload, _, count = item.partition("=")
