@@ -10,7 +10,7 @@ from .drift import (DriftProfile, RemainderReport, SensitivityFit, drift_bounds,
                     remainder_order_sweep)
 from .invariance import RescaleProbeResult, exact_invariance_probe, step_scale_cells
 from .metrics import (OscillationGridReport, binomial_diagonal_test, ema_smooth, grid_report,
-                      omega_grids, oscillation_omega1, oscillation_omega2)
+                      oscillation_omega1, oscillation_omega2)
 from .optimizers import CellConfigs, MomentState
 from .problems import Problem, make_problem
 from .rng import CounterRng

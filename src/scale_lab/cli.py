@@ -36,7 +36,7 @@ from . import __version__
 from .errors import DomainError, FlowAbort, require_indexable
 from .flow import TimeScales, integrate_flow, steady_state_init
 from .invariance import exact_invariance_probe, step_scale_cells
-from .metrics import METRICS, grid_report, omega_grids
+from .metrics import METRICS, grid_report
 from .optimizers import CellConfigs, MomentState
 from .problems import PROBLEMS, make_problem
 from .rng import SEED_RANGE, parse_seed
@@ -127,6 +127,7 @@ def cmd_flow(args, manifest: RunManifest) -> list[Path]:
     init = steady_state_init(signal, ts)
     manifest.observed["clamped"] = init.clamped
     trace = integrate_flow(signal, ts, init, t_end=t_end, h=args.h)
+    manifest.observed["h"] = trace.meta["h"]  # the step run: --h may be rounded to fit t_end
     # measured before any file is written, so a failed report leaves no outputs
     report = measure_remainder(trace, signal, ts) if t_end > ts.burn_in else None
     files = [flow_trace_csv(trace, out / "trace.csv")]
@@ -232,8 +233,7 @@ def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
     result = sweep_grid(problem, beta_axis=betas, seeds=seeds, steps=args.steps,
                         batch_size=args.batch_size, eta=args.eta, window=args.window)
     manifest.observed["diverged"] = _diverged(result.traces)
-    axis = sorted(betas)  # scored over the sorted axis and seeds, as report scores the grid.csv
-    rep = grid_report(omega_grids(result.omegas[args.metric], axis, sorted(seeds)), axis)
+    rep = grid_report(result.omegas[args.metric])
 
     files = run_trace_csvs({out / "cells" / f"trace_{b1}_{b2}_s{seed}.csv": trace
                             for (b1, b2, seed), trace in sorted(result.traces.items())})
@@ -252,12 +252,10 @@ def cmd_sweep(args, manifest: RunManifest) -> list[Path]:
 
 def cmd_report(args, manifest: RunManifest) -> list[Path]:
     if args.ingest is not None:
-        matrix, axis = read_omega_matrix(Path(args.ingest))
-        grids, mode = [matrix], "one matrix"
+        cells, mode = read_omega_matrix(Path(args.ingest)), "one matrix"
     else:
-        grids, axis = read_omega_grids(Path(args.grid), metric=args.metric)
-        mode = "per-seed"
-    rep = grid_report(grids, axis)
+        cells, mode = read_omega_grids(Path(args.grid), metric=args.metric), "per-seed"
+    rep = grid_report(cells)
     files = [summary_csv(rep, Path(args.out) / "report_summary.csv")]
     _print_report(f"report ({mode}):", rep)
     return files

@@ -93,7 +93,7 @@ class FlowTrace:
 
     @property
     def meta(self) -> dict:
-        """``{"h": step}`` read off the uniform grid; the benchmark's RK4-step counter reads it."""
+        """``{"h": step}`` read off the uniform grid: the step ``flow`` records in its manifest."""
         return {"h": float(self.t[1] - self.t[0])}
 
 

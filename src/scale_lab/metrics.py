@@ -94,39 +94,40 @@ class OscillationGridReport:
     hits: int                    # K: scored rows whose argmin column equals the row
     trials: int                  # N: scored (row, seed) pairs
     p_value: float
-    argmin_cols: list[list[int]]  # per seed, per row; -1 for an unscored row
+    argmin_cols: list[list[int]]  # per seed, each run's in turn, per row; -1 if unscored
 
     @property
     def rate(self) -> float:
         return self.hits / self.trials
 
 
-def omega_grids(cells: Mapping[tuple[float, float, int], float], axis: Sequence[float],
-                seeds: Sequence[int]) -> list[np.ndarray]:
-    """Per seed, the (n x n) matrix of ``cells[(beta1, beta2, seed)]``; row i fixes axis[i]."""
-    return [np.array([[cells[(b1, b2, s)] for b2 in axis] for b1 in axis], dtype=float)
-            for s in seeds]
-
-
-def grid_report(omega_grids: Sequence[np.ndarray], beta_axis: Sequence[float]) -> OscillationGridReport:
+def grid_report(*runs: Mapping[tuple[float, float, int], float]) -> OscillationGridReport:
     """Score diagonal selection over (row, seed) pairs and attach the exact test.
 
-    NaN and infinite entries are +inf in the argmin (a diverged run never
-    wins).  A row is scored only when exactly one column holds its minimum
-    and that minimum is finite: a tied row or a row of diverged cells is no
-    evidence either way, so it is left out of K and N and its argmin is -1.
-    Pooling independent grids of one axis is one call on their concatenated
-    list.  Raises ``DomainError`` when no row can be scored.
+    Each run maps the ``(beta1, beta2, seed)`` cells of one n x n grid per seed to their
+    scores, as a sweep's ``omegas[metric]`` does, read in sorted beta and seed order; a
+    missing cell is a ``DomainError`` naming it.  NaN and infinite entries are +inf in the
+    argmin (a diverged run never wins).  A row is scored only when exactly one column holds
+    its minimum and that minimum is finite: a tied row or a row of diverged cells is no
+    evidence either way, so it is left out of K and N and its argmin is -1.  Pooling runs of
+    one axis length is one call.  Raises ``DomainError`` when no row can be scored.
     """
-    grids = [np.asarray(g, dtype=float) for g in omega_grids]
+    grids = []
+    for cells in runs:
+        axis = sorted({b for b1, b2, _ in cells for b in (b1, b2)})
+        seeds = sorted({s for _, _, s in cells})
+        square = [(b1, b2, s) for s in seeds for b1 in axis for b2 in axis]
+        missing = [cell for cell in square if cell not in cells]
+        if missing:
+            raise DomainError(f"missing cell (beta1, beta2, seed) = {missing[0]}")
+        grids.append(np.reshape([cells[c] for c in square], (len(seeds), len(axis), len(axis))))
     if not grids:
-        raise DomainError("empty grid list")
-    n = len(beta_axis)
-    for g in grids:
-        if g.shape != (n, n):
-            raise DomainError(f"grid shape {g.shape} does not match axis length {n}")
+        raise DomainError("no run to score")
+    n = grids[0].shape[1]
+    if any(g.shape[1] != n for g in grids):
+        raise DomainError(f"runs of axis lengths {[g.shape[1] for g in grids]} cannot be pooled")
 
-    vals = np.stack(grids)
+    vals = np.concatenate(grids, dtype=float)
     vals[~np.isfinite(vals)] = np.inf
     low = vals.min(axis=2, keepdims=True, initial=np.inf)  # an empty axis scores no row
     scored = ((vals == low).sum(axis=2) == 1) & (low[..., 0] < np.inf)

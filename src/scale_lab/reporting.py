@@ -42,7 +42,7 @@ from .errors import DomainError
 from .flow import FlowTrace
 from .invariance import RescaleProbeResult
 from . import rng
-from .metrics import METRICS, OscillationGridReport, omega_grids
+from .metrics import METRICS, OscillationGridReport
 from .training import LOSS_EVERY, RunTrace, SweepResult
 
 
@@ -279,8 +279,8 @@ def summary_csv(report: OscillationGridReport, path: Path) -> Path:
                      [[report.rate], [report.hits], [report.trials], [report.p_value]])
 
 
-def read_omega_grids(path: Path, metric: str):
-    """Rebuild per-seed matrices of one metric's column from a sweep grid CSV."""
+def read_omega_grids(path: Path, metric: str) -> dict[tuple[float, float, int], float]:
+    """One metric's column of a sweep grid CSV as its ``(beta1, beta2, seed) -> omega`` cells."""
     cols = read_csv_columns(path)
     for needed in ("beta1", "beta2", "seed", metric):
         if needed not in cols:
@@ -292,22 +292,22 @@ def read_omega_grids(path: Path, metric: str):
     axis = sorted(set(b1s))
     if sorted(set(b2s)) != axis:
         raise CsvParseError(path, 1, "beta1 and beta2 axes disagree")
-    seed_list = sorted(set(seeds))
     lines: dict[tuple[float, float, int], int] = {}
     for n, cell in zip(cols.lines, zip(b1s, b2s, seeds)):
         if cell in lines:
             raise CsvParseError(path, n, f"duplicate cell (beta1, beta2, seed) = {cell}, "
                                          f"first on line {lines[cell]}")
         lines[cell] = n
-    for cell in ((b1, b2, s) for s in seed_list for b1 in axis for b2 in axis):
+    for cell in ((b1, b2, s) for s in sorted(set(seeds)) for b1 in axis for b2 in axis):
         if cell not in lines:
             raise CsvParseError(path, cols.lines[-1] if cols.lines else 1,
                                 f"missing cell (beta1, beta2, seed) = {cell}: no line has it")
-    return omega_grids(dict(zip(zip(b1s, b2s, seeds), omegas)), axis, seed_list), axis
+    return dict(zip(zip(b1s, b2s, seeds), omegas))
 
 
-def read_omega_matrix(path: Path):
-    """Read an externally supplied omega matrix (header: beta1, then beta2 values)."""
+def read_omega_matrix(path: Path) -> dict[tuple[float, float, int], float]:
+    """An externally supplied omega matrix (header: beta1, then beta2 values) as the cells
+    ``(beta1, beta2, 0) -> omega`` of one seed; an empty field is NaN."""
     cols = read_csv_columns(path)
     names = list(cols.keys())
     if len(names) < 2 or names[0] != "beta1":
@@ -321,10 +321,9 @@ def read_omega_matrix(path: Path):
         i = next(i for i, (b1, b2) in enumerate(zip_longest(rows_b1, axis_cols)) if b1 != b2)
         raise CsvParseError(path, cols.lines[min(i, len(cols.lines) - 1)] if cols.lines else 1,
                             "row beta1 values must match column beta2 values")
-    rows = zip(cols.lines, zip(*(cols[name] for name in names[1:])))
-    matrix = np.array([[parse_omega(path, line, x) if x.strip() else np.nan for x in fields]
-                       for line, fields in rows])  # an empty field is NaN
-    return matrix, axis_cols
+    rows = zip(cols.lines, rows_b1, zip(*(cols[name] for name in names[1:])))
+    return {(b1, b2, 0): parse_omega(path, line, x) if x.strip() else np.nan
+            for line, b1, fields in rows for b2, x in zip(axis_cols, fields)}
 
 
 # ---------------------------------------------------------------- manifest

@@ -174,9 +174,9 @@ def sweep_grid(problem: Problem, beta_axis: Sequence[float] = DEFAULT_BETA_AXIS,
 
     Every cell of every seed trains at ``eta`` (by default ``problem.default_eta``) as one
     row of a single lockstep batch; the finished cells are smoothed in one call and each is
-    measured by every metric of ``METRICS``.  Scoring is
-    ``grid_report(omega_grids(result.omegas[metric], axis, seeds), axis)``.  A repeated beta
-    or seed would count one run as two, so it is a ``DomainError``, raised before training.
+    measured by every metric of ``METRICS``; ``grid_report(result.omegas[metric])`` scores
+    them.  A repeated beta or seed would count one run as two, so it is a ``DomainError``,
+    raised before training.
     """
     if window < 1:
         raise DomainError(f"window must be >= 1, got {window}")

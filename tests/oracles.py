@@ -7,7 +7,8 @@
 - ``tracking_check``: the scalar tracking inequality the drift expansion is built from,
   checked on whole time grids;
 - ``delta_fd``: a central finite-difference drift, the check on a signal's analytic one;
-- ``constant_gradient_closed_form``: raw Adam's R under a constant gradient.
+- ``constant_gradient_closed_form``: raw Adam's R under a constant gradient;
+- ``grid_cells``: per-seed matrices over a beta axis as the cell map ``grid_report`` scores.
 
 They read private helpers of ``scale_lab`` where the library already has the step they need.
 """
@@ -159,3 +160,13 @@ def constant_gradient_closed_form(c: float | np.ndarray, k: int, beta1: float, b
         raise DomainError("closed form requires a nonzero constant gradient")
     magnitude = (1.0 - beta1 ** k) / np.sqrt(1.0 - beta2 ** k)
     return np.sign(c) * magnitude
+
+
+# ---------------------------------------------------------------- metrics
+
+def grid_cells(grids, axis, seeds=None) -> dict:
+    """``{(axis[i], axis[j], seed): grid[i, j]}`` for each seed's (n x n) grid, the seeds
+    0, 1, ... unless given."""
+    seeds = range(len(grids)) if seeds is None else seeds
+    return {(b1, b2, s): g[i][j] for s, g in zip(seeds, grids)
+            for i, b1 in enumerate(axis) for j, b2 in enumerate(axis)}

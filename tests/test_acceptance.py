@@ -13,7 +13,7 @@ import pytest
 from scale_lab import (CellConfigs, FlowState, MomentState, TimeScales,
                        beta_from_tau, binomial_diagonal_test, ema_smooth, exact_invariance_probe,
                        exponential_signal, first_order_sensitivity, grid_report,
-                       integrate_flow, make_problem, omega_grids,
+                       integrate_flow, make_problem,
                        oscillation_omega1, oscillation_omega2,
                        sinusoidal_log_signal, steady_state_init, step_scale_cells, sweep_grid)
 from scale_lab.optimizers import optimizer_step
@@ -174,12 +174,9 @@ def test_criterion_8_desk_scale_pipeline(tmp_path):
     replay = sweep_grid(make_problem("logistic"), seeds=seeds, steps=5000, window=200)
     assert logistic.omegas == replay.omegas
 
-    # pooling is one grid_report call over both sweeps' per-seed grids
-    axis = [0.9, 0.99, 0.999]
-    logistic_grids, mlp_grids = (omega_grids(res.omegas["omega1"], axis, seeds)
-                                 for res in (logistic, mlp))
-    logistic_rep, mlp_rep = grid_report(logistic_grids, axis), grid_report(mlp_grids, axis)
-    pooled = grid_report(logistic_grids + mlp_grids, axis)
+    # pooling is one grid_report call on both sweeps' omega1 cells
+    logistic_rep, mlp_rep = (grid_report(res.omegas["omega1"]) for res in (logistic, mlp))
+    pooled = grid_report(logistic.omegas["omega1"], mlp.omegas["omega1"])
     k, n, p = pooled.hits, pooled.trials, pooled.p_value
     summary_csv(logistic_rep, tmp_path / "logistic_summary.csv")
     summary_csv(mlp_rep, tmp_path / "mlp_summary.csv")

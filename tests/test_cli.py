@@ -322,8 +322,16 @@ class TestFlowCommand:
         assert err == "scale-lab: error: drift undefined: g(14.903) has a zero coordinate\n"
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["command"], manifest["observed"], manifest["outputs"]) == (
-            "flow", {"clamped": False}, {})
+            "flow", {"clamped": False, "h": 0.02}, {})
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_manifest_records_the_step_the_flow_ran(self, tmp_path, capsys):
+        # a step longer than the run is rounded to one step of the whole run, t_end = 15
+        out = tmp_path / "flow"
+        assert run("flow", "--signal", "const", "--h", "100", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["config"]["h"], manifest["observed"]) == (
+            "100.0", {"clamped": False, "h": 15.0})
 
 
 class TestProbeCommand:
@@ -625,6 +633,22 @@ class TestSweepAndReport:
         cols = read_csv_columns(out / "report_summary.csv")
         assert (cols["K"], cols["N"], cols["p_value"]) == (["1"], ["1"], ["0.5"])
 
+    def test_ingest_reads_the_betas_in_sorted_order_whatever_the_listing(self, tmp_path, capsys):
+        # one matrix, listed 0.99 first and then 0.9 first: row 0.9 is tied, and the unscored
+        # row is numbered by sorted beta1 either way
+        listings = {"unsorted": "beta1,0.99,0.9\n0.99,1,2\n0.9,1,1\n",
+                    "sorted": "beta1,0.9,0.99\n0.9,1,1\n0.99,2,1\n"}
+        printed, summaries = [], []
+        for name, text in listings.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            out = tmp_path / name
+            assert run("report", "--ingest", str(tmp_path / f"{name}.csv"), "--out", str(out)) == 0
+            printed.append(capsys.readouterr().out.splitlines())
+            summaries.append((out / "report_summary.csv").read_bytes())
+        assert printed[0] == printed[1] == ["report (one matrix): K=1 N=1 rate=100.0% p=0.5",
+                                            "  unscored rows (seed, row): [(0, 0)]"]
+        assert summaries[0] == summaries[1]
+
     @pytest.mark.parametrize("flag,text,line,field", [
         ("--ingest", "beta1,0.9,0.99\n0.9,-3,1\n0.99,2,-1e300\n", 2, "-3"),
         ("--ingest", "beta1,0.9,0.99\n0.9,1,nan\n0.99,-inf,\n", 3, "-inf"),
@@ -844,7 +868,8 @@ class TestSweepAndReport:
 
 class TestManifest:
     COMMANDS = {  # argv, seeds, observed
-        "flow": (["flow", "--signal", "exp", "--t-end", "12", "--plot"], [], {"clamped": False}),
+        "flow": (["flow", "--signal", "exp", "--t-end", "12", "--plot"], [],
+                 {"clamped": False, "h": 0.02}),
         "probe": (["probe", "--step-scale", "--steps", "40", "--beta-grid", "0.9,0.99"], [], {}),
         "sweep": (["sweep", "--problem", "quadratic", "--seed-list", "3,1", "--steps", "20",
                    "--window", "5", "--beta-grid", "0.9,0.99"], [3, 1], {"diverged": []}),

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from scale_lab import (DomainError, binomial_diagonal_test, ema_smooth, grid_report,
                        oscillation_omega1, oscillation_omega2)
+from oracles import grid_cells
 
 # Row-published oscillation grid used as an external fixture: each row's
 # minimum sits on the diagonal.
@@ -135,14 +137,18 @@ class TestBinomialTest:
 class TestGridReport:
     AXIS = [0.9, 0.99, 0.999]
 
+    def report(self, *runs):
+        """``grid_report`` of each run's per-seed grids over ``AXIS``."""
+        return grid_report(*(grid_cells(grids, self.AXIS) for grids in runs))
+
     def test_diagonal_grid_all_hits(self):
-        report = grid_report([DIAGONAL_GRID], self.AXIS)
+        report = self.report([DIAGONAL_GRID])
         assert report.argmin_cols == [[0, 1, 2]]
         assert (report.hits, report.trials) == (3, 3)
         assert report.p_value == pytest.approx(0.037037037, rel=1e-6)
 
     def test_three_identical_seeds(self):
-        report = grid_report([DIAGONAL_GRID] * 3, self.AXIS)
+        report = self.report([DIAGONAL_GRID] * 3)
         assert (report.hits, report.trials) == (9, 9)
         assert report.p_value == pytest.approx(5.0805e-5, rel=1e-4)
 
@@ -150,7 +156,7 @@ class TestGridReport:
         grid = DIAGONAL_GRID.copy()
         grid[2] = [np.nan, 204.2, 0.0735]  # diverged cell loses the argmin
         grid[1] = [np.nan, 0.3, np.inf]    # two cells tied at +inf are no tie of the minimum
-        report = grid_report([grid], self.AXIS)
+        report = self.report([grid])
         assert report.argmin_cols == [[0, 1, 2]]
 
     def test_tied_rows_are_left_out_not_scored_by_first_column(self):
@@ -158,52 +164,71 @@ class TestGridReport:
         grid = np.array([[1.0, 1.0, 2.0],   # tie between columns 0 and 1: unscored
                          [3.0, 1.0, 2.0],   # strict minimum on the diagonal: a hit
                          [1.0, 2.0, 1.0]])  # tie between columns 0 and 2: unscored
-        report = grid_report([grid], self.AXIS)
+        report = self.report([grid])
         assert report.argmin_cols == [[-1, 1, -1]]
         assert (report.hits, report.trials) == (1, 1)
         assert report.p_value == binomial_diagonal_test(1, 1, 3)
         with pytest.raises(DomainError, match="can be scored"):
-            grid_report([np.ones((3, 3))], self.AXIS)  # every row all-equal
+            self.report([np.ones((3, 3))])  # every row all-equal
 
     def test_all_nan_row_is_left_out_not_a_hit(self):
         grid = DIAGONAL_GRID.copy()
         grid[0] = np.nan  # every cell of row 0 diverged: a bare argmin would call it a hit
-        report = grid_report([grid], self.AXIS)
+        report = self.report([grid])
         assert report.argmin_cols == [[-1, 1, 2]]
         assert (report.hits, report.trials) == (2, 2)
         assert report.p_value == binomial_diagonal_test(2, 2, 3)
 
     def test_no_scorable_row_raises(self):
         with pytest.raises(DomainError):
-            grid_report([np.full((3, 3), np.nan)], self.AXIS)
+            self.report([np.full((3, 3), np.nan)])
 
     def test_shape_validation(self):
         with pytest.raises(DomainError):
-            grid_report([np.ones((2, 2))], self.AXIS)
-        with pytest.raises(DomainError):
-            grid_report([], self.AXIS)
+            grid_report()
         with pytest.raises(DomainError, match="can be scored"):
-            grid_report([np.zeros((0, 0))], [])
+            grid_report({})
+
+    def test_missing_cell_is_named(self):
+        # the square of a run is its sorted betas by its sorted seeds; the first cell of it
+        # that the map lacks is named, in (seed, beta1, beta2) order
+        cells = grid_cells([DIAGONAL_GRID] * 2, self.AXIS, seeds=[4, 7])
+        del cells[(0.99, 0.9, 7)], cells[(0.999, 0.99, 7)]
+        with pytest.raises(DomainError, match=re.escape("(beta1, beta2, seed) = (0.99, 0.9, 7)")):
+            grid_report(cells)
+        # a beta that only one position holds leaves its row (or column) missing
+        cells = grid_cells([DIAGONAL_GRID], self.AXIS)
+        cells[(0.9, 0.5, 0)] = 1.0
+        with pytest.raises(DomainError, match=re.escape("= (0.5, 0.5, 0)")):
+            grid_report(cells)
+
+    def test_order_of_the_keys_is_not_read(self):
+        # rows, columns and seeds are scored sorted, however the map was built: seed 1 holds
+        # the transposed grid
+        cells = grid_cells([DIAGONAL_GRID, DIAGONAL_GRID.T], self.AXIS, seeds=[2, 1])
+        shuffled = dict(reversed(list(cells.items())))
+        assert grid_report(shuffled) == grid_report(cells)
+        assert grid_report(cells).argmin_cols == [[1, 2, 2], [0, 1, 2]]  # seed 1, then 2
 
     def test_two_by_two_all_hits_over_three_seeds(self):
         grid = np.array([[0.1, 1.0], [1.0, 0.1]])
-        report = grid_report([grid] * 3, [0.9, 0.99])
+        report = grid_report(grid_cells([grid] * 3, [0.9, 0.99]))
         assert (report.hits, report.trials) == (6, 6)
         assert report.p_value == 0.015625  # 0.5^6
 
     def test_pooling_mixed_widths_is_a_shape_error(self):
-        # a pooled count is one grid_report call, so grids of another width are rejected
-        small = np.array([[0.1, 1.0], [1.0, 0.1]])
-        with pytest.raises(DomainError, match="does not match axis length 3"):
-            grid_report([DIAGONAL_GRID, small], self.AXIS)
+        # a pooled count is one grid_report call, so runs of another width are rejected
+        small = grid_cells([np.array([[0.1, 1.0], [1.0, 0.1]])], [0.9, 0.99])
+        with pytest.raises(DomainError, match=re.escape("axis lengths [3, 2] cannot be pooled")):
+            grid_report(grid_cells([DIAGONAL_GRID], self.AXIS), small)
 
     def test_pooled_report_sums_the_counts(self):
         g1 = [DIAGONAL_GRID] * 3                        # 9 of 9
         g2 = [np.array([[1.0, 1.0, 2.0],                # tied: unscored
                         [0.5, 1.0, 2.0],                # a miss
                         [3.0, 2.0, 1.0]])]              # a hit
-        r1, r2 = grid_report(g1, self.AXIS), grid_report(g2, self.AXIS)
-        pooled = grid_report(g1 + g2, self.AXIS)
+        r1, r2 = self.report(g1), self.report(g2)
+        pooled = self.report(g1, g2)
         assert (r2.hits, r2.trials) == (1, 2)
         assert (pooled.hits, pooled.trials) == (r1.hits + r2.hits, r1.trials + r2.trials)
         assert pooled.p_value == binomial_diagonal_test(10, 11, 3)

@@ -192,7 +192,7 @@ class TestAdamOnlyEngine:
             "SweepResult", "TimeScales", "beta_from_tau", "binomial_diagonal_test",
             "constant_signal", "drift_bounds", "ema_smooth", "exact_invariance_probe",
             "exponential_signal", "first_order_sensitivity", "fit_power_law", "grid_report",
-            "integrate_flow", "make_problem", "measure_remainder", "omega_grids",
+            "integrate_flow", "make_problem", "measure_remainder",
             "oscillation_omega1", "oscillation_omega2", "predict_first_order",
             "remainder_order_sweep", "sinusoidal_log_signal", "start_point", "steady_state_init",
             "step_scale_cells", "sweep_grid", "tau_from_beta", "train_cells"]
@@ -272,11 +272,13 @@ class TestAdamOnlyEngine:
             assert not hasattr(module, name), (module.__name__, name)
 
     def test_second_scoring_surface_is_gone(self):
-        # grid_report is the one path from cell scores to K, N and p: pooling is one call on
-        # the concatenated grids, and a sweep with no scorable row raises its DomainError
+        # grid_report is the one path from cell scores to K, N and p: it builds the grids of
+        # the cell maps itself, pooling is one call on all of them, and a sweep with no
+        # scorable row raises its DomainError
         for module, name in [(scale_lab, "combine_reports"), (metrics, "combine_reports"),
                              (scale_lab, "SweepAbort"), (errors, "SweepAbort"),
-                             (training, "SweepAbort"), (training, "grid_report")]:
+                             (training, "SweepAbort"), (training, "grid_report"),
+                             (scale_lab, "omega_grids"), (metrics, "omega_grids")]:
             assert not hasattr(module, name), (module.__name__, name)
 
 

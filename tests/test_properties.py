@@ -33,7 +33,7 @@ from scale_lab.drift import _ladder_flow
 from scale_lab.errors import DomainError, FlowAbort
 from scale_lab.flow import _abort_if_invalid, _relax
 from scale_lab.problems import MLP_HIDDEN, QUADRATIC_DIM, _make_blobs
-from oracles import delta_fd, flow_rhs, tracking_check
+from oracles import delta_fd, flow_rhs, grid_cells, tracking_check
 
 SIGNALS = {
     "constant": lambda: constant_signal([2.0, -0.5, 3.0]),
@@ -128,8 +128,8 @@ def test_grid_report_invariant_under_seed_permutation(data, order):
     assume(grid_report_reference(grids, axis)[1] > 0)  # else no row can be scored
     perm = list(range(len(grids)))
     order.shuffle(perm)
-    base = grid_report(grids, axis)
-    moved = grid_report([grids[i] for i in perm], axis)
+    base = grid_report(grid_cells(grids, axis))
+    moved = grid_report(grid_cells([grids[i] for i in perm], axis))
     assert (moved.hits, moved.trials, moved.rate, moved.p_value) == (
         base.hits, base.trials, base.rate, base.p_value)
     assert moved.argmin_cols == [base.argmin_cols[i] for i in perm]
@@ -140,7 +140,7 @@ def test_grid_report_invariant_under_seed_permutation(data, order):
 def test_non_finite_cell_never_wins_a_row(data):
     grids, axis = data
     assume(grid_report_reference(grids, axis)[1] > 0)
-    report = grid_report(grids, axis)
+    report = grid_report(grid_cells(grids, axis))
     for g, cols in zip(grids, report.argmin_cols):
         for row, col in enumerate(cols):
             vals = np.where(np.isfinite(g[row]), g[row], np.inf)
@@ -170,9 +170,9 @@ def test_grid_report_equals_the_per_row_loop(grids):
     hits, trials, argmins = grid_report_reference(grids, axis)
     if trials == 0:
         with pytest.raises(DomainError, match="can be scored"):
-            grid_report(grids, axis)
+            grid_report(grid_cells(grids, axis))
         return
-    report = grid_report(grids, axis)
+    report = grid_report(grid_cells(grids, axis))
     assert (report.hits, report.trials, report.argmin_cols) == (hits, trials, argmins)
     assert all(type(c) is int for cols in report.argmin_cols for c in cols)
     assert report.p_value == binomial_diagonal_test(hits, trials, len(axis))

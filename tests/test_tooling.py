@@ -1,7 +1,9 @@
 """The test configuration and the tools: a failing property test fails without ending the
-run, and ``tools/bench_record.py`` rejects a malformed plan before it exports a commit and by
-default runs the ten pairs of every workload that its gain rule needs."""
+run, the package imports nothing but the standard library and numpy, and
+``tools/bench_record.py`` rejects a malformed plan before it exports a commit and by default
+runs the ten pairs of every workload that its gain rule needs."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -38,6 +40,23 @@ def test_failing_given_test_does_not_abort_the_run(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency in pyproject.toml; a package installed beside it
+    # (scipy is, on some hosts) would pass every test here and fail on a clean install
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted((ROOT / "src" / "scale_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # a relative import stays inside the package
+                continue
+            for name in names:
+                where = f"{path.name}:{node.lineno}"
+                assert name.partition(".")[0] in allowed, f"{where} imports {name}"
 
 
 MALFORMED = "error: --pairs items are workload=count"

@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 
 from scale_lab import (CellConfigs, DomainError, MomentState, ema_smooth,
-                       grid_report, make_problem, omega_grids, oscillation_omega1,
+                       grid_report, make_problem, oscillation_omega1,
                        oscillation_omega2, start_point, sweep_grid, train_cells)
 from scale_lab.optimizers import optimizer_step
 from scale_lab.problems import QUADRATIC_DIM
 from scale_lab.training import LOSS_EVERY
-
-
-def omega1_report(res):
-    """``grid_report`` of a sweep's omega1 grids, the way ``sweep`` and ``report --grid`` score."""
-    axis = sorted({b1 for b1, _, _ in res.traces})
-    seeds = sorted({s for _, _, s in res.traces})
-    return grid_report(omega_grids(res.omegas["omega1"], axis, seeds), axis)
 
 
 def central_difference_gradient(loss, theta, h=1e-5):
@@ -144,7 +137,7 @@ class TestSweepGrid:
         prob = make_problem("logistic")
         res1 = sweep_grid(prob, seeds=(0, 1), steps=60, window=10)
         res2 = sweep_grid(prob, seeds=(0, 1), steps=60, window=10)
-        assert omega1_report(res1).trials == 6
+        assert grid_report(res1.omegas["omega1"]).trials == 6
         assert {seed for _, _, seed in res1.omegas["omega1"]} == {0, 1}
         assert res1.omegas == res2.omegas
 
@@ -172,7 +165,8 @@ class TestSweepGrid:
             assert trace.diverged == (cell == (0.999, 0.9, 0))
             assert all(math.isnan(scores[cell]) == trace.diverged
                        for scores in res.omegas.values())
-        assert omega1_report(res).argmin_cols[0][2] != 0  # the diverged cell never wins its row
+        # the diverged cell never wins its row
+        assert grid_report(res.omegas["omega1"]).argmin_cols[0][2] != 0
 
     def test_empty_arguments_rejected(self):
         with pytest.raises(DomainError):
@@ -182,7 +176,7 @@ class TestSweepGrid:
         # deterministic full-batch run: this configuration lands all three
         # rows on the diagonal, so N=3 and p = (1/3)^3
         res = sweep_grid(make_problem("quadratic"), seeds=(0,), steps=3000, window=200)
-        rep = omega1_report(res)
+        rep = grid_report(res.omegas["omega1"])
         assert rep.trials == 3
         assert rep.hits == 3
         assert rep.p_value == pytest.approx(0.037037037, rel=1e-9)
